@@ -22,9 +22,11 @@ constructions cannot diverge).
 
 The side state also powers the verification pruning cascade:
 :func:`usim_upper_bound` bounds the unified similarity from above without
-building the pair graph (per-segment msim upper bounds fed to a matching
-bound), and :func:`singleton_greedy_lower_bound` bounds the *exact* USIM
-from below via a greedy matching of the all-singletons partitions.
+building the pair graph (per-segment msim upper bounds fed to a maxima
+bound and then a matching bound, the two stages of
+:class:`PairUpperBound`), and :func:`singleton_greedy_lower_bound` bounds
+the *exact* USIM from below via a matching of the all-singletons
+partitions.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ __all__ = [
     "prepare_graph_side",
     "build_conflict_graph",
     "build_conflict_graph_from_sides",
+    "PairUpperBound",
     "usim_upper_bound",
     "singleton_greedy_lower_bound",
 ]
@@ -636,6 +639,74 @@ def _segment_pair_upper_bound(
     return bound
 
 
+class PairUpperBound:
+    """The two stages of :func:`usim_upper_bound` over one pair's matrix.
+
+    Every well-defined partition pair realises ``W(P) / max(|P_S|, |P_T|)``
+    where the matching ``W(P)`` only pairs well-defined segments; bounding
+    the numerator by a matching over *all* segment pairs (with per-pair
+    msim upper bounds, :attr:`matrix`) and the denominator from below by
+    the exact minimal partition sizes therefore bounds USIM — and a
+    fortiori the Algorithm-1 approximation, which realises some partition
+    pair — from above.  The numerator comes in two strengths: :meth:`maxima`
+    sums row/column maxima, which dominate any matching's weight (a
+    matching takes at most one entry per row and per column), and
+    :meth:`matching` runs the matching solver, which is tighter and dearer.
+    The verification cascade runs the lower-bound tier between the two
+    stages on one instance, so the matrix is built once per candidate.
+    """
+
+    __slots__ = ("matrix", "denominator")
+
+    def __init__(
+        self, left_side: GraphSide, right_side: GraphSide, config: MeasureConfig
+    ) -> None:
+        _check_side_configs(left_side, right_side, config)
+        self.matrix: List[List[float]] = []
+        self.denominator = 1
+        if not left_side.tokens or not right_side.tokens:
+            return
+        use_jaccard = config.uses(Measure.JACCARD)
+        right_bounds = right_side.bound_state
+        self.matrix = [
+            [
+                _segment_pair_upper_bound(left, right, use_jaccard)
+                for right in right_bounds
+            ]
+            for left in left_side.bound_state
+        ]
+        self.denominator = max(
+            left_side.min_partition_size, right_side.min_partition_size, 1
+        )
+
+    def maxima(self, threshold: float) -> float:
+        """The maxima bound; the column sum is skipped when rows prune.
+
+        The smaller of the two sums is the bound, but when the row sum
+        alone already falls below ``threshold`` the (looser, still valid)
+        row bound is returned: only its comparison with ``threshold`` is
+        ever used.
+        """
+        matrix = self.matrix
+        if not matrix or not matrix[0]:
+            return 0.0
+        cheap = sum(max(row) for row in matrix)
+        if cheap / self.denominator >= threshold:
+            col_sum = sum(
+                max(row[column] for row in matrix)
+                for column in range(len(matrix[0]))
+            )
+            cheap = min(cheap, col_sum)
+        value = cheap / self.denominator
+        return 1.0 if value > 1.0 else value
+
+    def matching(self, exact_limit: int = 16) -> float:
+        """The matching-solver bound (exact Hungarian up to ``exact_limit``)."""
+        numerator = matching_weight_upper_bound(self.matrix, exact_limit=exact_limit)
+        value = numerator / self.denominator
+        return 1.0 if value > 1.0 else value
+
+
 def usim_upper_bound(
     left_side: GraphSide,
     right_side: GraphSide,
@@ -646,55 +717,24 @@ def usim_upper_bound(
 ) -> float:
     """An upper bound on the unified similarity, pair graph not required.
 
-    Every well-defined partition pair realises ``W(P) / max(|P_S|, |P_T|)``
-    where the matching ``W(P)`` only pairs well-defined segments; bounding
-    the numerator by a maximum matching over *all* segment pairs (with
-    per-pair msim upper bounds) and the denominator from below by the exact
-    minimal partition sizes therefore bounds USIM — and a fortiori the
-    Algorithm-1 approximation, which realises some partition pair — from
-    above.
-
-    ``threshold`` is a pure short-circuit for callers that only compare the
-    bound against a pruning threshold (the verification cascade, which is
-    also the per-candidate hot path of single-record search queries): the
-    row/column-maxima sums dominate any matching weight, so when that
-    cheaper bound already falls below ``threshold`` it is returned directly
-    and the matching solver never runs.  Every decision of the form
-    ``usim_upper_bound(...) < threshold`` is identical with or without the
-    short circuit — only the returned value may be the (valid but looser)
-    cheap bound in the sub-threshold cases.
+    The composition of the two :class:`PairUpperBound` stages: without
+    ``threshold`` this is the matching bound (the tightest, which top-k
+    search orders candidates by).  ``threshold`` is a pure short circuit
+    for callers that only compare the bound against a pruning threshold:
+    when the cheap maxima bound already falls below it, that bound is
+    returned and the matching solver never runs.  Every decision of the
+    form ``usim_upper_bound(...) < threshold`` is identical with or without
+    the short circuit — only the returned value may be the (valid but
+    looser) maxima bound in the sub-threshold cases.  The verification
+    cascade runs the same two stages itself, with the lower-bound tier
+    between them (see :mod:`repro.join.verification`).
     """
-    _check_side_configs(left_side, right_side, config)
-    if not left_side.tokens or not right_side.tokens:
-        return 0.0
-    use_jaccard = config.uses(Measure.JACCARD)
-    left_bounds = left_side.bound_state
-    right_bounds = right_side.bound_state
-    matrix: List[List[float]] = [
-        [
-            _segment_pair_upper_bound(left, right, use_jaccard)
-            for right in right_bounds
-        ]
-        for left in left_bounds
-    ]
-    denominator = max(left_side.min_partition_size, right_side.min_partition_size, 1)
-    if threshold is not None and matrix and matrix[0]:
-        # A matching selects at most one entry per row and per column, so
-        # each maxima sum bounds every matching's weight from above.
-        row_sum = sum(max(row) for row in matrix)
-        cheap = row_sum
-        if cheap / denominator >= threshold:
-            columns = len(matrix[0])
-            col_sum = sum(
-                max(row[column] for row in matrix) for column in range(columns)
-            )
-            cheap = min(cheap, col_sum)
-        value = cheap / denominator
-        if value < threshold:
-            return 1.0 if value > 1.0 else value
-    numerator = matching_weight_upper_bound(matrix, exact_limit=exact_limit)
-    value = numerator / denominator
-    return 1.0 if value > 1.0 else value
+    bound = PairUpperBound(left_side, right_side, config)
+    if threshold is not None:
+        cheap = bound.maxima(threshold)
+        if cheap < threshold:
+            return cheap
+    return bound.matching(exact_limit)
 
 
 def singleton_greedy_lower_bound(

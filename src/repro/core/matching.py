@@ -191,7 +191,7 @@ def matching_weight_lower_bound(
     is ≤ the optimum, so clearing a threshold with it is lossless.  Small
     matrices (every dimension ≤ ``exact_limit``) get the exact Hungarian
     optimum — the tightest possible lower bound, so strictly more pairs
-    skip the upper-bound tier than under greedy, at O(n³) on at most
+    skip the matching-bound stage than under greedy, at O(n³) on at most
     ``exact_limit``² weights; larger matrices keep the weight-descending
     greedy (≥ 1/2 of the optimum).
     """

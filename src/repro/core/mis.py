@@ -18,7 +18,7 @@ sets of vertex indices.
 from __future__ import annotations
 
 import itertools
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Iterator, List, Sequence, Set, Tuple
 
 from .graph import ConflictGraph
 
@@ -64,14 +64,43 @@ def greedy_wmis(graph: ConflictGraph, *, key: str = "weight") -> Set[int]:
     return selected
 
 
-def _independent_subsets(
-    graph: ConflictGraph, candidates: Sequence[int], max_size: int
-) -> Iterable[Tuple[int, ...]]:
-    """Yield all independent subsets of ``candidates`` with size 1..max_size."""
-    for size in range(1, max_size + 1):
-        for combo in itertools.combinations(candidates, size):
-            if graph.is_independent(combo):
-                yield combo
+def _talon_sets(
+    graph: ConflictGraph,
+    adjacency: Sequence[FrozenSet[int]],
+    anchor: int,
+    outside: Sequence[int],
+    max_claw_size: int,
+) -> Iterator[Tuple[int, ...]]:
+    """Yield the candidate talon sets around ``anchor``, in search order.
+
+    A talon set is the anchor plus up to ``max_claw_size - 1`` of its
+    *partners*: outside vertices, in index order, that are not adjacent to
+    the anchor but share a neighbour with it.  Only the first
+    ``max(8, 4 * max_claw_size) - 1`` partners are pooled, and they are
+    looked up only once the anchor alone has failed to improve.  Partners
+    are non-adjacent to the anchor by construction, so a talon set is
+    independent exactly when its partners are: a single partner needs no
+    test.
+    """
+    yield (anchor,)
+    if max_claw_size == 1:
+        return
+    limit = max(8, max_claw_size * 4) - 1
+    anchor_neighbours = adjacency[anchor]
+    partners: List[int] = []
+    for index in outside:
+        if (
+            index != anchor
+            and index not in anchor_neighbours
+            and not anchor_neighbours.isdisjoint(adjacency[index])
+        ):
+            partners.append(index)
+            if len(partners) == limit:
+                break
+    for size in range(1, max_claw_size):
+        for rest in itertools.combinations(partners, size):
+            if size == 1 or graph.is_independent(rest):
+                yield (anchor,) + rest
 
 
 def squareimp_wmis(
@@ -89,41 +118,35 @@ def squareimp_wmis(
     such improvements until none exists yields Berman's d/2 guarantee on
     d-claw-free graphs when ``max_claw_size`` ≥ d−1; smaller values trade the
     constant for speed, which is the same trade-off the paper's ``t``
-    parameter expresses.
+    parameter expresses.  Talon sets are enumerated locally around each
+    outside vertex (see :func:`_talon_sets`), and the first improving one
+    is applied.
     """
     if max_claw_size < 1:
         raise ValueError("max_claw_size must be at least 1")
 
     selected = greedy_wmis(graph)
     weights = [vertex.weight for vertex in graph.vertices]
+    squared = [weight ** 2 for weight in weights]
+    adjacency = [graph.neighbors(index) for index in range(len(graph))]
 
     def conflict_set(talons: Sequence[int]) -> Set[int]:
+        # Talons are outside the solution, so only their neighbours leave it.
         removed: Set[int] = set()
         for talon in talons:
-            removed |= graph.neighbors(talon) & selected
-            if talon in selected:
-                removed.add(talon)
+            removed |= adjacency[talon] & selected
         return removed
 
     for _ in range(max_iterations):
         improved = False
         outside = [index for index in range(len(graph)) if index not in selected]
-        # Candidate talon sets are built around each outside vertex and its
-        # independent outside neighbours, which keeps enumeration local.
         for anchor in outside:
-            neighbourhood = [anchor] + [
-                index for index in outside
-                if index != anchor and graph.are_adjacent(anchor, index) is False
-                and (graph.neighbors(anchor) & graph.neighbors(index))
-            ]
-            # Restrict to a bounded pool for tractability.
-            pool = neighbourhood[: max(8, max_claw_size * 4)]
-            for talons in _independent_subsets(graph, pool, max_claw_size):
-                if anchor not in talons:
-                    continue
+            for talons in _talon_sets(
+                graph, adjacency, anchor, outside, max_claw_size
+            ):
                 removed = conflict_set(talons)
-                gain = sum(weights[t] ** 2 for t in talons)
-                loss = sum(weights[r] ** 2 for r in removed)
+                gain = sum(squared[talon] for talon in talons)
+                loss = sum(squared[vertex] for vertex in removed)
                 if gain > loss + 1e-12:
                     selected -= removed
                     selected |= set(talons)

@@ -12,26 +12,35 @@ Prepared verification engine
 candidates by probe record, reuses per-record cached
 :class:`~repro.core.graph.GraphSide` state (segments, gram sets, overlap
 sets) from :class:`~repro.join.prepared.PreparedCollection`, and runs a
-tiered bound cascade before committing to the full Algorithm 1:
+tiered bound cascade before committing to the full Algorithm 1, cheapest
+and most decisive stage first:
 
-1. *Lower-bound tier* — a matching of the all-singletons partitions (exact
-   Hungarian for small token matrices, weight-descending greedy beyond)
-   lower-bounds the exact USIM; when it already clears the threshold the
-   upper-bound tier is skipped (it provably cannot prune this pair).
-2. *Upper-bound tier* — per-segment msim upper bounds from cached pebble
-   material fed to a matching bound reject pairs whose unified similarity
-   cannot reach the threshold, without building the pair graph.
-3. *Full verification* — the pair graph is assembled from the two cached
+1. *Maxima bound* (upper tier, first stage) — per-segment msim upper
+   bounds from cached pebble material, summed over row and column maxima,
+   reject pairs whose unified similarity cannot reach the threshold
+   without building the pair graph.  It runs on every candidate and
+   prunes nearly every pruned one.
+2. *Lower-bound tier* — on the survivors only, a matching of the
+   all-singletons partitions (exact Hungarian for small token matrices,
+   weight-descending greedy beyond) lower-bounds the exact USIM; when it
+   already clears the threshold the matching stage is skipped (it
+   provably cannot prune this pair).
+3. *Matching bound* (upper tier, second stage) — the same msim bounds fed
+   to a matching solver, on the pairs the lower bound did not clear.
+4. *Full verification* — the pair graph is assembled from the two cached
    sides and Algorithm 1 runs with its value-ceiling short circuit (the
    improvement loop is skipped once no swap can gain ``1/t``).
 
 The cascade is lossless: the surviving pair set and every reported
 similarity are bit-identical to verifying each candidate with
 :meth:`Verifier.verify` (the pre-engine path), which the randomized
-equivalence tests enforce.  All counters are aggregated per worker chunk,
-so pooled verification reports exact statistics (no racy
-``verified_count`` increments); oversized probe groups are split past a
-cap before chunking, so one hot probe record cannot serialize a pool.
+equivalence tests enforce.  The stage order changes no counter either: a
+pair the lower bound clears is never pruned by an upper stage, so the
+counters equal those of running the lower bound first.  All counters are
+aggregated per worker chunk, so pooled verification reports exact
+statistics (no racy ``verified_count`` increments); oversized probe
+groups are split past a cap before chunking, so one hot probe record
+cannot serialize a pool.
 
 Execution backends
 ------------------
@@ -55,9 +64,9 @@ from ..core.approximation import approximate_usim, approximate_usim_on_graph
 from ..core.graph import (
     GraphSide,
     PairGraphAssembler,
+    PairUpperBound,
     build_conflict_graph_from_sides,
     singleton_greedy_lower_bound,
-    usim_upper_bound,
 )
 from ..core.measures import MeasureConfig
 from ..records import Record
@@ -88,12 +97,13 @@ class VerificationStats:
     ``upper_bound_prunes`` were rejected without building a pair graph and
     ``graphs_built`` went through Algorithm 1 (``ceiling_stops`` of them
     skipped the improvement loop via the value ceiling, ``full_runs`` ran
-    it).  ``lower_bound_skips`` counts pairs whose cheap lower bound already
-    cleared the threshold, letting the cascade skip the upper-bound tier.
-    ``adaptive_lower_skips`` / ``adaptive_upper_skips`` count candidates for
-    which the adaptive controller (see :class:`UnifiedVerifier`) bypassed a
-    bound tier because its observed hit rate had dropped below its cost;
-    both stay 0 when adaptivity is off.
+    it).  ``lower_bound_skips`` counts pairs whose lower bound cleared the
+    threshold, letting the cascade skip the matching stage of the upper
+    tier.  ``adaptive_lower_skips`` / ``adaptive_upper_skips`` count
+    candidates for which the adaptive controller (see
+    :class:`UnifiedVerifier`) bypassed a bound tier because its observed
+    hit rate had dropped below its cost; both stay 0 when adaptivity is
+    off.
     """
 
     candidates: int = 0
@@ -383,11 +393,14 @@ class UnifiedVerifier(Verifier):
     window of candidates drops below its cost (``lower_tier_cost`` /
     ``upper_tier_cost``, the break-even hit rate of computing the bound),
     the tier is skipped for subsequent candidates and periodically re-probed.
-    This matters most for the lower-bound tier: at high join thresholds it
-    almost never clears θ (``BENCH_verification.json`` records 0% at
-    θ ≥ 0.7), so with adaptivity off every candidate pays its greedy
-    matching for nothing — ``adaptive=True`` sheds that cost after the
-    first window while keeping the tier available for the low-θ,
+    The upper gate covers the whole upper tier — both stages, one outcome
+    per candidate: pruned or not — and a bypassed upper tier bypasses the
+    lower tier with it, since the lower bound only serves to skip the
+    matching stage.  The lower gate covers the lower tier, so it only sees
+    candidates the maxima bound did not prune: at high join thresholds few
+    of those clear θ (``BENCH_verification.json`` records 0% at θ ≥ 0.7),
+    and ``adaptive=True`` sheds their singleton matchings after the first
+    window while keeping the tier available for the low-θ,
     similarity-dense workloads it exists for.
     Because both tiers are lossless, the surviving pairs and similarities
     are *identical* with adaptivity on or off — only the per-tier counters
@@ -489,33 +502,19 @@ class UnifiedVerifier(Verifier):
         # empty-input result, so the cascade handles them like any pair (and
         # the tier counters keep partitioning the candidates).
         if self.prune and threshold > 0.0:
-            lower_gate = self._lower_gate
             upper_gate = self._upper_gate
-            lower_cleared = False
-            if lower_gate is None or lower_gate.should_run():
-                lower = singleton_greedy_lower_bound(left_side, right_side, config)
-                lower_cleared = lower >= threshold
-                if lower_gate is not None:
-                    lower_gate.record(lower_cleared)
-            else:
-                stats.adaptive_lower_skips += 1
-            if lower_cleared:
-                # The exact USIM is ≥ lower ≥ θ, so the upper bound (≥ exact)
-                # cannot fall below θ: skip computing it.
-                stats.lower_bound_skips += 1
-            elif upper_gate is None or upper_gate.should_run():
-                # threshold= is the sub-θ short circuit: the cheap maxima
-                # bound replaces the matching solver whenever it alone
-                # already prunes — the prune decision is provably the same.
-                upper = usim_upper_bound(
-                    left_side, right_side, config, threshold=threshold
-                )
-                pruned = upper < threshold
+            if upper_gate is None or upper_gate.should_run():
+                upper = PairUpperBound(left_side, right_side, config)
+                pruned = upper.maxima(threshold) < threshold
+                if not pruned and not self._lower_bound_clears(
+                    left_side, right_side, stats
+                ):
+                    pruned = upper.matching() < threshold
                 if upper_gate is not None:
                     upper_gate.record(pruned)
                 if pruned:
-                    # Algorithm 1 realises ≤ exact USIM ≤ upper < θ: the
-                    # unpruned path would reject this pair too.
+                    # Algorithm 1 realises ≤ exact USIM ≤ either upper stage
+                    # < θ: the unpruned path would reject this pair too.
                     stats.upper_bound_prunes += 1
                     return None
             else:
@@ -543,6 +542,29 @@ class UnifiedVerifier(Verifier):
             return VerifiedPair(left_record.record_id, right_record.record_id, value)
         return None
 
+    def _lower_bound_clears(
+        self, left_side: GraphSide, right_side: GraphSide, stats: VerificationStats
+    ) -> bool:
+        """The lower-bound tier: True when the pair provably reaches θ.
+
+        The exact USIM is ≥ the lower bound, and both upper stages are ≥
+        the exact USIM, so a lower bound clearing θ proves the matching
+        stage cannot prune: the cascade skips it.
+        """
+        lower_gate = self._lower_gate
+        if lower_gate is not None and not lower_gate.should_run():
+            stats.adaptive_lower_skips += 1
+            return False
+        cleared = (
+            singleton_greedy_lower_bound(left_side, right_side, self.config)
+            >= self.threshold
+        )
+        if lower_gate is not None:
+            lower_gate.record(cleared)
+        if cleared:
+            stats.lower_bound_skips += 1
+        return cleared
+
     def verify_prepared_pair(
         self,
         left_record: Record,
@@ -556,9 +578,9 @@ class UnifiedVerifier(Verifier):
         This is the public entry the online search index drives: one probe
         record against one candidate member, both with prepared
         :class:`~repro.core.graph.GraphSide` state, through exactly the
-        lower-bound / upper-bound / Algorithm-1 cascade that
-        :meth:`verify_batch` runs per candidate — so a query's surviving
-        pairs and similarities are bit-identical to the batch join's.
+        bound / Algorithm-1 cascade that :meth:`verify_batch` runs per
+        candidate — so a query's surviving pairs and similarities are
+        bit-identical to the batch join's.
 
         ``stats`` redirects the cascade counters into a caller-owned block
         (merge it into :attr:`stats` when done, as :meth:`verify_batch`

@@ -224,10 +224,11 @@ class SimilarityIndex:
     adaptive_verification:
         Enable the verifier's adaptive tier controller (see
         :class:`~repro.join.verification.UnifiedVerifier`): at high θ the
-        lower-bound tier rarely clears, and a long-lived serving index pays
-        it on every candidate of every query — adaptivity sheds it after
-        the first window.  Answers are identical either way; only the
-        per-tier counters (and latency) change.
+        lower-bound tier rarely clears the candidates that survive the
+        maxima bound, and a long-lived serving index pays it on each of
+        them in every query — adaptivity sheds it after the first window.
+        Answers are identical either way; only the per-tier counters (and
+        latency) change.
     kernel:
         Filter-kernel selection for every probe — single queries, top-k,
         member queries, serial and process batch queries: ``"auto"`` (the
@@ -428,13 +429,18 @@ class SimilarityIndex:
         """Fold one answered query into the metrics registry.
 
         ``search.verified`` counts candidates that entered the verification
-        cascade (the stats block's ``candidates``); the staleness gauge
-        tracks drift so a long-serving index shows when re-ordering is due.
+        cascade (the stats block's ``candidates``), and the tier counters
+        add the block's own, once per query; the staleness gauge tracks
+        drift so a long-serving index shows when re-ordering is due.
         """
         metrics = self.telemetry.metrics
+        verification = result.verification
         metrics.counter("search.queries").add()
         metrics.counter("search.candidates").add(result.candidate_count)
-        metrics.counter("search.verified").add(result.verification.candidates)
+        metrics.counter("search.verified").add(verification.candidates)
+        metrics.counter("search.upper_bound_prunes").add(verification.upper_bound_prunes)
+        metrics.counter("search.lower_bound_skips").add(verification.lower_bound_skips)
+        metrics.counter("search.graphs_built").add(verification.graphs_built)
         metrics.histogram("search.query_seconds").observe(result.seconds)
         metrics.gauge("search.staleness").set(self.staleness)
 

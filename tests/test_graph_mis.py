@@ -1,11 +1,17 @@
 """Tests for conflict-graph construction and w-MIS solvers."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.graph import build_conflict_graph
+from repro.core.graph import ConflictGraph, PairVertex, build_conflict_graph
 from repro.core.measures import MeasureConfig
 from repro.core.mis import exact_wmis, greedy_wmis, is_maximal_independent_set, squareimp_wmis
+from repro.core.segments import Segment
+from repro.core.tokenizer import TokenSpan
+from repro.datasets import MED_PROFILE, TINY_PROFILE, generate_dataset, generate_ground_truth
 from repro.synonyms.rules import SynonymRuleSet
 
 
@@ -123,3 +129,126 @@ class TestWMIS:
         graph, _ = example5_graph
         with pytest.raises(ValueError):
             greedy_wmis(graph, key="nope")
+
+
+# --------------------------------------------------------------------- #
+# SquareImp oracle: the original, unoptimised claw search, kept verbatim
+# --------------------------------------------------------------------- #
+def _reference_independent_subsets(graph, candidates, max_size):
+    """Yield all independent subsets of ``candidates`` with size 1..max_size."""
+    for size in range(1, max_size + 1):
+        for combo in itertools.combinations(candidates, size):
+            if graph.is_independent(combo):
+                yield combo
+
+
+def _reference_squareimp_wmis(graph, *, max_claw_size=2, max_iterations=200):
+    """The historical squareimp_wmis loop: every anchor's full neighbourhood,
+    every subset of its pool, non-anchored talon sets discarded."""
+    selected = greedy_wmis(graph)
+    weights = [vertex.weight for vertex in graph.vertices]
+
+    def conflict_set(talons):
+        removed = set()
+        for talon in talons:
+            removed |= graph.neighbors(talon) & selected
+            if talon in selected:
+                removed.add(talon)
+        return removed
+
+    for _ in range(max_iterations):
+        improved = False
+        outside = [index for index in range(len(graph)) if index not in selected]
+        # Candidate talon sets are built around each outside vertex and its
+        # independent outside neighbours, which keeps enumeration local.
+        for anchor in outside:
+            neighbourhood = [anchor] + [
+                index for index in outside
+                if index != anchor and graph.are_adjacent(anchor, index) is False
+                and (graph.neighbors(anchor) & graph.neighbors(index))
+            ]
+            # Restrict to a bounded pool for tractability.
+            pool = neighbourhood[: max(8, max_claw_size * 4)]
+            for talons in _reference_independent_subsets(graph, pool, max_claw_size):
+                if anchor not in talons:
+                    continue
+                removed = conflict_set(talons)
+                gain = sum(weights[t] ** 2 for t in talons)
+                loss = sum(weights[r] ** 2 for r in removed)
+                if gain > loss + 1e-12:
+                    selected -= removed
+                    selected |= set(talons)
+                    improved = True
+                    break
+            if improved:
+                break
+        if not improved:
+            break
+
+    # Make the solution maximal: add any non-conflicting leftover vertex.
+    for index in sorted(range(len(graph)), key=lambda i: -weights[i]):
+        if index in selected:
+            continue
+        if not (graph.neighbors(index) & selected):
+            selected.add(index)
+    return selected
+
+
+def _random_graph(rng, vertex_count, edge_probability):
+    """A ConflictGraph with random weights (some tied) and symmetric edges."""
+    vertices = []
+    for index in range(vertex_count):
+        segment = Segment(TokenSpan(index, index + 1), (f"t{index}",))
+        weight = rng.choice((round(rng.random(), 1), rng.random()))
+        vertices.append(PairVertex(index, segment, segment, weight, None))
+    adjacency = [set() for _ in range(vertex_count)]
+    for i in range(vertex_count):
+        for j in range(i + 1, vertex_count):
+            if rng.random() < edge_probability:
+                adjacency[i].add(j)
+                adjacency[j].add(i)
+    tokens = [f"t{index}" for index in range(vertex_count)]
+    return ConflictGraph(tokens, tokens, vertices, adjacency)
+
+
+class TestSquareImpOracle:
+    """The lazy anchored talon search selects exactly what the original did."""
+
+    @pytest.mark.parametrize("profile", [TINY_PROFILE, MED_PROFILE], ids=["TINY", "MED"])
+    def test_corpus_graphs_match_reference(self, profile):
+        dataset = generate_dataset(profile, count=300, seed=3)
+        records = list(dataset.records)
+        # Near-duplicates give the synonym-only config non-empty graphs too.
+        truth = generate_ground_truth(dataset, positive_pairs=15, negative_pairs=0, seed=5)
+        improved = 0
+        for codes in ("J", "S", "T", "TJS"):
+            config = MeasureConfig.from_codes(
+                codes, rules=dataset.rules, taxonomy=dataset.taxonomy, q=3
+            )
+            rng = random.Random(5)
+            pairs = [(rng.choice(records), rng.choice(records)) for _ in range(25)]
+            pairs += [(pair.left, pair.right) for pair in truth.positives()]
+            for left, right in pairs:
+                graph = build_conflict_graph(left.tokens, right.tokens, config)
+                expected = _reference_squareimp_wmis(graph)
+                assert squareimp_wmis(graph) == expected, codes
+                improved += expected != greedy_wmis(graph)
+        # The claw search moved off the greedy seed, so swaps were compared.
+        assert improved > 0
+
+    @pytest.mark.parametrize("max_claw_size", [1, 2, 3])
+    def test_random_graphs_match_reference(self, max_claw_size):
+        rng = random.Random(100 + max_claw_size)
+        improved = 0
+        for _ in range(60):
+            graph = _random_graph(
+                rng, rng.randrange(2, 26), rng.choice((0.1, 0.25, 0.5))
+            )
+            expected = _reference_squareimp_wmis(graph, max_claw_size=max_claw_size)
+            got = squareimp_wmis(graph, max_claw_size=max_claw_size)
+            assert got == expected
+            improved += expected != greedy_wmis(graph)
+        # A lone talon never beats the weight-descending greedy seed (each
+        # outside vertex has a heavier selected neighbour), so only larger
+        # claws can move the solution.
+        assert improved > 0 or max_claw_size == 1

@@ -626,14 +626,15 @@ class TestSatelliteFixes:
         candidates = sorted(
             (rng.randrange(30), rng.randrange(30)) for _ in range(600)
         )
-        # θ = 0.2 over random pairs: the greedy lower bound almost never
-        # clears the threshold, so the lower gate's observed hit rate
-        # collapses below its cost and the tier is bypassed (the upper tier
-        # keeps pruning and stays active).
+        # θ = 0.2 over random pairs: the lower tier only sees the 168 pairs
+        # the maxima bound did not prune, and about a quarter of those clear
+        # the threshold — below the tier's cost of one half, so its gate
+        # closes after the first window and the tier is bypassed (the upper
+        # tier keeps pruning and stays active).
         plain = UnifiedVerifier(config, 0.2)
         expected = plain.verify_batch(candidates, prepared, prepared)
         adaptive = UnifiedVerifier(
-            config, 0.2, adaptive=True, adaptive_window=64, lower_tier_cost=0.1
+            config, 0.2, adaptive=True, adaptive_window=64, lower_tier_cost=0.5
         )
         got = adaptive.verify_batch(candidates, prepared, prepared)
         assert _triples(got) == _triples(expected)

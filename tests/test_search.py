@@ -21,6 +21,7 @@ from repro.join import PebbleJoin
 from repro.records import Record, RecordCollection
 from repro.search import SimilarityIndex
 from repro.store import PreparedStore
+from repro.telemetry import Telemetry
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +136,30 @@ def test_topk_equals_full_query_head(search_dataset):
             # The early stop may only ever skip work, never answers.
             assert top.bound_skipped >= 0
             assert top.candidate_count == full.candidate_count
+
+
+def test_query_metrics_sum_the_verification_blocks(search_dataset):
+    """The per-query tier counters equal the summed QueryResult stats."""
+    config = _config(search_dataset, "TJS")
+    telemetry = Telemetry()
+    index = SimilarityIndex(
+        search_dataset.records.head(45), config, theta=0.45, tau=1, telemetry=telemetry
+    )
+    # Copies of members (0-2) clear the lower bound; the rest mostly prune.
+    probe_ids = [0, 1, 2] + list(range(45, 53))
+    probes = [search_dataset.records[record_id] for record_id in probe_ids]
+    results = [index.query(probe) for probe in probes]
+    results += [index.query_topk(probe, 2) for probe in probes]
+    results += [index.query_member(record_id) for record_id in range(6)]
+    counters = telemetry.metrics.snapshot()["counters"]
+    for field in ("upper_bound_prunes", "lower_bound_skips", "graphs_built"):
+        assert counters[f"search.{field}"] == sum(
+            getattr(result.verification, field) for result in results
+        )
+        assert counters[f"search.{field}"] > 0
+    assert counters["search.verified"] == sum(
+        result.verification.candidates for result in results
+    )
 
 
 def test_topk_validates_k(search_dataset):

@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.core.approximation import approximate_usim
+from repro.core.approximation import approximate_usim, approximate_usim_on_graph
 from repro.core.exact import ExactBudgetExceeded, exact_usim
 from repro.core.graph import (
     GraphSide,
@@ -26,10 +26,10 @@ from repro.core.graph import (
     usim_upper_bound,
 )
 from repro.core.measures import MeasureConfig
-from repro.datasets import TINY_PROFILE, generate_dataset
+from repro.datasets import TINY_PROFILE, generate_dataset, generate_ground_truth
 from repro.join import PebbleJoin, SignatureMethod, UnifiedJoin
 from repro.join.verification import UnifiedVerifier, VerificationStats, Verifier
-from repro.records import RecordCollection
+from repro.records import Record, RecordCollection
 
 MEASURE_CODES = ("J", "S", "T", "TJS")
 
@@ -252,6 +252,97 @@ class TestVerifyBatchEquivalence:
             tau=2,
         ).join(collection, verify_workers=2)
         assert serial.pair_ids() == threaded.pair_ids()
+
+
+def _near_duplicate_collection(dataset, count=12, exact_copies=3):
+    """Originals followed by their near-duplicates (the first few exact
+    copies), so that some candidates clear the lower bound even at high θ
+    while most are pruned."""
+    truth = generate_ground_truth(
+        dataset, positive_pairs=count, negative_pairs=0, seed=3
+    )
+    positives = truth.positives()[:count]
+    originals = [pair.left for pair in positives]
+    duplicates = originals[:exact_copies] + [
+        pair.right for pair in positives[exact_copies:]
+    ]
+    sources = originals + duplicates
+    return RecordCollection(
+        Record(record_id=index, text=record.text, tokens=record.tokens)
+        for index, record in enumerate(sources)
+    )
+
+
+def _reference_cascade_stats(config, threshold, candidates, left, right):
+    """The historical tier order from the public bounds: the lower bound
+    first, then the upper bound with its sub-θ maxima short circuit."""
+    stats = VerificationStats()
+    for left_id, right_id in candidates:
+        left_side = left.graph_side(left_id)
+        right_side = right.graph_side(right_id)
+        stats.candidates += 1
+        if singleton_greedy_lower_bound(left_side, right_side, config) >= threshold:
+            stats.lower_bound_skips += 1
+        elif usim_upper_bound(left_side, right_side, config, threshold=threshold) < threshold:
+            stats.upper_bound_prunes += 1
+            continue
+        stats.graphs_built += 1
+        graph = build_conflict_graph_from_sides(left_side, right_side, config)
+        result = approximate_usim_on_graph(graph, config, t=4.0)
+        if result.ceiling_stopped:
+            stats.ceiling_stops += 1
+        else:
+            stats.full_runs += 1
+        if result.value >= threshold:
+            stats.results += 1
+    return stats
+
+
+class TestCascadeOrderCounters:
+    """Running the maxima bound before the lower bound changes no counter:
+    a pair the lower bound clears is never pruned by any upper stage."""
+
+    @pytest.mark.parametrize("self_join", [True, False], ids=["self", "two"])
+    @pytest.mark.parametrize("codes", MEASURE_CODES)
+    def test_counters_match_historical_order(self, engine_dataset, codes, self_join):
+        config = _config(engine_dataset, codes)
+        collection = _near_duplicate_collection(engine_dataset)
+        half = len(collection) // 2
+        if self_join:
+            left = right = collection
+            candidates = [
+                (i, j) for i in range(len(collection)) for j in range(i + 1, len(collection))
+            ]
+        else:
+            # Originals against their duplicates (plus every other pairing).
+            left = collection.subset(range(half))
+            right = collection.subset(range(half, len(collection)))
+            candidates = [(i, j) for i in range(half) for j in range(half)]
+        for threshold in (0.3, 0.8, 0.95):
+            prepared_left = PebbleJoin(config, threshold).prepare(left)
+            prepared_right = (
+                prepared_left if self_join else PebbleJoin(config, threshold).prepare(right)
+            )
+            expected = _reference_cascade_stats(
+                config, threshold, candidates, prepared_left, prepared_right
+            )
+            batch = UnifiedVerifier(config, threshold)
+            batch.verify_batch(candidates, prepared_left, prepared_right)
+            assert batch.stats == expected, threshold
+            single = UnifiedVerifier(config, threshold)
+            for left_id, right_id in candidates:
+                single.verify_prepared_pair(
+                    prepared_left[left_id],
+                    prepared_right[right_id],
+                    prepared_left.graph_side(left_id),
+                    prepared_right.graph_side(right_id),
+                )
+            assert single.stats == expected, threshold
+            assert expected.upper_bound_prunes > 0, threshold
+            if "J" in codes:
+                # Exact copies clear every θ under Jaccard; S and T alone
+                # score a token 0 unless a rule or taxonomy node covers it.
+                assert expected.lower_bound_skips > 0, threshold
 
 
 class TestBoundSoundness:
