@@ -1,9 +1,9 @@
-"""Multi-core scaling of the sharded join driver (serial vs thread vs process).
+"""Multi-core scaling of the sharded join driver (serial vs process).
 
-``run_parallel_scaling`` joins one prepared corpus with every executor —
-serial once, then the thread and process pools at several worker counts —
-on one shared preparation (signing is cache-backed, so each timed run is
-filter + verify).  Every pooled run is checked for bit-identical pairs and
+``run_parallel_scaling`` joins one prepared corpus serially once, then
+through the process executor at several worker counts, on one shared
+preparation (signing is cache-backed, so each timed run is filter +
+verify).  Every pooled run is checked for bit-identical pairs and
 statistics counters against the serial reference before its time is
 recorded, so the emitted numbers can never come from a diverged result.
 
@@ -12,22 +12,17 @@ always records ``cpu_count``: the process pool's speedup is physical
 parallelism, so on a single-core container the expected process-pool result
 is ~1x or below (IPC overhead with nothing to parallelize against), while
 the ≥2x verification speedup at 4 workers materializes on machines with
-≥ 4 cores.  The thread rows document the GIL baseline the process driver
-exists to beat.
+≥ 4 cores.
 
 The ``payload`` block measures the worker transfer itself: the pickled
-bytes of the historical full :class:`~repro.join.parallel.ShardPlan`,
-the slim prefix-view plan, the flat integer-encoded plan actually shipped
-(plus the size of its shared-memory segment), and the unsigned
-worker-side-signing plan — so each transfer win of the artifact and flat
-layers is a recorded number, not an assertion.
+bytes of the flat integer-encoded :class:`~repro.join.parallel.ShardPlan`
+and the size of the shared-memory segment a warm pool receives it through.
 
-Executor rows cover the full transport matrix: the GIL-bound thread pool,
-the flat process pool under its automatic payload (fork inheritance where
-available), the same plan forced through the shared-memory segment, a
-persistent :class:`~repro.join.pool.WarmJoinPool` reused across worker
-submissions, and the worker-side-signing variant.  The warm pool is closed
-in a ``finally`` so a failed run can never leak its executor or segment.
+Executor rows cover both transports: ``process`` (a per-call pool — fork
+inheritance where available) and ``process-warm`` (a persistent
+:class:`~repro.join.pool.WarmJoinPool` receiving the plan through its
+shared-memory segment).  The warm pool is closed in a ``finally`` so a
+failed run can never leak its executor or segment.
 
 The ``filter_kernel`` block races the interchangeable probe kernels of
 :mod:`repro.join.kernels` — the pure-Python reference loop against the
@@ -65,10 +60,9 @@ from pathlib import Path
 from repro.core.measures import MeasureConfig
 from repro.datasets import MED_PROFILE, generate_dataset
 from repro.faults import FAULTS, FaultRule
-from repro.join.artifacts import plan_payload_bytes
 from repro.join.aufilter import PebbleJoin
 from repro.join.kernels import numpy_available
-from repro.join.parallel import _export_plan_payload, build_shard_plan
+from repro.join.parallel import _export_plan_payload, build_shard_plan, plan_payload_bytes
 from repro.join.pool import WarmJoinPool
 from repro.join.signatures import SignatureMethod
 from repro.join.supervision import SupervisorPolicy
@@ -78,8 +72,8 @@ THETA = 0.7
 TAU = 2
 WORKER_COUNTS = (1, 2, 4)
 
-#: Process-family executors whose ≥2x bar is asserted on ≥4-core machines.
-SCALING_EXECUTORS = ("process", "process-shm", "process-warm")
+#: Executor rows; the ≥2x bar is asserted for both on ≥4-core machines.
+EXECUTORS = ("process", "process-warm")
 
 #: Default output location: the repository root (the recorded numbers are
 #: committed alongside the code they measure).
@@ -254,13 +248,7 @@ def run_parallel_scaling(
     theta=THETA,
     tau=TAU,
     worker_counts=WORKER_COUNTS,
-    executors=(
-        "thread",
-        "process",
-        "process-shm",
-        "process-warm",
-        "process-worker-signed",
-    ),
+    executors=EXECUTORS,
     kernel_records=2000,
     out_path=None,
 ):
@@ -295,21 +283,13 @@ def run_parallel_scaling(
     runs = []
     for executor in executors:
         for workers in worker_counts:
-            if executor == "process-worker-signed":
-                join_kwargs = dict(executor="process", sign_in_workers=True)
-            elif executor == "process-shm":
-                join_kwargs = dict(executor="process", payload_mode="shm")
-            elif executor == "process-warm":
-                join_kwargs = dict(executor="process")
-            else:
-                join_kwargs = dict(executor=executor)
             warm_pool = (
                 WarmJoinPool(workers=workers) if executor == "process-warm" else None
             )
             try:
                 start = time.perf_counter()
                 result = engine().join(
-                    prepared, workers=workers, pool=warm_pool, **join_kwargs
+                    prepared, executor="process", workers=workers, pool=warm_pool
                 )
                 seconds = time.perf_counter() - start
             finally:
@@ -334,38 +314,17 @@ def run_parallel_scaling(
                 }
             )
 
-    # Transfer payload: what one worker actually receives, full vs slim vs
-    # flat — the slim plan with vs without the per-plan pebble-key
-    # interning (the key-table win stays a recorded number), and the flat
-    # integer-encoded plan that the process pool now ships by default,
-    # both as pickled bytes and as its shared-memory segment size.
-    full_bytes = plan_payload_bytes(build_shard_plan(engine(), prepared, slim=False))
-    slim_bytes = plan_payload_bytes(
-        build_shard_plan(engine(), prepared, slim=True, flat=False)
-    )
-    slim_uninterned_bytes = plan_payload_bytes(
-        build_shard_plan(engine(), prepared, slim=True, flat=False, intern_keys=False)
-    )
-    flat_plan = build_shard_plan(engine(), prepared, slim=True)
-    flat_bytes = plan_payload_bytes(flat_plan)
+    # Transfer payload: the flat integer-encoded plan the process pool
+    # ships, as pickled bytes and as the warm pool's shared-memory segment.
+    flat_plan = build_shard_plan(engine(), prepared)
     shm_payload = _export_plan_payload(flat_plan)
     try:
         shm_segment_bytes = shm_payload.shm.size
     finally:
         shm_payload.release()
-    unsigned_bytes = plan_payload_bytes(
-        build_shard_plan(engine(), prepared, sign_in_workers=True)
-    )
     plan_payload = {
-        "full_bytes": full_bytes,
-        "slim_bytes": slim_bytes,
-        "slim_uninterned_bytes": slim_uninterned_bytes,
-        "flat_bytes": flat_bytes,
+        "flat_bytes": plan_payload_bytes(flat_plan),
         "shm_segment_bytes": shm_segment_bytes,
-        "worker_signed_bytes": unsigned_bytes,
-        "slim_reduction": 1.0 - slim_bytes / max(full_bytes, 1),
-        "intern_reduction": 1.0 - slim_bytes / max(slim_uninterned_bytes, 1),
-        "flat_reduction_vs_slim": 1.0 - flat_bytes / max(slim_bytes, 1),
     }
 
     supervision = _supervision_overhead(engine, prepared, reference_triples)
@@ -429,7 +388,7 @@ def test_parallel_scaling(benchmark, med_dataset):
     )
     for run in payload["runs"]:
         print(
-            f"  {run['executor']:>8} x{run['workers']}: {run['seconds']:.2f}s "
+            f"  {run['executor']:>12} x{run['workers']}: {run['seconds']:.2f}s "
             f"→ {run['speedup_vs_serial']:.2f}x "
             f"({'ok' if run['results_match'] else 'MISMATCH'}) "
             f"(written to {DEFAULT_PARALLEL_JSON.name})"
@@ -437,13 +396,8 @@ def test_parallel_scaling(benchmark, med_dataset):
 
     sizes = payload["payload"]
     print(
-        f"  plan payload: full {sizes['full_bytes']:,}B, slim "
-        f"{sizes['slim_bytes']:,}B ({sizes['slim_reduction']:.0%} smaller; "
-        f"key interning {sizes['intern_reduction']:.0%} off the uninterned "
-        f"{sizes['slim_uninterned_bytes']:,}B), flat "
-        f"{sizes['flat_bytes']:,}B ({sizes['flat_reduction_vs_slim']:.0%} "
-        f"off slim; shm segment {sizes['shm_segment_bytes']:,}B), "
-        f"worker-signed {sizes['worker_signed_bytes']:,}B"
+        f"  plan payload: flat {sizes['flat_bytes']:,}B, "
+        f"shm segment {sizes['shm_segment_bytes']:,}B"
     )
 
     for corpus, comparison in payload["filter_kernel"].items():
@@ -508,21 +462,12 @@ def test_parallel_scaling(benchmark, med_dataset):
     if numpy_available():
         synth_comparison = payload["filter_kernel"]["synthetic_corpus"]
         assert synth_comparison["numpy_speedup"] >= 3.0, synth_comparison
-    # The slim transfer view must cut the worker payload substantially; 40%
-    # is the floor the artifact layer ships with on the bench corpus.
-    assert sizes["slim_reduction"] >= 0.40
-    # Interning equal key tuples may only shrink the payload.
-    assert sizes["slim_bytes"] <= sizes["slim_uninterned_bytes"]
-    # The flat integer encoding must shrink the shipped plan further than
-    # the interned slim views it replaces as the process-pool default.
-    assert sizes["flat_bytes"] < sizes["slim_bytes"]
     # The ≥2x speedup bar needs physical cores to parallelize across and a
     # serial baseline long enough to trust the measurement; a single-core
     # container cannot express multi-core speedup, so the bar is asserted
-    # only where it is physically meaningful.  It applies to every flat
-    # process transport: fork/auto, the shared-memory segment, and the
-    # warm pool.
+    # only where it is physically meaningful.  It applies to both
+    # transports: the per-call pool and the warm pool.
     if cpu_count >= 4 and payload["serial"]["seconds"] > 0.05:
         for run in payload["runs"]:
-            if run["executor"] in SCALING_EXECUTORS and run["workers"] == 4:
+            if run["workers"] == 4:
                 assert run["speedup_vs_serial"] >= 2.0, run

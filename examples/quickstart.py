@@ -15,9 +15,8 @@ one batch join, knobs picked for you             ``UnifiedJoin`` (``tau="auto"``
 repeated joins over the same collections         ``UnifiedJoin.prepare`` / ``PebbleJoin.prepare``
 streaming results chunk by chunk                 ``join_batches(batch_size=...)``
 forcing/avoiding the vectorized filter           ``kernel="numpy"|"python"`` (default ``"auto"``)
-all cores on one big join                        ``executor="process"`` (+ ``sign_in_workers``)
+all cores on one big join                        ``executor="process"`` (``workers=``)
 many process joins, no per-join pool spin-up     ``WarmJoinPool`` (``pool=`` on ``join``/batches)
-zero-copy worker payloads / non-fork platforms   ``payload_mode="shm"`` (``"auto"`` picks fork)
 joins that survive crashed or hung workers       ``SupervisorPolicy`` (``supervision=`` on joins)
 warm restarts / artifacts on disk                ``PreparedStore`` (``store=`` on either engine)
 store housekeeping from the shell                ``python -m repro.store <dir> [--evict|--stats]``
@@ -128,21 +127,15 @@ def main() -> None:
 
     # --- multi-core execution ----------------------------------------------
     # The executor knob shards the probe side across worker processes: the
-    # plan ships slim prefix-only signature views (workers never read the
-    # suffix), each worker filters and verifies its shard with the full
-    # bound cascade, and the merged result is bit-identical to the serial
-    # join at any worker count.  sign_in_workers=True goes further and ships
-    # unsigned shards plus the shared order, so huge corpora never sign in
-    # the parent.  (On large corpora with several cores this is where the
-    # real speedup lives; the toy collections here just demonstrate the API.)
+    # parent signs once and ships the filter stage as flat integer arrays
+    # (workers never see pebble key text), each worker filters and verifies
+    # its shard with the full bound cascade, and the merged result is
+    # bit-identical to the serial join at any worker count.  (On large
+    # corpora with several cores this is where the real speedup lives; the
+    # toy collections here just demonstrate the API.)
     parallel_result = join.join(prepared_a, prepared_b, executor="process", workers=2)
     print(f"Process-pool join -> {len(parallel_result)} pairs "
           f"(identical to serial: {parallel_result.pair_ids() == pair_result.pair_ids()})")
-    worker_signed = join.join(
-        prepared_a, prepared_b, executor="process", workers=2, sign_in_workers=True
-    )
-    print(f"Worker-signed join -> {len(worker_signed)} pairs "
-          f"(identical to serial: {worker_signed.pair_ids() == pair_result.pair_ids()})")
 
     # --- fault-tolerant execution -------------------------------------------
     # Process joins run under a shard supervisor: a worker that dies or

@@ -1,8 +1,9 @@
 """Pickle-boundary checker: worker-shipped classes must stay picklable.
 
-Every process-pool transport pickles a ``ShardPlan`` (or inherits it over
-fork, which the bytes fallback must still survive), so every class reachable
-from the plan's attributes is a pickle boundary.  This checker seeds the
+The warm pool pickles a ``ShardPlan`` into its shared-memory segment (only
+the fork pool inherits it unpickled, and non-fork platforms take the warm
+route), so every class reachable from the plan's attributes is a pickle
+boundary.  This checker seeds the
 reachability walk at the classes named in :attr:`PickleBoundaryChecker.seeds`
 (``ShardPlan`` — the single object shipped to workers by ``parallel.py`` /
 ``flat.py`` / ``pool.py``), follows attribute annotations, base classes, and

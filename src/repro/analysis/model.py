@@ -102,8 +102,8 @@ class Project:
 def annotation_names(node: Optional[ast.AST]) -> Set[str]:
     """Every identifier mentioned in an annotation expression.
 
-    ``Optional[Sequence["SignedRecordView"]]`` yields ``Optional``,
-    ``Sequence``, and ``SignedRecordView`` — string annotations are parsed
+    ``Optional[Sequence["SignedRecord"]]`` yields ``Optional``,
+    ``Sequence``, and ``SignedRecord`` — string annotations are parsed
     recursively so forward references resolve like real names.
     """
     names: Set[str] = set()

@@ -2,12 +2,9 @@
 
 Every hot-path structure of the join carries pebble keys — ``(measure_code,
 text)`` tuples — by value: signature prefixes repeat them per occurrence,
-posting maps key whole dicts by them, and worker payloads pickle them (the
-per-plan :class:`~repro.join.artifacts.KeyInterner` collapses equal tuples
-to one pickle memo entry, but each occurrence still costs a memo
-backreference and every consumer still hashes tuples).  :class:`Vocabulary`
-goes one step further: it interns each distinct key **once** into a dense
-integer id, so downstream layers can re-encode signature prefixes, posting
+posting maps key whole dicts by them, and every consumer hashes tuples.
+:class:`Vocabulary` interns each distinct key **once** into a dense integer
+id, so downstream layers can re-encode signature prefixes, posting
 lists, and the frozen global order as flat integer arrays (see
 :mod:`repro.join.flat`) that index, compare, and ship as machine words.
 

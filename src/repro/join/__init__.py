@@ -1,6 +1,5 @@
 """Pebble-based filter-and-verify join framework (Section 3 of the paper)."""
 
-from .artifacts import KeyInterner, SignedRecordView, plan_payload_bytes, slim_signed_views
 from .aufilter import (
     FilterOutcome,
     JoinBatch,
@@ -18,6 +17,7 @@ from .parallel import (
     ShardPlan,
     ShardResult,
     build_shard_plan,
+    plan_payload_bytes,
     process_join,
     process_join_batches,
 )
@@ -43,7 +43,6 @@ __all__ = [
     "JoinBatch",
     "JoinResult",
     "JoinStatistics",
-    "KeyInterner",
     "MultiFilterOutcome",
     "Pebble",
     "PebbleKey",
@@ -56,7 +55,6 @@ __all__ = [
     "ShardTransportError",
     "SignatureMethod",
     "SignedRecord",
-    "SignedRecordView",
     "SupervisorPolicy",
     "UFilterJoin",
     "UnifiedJoin",
@@ -77,5 +75,4 @@ __all__ = [
     "process_join_batches",
     "select_signature_prefix",
     "sign_record",
-    "slim_signed_views",
 ]

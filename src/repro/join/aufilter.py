@@ -38,10 +38,8 @@ list.
 
 from __future__ import annotations
 
-import os
 import time
 from collections import defaultdict
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -174,8 +172,8 @@ class JoinStatistics:
     verifier reports statistics; it is ``None`` for custom verifiers that
     do not.  ``execution`` is the supervised process executor's
     :class:`~repro.join.supervision.ExecutionReport` (retries, respawns,
-    fallbacks, per-shard attempts) — ``None`` on the serial and thread
-    executors, an all-zero report on a clean supervised run.
+    fallbacks, per-shard attempts) — ``None`` on the serial executor, an
+    all-zero report on a clean supervised run.
     """
 
     signing_seconds: float = 0.0
@@ -228,41 +226,31 @@ def _average_signature_length(signed: Sequence[SignedRecord]) -> float:
 
 
 #: Valid values of the ``executor`` knob on ``join`` / ``join_batches``.
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
 
-def _resolve_executor(
-    executor: Optional[str], workers: Optional[int], verify_workers: int
-) -> Tuple[str, int]:
-    """Normalise the (executor, workers, verify_workers) knobs.
+def _resolve_executor(executor: Optional[str], workers: Optional[int]) -> str:
+    """Validate the (executor, workers) knobs; ``None`` means serial.
 
-    ``executor=None`` preserves the historical ``verify_workers`` contract:
-    0 means serial, > 0 means a thread pool of that size.  An explicit
-    executor takes precedence; ``workers=None`` then falls back to a
-    positive ``verify_workers`` (so legacy callers adding ``executor=``
-    keep their pool size), and only then to the machine's CPU count.
+    The process executor keeps ``workers=None`` so the driver can size its
+    pool from a caller's warm pool before falling back to the CPU count.
     """
-    if verify_workers < 0:
-        raise ValueError("verify_workers must be >= 0")
     if executor is None:
         if workers is not None:
             raise ValueError("workers requires an explicit executor")
-        return ("thread", verify_workers) if verify_workers > 0 else ("serial", 0)
+        return "serial"
     if executor not in EXECUTORS:
         raise ValueError(f"unknown executor {executor!r}; expected one of {EXECUTORS}")
     if executor == "serial":
         if workers not in (None, 0):
             raise ValueError("the serial executor takes no workers")
-        return "serial", 0
-    if workers is None:
-        workers = verify_workers if verify_workers > 0 else (os.cpu_count() or 1)
-    if workers < 1:
-        raise ValueError("pooled executors need workers >= 1")
-    return executor, workers
+    elif workers is not None and workers < 1:
+        raise ValueError("the process executor needs workers >= 1")
+    return executor
 
 
 def _check_process_only(resolved_executor: str, **knobs) -> None:
-    """Reject process-executor-only knobs on the serial/thread executors."""
+    """Reject process-executor-only knobs on the serial executor."""
     if resolved_executor == "process":
         return
     for name, value in knobs.items():
@@ -271,35 +259,6 @@ def _check_process_only(resolved_executor: str, **knobs) -> None:
                 f"{name} requires executor='process' (got "
                 f"executor={resolved_executor!r})"
             )
-
-
-def _check_sign_in_workers(sign_in_workers: bool, resolved_executor: str) -> None:
-    """Reject ``sign_in_workers`` outside the process executor.
-
-    Worker-side signing is a payload/placement decision for process pools;
-    on the serial and thread executors there is no other process to sign
-    in, so a True flag there is a configuration error, not a no-op.
-    """
-    if sign_in_workers and resolved_executor != "process":
-        raise ValueError(
-            "sign_in_workers requires executor='process': the serial and "
-            f"thread executors sign in the calling process (got "
-            f"executor={resolved_executor!r})"
-        )
-
-
-@contextmanager
-def _verification_pool(workers: int):
-    """Yield a thread pool for verification, or None for the serial path."""
-    if workers < 0:
-        raise ValueError("verify_workers must be >= 0")
-    if workers == 0:
-        yield None
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as executor:
-        yield executor
 
 
 def dual_index_filter_candidates(
@@ -901,11 +860,8 @@ class PebbleJoin:
         *,
         precomputed_order: Optional[GlobalOrder] = None,
         signing_tau: Optional[int] = None,
-        verify_workers: int = 0,
         executor: Optional[str] = None,
         workers: Optional[int] = None,
-        sign_in_workers: bool = False,
-        payload_mode: Optional[str] = None,
         pool=None,
         supervision: Optional[SupervisorPolicy] = None,
     ) -> JoinResult:
@@ -917,40 +873,23 @@ class PebbleJoin:
         one full signing between the recommendation and the final join.
 
         ``executor`` selects how candidates are filtered and verified:
-        ``"serial"`` (default), ``"thread"`` (a GIL-bound pool — whole probe
-        groups per worker, statistics aggregated race-free; mostly useful
-        when a custom verifier releases the GIL), or ``"process"`` (the
-        sharded multi-core driver of :mod:`repro.join.parallel`, which also
-        runs the *filtering* of each shard in the workers).  ``workers``
-        sizes the pool; when omitted, a positive ``verify_workers`` seeds
-        it, else it defaults to the CPU count.  The legacy
-        ``verify_workers`` knob alone is a shorthand for
-        ``executor="thread"``.  ``sign_in_workers`` (process executor only)
-        ships unsigned shards plus the shared global order and lets each
-        worker sign locally, so huge corpora never sign in the parent.
-        ``payload_mode`` picks the worker transport (``"auto"``: fork
-        inheritance when available, a shared-memory segment otherwise) and
-        ``pool`` — a :class:`~repro.join.pool.WarmJoinPool` — reuses warm
-        worker processes across calls; both are process-executor-only, as is
-        ``supervision`` — a :class:`~repro.join.supervision.SupervisorPolicy`
-        tuning the fault-tolerant shard supervisor (timeouts, retry/respawn
-        budgets, serial fallback; supervision is on by default and reports
-        through ``statistics.execution``).
-        Every executor returns bit-identical pairs, similarities, and
-        statistics counters at every worker count (with the default
-        non-adaptive verifier) — including supervised runs that retried,
-        respawned, or fell back to serial for some shards.
+        ``"serial"`` (default) or ``"process"`` (the sharded multi-core
+        driver of :mod:`repro.join.parallel`, which also runs the
+        *filtering* of each shard in the workers).  ``workers`` sizes the
+        process pool; when omitted it defaults to the size of ``pool`` — a
+        :class:`~repro.join.pool.WarmJoinPool` whose warm worker processes
+        serve the call — else to the CPU count.  ``pool`` is
+        process-executor-only, as is ``supervision`` — a
+        :class:`~repro.join.supervision.SupervisorPolicy` tuning the
+        fault-tolerant shard supervisor (timeouts, retry/respawn budgets,
+        serial fallback; supervision is on by default and reports through
+        ``statistics.execution``).  Both executors return bit-identical
+        pairs, similarities, and statistics counters at every worker count
+        (with the default non-adaptive verifier) — including supervised runs
+        that retried, respawned, or fell back to serial for some shards.
         """
-        resolved_executor, pool_workers = _resolve_executor(
-            executor, workers, verify_workers
-        )
-        _check_sign_in_workers(sign_in_workers, resolved_executor)
-        _check_process_only(
-            resolved_executor,
-            payload_mode=payload_mode,
-            pool=pool,
-            supervision=supervision,
-        )
+        resolved_executor = _resolve_executor(executor, workers)
+        _check_process_only(resolved_executor, pool=pool, supervision=supervision)
         telemetry = self.telemetry
         metrics = telemetry.metrics
         metrics.counter("join.calls").add()
@@ -974,11 +913,9 @@ class PebbleJoin:
                     self,
                     left_prep,
                     None if self_join else right_prep,
-                    workers=pool_workers,
+                    workers=workers,
                     precomputed_order=precomputed_order,
                     signing_tau=signing_tau,
-                    sign_in_workers=sign_in_workers,
-                    payload_mode=payload_mode,
                     pool=pool,
                     supervision=supervision,
                 )
@@ -989,7 +926,6 @@ class PebbleJoin:
                 join_span.annotate(pairs=len(result.pairs))
                 metrics.counter("join.pairs").add(len(result.pairs))
                 return result
-            verify_workers = pool_workers
 
             statistics = JoinStatistics(
                 tau=self.tau,
@@ -1036,14 +972,12 @@ class PebbleJoin:
             with telemetry.span("verify") as verify_span:
                 verify_start = time.perf_counter()
                 snapshot = self._stats_snapshot()
-                with _verification_pool(verify_workers) as pool:
-                    pairs = self._verify_candidates(
-                        outcome.candidates,
-                        left_prep,
-                        right_prep,
-                        pool=pool,
-                        probe_side=outcome.probe_side,
-                    )
+                pairs = self._verify_candidates(
+                    outcome.candidates,
+                    left_prep,
+                    right_prep,
+                    probe_side=outcome.probe_side,
+                )
             statistics.verification_seconds = _stage_seconds(verify_span, verify_start)
             statistics.verification = self._stats_delta(snapshot)
             statistics.result_count = len(pairs)
@@ -1079,23 +1013,18 @@ class PebbleJoin:
         candidates: Iterable[Tuple[int, int]],
         left: PreparedCollection,
         right: PreparedCollection,
-        pool=None,
         probe_side: str = "left",
     ) -> List[VerifiedPair]:
         verify_batch = getattr(self.verifier, "verify_batch", None)
         if verify_batch is None:
-            # Duck-typed verifiers exposing only verify() keep working —
-            # serially even when a pool is available: an arbitrary verify()
-            # is not assumed thread-safe, so the pool is deliberately not
-            # used for it (subclass Verifier and override _verify_one to
-            # opt in to pooled execution).
+            # Duck-typed verifiers exposing only verify() keep working.
             pairs: List[VerifiedPair] = []
             for left_id, right_id in candidates:
                 verified = self.verifier.verify(left[left_id], right[right_id])
                 if verified is not None:
                     pairs.append(verified)
             return pairs
-        return verify_batch(candidates, left, right, pool=pool, probe_side=probe_side)
+        return verify_batch(candidates, left, right, probe_side=probe_side)
 
     def join_batches(
         self,
@@ -1105,12 +1034,9 @@ class PebbleJoin:
         batch_size: int = 1024,
         precomputed_order: Optional[GlobalOrder] = None,
         signing_tau: Optional[int] = None,
-        verify_workers: int = 0,
         executor: Optional[str] = None,
         workers: Optional[int] = None,
-        sign_in_workers: bool = False,
         suggestion_seconds: float = 0.0,
-        payload_mode: Optional[str] = None,
         pool=None,
         supervision: Optional[SupervisorPolicy] = None,
     ) -> Iterator[JoinBatch]:
@@ -1120,9 +1046,8 @@ class PebbleJoin:
         self-join) is processed in chunks of ``batch_size`` records; each
         chunk's candidates are verified immediately and yielded as a
         :class:`JoinBatch`, so the full candidate list is never
-        materialized.  ``executor`` / ``workers`` / ``sign_in_workers``
-        behave as in :meth:`join`: ``"thread"`` verifies each chunk through
-        a thread pool, ``"process"`` hands whole probe chunks (filtering
+        materialized.  ``executor`` / ``workers`` / ``pool`` behave as in
+        :meth:`join`: ``"process"`` hands whole probe chunks (filtering
         included) to the sharded multi-core driver, which streams batches
         back in probe order.  ``suggestion_seconds`` (set by
         ``UnifiedJoin(tau="auto")``) is reported on the first yielded batch.
@@ -1134,16 +1059,8 @@ class PebbleJoin:
         # wrapper to be a plain function.
         if batch_size < 1:
             raise ValueError("batch_size must be a positive integer")
-        resolved_executor, pool_workers = _resolve_executor(
-            executor, workers, verify_workers
-        )
-        _check_sign_in_workers(sign_in_workers, resolved_executor)
-        _check_process_only(
-            resolved_executor,
-            payload_mode=payload_mode,
-            pool=pool,
-            supervision=supervision,
-        )
+        resolved_executor = _resolve_executor(executor, workers)
+        _check_process_only(resolved_executor, pool=pool, supervision=supervision)
         left_prep, right_prep, self_join = self._resolve_sides(left, right)
         entries = self._store_entries(left_prep, right_prep)
         if resolved_executor == "process":
@@ -1153,13 +1070,11 @@ class PebbleJoin:
                 self,
                 left_prep,
                 None if self_join else right_prep,
-                workers=pool_workers,
+                workers=workers,
                 batch_size=batch_size,
                 precomputed_order=precomputed_order,
                 signing_tau=signing_tau,
-                sign_in_workers=sign_in_workers,
                 suggestion_seconds=suggestion_seconds,
-                payload_mode=payload_mode,
                 pool=pool,
                 supervision=supervision,
             )
@@ -1171,7 +1086,6 @@ class PebbleJoin:
                 batch_size,
                 precomputed_order,
                 signing_tau,
-                pool_workers,
                 suggestion_seconds,
             )
         if not entries:
@@ -1195,7 +1109,6 @@ class PebbleJoin:
         batch_size: int,
         precomputed_order: Optional[GlobalOrder],
         signing_tau: Optional[int],
-        verify_workers: int,
         suggestion_seconds: float = 0.0,
     ) -> Iterator[JoinBatch]:
         _, left_signed, right_signed = self._order_and_sign(
@@ -1206,34 +1119,32 @@ class PebbleJoin:
         )
 
         first = True
-        with _verification_pool(verify_workers) as pool:
-            for chunk_start in range(0, len(probe_records), batch_size):
-                chunk_stop = min(chunk_start + batch_size, len(probe_records))
-                candidates, processed = flat.probe_span(
-                    chunk_start,
-                    chunk_stop,
-                    self.tau,
-                    probe_is_left=probe_is_left,
-                    exclude_self_pairs=self_join,
-                    kernel=self.kernel,
-                )
-                snapshot = self._stats_snapshot()
-                pairs = self._verify_candidates(
-                    candidates,
-                    left_prep,
-                    right_prep,
-                    pool=pool,
-                    probe_side="left" if probe_is_left else "right",
-                )
-                yield JoinBatch(
-                    pairs=pairs,
-                    candidate_count=len(candidates),
-                    processed_pairs=processed,
-                    probe_range=(chunk_start, chunk_stop),
-                    verification=self._stats_delta(snapshot),
-                    suggestion_seconds=suggestion_seconds if first else 0.0,
-                )
-                first = False
+        for chunk_start in range(0, len(probe_records), batch_size):
+            chunk_stop = min(chunk_start + batch_size, len(probe_records))
+            candidates, processed = flat.probe_span(
+                chunk_start,
+                chunk_stop,
+                self.tau,
+                probe_is_left=probe_is_left,
+                exclude_self_pairs=self_join,
+                kernel=self.kernel,
+            )
+            snapshot = self._stats_snapshot()
+            pairs = self._verify_candidates(
+                candidates,
+                left_prep,
+                right_prep,
+                probe_side="left" if probe_is_left else "right",
+            )
+            yield JoinBatch(
+                pairs=pairs,
+                candidate_count=len(candidates),
+                processed_pairs=processed,
+                probe_range=(chunk_start, chunk_stop),
+                verification=self._stats_delta(snapshot),
+                suggestion_seconds=suggestion_seconds if first else 0.0,
+            )
+            first = False
 
     def self_join(self, collection: Joinable) -> JoinResult:
         """Self-join convenience wrapper (pairs reported once, left < right)."""

@@ -8,9 +8,7 @@ integer arrays over a :class:`~repro.core.vocab.Vocabulary`:
 
 * :class:`FlatSignatures` — one signed side in CSR form: a ``record_ids``
   array, a ``key_offsets`` prefix array, and a flat ``key_ids`` array
-  holding every signature key occurrence as a dense vocabulary id (plus the
-  per-record pebble counts and ``MP(S)`` bounds, so the encoding round-trips
-  losslessly to :class:`~repro.join.artifacts.SignedRecordView`).
+  holding every signature key occurrence as a dense vocabulary id.
 * :class:`FlatPostings` — the inverted index in CSR form: ``offsets`` is
   indexed by key id, ``data`` holds record ids.  Built record-major, so
   each key's posting order is exactly the insertion order of
@@ -28,7 +26,7 @@ integer arrays over a :class:`~repro.core.vocab.Vocabulary`:
   ships: the shared vocabulary, prebuilt postings, and the probe-side CSR
   signatures.  Its arrays detach into raw buffers (:meth:`FlatJoinState.export`)
   and restore zero-copy from :mod:`multiprocessing.shared_memory` views
-  (:meth:`FlatJoinState.restore`), which is how the parallel driver ships
+  (:meth:`FlatJoinState.restore`), which is how a warm worker pool receives
   the index side once per machine instead of once per worker.
 
 Arrays are ``array('i')`` (or ``memoryview('i')`` casts over shared
@@ -43,11 +41,10 @@ from typing import List, Optional, Sequence, Tuple
 
 from .. import shm_registry
 from ..core.vocab import Vocabulary
-from .artifacts import SignedLike, SignedRecordView
 from .kernels import _np  # kernels.py owns numpy availability (REPRO_NO_NUMPY)
 from .kernels import probe_span as _kernel_probe_span
 from .kernels import probe_span_python
-from .pebbles import PebbleKey
+from .signatures import SignedRecord
 
 __all__ = [
     "FlatSignatures",
@@ -81,40 +78,23 @@ class FlatSignatures:
     ``signature_key_sequence`` holds on the tuple representation.
     """
 
-    __slots__ = (
-        "vocab",
-        "record_ids",
-        "key_offsets",
-        "key_ids",
-        "pebble_counts",
-        "min_partition_sizes",
-    )
+    __slots__ = ("vocab", "record_ids", "key_offsets", "key_ids")
 
-    def __init__(
-        self,
-        vocab: Vocabulary,
-        record_ids,
-        key_offsets,
-        key_ids,
-        pebble_counts,
-        min_partition_sizes,
-    ) -> None:
+    def __init__(self, vocab: Vocabulary, record_ids, key_offsets, key_ids) -> None:
         self.vocab = vocab
         self.record_ids = record_ids
         self.key_offsets = key_offsets
         self.key_ids = key_ids
-        self.pebble_counts = pebble_counts
-        self.min_partition_sizes = min_partition_sizes
 
     @classmethod
     def from_signed(
         cls,
-        signed: Sequence[SignedLike],
+        signed: Sequence[SignedRecord],
         vocab: Vocabulary,
         *,
         grow: bool = True,
     ) -> "FlatSignatures":
-        """Encode a signed (or view) list against ``vocab``.
+        """Encode a signed list against ``vocab``.
 
         With ``grow=True`` unseen keys are interned (the indexed side owns
         the id space); with ``grow=False`` unseen keys encode as
@@ -125,8 +105,6 @@ class FlatSignatures:
         record_ids: List[int] = []
         offsets: List[int] = [0]
         key_ids: List[int] = []
-        pebble_counts: List[int] = []
-        min_partitions: List[int] = []
         encode = vocab.encode if grow else None
         id_of = vocab.id_of
         for record in signed:
@@ -139,15 +117,11 @@ class FlatSignatures:
                     found = id_of(key)
                     key_ids.append(UNKNOWN_KEY if found is None else found)
             offsets.append(len(key_ids))
-            pebble_counts.append(_pebble_count(record))
-            min_partitions.append(record.min_partition_size)
         return cls(
             vocab,
             _as_int_array(record_ids),
             _as_int_array(offsets),
             _as_int_array(key_ids),
-            _as_int_array(pebble_counts),
-            _as_int_array(min_partitions),
         )
 
     def __len__(self) -> int:
@@ -157,41 +131,6 @@ class FlatSignatures:
     def total_keys(self) -> int:
         """Total signature key occurrences across all records."""
         return len(self.key_ids)
-
-    def key_sequence(self, position: int) -> Tuple[PebbleKey, ...]:
-        """Decode record ``position``'s signature key sequence (lossless)."""
-        start = self.key_offsets[position]
-        stop = self.key_offsets[position + 1]
-        decode = self.vocab.decode
-        return tuple(decode(self.key_ids[i]) for i in range(start, stop))
-
-    def to_views(self, records) -> List[SignedRecordView]:
-        """Decode back to prefix-only views (``records`` maps id -> Record).
-
-        The inverse of :meth:`from_signed` over a grown vocabulary; raises
-        ``IndexError`` on :data:`UNKNOWN_KEY` entries (a non-growing
-        probe-side encoding is not meant to round-trip).
-        """
-        views: List[SignedRecordView] = []
-        for position in range(len(self)):
-            sequence = self.key_sequence(position)
-            views.append(
-                SignedRecordView(
-                    record=records[self.record_ids[position]],
-                    signature_key_sequence=sequence,
-                    signature_length=len(sequence),
-                    pebble_count=self.pebble_counts[position],
-                    min_partition_size=self.min_partition_sizes[position],
-                )
-            )
-        return views
-
-
-def _pebble_count(record: SignedLike) -> int:
-    pebbles = getattr(record, "pebbles", None)
-    if pebbles is not None:
-        return len(pebbles)
-    return record.pebble_count
 
 
 class FlatPostings:
@@ -336,8 +275,6 @@ class FlatJoinState:
         ("probe", "record_ids"),
         ("probe", "key_offsets"),
         ("probe", "key_ids"),
-        ("probe", "pebble_counts"),
-        ("probe", "min_partition_sizes"),
     )
 
     #: The probe-side subset shipped when the postings are self-derivable.
@@ -369,8 +306,8 @@ class FlatJoinState:
     @classmethod
     def from_signed_sides(
         cls,
-        index_signed: Sequence[SignedLike],
-        probe_signed: Sequence[SignedLike],
+        index_signed: Sequence[SignedRecord],
+        probe_signed: Sequence[SignedRecord],
         *,
         postings_ascending: bool,
         vocab: Optional[Vocabulary] = None,
@@ -467,16 +404,7 @@ class FlatJoinState:
         """Reassemble from :meth:`export` output (buffers stay referenced)."""
         vocab, postings_ascending, counts_size, self_keys = meta
         if self_keys is not None:
-            (
-                record_ids,
-                key_offsets,
-                key_ids,
-                pebble_counts,
-                min_partitions,
-            ) = buffers
-            probe = FlatSignatures(
-                vocab, record_ids, key_offsets, key_ids, pebble_counts, min_partitions
-            )
+            probe = FlatSignatures(vocab, *buffers)
             postings = FlatPostings.from_flat(probe, self_keys)
             return cls(
                 vocab,
@@ -486,19 +414,8 @@ class FlatJoinState:
                 counts_size=counts_size,
                 self_keys=self_keys,
             )
-        (
-            post_offsets,
-            post_data,
-            record_ids,
-            key_offsets,
-            key_ids,
-            pebble_counts,
-            min_partitions,
-        ) = buffers
-        postings = FlatPostings(post_offsets, post_data)
-        probe = FlatSignatures(
-            vocab, record_ids, key_offsets, key_ids, pebble_counts, min_partitions
-        )
+        postings = FlatPostings(*buffers[:2])
+        probe = FlatSignatures(vocab, *buffers[2:])
         return cls(
             vocab,
             postings,
@@ -510,10 +427,9 @@ class FlatJoinState:
     def __getstate__(self) -> tuple:
         """Pickle without the vocabulary (see :meth:`export`).
 
-        The ``bytes`` payload mode pickles whole plans; dropping the key
-        text table there keeps the wire size below the slim-view plans the
-        flat path replaced.  A state restored worker-side therefore cannot
-        :meth:`FlatSignatures.to_views` — workers never do.
+        Workers never decode key ids, so a pickled plan (and its measured
+        :func:`~repro.join.parallel.plan_payload_bytes`) carries the integer
+        arrays only.
         """
         meta, arrays = self.export()
         return (meta, arrays)

@@ -35,12 +35,12 @@ Verification runs through the prepared engine
 are grouped per probe record and pass a tiered bound cascade before the
 full Algorithm 1; the resulting prune/accept counters are reported in
 ``result.statistics.verification``.  The ``executor`` knob on :meth:`join`
-/ :meth:`join_batches` picks where that work runs: ``"serial"`` (default),
-``"thread"`` (GIL-bound pool), or ``"process"`` — the sharded multi-core
-driver of :mod:`repro.join.parallel`, which runs each probe shard's
-filtering *and* verification in worker processes and merges results
-losslessly.  All executors return bit-identical pairs, similarities, and
-statistics counters at every worker count.
+/ :meth:`join_batches` picks where that work runs: ``"serial"`` (default)
+or ``"process"`` — the sharded multi-core driver of
+:mod:`repro.join.parallel`, which runs each probe shard's filtering *and*
+verification in worker processes and merges results losslessly.  Both
+executors return bit-identical pairs, similarities, and statistics
+counters at every worker count.
 """
 
 from __future__ import annotations
@@ -296,11 +296,8 @@ class UnifiedJoin:
         left,
         right=None,
         *,
-        verify_workers: int = 0,
         executor: Optional[str] = None,
         workers: Optional[int] = None,
-        sign_in_workers: bool = False,
-        payload_mode: Optional[str] = None,
         pool=None,
         supervision=None,
     ) -> JoinResult:
@@ -309,13 +306,10 @@ class UnifiedJoin:
         Both sides accept raw record collections or collections prepared
         with :meth:`prepare`.  With ``tau="auto"``, the recommendation and
         the final join share one preparation, order, and full signing.
-        ``executor`` / ``workers`` / ``sign_in_workers`` select serial,
-        thread-pool, or sharded process-pool execution — optionally with
-        worker-side signing (see :meth:`PebbleJoin.join`); the legacy
-        ``verify_workers`` shorthand keeps meaning a thread pool.
-        ``payload_mode`` / ``pool`` / ``supervision`` tune the process
-        path's transport, pooling, and fault tolerance exactly as on
-        :meth:`PebbleJoin.join`.  With a :attr:`store`, raw sides resolve
+        ``executor`` / ``workers`` select serial or sharded process-pool
+        execution, and ``pool`` / ``supervision`` tune the process path's
+        pooling and fault tolerance, exactly as on :meth:`PebbleJoin.join`.
+        With a :attr:`store`, raw sides resolve
         through the on-disk artifact store and enriched preparations are
         persisted back after the join.
         """
@@ -327,11 +321,8 @@ class UnifiedJoin:
             right_prep,
             precomputed_order=order,
             signing_tau=signing_tau,
-            verify_workers=verify_workers,
             executor=executor,
             workers=workers,
-            sign_in_workers=sign_in_workers,
-            payload_mode=payload_mode,
             pool=pool,
             supervision=supervision,
         )
@@ -345,11 +336,8 @@ class UnifiedJoin:
         right=None,
         *,
         batch_size: int = 1024,
-        verify_workers: int = 0,
         executor: Optional[str] = None,
         workers: Optional[int] = None,
-        sign_in_workers: bool = False,
-        payload_mode: Optional[str] = None,
         pool=None,
         supervision=None,
     ) -> Iterator[JoinBatch]:
@@ -371,11 +359,8 @@ class UnifiedJoin:
             batch_size=batch_size,
             precomputed_order=order,
             signing_tau=signing_tau,
-            verify_workers=verify_workers,
             executor=executor,
             workers=workers,
-            sign_in_workers=sign_in_workers,
-            payload_mode=payload_mode,
             pool=pool,
             supervision=supervision,
             suggestion_seconds=suggestion_seconds,

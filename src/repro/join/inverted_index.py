@@ -48,9 +48,8 @@ class InvertedIndex:
         τ-overlap count an upper bound on the number of matchable signature
         pebbles, so dropping duplicates could cause false negatives.
 
-        Accepts anything exposing the ``signature_key_sequence`` protocol:
-        full signed records or the slim prefix-only transfer views of
-        :mod:`repro.join.artifacts`.
+        Accepts anything exposing ``record`` and the
+        ``signature_key_sequence`` protocol of a signed record.
         """
         record_id = signed.record.record_id
         for key in signed.signature_key_sequence:

@@ -1,80 +1,56 @@
 """Process-pool sharded join driver: true multi-core filter + verify.
 
-The thread-pool paths of :mod:`repro.join.aufilter` are GIL-bound, so
-``verify_workers`` buys almost nothing on CPU-heavy Algorithm-1 workloads.
-This module shards the *probe side* of a prepared join across a
-``concurrent.futures.ProcessPoolExecutor``:
+This module shards the *probe side* of a prepared join across worker
+processes:
 
-1. The parent resolves the prepared sides and builds (or receives) the
-   shared global order.  By default it also signs both sides once —
-   cache-backed, exactly as the in-process paths do; with
-   ``sign_in_workers=True`` signing moves into the workers (see below).
+1. The parent resolves the prepared sides, builds (or receives) the shared
+   global order, and signs both sides once — cache-backed, exactly as the
+   serial path does.
 2. One :class:`ShardPlan` — the measure config, the
    :class:`~repro.join.flat.FlatJoinState` (signature prefixes, posting
    lists, and per-record scalars re-encoded as flat integer arrays over
    a global :class:`~repro.core.vocab.Vocabulary`), and both prepared
    collections as pebble-free
    :meth:`~repro.join.prepared.PreparedCollection.transfer_copy` views —
-   is shipped to every worker through one of three payload transports
-   (``payload_mode=``): ``"fork"`` publishes the plan in a module global
-   inherited copy-on-write by forked workers (zero serialization, the
-   ``"auto"`` default where the start method is fork), ``"shm"`` writes
-   the integer arrays into a single ``multiprocessing.shared_memory``
-   segment that workers attach zero-copy by name, and ``"bytes"``
-   pickles per worker (the legacy path).  No pebble key text crosses the
-   process boundary on any of them — the vocabulary stays parent-side —
-   and a self-join ships its probe arrays only, with the postings
-   re-derived worker-side by the same counting sort.
+   reaches every worker.  The transport follows from what the call can
+   observe (see :func:`_session_manager`): a caller's
+   :class:`~repro.join.pool.WarmJoinPool` registers the plan through one
+   ``multiprocessing.shared_memory`` segment that workers attach zero-copy
+   by name; otherwise, under the fork start method, a per-call pool
+   inherits the plan copy-on-write from a module global (zero
+   serialization); otherwise the call opens a one-shot warm pool and
+   closes it afterwards.  No pebble key text crosses the process boundary
+   — the vocabulary stays parent-side — and a self-join ships its probe
+   arrays only, with the postings re-derived worker-side by the same
+   counting sort.
 3. Each task is one contiguous shard ``[start, stop)`` of probe records.
-   The worker probes its shard with the flat overlap-counter loop
-   (:func:`~repro.join.flat.flat_probe_span`, semantics identical to the
-   serial dict probe), verifies the surviving candidates through its own
-   :class:`~repro.join.verification.UnifiedVerifier` with the full tiered
-   bound cascade, and returns the shard's pairs plus its
+   The worker probes its shard with the flat filter kernel (semantics
+   identical to the serial probe), verifies the surviving candidates
+   through its own :class:`~repro.join.verification.UnifiedVerifier` with
+   the full tiered bound cascade, and returns the shard's pairs plus its
    :class:`~repro.join.verification.VerificationStats`.
 4. The parent concatenates shard results in probe order and merges every
    counter by summation.
 
-A cold pool is spun up per call by default; pass a
-:class:`~repro.join.pool.WarmJoinPool` via ``pool=`` to keep workers
-alive across joins, ``join_batches`` chunks, and search-index
-``query_batch`` calls (each session ships one shared-memory segment and
-releases it at session end).
-
-Worker-side signing
--------------------
-With ``sign_in_workers=True`` the plan ships *unsigned* state: the prepared
-collections keep their pebble lists, the shared global order rides along,
-and no signed records are built in the parent at all.  Every worker signs
-its own copy in its pool initializer (cache-backed and deterministic — the
-same pebbles, order, and (θ, τ, method) produce bit-identical signatures
-everywhere), picks the index side with the same footprint rule as the
-serial path, and proceeds exactly as above.  The parent learns the probe
-side's length and the signature-length statistics from a single
-:func:`_plan_info` round-trip before sharding.  Signing CPU is duplicated
-per worker but runs in parallel during pool startup; the win is that the
-parent never materializes a signing for huge corpora and the payload stays
-free of signed lists.
-
 Because per-probe filtering is independent across probe records and every
 statistic is a plain sum, the merged result — pairs, similarities, and all
 statistics counters — is **bit-identical** to the serial path at every
-worker count and in both signing modes (with the default non-adaptive
-verifier; the randomized executor-equivalence tests enforce this).  Timing
-fields stay wall-clock: the parent measures the pooled stage end to end
-(pool startup and payload pickling included) and splits it between signing,
-filtering, and verification by the workers' observed stage proportions, so
-``JoinStatistics.total_seconds`` remains comparable across executors.
+worker count (with the default non-adaptive verifier; the path-equivalence
+tests enforce this).  Timing fields stay wall-clock: the parent measures
+the pooled stage end to end (pool startup and payload transport included)
+and splits it between filtering and verification by the workers' observed
+stage proportions, so ``JoinStatistics.total_seconds`` remains comparable
+across executors.
 
 Use it through the ``executor="process"`` knob::
 
     engine.join(left, right, executor="process", workers=4)
-    engine.join(left, right, executor="process", sign_in_workers=True)
     engine.join_batches(left, executor="process", batch_size=2048)
 
 or call :func:`process_join` / :func:`process_join_batches` directly.
-:func:`build_shard_plan` exposes the payload construction on its own, which
-is what the scaling benchmark uses to measure full-vs-slim transfer bytes.
+:func:`build_shard_plan` exposes the payload construction on its own and
+:func:`plan_payload_bytes` measures it, which is what the scaling benchmark
+uses to record transfer bytes.
 """
 
 from __future__ import annotations
@@ -91,7 +67,6 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..faults import FAULTS
 from ..telemetry.spans import Tracer, reset_stack
-from .artifacts import KeyInterner, SignedLike, slim_signed_views
 from .aufilter import (
     JoinBatch,
     JoinResult,
@@ -101,13 +76,11 @@ from .aufilter import (
     _average_signature_length,
     _ids_ascending,
     _pick_index_side,
-    _probe_candidates,
 )
 from .flat import FlatJoinState, SharedPayload, attach_payload, share_payload
 from .global_order import GlobalOrder
-from .inverted_index import InvertedIndex
 from .prepared import PreparedCollection
-from .signatures import SignatureMethod, SignedRecord
+from .signatures import SignedRecord
 from .supervision import (
     ExecutionReport,
     ExecutorSession,
@@ -121,6 +94,7 @@ __all__ = [
     "ShardPlan",
     "ShardResult",
     "build_shard_plan",
+    "plan_payload_bytes",
     "process_join",
     "process_join_batches",
 ]
@@ -135,25 +109,12 @@ SHARDS_PER_WORKER = 4
 class ShardPlan:
     """Everything a worker process needs, shipped once per worker.
 
-    The plan is a pure-value object: pickling it (the pool initializer
-    payload) must round-trip every field, which the pickle round-trip tests
-    enforce for the non-trivial members.
-
-    Three shapes exist.  A *flat* plan (the default) carries the whole
-    filter-stage payload as integer arrays in ``flat`` — prebuilt CSR
-    postings, the vocabulary-encoded probe side, and the shared
-    :class:`~repro.core.vocab.Vocabulary` — with ``index_signed`` /
-    ``probe_signed`` both ``None``: workers skip index construction
-    entirely and the index side's key tuples never cross the process
-    boundary.  A *slim-view* plan (``flat=False``) carries prefix-only
-    views in ``index_signed`` / ``probe_signed`` — the PR-5 shape, kept
-    for payload measurement and as a reference path.  A *worker-signed*
-    plan (``sign_in_workers=True``) carries no signed records at all — the
-    prepared collections keep their pebbles, the shared ``order`` rides
-    along, and the ``signing_*`` fields tell workers how to sign; the
-    side-selection fields (``probe_is_left`` / ``postings_ascending``) are
-    ``None`` because each worker re-derives them from its own signing with
-    the same deterministic rule as the serial path.
+    The plan is a pure-value object: pickling it must round-trip every
+    field, which the pickle round-trip tests enforce for the non-trivial
+    members.  ``flat`` carries the whole filter-stage payload as integer
+    arrays — prebuilt CSR postings and the vocabulary-encoded probe side —
+    so workers skip index construction entirely and the index side's key
+    tuples never cross the process boundary.
     """
 
     config: object
@@ -162,56 +123,24 @@ class ShardPlan:
     verifier_kwargs: dict
     left_prep: PreparedCollection
     right_prep: PreparedCollection
-    index_signed: Optional[Sequence[SignedLike]]
-    probe_signed: Optional[Sequence[SignedLike]]
-    probe_is_left: Optional[bool]
+    probe_is_left: bool
     exclude_self_pairs: bool
-    postings_ascending: Optional[bool]
-    #: The shared global order; ships only on worker-signed plans (slim
-    #: plans drop it — workers receiving pre-signed views never sort).
-    order: Optional[GlobalOrder]
-    #: The flat integer payload (vocab + CSR postings + encoded probe
-    #: side); set on flat parent-signed plans, ``None`` on the others.
-    flat: Optional[FlatJoinState] = None
-    sign_in_workers: bool = False
-    signing_theta: float = 0.0
-    signing_tau: int = 1
-    signing_method: str = SignatureMethod.AU_DP
+    #: The flat integer payload (CSR postings + encoded probe side).
+    flat: FlatJoinState
     #: Filter-kernel selection the workers dispatch with (a plain string,
     #: pickle-safe; ``"auto"`` resolves inside each worker, so a numpy-less
     #: worker falls back to the pure-Python kernel — bit-identically).
     kernel: str = "auto"
 
     @property
-    def probe_side(self) -> str:
-        """Which side of each candidate tuple is the probe record.
-
-        Only meaningful on parent-signed plans; worker-signed plans decide
-        the orientation inside each worker (see :class:`_WorkerRuntime`).
-        """
-        return "left" if self.probe_is_left else "right"
-
-    @property
     def probe_count(self) -> int:
-        """Probe-side record count, across plan shapes (0 when unknown).
-
-        Worker-signed plans report 0 — only the workers learn the probe
-        side (see :func:`_plan_info`).
-        """
-        if self.flat is not None:
-            return self.flat.probe_count
-        if self.probe_signed is not None:
-            return len(self.probe_signed)
-        return 0
+        """Probe-side record count."""
+        return self.flat.probe_count
 
 
 @dataclass
 class ShardResult:
     """One shard's contribution, merged losslessly on the parent.
-
-    ``sign_seconds`` is non-zero on at most one shard per worker process:
-    the process's initializer-time signing cost, reported with its first
-    completed shard (0.0 everywhere in parent-signed mode).
 
     ``spans`` carries the worker-side trace for this shard as plain
     payload dicts (see :mod:`repro.telemetry.spans`): the worker runs its
@@ -227,90 +156,18 @@ class ShardResult:
     verification: VerificationStats
     filter_seconds: float
     verify_seconds: float
-    sign_seconds: float = 0.0
     spans: Tuple = ()
 
 
 class _WorkerRuntime:
-    """Per-process state: the plan, the built index, and a local verifier.
-
-    On worker-signed plans the runtime signs both sides during construction
-    (i.e. in the pool initializer) and derives the index/probe orientation
-    with the same footprint rule as the serial path, so every decision that
-    shapes the output is bit-identical to the parent-signed flow.
-    """
+    """Per-process state: the plan (with its flat arrays) and a local verifier."""
 
     def __init__(self, plan: ShardPlan, shm=None) -> None:
         self.plan = plan
         self._shm = shm
-        self.sign_seconds = 0.0
-        self.avg_signature_left = 0.0
-        self.avg_signature_right = 0.0
-        if plan.flat is not None:
-            self.flat = plan.flat
-            self.probe_signed = None
-            self.probe_is_left = plan.probe_is_left
-            self.postings_ascending = plan.postings_ascending
-            self.probe_count = self.flat.probe_count
-            self.index = None
-            self.verifier = UnifiedVerifier(
-                plan.config, plan.threshold, **plan.verifier_kwargs
-            )
-            return
-        self.flat = None
-        if plan.sign_in_workers:
-            began = time.perf_counter()
-            left_signed = plan.left_prep.signed(
-                plan.order, plan.signing_theta, plan.signing_tau, plan.signing_method
-            )
-            right_signed = (
-                left_signed
-                if plan.right_prep is plan.left_prep
-                else plan.right_prep.signed(
-                    plan.order,
-                    plan.signing_theta,
-                    plan.signing_tau,
-                    plan.signing_method,
-                )
-            )
-            index_signed, probe_signed, probe_is_left = _pick_index_side(
-                left_signed, right_signed
-            )
-            ascending = _ids_ascending(index_signed)
-            self.sign_seconds = time.perf_counter() - began
-            self.avg_signature_left = _average_signature_length(left_signed)
-            self.avg_signature_right = _average_signature_length(right_signed)
-            # Worker-signed shards probe through the same flat kernel layer
-            # as every other path (encoded locally — nothing extra ships).
-            self.flat = FlatJoinState.from_signed_sides(
-                index_signed, probe_signed, postings_ascending=ascending
-            )
-            self.probe_signed = None
-            self.probe_is_left = probe_is_left
-            self.postings_ascending = ascending
-            self.probe_count = self.flat.probe_count
-            self.index = None
-            self.verifier = UnifiedVerifier(
-                plan.config, plan.threshold, **plan.verifier_kwargs
-            )
-            return
-        index_signed = plan.index_signed
-        probe_signed = plan.probe_signed
-        probe_is_left = plan.probe_is_left
-        ascending = plan.postings_ascending
-        self.probe_signed = probe_signed
-        self.probe_is_left = probe_is_left
-        self.postings_ascending = ascending
-        self.probe_count = len(probe_signed)
-        self.index = InvertedIndex.build(index_signed)
         self.verifier = UnifiedVerifier(
             plan.config, plan.threshold, **plan.verifier_kwargs
         )
-
-    def consume_sign_seconds(self) -> float:
-        """Report the initializer signing cost once, then zero."""
-        seconds, self.sign_seconds = self.sign_seconds, 0.0
-        return seconds
 
     def release(self) -> None:
         """Drop plan state and detach the shared-memory mapping (if any).
@@ -320,9 +177,6 @@ class _WorkerRuntime:
         still-exported ``memoryview`` would make the close raise.
         """
         self.plan = None
-        self.flat = None
-        self.probe_signed = None
-        self.index = None
         self.verifier = None
         shm, self._shm = self._shm, None
         if shm is not None:
@@ -332,50 +186,31 @@ class _WorkerRuntime:
                 pass
 
 
-#: The per-process runtime, installed by the pool initializer.
+#: The per-process runtime, installed by the fork pool's initializer.
 _RUNTIME: Optional[_WorkerRuntime] = None
 
-#: Parent-side plan registry for the fork zero-copy fast path: the plan is
+#: Parent-side plan registry for the fork zero-copy path: the plan is
 #: parked here *before* the pool forks, so every worker inherits it through
 #: copy-on-write page sharing — no pickle, no copy, no segment.  Entries
 #: are removed when the owning pool shuts down.
 _FORK_PLANS: dict = {}
 _FORK_TOKENS = count()
 
-#: Recognized transport modes for shipping a plan to pool workers.
-PAYLOAD_MODES = ("auto", "fork", "shm", "bytes")
 
-
-def _resolve_payload_mode(payload_mode: Optional[str]) -> str:
-    """Normalize the transport knob; ``auto`` prefers fork, then shm."""
-    if payload_mode in (None, "auto"):
-        if multiprocessing.get_start_method() == "fork":
-            return "fork"
-        return "shm"
-    if payload_mode not in PAYLOAD_MODES:
-        raise ValueError(
-            f"unknown payload_mode {payload_mode!r}; expected one of "
-            f"{PAYLOAD_MODES}"
-        )
-    if payload_mode == "fork" and multiprocessing.get_start_method() != "fork":
-        raise ValueError(
-            "payload_mode='fork' requires the fork start method; use 'shm'"
-        )
-    return payload_mode
+def _fork_start() -> bool:
+    """Whether per-call pools fork, so workers can inherit a parked plan."""
+    return multiprocessing.get_start_method() == "fork"
 
 
 def _export_plan_payload(plan: ShardPlan) -> SharedPayload:
     """Write one plan into a shared-memory segment (arrays out-of-band).
 
     The flat integer arrays are detached and laid out raw in the segment
-    (workers re-view them zero-copy); everything else — the plan shell,
-    prepared collections, the vocabulary — pickles once into the segment
-    header.  One segment serves every worker on the machine.
+    (workers re-view them zero-copy); everything else — the plan shell and
+    the prepared collections — pickles once into the segment header.  One
+    segment serves every worker on the machine.
     """
-    flat = plan.flat
-    if flat is None:
-        return share_payload((plan, None), [])
-    flat_meta, arrays = flat.export()
+    flat_meta, arrays = plan.flat.export()
     return share_payload((replace(plan, flat=None), flat_meta), arrays)
 
 
@@ -396,32 +231,24 @@ def _attach_plan(name: str) -> Tuple[ShardPlan, object]:
             f"shared-memory plan segment {name!r} is gone; it was unlinked "
             "(or never survived) between publish and attach"
         ) from exc
-    if flat_meta is not None:
-        plan.flat = FlatJoinState.restore(flat_meta, buffers)
+    plan.flat = FlatJoinState.restore(flat_meta, buffers)
     return plan, shm
 
 
-def _load_runtime(descriptor: Tuple[str, object]) -> _WorkerRuntime:
-    """Materialize a worker runtime from a transport descriptor."""
-    kind, payload = descriptor
-    if kind == "bytes":
-        return _WorkerRuntime(pickle.loads(payload))
-    if kind == "fork":
-        return _WorkerRuntime(_FORK_PLANS[payload])
-    plan, shm = _attach_plan(payload)
-    return _WorkerRuntime(plan, shm=shm)
+def plan_payload_bytes(plan: object) -> int:
+    """The pickled size of a shard plan (or any payload object).
 
-
-def _init_worker(descriptor: Tuple[str, object]) -> None:
-    """Pool initializer: resolve the transport descriptor into a runtime.
-
-    ``("bytes", pickled_plan)`` round-trips through an explicit pickle
-    (identical under every start method); ``("fork", token)`` reads the
-    copy-on-write inherited :data:`_FORK_PLANS` entry; ``("shm", name)``
-    attaches the shared-memory segment and re-views its arrays in place.
+    Uses the highest pickle protocol, as the shared-memory export does for
+    the plan shell; a :class:`~repro.join.flat.FlatJoinState` pickles as
+    its integer arrays without the vocabulary.
     """
+    return len(pickle.dumps(plan, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+def _init_worker(token: str) -> None:
+    """Fork pool initializer: adopt the copy-on-write inherited plan."""
     global _RUNTIME
-    _RUNTIME = _load_runtime(descriptor)
+    _RUNTIME = _WorkerRuntime(_FORK_PLANS[token])
 
 
 def _require_runtime() -> _WorkerRuntime:
@@ -429,39 +256,6 @@ def _require_runtime() -> _WorkerRuntime:
     if runtime is None:  # pragma: no cover - defensive; initializer always ran
         raise RuntimeError("worker used before initialization")
     return runtime
-
-
-def _plan_info() -> Tuple[int, bool, float, float, float, Tuple]:
-    """Report probe-side shape and signature statistics from one worker.
-
-    Worker-signed runs need this single round-trip before sharding: only
-    the workers know which side their signing elected to probe and how long
-    the signatures came out, and the parent folds the averages into
-    ``JoinStatistics`` so the reported numbers match the serial run's.
-    This worker's initializer signing cost is consumed and reported here
-    (so it enters the wall-clock split even when no shard follows, e.g. an
-    empty probe side); other workers report theirs with their first shard.
-    The trailing element is the worker-side trace for the signing, shipped
-    as payload dicts for parent-side adoption.
-    """
-    reset_stack()  # forked workers inherit the parent's open spans
-    runtime = _require_runtime()
-    sign_seconds = runtime.consume_sign_seconds()
-    tracer = Tracer()
-    # A carrier for the initializer-measured signing cost, not a live
-    # timing scope — it ends immediately on the next line.
-    # repro: ignore[unclosed-span]
-    sign_span = tracer.span("worker-sign", pid=os.getpid()).start()
-    sign_span.end()
-    sign_span.wall_seconds = sign_seconds
-    return (
-        runtime.probe_count,
-        bool(runtime.probe_is_left),
-        runtime.avg_signature_left,
-        runtime.avg_signature_right,
-        sign_seconds,
-        tuple(tracer.export()),
-    )
 
 
 def _run_shard(span: Tuple[int, int], attempt: int = 0) -> ShardResult:
@@ -504,24 +298,14 @@ def _run_shard_on(
     start, stop = span
 
     with tracer.span("filter", kernel=plan.kernel) as filter_span:
-        if runtime.flat is not None:
-            candidates, processed = runtime.flat.probe_span(
-                start,
-                stop,
-                plan.requirement,
-                probe_is_left=runtime.probe_is_left,
-                exclude_self_pairs=plan.exclude_self_pairs,
-                kernel=plan.kernel,
-            )
-        else:
-            candidates, processed, _ = _probe_candidates(
-                runtime.index.raw_postings,
-                runtime.probe_signed[start:stop],
-                plan.requirement,
-                probe_is_left=runtime.probe_is_left,
-                exclude_self_pairs=plan.exclude_self_pairs,
-                postings_ascending=runtime.postings_ascending,
-            )
+        candidates, processed = plan.flat.probe_span(
+            start,
+            stop,
+            plan.requirement,
+            probe_is_left=plan.probe_is_left,
+            exclude_self_pairs=plan.exclude_self_pairs,
+            kernel=plan.kernel,
+        )
     filter_span.annotate(candidates=len(candidates), processed_pairs=processed)
 
     with tracer.span("verify") as verify_span:
@@ -530,7 +314,7 @@ def _run_shard_on(
             candidates,
             plan.left_prep,
             plan.right_prep,
-            probe_side="left" if runtime.probe_is_left else "right",
+            probe_side="left" if plan.probe_is_left else "right",
         )
     verify_span.annotate(pairs=len(pairs))
 
@@ -543,7 +327,6 @@ def _run_shard_on(
         verification=runtime.verifier.stats.diff(snapshot),
         filter_seconds=filter_span.wall_seconds,
         verify_seconds=verify_span.wall_seconds,
-        sign_seconds=runtime.consume_sign_seconds(),
     )
 
 
@@ -572,7 +355,7 @@ def _checked_verifier(engine: PebbleJoin) -> UnifiedVerifier:
         raise ValueError(
             "executor='process' requires the default UnifiedVerifier: custom "
             "verifiers cannot be reconstructed in worker processes — use the "
-            "serial or thread executor instead"
+            "serial executor instead"
         )
     return verifier
 
@@ -584,71 +367,28 @@ def _build_plan(
     left_signed: Sequence[SignedRecord],
     right_signed: Sequence[SignedRecord],
     self_join: bool,
-    *,
-    slim: bool = True,
-    flat: Optional[bool] = None,
-    intern_keys: bool = True,
-    signing_order: Optional[GlobalOrder] = None,
 ) -> ShardPlan:
-    """Assemble a parent-signed worker payload for one join run.
+    """Assemble the worker payload for one join run.
 
-    The default (``slim=True``, ``flat=None`` → flat) encodes the whole
-    filter stage as integer arrays: one :class:`~repro.core.vocab.Vocabulary`
-    interning every distinct pebble key, prebuilt CSR postings for the
-    indexed side (whose key tuples then never ship at all), and the probe
-    side's CSR signature prefixes — plus pebble-free transfer copies of
-    the prepared collections for verification.  ``flat=False`` keeps the
-    PR-5 slim shape: prefix-only views routed through one per-plan
-    :class:`KeyInterner` so equal key tuples pickle once
-    (``intern_keys=False`` keeps per-record key objects, for payload
-    measurement).  ``slim=False`` keeps the historical full payload (full
-    signed records, pebbles, the matching signature-cache entries, and
-    ``signing_order`` — the order the signed sides were actually built
-    under, so the shipped signature cache stays keyed to the shipped
-    order); it exists so the scaling benchmark can measure the transfer
-    win and as a reference shape for the payload tests.
+    The filter stage ships as integer arrays: one
+    :class:`~repro.core.vocab.Vocabulary` interning every distinct pebble
+    key (kept parent-side), prebuilt CSR postings for the indexed side
+    (whose key tuples then never ship at all), and the probe side's CSR
+    signature prefixes — plus pebble-free transfer copies of the prepared
+    collections for verification.
     """
     verifier = _checked_verifier(engine)
     index_signed, probe_signed, probe_is_left = _pick_index_side(
         left_signed, right_signed
     )
-    postings_ascending = _ids_ascending(index_signed)
-    if flat is None:
-        flat = slim
-    order: Optional[GlobalOrder] = None
-    flat_state: Optional[FlatJoinState] = None
-    if slim:
-        if flat:
-            flat_state = FlatJoinState.from_signed_sides(
-                index_signed,
-                probe_signed,
-                postings_ascending=postings_ascending,
-            )
-            index_signed = probe_signed = None
-        else:
-            interner = KeyInterner() if intern_keys else None
-            index_views = slim_signed_views(index_signed, interner)
-            probe_views = (
-                index_views
-                if probe_signed is index_signed
-                else slim_signed_views(probe_signed, interner)
-            )
-            index_signed, probe_signed = index_views, probe_views
-        keep_signed: Tuple[Sequence[SignedRecord], ...] = ()
-        keep_pebbles = False
-    else:
-        keep_signed = (left_signed, right_signed)
-        keep_pebbles = True
-        order = signing_order
-    left_transfer = left_prep.transfer_copy(
-        keep_pebbles=keep_pebbles, keep_signed=keep_signed
+    flat = FlatJoinState.from_signed_sides(
+        index_signed,
+        probe_signed,
+        postings_ascending=_ids_ascending(index_signed),
     )
+    left_transfer = left_prep.transfer_copy()
     right_transfer = (
-        left_transfer
-        if right_prep is left_prep
-        else right_prep.transfer_copy(
-            keep_pebbles=keep_pebbles, keep_signed=keep_signed
-        )
+        left_transfer if right_prep is left_prep else right_prep.transfer_copy()
     )
     return ShardPlan(
         # Workers rebuild the *verifier*, so they must see its own config
@@ -661,52 +401,33 @@ def _build_plan(
         verifier_kwargs=_verifier_kwargs(verifier),
         left_prep=left_transfer,
         right_prep=right_transfer,
-        index_signed=index_signed,
-        probe_signed=probe_signed,
         probe_is_left=probe_is_left,
         exclude_self_pairs=self_join,
-        postings_ascending=postings_ascending,
-        order=order,
-        flat=flat_state,
+        flat=flat,
         kernel=engine.kernel,
     )
 
 
-def _build_unsigned_plan(
+def _signed_plan(
     engine: PebbleJoin,
-    left_prep: PreparedCollection,
-    right_prep: PreparedCollection,
-    self_join: bool,
-    order: GlobalOrder,
+    left: Joinable,
+    right: Optional[Joinable],
+    precomputed_order: Optional[GlobalOrder],
     signing_tau: Optional[int],
-) -> ShardPlan:
-    """Assemble a worker-signed payload: pebbles and order, no signatures."""
-    verifier = _checked_verifier(engine)
-    left_transfer = left_prep.transfer_copy(keep_pebbles=True)
-    right_transfer = (
-        left_transfer
-        if right_prep is left_prep
-        else right_prep.transfer_copy(keep_pebbles=True)
+) -> Tuple[ShardPlan, List[SignedRecord], List[SignedRecord]]:
+    """Resolve, order, and sign both sides, then build their plan.
+
+    Returns ``(plan, left_signed, right_signed)``; the signed lists feed
+    the signature-length statistics.
+    """
+    left_prep, right_prep, self_join = engine._resolve_sides(left, right)
+    _, left_signed, right_signed = engine._order_and_sign(
+        left_prep, right_prep, precomputed_order, signing_tau
     )
-    return ShardPlan(
-        config=verifier.config,
-        threshold=verifier.threshold,
-        requirement=engine.tau,
-        verifier_kwargs=_verifier_kwargs(verifier),
-        left_prep=left_transfer,
-        right_prep=right_transfer,
-        index_signed=None,
-        probe_signed=None,
-        probe_is_left=None,
-        exclude_self_pairs=self_join,
-        postings_ascending=None,
-        order=order,
-        sign_in_workers=True,
-        signing_theta=engine.theta,
-        signing_tau=engine._signing_tau(signing_tau),
-        signing_method=engine.method,
-        kernel=engine.kernel,
+    plan = _build_plan(
+        engine, left_prep, right_prep, left_signed, right_signed, self_join
     )
+    return plan, left_signed, right_signed
 
 
 def build_shard_plan(
@@ -714,103 +435,37 @@ def build_shard_plan(
     left: Joinable,
     right: Optional[Joinable] = None,
     *,
-    slim: bool = True,
-    flat: Optional[bool] = None,
-    intern_keys: bool = True,
-    sign_in_workers: bool = False,
     precomputed_order: Optional[GlobalOrder] = None,
     signing_tau: Optional[int] = None,
 ) -> ShardPlan:
     """Build the worker payload for a join without running it.
 
-    This is the plan :func:`process_join` would ship (parent-signed flat
-    integer arrays by default; ``flat=False`` measures the PR-5 slim-view
-    shape, ``intern_keys=False`` additionally the uninterned slim shape,
-    ``slim=False`` the historical full payload, ``sign_in_workers=True``
-    the unsigned shape).  Exposed so payload sizes can be measured and
-    plans round-tripped in isolation — see
-    :func:`repro.join.artifacts.plan_payload_bytes`.
+    This is the plan :func:`process_join` would ship.  Exposed so payload
+    sizes can be measured (:func:`plan_payload_bytes`) and plans
+    round-tripped in isolation.
     """
-    left_prep, right_prep, self_join = engine._resolve_sides(left, right)
-    if sign_in_workers:
-        order = engine._resolve_order(left_prep, right_prep, precomputed_order)
-        return _build_unsigned_plan(
-            engine, left_prep, right_prep, self_join, order, signing_tau
-        )
-    order, left_signed, right_signed = engine._order_and_sign(
-        left_prep, right_prep, precomputed_order, signing_tau
-    )
-    return _build_plan(
-        engine,
-        left_prep,
-        right_prep,
-        left_signed,
-        right_signed,
-        self_join,
-        slim=slim,
-        flat=flat,
-        intern_keys=intern_keys,
-        signing_order=order,
-    )
+    return _signed_plan(engine, left, right, precomputed_order, signing_tau)[0]
 
 
 class _ColdSessionManager:
-    """Publish a plan and mint (re-)spawnable one-shot pools over it.
+    """Publish a plan for fork inheritance and mint per-call pools over it.
 
-    The transport is chosen by ``payload_mode`` (default ``auto``): under
-    the fork start method the plan is inherited copy-on-write through
-    :data:`_FORK_PLANS` — zero pickling, zero copies; otherwise (or with
-    ``payload_mode='shm'``) it ships once per machine through a
-    shared-memory segment whose flat arrays workers re-view in place;
-    ``'bytes'`` keeps the historical per-worker pickle.
-
+    The plan is parked in :data:`_FORK_PLANS` before the pool forks, so
+    every worker inherits it copy-on-write — zero pickling, zero copies.
     :meth:`respawn` is the supervisor's recovery hook: it discards the
-    (broken, hung, or transport-starved) executor without waiting on it and
-    starts a fresh one.  Fork and bytes descriptors are immutable — a new
-    pool re-reads them in its initializers; the shm segment is re-exported
-    fresh, because the one failure mode that reaches here (the segment
-    vanished) is exactly the one a stale descriptor cannot survive.
-    Transport-side state is torn down on :meth:`close` — error paths
-    included, tolerant of an already-broken executor.
+    (broken or hung) executor without waiting on it and forks a fresh one,
+    which re-reads the same immutable entry.  :meth:`close` shuts the pool
+    down and drops the entry — error paths included, tolerant of an
+    already-broken executor.
     """
 
-    def __init__(
-        self, plan: ShardPlan, workers: int, payload_mode: Optional[str] = None
-    ) -> None:
+    def __init__(self, plan: ShardPlan, workers: int) -> None:
         if workers < 1:
             raise ValueError("process execution needs workers >= 1")
-        self._plan = plan
         self._workers = workers
-        self._mode = _resolve_payload_mode(payload_mode)
         self._pool: Optional[ProcessPoolExecutor] = None
-        self._descriptor = None
-        self._teardown = None
-
-    def _publish(self) -> None:
-        if self._mode == "bytes":
-            self._descriptor = (
-                "bytes",
-                pickle.dumps(self._plan, protocol=pickle.HIGHEST_PROTOCOL),
-            )
-        elif self._mode == "fork":
-            token = f"plan-{next(_FORK_TOKENS)}"
-            _FORK_PLANS[token] = self._plan
-            self._descriptor = ("fork", token)
-            self._teardown = lambda: _FORK_PLANS.pop(token, None)
-        else:
-            payload = _export_plan_payload(self._plan)
-            self._descriptor = ("shm", payload.name)
-            self._teardown = payload.release
-
-    def _teardown_transport(self) -> None:
-        teardown, self._teardown = self._teardown, None
-        self._descriptor = None
-        if teardown is not None:
-            try:
-                teardown()
-            # repro: ignore[swallowed-exception] — last-resort teardown
-            except Exception:  # pragma: no cover - cleanup must not mask
-                pass
+        self._token = f"plan-{next(_FORK_TOKENS)}"
+        _FORK_PLANS[self._token] = plan
 
     def _discard_pool(self, wait: bool) -> None:
         pool, self._pool = self._pool, None
@@ -822,12 +477,10 @@ class _ColdSessionManager:
                 pass
 
     def open(self) -> ExecutorSession:
-        if self._descriptor is None:
-            self._publish()
         self._pool = ProcessPoolExecutor(
             max_workers=self._workers,
             initializer=_init_worker,
-            initargs=(self._descriptor,),
+            initargs=(self._token,),
         )
         # Cold pools load the plan in their initializer, so the task
         # signature is just (span, attempt) — ExecutorSession's default.
@@ -835,31 +488,61 @@ class _ColdSessionManager:
 
     def respawn(self, kind: str) -> ExecutorSession:
         self._discard_pool(wait=False)
-        if self._mode == "shm":
-            self._teardown_transport()
         return self.open()
 
     def close(self) -> None:
         self._discard_pool(wait=True)
-        self._teardown_transport()
+        _FORK_PLANS.pop(self._token, None)
 
 
-def _session_manager(
-    plan: ShardPlan,
-    workers: int,
-    payload_mode: Optional[str],
-    pool,
-):
-    """The session manager for ``plan``: warm-pool backed or one-shot.
+class _OneShotPoolManager:
+    """A :class:`~repro.join.pool.WarmJoinPool` opened for one call.
 
-    With ``pool`` (a :class:`~repro.join.pool.WarmJoinPool`) the plan is
-    registered with the already-running workers through a shared-memory
-    segment — no pool startup, no re-fork; otherwise a one-shot
-    :class:`_ColdSessionManager` owns a per-call pool.
+    Where the start method is not fork, a per-call pool cannot inherit the
+    plan, so it ships through the warm pool's shared-memory session instead;
+    the pool itself lives exactly as long as the call.
+    """
+
+    def __init__(self, plan: ShardPlan, workers: int) -> None:
+        from .pool import WarmJoinPool
+
+        self._pool = WarmJoinPool(workers)
+        self._manager = self._pool.session_manager(plan)
+
+    def open(self) -> ExecutorSession:
+        return self._manager.open()
+
+    def respawn(self, kind: str) -> ExecutorSession:
+        return self._manager.respawn(kind)
+
+    def close(self) -> None:
+        try:
+            self._manager.close()
+        finally:
+            self._pool.close()
+
+
+def _session_manager(plan: ShardPlan, workers: int, pool):
+    """The session manager for ``plan``, picked from what the call observes.
+
+    A caller's ``pool`` (a :class:`~repro.join.pool.WarmJoinPool`) takes the
+    plan through a shared-memory segment — no pool startup, no re-fork;
+    otherwise a fork start method lets a per-call pool inherit it
+    (:class:`_ColdSessionManager`); otherwise a one-shot warm pool serves
+    the call (:class:`_OneShotPoolManager`).
     """
     if pool is not None:
         return pool.session_manager(plan)
-    return _ColdSessionManager(plan, workers, payload_mode)
+    if _fork_start():
+        return _ColdSessionManager(plan, workers)
+    return _OneShotPoolManager(plan, workers)
+
+
+def _pool_size(workers: Optional[int], pool) -> int:
+    """``workers``, else a caller's warm pool size, else the CPU count."""
+    if workers is not None:
+        return workers
+    return pool.workers if pool is not None else (os.cpu_count() or 1)
 
 
 class _ParentFallback:
@@ -869,8 +552,7 @@ class _ParentFallback:
     on first use (the parent plan keeps its ``flat`` arrays — the shm
     export detaches a copy) and runs shards through the exact worker code
     path, so a fallback shard's pairs and counters are bit-identical to
-    what a healthy worker would have returned.  Worker-signed plans sign
-    in-parent here, which also powers the :func:`_plan_info` fallback.
+    what a healthy worker would have returned.
     """
 
     __slots__ = ("_plan", "_runtime", "_tracer")
@@ -883,35 +565,13 @@ class _ParentFallback:
         # a private throwaway: timings survive, nothing enters the trace.
         self._tracer = tracer if tracer is not None and tracer.enabled else Tracer()
 
-    @property
-    def runtime(self) -> _WorkerRuntime:
+    def __call__(self, span: Tuple[int, int]) -> ShardResult:
         if self._runtime is None:
             self._runtime = _WorkerRuntime(self._plan)
-        return self._runtime
-
-    def __call__(self, span: Tuple[int, int]) -> ShardResult:
         with self._tracer.span(
             "shard-serial-fallback", shard=span[0], stop=span[1]
         ):
-            return _run_shard_on(self.runtime, span, tracer=self._tracer)
-
-    def plan_info(self) -> Tuple[int, bool, float, float, float, Tuple]:
-        runtime = self.runtime
-        sign_seconds = runtime.consume_sign_seconds()
-        # repro: ignore[unclosed-span] — carrier span, ends on the next line
-        sign_span = self._tracer.span("worker-sign", fallback=True).start()
-        sign_span.end()
-        sign_span.wall_seconds = sign_seconds
-        # The span landed directly in the parent trace (or the throwaway
-        # tracer); nothing to ship, so the payload slot stays empty.
-        return (
-            runtime.probe_count,
-            bool(runtime.probe_is_left),
-            runtime.avg_signature_left,
-            runtime.avg_signature_right,
-            sign_seconds,
-            (),
-        )
+            return _run_shard_on(self._runtime, span, tracer=self._tracer)
 
 
 def _shard_spans(total: int, shard_size: int) -> List[Tuple[int, int]]:
@@ -947,26 +607,22 @@ def _merge_shard(
 def _split_pooled_wall(
     statistics: JoinStatistics,
     wall: float,
-    worker_sign: float,
     worker_filter: float,
     worker_verify: float,
 ) -> None:
     """Split the pooled stage's wall clock by observed worker proportions.
 
-    The parent-measured wall (pool startup and payload pickling included)
-    is distributed across signing / filtering / verification by the summed
+    The parent-measured wall (pool startup and payload transport included)
+    is distributed across filtering / verification by the summed
     worker-side stage seconds, so ``JoinStatistics.total_seconds`` stays an
     honest end-to-end elapsed time (all attributed to verification when no
     work was measured at all).
     """
-    busy = worker_sign + worker_filter + worker_verify
+    busy = worker_filter + worker_verify
     if busy > 0.0:
-        sign_part = wall * (worker_sign / busy)
-        filter_part = wall * (worker_filter / busy)
-        statistics.signing_seconds += sign_part
-        statistics.filtering_seconds = filter_part
-        # Remainder, so the three parts always sum to the wall exactly.
-        statistics.verification_seconds = wall - sign_part - filter_part
+        statistics.filtering_seconds = wall * (worker_filter / busy)
+        # Remainder, so the two parts always sum to the wall exactly.
+        statistics.verification_seconds = wall - statistics.filtering_seconds
     else:
         statistics.verification_seconds = wall
 
@@ -1035,24 +691,18 @@ def process_join(
     shards_per_worker: int = SHARDS_PER_WORKER,
     precomputed_order: Optional[GlobalOrder] = None,
     signing_tau: Optional[int] = None,
-    sign_in_workers: bool = False,
-    payload_mode: Optional[str] = None,
     pool=None,
     supervision: Optional[SupervisorPolicy] = None,
 ) -> JoinResult:
     """Run one join with filtering and verification sharded across processes.
 
-    By default, signing happens (cache-backed) in the parent and the flat
-    integer plan ships once per machine (copy-on-write under fork, a
-    shared-memory segment otherwise — see :class:`_ColdSessionManager` and
-    ``payload_mode``); with ``sign_in_workers=True`` the parent only
-    prepares and builds the order, and each worker signs locally.  Either
-    way the result — pairs, similarities, and every statistics counter — is
-    bit-identical to ``engine.join(left, right)`` at any ``workers`` /
-    ``shards_per_worker``.  Passing ``pool`` (a
-    :class:`~repro.join.pool.WarmJoinPool`) reuses already-warm worker
-    processes instead of starting a pool per call (parent-signed plans
-    only).  ``signing_seconds`` / ``filtering_seconds`` /
+    Signing happens (cache-backed) in the parent and the flat integer plan
+    ships once per machine (see :func:`_session_manager`).  The result —
+    pairs, similarities, and every statistics counter — is bit-identical to
+    ``engine.join(left, right)`` at any ``workers`` / ``shards_per_worker``.
+    Passing ``pool`` (a :class:`~repro.join.pool.WarmJoinPool`) reuses
+    already-warm worker processes instead of starting a pool per call;
+    ``workers`` then defaults to the pool's size.  ``filtering_seconds`` /
     ``verification_seconds`` split the *parent-measured wall clock* of the
     pooled stage proportionally to the summed worker-side stage seconds
     (see :func:`_split_pooled_wall`).
@@ -1066,124 +716,57 @@ def process_join(
     ``statistics.execution``.  Pass ``SupervisorPolicy(enabled=False)`` for
     the legacy fail-fast behavior.
     """
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if pool is not None and sign_in_workers:
-        raise ValueError(
-            "warm pools ship parent-signed plans; sign_in_workers=True needs "
-            "a per-call pool (its workers sign in their initializers)"
-        )
+    workers = _pool_size(workers, pool)
     telemetry = engine.telemetry
     metrics = telemetry.metrics
     start = time.perf_counter()
-    with telemetry.span("sign", in_workers=sign_in_workers):
-        left_prep, right_prep, self_join = engine._resolve_sides(left, right)
-        statistics = JoinStatistics(
-            tau=engine.tau,
-            theta=engine.theta,
-            method=engine.method,
-            left_records=len(left_prep),
-            right_records=len(right_prep),
+    with telemetry.span("sign"):
+        plan, left_signed, right_signed = _signed_plan(
+            engine, left, right, precomputed_order, signing_tau
         )
-        if sign_in_workers:
-            order = engine._resolve_order(left_prep, right_prep, precomputed_order)
-            plan = _build_unsigned_plan(
-                engine, left_prep, right_prep, self_join, order, signing_tau
-            )
-            # Parent-side signing cost is preparation + order only; the
-            # workers' signing seconds are folded into the pooled-stage
-            # split below.
-            statistics.signing_seconds = time.perf_counter() - start
-        else:
-            _, left_signed, right_signed = engine._order_and_sign(
-                left_prep, right_prep, precomputed_order, signing_tau
-            )
-            statistics.signing_seconds = time.perf_counter() - start
-            statistics.avg_signature_length_left = _average_signature_length(left_signed)
-            statistics.avg_signature_length_right = _average_signature_length(right_signed)
-            plan = _build_plan(
-                engine, left_prep, right_prep, left_signed, right_signed, self_join
-            )
+    statistics = JoinStatistics(
+        tau=engine.tau,
+        theta=engine.theta,
+        method=engine.method,
+        left_records=len(plan.left_prep),
+        right_records=len(plan.right_prep),
+        signing_seconds=time.perf_counter() - start,
+        avg_signature_length_left=_average_signature_length(left_signed),
+        avg_signature_length_right=_average_signature_length(right_signed),
+        execution=ExecutionReport(),
+    )
 
     pairs: List[VerifiedPair] = []
     merged = VerificationStats()
-    fallback = _ParentFallback(plan, telemetry.tracer)
-
-    def shard_size_for(total: int) -> int:
-        return max(1, ceil(total / max(workers * shards_per_worker, 1)))
-
-    def drain(shards) -> Tuple[float, float, float]:
-        worker_sign = worker_filter = worker_verify = 0.0
-        for shard in shards:
-            _merge_shard(engine, statistics, merged, pairs, shard)
-            telemetry.tracer.adopt(shard.spans)
-            _record_worker_events(metrics, shard.spans)
-            worker_sign += shard.sign_seconds
-            worker_filter += shard.filter_seconds
-            worker_verify += shard.verify_seconds
-        return worker_sign, worker_filter, worker_verify
-
-    if sign_in_workers:
+    total = plan.probe_count
+    if total:
+        spans = _shard_spans(
+            total, max(1, ceil(total / max(workers * shards_per_worker, 1)))
+        )
+        stage_workers = min(workers, len(spans))
         stage_start = time.perf_counter()
-        # The probe side's exact length is only learned from the workers,
-        # but it cannot exceed the larger collection: cap the pool so a
-        # tiny corpus never spawns surplus processes that each pay a full
-        # duplicate signing in their initializer for zero shards.
-        worker_cap = max(1, min(workers, max(len(left_prep), len(right_prep))))
-        manager = _ColdSessionManager(plan, worker_cap, payload_mode)
-        supervisor = ShardSupervisor(manager, supervision, fallback)
+        manager = _session_manager(plan, stage_workers, pool)
+        supervisor = ShardSupervisor(
+            manager, supervision, _ParentFallback(plan, telemetry.tracer)
+        )
         base = len(supervisor.report.attempts)
+        worker_filter = worker_verify = 0.0
         try:
-            with telemetry.span(
-                "pooled-stage", workers=worker_cap, sign_in_workers=True
-            ):
-                info = supervisor.call(
-                    lambda session: session.submit_call(_plan_info),
-                    fallback.plan_info,
-                )
-                total, _, avg_left, avg_right, info_sign = info[:5]
-                telemetry.tracer.adopt(info[5] if len(info) > 5 else ())
-                statistics.avg_signature_length_left = avg_left
-                statistics.avg_signature_length_right = avg_right
-                shard_list = _shard_spans(total, shard_size_for(total))
-                sign, fil, ver = drain(supervisor.run(shard_list))
-                _adopt_failed_attempts(
-                    telemetry, supervisor.report, shard_list, base
-                )
+            with telemetry.span("pooled-stage", workers=stage_workers):
+                for shard in supervisor.run(spans):
+                    _merge_shard(engine, statistics, merged, pairs, shard)
+                    telemetry.tracer.adopt(shard.spans)
+                    _record_worker_events(metrics, shard.spans)
+                    worker_filter += shard.filter_seconds
+                    worker_verify += shard.verify_seconds
+                _adopt_failed_attempts(telemetry, supervisor.report, spans, base)
         finally:
             manager.close()
         statistics.execution = supervisor.report
         _record_execution_metrics(metrics, supervisor.report)
         _split_pooled_wall(
-            statistics, time.perf_counter() - stage_start, sign + info_sign, fil, ver
+            statistics, time.perf_counter() - stage_start, worker_filter, worker_verify
         )
-    else:
-        total = plan.probe_count
-        if total:
-            spans = _shard_spans(total, shard_size_for(total))
-            stage_start = time.perf_counter()
-            manager = _session_manager(
-                plan, min(workers, len(spans)), payload_mode, pool
-            )
-            supervisor = ShardSupervisor(manager, supervision, fallback)
-            base = len(supervisor.report.attempts)
-            try:
-                with telemetry.span(
-                    "pooled-stage", workers=min(workers, len(spans))
-                ):
-                    busy = drain(supervisor.run(spans))
-                    _adopt_failed_attempts(
-                        telemetry, supervisor.report, spans, base
-                    )
-            finally:
-                manager.close()
-            statistics.execution = supervisor.report
-            _record_execution_metrics(metrics, supervisor.report)
-            _split_pooled_wall(
-                statistics, time.perf_counter() - stage_start, *busy
-            )
-        else:
-            statistics.execution = ExecutionReport()
     statistics.verification = merged
     statistics.result_count = len(pairs)
     return JoinResult(pairs=pairs, statistics=statistics)
@@ -1198,9 +781,7 @@ def process_join_batches(
     batch_size: int = 1024,
     precomputed_order: Optional[GlobalOrder] = None,
     signing_tau: Optional[int] = None,
-    sign_in_workers: bool = False,
     suggestion_seconds: float = 0.0,
-    payload_mode: Optional[str] = None,
     pool=None,
     supervision: Optional[SupervisorPolicy] = None,
 ) -> Iterator[JoinBatch]:
@@ -1210,10 +791,10 @@ def process_join_batches(
     the in-process ``join_batches`` — and batches are yielded in probe
     order while later shards are still being computed, so the stream
     overlaps verification with consumption.  The concatenated batches equal
-    the serial stream exactly (pairs, order, and per-batch counters), with
-    or without ``sign_in_workers``.  A :class:`~repro.join.pool.WarmJoinPool`
-    passed as ``pool`` serves every chunk from the same warm workers
-    (parent-signed plans only).
+    the serial stream exactly (pairs, order, and per-batch counters).  A
+    :class:`~repro.join.pool.WarmJoinPool` passed as ``pool`` serves every
+    chunk from the same warm workers, and sizes the submission window when
+    ``workers`` is omitted.
 
     The stream runs supervised exactly like :func:`process_join`
     (``supervision`` knob, same defaults); each yielded batch carries the
@@ -1223,33 +804,13 @@ def process_join_batches(
     """
     if batch_size < 1:
         raise ValueError("batch_size must be a positive integer")
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if pool is not None and sign_in_workers:
-        raise ValueError(
-            "warm pools ship parent-signed plans; sign_in_workers=True needs "
-            "a per-call pool (its workers sign in their initializers)"
-        )
-    left_prep, right_prep, self_join = engine._resolve_sides(left, right)
-    if sign_in_workers:
-        order = engine._resolve_order(left_prep, right_prep, precomputed_order)
-        plan = _build_unsigned_plan(
-            engine, left_prep, right_prep, self_join, order, signing_tau
-        )
-    else:
-        _, left_signed, right_signed = engine._order_and_sign(
-            left_prep, right_prep, precomputed_order, signing_tau
-        )
-        plan = _build_plan(
-            engine, left_prep, right_prep, left_signed, right_signed, self_join
-        )
+    plan = _signed_plan(engine, left, right, precomputed_order, signing_tau)[0]
     return _process_batches_iter(
         engine,
         plan,
-        workers,
+        _pool_size(workers, pool),
         batch_size,
         suggestion_seconds,
-        payload_mode,
         pool,
         supervision,
     )
@@ -1261,77 +822,47 @@ def _process_batches_iter(
     workers: int,
     batch_size: int,
     suggestion_seconds: float,
-    payload_mode: Optional[str] = None,
-    pool=None,
-    supervision: Optional[SupervisorPolicy] = None,
+    pool,
+    supervision: Optional[SupervisorPolicy],
 ) -> Iterator[JoinBatch]:
-    fallback = _ParentFallback(plan, engine.telemetry.tracer)
-    if plan.sign_in_workers:
-        # Span count is bounded by the larger collection (the probe side is
-        # one of the two) before the workers report its exact length: cap
-        # the pool so surplus processes never sign for zero batches.
-        upper_bound = max(len(plan.left_prep), len(plan.right_prep))
-        worker_cap = max(1, min(workers, ceil(upper_bound / batch_size)))
-        manager = _ColdSessionManager(plan, worker_cap, payload_mode)
-    else:
-        total = plan.probe_count
-        if not total:
-            return
-        spans = _shard_spans(total, batch_size)
-        manager = _session_manager(
-            plan, min(workers, len(spans)), payload_mode, pool
-        )
-    supervisor = ShardSupervisor(manager, supervision, fallback)
-    try:
-        if plan.sign_in_workers:
-            info = supervisor.call(
-                lambda session: session.submit_call(_plan_info),
-                fallback.plan_info,
-            )
-            total = info[0]
-            engine.telemetry.tracer.adopt(info[5] if len(info) > 5 else ())
-            spans = _shard_spans(total, batch_size)
-        yield from _stream_spans(
-            engine, supervisor, spans, workers, suggestion_seconds
-        )
-    finally:
-        manager.close()
-
-
-def _stream_spans(
-    engine: PebbleJoin,
-    supervisor: ShardSupervisor,
-    spans: Sequence[Tuple[int, int]],
-    workers: int,
-    suggestion_seconds: float,
-) -> Iterator[JoinBatch]:
+    total = plan.probe_count
+    if not total:
+        return
+    spans = _shard_spans(total, batch_size)
+    telemetry = engine.telemetry
+    manager = _session_manager(plan, min(workers, len(spans)), pool)
+    supervisor = ShardSupervisor(
+        manager, supervision, _ParentFallback(plan, telemetry.tracer)
+    )
     # Bounded submission window: keep every worker busy plus one batch of
     # lookahead, but never schedule the whole probe side up front — a slow
     # consumer must apply backpressure to the pool instead of accumulating
     # all completed shard results in parent memory (the unbounded
     # materialization join_batches exists to avoid).
     window = min(workers + 1, len(spans))
-    telemetry = engine.telemetry
     # No span is held open across yields: a consumer may run arbitrary
     # (instrumented) code between batches, and an open span here would
     # capture it as a child via the thread-local stack.  Worker trees are
     # adopted to the tracer's current attachment point as they arrive.
     base = len(supervisor.report.attempts)
     first = True
-    for shard in supervisor.run(spans, window=window):
-        engine.verifier.stats.merge(shard.verification)
-        engine.verifier.verified_count += shard.candidate_count
-        telemetry.tracer.adopt(shard.spans)
-        _record_worker_events(telemetry.metrics, shard.spans)
-        yield JoinBatch(
-            pairs=shard.pairs,
-            candidate_count=shard.candidate_count,
-            processed_pairs=shard.processed_pairs,
-            probe_range=(shard.start, shard.stop),
-            verification=shard.verification,
-            suggestion_seconds=suggestion_seconds if first else 0.0,
-            execution=supervisor.report,
-        )
-        first = False
-    _adopt_failed_attempts(telemetry, supervisor.report, spans, base)
-    _record_execution_metrics(telemetry.metrics, supervisor.report)
+    try:
+        for shard in supervisor.run(spans, window=window):
+            engine.verifier.stats.merge(shard.verification)
+            engine.verifier.verified_count += shard.candidate_count
+            telemetry.tracer.adopt(shard.spans)
+            _record_worker_events(telemetry.metrics, shard.spans)
+            yield JoinBatch(
+                pairs=shard.pairs,
+                candidate_count=shard.candidate_count,
+                processed_pairs=shard.processed_pairs,
+                probe_range=(shard.start, shard.stop),
+                verification=shard.verification,
+                suggestion_seconds=suggestion_seconds if first else 0.0,
+                execution=supervisor.report,
+            )
+            first = False
+        _adopt_failed_attempts(telemetry, supervisor.report, spans, base)
+        _record_execution_metrics(telemetry.metrics, supervisor.report)
+    finally:
+        manager.close()

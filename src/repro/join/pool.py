@@ -22,6 +22,13 @@ attachments are deregistered from the resource tracker, so a clean run
 leaves nothing in ``/dev/shm`` and no tracker warnings — the
 shared-memory lifecycle tests enforce both.
 
+Workers release every cached runtime when they exit, so no mapping is
+still viewed when the interpreter finalizes the segments (a spawned worker
+runs that finalization, and a still-exported view would print a
+``BufferError`` per worker).  A call that passes no pool but cannot fork
+opens a one-shot warm pool of its own (see
+:func:`repro.join.parallel._session_manager`).
+
 Results are bit-identical to the serial engine, like every other executor
 path: the pool only changes *where* :func:`~repro.join.parallel._run_shard_on`
 runs, never what it computes.
@@ -29,6 +36,7 @@ runs, never what it computes.
 
 from __future__ import annotations
 
+import atexit
 import os
 from collections import OrderedDict
 from dataclasses import replace
@@ -51,15 +59,22 @@ from .supervision import ExecutorSession
 __all__ = ["WarmJoinPool"]
 
 #: Worker-side cap on cached plan runtimes.  Small on purpose: a runtime
-#: pins its shared-memory mapping (and, for slim/full plans, its prepared
-#: collections), so the cache trades a bounded memory ceiling for not
-#: rebuilding when a handful of plans interleave.
+#: pins its shared-memory mapping and its prepared collections, so the
+#: cache trades a bounded memory ceiling for not rebuilding when a handful
+#: of plans interleave.
 RUNTIME_CACHE_LIMIT = 4
 
 #: Per-process runtime cache for warm-pool workers, keyed by segment name.
 #: Distinct from the initializer-installed ``parallel._RUNTIME`` — a warm
 #: worker serves many plans over its lifetime.
 _POOL_RUNTIMES: "OrderedDict[str, _WorkerRuntime]" = OrderedDict()
+
+
+@atexit.register
+def _release_runtimes() -> None:
+    """Detach every cached mapping before the worker's interpreter exits."""
+    while _POOL_RUNTIMES:
+        _POOL_RUNTIMES.popitem()[1].release()
 
 
 def _pool_runtime(name: str) -> _WorkerRuntime:
@@ -166,11 +181,10 @@ class _WarmSessionManager:
 class WarmJoinPool:
     """A long-lived process pool that serves many shard plans.
 
-    ``workers`` defaults to the CPU count.  The executor starts lazily on
-    the first session and persists until :meth:`close` (or context-manager
-    exit); plans come and go per call.  Parent-signed plans only — a
-    worker-signed plan's whole point is signing inside a pool initializer,
-    which a warm pool deliberately does not have.
+    ``workers`` defaults to the CPU count; a process join through the pool
+    sizes its shards from it unless the call names ``workers`` itself.  The
+    executor starts lazily on the first session and persists until
+    :meth:`close` (or context-manager exit); plans come and go per call.
     """
 
     def __init__(self, workers: Optional[int] = None) -> None:
@@ -231,11 +245,6 @@ class WarmJoinPool:
     def session_manager(self, plan: ShardPlan) -> _WarmSessionManager:
         """A supervisor-facing session manager serving ``plan`` (see
         :class:`_WarmSessionManager`)."""
-        if plan.sign_in_workers:
-            raise ValueError(
-                "WarmJoinPool serves parent-signed plans only; worker-signed "
-                "plans sign in a per-call pool initializer"
-            )
         return _WarmSessionManager(self, plan)
 
     @contextmanager

@@ -150,63 +150,44 @@ class PreparedCollection:
     # ------------------------------------------------------------------ #
     # transfer copies (worker payloads)
     # ------------------------------------------------------------------ #
-    def transfer_copy(
-        self,
-        *,
-        keep_pebbles: bool,
-        keep_signed: Sequence[Sequence[SignedRecord]] = (),
-    ) -> "PreparedCollection":
-        """A shallow payload view of this collection for process shipping.
+    def transfer_copy(self) -> "PreparedCollection":
+        """A shallow, pebble-free payload view of this collection.
 
         The copy shares the records, segments, and any already-built graph
         sides with the original (workers need those for verification) and
         drops everything a worker does not read: cached orders, shared
-        orders, and every signature-cache entry except those whose signed
-        lists are in ``keep_signed`` (identity match — such entries ride in
-        the plan anyway, so keeping them costs no extra pickle bytes).
-
-        With ``keep_pebbles=False`` the per-record pebble lists are dropped
-        too: slim plans ship prefix-only signature views, so the sorted
-        pebble lists — the dominant payload term — never cross the process
-        boundary at all.  A pebble-free copy refuses to sign or contribute
-        to an order (loudly, via :meth:`_require_pebbles`); worker-side
-        signing ships a ``keep_pebbles=True`` copy instead.  The caller's
-        collection is never mutated.
+        orders, every signature-cache entry, and the per-record pebble lists
+        — the dominant payload term, since workers receive the filter stage
+        as flat integer arrays and never sign.  A pebble-free copy refuses
+        to sign or contribute to an order (loudly, via
+        :meth:`_require_pebbles`).  The caller's collection is never mutated.
         """
         clone = PreparedCollection.__new__(PreparedCollection)
         clone.collection = self.collection
         clone.config = self.config
-        if keep_pebbles:
-            clone._prepared = self._prepared
-        else:
-            slim: List[PreparedRecord] = []
-            for prepared in self._prepared:
-                record = PreparedRecord(
-                    prepared.record, prepared.segments, None, prepared.min_partitions
-                )
-                record.graph_side = prepared.graph_side
-                slim.append(record)
-            clone._prepared = slim
+        slim: List[PreparedRecord] = []
+        for prepared in self._prepared:
+            record = PreparedRecord(
+                prepared.record, prepared.segments, None, prepared.min_partitions
+            )
+            record.graph_side = prepared.graph_side
+            slim.append(record)
+        clone._prepared = slim
         clone._orders = {}
-        clone._signatures = {
-            key: value
-            for key, value in self._signatures.items()
-            if any(value[1] is signed for signed in keep_signed)
-        }
+        clone._signatures = {}
         clone._signature_aliases = {}
         clone._shared_orders = {}
         clone._flat_states = {}
-        clone._pebble_free = not keep_pebbles
+        clone._pebble_free = True
         clone.content_version = self.content_version
         return clone
 
     def _require_pebbles(self, operation: str) -> None:
         if self._pebble_free:
             raise RuntimeError(
-                f"cannot {operation} on a pebble-free transfer copy: slim "
-                "worker payloads drop the per-record pebble lists (workers "
-                "only verify); use transfer_copy(keep_pebbles=True) for "
-                "worker-side signing"
+                f"cannot {operation} on a pebble-free transfer copy: worker "
+                "payloads drop the per-record pebble lists (workers only "
+                "filter and verify)"
             )
 
     # ------------------------------------------------------------------ #

@@ -98,10 +98,10 @@ class SignedRecord:
     def signature_key_sequence(self) -> Tuple[PebbleKey, ...]:
         """Signature keys in prefix order, per-occurrence duplicates kept.
 
-        This is the filtering protocol shared with the slim transfer view
-        (:class:`~repro.join.artifacts.SignedRecordView`): the inverted
-        index posts exactly this sequence and the probe loop streams it —
-        neither reads a signature pebble's weight, segment, or measure.
+        This is the filtering protocol: the inverted index and the flat
+        encoding (:mod:`repro.join.flat`) post exactly this sequence and the
+        probe loop streams it — none of them reads a signature pebble's
+        weight, segment, or measure.
         Computed on demand (one small tuple per record per indexing or
         probing pass) rather than cached, so pickled signed records never
         grow a shadow copy of their prefix.

@@ -38,14 +38,13 @@ It speaks two small protocols:
 * a **session manager** with ``open() -> session``, ``respawn(kind) ->
   session`` (``kind`` in ``{"worker", "timeout", "transport"}``) and
   ``close()``;
-* a **session** with ``submit_span(span, attempt) -> Future`` (and, for
-  single round-trips, ``submit_call(fn) -> Future``).
+* a **session** with ``submit_span(span, attempt) -> Future``.
 
 Sessions are instances of :class:`ExecutorSession`, the one place in the
 codebase allowed to call ``executor.submit`` for shard work (the
 ``unsupervised-submit`` invariant — see ``docs/invariants.md``): managers
-in :mod:`repro.join.parallel` (cold fork / shm / bytes transports) and
-:mod:`repro.join.pool` (warm pool) construct one around their live
+in :mod:`repro.join.parallel` (the fork cold pool) and
+:mod:`repro.join.pool` (the warm pool) construct one around their live
 executor and a task-encoding rule instead of submitting themselves.
 :mod:`repro.join.parallel` also provides the parent-side serial runner.
 """
@@ -119,10 +118,6 @@ class ExecutorSession:
         """Dispatch one shard; ``attempt`` is the supervisor's retry count."""
         args = (span, attempt) if self._encode is None else self._encode(span, attempt)
         return self._executor.submit(self._task, *args)
-
-    def submit_call(self, fn: Callable):
-        """Dispatch a single argument-free round-trip (e.g. plan info)."""
-        return self._executor.submit(fn)
 
 
 @dataclass
@@ -215,7 +210,7 @@ class ShardSupervisor:
     """Drive shard spans through a session manager under a policy.
 
     One supervisor serves one driver call; its :attr:`report` accumulates
-    across :meth:`call` and (possibly several) :meth:`run` invocations.
+    across (possibly several) :meth:`run` invocations.
     The caller owns the manager's terminal ``close()``.
     """
 
@@ -279,53 +274,6 @@ class ShardSupervisor:
             self._abandon()
         finally:
             self.report.respawn_seconds += time.perf_counter() - began
-
-    # ------------------------------------------------------------------ #
-    # single supervised round-trip (worker-signed _plan_info)
-    # ------------------------------------------------------------------ #
-    def call(self, submit: Callable, fallback: Callable[[], object]):
-        """Run one pool round-trip with retry/respawn; degrade to ``fallback``.
-
-        ``submit(session)`` must return a Future.  On exhaustion (or a
-        session the supervisor already abandoned) the parent-side
-        ``fallback()`` provides the answer instead.
-        """
-        if not self.policy.enabled:
-            return submit(self._open_plain()).result()
-        failures = 0
-        while True:
-            session = self._ensure_session()
-            if session is None:
-                return fallback()
-            kind: Optional[str] = None
-            try:
-                return submit(session).result(timeout=self.policy.shard_timeout)
-            except FutureTimeoutError as exc:
-                self.report.timeouts += 1
-                self.report.record_error(exc)
-                kind = "timeout"
-            except ShardTransportError as exc:
-                self.report.transport_failures += 1
-                self.report.record_error(exc)
-                kind = "transport"
-            except BrokenExecutor as exc:
-                self.report.worker_failures += 1
-                self.report.record_error(exc)
-                kind = "worker"
-            except Exception as exc:
-                self.report.worker_failures += 1
-                self.report.record_error(exc)
-            failures += 1
-            if failures > self.policy.max_retries:
-                if not self.policy.serial_fallback:
-                    raise RuntimeError(
-                        "supervised call exhausted its retries and serial "
-                        f"fallback is disabled (errors: {self.report.errors[-3:]})"
-                    )
-                return fallback()
-            self.report.retries += 1
-            if kind is not None:
-                self._respawn(kind)
 
     # ------------------------------------------------------------------ #
     # the main loop

@@ -36,28 +36,20 @@ similarity are bit-identical to verifying each candidate with
 :meth:`Verifier.verify` (the pre-engine path), which the randomized
 equivalence tests enforce.  The stage order changes no counter either: a
 pair the lower bound clears is never pruned by an upper stage, so the
-counters equal those of running the lower bound first.  All counters are
-aggregated per worker chunk, so pooled verification reports exact
-statistics (no racy ``verified_count`` increments); oversized probe
-groups are split past a cap before chunking, so one hot probe record
-cannot serialize a pool.
+counters equal those of running the lower bound first.  Counters are plain
+sums, so the shards of :mod:`repro.join.parallel` — where each worker
+process rebuilds a :class:`UnifiedVerifier` from picklable parameters and
+runs this same cascade — merge back to exactly the serial counters.
 
-Execution backends
-------------------
-``verify_batch`` accepts an in-process ``pool`` (thread executor) directly;
-true multi-core execution goes through :mod:`repro.join.parallel`, where
-each worker process rebuilds a :class:`UnifiedVerifier` from picklable
-parameters and runs this same cascade on its shard.  With ``adaptive=True``
-the verifier additionally *gates* each bound tier on its observed hit rate
-(see :class:`UnifiedVerifier`), skipping tiers that stopped paying for
-themselves — without ever changing the surviving pairs.
+With ``adaptive=True`` the verifier additionally *gates* each bound tier on
+its observed hit rate (see :class:`UnifiedVerifier`), skipping tiers that
+stopped paying for themselves — without ever changing the surviving pairs.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, fields, replace
-from itertools import groupby
 from typing import Callable, ClassVar, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.approximation import approximate_usim, approximate_usim_on_graph
@@ -125,8 +117,8 @@ class VerificationStats:
         """Add another stats block into this one (per-worker aggregation).
 
         Every field is a plain sum, which is what makes merging lossless:
-        any partition of one candidate stream into worker chunks or process
-        shards merges back to exactly the serial counters.
+        any partition of one candidate stream into process shards merges
+        back to exactly the serial counters.
         """
         for name in self._COUNTERS:
             setattr(self, name, getattr(self, name) + getattr(other, name))
@@ -164,60 +156,6 @@ VerificationStats._COUNTERS = tuple(
 )
 
 
-def _group_candidates(
-    candidates: Sequence[Tuple[int, int]], probe_side: str
-) -> List[List[Tuple[int, int]]]:
-    """Split candidates into consecutive runs sharing the probe record.
-
-    The probe-based filter emits every candidate of one probe record before
-    moving to the next, so consecutive grouping recovers the per-probe
-    batches without sorting; each group then reuses the probe side's cached
-    state across all of its partners.
-    """
-    position = 0 if probe_side == "left" else 1
-    return [list(group) for _, group in groupby(candidates, key=lambda pair: pair[position])]
-
-
-def _chunk_groups(
-    groups: Sequence[List[Tuple[int, int]]],
-    target_pairs: int,
-    max_chunk_pairs: Optional[int] = None,
-) -> List[List[Tuple[int, int]]]:
-    """Pack probe groups into worker chunks of roughly ``target_pairs`` pairs.
-
-    Small groups are packed whole (one probe record's candidates stay on one
-    worker, maximising its cache locality), but a group larger than
-    ``max_chunk_pairs`` (default ``4 * target_pairs``) is *split* into
-    capped slices: a single hot probe record with a huge candidate fan-out
-    would otherwise serialize the entire pool behind one worker.  Splitting
-    is free for correctness — chunks are mapped in order and every counter
-    is merged per chunk, so results and statistics are exactly those of the
-    unsplit packing.
-    """
-    if max_chunk_pairs is None:
-        max_chunk_pairs = 4 * target_pairs
-    cap = max(max_chunk_pairs, target_pairs, 1)
-    chunks: List[List[Tuple[int, int]]] = []
-    current: List[Tuple[int, int]] = []
-    for group in groups:
-        start = 0
-        while len(group) - start > cap:
-            # Flush what was packed so far, then emit full capped slices of
-            # the oversized group (order preserved end to end).
-            if current:
-                chunks.append(current)
-                current = []
-            chunks.append(group[start : start + cap])
-            start += cap
-        current.extend(group[start:] if start else group)
-        if len(current) >= target_pairs:
-            chunks.append(current)
-            current = []
-    if current:
-        chunks.append(current)
-    return chunks
-
-
 class Verifier:
     """Verify candidate pairs with an arbitrary similarity function."""
 
@@ -232,9 +170,8 @@ class Verifier:
         """Verify one pair without touching shared counters (thread-safe).
 
         This is the extension hook for custom pair semantics: every path —
-        :meth:`verify`, :meth:`verify_all`, and :meth:`verify_batch` serial
-        or pooled — routes through it, so subclasses overriding it behave
-        identically regardless of worker count.
+        :meth:`verify`, :meth:`verify_all`, and :meth:`verify_batch` —
+        routes through it.
         """
         value = self.similarity(left.tokens, right.tokens)
         if value >= self.threshold:
@@ -263,53 +200,22 @@ class Verifier:
         left,
         right,
         *,
-        pool=None,
         probe_side: str = "left",
-        chunk_pairs: int = 64,
     ) -> List[VerifiedPair]:
         """Verify ``(left_id, right_id)`` candidates against two collections.
 
         ``left``/``right`` may be raw record collections or prepared ones
-        (anything id-addressable).  The serial path goes through
-        :meth:`verify`; the pooled path verifies through the counter-free
-        :meth:`_verify_one` (the per-pair extension hook) and aggregates
-        each worker chunk's count afterwards, so ``verified_count`` stays
-        exact under concurrency.  A legacy subclass that overrides
-        :meth:`verify` without overriding :meth:`_verify_one` keeps its
-        semantics on every path: the pool is bypassed for it (its override
-        and counting cannot safely run concurrently), so the pair set never
-        depends on the worker count.  Result order matches the candidate
-        order.
+        (anything id-addressable).  Every pair goes through :meth:`verify`,
+        so a subclass overriding it or :meth:`_verify_one` keeps its
+        semantics.  ``probe_side`` names the filter's probe side, which only
+        the prepared engine of :class:`UnifiedVerifier` uses.  Result order
+        matches the candidate order.
         """
-        candidate_list = list(candidates)
-        if not candidate_list:
-            return []
-        legacy_verify_override = (
-            type(self).verify is not Verifier.verify
-            and type(self)._verify_one is Verifier._verify_one
-        )
-        if pool is None or legacy_verify_override:
-            pairs: List[VerifiedPair] = []
-            for left_id, right_id in candidate_list:
-                verified = self.verify(left[left_id], right[right_id])
-                if verified is not None:
-                    pairs.append(verified)
-            return pairs
-
-        def run_chunk(chunk: List[Tuple[int, int]]) -> Tuple[List[VerifiedPair], int]:
-            found: List[VerifiedPair] = []
-            for left_id, right_id in chunk:
-                verified = self._verify_one(left[left_id], right[right_id])
-                if verified is not None:
-                    found.append(verified)
-            return found, len(chunk)
-
-        groups = _group_candidates(candidate_list, probe_side)
-        chunks = _chunk_groups(groups, chunk_pairs)
-        pairs = []
-        for found, count in pool.map(run_chunk, chunks):
-            self.verified_count += count
-            pairs.extend(found)
+        pairs: List[VerifiedPair] = []
+        for left_id, right_id in candidates:
+            verified = self.verify(left[left_id], right[right_id])
+            if verified is not None:
+                pairs.append(verified)
         return pairs
 
 
@@ -324,8 +230,9 @@ class _AdaptiveTierGate:
     so a workload whose regime shifts mid-run gets the tier back.  The
     controller is a pure function of the candidate sequence, hence
     deterministic on the serial path; a lock keeps its counters exact when
-    thread-pool workers share one verifier (the *sequence* of outcomes then
-    depends on chunk interleaving, but no update is ever lost).
+    concurrent :class:`~repro.search.index.SimilarityIndex` readers share
+    one verifier (the *sequence* of outcomes then depends on their
+    interleaving, but no update is ever lost).
     """
 
     __slots__ = (
@@ -407,10 +314,10 @@ class UnifiedVerifier(Verifier):
     (and runtime) change, with bypasses reported as
     ``adaptive_lower_skips`` / ``adaptive_upper_skips``.  The gates are
     driven by the candidate stream, so the decision sequence is
-    deterministic on the serial path; under pooled execution each worker's
-    chunk boundaries influence it, which is why the executor-equivalence
-    guarantee on *statistics* is stated for ``adaptive=False`` (the
-    default), while the pair-set guarantee holds always.
+    deterministic on the serial path; under process execution each worker
+    gates its own shards, which is why the executor-equivalence guarantee on
+    *statistics* is stated for ``adaptive=False`` (the default), while the
+    pair-set guarantee holds always.
     """
 
     def __init__(
@@ -584,7 +491,7 @@ class UnifiedVerifier(Verifier):
 
         ``stats`` redirects the cascade counters into a caller-owned block
         (merge it into :attr:`stats` when done, as :meth:`verify_batch`
-        does per chunk); without it, counters accumulate here directly and
+        does per batch); without it, counters accumulate here directly and
         ``verified_count`` is bumped.
         """
         if stats is not None:
@@ -606,23 +513,19 @@ class UnifiedVerifier(Verifier):
         left,
         right,
         *,
-        pool=None,
         probe_side: str = "left",
-        chunk_pairs: int = 64,
     ) -> List[VerifiedPair]:
         """Verify candidates through the prepared engine (see class docs).
 
-        Candidates are grouped by probe record (consecutive runs on the
-        ``probe_side`` id, matching the filter's emission order) so one
-        probe's cached side is fetched once per group; under a thread pool,
-        whole groups are assigned to workers and each worker's statistics
-        are merged after the fact.
+        The filter emits candidates probe-major (every partner of one probe
+        record before the next, on the ``probe_side`` id), so one probe's
+        cached side and graph assembler serve its whole run of partners.
 
         A subclass that overrides :meth:`verify` or the :meth:`_verify_one`
         extension hook without overriding :meth:`_verify_prepared` keeps
         its per-pair semantics: the batch engine would silently bypass such
         an override, so those verifiers are routed through the base class's
-        per-pair path instead (which honors both hooks, pooled or serial).
+        per-pair path instead (which honors both hooks).
         """
         per_pair_override = (
             type(self).verify is not Verifier.verify
@@ -633,77 +536,53 @@ class UnifiedVerifier(Verifier):
             and type(self)._verify_prepared is UnifiedVerifier._verify_prepared
         ):
             return Verifier.verify_batch(
-                self,
-                candidates,
-                left,
-                right,
-                pool=pool,
-                probe_side=probe_side,
-                chunk_pairs=chunk_pairs,
+                self, candidates, left, right, probe_side=probe_side
             )
-        candidate_list = list(candidates)
-        if not candidate_list:
-            return []
         get_left = self._side_getter(left)
         get_right = self._side_getter(right)
-        groups = _group_candidates(candidate_list, probe_side)
         probe_is_left = probe_side == "left"
         # A subclass may override ``_verify_prepared`` with the historical
         # signature; only the base cascade is handed the group assembler.
         base_cascade = (
             type(self)._verify_prepared is UnifiedVerifier._verify_prepared
         )
-
-        def run_group_chunk(
-            chunk: List[Tuple[int, int]]
-        ) -> Tuple[List[VerifiedPair], VerificationStats]:
-            local = VerificationStats()
-            found: List[VerifiedPair] = []
-            # One assembler per run of pairs sharing the probe record: its
-            # qualification pre-pass is computed once and reused against
-            # every partner in the group (chunks preserve group runs, and a
-            # split oversized group just re-derives it once per slice).
-            current_probe: Optional[int] = None
-            assembler: Optional[PairGraphAssembler] = None
-            for left_id, right_id in chunk:
-                left_graph_side = get_left(left_id)
-                right_graph_side = get_right(right_id)
-                if base_cascade:
-                    probe_id = left_id if probe_is_left else right_id
-                    if assembler is None or probe_id != current_probe:
-                        current_probe = probe_id
-                        assembler = PairGraphAssembler(
-                            left_graph_side if probe_is_left else right_graph_side,
-                            self.config,
-                            probe_is_left=probe_is_left,
-                        )
-                    verified = self._verify_prepared(
-                        left[left_id],
-                        right[right_id],
-                        left_graph_side,
-                        right_graph_side,
-                        local,
-                        assembler=assembler,
-                    )
-                else:
-                    verified = self._verify_prepared(
-                        left[left_id],
-                        right[right_id],
-                        left_graph_side,
-                        right_graph_side,
-                        local,
-                    )
-                if verified is not None:
-                    found.append(verified)
-            return found, local
-
+        local = VerificationStats()
         pairs: List[VerifiedPair] = []
-        if pool is None:
-            outcomes = map(run_group_chunk, groups)
-        else:
-            outcomes = pool.map(run_group_chunk, _chunk_groups(groups, chunk_pairs))
-        for found, local in outcomes:
-            self.stats.merge(local)
-            self.verified_count += local.candidates
-            pairs.extend(found)
+        # One assembler per run of pairs sharing the probe record: its
+        # qualification pre-pass is computed once and reused against every
+        # partner in the run.
+        current_probe: Optional[int] = None
+        assembler: Optional[PairGraphAssembler] = None
+        for left_id, right_id in candidates:
+            left_graph_side = get_left(left_id)
+            right_graph_side = get_right(right_id)
+            if base_cascade:
+                probe_id = left_id if probe_is_left else right_id
+                if assembler is None or probe_id != current_probe:
+                    current_probe = probe_id
+                    assembler = PairGraphAssembler(
+                        left_graph_side if probe_is_left else right_graph_side,
+                        self.config,
+                        probe_is_left=probe_is_left,
+                    )
+                verified = self._verify_prepared(
+                    left[left_id],
+                    right[right_id],
+                    left_graph_side,
+                    right_graph_side,
+                    local,
+                    assembler=assembler,
+                )
+            else:
+                verified = self._verify_prepared(
+                    left[left_id],
+                    right[right_id],
+                    left_graph_side,
+                    right_graph_side,
+                    local,
+                )
+            if verified is not None:
+                pairs.append(verified)
+        self.stats.merge(local)
+        self.verified_count += local.candidates
         return pairs

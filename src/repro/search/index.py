@@ -749,6 +749,8 @@ class SimilarityIndex:
             raise ValueError(
                 f"unknown executor {executor!r}; expected 'serial' or 'process'"
             )
+        if executor == "serial" and workers not in (None, 0):
+            raise ValueError("the serial executor takes no workers")
         if supervision is not None and executor != "process":
             raise ValueError(
                 "supervision policies apply to executor='process' only"
@@ -849,14 +851,10 @@ class SimilarityIndex:
             threshold=self.theta,
             requirement=tau_q,
             verifier_kwargs=_verifier_kwargs(self.verifier),
-            left_prep=probe_prepared.transfer_copy(keep_pebbles=False),
+            left_prep=probe_prepared.transfer_copy(),
             right_prep=right_transfer,
-            index_signed=None,
-            probe_signed=None,
             probe_is_left=True,
             exclude_self_pairs=False,
-            postings_ascending=True,
-            order=None,
             flat=FlatJoinState(
                 self._vocab,
                 postings,
@@ -914,7 +912,7 @@ class SimilarityIndex:
         cache = self._plan_cache
         if cache is not None and cache[0] == self._epoch:
             return postings, cache[1]
-        right_transfer = self.prepared.transfer_copy(keep_pebbles=False)
+        right_transfer = self.prepared.transfer_copy()
         self._plan_cache = (self._epoch, right_transfer)
         return postings, right_transfer
 

@@ -100,31 +100,20 @@ def test_parallel_scaling_harness_smoke(smoke_dataset, tmp_path):
     # speedup bar runs at full size in benchmarks/ (and needs real cores).
     assert payload["candidates"] > 0
     assert {run["executor"] for run in payload["runs"]} == {
-        "thread",
         "process",
-        "process-shm",
         "process-warm",
-        "process-worker-signed",
     }
     assert all(run["results_match"] for run in payload["runs"])
-    # The slim plan must beat the full payload even at smoke scale (the
-    # ≥40% bar is asserted at full size in benchmarks/), the per-plan
-    # key table may only ever shrink the slim plan further, and the flat
-    # integer plan must undercut the slim views it replaced.
+    # The payload block records the one plan shape and its segment.
     sizes = payload["payload"]
-    assert sizes["slim_bytes"] < sizes["full_bytes"]
-    assert sizes["worker_signed_bytes"] < sizes["full_bytes"]
-    assert sizes["slim_bytes"] <= sizes["slim_uninterned_bytes"]
-    assert sizes["flat_bytes"] < sizes["slim_bytes"]
+    assert set(sizes) == {"flat_bytes", "shm_segment_bytes"}
+    assert sizes["flat_bytes"] > 0
     assert sizes["shm_segment_bytes"] > 0
     import json
 
     recorded = json.loads(out_path.read_text())
     assert recorded["cpu_count"] >= 1
-    assert [run["workers"] for run in recorded["runs"]] == [1, 2] * 5
-    assert recorded["payload"]["slim_reduction"] > 0.0
-    assert recorded["payload"]["intern_reduction"] >= 0.0
-    assert recorded["payload"]["flat_reduction_vs_slim"] > 0.0
+    assert [run["workers"] for run in recorded["runs"]] == [1, 2] * 2
     # The fault-tolerance blocks: the supervised no-fault run stayed
     # bit-identical (asserted inside the harness) and the injected
     # worker-kill run recovered to the same answer with ≥1 respawn.

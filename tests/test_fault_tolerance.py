@@ -34,6 +34,7 @@ from repro.join import (
     SupervisorPolicy,
     WarmJoinPool,
 )
+from repro.join import parallel
 from repro.join.parallel import _attach_plan, _export_plan_payload, build_shard_plan
 from repro.join.prepared import PreparedCollection
 from repro.search import ConcurrentMutationError, SimilarityIndex
@@ -125,17 +126,6 @@ class TestSupervisedRecovery:
         _assert_identical(result, serial)
         assert result.statistics.execution.worker_failures >= 1
 
-    def test_worker_kill_worker_signed_plan(self, config, collection, serial):
-        with FAULTS.injected(FaultRule("worker_kill", shard=0)):
-            result = _join(
-                config,
-                collection,
-                sign_in_workers=True,
-                supervision=SupervisorPolicy(**FAST),
-            )
-        _assert_identical(result, serial)
-        assert result.statistics.execution.faulted
-
     def test_shard_timeout_recovers_bit_identical(self, config, collection, serial):
         policy = SupervisorPolicy(shard_timeout=0.15, **FAST)
         with FAULTS.injected(FaultRule("shard_delay", shard=0, seconds=1.5)):
@@ -145,18 +135,18 @@ class TestSupervisedRecovery:
         assert report.timeouts >= 1
         assert report.respawns >= 1
 
-    def test_shm_drop_cold_pool_recovers(self, config, collection, serial):
-        # The first published segment vanishes before any worker attaches;
-        # the respawn re-exports a fresh segment and the join completes.
+    def test_shm_drop_cold_pool_recovers(
+        self, config, collection, serial, monkeypatch
+    ):
+        # Without fork, a call's own pool receives the plan through a
+        # segment.  The first published segment vanishes before any worker
+        # attaches; the respawn re-exports a fresh one and the join completes.
+        monkeypatch.setattr(parallel, "_fork_start", lambda: False)
         with FAULTS.injected(FaultRule("shm_drop")):
-            result = _join(
-                config,
-                collection,
-                payload_mode="shm",
-                supervision=SupervisorPolicy(**FAST),
-            )
+            result = _join(config, collection, supervision=SupervisorPolicy(**FAST))
         _assert_identical(result, serial)
         assert result.statistics.execution.faulted
+        assert result.statistics.execution.transport_failures >= 1
 
     def test_shm_drop_warm_pool_is_transport_failure(
         self, config, collection, serial

@@ -1,11 +1,11 @@
-"""Flat integer encoding: vocabulary, CSR views, and payload transport.
+"""Flat integer encoding: vocabulary, CSR arrays, and payload transport.
 
-These tests pin the tentpole contracts of :mod:`repro.core.vocab` and
+These tests pin the contracts of :mod:`repro.core.vocab` and
 :mod:`repro.join.flat`: interning round-trips every pebble key across all
-measure configurations, the flat CSR arrays reconstruct the exact slim
-views they replaced, the flat probe loop emits the same candidates as the
-dict-based loop, and the shared-memory export/attach cycle reproduces the
-state bit-for-bit while leaving ``/dev/shm`` clean.
+measure configurations, the flat CSR arrays decode to the exact signature
+key sequences they encode, a worker shard over the flat plan emits the same
+candidates as the serial dict probe, and the shared-memory export/attach
+cycle reproduces the state bit-for-bit while leaving ``/dev/shm`` clean.
 """
 
 from __future__ import annotations
@@ -44,14 +44,15 @@ def _config(dataset, codes: str) -> MeasureConfig:
     )
 
 
-def _plans(dataset, codes: str, size: int = 32):
-    """One flat and one legacy slim-view plan over the same preparation."""
+def _plan(dataset, codes: str, size: int = 32):
+    """A shard plan plus the engine and signed side it was built from."""
     config = _config(dataset, codes)
     engine = PebbleJoin(config, THETA, tau=TAU)
     prepared = engine.prepare(dataset.records.head(size))
-    flat_plan = build_shard_plan(engine, prepared, slim=True)
-    legacy_plan = build_shard_plan(engine, prepared, slim=True, flat=False)
-    return flat_plan, legacy_plan
+    plan = build_shard_plan(engine, prepared)
+    order = prepared.build_order(engine.order_strategy)
+    signed = prepared.signed(order, THETA, TAU, engine.method)
+    return plan, engine, signed
 
 
 def _shard(plan):
@@ -62,12 +63,8 @@ def _shard(plan):
 class TestVocabulary:
     @pytest.mark.parametrize("codes", MEASURE_CODES)
     def test_round_trips_every_signature_key(self, dataset, codes):
-        _, legacy_plan = _plans(dataset, codes)
-        keys = [
-            key
-            for view in legacy_plan.probe_signed
-            for key in view.signature_key_sequence
-        ]
+        _, _, signed = _plan(dataset, codes)
+        keys = [key for record in signed for key in record.signature_key_sequence]
         vocab = Vocabulary()
         ids = vocab.encode_all(keys)
         assert vocab.decode_all(ids) == keys
@@ -104,20 +101,18 @@ class TestVocabulary:
 
 class TestFlatSignatures:
     @pytest.mark.parametrize("codes", MEASURE_CODES)
-    def test_to_views_reconstructs_slim_views(self, dataset, codes):
-        flat_plan, legacy_plan = _plans(dataset, codes)
-        flat = flat_plan.flat
-        views = flat.probe.to_views(flat_plan.left_prep)
-        legacy_views = legacy_plan.probe_signed
-        assert len(views) == len(legacy_views)
-        for mine, theirs in zip(views, legacy_views):
-            assert mine.record.record_id == theirs.record.record_id
-            assert tuple(mine.signature_key_sequence) == tuple(
-                theirs.signature_key_sequence
-            )
-            assert mine.signature_length == theirs.signature_length
-            assert mine.pebble_count == theirs.pebble_count
-            assert mine.min_partition_size == theirs.min_partition_size
+    def test_csr_arrays_decode_to_signature_keys(self, dataset, codes):
+        _, _, signed = _plan(dataset, codes)
+        vocab = Vocabulary()
+        probe = FlatSignatures.from_signed(signed, vocab)
+        assert len(probe) == len(signed)
+        assert probe.total_keys == sum(r.signature_length for r in signed)
+        for position, record in enumerate(signed):
+            assert probe.record_ids[position] == record.record.record_id
+            start = probe.key_offsets[position]
+            stop = probe.key_offsets[position + 1]
+            decoded = tuple(vocab.decode(key) for key in probe.key_ids[start:stop])
+            assert decoded == record.signature_key_sequence
 
     def test_non_growing_probe_maps_unknown_keys_to_sentinel(self):
         vocab = Vocabulary()
@@ -127,8 +122,6 @@ class TestFlatSignatures:
             def __init__(self, record_id, keys):
                 self.record = type("R", (), {"record_id": record_id})()
                 self.signature_key_sequence = keys
-                self.pebble_count = len(keys)
-                self.min_partition_size = 1
 
         stub = _Stub(0, (("q", "known"), ("q", "unknown")))
         flat = FlatSignatures.from_signed([stub], vocab, grow=False)
@@ -140,19 +133,25 @@ class TestFlatSignatures:
 class TestFlatProbeEquivalence:
     @pytest.mark.parametrize("codes", MEASURE_CODES)
     def test_flat_shard_matches_dict_shard(self, dataset, codes):
-        flat_plan, legacy_plan = _plans(dataset, codes)
-        flat_result = _shard(flat_plan)
-        legacy_result = _shard(legacy_plan)
-        assert flat_result.candidate_count == legacy_result.candidate_count
-        assert flat_result.processed_pairs == legacy_result.processed_pairs
+        plan, engine, signed = _plan(dataset, codes)
+        flat_result = _shard(plan)
+        # The serial dict probe (the overlap-count path) is the reference.
+        outcome = engine.filter_candidates(
+            signed, signed, exclude_self_pairs=True, collect_overlap_counts=True
+        )
+        assert flat_result.candidate_count == outcome.candidate_count
+        assert flat_result.processed_pairs == outcome.processed_pairs
+        serial = PebbleJoin(engine.config, THETA, tau=TAU).join(
+            engine.prepare(plan.left_prep.collection)
+        )
         assert [
             (p.left_id, p.right_id, p.similarity) for p in flat_result.pairs
-        ] == [(p.left_id, p.right_id, p.similarity) for p in legacy_result.pairs]
+        ] == [(p.left_id, p.right_id, p.similarity) for p in serial.pairs]
 
 
 class TestPayloadTransport:
     def test_pickle_round_trip_drops_vocab_keeps_results(self, dataset):
-        flat_plan, _ = _plans(dataset, "TJS")
+        flat_plan, _, _ = _plan(dataset, "TJS")
         flat = flat_plan.flat
         clone = pickle.loads(pickle.dumps(flat))
         assert clone.vocab is None
@@ -169,7 +168,7 @@ class TestPayloadTransport:
         assert restored == reference
 
     def test_share_attach_round_trip_and_cleanup(self, dataset):
-        flat_plan, _ = _plans(dataset, "TJS")
+        flat_plan, _, _ = _plan(dataset, "TJS")
         flat = flat_plan.flat
         meta, arrays = flat.export()
         payload = share_payload(meta, arrays)
@@ -200,7 +199,7 @@ class TestPayloadTransport:
         payload.release()
 
     def test_self_join_export_omits_postings_arrays(self, dataset):
-        flat_plan, _ = _plans(dataset, "TJS")
+        flat_plan, _, _ = _plan(dataset, "TJS")
         flat = flat_plan.flat
         assert flat.self_keys is not None
         meta, arrays = flat.export()

@@ -1,33 +1,36 @@
-"""Executor equivalence, pickling, and worker/stats regression tests.
+"""Path equivalence, pickling, and worker/stats regression tests.
 
-The multi-core driver's contract is strict: for any join configuration, the
-``serial``, ``thread``, and ``process`` executors must return bit-identical
-pairs, similarity values, and statistics counters at every worker count.
-These tests enforce that over randomized joins across measure
-configurations, self- and two-collection joins, and both the one-shot and
-streaming APIs, plus the pickle round-trips the process path relies on and
-the satellite bugfixes of this change (suggestion-seconds threading, config
-equality, hot-probe group splitting, adaptive tier gating).
+The multi-core driver's contract is strict: for any join configuration,
+every remaining execution path must return pairs, similarity values, and
+statistics counters bit-identical to the serial join at every worker count.
+:class:`TestPathTable` enforces that over one seeded table with one row per
+path — a deleted path is a deleted row — next to the pickle round-trips the
+process path relies on and the regression tests of earlier fixes
+(suggestion-seconds threading, config equality, adaptive tier gating).
 """
 
 from __future__ import annotations
 
 import pickle
 import random
-from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import pytest
 
 from repro.core.graph import GraphSide
 from repro.core.measures import MeasureConfig
 from repro.datasets import TINY_PROFILE, generate_dataset
-from repro.join import PebbleJoin, UnifiedJoin
+from repro.join import PebbleJoin, UnifiedJoin, parallel
 from repro.join.aufilter import _resolve_executor
-from repro.join.verification import UnifiedVerifier, _chunk_groups, _group_candidates
+from repro.join.pool import WarmJoinPool
+from repro.join.verification import UnifiedVerifier
+from repro.store import PreparedStore
 
-MEASURE_CODES = ("J", "S", "T", "TJS")
 THETA = 0.55
 TAU = 2
+
+#: Seed of the path table's per-row join configurations.
+PATH_SEED = 29
 
 
 @pytest.fixture(scope="module")
@@ -56,74 +59,155 @@ def _run(config, collection, right=None, **join_kwargs):
     return result, engine
 
 
+# --------------------------------------------------------------------- #
+# the path table: every remaining process path against the serial join
+# --------------------------------------------------------------------- #
+class _Case:
+    """One seeded join configuration, handed to both sides of a row."""
+
+    def __init__(self, dataset, codes: str, index: int, tmp_path) -> None:
+        rng = random.Random(PATH_SEED + index)
+        self.codes = codes
+        self.config = _config(dataset, self.codes)
+        self.theta = rng.choice((0.3, 0.4, 0.5))
+        self.tau = rng.choice((1, 2))
+        self.collection = dataset.records.head(rng.randrange(28, 40))
+        self.tmp_path = tmp_path
+
+    def engine(self) -> PebbleJoin:
+        return PebbleJoin(self.config, self.theta, tau=self.tau)
+
+    def halves(self):
+        half = len(self.collection) // 2
+        return (
+            self.collection.subset(range(0, half)),
+            self.collection.subset(range(half, len(self.collection))),
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"_Case({self.codes}, theta={self.theta}, tau={self.tau}, "
+            f"records={len(self.collection)})"
+        )
+
+
+def _observe(engine, result):
+    """What a join path must reproduce: pairs, similarities, every counter."""
+    stats = result.statistics
+    return (
+        _triples(result.pairs),
+        _counters(stats.verification),
+        stats.candidate_count,
+        stats.processed_pairs,
+        # The engine's verifier mirrors the serial accumulation contract.
+        engine.verifier.verified_count,
+    )
+
+
+def _candidate_total(observation) -> int:
+    """Candidates in a join observation or in a stream of batch ones."""
+    if isinstance(observation, list):
+        return sum(batch[3] for batch in observation)
+    return observation[2]
+
+
+def _join(case, *args, **kwargs):
+    engine = case.engine()
+    return _observe(engine, engine.join(*args, **kwargs))
+
+
+def _stream(case, *args, **kwargs):
+    return [
+        (
+            batch.probe_range,
+            _triples(batch.pairs),
+            _counters(batch.verification),
+            batch.candidate_count,
+            batch.processed_pairs,
+        )
+        for batch in case.engine().join_batches(*args, batch_size=7, **kwargs)
+    ]
+
+
+def _warm_pool_join(case):
+    with WarmJoinPool(workers=2) as pool:
+        return _join(case, case.collection, executor="process", pool=pool)
+
+
+def _store_warmed(case):
+    store = PreparedStore(case.tmp_path / "store")
+    prepared = store.prepare(case.collection, case.config)
+    case.engine().join(prepared)  # warm the caches before persisting
+    store.save(prepared)
+    warmed = PreparedStore(case.tmp_path / "store").prepare(
+        case.collection, case.config
+    )
+    return _join(case, warmed, executor="process", workers=2)
+
+
+def _one_shot_warm(case):
+    # A start method that cannot fork: the call opens (and closes) its own
+    # warm pool, and the fork-inheritance manager must not be touched.
+    with mock.patch.object(parallel, "_fork_start", return_value=False), mock.patch.object(
+        parallel, "_ColdSessionManager", None
+    ):
+        return _join(case, case.collection, executor="process", workers=2)
+
+
+#: row id -> (measure codes, serial reference, the path under test); both
+#: callables return an observation, and the two must compare equal.  The
+#: cheap fork rows carry the measures with few candidates on this corpus.
+PATH_TABLE = {
+    "process-fork-1w": (
+        "J",
+        lambda case: _join(case, case.collection),
+        lambda case: _join(case, case.collection, executor="process", workers=1),
+    ),
+    "process-fork-3w": (
+        "S",
+        lambda case: _join(case, case.collection),
+        lambda case: _join(case, case.collection, executor="process", workers=3),
+    ),
+    "process-two-collection": (
+        "T",
+        lambda case: _join(case, *case.halves()),
+        lambda case: _join(case, *case.halves(), executor="process", workers=2),
+    ),
+    "warm-pool": ("TJS", lambda case: _join(case, case.collection), _warm_pool_join),
+    "process-batches": (
+        "TJS",
+        lambda case: _stream(case, case.collection),
+        lambda case: _stream(case, case.collection, executor="process", workers=2),
+    ),
+    "store-warmed-process": (
+        "T",
+        lambda case: _join(case, case.collection),
+        _store_warmed,
+    ),
+    "one-shot-warm": ("TJS", lambda case: _join(case, case.collection), _one_shot_warm),
+}
+
+
+class TestPathTable:
+    @pytest.mark.parametrize("row", list(PATH_TABLE))
+    def test_path_matches_serial(self, parallel_dataset, tmp_path, row):
+        codes, serial, path = PATH_TABLE[row]
+        case = _Case(parallel_dataset, codes, list(PATH_TABLE).index(row), tmp_path)
+        expected = serial(case)
+        # A reference without candidates would prove nothing about a path.
+        assert _candidate_total(expected) > 0, case
+        assert path(case) == expected, case
+
+
 class TestExecutorEquivalence:
-    @pytest.mark.parametrize("codes", MEASURE_CODES)
-    def test_self_join_identical_across_executors(self, parallel_dataset, codes):
-        config = _config(parallel_dataset, codes)
-        collection = parallel_dataset.records.head(40)
-        reference, _ = _run(config, collection)
-        expected = _triples(reference.pairs)
-        expected_stats = _counters(reference.statistics.verification)
-
-        for kwargs in (
-            {"executor": "thread", "workers": 2},
-            {"executor": "process", "workers": 1},
-            {"executor": "process", "workers": 3},
-        ):
-            result, engine = _run(config, collection, **kwargs)
-            assert _triples(result.pairs) == expected, kwargs
-            assert _counters(result.statistics.verification) == expected_stats, kwargs
-            assert result.statistics.candidate_count == reference.statistics.candidate_count
-            assert result.statistics.processed_pairs == reference.statistics.processed_pairs
-            # The engine's verifier mirrors the serial accumulation contract.
-            assert engine.verifier.verified_count == result.statistics.candidate_count
-
-    def test_two_collection_join_identical_across_executors(self, parallel_dataset):
-        config = _config(parallel_dataset, "TJS")
-        records = parallel_dataset.records.head(48)
-        left = records.subset(range(0, 24))
-        right = records.subset(range(24, 48))
-        reference, _ = _run(config, left, right)
-        for kwargs in (
-            {"executor": "thread", "workers": 3},
-            {"executor": "process", "workers": 2},
-            {"executor": "process", "workers": 4},
-        ):
-            result, _ = _run(config, left, right, **kwargs)
-            assert _triples(result.pairs) == _triples(reference.pairs), kwargs
-            assert _counters(result.statistics.verification) == _counters(
-                reference.statistics.verification
-            ), kwargs
-
-    def test_streamed_batches_identical_to_serial_stream(self, parallel_dataset):
-        config = _config(parallel_dataset, "TJS")
-        collection = parallel_dataset.records.head(40)
-        serial = list(
-            PebbleJoin(config, THETA, tau=TAU).join_batches(collection, batch_size=7)
-        )
-        pooled = list(
-            PebbleJoin(config, THETA, tau=TAU).join_batches(
-                collection, batch_size=7, executor="process", workers=2
-            )
-        )
-        assert len(pooled) == len(serial)
-        for mine, theirs in zip(pooled, serial):
-            assert mine.probe_range == theirs.probe_range
-            assert _triples(mine.pairs) == _triples(theirs.pairs)
-            assert mine.candidate_count == theirs.candidate_count
-            assert mine.processed_pairs == theirs.processed_pairs
-            assert _counters(mine.verification) == _counters(theirs.verification)
-
     def test_shard_size_does_not_change_results(self, parallel_dataset):
         """Merging is lossless at any shard granularity, not just defaults."""
-        from repro.join.parallel import process_join
-
         config = _config(parallel_dataset, "TJS")
         collection = parallel_dataset.records.head(36)
         reference, _ = _run(config, collection)
         for shards_per_worker in (1, 9):
             engine = PebbleJoin(config, THETA, tau=TAU)
-            result = process_join(
+            result = parallel.process_join(
                 engine, collection, workers=2, shards_per_worker=shards_per_worker
             )
             assert _triples(result.pairs) == _triples(reference.pairs)
@@ -151,13 +235,16 @@ class TestExecutorEquivalence:
         engine = PebbleJoin(config, THETA, tau=1)
         with pytest.raises(ValueError):
             engine.join(collection, executor="gpu")
+        with pytest.raises(ValueError, match="executor"):
+            engine.join(collection, executor="thread", workers=2)
         with pytest.raises(ValueError):
             engine.join(collection, workers=2)  # workers need an executor
         with pytest.raises(ValueError):
             engine.join(collection, executor="serial", workers=2)
-        assert _resolve_executor(None, None, 3) == ("thread", 3)
-        assert _resolve_executor(None, None, 0) == ("serial", 0)
-        assert _resolve_executor("thread", None, 3) == ("thread", 3)
+        with pytest.raises(ValueError):
+            engine.join(collection, executor="process", workers=0)
+        assert _resolve_executor(None, None) == "serial"
+        assert _resolve_executor("process", None) == "process"
 
     def test_process_executor_rejects_custom_verifier(self, parallel_dataset):
         from repro.join.verification import Verifier
@@ -170,185 +257,20 @@ class TestExecutorEquivalence:
         with pytest.raises(ValueError, match="UnifiedVerifier"):
             engine.join(collection, executor="process", workers=1)
 
-
-class TestWorkerSideSigning:
-    @pytest.mark.parametrize("codes", MEASURE_CODES)
-    def test_self_join_identical_to_serial(self, parallel_dataset, codes):
-        config = _config(parallel_dataset, codes)
-        collection = parallel_dataset.records.head(40)
+    def test_warm_pool_size_sets_default_workers(self, parallel_dataset):
+        """A caller's warm pool sizes the shards when ``workers`` is omitted,
+        not the machine's CPU count."""
+        config = _config(parallel_dataset, "TJS")
+        collection = parallel_dataset.records.head(36)
         reference, _ = _run(config, collection)
-        for workers in (1, 3):
-            result, engine = _run(
-                config,
-                collection,
-                executor="process",
-                workers=workers,
-                sign_in_workers=True,
-            )
-            assert _triples(result.pairs) == _triples(reference.pairs), workers
-            assert _counters(result.statistics.verification) == _counters(
-                reference.statistics.verification
-            ), workers
-            assert result.statistics.candidate_count == reference.statistics.candidate_count
-            assert result.statistics.processed_pairs == reference.statistics.processed_pairs
-            # Signature statistics come back from the workers' signing.
-            assert (
-                result.statistics.avg_signature_length_left
-                == reference.statistics.avg_signature_length_left
-            )
-            assert engine.verifier.verified_count == result.statistics.candidate_count
-
-    def test_two_collection_join_identical_to_serial(self, parallel_dataset):
-        config = _config(parallel_dataset, "TJS")
-        records = parallel_dataset.records.head(48)
-        left = records.subset(range(0, 24))
-        right = records.subset(range(24, 48))
-        reference, _ = _run(config, left, right)
-        result, _ = _run(
-            config, left, right, executor="process", workers=2, sign_in_workers=True
-        )
+        sized, _ = _run(config, collection, executor="process", workers=3)
+        with mock.patch("os.cpu_count", return_value=1), WarmJoinPool(
+            workers=3
+        ) as pool:
+            result, _ = _run(config, collection, executor="process", pool=pool)
+        assert result.statistics.execution.shards == sized.statistics.execution.shards
+        assert result.statistics.execution.shards > parallel.SHARDS_PER_WORKER
         assert _triples(result.pairs) == _triples(reference.pairs)
-        assert _counters(result.statistics.verification) == _counters(
-            reference.statistics.verification
-        )
-        assert (
-            result.statistics.avg_signature_length_right
-            == reference.statistics.avg_signature_length_right
-        )
-
-    def test_streamed_batches_identical_to_serial_stream(self, parallel_dataset):
-        config = _config(parallel_dataset, "TJS")
-        collection = parallel_dataset.records.head(40)
-        serial = list(
-            PebbleJoin(config, THETA, tau=TAU).join_batches(collection, batch_size=7)
-        )
-        pooled = list(
-            PebbleJoin(config, THETA, tau=TAU).join_batches(
-                collection,
-                batch_size=7,
-                executor="process",
-                workers=2,
-                sign_in_workers=True,
-            )
-        )
-        assert len(pooled) == len(serial)
-        for mine, theirs in zip(pooled, serial):
-            assert mine.probe_range == theirs.probe_range
-            assert _triples(mine.pairs) == _triples(theirs.pairs)
-            assert _counters(mine.verification) == _counters(theirs.verification)
-
-    def test_unified_join_passthrough(self, parallel_dataset):
-        kwargs = dict(
-            rules=parallel_dataset.rules,
-            taxonomy=parallel_dataset.taxonomy,
-            theta=THETA,
-            tau=TAU,
-        )
-        collection = parallel_dataset.records.head(30)
-        serial = UnifiedJoin(**kwargs).join(collection)
-        pooled = UnifiedJoin(**kwargs).join(
-            collection, executor="process", workers=2, sign_in_workers=True
-        )
-        assert _triples(pooled.pairs) == _triples(serial.pairs)
-
-    def test_requires_process_executor(self, parallel_dataset):
-        config = _config(parallel_dataset, "J")
-        collection = parallel_dataset.records.head(6)
-        engine = PebbleJoin(config, THETA, tau=1)
-        with pytest.raises(ValueError, match="sign_in_workers"):
-            engine.join(collection, sign_in_workers=True)
-        with pytest.raises(ValueError, match="sign_in_workers"):
-            engine.join(
-                collection, executor="thread", workers=2, sign_in_workers=True
-            )
-        with pytest.raises(ValueError, match="sign_in_workers"):
-            engine.join_batches(collection, sign_in_workers=True)
-
-    def test_unsigned_plan_ships_no_signatures(self, parallel_dataset):
-        from repro.join.parallel import build_shard_plan
-
-        config = _config(parallel_dataset, "TJS")
-        engine = PebbleJoin(config, THETA, tau=TAU)
-        prepared = engine.prepare(parallel_dataset.records.head(12))
-        plan = build_shard_plan(engine, prepared, sign_in_workers=True)
-        assert plan.sign_in_workers
-        assert plan.index_signed is None and plan.probe_signed is None
-        assert plan.probe_is_left is None
-        assert plan.order is not None  # workers need it to sign
-        assert plan.left_prep.cached_signature_count == 0
-        # Pebbles must survive for worker-side signing.
-        assert all(r.pebbles is not None for r in plan.left_prep.prepared_records)
-        assert plan.signing_theta == THETA and plan.signing_tau == TAU
-        clone = pickle.loads(pickle.dumps(plan))
-        assert clone.left_prep is clone.right_prep
-
-
-class TestRandomizedPathEquivalence:
-    def test_all_paths_bit_identical(self, parallel_dataset, tmp_path):
-        """Serial, flat process (every payload transport), worker-signed,
-        warm-pool, and store-warmed joins must agree pair-for-pair (ids and
-        similarities) on randomized configs."""
-        from repro.join.pool import WarmJoinPool
-        from repro.store import PreparedStore
-
-        rng = random.Random(29)
-        records = parallel_dataset.records
-        for trial in range(3):
-            codes = rng.choice(MEASURE_CODES)
-            theta = rng.choice((0.45, 0.6, 0.75))
-            tau = rng.choice((1, 2, 3))
-            size = rng.randrange(24, 40)
-            workers = rng.choice((1, 2, 3))
-            collection = records.head(size)
-            config = _config(parallel_dataset, codes)
-            label = (trial, codes, theta, tau, size, workers)
-
-            serial = PebbleJoin(config, theta, tau=tau).join(collection)
-            expected = _triples(serial.pairs)
-
-            slim = PebbleJoin(config, theta, tau=tau).join(
-                collection, executor="process", workers=workers
-            )
-            assert _triples(slim.pairs) == expected, label
-
-            signed = PebbleJoin(config, theta, tau=tau).join(
-                collection,
-                executor="process",
-                workers=workers,
-                sign_in_workers=True,
-            )
-            assert _triples(signed.pairs) == expected, label
-
-            # The flat plan through each explicit transport: the shared-
-            # memory segment and the legacy per-worker pickle.
-            for payload_mode in ("shm", "bytes"):
-                flat = PebbleJoin(config, theta, tau=tau).join(
-                    collection,
-                    executor="process",
-                    workers=workers,
-                    payload_mode=payload_mode,
-                )
-                assert _triples(flat.pairs) == expected, (label, payload_mode)
-
-            with WarmJoinPool(workers=workers) as warm_pool:
-                pooled = PebbleJoin(config, theta, tau=tau).join(
-                    collection, executor="process", pool=warm_pool
-                )
-            assert _triples(pooled.pairs) == expected, label
-
-            store = PreparedStore(tmp_path / f"trial-{trial}")
-            prepared = store.prepare(collection, config)
-            PebbleJoin(config, theta, tau=tau).join(prepared)
-            store.save(prepared)
-            warmed = PreparedStore(tmp_path / f"trial-{trial}").prepare(
-                collection, config
-            )
-            warm = PebbleJoin(config, theta, tau=tau).join(warmed)
-            assert _triples(warm.pairs) == expected, label
-            warm_process = PebbleJoin(config, theta, tau=tau).join(
-                warmed, executor="process", workers=workers
-            )
-            assert _triples(warm_process.pairs) == expected, label
 
 
 class TestPickleRoundTrips:
@@ -423,9 +345,7 @@ class TestPickleRoundTrips:
         )
 
     def test_worker_payload_trims_stale_signings(self, parallel_dataset):
-        """Slim plans ship no signings at all; full plans only the in-use one."""
-        from repro.join.parallel import build_shard_plan
-
+        """Plans ship no signings, no pebbles, and no key text at all."""
         config = _config(parallel_dataset, "TJS")
         engine = PebbleJoin(config, THETA, tau=TAU)
         prepared = engine.prepare(parallel_dataset.records.head(12))
@@ -434,25 +354,20 @@ class TestPickleRoundTrips:
         prepared.signed(order, 0.95, TAU, engine.method)
         prepared.signed(order, THETA, TAU, engine.method)
 
-        plan = build_shard_plan(engine, prepared)
+        plan = parallel.build_shard_plan(engine, prepared)
         assert plan.left_prep is plan.right_prep  # self-join identity kept
-        # The slim payload ships prefix views only: no signature cache, no
-        # per-record pebble lists, no order.
         assert plan.left_prep.cached_signature_count == 0
         assert all(r.pebbles is None for r in plan.left_prep.prepared_records)
-        assert plan.order is None
-        assert plan.index_signed is plan.probe_signed
+        # A self-join ships its probe arrays only (postings re-derived).
+        assert plan.flat.self_keys is not None
         assert prepared.cached_signature_count == 2  # caller untouched
         clone = pickle.loads(pickle.dumps(plan))
         assert clone.left_prep is clone.right_prep
-        assert clone.index_signed is clone.probe_signed
-        assert len(clone.left_prep) == len(prepared)
-
-        # The historical full payload keeps exactly the in-use signing.
-        full = build_shard_plan(engine, prepared, slim=False)
-        assert full.left_prep.cached_signature_count == 1
-        assert full.order is not None
-        assert prepared.cached_signature_count == 2  # caller untouched
+        assert clone.flat.vocab is None
+        assert clone.probe_count == plan.probe_count == len(prepared)
+        assert parallel.plan_payload_bytes(plan) == len(
+            pickle.dumps(plan, protocol=pickle.HIGHEST_PROTOCOL)
+        )
 
     def test_signed_record_and_order_round_trip(self, parallel_dataset):
         config = _config(parallel_dataset, "J")
@@ -469,46 +384,13 @@ class TestPickleRoundTrips:
             tuple(p.key for p in r.signature) for r in signed
         ]
 
-    def test_slim_view_round_trip_and_protocol(self, parallel_dataset):
-        from repro.join.artifacts import SignedRecordView, slim_signed_views
-
-        config = _config(parallel_dataset, "TJS")
-        engine = PebbleJoin(config, THETA, tau=TAU)
-        prepared = engine.prepare(parallel_dataset.records.head(10))
-        order = prepared.build_order(engine.order_strategy)
-        signed = prepared.signed(order, THETA, TAU, engine.method)
-        views = slim_signed_views(signed)
-        # Idempotent: re-slimming passes the same view objects through.
-        assert slim_signed_views(views) == views
-        for view, full in zip(views, signed):
-            assert view.record is full.record
-            assert view.signature_key_sequence == full.signature_key_sequence
-            assert view.signature_length == full.signature_length
-            assert view.pebble_count == len(full.pebbles)
-            assert view.min_partition_size == full.min_partition_size
-            assert view.signature_keys == full.signature_keys
-        clones = pickle.loads(pickle.dumps(views))
-        assert [c.signature_key_sequence for c in clones] == [
-            v.signature_key_sequence for v in views
-        ]
-        # Views drive the filter exactly like full records.
-        full_engine = PebbleJoin(config, THETA, tau=TAU)
-        from_full = full_engine.filter_candidates(
-            signed, signed, exclude_self_pairs=True
-        )
-        from_views = full_engine.filter_candidates(
-            views, views, exclude_self_pairs=True
-        )
-        assert from_views.candidates == from_full.candidates
-        assert from_views.processed_pairs == from_full.processed_pairs
-
     def test_pebble_free_transfer_copy_guards(self, parallel_dataset):
         from repro.join.global_order import GlobalOrder
 
         config = _config(parallel_dataset, "TJS")
         engine = PebbleJoin(config, THETA, tau=TAU)
         prepared = engine.prepare(parallel_dataset.records.head(8))
-        slim = prepared.transfer_copy(keep_pebbles=False)
+        slim = prepared.transfer_copy()
         with pytest.raises(RuntimeError, match="pebble-free"):
             slim.signed(GlobalOrder(), THETA, TAU, engine.method)
         with pytest.raises(RuntimeError, match="pebble-free"):
@@ -582,41 +464,6 @@ class TestSatelliteFixes:
             recommendation_seed=3,
         ).join(parallel_dataset.records.head(30))
         assert rejoin.statistics.suggestion_seconds > 0.0
-
-    def test_chunk_groups_split_hot_probe(self):
-        """A single huge probe group must not serialize the whole pool."""
-        hot = [(0, j) for j in range(1000)]
-        cold = [[(1, 0)], [(2, 0)]]
-        chunks = _chunk_groups([hot] + cold, 64)
-        assert max(len(chunk) for chunk in chunks) <= 4 * 64
-        assert len(chunks) >= 4  # the hot group was actually split
-        # Order is preserved exactly across the split.
-        flattened = [pair for chunk in chunks for pair in chunk]
-        assert flattened == hot + [pair for group in cold for pair in group]
-        # Small groups still pack together (no regression to per-group chunks).
-        packed = _chunk_groups([[(i, 0)] for i in range(10)], 5)
-        assert len(packed) == 2
-
-    def test_hot_probe_pool_results_and_stats_exact(self, parallel_dataset):
-        config = _config(parallel_dataset, "TJS")
-        collection = parallel_dataset.records.head(20)
-        prepared = PebbleJoin(config, THETA).prepare(collection)
-        # One hot probe (record 0) against every partner, repeated: a single
-        # group far larger than the chunk target.
-        candidates = [(0, j) for j in range(1, 20)] * 12
-        candidates += [(5, j) for j in range(6, 12)]
-        groups = _group_candidates(candidates, "left")
-        assert len(groups[0]) > 64
-        serial = UnifiedVerifier(config, 0.3)
-        expected = serial.verify_batch(candidates, prepared, prepared)
-        pooled = UnifiedVerifier(config, 0.3)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            got = pooled.verify_batch(
-                candidates, prepared, prepared, pool=pool, chunk_pairs=16
-            )
-        assert _triples(got) == _triples(expected)
-        assert _counters(pooled.stats) == _counters(serial.stats)
-        assert pooled.verified_count == len(candidates)
 
     def test_adaptive_tiers_skip_but_keep_pairs_identical(self, parallel_dataset):
         config = _config(parallel_dataset, "TJS")

@@ -302,10 +302,12 @@ class TestJoinBatches:
         sequential = set()
         for batch in engine.join_batches(left, right, batch_size=2):
             sequential.update((pair.left_id, pair.right_id) for pair in batch.pairs)
-        threaded = set()
-        for batch in engine.join_batches(left, right, batch_size=2, verify_workers=2):
-            threaded.update((pair.left_id, pair.right_id) for pair in batch.pairs)
-        assert threaded == sequential
+        pooled = set()
+        for batch in engine.join_batches(
+            left, right, batch_size=2, executor="process", workers=2
+        ):
+            pooled.update((pair.left_id, pair.right_id) for pair in batch.pairs)
+        assert pooled == sequential
 
     def test_invalid_parameters(self, figure1_config, poi_collections):
         left, right = poi_collections
@@ -313,7 +315,7 @@ class TestJoinBatches:
         with pytest.raises(ValueError):
             list(engine.join_batches(left, right, batch_size=0))
         with pytest.raises(ValueError):
-            list(engine.join_batches(left, right, verify_workers=-1))
+            list(engine.join_batches(left, right, executor="process", workers=0))
 
     def test_unified_join_batches(self, figure1_rules, figure1_taxonomy, poi_collections):
         left, right = poi_collections

@@ -212,6 +212,8 @@ def test_query_batch_rejects_unknown_executor(search_dataset):
     index = SimilarityIndex(search_dataset.records.head(5), config, theta=0.5)
     with pytest.raises(ValueError, match="executor"):
         index.query_batch(["x"], executor="thread")
+    with pytest.raises(ValueError, match="serial executor takes no workers"):
+        index.query_batch(["x"], executor="serial", workers=8)
 
 
 # --------------------------------------------------------------------- #

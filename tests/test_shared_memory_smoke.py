@@ -1,16 +1,22 @@
-"""Shared-memory lifecycle smoke tests for the flat process transports.
+"""Shared-memory lifecycle smoke tests for the warm-pool transport.
 
 ResourceWarnings are promoted to errors for this module: a forgotten
 segment attachment or an executor shut down by the garbage collector fails
 the test rather than scrolling past as a warning.  Each test also compares
 ``/dev/shm`` before and after, so a segment leaked by any error path shows
-up as a named assertion failure.
+up as a named assertion failure.  One test runs a join under the spawn
+start method in a subprocess, where workers finalize their interpreter and
+a still-viewed segment would print an ignored ``BufferError``.
 """
 
 from __future__ import annotations
 
 import gc
+import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -52,9 +58,10 @@ def test_two_worker_shm_join_is_exact_and_leak_free(dataset):
     serial = PebbleJoin(config, THETA, tau=TAU).join(collection)
 
     before = _shm_segments()
-    result = PebbleJoin(config, THETA, tau=TAU).join(
-        collection, executor="process", workers=2, payload_mode="shm"
-    )
+    with WarmJoinPool(workers=2) as pool:
+        result = PebbleJoin(config, THETA, tau=TAU).join(
+            collection, executor="process", pool=pool
+        )
     gc.collect()
     leaked = _shm_segments() - before
     assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
@@ -94,18 +101,72 @@ def test_streamed_batches_shm_leak_free(dataset):
     serial = list(PebbleJoin(config, THETA, tau=TAU).join_batches(collection, batch_size=8))
 
     before = _shm_segments()
-    pooled = list(
-        PebbleJoin(config, THETA, tau=TAU).join_batches(
-            collection,
-            batch_size=8,
-            executor="process",
-            workers=2,
-            payload_mode="shm",
+    with WarmJoinPool(workers=2) as pool:
+        pooled = list(
+            PebbleJoin(config, THETA, tau=TAU).join_batches(
+                collection, batch_size=8, executor="process", pool=pool
+            )
         )
-    )
     gc.collect()
     leaked = _shm_segments() - before
     assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
     assert len(pooled) == len(serial)
     for mine, theirs in zip(pooled, serial):
         assert _triples(mine.pairs) == _triples(theirs.pairs)
+
+
+_SPAWNED_JOINS = """
+import json, multiprocessing, sys
+sys.path.insert(0, {src!r})
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    from repro.core.measures import MeasureConfig
+    from repro.datasets import TINY_PROFILE, generate_dataset
+    from repro.join import PebbleJoin, WarmJoinPool
+
+    dataset = generate_dataset(TINY_PROFILE, seed=47)
+    config = MeasureConfig.from_codes(
+        "TJS", rules=dataset.rules, taxonomy=dataset.taxonomy, q=3
+    )
+    collection = dataset.records.head(30)
+    runs = {{}}
+    with WarmJoinPool(workers=2) as pool:
+        runs["caller-pool"] = PebbleJoin(config, {theta}, tau={tau}).join(
+            collection, executor="process", pool=pool
+        )
+    # No pool and no fork: the call opens and closes a one-shot warm pool.
+    runs["one-shot"] = PebbleJoin(config, {theta}, tau={tau}).join(
+        collection, executor="process", workers=2
+    )
+    print(json.dumps({{
+        label: [[p.left_id, p.right_id, p.similarity] for p in result.pairs]
+        for label, result in runs.items()
+    }}))
+"""
+
+
+def test_spawned_warm_pools_shut_down_cleanly(dataset, tmp_path):
+    config = _config(dataset)
+    serial = PebbleJoin(config, THETA, tau=TAU).join(dataset.records.head(30))
+    script = tmp_path / "spawned_joins.py"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    script.write_text(_SPAWNED_JOINS.format(src=src, theta=THETA, tau=TAU))
+
+    before = _shm_segments()
+    completed = subprocess.run(
+        [sys.executable, str(script)],
+        capture_output=True,
+        text=True,
+        check=False,
+        timeout=300,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert "BufferError" not in completed.stderr, completed.stderr
+    assert "Exception ignored" not in completed.stderr, completed.stderr
+    leaked = _shm_segments() - before
+    assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
+    expected = [list(triple) for triple in _triples(serial.pairs)]
+    assert expected
+    runs = json.loads(completed.stdout)
+    assert runs == {"caller-pool": expected, "one-shot": expected}

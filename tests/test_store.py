@@ -1,8 +1,8 @@
 """The versioned on-disk prepared-collection store: reuse and invalidation.
 
 Two contracts are enforced here.  *Reuse*: a warm artifact reproduces the
-serial join pair-for-pair — through the plain engine, through a slim
-process ``ShardPlan``, and through worker-side signing — with the persisted
+serial join pair-for-pair (the process executor's store-warmed row lives in
+the path table of ``tests/test_parallel_join.py``), with the persisted
 signature cache making warm signing a hit.  *Invalidation*: any change to
 the corpus, the measure configuration, either knowledge source, or the
 on-disk format version must force re-preparation; no manipulation of the
@@ -105,35 +105,6 @@ class TestStoreReuse:
         warm = PebbleJoin(config, THETA, tau=TAU).join(loaded)
         assert _triples(warm.pairs) == _triples(reference.pairs)
         assert warm.statistics.signing_seconds < cold.statistics.signing_seconds
-
-    def test_store_round_trip_through_slim_plan_and_worker_signing(
-        self, store_dataset, tmp_path
-    ):
-        """Tier-1 smoke: store → slim ShardPlan → process join ≡ serial.
-
-        One preparation round-trips through the on-disk store and is then
-        driven through both process paths — the slim parent-signed plan and
-        worker-side signing — asserting pair-for-pair identity with the
-        serial reference (ids and similarities).
-        """
-        collection = store_dataset.records.head(24)
-        config = _config(store_dataset)
-        reference = PebbleJoin(config, THETA, tau=TAU).join(collection)
-
-        store = PreparedStore(tmp_path)
-        prepared = store.prepare(collection, config)
-        PebbleJoin(config, THETA, tau=TAU).join(prepared)  # warm the caches
-        store.save(prepared)
-        loaded = PreparedStore(tmp_path).prepare(collection, config)
-
-        slim = PebbleJoin(config, THETA, tau=TAU).join(
-            loaded, executor="process", workers=2
-        )
-        assert _triples(slim.pairs) == _triples(reference.pairs)
-        worker_signed = PebbleJoin(config, THETA, tau=TAU).join(
-            loaded, executor="process", workers=2, sign_in_workers=True
-        )
-        assert _triples(worker_signed.pairs) == _triples(reference.pairs)
 
     def test_unified_join_auto_persists_signatures(self, store_dataset, tmp_path):
         collection = store_dataset.records.head(25)

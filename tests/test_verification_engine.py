@@ -5,14 +5,12 @@ The engine's contract is strict: for any candidate set, the pairs surviving
 *bit-identical* to verifying each candidate with the seed per-pair path
 (:meth:`Verifier.verify`, i.e. a fresh ``approximate_usim`` per pair).  The
 tests here enforce that over randomized candidate sets across measure
-configurations, self-joins, pruning toggles, and the thread-pool path, and
-separately check the soundness of each tier of the bound cascade.
+configurations, self-joins, and pruning toggles, and separately check the soundness of each tier of the bound cascade.
 """
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -27,7 +25,7 @@ from repro.core.graph import (
 )
 from repro.core.measures import MeasureConfig
 from repro.datasets import TINY_PROFILE, generate_dataset, generate_ground_truth
-from repro.join import PebbleJoin, SignatureMethod, UnifiedJoin
+from repro.join import PebbleJoin, SignatureMethod
 from repro.join.verification import UnifiedVerifier, VerificationStats, Verifier
 from repro.records import Record, RecordCollection
 
@@ -126,43 +124,9 @@ class TestVerifyBatchEquivalence:
         assert _as_triples(got) == reference
         assert engine._side_cache  # the fallback memo was exercised
 
-    def test_thread_pool_equivalence_and_exact_counts(self, engine_dataset):
-        config = _config(engine_dataset, "TJS")
-        collection = engine_dataset.records.head(30)
-        rng = random.Random(13)
-        candidates = _random_candidates(
-            rng, 200, len(collection), len(collection), self_join=True
-        )
-        threshold = 0.4
-        reference = _reference_results(config, threshold, candidates, collection, collection)
-        engine = UnifiedVerifier(config, threshold)
-        prepared = PebbleJoin(config, threshold).prepare(collection)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            got = engine.verify_batch(
-                candidates, prepared, prepared, pool=pool, chunk_pairs=16
-            )
-        assert _as_triples(got) == reference
-        # The historical bug: workers incremented verified_count racily.
-        # Per-worker aggregation must account for every candidate exactly.
-        assert engine.verified_count == len(candidates)
-        assert engine.stats.candidates == len(candidates)
-        assert engine.stats.results == len(reference)
-
-    def test_base_verifier_thread_pool_counts(self, engine_dataset):
-        collection = engine_dataset.records.head(20)
-        verifier = Verifier(lambda left, right: 1.0 if left == right else 0.0, 0.5)
-        candidates = [(i, j) for i in range(len(collection)) for j in range(10)]
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            got = verifier.verify_batch(
-                candidates, collection, collection, pool=pool, chunk_pairs=8
-            )
-        assert verifier.verified_count == len(candidates)
-        assert _as_triples(got) == [
-            (i, i, 1.0) for i, j in candidates if i == j
-        ]
-
     def test_legacy_verify_override_honored_on_every_path(self, engine_dataset):
-        """Subclasses overriding verify() keep their semantics under a pool."""
+        """Subclasses overriding verify() keep their semantics in batches
+        and through the join engine."""
 
         class RejectEverything(Verifier):
             def verify(self, left, right):
@@ -173,12 +137,13 @@ class TestVerifyBatchEquivalence:
         verifier = RejectEverything(lambda left, right: 1.0, 0.0)
         candidates = [(i, j) for i in range(5) for j in range(5)]
         assert verifier.verify_batch(candidates, collection, collection) == []
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            assert (
-                verifier.verify_batch(candidates, collection, collection, pool=pool)
-                == []
-            )
-        assert verifier.verified_count == 2 * len(candidates)
+        assert verifier.verified_count == len(candidates)
+        config = _config(engine_dataset, "J")
+        result = PebbleJoin(config, 0.0, tau=1, verifier=verifier).join(collection)
+        assert result.pairs == []
+        assert verifier.verified_count == (
+            len(candidates) + result.statistics.candidate_count
+        )
 
     def test_duck_typed_verifier_without_verify_batch(self, engine_dataset):
         """PebbleJoin still accepts verifiers exposing only verify()."""
@@ -222,7 +187,9 @@ class TestVerifyBatchEquivalence:
         expected = engine.join(collection)
         streamed = PebbleJoin(config, 0.6, tau=2, method=SignatureMethod.AU_DP)
         batches = list(
-            streamed.join_batches(collection, batch_size=8, verify_workers=3)
+            streamed.join_batches(
+                collection, batch_size=8, executor="process", workers=3
+            )
         )
         streamed_pairs = {
             (pair.left_id, pair.right_id, pair.similarity)
@@ -235,23 +202,6 @@ class TestVerifyBatchEquivalence:
         assert sum(
             batch.verification.candidates for batch in batches
         ) == total_candidates
-
-    def test_unified_join_verify_workers_passthrough(self, engine_dataset):
-        collection = engine_dataset.records.head(30)
-        join = UnifiedJoin(
-            rules=engine_dataset.rules,
-            taxonomy=engine_dataset.taxonomy,
-            theta=0.7,
-            tau=2,
-        )
-        serial = join.join(collection)
-        threaded = UnifiedJoin(
-            rules=engine_dataset.rules,
-            taxonomy=engine_dataset.taxonomy,
-            theta=0.7,
-            tau=2,
-        ).join(collection, verify_workers=2)
-        assert serial.pair_ids() == threaded.pair_ids()
 
 
 def _near_duplicate_collection(dataset, count=12, exact_copies=3):
