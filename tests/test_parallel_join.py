@@ -200,6 +200,18 @@ class TestPathTable:
 
 
 class TestExecutorEquivalence:
+    @pytest.mark.parametrize("codes", ("J", "S", "T", "TJS"))
+    def test_self_join_identical_across_executors(self, parallel_dataset, codes):
+        """Every measure configuration, not only the table's one per row."""
+        config = _config(parallel_dataset, codes)
+        collection = parallel_dataset.records.head(40)
+        reference, serial_engine = _run(config, collection)
+        expected = _observe(serial_engine, reference)
+        for workers in (1, 3):
+            result, engine = _run(config, collection, executor="process", workers=workers)
+            assert _observe(engine, result) == expected, workers
+            assert engine.verifier.verified_count == result.statistics.candidate_count
+
     def test_shard_size_does_not_change_results(self, parallel_dataset):
         """Merging is lossless at any shard granularity, not just defaults."""
         config = _config(parallel_dataset, "TJS")
