@@ -2,11 +2,16 @@
 
 The recommender signs the full input collections **once** (at the largest
 candidate τ, through the :class:`~repro.join.prepared.PreparedCollection`
-signature cache), then draws a series of small independent Bernoulli samples
-of the *signed* records, runs only the probe-based filtering stage on each
-sample — one multi-τ pass per iteration — scales the observed cardinalities
-up to the full data (unbiased Bernoulli estimators), and folds them into the
-cost model.  Iterations continue until both
+signature cache) and encodes each signed side once per call as
+:class:`~repro.join.flat.FlatSignatures`.  It then draws a series of small
+independent Bernoulli samples as row gathers of that encoding (one
+``rng.random()`` per row, in row order), runs only the filtering stage on
+each sample — one counts-mode pass of the filter kernel per iteration
+(:func:`~repro.join.kernels.overlap_histogram`, whose histogram of
+saturated overlap counts yields every ``V_τ`` at once) — scales the
+observed cardinalities up to the full data (unbiased Bernoulli
+estimators), and folds them into the cost model.  Iterations continue
+until both
 
 * the burn-in of ``n*`` iterations has completed, and
 * the worst-case penalty of committing to the currently-best τ is smaller
@@ -33,6 +38,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.measures import MeasureConfig
+from ..core.vocab import Vocabulary
+from ..join.flat import FlatPostings, FlatSignatures
+from ..join.kernels import overlap_histogram
 from .bernoulli import scale_estimate
 from .cost_model import CostEstimate, CostModel
 
@@ -44,6 +52,30 @@ DEFAULT_T_QUANTILE = 1.036
 DEFAULT_BURN_IN = 10
 #: Default candidate τ values (the paper examines 1–8).
 DEFAULT_TAU_UNIVERSE = (1, 2, 3, 4, 5, 6)
+#: Iteration cap of :func:`recommend_tau` and ``UnifiedJoin(tau="auto")``.
+DEFAULT_MAX_ITERATIONS = 100
+
+
+def check_sampling(tau_universe: Sequence[int], *probabilities: float) -> Tuple[int, ...]:
+    """Validate a τ universe and sampling probabilities; returns the universe.
+
+    Probabilities must lie in (0, 1], the bound
+    :func:`~repro.estimator.bernoulli.bernoulli_sample` enforces, and every
+    τ must be a positive integer.  Returns the sorted, deduplicated universe.
+    """
+    universe = tuple(sorted(set(tau_universe)))
+    if not universe:
+        raise ValueError("tau_universe must not be empty")
+    if universe[0] < 1:
+        raise ValueError(
+            f"every tau in tau_universe must be a positive integer; got {universe[0]}"
+        )
+    for probability in probabilities:
+        if not 0.0 < probability <= 1.0:
+            raise ValueError(
+                f"sampling probability must be in (0, 1]; got {probability}"
+            )
+    return universe
 
 
 @dataclass
@@ -84,19 +116,23 @@ class TauRecommender:
         seed: Optional[int] = None,
     ) -> None:
         """``join_factory(tau)`` must return a join engine exposing
-        ``as_prepared``, ``filter_candidates_multi``, and the ``config`` /
-        ``theta`` / ``method`` / ``order_strategy`` attributes — i.e. a
+        ``as_prepared`` and the ``theta`` / ``method`` / ``order_strategy`` /
+        ``kernel`` attributes — i.e. a
         :class:`~repro.join.aufilter.PebbleJoin` configured for the target θ
-        and signature method.
+        and signature method.  Its ``kernel`` knob picks the filter kernel
+        the samples run through.
+
+        Raises ``ValueError`` for a probability outside (0, 1] or a τ below
+        1 (see :func:`check_sampling`).
         """
         if burn_in < 1:
             raise ValueError("burn_in must be at least 1")
         if max_iterations < burn_in:
             raise ValueError("max_iterations must be at least burn_in")
         self.join_factory = join_factory
-        self.tau_universe = tuple(sorted(set(tau_universe)))
-        if not self.tau_universe:
-            raise ValueError("tau_universe must not be empty")
+        self.tau_universe = check_sampling(
+            tau_universe, left_probability, right_probability
+        )
         self.left_probability = left_probability
         self.right_probability = right_probability
         self.burn_in = burn_in
@@ -108,61 +144,64 @@ class TauRecommender:
     # ------------------------------------------------------------------ #
     # one estimation iteration
     # ------------------------------------------------------------------ #
-    def _sample_signed(self, signed: Sequence, probability: float) -> List:
-        return [record for record in signed if self.rng.random() < probability]
+    def _sample_rows(self, flat: FlatSignatures, probability: float) -> FlatSignatures:
+        rng = self.rng
+        return flat.take(
+            [row for row in range(len(flat)) if rng.random() < probability]
+        )
 
     def _run_iteration(
         self,
-        engine,
-        left_signed: Sequence,
-        right_signed: Sequence,
+        left_flat: FlatSignatures,
+        right_flat: FlatSignatures,
         self_join: bool,
+        ascending: bool,
+        counts_size: int,
+        kernel: str,
     ) -> Tuple[Dict[int, Tuple[float, float]], Tuple[int, int], float]:
-        """Sample the signed records, probe every τ in one pass, scale.
+        """Sample the encoded sides, count every τ in one pass, scale.
 
         Returns the per-τ ``(T̂, V̂)`` estimates, the sample sizes, and the raw
         (unscaled) processed-pair count of this iteration, which feeds the
         stopping rule's right-hand side.
         """
         if self_join:
-            sample = self._sample_signed(left_signed, self.left_probability)
-            sizes = (len(sample), len(sample))
+            # A self-join sample is filtered as a self-join: one index,
+            # (i, i) and mirrored pairs excluded.
+            probe = index = self._sample_rows(left_flat, self.left_probability)
+            sizes = (len(probe), len(probe))
             left_scale = right_scale = self.left_probability
-            if len(sample) == 0:
-                multi = None
-            else:
-                # A self-join sample is filtered as a self-join: one index,
-                # (i, i) and mirrored pairs excluded.
-                multi = engine.filter_candidates_multi(
-                    sample, sample, self.tau_universe, exclude_self_pairs=True
-                )
         else:
-            left_sample = self._sample_signed(left_signed, self.left_probability)
-            right_sample = self._sample_signed(right_signed, self.right_probability)
-            sizes = (len(left_sample), len(right_sample))
+            probe = self._sample_rows(left_flat, self.left_probability)
+            index = self._sample_rows(right_flat, self.right_probability)
+            sizes = (len(probe), len(index))
             left_scale, right_scale = self.left_probability, self.right_probability
-            if len(left_sample) == 0 or len(right_sample) == 0:
-                multi = None
-            else:
-                multi = engine.filter_candidates_multi(
-                    left_sample, right_sample, self.tau_universe
-                )
 
-        estimates: Dict[int, Tuple[float, float]] = {}
-        if multi is None:
+        if not len(probe) or not len(index):
             # Empty samples estimate zero work for every τ; they still count
             # as an iteration (the estimator stays unbiased in expectation).
-            for tau in self.tau_universe:
-                estimates[tau] = (0.0, 0.0)
-            return estimates, sizes, 0.0
+            return {tau: (0.0, 0.0) for tau in self.tau_universe}, sizes, 0.0
 
-        processed = scale_estimate(multi.processed_pairs, left_scale, right_scale)
+        # Overlap counts are symmetric in the two sides, so the right sample
+        # is always the indexed one.
+        processed, histogram = overlap_histogram(
+            FlatPostings.from_flat(index, len(left_flat.vocab)),
+            probe,
+            0,
+            len(probe),
+            self.tau_universe[-1],
+            probe_is_left=not self_join,
+            exclude_self_pairs=self_join,
+            postings_ascending=ascending,
+            counts_size=counts_size,
+            kernel=kernel,
+        )
+        scaled_processed = scale_estimate(processed, left_scale, right_scale)
+        estimates: Dict[int, Tuple[float, float]] = {}
         for tau in self.tau_universe:
-            candidates = scale_estimate(
-                multi.candidate_counts[tau], left_scale, right_scale
-            )
-            estimates[tau] = (processed, candidates)
-        return estimates, sizes, float(multi.processed_pairs)
+            candidates = scale_estimate(sum(histogram[tau:]), left_scale, right_scale)
+            estimates[tau] = (scaled_processed, candidates)
+        return estimates, sizes, float(processed)
 
     # ------------------------------------------------------------------ #
     # stopping rule
@@ -170,8 +209,9 @@ class TauRecommender:
     def _should_stop(self, iteration: int, last_raw_processed: float) -> bool:
         """Inequality 24 after the burn-in period.
 
-        One estimation iteration is a single multi-τ probe pass, so its cost
-        is one filtering pass over the sample — not one pass per candidate τ.
+        One estimation iteration is a single counts-mode kernel pass, so its
+        cost is one filtering pass over the sample — not one pass per
+        candidate τ.
         """
         if iteration < self.burn_in:
             return False
@@ -231,6 +271,19 @@ class TauRecommender:
             if self_join
             else right_prep.signed(order, engine.theta, signing_tau, engine.method)
         )
+        # Encoded once; every sample is a row gather of these arrays.
+        vocab = Vocabulary()
+        left_flat = FlatSignatures.from_signed(left_signed, vocab)
+        right_flat = (
+            left_flat
+            if right_signed is left_signed
+            else FlatSignatures.from_signed(right_signed, vocab)
+        )
+        index_ids = right_flat.record_ids
+        # Rows keep their order in every sample, so ascending full-side ids
+        # license the self-join early break in every sample.
+        ascending = all(a < b for a, b in zip(index_ids, index_ids[1:]))
+        counts_size = max(index_ids, default=-1) + 1
 
         sample_sizes: List[Tuple[int, int]] = []
         iteration = 0
@@ -239,7 +292,7 @@ class TauRecommender:
         while iteration < self.max_iterations:
             iteration += 1
             estimates, sizes, raw_processed = self._run_iteration(
-                engine, left_signed, right_signed, self_join
+                left_flat, right_flat, self_join, ascending, counts_size, engine.kernel
             )
             sample_sizes.append(sizes)
             last_raw_processed = raw_processed
@@ -271,7 +324,7 @@ def recommend_tau(
     tau_universe: Sequence[int] = DEFAULT_TAU_UNIVERSE,
     sample_probability: float = 0.01,
     burn_in: int = DEFAULT_BURN_IN,
-    max_iterations: int = 100,
+    max_iterations: int = DEFAULT_MAX_ITERATIONS,
     t_quantile: float = DEFAULT_T_QUANTILE,
     seed: Optional[int] = None,
     order=None,

@@ -5,14 +5,11 @@ from .aufilter import (
     JoinBatch,
     JoinResult,
     JoinStatistics,
-    MultiFilterOutcome,
     PebbleJoin,
     dual_index_filter_candidates,
-    probe_single,
 )
 from .framework import UnifiedJoin
 from .global_order import GlobalOrder
-from .inverted_index import InvertedIndex
 from .parallel import (
     ShardPlan,
     ShardResult,
@@ -39,11 +36,9 @@ __all__ = [
     "ExecutionReport",
     "FilterOutcome",
     "GlobalOrder",
-    "InvertedIndex",
     "JoinBatch",
     "JoinResult",
     "JoinStatistics",
-    "MultiFilterOutcome",
     "Pebble",
     "PebbleKey",
     "PebbleJoin",
@@ -70,7 +65,6 @@ __all__ = [
     "greedy_cover_size",
     "min_partition_size",
     "plan_payload_bytes",
-    "probe_single",
     "process_join",
     "process_join_batches",
     "select_signature_prefix",

@@ -8,22 +8,25 @@ Section 4 runs filtering alone on samples.
 
 Filtering architecture
 ----------------------
-Filtering is *probe-based*: one inverted index is built on the side with the
-smaller signature footprint and the other side's signatures stream through
-it.  Each probe record keeps a small integer-keyed overlap counter per
-partner it touches; a candidate is emitted the moment its counter reaches
-the overlap requirement τ and further counting for that pair is
-short-circuited.  A self-join takes a dedicated single-index path: the
-collection is indexed once and probed against itself, and because posting
-lists are sorted ascending by record id the probe breaks out of a posting
-list at the first partner ``id >= probe_id`` (each unordered pair is counted
-exactly once, when the higher id probes).
+Filtering is *probe-based* and runs on one engine, the flat filter kernel
+of :mod:`repro.join.kernels`: the side with the smaller signature footprint
+is encoded as CSR postings (:class:`~repro.join.flat.FlatJoinState`) and
+the other side's encoded signatures stream through it.  Each probe record
+keeps a small integer-keyed overlap counter per partner it touches; a
+candidate is emitted the moment its counter reaches the overlap
+requirement τ and further counting for that pair is short-circuited.  A
+self-join takes a dedicated single-index path: the collection is indexed
+once and probed against itself, and because posting lists are sorted
+ascending by record id the probe breaks out of a posting list at the first
+partner ``id >= probe_id`` (each unordered pair is counted exactly once,
+when the higher id probes).  The τ-recommender runs the same kernel in its
+counts mode on samples.
 
 ``processed_pairs`` still reports the paper's ``T_τ`` — every (left, right)
 postings combination the filter touches — so the cost model and the
-τ-recommender see the same quantity as the classic dual-index formulation
-(the legacy implementation is kept as
-:func:`dual_index_filter_candidates` for equivalence tests and benchmarks).
+τ-recommender see the same quantity as the classic dual-index formulation,
+kept as :func:`dual_index_filter_candidates`: the paper-faithful reference
+that equivalence tests and the filtering benchmark compare against.
 
 Signing reuse
 -------------
@@ -63,7 +66,6 @@ from ..telemetry import Telemetry, resolve_telemetry
 from ..telemetry.spans import NULL_SPAN
 from .flat import FlatJoinState
 from .global_order import GlobalOrder
-from .inverted_index import InvertedIndex
 from .kernels import resolve_kernel
 from .prepared import PreparedCollection
 from .signatures import SignatureMethod, SignedRecord, sign_record
@@ -72,13 +74,11 @@ from .verification import UnifiedVerifier, VerificationStats, VerifiedPair, Veri
 
 __all__ = [
     "FilterOutcome",
-    "MultiFilterOutcome",
     "JoinBatch",
     "JoinStatistics",
     "JoinResult",
     "PebbleJoin",
     "dual_index_filter_candidates",
-    "probe_single",
 ]
 
 #: Either a raw record collection or a prepared one; engines accept both.
@@ -107,9 +107,9 @@ class FilterOutcome:
         filter touched — the filtering cost driver in the cost model.  For a
         fixed signing this is independent of τ.
     overlap_counts:
-        Optional diagnostics (``collect_overlap_counts=True``): the overlap
-        counter per touched pair, *saturating at the overlap requirement*
-        because counting short-circuits once a pair becomes a candidate.
+        The exact overlap count of every touched pair — filled only by the
+        :func:`dual_index_filter_candidates` reference; the probe filter
+        leaves it empty.
     probe_side:
         Which side of each candidate tuple is the probe record (``"left"``
         or ``"right"``); candidates are emitted probe-major, which the
@@ -125,19 +125,6 @@ class FilterOutcome:
     def candidate_count(self) -> int:
         """The paper's ``V_τ``: number of candidates sent to verification."""
         return len(self.candidates)
-
-
-@dataclass
-class MultiFilterOutcome:
-    """Per-τ candidate cardinalities from one shared filtering pass.
-
-    The τ-recommender probes every candidate τ on one signing; since the
-    postings touched do not depend on τ, a single probe pass with counters
-    capped at ``max(taus)`` yields every ``V_τ`` at once.
-    """
-
-    processed_pairs: int
-    candidate_counts: Dict[int, int]
 
 
 @dataclass
@@ -271,23 +258,32 @@ def dual_index_filter_candidates(
     """The classic dual-index filter (reference implementation).
 
     Builds one inverted index per side — including the identical index twice
-    for a self-join, exactly as the pre-probe engine did — and enumerates the
-    full postings cross-product per common key.  Kept as the semantic
-    reference for the probe-based filter: equivalence tests and the
-    filtering benchmarks compare against it.  ``overlap_counts`` here are
+    for a self-join — and enumerates the full postings cross-product per
+    common key.  Every signature key *occurrence* posts its record, as
+    Algorithm 6 builds its inverted lists, so the overlap count of a pair is
+    the number of matchable signature pebbles it shares.  Kept as the
+    semantic reference for the probe-based filter: equivalence tests and the
+    filtering benchmark compare against it.  ``overlap_counts`` here are
     exact (not saturated).
     """
     if requirement < 1:
         raise ValueError("the overlap requirement must be a positive integer")
-    left_index = InvertedIndex.build(left_signed)
-    right_index = InvertedIndex.build(right_signed)
-    common = left_index.common_keys(right_index)
+
+    def index(signed_side: Sequence[SignedRecord]) -> Dict[object, List[int]]:
+        postings: Dict[object, List[int]] = defaultdict(list)
+        for signed in signed_side:
+            for key in signed.signature_key_sequence:
+                postings[key].append(signed.record.record_id)
+        return postings
+
+    left_index, right_index = index(left_signed), index(right_signed)
 
     overlap_counts: Dict[Tuple[int, int], int] = defaultdict(int)
     processed = 0
-    for key in common:
-        left_postings = left_index.postings(key)
-        right_postings = right_index.postings(key)
+    for key, left_postings in left_index.items():
+        right_postings = right_index.get(key)
+        if right_postings is None:
+            continue
         for left_id in left_postings:
             for right_id in right_postings:
                 if exclude_self_pairs and left_id >= right_id:
@@ -303,119 +299,11 @@ def dual_index_filter_candidates(
     )
 
 
-def probe_single(
-    postings_map: Dict,
-    signed_probe,
-    requirement: int,
-    *,
-    probe_id: Optional[int] = None,
-    probe_is_left: bool = True,
-    exclude_self_pairs: bool = False,
-    postings_ascending: bool = False,
-) -> Tuple[List[int], int, Dict[int, int]]:
-    """Stream ONE probe signature through an inverted index (the hot loop).
-
-    This is the single-record unit of the filtering stage, shared by the
-    batch driver (:func:`_probe_candidates` calls it once per probe record)
-    and the online search index (one call per ``query``).  A partner id is
-    emitted the moment its overlap counter reaches ``requirement`` and
-    further counting for that partner short-circuits.
-
-    ``exclude_self_pairs`` implements the self-join orientation contract
-    (keep ``left < right``; ``probe_id`` is required then): when the probe
-    plays the left role, indexed partners ``<= probe_id`` are skipped;
-    otherwise partners ``>= probe_id`` are skipped — and with
-    ``postings_ascending`` (records were indexed in ascending id order) the
-    scan breaks out of a posting list at the first such partner instead of
-    stepping past every excluded entry.
-
-    Returns ``(partners, processed, counts)``: the partner ids in emission
-    order, the touched-postings count (the paper's per-record ``T_τ``
-    share), and the saturating per-partner overlap counters.
-    """
-    partners: List[int] = []
-    processed = 0
-    counts: Dict[int, int] = {}
-    counts_get = counts.get
-    get_postings = postings_map.get
-    for key in signed_probe.signature_key_sequence:
-        postings = get_postings(key)
-        if postings is None:
-            continue
-        for other in postings:
-            if exclude_self_pairs:
-                if probe_is_left:
-                    if other <= probe_id:
-                        continue
-                elif other >= probe_id:
-                    if postings_ascending:
-                        break  # nothing left to pair with in this list
-                    continue
-            processed += 1
-            count = counts_get(other, 0)
-            if count >= requirement:
-                continue  # short-circuit: already a candidate
-            count += 1
-            counts[other] = count
-            if count == requirement:
-                partners.append(other)
-    return partners, processed, counts
-
-
-def _probe_candidates(
-    postings_map: Dict,
-    probe_records: Sequence[SignedRecord],
-    requirement: int,
-    *,
-    probe_is_left: bool,
-    exclude_self_pairs: bool,
-    collect_counts: bool = False,
-    postings_ascending: bool = False,
-) -> Tuple[List[Tuple[int, int]], int, Optional[Dict[Tuple[int, int], int]]]:
-    """Stream probe signatures through an inverted index, one per record.
-
-    Orientation: with ``probe_is_left`` the index holds the right side and
-    candidates are ``(probe_id, other)``; otherwise the index holds the left
-    side (or the single self-join index) and candidates are
-    ``(other, probe_id)``.  The per-record filtering itself — overlap
-    counters, τ short-circuit, self-pair exclusion — lives in
-    :func:`probe_single`; this wrapper only orients the emitted pairs.
-    """
-    candidates: List[Tuple[int, int]] = []
-    processed = 0
-    overlap: Optional[Dict[Tuple[int, int], int]] = {} if collect_counts else None
-
-    for signed in probe_records:
-        probe_id = signed.record.record_id
-        partners, touched, counts = probe_single(
-            postings_map,
-            signed,
-            requirement,
-            probe_id=probe_id,
-            probe_is_left=probe_is_left,
-            exclude_self_pairs=exclude_self_pairs,
-            postings_ascending=postings_ascending,
-        )
-        processed += touched
-        if probe_is_left:
-            candidates.extend((probe_id, other) for other in partners)
-        else:
-            candidates.extend((other, probe_id) for other in partners)
-        if overlap is not None:
-            if probe_is_left:
-                for other, count in counts.items():
-                    overlap[(probe_id, other)] = count
-            else:
-                for other, count in counts.items():
-                    overlap[(other, probe_id)] = count
-    return candidates, processed, overlap
-
-
 def _ids_ascending(signed_records: Sequence[SignedRecord]) -> bool:
     """True when the records appear in strictly ascending id order.
 
     Index posting lists inherit this order, which is what licenses the
-    early-``break`` exclusion in :func:`_probe_candidates`.  Signed lists
+    early-``break`` self-join exclusion of the filter kernels.  Signed lists
     from ``sign_collection`` / ``PreparedCollection.signed`` are always
     ascending; the O(n) check keeps arbitrarily reordered caller input
     correct (it merely loses the early break).
@@ -438,9 +326,6 @@ def _pick_index_side(
     The index goes on the side with the smaller signature footprint; the
     other side streams through it.  A self-join (``left_signed is
     right_signed``) indexes the collection once and probes it with itself.
-    Exposed separately so the process-pool driver (which builds the index
-    inside each worker) shares the side-selection decision with the
-    in-process paths.
     """
     if left_signed is right_signed:
         return left_signed, left_signed, False
@@ -449,25 +334,6 @@ def _pick_index_side(
     if left_footprint <= right_footprint:
         return left_signed, right_signed, False
     return right_signed, left_signed, True
-
-
-def _choose_index_side(
-    left_signed: Sequence[SignedRecord],
-    right_signed: Sequence[SignedRecord],
-) -> Tuple[InvertedIndex, Sequence[SignedRecord], bool, bool]:
-    """Build the index on the smaller-footprint side; stream the other.
-
-    Returns ``(index, probe_records, probe_is_left, postings_ascending)``.
-    """
-    index_records, probe_records, probe_is_left = _pick_index_side(
-        left_signed, right_signed
-    )
-    return (
-        InvertedIndex.build(index_records),
-        probe_records,
-        probe_is_left,
-        _ids_ascending(index_records),
-    )
 
 
 class PebbleJoin:
@@ -700,51 +566,27 @@ class PebbleJoin:
         *,
         tau: Optional[int] = None,
         exclude_self_pairs: bool = False,
-        collect_overlap_counts: bool = False,
         kernel: Optional[str] = None,
         prepared: Optional[Tuple[PreparedCollection, PreparedCollection]] = None,
     ) -> FilterOutcome:
         """Run the probe-based filtering stage (Lines 1–8 of Algorithm 6).
 
-        ``tau`` overrides the configured overlap constraint, which is how the
-        recommendation algorithm probes several τ values on one signing.
+        ``tau`` overrides the configured overlap constraint for this call.
         ``exclude_self_pairs`` drops ``left_id >= right_id`` pairs for
         self-joins.  When ``left_signed is right_signed`` (every self-join)
         a single index is built and probed against itself.  Candidate sets
-        are identical to :func:`dual_index_filter_candidates`; only the
-        emission order and the (opt-in, saturated) ``overlap_counts``
-        differ.
+        and processed counts are identical to
+        :func:`dual_index_filter_candidates`; only the emission order
+        differs.
 
         The probe runs through the flat filter kernel (``kernel`` overrides
-        the engine's :attr:`kernel` knob for this call); requesting
-        ``collect_overlap_counts`` takes the legacy dict probe instead,
-        because the flat kernels do not track saturated per-pair counters.
-        ``prepared`` optionally names the collections that own the signed
-        lists so the encoded flat state is memoized per content version.
+        the engine's :attr:`kernel` knob for this call).  ``prepared``
+        optionally names the collections that own the signed lists so the
+        encoded flat state is memoized per content version.
         """
         requirement = self.tau if tau is None else tau
         if requirement < 1:
             raise ValueError("the overlap requirement must be a positive integer")
-
-        if collect_overlap_counts:
-            index, probe_records, probe_is_left, ascending = _choose_index_side(
-                left_signed, right_signed
-            )
-            candidates, processed, overlap = _probe_candidates(
-                index.raw_postings,
-                probe_records,
-                requirement,
-                probe_is_left=probe_is_left,
-                exclude_self_pairs=exclude_self_pairs,
-                collect_counts=True,
-                postings_ascending=ascending,
-            )
-            return FilterOutcome(
-                candidates=candidates,
-                processed_pairs=processed,
-                overlap_counts=overlap or {},
-                probe_side="left" if probe_is_left else "right",
-            )
 
         flat, probe_records, probe_is_left = self._flat_filter_state(
             left_signed, right_signed, prepared
@@ -760,41 +602,7 @@ class PebbleJoin:
         return FilterOutcome(
             candidates=candidates,
             processed_pairs=processed,
-            overlap_counts={},
             probe_side="left" if probe_is_left else "right",
-        )
-
-    def filter_candidates_multi(
-        self,
-        left_signed: Sequence[SignedRecord],
-        right_signed: Sequence[SignedRecord],
-        taus: Sequence[int],
-        *,
-        exclude_self_pairs: bool = False,
-    ) -> MultiFilterOutcome:
-        """Probe every τ of ``taus`` in one pass over one signing.
-
-        Used by the τ-recommender: one filtering pass with counters capped at
-        ``max(taus)`` yields ``V_τ`` for every candidate τ simultaneously,
-        replacing ``len(taus)`` full filter runs per sampling iteration.
-        """
-        unique_taus = sorted(set(taus))
-        if not unique_taus:
-            raise ValueError("taus must not be empty")
-        outcome = self.filter_candidates(
-            left_signed,
-            right_signed,
-            tau=unique_taus[-1],
-            exclude_self_pairs=exclude_self_pairs,
-            collect_overlap_counts=True,
-        )
-        counts = list(outcome.overlap_counts.values())
-        candidate_counts = {
-            tau: sum(1 for count in counts if count >= tau) for tau in unique_taus
-        }
-        return MultiFilterOutcome(
-            processed_pairs=outcome.processed_pairs,
-            candidate_counts=candidate_counts,
         )
 
     # ------------------------------------------------------------------ #

@@ -1,31 +1,28 @@
 """Flat integer-encoded join payloads: CSR signatures, postings, probe loop.
 
-The process-pool driver's bottleneck was never the transport — it was the
-*representation*: signature prefixes as per-occurrence key tuples, postings
-as a dict of lists keyed by those tuples, all of it pickled per worker and
-re-hashed per probe.  This module re-encodes the hot-path data as flat
-integer arrays over a :class:`~repro.core.vocab.Vocabulary`:
+The filter stage runs on the *representation* below, never on key tuples:
+signature prefixes are re-encoded as flat integer arrays over a
+:class:`~repro.core.vocab.Vocabulary`, so the probe loop reads dense ids
+instead of hashing tuples, and a worker receives a few integer arrays
+instead of pickled dicts:
 
 * :class:`FlatSignatures` — one signed side in CSR form: a ``record_ids``
   array, a ``key_offsets`` prefix array, and a flat ``key_ids`` array
   holding every signature key occurrence as a dense vocabulary id.
+  :meth:`FlatSignatures.from_rows` assembles one from per-record id rows
+  (the search index keeps one row per member) and
+  :meth:`FlatSignatures.take` gathers a subset of rows (the τ estimator's
+  Bernoulli samples).
 * :class:`FlatPostings` — the inverted index in CSR form: ``offsets`` is
-  indexed by key id, ``data`` holds record ids.  Built record-major, so
-  each key's posting order is exactly the insertion order of
-  :meth:`~repro.join.inverted_index.InvertedIndex.build` — the order the
-  serial probe loop observes.
-* :func:`flat_probe_span` — the per-probe overlap-counter hot loop over
-  the flat arrays, bit-identical to
-  :func:`~repro.join.aufilter.probe_single` /
-  ``_probe_candidates`` in emitted candidates, orientation, processed
-  counts, and self-join exclusion (including the ascending early break).
-  The loop itself now lives in :mod:`repro.join.kernels` (as the
-  pure-Python reference kernel next to its vectorized numpy sibling);
-  this name stays as the back-compat alias.
+  indexed by key id, ``data`` holds record ids.  Built record-major by a
+  counting sort, so each key's posting order is the order of the indexed
+  side's rows — ascending ids for every signed list, which licenses the
+  self-join early break.
 * :class:`FlatJoinState` — the bundle a :class:`~repro.join.parallel.ShardPlan`
   ships: the shared vocabulary, prebuilt postings, and the probe-side CSR
-  signatures.  Its arrays detach into raw buffers (:meth:`FlatJoinState.export`)
-  and restore zero-copy from :mod:`multiprocessing.shared_memory` views
+  signatures, probed through :mod:`repro.join.kernels`.  Its arrays detach
+  into raw buffers (:meth:`FlatJoinState.export`) and restore zero-copy
+  from :mod:`multiprocessing.shared_memory` views
   (:meth:`FlatJoinState.restore`), which is how a warm worker pool receives
   the index side once per machine instead of once per worker.
 
@@ -43,22 +40,19 @@ from .. import shm_registry
 from ..core.vocab import Vocabulary
 from .kernels import _np  # kernels.py owns numpy availability (REPRO_NO_NUMPY)
 from .kernels import probe_span as _kernel_probe_span
-from .kernels import probe_span_python
 from .signatures import SignedRecord
 
 __all__ = [
     "FlatSignatures",
     "FlatPostings",
     "FlatJoinState",
-    "flat_probe_span",
     "share_payload",
     "attach_payload",
     "SharedPayload",
 ]
 
 #: Sentinel id for a probe key absent from the indexed vocabulary: such a
-#: key has no postings by construction, so the probe loop skips it exactly
-#: as the dict loop skips a missing key.
+#: key has no postings by construction, so the probe loop skips it.
 UNKNOWN_KEY = -1
 
 _INT = "i"
@@ -124,6 +118,29 @@ class FlatSignatures:
             _as_int_array(key_ids),
         )
 
+    @classmethod
+    def from_rows(
+        cls, vocab: Vocabulary, record_ids: Sequence[int], rows: Sequence
+    ) -> "FlatSignatures":
+        """Assemble CSR arrays from per-record key-id rows (``array('i')``)."""
+        offsets = array(_INT, [0])
+        key_ids = array(_INT)
+        for row in rows:
+            key_ids.extend(row)
+            offsets.append(len(key_ids))
+        return cls(vocab, _as_int_array(record_ids), offsets, key_ids)
+
+    def take(self, positions: Sequence[int]) -> "FlatSignatures":
+        """The rows at ``positions``, in that order (a row gather)."""
+        record_ids = self.record_ids
+        key_offsets = self.key_offsets
+        key_ids = self.key_ids
+        return FlatSignatures.from_rows(
+            self.vocab,
+            [record_ids[p] for p in positions],
+            [key_ids[key_offsets[p] : key_offsets[p + 1]] for p in positions],
+        )
+
     def __len__(self) -> int:
         return len(self.record_ids)
 
@@ -137,9 +154,9 @@ class FlatPostings:
     """The inverted index as two flat arrays: CSR offsets by key id.
 
     Key id ``k``'s posting list is ``data[offsets[k]:offsets[k + 1]]``.
-    Posting order per key is record-major construction order — identical to
-    the list order :class:`~repro.join.inverted_index.InvertedIndex.build`
-    produces, which the probe loop's semantics (processed counts, emission
+    Posting order per key is record-major construction order (a record
+    posts once per key *occurrence*, as Algorithm 6 builds its inverted
+    lists), which the probe loop's semantics (processed counts, emission
     order, the ascending early break) depend on.
     """
 
@@ -199,34 +216,6 @@ class FlatPostings:
                 cursor[key_id] += 1
         return cls(offsets, data)
 
-    @classmethod
-    def from_index(cls, index, vocab: Vocabulary) -> "FlatPostings":
-        """Export a live :class:`~repro.join.inverted_index.InvertedIndex`.
-
-        Keys are interned into ``vocab`` (growing — the caller's vocabulary
-        owns the id space); each key's posting list is copied verbatim, so
-        the flat scan observes exactly the maintained lists, including the
-        sorted-ascending invariant of the online search index.
-        """
-        postings_map = index.raw_postings
-        for key in postings_map:
-            vocab.encode(key)
-        num_keys = len(vocab)
-        offsets = array(_INT, bytes(_INT_BYTES * (num_keys + 1)))
-        total = 0
-        by_id: List[Optional[Sequence[int]]] = [None] * num_keys
-        for key, postings in postings_map.items():
-            by_id[vocab.encode(key)] = postings
-        data: List[int] = []
-        for key_id in range(num_keys):
-            offsets[key_id] = total
-            postings = by_id[key_id]
-            if postings:
-                data.extend(postings)
-                total += len(postings)
-        offsets[num_keys] = total
-        return cls(offsets, _as_int_array(data))
-
     @property
     def total_postings(self) -> int:
         return len(self.data)
@@ -241,12 +230,6 @@ class FlatPostings:
         return max(data)
 
 
-#: Back-compat alias: the hot loop now lives in :mod:`repro.join.kernels`
-#: as the pure-Python reference kernel (``probe_span_numpy`` is its
-#: bit-identical vectorized sibling; ``kernels.probe_span`` dispatches).
-flat_probe_span = probe_span_python
-
-
 class FlatJoinState:
     """The flat payload one shard plan ships: vocab, postings, probe side.
 
@@ -255,8 +238,8 @@ class FlatJoinState:
     process boundary (pickle and shared-memory export both strip it — see
     :meth:`export`), workers receive pure integer arrays and skip index
     construction entirely.  ``counts_size`` bounds the overlap-counter
-    buffer; ``postings_ascending`` licenses the self-join early break
-    exactly as on the dict path.
+    buffer; ``postings_ascending`` (the indexed rows are in ascending id
+    order) licenses the self-join early break.
     """
 
     __slots__ = (

@@ -58,7 +58,7 @@ from ..records import RecordCollection
 from ..synonyms.rules import SynonymRuleSet
 from ..telemetry import Telemetry, resolve_telemetry
 from ..taxonomy.tree import Taxonomy
-from .aufilter import JoinBatch, JoinResult, PebbleJoin
+from .aufilter import JoinBatch, JoinResult, PebbleJoin, _stage_seconds
 from .kernels import resolve_kernel
 from .prepared import PreparedCollection
 from .signatures import SignatureMethod
@@ -88,7 +88,9 @@ class UnifiedJoin:
     q:
         Gram length for Jaccard pebbles and verification.
     sample_probability, tau_universe:
-        Parameters forwarded to the recommender when ``tau="auto"``.
+        Parameters forwarded to the recommender when ``tau="auto"``; a
+        probability outside (0, 1] or a τ below 1 raises ``ValueError`` at
+        construction.
     adaptive_verification:
         Enable the verifier's adaptive tier controller (bound tiers whose
         observed hit rate drops below their cost are skipped and
@@ -150,6 +152,9 @@ class UnifiedJoin:
                 )
                 self.tau: Union[int, str] = 1
             else:
+                from ..estimator.recommend import check_sampling
+
+                check_sampling(self.tau_universe, sample_probability)
                 self.tau = "auto"
         else:
             if tau < 1:
@@ -244,22 +249,28 @@ class UnifiedJoin:
         if self.tau != "auto":
             return probe_engine, left_prep, right_prep, order, None, 0.0, store_entries
 
-        from ..estimator.recommend import recommend_tau
+        from ..estimator.recommend import DEFAULT_MAX_ITERATIONS, TauRecommender
 
-        start = time.perf_counter()
-        recommendation = recommend_tau(
-            left_prep,
-            right_prep,
-            self.config,
-            self.theta,
-            method=self.method,
+        # The recommender builds its engine with this facade's factory, so
+        # it samples through the configured filter kernel.
+        recommender = TauRecommender(
+            self._engine,
             tau_universe=self.tau_universe,
-            sample_probability=self.sample_probability,
+            left_probability=self.sample_probability,
+            right_probability=self.sample_probability,
+            max_iterations=DEFAULT_MAX_ITERATIONS,
             seed=self.recommendation_seed,
-            order=order,
         )
+        with self.telemetry.span("recommend") as recommend_span:
+            start = time.perf_counter()
+            recommendation = recommender.recommend(left_prep, right_prep, order=order)
+            recommend_span.annotate(
+                best_tau=recommendation.best_tau,
+                iterations=recommendation.iterations,
+                signing_tau=recommendation.signing_tau,
+            )
+        suggestion_seconds = _stage_seconds(recommend_span, start)
         self.last_recommendation = recommendation
-        suggestion_seconds = time.perf_counter() - start
         engine = self._engine(recommendation.best_tau)
         return (
             engine,

@@ -3,39 +3,51 @@
 The prefix-filter probe is the paper's hot loop — for every probe record,
 walk the posting span of each signature key, count per-partner overlaps
 with τ saturation, and emit a candidate the moment a partner's counter
-reaches the requirement.  This module holds the two implementations every
-filter path (serial join, pool workers, search queries) dispatches to:
+reaches the requirement.  This module is the only filter engine: every
+filter path (serial join, pool workers, search queries, the τ estimator)
+dispatches to it, in one of two modes.
 
-* :func:`probe_span_python` — the original pure-Python loop (moved from
-  ``flat.flat_probe_span``), the reference semantics and the fallback when
-  NumPy is unavailable.
+*Candidate mode* (:func:`probe_span`) emits the candidate pairs:
+
+* :func:`probe_span_python` — the pure-Python loop, the reference
+  semantics and the fallback when NumPy is unavailable.
 * :func:`probe_span_numpy` — the vectorized kernel: per probe it gathers
   the posting spans of the probe's key ids into one index array, applies
-  the self-join exclusion as a mask (the ascending-postings early break
-  becomes a per-span ``searchsorted`` truncation), counts partners with
+  the self-join exclusion as a mask (which also covers the
+  ascending-postings early break), counts partners with
   ``np.bincount(..., minlength=counts_size)``, and recovers the exact
-  emission order of the Python loop from a stable argsort over the
-  occurrence stream.
+  emission order of the Python loop from each partner's
+  ``requirement``-th occurrence in the stream.
 
-Both kernels are **bit-identical**: same candidates, same orientation,
-same per-probe emission order, same ``processed`` count (the Python loop
-increments ``processed`` for every non-excluded posting *before* the
-saturation check, so ``processed`` is exactly the length of the gathered,
-exclusion-masked stream — never an approximation).  The randomized suite
-in ``tests/test_kernels.py`` defends this equivalence against the legacy
-dict probe as well.
+*Counts mode* (:func:`overlap_histogram`) feeds Algorithm 7: it returns
+the processed count and the histogram of per-partner overlap counts
+saturated at a cap, so one pass yields ``V_τ`` for every ``τ <= cap``
+(``V_τ = sum(histogram[τ:])``).  :func:`overlap_histogram_python` walks
+the same loop as the candidate-mode reference; :func:`overlap_histogram_numpy`
+gathers the whole probe span at once and counts (probe, partner) codes
+with ``np.unique``, since counts need no emission order.
+
+Within a mode the kernels are **bit-identical**: same candidates, same
+orientation, same per-probe emission order, same histogram, same
+``processed`` count (the loop increments ``processed`` for every
+non-excluded posting *before* the saturation check, so ``processed`` is
+exactly the length of the gathered, exclusion-masked stream — never an
+approximation).  ``tests/test_kernels.py`` checks candidate mode against
+a test-local copy of the dict probe loop the kernels replaced, and counts
+mode against the exact overlaps of
+:func:`~repro.join.aufilter.dual_index_filter_candidates`.
 
 Kernel selection is a string knob plumbed through the join/query APIs:
 ``"auto"`` (numpy when importable, else python), ``"numpy"`` (explicit —
 raises when numpy is missing), ``"python"``.  Setting ``REPRO_NO_NUMPY=1``
 in the environment masks numpy at import time so the fallback path can be
 exercised on machines that do have numpy (``scripts/check`` runs the
-equivalence suite once under this guard).
+kernel callers' suites once under this guard).
 
 This module deliberately imports nothing from ``flat.py`` — it operates
 duck-typed on the CSR attributes (``offsets``/``data`` on postings,
 ``record_ids``/``key_offsets``/``key_ids`` on the probe side), so
-``flat.py`` can re-export from here without an import cycle.
+``flat.py`` can import from here without an import cycle.
 """
 
 from __future__ import annotations
@@ -59,6 +71,9 @@ __all__ = [
     "probe_span",
     "probe_span_python",
     "probe_span_numpy",
+    "overlap_histogram",
+    "overlap_histogram_python",
+    "overlap_histogram_numpy",
 ]
 
 #: Valid values for the ``kernel=`` knob on join/query APIs.
@@ -94,6 +109,10 @@ def resolve_kernel(kernel: str) -> str:
     return kernel
 
 
+def _dispatch(kernel: str, python_impl, numpy_impl):
+    return numpy_impl if resolve_kernel(kernel) == "numpy" else python_impl
+
+
 def probe_span(
     postings,
     probe,
@@ -114,11 +133,7 @@ def probe_span(
     implementations are bit-identical in candidates, orientation, and
     processed counts.
     """
-    impl = (
-        probe_span_numpy
-        if resolve_kernel(kernel) == "numpy"
-        else probe_span_python
-    )
+    impl = _dispatch(kernel, probe_span_python, probe_span_numpy)
     return impl(
         postings,
         probe,
@@ -144,15 +159,16 @@ def probe_span_python(
     postings_ascending: bool,
     counts_size: int,
 ) -> Tuple[List[Tuple[int, int]], int]:
-    """The pure-Python reference loop (the original ``flat_probe_span``).
+    """The pure-Python reference loop of candidate mode.
 
-    Re-implements :func:`~repro.join.aufilter.probe_single` plus the
-    orientation wrapper of ``_probe_candidates`` over the integer arrays:
-    per-occurrence counting with τ saturation, candidate emission the
+    Per-occurrence counting with τ saturation, candidate emission the
     moment a partner's counter reaches ``requirement``, the self-join
     exclusion skips (with the ascending early break), and probe-major
-    candidate order — every emitted pair, every ``processed`` increment,
-    in the same order as the dict-based loop.
+    candidate order: with ``probe_is_left`` candidates are ``(probe_id,
+    other)``, otherwise ``(other, probe_id)``.  Self-join exclusion keeps
+    ``left < right``: a left probe skips partners ``<= probe_id``, a right
+    probe skips partners ``>= probe_id`` — breaking out of the posting list
+    at the first one when ``postings_ascending``.
 
     Overlap counters live in one zeroed buffer indexed by record id
     (``counts_size`` must exceed the largest posted id) and only touched
@@ -329,3 +345,166 @@ def probe_span_numpy(
                 (other, probe_id) for other in gathered[emit].tolist()
             )
     return candidates, processed
+
+
+# --------------------------------------------------------------------- #
+# counts mode: the saturated overlap histogram (Algorithm 7's V_τ)
+# --------------------------------------------------------------------- #
+def overlap_histogram(
+    postings,
+    probe,
+    start: int,
+    stop: int,
+    cap: int,
+    *,
+    probe_is_left: bool,
+    exclude_self_pairs: bool,
+    postings_ascending: bool,
+    counts_size: int,
+    kernel: str = "auto",
+) -> Tuple[int, List[int]]:
+    """Count overlaps of probe records ``[start, stop)`` (dispatching).
+
+    Returns ``(processed, histogram)``: ``processed`` is exactly what
+    :func:`probe_span` reports for the same arguments, and
+    ``histogram[c]`` (``len(histogram) == cap + 1``, ``histogram[0] ==
+    0``) is the number of (probe, partner) pairs whose overlap count,
+    saturated at ``cap``, is ``c``.  So ``sum(histogram[τ:])`` is the
+    candidate count :func:`probe_span` would emit at requirement ``τ``, for
+    every ``τ <= cap``.  The flags mean what they mean there.
+    """
+    if cap < 1:
+        raise ValueError("the histogram cap must be a positive integer")
+    impl = _dispatch(kernel, overlap_histogram_python, overlap_histogram_numpy)
+    return impl(
+        postings,
+        probe,
+        start,
+        stop,
+        cap,
+        probe_is_left=probe_is_left,
+        exclude_self_pairs=exclude_self_pairs,
+        postings_ascending=postings_ascending,
+        counts_size=counts_size,
+    )
+
+
+def overlap_histogram_python(
+    postings,
+    probe,
+    start: int,
+    stop: int,
+    cap: int,
+    *,
+    probe_is_left: bool,
+    exclude_self_pairs: bool,
+    postings_ascending: bool,
+    counts_size: int,
+) -> Tuple[int, List[int]]:
+    """The pure-Python reference of counts mode.
+
+    The loop of :func:`probe_span_python` with ``requirement = cap``; at
+    the end of each probe every touched partner's saturated counter lands
+    in the histogram instead of being emitted.
+    """
+    histogram = [0] * (cap + 1)
+    processed = 0
+    counts = (
+        bytearray(counts_size)
+        if cap < 256
+        else array(_INT, bytes(_INT_BYTES * counts_size))
+    )
+    touched: List[int] = []
+    key_ids = probe.key_ids
+    key_offsets = probe.key_offsets
+    record_ids = probe.record_ids
+    offsets = postings.offsets
+    data = postings.data
+    for position in range(start, stop):
+        probe_id = record_ids[position]
+        for i in range(key_offsets[position], key_offsets[position + 1]):
+            key_id = key_ids[i]
+            if key_id < 0:
+                continue
+            for q in range(offsets[key_id], offsets[key_id + 1]):
+                other = data[q]
+                if exclude_self_pairs:
+                    if probe_is_left:
+                        if other <= probe_id:
+                            continue
+                    elif other >= probe_id:
+                        if postings_ascending:
+                            break
+                        continue
+                processed += 1
+                count = counts[other]
+                if count >= cap:
+                    continue
+                if count == 0:
+                    touched.append(other)
+                counts[other] = count + 1
+        for other in touched:
+            histogram[counts[other]] += 1
+            counts[other] = 0
+        touched.clear()
+    return processed, histogram
+
+
+def overlap_histogram_numpy(
+    postings,
+    probe,
+    start: int,
+    stop: int,
+    cap: int,
+    *,
+    probe_is_left: bool,
+    exclude_self_pairs: bool,
+    postings_ascending: bool,
+    counts_size: int,
+) -> Tuple[int, List[int]]:
+    """The vectorized counts kernel — equal to :func:`overlap_histogram_python`.
+
+    Gathers the posting spans of every probe in ``[start, stop)`` into one
+    occurrence stream tagged with its probe's position, masks the
+    self-join exclusion (which covers the ascending break, as in
+    :func:`probe_span_numpy`), and counts each ``(position, partner)``
+    code with ``np.unique``; saturating those counts at ``cap`` and
+    binning them gives the histogram.  ``postings_ascending`` only licenses
+    a speed device of the sequential loop, so it is not read here.
+    """
+    if _np is None:  # pragma: no cover - callers dispatch via resolve_kernel
+        raise ValueError("overlap_histogram_numpy requires numpy")
+    np = _np
+    histogram = [0] * (cap + 1)
+    key_offsets = probe.key_offsets
+    first, last = key_offsets[start], key_offsets[stop]
+    keys = _as_int32(probe.key_ids)[first:last]
+    owners = np.repeat(
+        np.arange(stop - start, dtype=np.int64),
+        np.diff(_as_int32(key_offsets)[start : stop + 1]),
+    )
+    known = keys >= 0  # probe-only keys: no postings
+    keys = keys[known]
+    owners = owners[known]
+    offsets_np = _as_int32(postings.offsets)
+    starts = offsets_np[keys]
+    lengths = offsets_np[keys + 1] - starts
+    total = int(lengths.sum())
+    if not total:
+        return 0, histogram
+    out_starts = np.cumsum(lengths) - lengths
+    partners = _as_int32(postings.data)[
+        np.arange(total, dtype=np.int64) + np.repeat(starts - out_starts, lengths)
+    ]
+    owners = np.repeat(owners, lengths)
+    if exclude_self_pairs:
+        probe_ids = _as_int32(probe.record_ids)[start:stop][owners]
+        keep = partners > probe_ids if probe_is_left else partners < probe_ids
+        partners = partners[keep]
+        owners = owners[keep]
+    processed = int(partners.size)
+    if not processed:
+        return 0, histogram
+    _, overlaps = np.unique(owners * counts_size + partners, return_counts=True)
+    binned = np.bincount(np.minimum(overlaps, cap), minlength=cap + 1)
+    return processed, binned.tolist()

@@ -74,8 +74,6 @@ from .aufilter import (
     Joinable,
     PebbleJoin,
     _average_signature_length,
-    _ids_ascending,
-    _pick_index_side,
 )
 from .flat import FlatJoinState, SharedPayload, attach_payload, share_payload
 from .global_order import GlobalOrder
@@ -375,16 +373,14 @@ def _build_plan(
     key (kept parent-side), prebuilt CSR postings for the indexed side
     (whose key tuples then never ship at all), and the probe side's CSR
     signature prefixes — plus pebble-free transfer copies of the prepared
-    collections for verification.
+    collections for verification.  The flat state is the one the serial
+    filter resolves, memoized on the indexed side's preparation, so a
+    process join over a preparation a serial filter (or an earlier plan)
+    already encoded re-encodes nothing.
     """
     verifier = _checked_verifier(engine)
-    index_signed, probe_signed, probe_is_left = _pick_index_side(
-        left_signed, right_signed
-    )
-    flat = FlatJoinState.from_signed_sides(
-        index_signed,
-        probe_signed,
-        postings_ascending=_ids_ascending(index_signed),
+    flat, _, probe_is_left = engine._flat_filter_state(
+        left_signed, right_signed, (left_prep, right_prep)
     )
     left_transfer = left_prep.transfer_copy()
     right_transfer = (

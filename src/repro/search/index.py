@@ -3,10 +3,11 @@
 Every other path in the framework is batch-shaped — prepare two whole
 collections, join once, exit.  :class:`SimilarityIndex` is the serving
 counterpart: a long-lived, queryable object wrapping a prepared corpus, its
-frozen global order, the per-record signatures selected under it, and a
-maintained inverted index, so "which records match this one record, right
-now?" is answered by signing *one* probe and streaming it through the
-postings — not by re-running a join.
+frozen global order, and the per-record signatures selected under it (each
+also kept as one vocabulary-encoded row of key ids), so "which records
+match this one record, right now?" is answered by signing *one* probe and
+streaming it through the members' flat postings — not by re-running a
+join.
 
 Query semantics
 ---------------
@@ -28,7 +29,10 @@ included).
 Incremental maintenance
 -----------------------
 :meth:`add` and :meth:`remove` update the prepared state, signatures, and
-postings in place.  Correctness never depends on the order being "fresh":
+encoded rows in place.  The flat postings every query probes are a pure
+function of the live members' rows: the first query of each serving epoch
+derives them with the same counting sort a batch join uses, so nothing is
+maintained per key.  Correctness never depends on the order being "fresh":
 signatures are valid under *any* fixed total key order as long as every
 member and every probe use the same one, so mutations sign new records
 under the frozen order and stay exact.  What drifts is *selectivity* —
@@ -37,16 +41,16 @@ frequencies move as the corpus churns — so the index tracks staleness
 ``drift_threshold``, rebuilds the order and lazily re-signs **only the
 affected records**: a record whose pebble sort is unchanged under the new
 order provably keeps its signature, so only records whose sorted sequence
-moved pay the selection DP again (and only those whose signature actually
-changed touch the postings).  :meth:`rebuild` is the from-scratch escape
-hatch.
+moved pay the selection DP again (and get their row re-encoded).
+:meth:`rebuild` is the from-scratch escape hatch.
 
 Persistence
 -----------
-:meth:`snapshot` writes the whole index (prepared corpus, order,
-signatures, postings) into a :class:`~repro.store.PreparedStore` keyed by a
+:meth:`snapshot` writes the index (prepared corpus, order, and one prefix
+length per member) into a :class:`~repro.store.PreparedStore` keyed by a
 content fingerprint; :meth:`load` brings it back in one validated file
-read, so a service restart costs an unpickle, not a corpus preparation.
+read and re-derives signatures and rows from those, so a service restart
+costs an unpickle, not a corpus preparation.
 """
 
 from __future__ import annotations
@@ -69,7 +73,6 @@ from ..core.vocab import Vocabulary
 from ..join.flat import FlatPostings, FlatSignatures, FlatJoinState
 from ..join.global_order import GlobalOrder
 from ..join.kernels import probe_span, resolve_kernel
-from ..join.inverted_index import InvertedIndex
 from ..join.pebbles import generate_pebbles
 from ..join.prepared import PreparedCollection, PreparedRecord
 from ..join.signatures import (
@@ -97,7 +100,7 @@ class ConcurrentMutationError(RuntimeError):
 
     :class:`SimilarityIndex` is not a thread-safe object; it *is* a
     long-lived serving object, so silent interleaving of ``add``/``remove``
-    with an in-flight query (or with each other) would corrupt postings or
+    with an in-flight query (or with each other) would corrupt members or
     return a row of no coherent corpus state.  Instead of corrupting
     silently, mutations take a non-blocking guard and queries snapshot the
     serving epoch — either side detecting an overlap raises this error,
@@ -301,8 +304,11 @@ class SimilarityIndex:
 
         self._live: List[bool] = [True] * len(prepared)
         self._signed: List[Optional[SignedRecord]] = [None] * len(prepared)
+        # Each live member's signature key sequence encoded against the
+        # persistent vocabulary (``None`` for tombstones); the per-epoch
+        # flat postings are derived from these rows.
+        self._rows: List[Optional[array]] = [None] * len(prepared)
         self._order = GlobalOrder(order_strategy)
-        self._index = InvertedIndex()
         self._mutations_since_order = 0
         self._order_live_basis = 0
         self.reorder_count = 0
@@ -312,10 +318,9 @@ class SimilarityIndex:
         # process-pool plan views — can invalidate without re-deriving.
         self._epoch = 0
         self._plan_cache: Optional[Tuple[int, PreparedCollection]] = None
-        # Per-epoch flat export of the maintained posting lists: the filter
-        # kernel every serial query probes through (the process-pool plan
-        # reuses the same export), rebuilt only when a mutation bumps the
-        # epoch.
+        # Per-epoch flat postings over the live rows: the filter kernel
+        # every serial query probes through (the process-pool plan reuses
+        # them), derived again only after a mutation bumps the epoch.
         self._flat_cache: Optional[Tuple[int, FlatPostings]] = None
         # The persistent integer vocabulary: append-only across the whole
         # add/remove lifetime, so every flat artifact derived at any epoch
@@ -325,7 +330,7 @@ class SimilarityIndex:
         # the index (see close()).
         self._warm_pool = None
         # Re-entrancy guard: mutations hold this (non-blocking) so an
-        # overlapping mutation fails loudly instead of corrupting postings.
+        # overlapping mutation fails loudly instead of corrupting members.
         self._mutation_lock = threading.Lock()
         self._build_from_prepared()
 
@@ -348,23 +353,26 @@ class SimilarityIndex:
             min_partitions=prepared.min_partitions,
         )
 
+    def _encode_row(self, signed: SignedRecord) -> array:
+        """A member's signature key sequence as persistent vocabulary ids."""
+        encode = self._vocab.encode
+        return array("i", [encode(key) for key in signed.signature_key_sequence])
+
     def _build_from_prepared(self) -> None:
-        """(Re)derive order, signatures, and postings over the live corpus."""
+        """(Re)derive order, signatures, and rows over the live corpus."""
         order = GlobalOrder(self.order_strategy)
         records = self.prepared.prepared_records
         for record_id, prepared in enumerate(records):
             if self._live[record_id]:
                 order.add_record_pebbles(prepared.pebbles)
         self._order = order
-        index = InvertedIndex()
         for record_id, prepared in enumerate(records):
             if not self._live[record_id]:
-                self._signed[record_id] = None
+                self._signed[record_id] = self._rows[record_id] = None
                 continue
             signed = self._sign_member(prepared)
             self._signed[record_id] = signed
-            index.add(signed)
-        self._index = index
+            self._rows[record_id] = self._encode_row(signed)
         self._mutations_since_order = 0
         self._order_live_basis = self.live_count
         self._epoch += 1
@@ -492,16 +500,23 @@ class SimilarityIndex:
         return self.prepared.graph_side(record_id)
 
     def _flat_postings(self) -> FlatPostings:
-        """The maintained posting lists as flat arrays, memoised per epoch.
+        """The live members' flat postings, memoised per epoch.
 
-        Every serial probe (and the process-pool plan) runs the filter
-        kernel over this export; the persistent vocabulary keeps ids stable
-        across epochs and any mutation bumps the epoch and invalidates.
+        A pure function of the live rows: the counting sort of
+        :meth:`~repro.join.flat.FlatPostings.from_flat` over the rows in
+        ascending id order, so every posting list is ascending.  Every
+        serial probe (and the process-pool plan) runs the filter kernel
+        over it; the persistent vocabulary keeps ids stable across epochs
+        and any mutation bumps the epoch and invalidates.
         """
         cache = self._flat_cache
         if cache is not None and cache[0] == self._epoch:
             return cache[1]
-        postings = self._index.to_flat(self._vocab)
+        live = [record_id for record_id, row in enumerate(self._rows) if row is not None]
+        members = FlatSignatures.from_rows(
+            self._vocab, live, [self._rows[record_id] for record_id in live]
+        )
+        postings = FlatPostings.from_flat(members, len(self._vocab))
         self._flat_cache = (self._epoch, postings)
         return postings
 
@@ -511,14 +526,9 @@ class SimilarityIndex:
         """Stream signed probes through the member postings (kernel layer).
 
         Probes encode non-growing against the persistent vocabulary
-        (probe-only keys become the no-postings sentinel, exactly a dict
-        miss), and candidates come back probe-major as ``(probe_id,
-        member_id)`` — bit-identical, in candidates and processed count, to
-        the legacy per-probe dict walk.
+        (probe-only keys become the no-postings sentinel), and candidates
+        come back probe-major as ``(probe_id, member_id)``.
         """
-        # Export the postings FIRST: ``to_flat`` registers the member keys
-        # into the persistent vocabulary, and the probe must encode against
-        # the populated vocabulary or every shared key reads as unknown.
         postings = self._flat_postings()
         probe_flat = FlatSignatures.from_signed(
             signed_probes, self._vocab, grow=False
@@ -735,11 +745,11 @@ class SimilarityIndex:
         The serial path signs every probe, streams them through the
         postings probe-major, and verifies through the grouped batch
         engine.  ``executor="process"`` ships one flat
-        :class:`~repro.join.parallel.ShardPlan` — the maintained posting
-        lists exported as integer arrays over the index's persistent
-        vocabulary, the signed probes vocabulary-encoded as the probe
-        side — to a *warm* worker pool (kept alive across calls; see
-        :meth:`close`) and shards the probes across it under a
+        :class:`~repro.join.parallel.ShardPlan` — the epoch's flat postings
+        over the index's persistent vocabulary, the signed probes
+        vocabulary-encoded as the probe side — to a *warm* worker pool
+        (kept alive across calls; see :meth:`close`) and shards the probes
+        across it under a
         :class:`~repro.join.supervision.ShardSupervisor` (``supervision``
         tunes the retry/timeout/fallback policy; faults degrade to
         in-parent execution, never to a different answer).  Both executors
@@ -899,7 +909,7 @@ class SimilarityIndex:
     def _member_plan_state(self) -> Tuple[FlatPostings, PreparedCollection]:
         """The member side of a process-pool plan, memoised per epoch.
 
-        The flat postings export is shared with the serial query path (see
+        The flat postings are shared with the serial query path (see
         :meth:`_flat_postings`); the pebble-free transfer copy of the
         corpus is built only for process batch queries — serial queries
         never pay for it.  Both only change when the member side does
@@ -988,9 +998,8 @@ class SimilarityIndex:
             for prepared in prepared_new:
                 signed = self._sign_member(prepared)
                 self._signed.append(signed)
+                self._rows.append(self._encode_row(signed))
                 self._live.append(True)
-                # Appending the highest id yet keeps posting lists sorted.
-                self._index.add(signed)
             self._note_mutations(len(additions))
             return [record.record_id for record in additions]
 
@@ -1009,8 +1018,7 @@ class SimilarityIndex:
                     raise KeyError(f"record {record_id} is not live in this index")
                 seen.add(record_id)
             for record_id in ids:
-                self._index.discard(self._signed[record_id])
-                self._signed[record_id] = None
+                self._signed[record_id] = self._rows[record_id] = None
                 self._live[record_id] = False
             if ids:
                 self._note_mutations(len(ids))
@@ -1025,14 +1033,13 @@ class SimilarityIndex:
             self._reorder()
 
     def _reorder(self) -> None:
-        """Rebuild the order; re-sign and re-post only affected records.
+        """Rebuild the order; re-sign and re-encode only affected records.
 
         The signature prefix is a deterministic function of the record's
         *sorted* pebble sequence (plus θ/τ/method and per-record bounds,
         which do not change here), so any live record whose pebbles sort
-        identically under the new order keeps its signature without paying
-        the selection DP; of the re-signed rest, only records whose
-        signature key sequence actually changed touch the posting lists.
+        identically under the new order keeps its signature (and row)
+        without paying the selection DP.
         """
         order = GlobalOrder(self.order_strategy)
         records = self.prepared.prepared_records
@@ -1064,10 +1071,8 @@ class SimilarityIndex:
                 signature_length=prefix_length,
                 min_partition_size=prepared.min_partitions,
             )
-            if new.signature_key_sequence != old.signature_key_sequence:
-                self._index.discard(old)
-                self._index.insert_sorted(new)
             self._signed[record_id] = new
+            self._rows[record_id] = self._encode_row(new)
             resigned += 1
         self._order = order
         self._mutations_since_order = 0
@@ -1077,7 +1082,7 @@ class SimilarityIndex:
         self.resigned_records += resigned
 
     def rebuild(self) -> None:
-        """From-scratch escape hatch: re-derive order, signatures, postings.
+        """From-scratch escape hatch: re-derive order, signatures, rows.
 
         Ids stay stable (tombstones stay tombstones); only the derived
         artifacts are rebuilt, exactly as a fresh index over the live
@@ -1128,9 +1133,9 @@ class SimilarityIndex:
         """Persist the whole index into a store; returns the artifact path.
 
         The artifact carries everything a restarted service needs —
-        prepared corpus, frozen order, member signatures, posting lists —
-        keyed by :meth:`content_fingerprint` under the store's index
-        format version.  See :meth:`~repro.store.PreparedStore.save_index`.
+        prepared corpus, frozen order, one signature prefix length per
+        member — keyed by :meth:`content_fingerprint` under the store's
+        index format version.  See :meth:`~repro.store.PreparedStore.save_index`.
         """
         return store.save_index(self)
 
@@ -1169,13 +1174,13 @@ class SimilarityIndex:
         # local, and every flat artifact is dropped with the plan cache).
         state["_vocab"] = None
         # Flat signature payload: member signatures duplicate the prepared
-        # pebbles (sorted) plus one integer, and the posting lists are a
+        # pebbles (sorted) plus one integer, and the rows and postings are a
         # pure function of them — so the snapshot stores only the per-record
-        # prefix lengths as one integer array and re-derives both sides
+        # prefix lengths as one integer array and re-derives the rest
         # exactly on load (sort under the shipped order + stored length; no
-        # selection DP runs).
+        # selection DP runs).  Rows are vocabulary-local and never pickled.
         state["_signed"] = None
-        state["_index"] = None
+        del state["_rows"]
         state["_flat_signature_lengths"] = array(
             "i",
             (
@@ -1187,6 +1192,8 @@ class SimilarityIndex:
 
     def __setstate__(self, state: dict) -> None:
         lengths = state.pop("_flat_signature_lengths", None)
+        # Snapshots written before the rows carry the dict index's slot.
+        state.pop("_index", None)
         self.__dict__.update(state)
         # Fresh per-process verifier; cascade counters do not persist.
         self.verifier = UnifiedVerifier(
@@ -1206,19 +1213,21 @@ class SimilarityIndex:
         self._mutation_lock = threading.Lock()
         if lengths is not None:
             self._restore_flat_signatures(lengths)
+        self._rows = [
+            None if signed is None else self._encode_row(signed)
+            for signed in self._signed
+        ]
 
     def _restore_flat_signatures(self, lengths: Sequence[int]) -> None:
-        """Rebuild member signatures and postings from flat prefix lengths.
+        """Rebuild member signatures from flat prefix lengths.
 
         Bit-exact: a live record's signature is its pebbles sorted under
         the (shipped) frozen order, cut at the stored prefix length — the
         same two inputs the original signing reduced to, so no selection
-        DP re-runs and no statistics drift.  Rebuilding the index by
-        ascending id restores the sorted-posting invariant directly.
+        DP re-runs and no statistics drift.
         """
         records = self.prepared.prepared_records
         signed_list: List[Optional[SignedRecord]] = []
-        index = InvertedIndex()
         for record_id, prepared in enumerate(records):
             length = lengths[record_id]
             if not self._live[record_id] or length < 0:
@@ -1233,6 +1242,4 @@ class SimilarityIndex:
                 min_partition_size=prepared.min_partitions,
             )
             signed_list.append(signed)
-            index.add(signed)
         self._signed = signed_list
-        self._index = index

@@ -525,9 +525,10 @@ class PreparedStore:
         ``index`` is anything exposing ``content_fingerprint()`` and
         pickling whole — in practice a
         :class:`~repro.search.SimilarityIndex`, whose snapshot carries the
-        prepared corpus, frozen order, member signatures, and posting
-        lists, so :meth:`load_index` restores a *serving* index, not a
-        rebuild recipe.  Kept duck-typed so the store never imports the
+        prepared corpus, frozen order, and member signature prefix lengths
+        (signatures and postings re-derive exactly on load, with no
+        selection DP), so :meth:`load_index` restores a *serving* index,
+        not a rebuild recipe.  Kept duck-typed so the store never imports the
         search layer it persists.
         """
         fingerprint = index.content_fingerprint()

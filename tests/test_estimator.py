@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.estimator import (
     CostModel,
     OnlineStatistics,
+    RecommendationResult,
     TauRecommender,
     bernoulli_sample,
     generate_sample_series,
@@ -16,7 +17,9 @@ from repro.estimator import (
     student_t_quantile,
 )
 from repro.evaluation.experiments import config_for, split_dataset
+from repro.join import PreparedCollection, dual_index_filter_candidates
 from repro.join.aufilter import PebbleJoin
+from repro.join.kernels import numpy_available
 from repro.records import RecordCollection
 
 
@@ -191,6 +194,19 @@ class TestTauRecommender:
             TauRecommender(factory, burn_in=0)
         with pytest.raises(ValueError):
             TauRecommender(factory, burn_in=5, max_iterations=2)
+        # Sampling probabilities must lie in (0, 1], as bernoulli_sample
+        # requires, and every candidate τ must be a positive integer.
+        for probability in (0.0, -0.5, 1.7):
+            with pytest.raises(ValueError, match="probability"):
+                TauRecommender(factory, left_probability=probability)
+            with pytest.raises(ValueError, match="probability"):
+                TauRecommender(factory, right_probability=probability)
+        with pytest.raises(ValueError, match="tau_universe"):
+            TauRecommender(factory, tau_universe=(0, 1))
+        left, right = split_dataset(tiny_dataset, 30, 30)
+        with pytest.raises(ValueError, match="probability"):
+            recommend_tau(left, right, config_for(tiny_dataset), 0.8, sample_probability=0)
+        TauRecommender(factory, left_probability=1.0, right_probability=1.0)
 
     def test_recommend_tau_wrapper(self, tiny_dataset):
         left, right = split_dataset(tiny_dataset, 30, 30)
@@ -200,3 +216,140 @@ class TestTauRecommender:
             burn_in=3, max_iterations=6, seed=4,
         )
         assert result.best_tau in (1, 2)
+
+
+class _ReferenceRecommender(TauRecommender):
+    """Algorithm 7 over ``SignedRecord`` samples: the reference for the flat
+    recommender.
+
+    Each iteration draws its samples record by record from the signed lists
+    and takes the processed pairs and per-τ candidate counts from the exact
+    overlaps of the paper's dual-index filter; the cost model and stopping
+    rule are the recommender's own.
+    """
+
+    def _sample_signed(self, signed, probability):
+        return [record for record in signed if self.rng.random() < probability]
+
+    def _reference_iteration(self, left_signed, right_signed, self_join):
+        if self_join:
+            left_sample = right_sample = self._sample_signed(
+                left_signed, self.left_probability
+            )
+            left_scale = right_scale = self.left_probability
+        else:
+            left_sample = self._sample_signed(left_signed, self.left_probability)
+            right_sample = self._sample_signed(right_signed, self.right_probability)
+            left_scale, right_scale = self.left_probability, self.right_probability
+        sizes = (len(left_sample), len(right_sample))
+        if not left_sample or not right_sample:
+            return {tau: (0.0, 0.0) for tau in self.tau_universe}, sizes, 0.0
+        outcome = dual_index_filter_candidates(
+            left_sample, right_sample, requirement=1, exclude_self_pairs=self_join
+        )
+        overlaps = list(outcome.overlap_counts.values())
+        processed = scale_estimate(outcome.processed_pairs, left_scale, right_scale)
+        estimates = {
+            tau: (
+                processed,
+                scale_estimate(
+                    sum(1 for count in overlaps if count >= tau), left_scale, right_scale
+                ),
+            )
+            for tau in self.tau_universe
+        }
+        return estimates, sizes, float(outcome.processed_pairs)
+
+    def recommend(self, left, right=None, *, order=None):
+        signing_tau = max(self.tau_universe)
+        engine = self.join_factory(signing_tau)
+        self_join = right is None
+        left_prep = engine.as_prepared(left)
+        right_prep = left_prep if (self_join or right is left) else engine.as_prepared(right)
+        if order is None:
+            if right_prep is left_prep:
+                order = left_prep.build_order(engine.order_strategy)
+            else:
+                order = left_prep.shared_order_with(right_prep, engine.order_strategy)
+        left_signed = left_prep.signed(order, engine.theta, signing_tau, engine.method)
+        right_signed = (
+            left_signed
+            if self_join
+            else right_prep.signed(order, engine.theta, signing_tau, engine.method)
+        )
+        sample_sizes = []
+        iteration = 0
+        while iteration < self.max_iterations:
+            iteration += 1
+            estimates, sizes, raw_processed = self._reference_iteration(
+                left_signed, right_signed, self_join
+            )
+            sample_sizes.append(sizes)
+            for tau, (processed, candidates) in estimates.items():
+                self.cost_model.observe(tau, processed, candidates)
+            if self._should_stop(iteration, raw_processed):
+                break
+        estimates_by_tau = {tau: self.cost_model.estimate(tau) for tau in self.tau_universe}
+        best_tau = min(estimates_by_tau.values(), key=lambda estimate: estimate.mean_cost).tau
+        return RecommendationResult(
+            best_tau=best_tau,
+            iterations=iteration,
+            elapsed_seconds=0.0,
+            estimates=estimates_by_tau,
+            sample_sizes=sample_sizes,
+            signing_tau=signing_tau,
+            self_join=self_join,
+        )
+
+
+class TestFlatSamplingMatchesReference:
+    """The flat recommender equals the signed-sample reference exactly:
+    same samples, same per-τ estimates, same stopping point, same τ."""
+
+    @pytest.mark.parametrize("codes", ("J", "S", "T", "TJS"))
+    @pytest.mark.parametrize(
+        "kernel", ["python"] + (["numpy"] if numpy_available() else [])
+    )
+    def test_recommendations_are_identical(self, tiny_dataset, codes, kernel):
+        config = config_for(tiny_dataset, codes)
+        records = tiny_dataset.records
+        single = PreparedCollection.prepare(records.head(40), config)
+        left = PreparedCollection.prepare(records.head(30), config)
+        right = PreparedCollection.prepare(records.subset(range(20, 60)), config)
+        cases = {
+            "self-join": (single, None),
+            "two-collection": (left, right),
+            "same-collection": (single, single),
+        }
+
+        def factory(tau: int) -> PebbleJoin:
+            return PebbleJoin(config, 0.7, tau=tau, kernel=kernel)
+
+        overlapping = 0
+        for name, (left_side, right_side) in cases.items():
+            for seed, probability in ((1, 0.3), (5, 0.6), (9, 1.0)):
+                kwargs = dict(
+                    tau_universe=(1, 2, 3),
+                    left_probability=probability,
+                    right_probability=probability,
+                    burn_in=3,
+                    max_iterations=20,
+                    seed=seed,
+                )
+                got = TauRecommender(factory, **kwargs).recommend(left_side, right_side)
+                expected = _ReferenceRecommender(factory, **kwargs).recommend(
+                    left_side, right_side
+                )
+                case = (name, seed, probability)
+                assert got.best_tau == expected.best_tau, case
+                assert got.iterations == expected.iterations, case
+                assert got.sample_sizes == expected.sample_sizes, case
+                assert got.estimates == expected.estimates, case
+                assert (got.signing_tau, got.self_join) == (
+                    expected.signing_tau,
+                    expected.self_join,
+                ), case
+                overlapping += got.estimates[2].mean_candidates > 0
+        if codes != "S":
+            # Multi-pebble overlaps occurred, so the per-τ counts differ.
+            assert overlapping > 0

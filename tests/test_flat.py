@@ -4,7 +4,7 @@ These tests pin the contracts of :mod:`repro.core.vocab` and
 :mod:`repro.join.flat`: interning round-trips every pebble key across all
 measure configurations, the flat CSR arrays decode to the exact signature
 key sequences they encode, a worker shard over the flat plan emits the same
-candidates as the serial dict probe, and the shared-memory export/attach
+candidates as the dual-index reference, and the shared-memory export/attach
 cycle reproduces the state bit-for-bit while leaving ``/dev/shm`` clean.
 """
 
@@ -18,7 +18,7 @@ import pytest
 from repro.core.measures import MeasureConfig
 from repro.core.vocab import Vocabulary
 from repro.datasets import TINY_PROFILE, generate_dataset
-from repro.join import PebbleJoin
+from repro.join import PebbleJoin, dual_index_filter_candidates
 from repro.join.flat import (
     UNKNOWN_KEY,
     FlatJoinState,
@@ -135,9 +135,10 @@ class TestFlatProbeEquivalence:
     def test_flat_shard_matches_dict_shard(self, dataset, codes):
         plan, engine, signed = _plan(dataset, codes)
         flat_result = _shard(plan)
-        # The serial dict probe (the overlap-count path) is the reference.
-        outcome = engine.filter_candidates(
-            signed, signed, exclude_self_pairs=True, collect_overlap_counts=True
+        # The paper's dual-index filter (per-key cross-products) is the
+        # reference for the candidate and processed counts.
+        outcome = dual_index_filter_candidates(
+            signed, signed, requirement=TAU, exclude_self_pairs=True
         )
         assert flat_result.candidate_count == outcome.candidate_count
         assert flat_result.processed_pairs == outcome.processed_pairs
@@ -147,6 +148,30 @@ class TestFlatProbeEquivalence:
         assert [
             (p.left_id, p.right_id, p.similarity) for p in flat_result.pairs
         ] == [(p.left_id, p.right_id, p.similarity) for p in serial.pairs]
+
+
+class TestPlanMemo:
+    def test_plans_over_one_preparation_share_the_flat_state(self, dataset):
+        """A plan reuses the flat state the serial filter memoizes on the
+        indexed side's preparation, so repeated process joins (and a process
+        join after a serial filter) encode nothing twice."""
+        engine = PebbleJoin(_config(dataset, "TJS"), THETA, tau=TAU)
+        prepared = engine.prepare(dataset.records.head(32))
+        plan_a = build_shard_plan(engine, prepared)
+        plan_b = build_shard_plan(engine, prepared)
+        assert plan_a.flat is plan_b.flat
+        order = prepared.build_order(engine.order_strategy)
+        signed = prepared.signed(order, THETA, TAU, engine.method)
+        serial_flat, _, _ = engine._flat_filter_state(
+            signed, signed, (prepared, prepared)
+        )
+        assert serial_flat is plan_a.flat
+        # Two collections: the memo lives on the indexed side's preparation.
+        other = engine.prepare(dataset.records.subset(range(16, 48)))
+        assert (
+            build_shard_plan(engine, prepared, other).flat
+            is build_shard_plan(engine, prepared, other).flat
+        )
 
 
 class TestPayloadTransport:

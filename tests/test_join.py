@@ -1,11 +1,10 @@
-"""Tests for the inverted index and the filter-and-verify join engines."""
+"""Tests for the filter-and-verify join engines."""
 
 import pytest
 
 from repro.core.measures import MeasureConfig
 from repro.evaluation.experiments import config_for
 from repro.join import (
-    InvertedIndex,
     PebbleJoin,
     SignatureMethod,
     UFilterJoin,
@@ -14,37 +13,6 @@ from repro.join import (
 )
 from repro.join.verification import Verifier
 from repro.records import RecordCollection
-
-
-class TestInvertedIndex:
-    def test_build_and_lookup(self, figure1_config, poi_collections):
-        left, _ = poi_collections
-        engine = PebbleJoin(figure1_config, 0.7)
-        order = engine.build_order(left)
-        signed = engine.sign_collection(left, order)
-        index = InvertedIndex.build(signed)
-        assert index.record_count == len(left)
-        assert len(index) > 0
-        any_key = next(iter(index.keys()))
-        assert len(index.postings(any_key)) >= 1
-
-    def test_common_keys_symmetric(self, figure1_config, poi_collections):
-        left, right = poi_collections
-        engine = PebbleJoin(figure1_config, 0.7)
-        order = engine.build_order(left, right)
-        left_index = InvertedIndex.build(engine.sign_collection(left, order))
-        right_index = InvertedIndex.build(engine.sign_collection(right, order))
-        assert left_index.common_keys(right_index) == right_index.common_keys(left_index)
-
-    def test_contains_and_total_postings(self, figure1_config, poi_collections):
-        left, _ = poi_collections
-        engine = PebbleJoin(figure1_config, 0.7)
-        order = engine.build_order(left)
-        index = InvertedIndex.build(engine.sign_collection(left, order))
-        assert index.total_postings >= len(index)
-        missing = ("J", "zzzzzz")
-        assert missing not in index
-        assert index.postings(missing) == ()
 
 
 class TestPebbleJoinEndToEnd:
@@ -160,6 +128,16 @@ class TestUnifiedJoinFacade:
             UnifiedJoin(rules=figure1_rules, tau="sometimes")
         with pytest.raises(ValueError):
             UnifiedJoin(rules=figure1_rules, tau=3, method=SignatureMethod.U_FILTER)
+        # tau="auto" validates the recommender's inputs at construction,
+        # not after a whole estimation.
+        for probability in (0.0, -0.5, 1.7):
+            with pytest.raises(ValueError, match="probability"):
+                UnifiedJoin(rules=figure1_rules, tau="auto", sample_probability=probability)
+        with pytest.raises(ValueError, match="tau_universe"):
+            UnifiedJoin(rules=figure1_rules, tau="auto", tau_universe=(0, 1))
+        with pytest.raises(ValueError, match="tau_universe"):
+            UnifiedJoin(rules=figure1_rules, tau="auto", tau_universe=())
+        UnifiedJoin(rules=figure1_rules, tau="auto", sample_probability=1.0)
 
     def test_auto_tau_with_ufilter_warns_and_skips_recommendation(
         self, figure1_rules, figure1_taxonomy, poi_collections

@@ -1,13 +1,17 @@
-"""Filter-kernel equivalence: numpy ≡ python ≡ legacy dict probe.
+"""Filter-kernel equivalence: numpy ≡ python ≡ independent references.
 
-The kernel layer of :mod:`repro.join.kernels` promises *bit-identity*: for
-any postings/probe pair, every kernel must emit the same candidate pairs,
-in the same order and orientation, with the same ``processed`` count, as
-the dict-based reference loop it replaced.  These suites sweep the full
-semantic surface — all measure configurations, self-join and R×S
-orientations, τ saturation, unknown probe keys, empty posting spans — and
-pin the serial/process boundary: shards running a *different* kernel than
-the parent must still reproduce the serial answer exactly.
+The kernel layer of :mod:`repro.join.kernels` promises *bit-identity*.  In
+candidate mode every kernel must emit the same candidate pairs, in the same
+order and orientation, with the same ``processed`` count, as the dict-based
+probe loop the kernels replaced — kept here as a verbatim test-local copy
+over a ``defaultdict(list)`` postings map.  In counts mode every kernel
+must return the same ``processed`` count and saturated overlap histogram
+as the exact overlaps of :func:`~repro.join.aufilter.dual_index_filter_candidates`.
+These suites sweep the full semantic surface — all measure configurations,
+self-join and R×S orientations, τ saturation, unknown probe keys, empty
+posting spans — and pin the serial/process boundary: shards running a
+*different* kernel than the parent must still reproduce the serial answer
+exactly.
 """
 
 from __future__ import annotations
@@ -17,20 +21,21 @@ import random
 import subprocess
 import sys
 from array import array
+from collections import defaultdict
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
 
 from repro.core.measures import MeasureConfig
+from repro.core.vocab import Vocabulary
 from repro.datasets import TINY_PROFILE, generate_dataset
-from repro.join import PebbleJoin, UnifiedJoin
-from repro.join.aufilter import _probe_candidates
-from repro.join.flat import UNKNOWN_KEY, FlatJoinState, FlatPostings
-from repro.join.inverted_index import InvertedIndex
+from repro.join import PebbleJoin, UnifiedJoin, dual_index_filter_candidates
+from repro.join.flat import UNKNOWN_KEY, FlatJoinState, FlatPostings, FlatSignatures
 from repro.join.kernels import (
     KERNELS,
     numpy_available,
+    overlap_histogram,
     probe_span,
-    probe_span_python,
     resolve_kernel,
 )
 
@@ -41,6 +46,7 @@ TAU = 2
 needs_numpy = pytest.mark.skipif(
     not numpy_available(), reason="numpy not importable in this environment"
 )
+AVAILABLE_KERNELS = ["python"] + (["numpy"] if numpy_available() else [])
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +77,89 @@ def _signed_sides(dataset, codes, *, self_join, theta=THETA, tau=TAU):
     )
 
 
+# --------------------------------------------------------------------- #
+# The dict probe loop the flat kernels replaced, copied verbatim as the
+# candidate-mode oracle (emission order, orientation, processed counts).
+# --------------------------------------------------------------------- #
+def probe_single(
+    postings_map: Dict,
+    signed_probe,
+    requirement: int,
+    *,
+    probe_id: Optional[int] = None,
+    probe_is_left: bool = True,
+    exclude_self_pairs: bool = False,
+    postings_ascending: bool = False,
+) -> Tuple[List[int], int, Dict[int, int]]:
+    partners: List[int] = []
+    processed = 0
+    counts: Dict[int, int] = {}
+    counts_get = counts.get
+    get_postings = postings_map.get
+    for key in signed_probe.signature_key_sequence:
+        postings = get_postings(key)
+        if postings is None:
+            continue
+        for other in postings:
+            if exclude_self_pairs:
+                if probe_is_left:
+                    if other <= probe_id:
+                        continue
+                elif other >= probe_id:
+                    if postings_ascending:
+                        break  # nothing left to pair with in this list
+                    continue
+            processed += 1
+            count = counts_get(other, 0)
+            if count >= requirement:
+                continue  # short-circuit: already a candidate
+            count += 1
+            counts[other] = count
+            if count == requirement:
+                partners.append(other)
+    return partners, processed, counts
+
+
+def _probe_candidates(
+    postings_map: Dict,
+    probe_records: Sequence,
+    requirement: int,
+    *,
+    probe_is_left: bool,
+    exclude_self_pairs: bool,
+    collect_counts: bool = False,
+    postings_ascending: bool = False,
+) -> Tuple[List[Tuple[int, int]], int, Optional[Dict[Tuple[int, int], int]]]:
+    candidates: List[Tuple[int, int]] = []
+    processed = 0
+    overlap: Optional[Dict[Tuple[int, int], int]] = {} if collect_counts else None
+
+    for signed in probe_records:
+        probe_id = signed.record.record_id
+        partners, touched, counts = probe_single(
+            postings_map,
+            signed,
+            requirement,
+            probe_id=probe_id,
+            probe_is_left=probe_is_left,
+            exclude_self_pairs=exclude_self_pairs,
+            postings_ascending=postings_ascending,
+        )
+        processed += touched
+        if probe_is_left:
+            candidates.extend((probe_id, other) for other in partners)
+        else:
+            candidates.extend((other, probe_id) for other in partners)
+        if overlap is not None:
+            if probe_is_left:
+                for other, count in counts.items():
+                    overlap[(probe_id, other)] = count
+            else:
+                for other, count in counts.items():
+                    overlap[(other, probe_id)] = count
+    return candidates, processed, overlap
+
+
 def _dict_reference(
     index_signed,
     probe_signed,
@@ -80,10 +169,13 @@ def _dict_reference(
     exclude_self_pairs,
     postings_ascending,
 ):
-    """The legacy dict walk (inverted index + per-probe counter loop)."""
-    index = InvertedIndex.build(index_signed)
+    """The dict walk: one posting per key occurrence, in index order."""
+    postings_map = defaultdict(list)
+    for signed in index_signed:
+        for key in signed.signature_key_sequence:
+            postings_map[key].append(signed.record.record_id)
     candidates, processed, _ = _probe_candidates(
-        index.raw_postings,
+        postings_map,
         probe_signed,
         requirement,
         probe_is_left=probe_is_left,
@@ -91,6 +183,36 @@ def _dict_reference(
         postings_ascending=postings_ascending,
     )
     return candidates, processed
+
+
+def _dual_index_histogram(left_signed, right_signed, cap, *, exclude_self_pairs):
+    """Counts-mode oracle: the exact dual-index overlaps, saturated at cap."""
+    outcome = dual_index_filter_candidates(
+        left_signed, right_signed, requirement=1, exclude_self_pairs=exclude_self_pairs
+    )
+    histogram = [0] * (cap + 1)
+    for count in outcome.overlap_counts.values():
+        histogram[min(count, cap)] += 1
+    return outcome.processed_pairs, histogram
+
+
+def _histogram_answers(state, cap, *, probe_is_left, exclude_self_pairs):
+    """Every available kernel's ``(processed, histogram)`` answer."""
+    return {
+        kernel: overlap_histogram(
+            state.postings,
+            state.probe,
+            0,
+            state.probe_count,
+            cap,
+            probe_is_left=probe_is_left,
+            exclude_self_pairs=exclude_self_pairs,
+            postings_ascending=state.postings_ascending,
+            counts_size=state.counts_size,
+            kernel=kernel,
+        )
+        for kernel in AVAILABLE_KERNELS
+    }
 
 
 def _kernel_answers(
@@ -106,7 +228,6 @@ def _kernel_answers(
     state = FlatJoinState.from_signed_sides(
         index_signed, probe_signed, postings_ascending=postings_ascending
     )
-    kernels = ["python"] + (["numpy"] if numpy_available() else [])
     return {
         kernel: state.probe_span(
             0,
@@ -116,7 +237,7 @@ def _kernel_answers(
             exclude_self_pairs=exclude_self_pairs,
             kernel=kernel,
         )
-        for kernel in kernels
+        for kernel in AVAILABLE_KERNELS
     }
 
 
@@ -202,6 +323,101 @@ class TestKernelEquivalence:
             assert got == expected, kernel
 
 
+class TestOverlapHistogramEquivalence:
+    """Counts mode: every kernel ≡ the saturated dual-index overlaps."""
+
+    @pytest.mark.parametrize("codes", MEASURE_CODES)
+    def test_self_join_matches_dual_index(self, dataset, codes):
+        signed, _ = _signed_sides(dataset, codes, self_join=True)
+        for ascending in (True, False):
+            state = FlatJoinState.from_signed_sides(
+                signed, signed, postings_ascending=ascending
+            )
+            for cap in (1, 2, 3, 4):
+                expected = _dual_index_histogram(
+                    signed, signed, cap, exclude_self_pairs=True
+                )
+                assert sum(expected[1]) > 0, codes  # some pairs overlap
+                answers = _histogram_answers(
+                    state, cap, probe_is_left=False, exclude_self_pairs=True
+                )
+                for kernel, got in answers.items():
+                    assert got == expected, (codes, kernel, cap, ascending)
+
+    @pytest.mark.parametrize("codes", MEASURE_CODES)
+    @pytest.mark.parametrize("probe_is_left", (True, False))
+    @pytest.mark.parametrize("exclude_self_pairs", (False, True))
+    def test_two_collection_matches_dual_index(
+        self, dataset, codes, probe_is_left, exclude_self_pairs
+    ):
+        index_signed, probe_signed = _signed_sides(dataset, codes, self_join=False)
+        state = FlatJoinState.from_signed_sides(
+            index_signed, probe_signed, postings_ascending=True
+        )
+        # The disjoint tail of the probe range guarantees unseen keys.
+        assert UNKNOWN_KEY in set(state.probe.key_ids)
+        left, right = (
+            (probe_signed, index_signed) if probe_is_left else (index_signed, probe_signed)
+        )
+        for cap in (1, 3):
+            expected = _dual_index_histogram(
+                left, right, cap, exclude_self_pairs=exclude_self_pairs
+            )
+            answers = _histogram_answers(
+                state,
+                cap,
+                probe_is_left=probe_is_left,
+                exclude_self_pairs=exclude_self_pairs,
+            )
+            for kernel, got in answers.items():
+                assert got == expected, (codes, kernel, cap)
+
+    @pytest.mark.parametrize("codes", MEASURE_CODES)
+    def test_row_gathered_samples_match_dual_index(self, dataset, codes):
+        """The estimator's shape: random row gathers of encodings that share
+        one vocabulary, postings over the sample only — so most key ids have
+        empty spans, and a probe sample's keys are often postless."""
+        left_signed, right_signed = _signed_sides(dataset, codes, self_join=False)
+        vocab = Vocabulary()
+        left_flat = FlatSignatures.from_signed(left_signed, vocab)
+        right_flat = FlatSignatures.from_signed(right_signed, vocab)
+        counts_size = max(right_flat.record_ids) + 1
+        rng = random.Random(sum(map(ord, codes)))
+        for _ in range(6):
+            probability = rng.choice((0.2, 0.5, 1.0))
+            left_rows = [row for row in range(len(left_flat)) if rng.random() < probability]
+            right_rows = [row for row in range(len(right_flat)) if rng.random() < probability]
+            cap = rng.choice((1, 2, 3))
+            # Two-collection samples, and a self-join sample of the right side.
+            cases = (
+                (left_flat.take(left_rows), right_flat.take(right_rows), False,
+                 [left_signed[row] for row in left_rows],
+                 [right_signed[row] for row in right_rows]),
+                (right_flat.take(right_rows), right_flat.take(right_rows), True,
+                 [right_signed[row] for row in right_rows],
+                 [right_signed[row] for row in right_rows]),
+            )
+            for probe, index, self_join, left_sample, right_sample in cases:
+                postings = FlatPostings.from_flat(index, len(vocab))
+                expected = _dual_index_histogram(
+                    left_sample, right_sample, cap, exclude_self_pairs=self_join
+                )
+                for kernel in AVAILABLE_KERNELS:
+                    got = overlap_histogram(
+                        postings,
+                        probe,
+                        0,
+                        len(probe),
+                        cap,
+                        probe_is_left=not self_join,
+                        exclude_self_pairs=self_join,
+                        postings_ascending=True,
+                        counts_size=counts_size,
+                        kernel=kernel,
+                    )
+                    assert got == expected, (codes, kernel, cap, self_join)
+
+
 class _SyntheticProbe:
     """Duck-typed probe side (kernels read only these four arrays)."""
 
@@ -234,41 +450,40 @@ class TestSyntheticEdgeCases:
             **flags,
         )
 
-    @pytest.mark.parametrize(
-        "kernel", ["python"] + (["numpy"] if numpy_available() else [])
-    )
+    def _histogram(self, kernel, cap, key_ids, **flags):
+        probe = _SyntheticProbe([3], [0, len(key_ids)], key_ids)
+        return overlap_histogram(
+            self._postings(), probe, 0, 1, cap, counts_size=10, kernel=kernel, **flags
+        )
+
+    @pytest.mark.parametrize("kernel", AVAILABLE_KERNELS)
     def test_saturation_never_affects_processed(self, kernel):
         # Partner 5 is touched three times but emitted once at count == 2;
         # processed counts every touch, including post-saturation ones.
-        candidates, processed = self._run(
-            kernel,
-            2,
-            [0, 2],
-            probe_is_left=True,
-            exclude_self_pairs=False,
-            postings_ascending=True,
-        )
+        flags = dict(probe_is_left=True, exclude_self_pairs=False, postings_ascending=True)
+        candidates, processed = self._run(kernel, 2, [0, 2], **flags)
         assert candidates == [(3, 5), (3, 7)]
         assert processed == 6
+        # Counts: partner 5 overlaps 3 times, 7 twice, 9 once.
+        assert self._histogram(kernel, 2, [0, 2], **flags) == (6, [0, 1, 2])
+        assert self._histogram(kernel, 3, [0, 2], **flags) == (6, [0, 1, 1, 1])
 
-    @pytest.mark.parametrize(
-        "kernel", ["python"] + (["numpy"] if numpy_available() else [])
-    )
+    @pytest.mark.parametrize("kernel", AVAILABLE_KERNELS)
     def test_empty_spans_and_unknown_keys_are_skipped(self, kernel):
-        candidates, processed = self._run(
-            kernel,
-            1,
-            [1, UNKNOWN_KEY, 1],
-            probe_is_left=True,
-            exclude_self_pairs=False,
-            postings_ascending=True,
-        )
+        flags = dict(probe_is_left=True, exclude_self_pairs=False, postings_ascending=True)
+        candidates, processed = self._run(kernel, 1, [1, UNKNOWN_KEY, 1], **flags)
         assert candidates == []
         assert processed == 0
+        assert self._histogram(kernel, 2, [1, UNKNOWN_KEY, 1], **flags) == (0, [0, 0, 0])
 
-    @pytest.mark.parametrize(
-        "kernel", ["python"] + (["numpy"] if numpy_available() else [])
-    )
+    def test_histogram_cap_must_be_positive(self):
+        with pytest.raises(ValueError, match="cap"):
+            self._histogram(
+                "auto", 0, [0], probe_is_left=True, exclude_self_pairs=False,
+                postings_ascending=True,
+            )
+
+    @pytest.mark.parametrize("kernel", AVAILABLE_KERNELS)
     def test_ascending_break_equals_exclusion_mask(self, kernel):
         # Probe 3 plays the right role: partners >= 3 are excluded.  With
         # ascending postings every span truncates before any exclusion is
@@ -283,13 +498,17 @@ class TestSyntheticEdgeCases:
         )
         assert candidates == []
         assert processed == 0
+        assert self._histogram(
+            kernel, 2, [0, 2], probe_is_left=False, exclude_self_pairs=True,
+            postings_ascending=True,
+        ) == (0, [0, 0, 0])
 
     def test_emission_order_is_first_reach_order(self):
         # Stream order for keys [2, 0, 0] is 7 9 | 5 5 5 7 | 5 5 5 7:
         # partner 5 reaches the requirement on its second touch, before
         # partner 7's second touch arrives — so 5 is emitted first, then 7,
         # by every kernel.
-        for kernel in ["python"] + (["numpy"] if numpy_available() else []):
+        for kernel in AVAILABLE_KERNELS:
             candidates, processed = self._run(
                 kernel,
                 2,
@@ -371,8 +590,3 @@ class TestCrossBoundaryIdentity:
                 for pair in pooled.pairs
             ]
             assert got == triples, kernel
-
-    def test_flat_probe_span_alias_is_the_python_kernel(self):
-        from repro.join.flat import flat_probe_span
-
-        assert flat_probe_span is probe_span_python

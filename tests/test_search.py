@@ -18,6 +18,7 @@ import pytest
 from repro.core.measures import MeasureConfig
 from repro.datasets import TINY_PROFILE, generate_dataset
 from repro.join import PebbleJoin
+from repro.join.flat import FlatJoinState
 from repro.records import Record, RecordCollection
 from repro.search import SimilarityIndex
 from repro.store import PreparedStore
@@ -271,6 +272,55 @@ def test_incremental_identity_under_churn(search_dataset, drift_threshold):
         assert index.reorder_count > 0
     if drift_threshold is None:
         assert index.reorder_count == 0
+
+
+def test_epoch_postings_equal_a_from_scratch_encoding(search_dataset):
+    """The flat postings every query probes are a pure function of the live
+    members: after each step of a seeded add/remove/re-order history they
+    equal the batch join's encoding of the live signed members."""
+    config = _config(search_dataset, "TJS")
+    index = SimilarityIndex(
+        search_dataset.records.head(25), config, theta=0.55, tau=2,
+        drift_threshold=0.1,
+    )
+    extra = [record.text for record in search_dataset.records.subset(range(25, 60))]
+    rng = random.Random(29)
+
+    def check():
+        postings = index._flat_postings()
+        live = [index._signed[record_id] for record_id in index.live_ids()]
+        keys = len(index._vocab)
+        expected = FlatJoinState.from_signed_sides(
+            live, live, postings_ascending=True, vocab=index._vocab
+        ).postings
+        assert len(index._vocab) == keys  # every live key was already encoded
+        assert list(postings.offsets) == list(expected.offsets)
+        assert list(postings.data) == list(expected.data)
+
+    check()
+    for step in range(24):
+        action = rng.random()
+        if action < 0.45:
+            index.add(rng.sample(extra, rng.randint(1, 3)))
+        elif action < 0.9 and index.live_count > 6:
+            index.remove(rng.sample(index.live_ids(), rng.randint(1, 2)))
+        else:
+            index.rebuild()
+        check()
+    assert index.resigned_records > 0  # drift re-orders re-signed members
+
+
+def test_snapshot_state_carries_no_rows(search_dataset):
+    config = _config(search_dataset, "J")
+    index = SimilarityIndex(search_dataset.records.head(12), config, theta=0.6)
+    state = index.__getstate__()
+    assert "_rows" not in state and "_index" not in state
+    # Snapshots written before the rows carry ``_index: None``; loading
+    # one drops the slot and re-derives the rows.
+    restored = SimilarityIndex.__new__(SimilarityIndex)
+    restored.__setstate__(dict(state, _index=None))
+    assert not hasattr(restored, "_index")
+    assert _member_rows(restored) == _member_rows(index)
 
 
 def test_rebuild_preserves_answers_and_resets_staleness(search_dataset):

@@ -11,6 +11,8 @@ from repro.join import (
     SignatureMethod,
     dual_index_filter_candidates,
 )
+from repro.join.flat import FlatJoinState
+from repro.join.kernels import numpy_available, overlap_histogram
 from repro.records import RecordCollection
 
 VOCAB = (
@@ -110,15 +112,26 @@ class TestSelfJoinInvariants:
         order = engine.build_order(collection)
         signed = engine.sign_collection(collection, order)
         taus = (1, 2, 3)
-        multi = engine.filter_candidates_multi(
-            signed, signed, taus, exclude_self_pairs=True
-        )
-        for tau in taus:
-            single = engine.filter_candidates(
-                signed, signed, tau=tau, exclude_self_pairs=True
+        state = FlatJoinState.from_signed_sides(signed, signed, postings_ascending=True)
+        for kernel in ("python",) + (("numpy",) if numpy_available() else ()):
+            processed, histogram = overlap_histogram(
+                state.postings,
+                state.probe,
+                0,
+                state.probe_count,
+                max(taus),
+                probe_is_left=False,
+                exclude_self_pairs=True,
+                postings_ascending=True,
+                counts_size=state.counts_size,
+                kernel=kernel,
             )
-            assert multi.candidate_counts[tau] == single.candidate_count
-            assert multi.processed_pairs == single.processed_pairs
+            for tau in taus:
+                single = engine.filter_candidates(
+                    signed, signed, tau=tau, exclude_self_pairs=True
+                )
+                assert sum(histogram[tau:]) == single.candidate_count, kernel
+                assert processed == single.processed_pairs, kernel
 
 
 class TestSelfJoinRecommendation:

@@ -20,7 +20,7 @@ import pytest
 from repro.core.measures import MeasureConfig
 from repro.datasets import TINY_PROFILE, generate_dataset
 from repro.faults import FAULTS, FaultRule
-from repro.join import PebbleJoin, SupervisorPolicy
+from repro.join import PebbleJoin, SupervisorPolicy, UnifiedJoin
 from repro.telemetry import (
     PAYLOAD_VERSION,
     Histogram,
@@ -197,6 +197,33 @@ class TestMetrics:
         right.histogram("h", bounds=(1.0, 3.0)).observe(1.0)
         with pytest.raises(ValueError, match="bounds differ"):
             left.merge_snapshot(right.snapshot())
+
+
+class TestRecommendSpan:
+    def test_auto_tau_join_reports_the_recommendation_as_a_span(self, dataset):
+        telemetry = Telemetry()
+        join = UnifiedJoin(
+            rules=dataset.rules,
+            taxonomy=dataset.taxonomy,
+            theta=0.7,
+            tau="auto",
+            tau_universe=(1, 2, 3),
+            sample_probability=0.5,
+            recommendation_seed=3,
+            telemetry=telemetry,
+        )
+        result = join.join(dataset.records.head(24))
+        assert [root.name for root in telemetry.tracer.roots] == ["recommend", "join"]
+        recommend = telemetry.tracer.roots[0]
+        recommendation = join.last_recommendation
+        assert recommend.attrs == {
+            "best_tau": recommendation.best_tau,
+            "iterations": recommendation.iterations,
+            "signing_tau": recommendation.signing_tau,
+        }
+        # Span-sourced, like every other stage time.
+        assert result.statistics.suggestion_seconds == recommend.wall_seconds
+        assert result.statistics.tau == recommendation.best_tau
 
 
 class TestProcessMerge:
