@@ -11,10 +11,12 @@ segment under one of the three similarity measures (Table 2 of the paper):
 Pebble *keys* are namespaced by measure so that, e.g., the 2-gram ``"ca"``
 and a taxonomy node labelled ``"ca"`` never collide in the inverted index.
 
-Pebble generation is θ/τ-independent and is the most expensive per-record
-step of the pipeline; :class:`~repro.join.prepared.PreparedCollection`
-caches its output per record so orders, signings, and repeated joins all
-reuse one generation pass.
+Pebble generation is θ/τ-independent and is the largest part of signing a
+record; the signature-selection walk comes second (see
+:func:`~repro.join.signatures.sign_record`).
+:class:`~repro.join.prepared.PreparedCollection` caches its output per
+record so orders, signings, and repeated joins all reuse one generation
+pass.
 """
 
 from __future__ import annotations

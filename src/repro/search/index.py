@@ -38,11 +38,10 @@ member and every probe use the same one, so mutations sign new records
 under the frozen order and stay exact.  What drifts is *selectivity* —
 frequencies move as the corpus churns — so the index tracks staleness
 (mutations since the order was last built over the live corpus) and, past
-``drift_threshold``, rebuilds the order and lazily re-signs **only the
-affected records**: a record whose pebble sort is unchanged under the new
-order provably keeps its signature, so only records whose sorted sequence
-moved pay the selection DP again (and get their row re-encoded).
-:meth:`rebuild` is the from-scratch escape hatch.
+``drift_threshold``, re-orders: it rebuilds the order over the live corpus
+and re-signs and re-encodes every live member, exactly as :meth:`rebuild`
+does.  Re-signing only the members whose pebble sort moved would save
+little, because a new order moves nearly every member's sort.
 
 Persistence
 -----------
@@ -75,12 +74,7 @@ from ..join.global_order import GlobalOrder
 from ..join.kernels import probe_span, resolve_kernel
 from ..join.pebbles import generate_pebbles
 from ..join.prepared import PreparedCollection, PreparedRecord
-from ..join.signatures import (
-    SignatureMethod,
-    SignedRecord,
-    select_signature_prefix,
-    sign_record,
-)
+from ..join.signatures import SignatureMethod, SignedRecord, sign_record
 from ..join.supervision import ExecutionReport, SupervisorPolicy
 from ..join.verification import UnifiedVerifier, VerificationStats, VerifiedPair
 from ..records import Record, RecordCollection
@@ -239,10 +233,11 @@ class SimilarityIndex:
         pure-Python loop), ``"numpy"``, or ``"python"``.  Bit-identical
         answers either way (see :mod:`repro.join.kernels`).
     telemetry:
-        A :class:`~repro.telemetry.Telemetry` bundle queries report to —
-        latency histograms, candidate/verified counters, the staleness
-        gauge, epoch rejections, and batch-query trace spans (defaults to
-        the process-wide bundle; see ``docs/observability.md``).
+        A :class:`~repro.telemetry.Telemetry` bundle queries and writes
+        report to — latency histograms, candidate/verified counters, the
+        staleness gauge, epoch rejections, batch-query trace spans, and
+        the add/remove/re-order counters and re-order histogram (defaults
+        to the process-wide bundle; see ``docs/observability.md``).
     """
 
     def __init__(
@@ -337,9 +332,6 @@ class SimilarityIndex:
     # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
-    def _enabled_measures(self):
-        return sorted(self.config.enabled, key=lambda measure: measure.value)
-
     def _sign_member(self, prepared: PreparedRecord) -> SignedRecord:
         return sign_record(
             prepared.record,
@@ -359,13 +351,21 @@ class SimilarityIndex:
         return array("i", [encode(key) for key in signed.signature_key_sequence])
 
     def _build_from_prepared(self) -> None:
-        """(Re)derive order, signatures, and rows over the live corpus."""
+        """(Re)derive order, signatures, and rows over the live corpus.
+
+        Every build after the constructor's is a re-order — a drift
+        re-order or :meth:`rebuild` — and is counted and timed here: in
+        ``reorder_count`` and ``resigned_records``, and in the
+        ``search.reorders`` counter and ``search.reorder_seconds`` histogram.
+        """
+        start = time.perf_counter()
         order = GlobalOrder(self.order_strategy)
         records = self.prepared.prepared_records
         for record_id, prepared in enumerate(records):
             if self._live[record_id]:
                 order.add_record_pebbles(prepared.pebbles)
         self._order = order
+        signed_count = 0
         for record_id, prepared in enumerate(records):
             if not self._live[record_id]:
                 self._signed[record_id] = self._rows[record_id] = None
@@ -373,8 +373,17 @@ class SimilarityIndex:
             signed = self._sign_member(prepared)
             self._signed[record_id] = signed
             self._rows[record_id] = self._encode_row(signed)
+            signed_count += 1
         self._mutations_since_order = 0
         self._order_live_basis = self.live_count
+        if self._epoch:  # epoch 0 is the constructor's first signing
+            self.reorder_count += 1
+            self.resigned_records += signed_count
+            metrics = self.telemetry.metrics
+            metrics.counter("search.reorders").add()
+            metrics.histogram("search.reorder_seconds").observe(
+                time.perf_counter() - start
+            )
         self._epoch += 1
 
     # ------------------------------------------------------------------ #
@@ -468,14 +477,15 @@ class SimilarityIndex:
     # ------------------------------------------------------------------ #
     def _resolve_query(self, theta: Optional[float], tau: Optional[int]) -> Tuple[float, int]:
         theta_q = self.theta if theta is None else float(theta)
-        if theta_q < self.theta:
+        # Written so that NaN fails both comparisons.
+        if not theta_q <= 1.0:
+            raise ValueError(f"theta must be in [0, 1]; got theta={theta_q}")
+        if not theta_q >= self.theta:
             raise ValueError(
                 f"the index is signed for theta >= {self.theta}; its "
                 f"signatures cannot guarantee recall at theta={theta_q} — "
                 "build an index at the lower threshold"
             )
-        if theta_q > 1.0:
-            raise ValueError("theta must be in [0, 1]")
         tau_q = self.tau if tau is None else int(tau)
         if not 1 <= tau_q <= self.tau:
             raise ValueError(
@@ -1000,6 +1010,7 @@ class SimilarityIndex:
                 self._signed.append(signed)
                 self._rows.append(self._encode_row(signed))
                 self._live.append(True)
+            self.telemetry.metrics.counter("search.adds").add(len(additions))
             self._note_mutations(len(additions))
             return [record.record_id for record in additions]
 
@@ -1021,6 +1032,7 @@ class SimilarityIndex:
                 self._signed[record_id] = self._rows[record_id] = None
                 self._live[record_id] = False
             if ids:
+                self.telemetry.metrics.counter("search.removes").add(len(ids))
                 self._note_mutations(len(ids))
 
     def _note_mutations(self, count: int) -> None:
@@ -1030,56 +1042,7 @@ class SimilarityIndex:
             self.drift_threshold is not None
             and self.staleness > self.drift_threshold
         ):
-            self._reorder()
-
-    def _reorder(self) -> None:
-        """Rebuild the order; re-sign and re-encode only affected records.
-
-        The signature prefix is a deterministic function of the record's
-        *sorted* pebble sequence (plus θ/τ/method and per-record bounds,
-        which do not change here), so any live record whose pebbles sort
-        identically under the new order keeps its signature (and row)
-        without paying the selection DP.
-        """
-        order = GlobalOrder(self.order_strategy)
-        records = self.prepared.prepared_records
-        for record_id, prepared in enumerate(records):
-            if self._live[record_id]:
-                order.add_record_pebbles(prepared.pebbles)
-        enabled = self._enabled_measures()
-        resigned = 0
-        for record_id, prepared in enumerate(records):
-            if not self._live[record_id]:
-                continue
-            old = self._signed[record_id]
-            sorted_pebbles = tuple(order.sort_pebbles(prepared.pebbles))
-            if sorted_pebbles == old.pebbles:
-                continue
-            prefix_length = select_signature_prefix(
-                sorted_pebbles,
-                len(prepared.segments),
-                prepared.min_partitions,
-                self.theta,
-                tau=self.tau,
-                method=self.method,
-                enabled_measures=enabled,
-            )
-            new = SignedRecord(
-                record=prepared.record,
-                segments=tuple(prepared.segments),
-                pebbles=sorted_pebbles,
-                signature_length=prefix_length,
-                min_partition_size=prepared.min_partitions,
-            )
-            self._signed[record_id] = new
-            self._rows[record_id] = self._encode_row(new)
-            resigned += 1
-        self._order = order
-        self._mutations_since_order = 0
-        self._order_live_basis = self.live_count
-        self._epoch += 1
-        self.reorder_count += 1
-        self.resigned_records += resigned
+            self._build_from_prepared()
 
     def rebuild(self) -> None:
         """From-scratch escape hatch: re-derive order, signatures, rows.
@@ -1091,7 +1054,6 @@ class SimilarityIndex:
         """
         with self._mutating():
             self._build_from_prepared()
-            self.reorder_count += 1
 
     # ------------------------------------------------------------------ #
     # persistence

@@ -104,12 +104,21 @@ def test_query_theta_tau_tightening(search_dataset):
 def test_query_rejects_loosened_contract(search_dataset):
     config = _config(search_dataset, "J")
     index = SimilarityIndex(search_dataset.records.head(10), config, theta=0.7, tau=2)
-    with pytest.raises(ValueError, match="theta"):
-        index.query("anything", theta=0.5)
-    with pytest.raises(ValueError, match="tau"):
-        index.query("anything", tau=3)
-    with pytest.raises(ValueError, match="tau"):
-        index.query("anything", tau=0)
+    probe = index.prepared[5].text
+    entry_points = (
+        lambda **kw: index.query(probe, **kw),
+        lambda **kw: index.query_member(5, **kw),
+        lambda **kw: index.query_topk(probe, 3, **kw),
+        lambda **kw: index.query_batch([probe], **kw),
+    )
+    for call in entry_points:
+        for theta in (0.5, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="theta"):
+                call(theta=theta)
+        for tau in (3, 0):
+            with pytest.raises(ValueError, match="tau"):
+                call(tau=tau)
+        call(theta=0.9, tau=1)  # tightening stays served
     with pytest.raises(KeyError):
         index.query_member(999)
 
@@ -308,6 +317,41 @@ def test_epoch_postings_equal_a_from_scratch_encoding(search_dataset):
             index.rebuild()
         check()
     assert index.resigned_records > 0  # drift re-orders re-signed members
+
+
+def test_write_path_instruments_count_churn(search_dataset):
+    """Add/remove counters count records; every re-order (drift or
+    rebuild) is counted once and timed once, re-signing every live member."""
+    config = _config(search_dataset, "TJS")
+    telemetry = Telemetry()
+    index = SimilarityIndex(
+        search_dataset.records.head(25), config, theta=0.55, tau=2,
+        drift_threshold=0.05, telemetry=telemetry,
+    )
+    extra = [record.text for record in search_dataset.records.subset(range(25, 60))]
+    rng = random.Random(7)
+    added = removed = resigned = 0
+    for _ in range(6):
+        before = index.reorder_count
+        added += len(index.add(rng.sample(extra, rng.randint(1, 3))))
+        if index.reorder_count != before:
+            resigned += index.live_count
+        victims = rng.sample(index.live_ids(), rng.randint(1, 2))
+        before = index.reorder_count
+        index.remove(victims)
+        removed += len(victims)
+        if index.reorder_count != before:
+            resigned += index.live_count
+    index.rebuild()
+    resigned += index.live_count
+    metrics = telemetry.metrics.snapshot()
+    counters = metrics["counters"]
+    assert counters["search.adds"] == added
+    assert counters["search.removes"] == removed
+    assert index.reorder_count > 1
+    assert counters["search.reorders"] == index.reorder_count
+    assert metrics["histograms"]["search.reorder_seconds"]["count"] == index.reorder_count
+    assert index.resigned_records == resigned
 
 
 def test_snapshot_state_carries_no_rows(search_dataset):

@@ -1,12 +1,18 @@
 """Tests for signature selection (U-Filter, AU-heuristic, AU-DP)."""
 
+import bisect
+import random
+from typing import Dict, List, Sequence, Tuple
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.measures import Measure
+from repro.core.measures import Measure, MeasureConfig
+from repro.datasets import MED_PROFILE, generate_dataset
 from repro.join.global_order import GlobalOrder
-from repro.join.pebbles import generate_pebbles
+from repro.join.pebbles import Pebble, generate_pebbles
 from repro.join.partition_bound import min_partition_size
+from repro.join.prepared import PreparedCollection
 from repro.join.signatures import (
     SignatureMethod,
     accumulated_similarity_profile,
@@ -14,6 +20,274 @@ from repro.join.signatures import (
     sign_record,
 )
 from repro.records import Record, RecordCollection
+
+_EPSILON = 1e-9
+_AU_METHODS = (SignatureMethod.AU_HEURISTIC, SignatureMethod.AU_DP)
+_TAUS = range(1, 7)
+_THETAS = (0.7, 0.8, 0.9)
+
+
+# ---------------------------------------------------------------------- #
+# The historical selection walk, verbatim: every step rebuilds the DP.
+# ---------------------------------------------------------------------- #
+class _ReferenceSegmentMeasureState:
+    """Per (segment, measure) bookkeeping for the incremental AS computation.
+
+    ``suffix_sum`` accumulates the weights of this group's pebbles that have
+    been moved to the removed suffix.  ``prefix_weights`` keeps the weights
+    still in the retained prefix, sorted descending so the top-c heaviest can
+    be summed in O(c).
+    """
+
+    __slots__ = ("suffix_sum", "prefix_weights")
+
+    def __init__(self, weights_desc: List[float]) -> None:
+        self.suffix_sum = 0.0
+        self.prefix_weights = weights_desc  # sorted descending
+
+    def move_to_suffix(self, weight: float) -> None:
+        """Move one pebble of this group from the prefix to the suffix."""
+        self.suffix_sum += weight
+        # Remove one occurrence of ``weight`` from the descending list.
+        index = bisect.bisect_left([-w for w in self.prefix_weights], -weight)
+        # The bisect above gives the first position with value <= weight in
+        # descending order; scan forward to the exact occurrence.
+        while index < len(self.prefix_weights) and self.prefix_weights[index] != weight:
+            index += 1
+        if index < len(self.prefix_weights):
+            del self.prefix_weights[index]
+
+    def top_prefix_sum(self, count: int) -> float:
+        """Sum of the ``count`` heaviest prefix weights of this group."""
+        if count <= 0:
+            return 0.0
+        return sum(self.prefix_weights[:count])
+
+
+class _ReferenceSelectionState:
+    """Incremental state shared by the three selection strategies."""
+
+    def __init__(
+        self,
+        pebbles: Sequence[Pebble],
+        segment_count: int,
+        enabled_measures: Sequence[Measure],
+    ) -> None:
+        self.pebbles = pebbles
+        self.segment_count = segment_count
+        self.measures = list(enabled_measures)
+        # Group pebbles by (segment, measure).
+        grouped: Dict[Tuple[int, Measure], List[float]] = {}
+        for pebble in pebbles:
+            grouped.setdefault((pebble.segment_index, pebble.measure), []).append(pebble.weight)
+        self.states: Dict[Tuple[int, Measure], _ReferenceSegmentMeasureState] = {
+            key: _ReferenceSegmentMeasureState(sorted(weights, reverse=True))
+            for key, weights in grouped.items()
+        }
+        # Per-segment current max over measures of the suffix sum, plus total.
+        self.segment_max: Dict[int, float] = {}
+        self.accumulated = 0.0
+        # Global prefix weights (descending) for the heuristic's TW bound.
+        self.global_prefix_weights: List[float] = sorted(
+            (pebble.weight for pebble in pebbles), reverse=True
+        )
+
+    # ------------------------------------------------------------------ #
+    # incremental updates
+    # ------------------------------------------------------------------ #
+    def move_position_to_suffix(self, position: int) -> None:
+        """Move the pebble at ``position`` from the prefix to the suffix."""
+        pebble = self.pebbles[position]
+        key = (pebble.segment_index, pebble.measure)
+        state = self.states[key]
+        state.move_to_suffix(pebble.weight)
+        # Update the per-segment max over measures.
+        segment = pebble.segment_index
+        new_max = max(
+            self.states[(segment, measure)].suffix_sum
+            for measure in self.measures
+            if (segment, measure) in self.states
+        )
+        old_max = self.segment_max.get(segment, 0.0)
+        if new_max != old_max:
+            self.accumulated += new_max - old_max
+            self.segment_max[segment] = new_max
+        # Update the global prefix multiset.
+        index = bisect.bisect_left([-w for w in self.global_prefix_weights], -pebble.weight)
+        while (
+            index < len(self.global_prefix_weights)
+            and self.global_prefix_weights[index] != pebble.weight
+        ):
+            index += 1
+        if index < len(self.global_prefix_weights):
+            del self.global_prefix_weights[index]
+
+    # ------------------------------------------------------------------ #
+    # bounds
+    # ------------------------------------------------------------------ #
+    def accumulated_similarity(self) -> float:
+        """The current AS value (Definition 4) of the removed suffix."""
+        return self.accumulated
+
+    def top_global_prefix_sum(self, count: int) -> float:
+        """Sum of the ``count`` heaviest pebbles still in the prefix."""
+        if count <= 0:
+            return 0.0
+        return sum(self.global_prefix_weights[:count])
+
+    def dp_bound(self, extra_pebbles: int) -> float:
+        """The DP bound ``W_i[t, τ−1]`` of Algorithm 5.
+
+        Computes, per segment, the tight increment of inserting up to ``c``
+        prefix pebbles (Equations 13–14) and combines the per-segment
+        options with the knapsack-style recurrence of Equation 12.
+        """
+        if extra_pebbles <= 0:
+            return 0.0
+        # accessory[p][c] = V_i[p, c] for segment p.
+        accessory: List[List[float]] = []
+        for segment in range(self.segment_count):
+            row = [0.0] * (extra_pebbles + 1)
+            base_options: List[Tuple[float, _ReferenceSegmentMeasureState]] = []
+            for measure in self.measures:
+                state = self.states.get((segment, measure))
+                if state is not None:
+                    base_options.append((state.suffix_sum, state))
+            if not base_options:
+                accessory.append(row)
+                continue
+            r_zero = max(suffix for suffix, _ in base_options)
+            for c in range(1, extra_pebbles + 1):
+                r_c = max(suffix + state.top_prefix_sum(c) for suffix, state in base_options)
+                row[c] = max(0.0, r_c - r_zero)
+            accessory.append(row)
+
+        # W[p][d] over segments with the Equation-12 recurrence; only the
+        # previous row is needed at any time.
+        previous = [0.0] * (extra_pebbles + 1)
+        for segment in range(self.segment_count):
+            current = [0.0] * (extra_pebbles + 1)
+            seg_row = accessory[segment]
+            for d in range(extra_pebbles + 1):
+                best = 0.0
+                for c in range(d + 1):
+                    candidate = previous[d - c] + seg_row[c]
+                    if candidate > best:
+                        best = candidate
+                current[d] = best
+            previous = current
+        return previous[extra_pebbles]
+
+
+def _reference_select_signature_prefix(
+    pebbles: Sequence[Pebble],
+    segment_count: int,
+    min_partitions: int,
+    theta: float,
+    *,
+    tau: int = 1,
+    method: str = SignatureMethod.U_FILTER,
+    enabled_measures: Sequence[Measure] = (Measure.JACCARD, Measure.SYNONYM, Measure.TAXONOMY),
+) -> int:
+    """Return the signature prefix length for a sorted pebble list.
+
+    This is the common core of Algorithms 2, 4, and 5: walk from the tail of
+    the pebble list towards the head, moving pebbles to the removed suffix
+    while the similarity mass reachable without the retained prefix stays
+    below ``MP(S)·θ``; the strategies differ only in the credit they grant
+    the retained prefix (0, top τ−1 weights, or the DP bound).
+    """
+    SignatureMethod.validate(method)
+    if not 0.0 <= theta <= 1.0:
+        raise ValueError("theta must be in [0, 1]")
+    if tau < 1:
+        raise ValueError("tau must be a positive integer")
+    if method == SignatureMethod.U_FILTER:
+        tau = 1
+
+    total = len(pebbles)
+    if total == 0:
+        return 0
+    target = min_partitions * theta
+    state = _ReferenceSelectionState(pebbles, segment_count, enabled_measures)
+
+    for position in range(total - 1, -1, -1):
+        state.move_position_to_suffix(position)
+        accumulated = state.accumulated_similarity()
+        if method == SignatureMethod.U_FILTER:
+            credit = 0.0
+        elif method == SignatureMethod.AU_HEURISTIC:
+            credit = state.top_global_prefix_sum(tau - 1)
+        else:  # AU_DP
+            credit = state.dp_bound(tau - 1)
+        if accumulated + credit >= target - _EPSILON:
+            # The pebble at ``position`` cannot be removed: keep it and
+            # everything before it.
+            return position + 1
+    # Every pebble could be removed: the record cannot reach θ at all.
+    return 0
+
+
+def _swept_lists():
+    """(label, sorted pebbles, segment count, MP(S), measures) to sweep.
+
+    MED records under J/S/T/TJS and both order strategies (twelve records
+    per configuration, spread over the length range), then seeded random
+    pebble lists with tied weights, single-segment lists, and empty lists.
+    """
+    dataset = generate_dataset(MED_PROFILE, count=60, seed=3)
+    for codes in ("J", "S", "T", "TJS"):
+        config = MeasureConfig.from_codes(
+            codes, rules=dataset.rules, taxonomy=dataset.taxonomy, q=3
+        )
+        prepared = PreparedCollection.prepare(dataset.records, config)
+        enabled = sorted(config.enabled, key=lambda measure: measure.value)
+        by_length = sorted(prepared.prepared_records, key=lambda rec: len(rec.pebbles))
+        chosen = by_length[:: len(by_length) // 12][:12]
+        for strategy in ("frequency", "weight"):
+            order = GlobalOrder(strategy)
+            for rec in prepared.prepared_records:
+                order.add_record_pebbles(rec.pebbles)
+            for rec in chosen:
+                yield (
+                    f"{codes}/{strategy}/{rec.record.record_id}",
+                    order.sort_pebbles(rec.pebbles),
+                    len(rec.segments),
+                    rec.min_partitions,
+                    enabled,
+                )
+    rng = random.Random(17)
+    measures = sorted(Measure, key=lambda measure: measure.value)
+    weights = (0.1, 0.125, 0.2, 0.25, 1 / 3, 0.5, 1.0)
+    for case in range(120):
+        segments = 1 if case % 4 == 0 else rng.randint(2, 6)
+        pebbles = [
+            Pebble(("r", f"{case}.{i}"), rng.choice(weights), rng.randrange(segments),
+                   rng.choice(measures))
+            for i in range(rng.randint(1, 40))
+        ]
+        yield f"random/{case}", pebbles, segments, rng.randint(1, segments), measures
+    yield "empty/0", [], 0, 0, measures
+    yield "empty/1", [], 1, 1, measures
+
+
+@pytest.fixture(scope="module")
+def selection_sweep():
+    """``{(label, θ, method): [(length, reference length) per τ 1–6]}``."""
+    table = {}
+    for label, pebbles, segment_count, min_partitions, measures in _swept_lists():
+        for theta in _THETAS:
+            for method in SignatureMethod.ALL:
+                table[label, theta, method] = [
+                    tuple(
+                        select(pebbles, segment_count, min_partitions, theta,
+                               tau=tau, method=method, enabled_measures=measures)
+                        for select in (select_signature_prefix,
+                                       _reference_select_signature_prefix)
+                    )
+                    for tau in _TAUS
+                ]
+    return table
 
 
 def _signed(record_text, config, theta, tau, method, corpus=None):
@@ -54,21 +328,32 @@ class TestSignaturePrefixSelection:
         # our tiny corpus the exact count differs but must be a proper prefix.
         assert 0 < signed.signature_length < len(signed.pebbles)
 
-    def test_higher_tau_never_shortens_signature(self, figure1_config):
-        lengths = {}
-        for tau in (1, 2, 3, 4):
-            signed = _signed("espresso cafe helsinki", figure1_config, 0.8, tau,
-                             SignatureMethod.AU_HEURISTIC)
-            lengths[tau] = signed.signature_length
-        assert lengths[1] <= lengths[2] <= lengths[3] <= lengths[4]
+    def test_higher_tau_never_shortens_signature(self, figure1_config, selection_sweep):
+        # Signatures nest in τ: the prefix for τ is a prefix of the one for τ+1.
+        for method in _AU_METHODS:
+            lengths = [
+                _signed("espresso cafe helsinki", figure1_config, 0.8, tau,
+                        method).signature_length
+                for tau in _TAUS
+            ]
+            assert lengths == sorted(lengths), method
+        for (label, theta, method), row in selection_sweep.items():
+            if method in _AU_METHODS:
+                lengths = [length for length, _ in row]
+                assert lengths == sorted(lengths), (label, theta, method)
 
-    def test_dp_signature_never_longer_than_heuristic(self, figure1_config):
+    def test_dp_signature_never_longer_than_heuristic(self, figure1_config, selection_sweep):
         for tau in (2, 3, 4):
             heuristic = _signed("espresso cafe helsinki", figure1_config, 0.8, tau,
                                 SignatureMethod.AU_HEURISTIC)
             dp = _signed("espresso cafe helsinki", figure1_config, 0.8, tau,
                          SignatureMethod.AU_DP)
             assert dp.signature_length <= heuristic.signature_length
+        for (label, theta, method), row in selection_sweep.items():
+            if method == SignatureMethod.AU_DP:
+                heuristic = selection_sweep[label, theta, SignatureMethod.AU_HEURISTIC]
+                for tau, ((dp, _), (bound, _)) in zip(_TAUS, zip(row, heuristic)):
+                    assert dp <= bound, (label, theta, tau)
 
     def test_higher_theta_shortens_or_keeps_signature(self, figure1_config):
         low = _signed("espresso cafe helsinki", figure1_config, 0.7, 1,
@@ -107,6 +392,27 @@ class TestSignaturePrefixSelection:
             ("coffee", "shop", "latte"), figure1_config
         )
         assert all(key in {p.key for p in signed.pebbles} for key in signed.signature_keys)
+
+
+class TestSelectionOracle:
+    """The gated walk keeps exactly the prefixes of the historical walk."""
+
+    def test_swept_lists_match_reference(self, selection_sweep):
+        mismatches = [
+            (label, theta, method, tau, got, expected)
+            for (label, theta, method), row in selection_sweep.items()
+            for tau, (got, expected) in zip(_TAUS, row)
+            if got != expected
+        ]
+        assert not mismatches, mismatches[:5]
+        # The sweep reaches real DP work: AU-DP prefixes shorter than the
+        # heuristic's, and walks that stop partway through the list.
+        assert any(
+            row[tau - 1][0] < selection_sweep[label, theta, SignatureMethod.AU_HEURISTIC][tau - 1][0]
+            for (label, theta, method), row in selection_sweep.items()
+            if method == SignatureMethod.AU_DP
+            for tau in _TAUS
+        )
 
 
 class TestFilterCorrectness:
