@@ -1,19 +1,16 @@
 """Sampling-based recommendation of the overlap constraint τ (Section 4)."""
 
-from .bernoulli import BernoulliSample, bernoulli_sample, generate_sample_series, scale_estimate
+from .bernoulli import scale_estimate
 from .cost_model import CostEstimate, CostModel
 from .online_stats import OnlineStatistics, student_t_quantile
 from .recommend import RecommendationResult, TauRecommender, recommend_tau
 
 __all__ = [
-    "BernoulliSample",
     "CostEstimate",
     "CostModel",
     "OnlineStatistics",
     "RecommendationResult",
     "TauRecommender",
-    "bernoulli_sample",
-    "generate_sample_series",
     "recommend_tau",
     "scale_estimate",
     "student_t_quantile",

@@ -1,70 +1,29 @@
-"""Independent Bernoulli sampling of record collections (Section 4.1).
+"""Independent Bernoulli sampling (Section 4.1).
 
-Every record of the input collection is kept independently with a fixed
-probability.  A pair of records therefore survives with probability
-``p_s · p_t``, which makes ``T'_τ / (p_s · p_t)`` and ``V'_τ / (p_s · p_t)``
-unbiased estimators of the full-data filtering and candidate cardinalities
-(Equation 17).
+Every row of an input is kept independently with a fixed probability.  A
+pair of records therefore survives with probability ``p_s · p_t``, which
+makes ``T'_τ / (p_s · p_t)`` and ``V'_τ / (p_s · p_t)`` unbiased estimators
+of the full-data filtering and candidate cardinalities (Equation 17).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List
 
-from ..records import Record, RecordCollection
-
-__all__ = ["BernoulliSample", "bernoulli_sample", "generate_sample_series", "scale_estimate"]
+__all__ = ["bernoulli_rows", "scale_estimate"]
 
 
-@dataclass(frozen=True)
-class BernoulliSample:
-    """One Bernoulli sample of a collection, with its sampling probability."""
+def bernoulli_rows(count: int, probability: float, rng: random.Random) -> List[int]:
+    """The rows of ``range(count)`` a Bernoulli sample keeps, ascending.
 
-    collection: RecordCollection
-    probability: float
-    source_size: int
-
-    def __len__(self) -> int:
-        return len(self.collection)
-
-
-def bernoulli_sample(
-    collection: RecordCollection,
-    probability: float,
-    rng: Optional[random.Random] = None,
-) -> BernoulliSample:
-    """Sample each record independently with the given probability."""
+    Draws exactly one ``rng.random()`` per row, in row order, so a seeded
+    ``rng`` makes the sample — and everything estimated from it —
+    reproducible.
+    """
     if not 0.0 < probability <= 1.0:
         raise ValueError("probability must be in (0, 1]")
-    # Deterministic default: an argument-free random.Random() seeds from
-    # OS entropy, which would make repeated estimator runs irreproducible
-    # (the unseeded-random invariant).  Callers wanting fresh draws pass
-    # their own rng, as generate_sample_series does.
-    rng = rng if rng is not None else random.Random(0)
-    selected_ids = [
-        record.record_id for record in collection if rng.random() < probability
-    ]
-    return BernoulliSample(
-        collection=collection.subset(selected_ids),
-        probability=probability,
-        source_size=len(collection),
-    )
-
-
-def generate_sample_series(
-    collection: RecordCollection,
-    probability: float,
-    count: int,
-    *,
-    seed: Optional[int] = None,
-) -> List[BernoulliSample]:
-    """Generate ``count`` independent Bernoulli samples of a collection."""
-    if count < 1:
-        raise ValueError("count must be a positive integer")
-    rng = random.Random(seed)
-    return [bernoulli_sample(collection, probability, rng) for _ in range(count)]
+    return [row for row in range(count) if rng.random() < probability]
 
 
 def scale_estimate(sampled_value: float, left_probability: float, right_probability: float) -> float:

@@ -41,7 +41,7 @@ from ..core.measures import MeasureConfig
 from ..core.vocab import Vocabulary
 from ..join.flat import FlatPostings, FlatSignatures
 from ..join.kernels import overlap_histogram
-from .bernoulli import scale_estimate
+from .bernoulli import bernoulli_rows, scale_estimate
 from .cost_model import CostEstimate, CostModel
 
 __all__ = ["RecommendationResult", "TauRecommender", "recommend_tau"]
@@ -60,7 +60,7 @@ def check_sampling(tau_universe: Sequence[int], *probabilities: float) -> Tuple[
     """Validate a τ universe and sampling probabilities; returns the universe.
 
     Probabilities must lie in (0, 1], the bound
-    :func:`~repro.estimator.bernoulli.bernoulli_sample` enforces, and every
+    :func:`~repro.estimator.bernoulli.bernoulli_rows` enforces, and every
     τ must be a positive integer.  Returns the sorted, deduplicated universe.
     """
     universe = tuple(sorted(set(tau_universe)))
@@ -145,10 +145,7 @@ class TauRecommender:
     # one estimation iteration
     # ------------------------------------------------------------------ #
     def _sample_rows(self, flat: FlatSignatures, probability: float) -> FlatSignatures:
-        rng = self.rng
-        return flat.take(
-            [row for row in range(len(flat)) if rng.random() < probability]
-        )
+        return flat.take(bernoulli_rows(len(flat), probability, self.rng))
 
     def _run_iteration(
         self,

@@ -34,9 +34,18 @@ Both sides of a join may be passed as
 :class:`~repro.join.prepared.PreparedCollection` objects, in which case
 pebble generation, the global order, and per-(θ, τ, method) signatures are
 all cached and shared across joins, the τ-recommender, and
-``UnifiedJoin(tau="auto")``.  :meth:`PebbleJoin.join_batches` streams the
-probe side in chunks so large joins never materialize the full candidate
-list.
+``UnifiedJoin(tau="auto")``.
+
+One shard loop
+--------------
+After signing, every join runs through the shard loop of
+:mod:`repro.join.parallel`: one :class:`~repro.join.parallel.ShardPlan`,
+one shard body (filter a probe span, verify its candidates), and one
+:class:`~repro.join.parallel.ShardStream` on either executor.
+:meth:`PebbleJoin.join_batches` yields one batch per ``batch_size`` shard,
+so large joins never materialize the full candidate list, and
+:meth:`PebbleJoin.join` drains the same stream — one shard over the probe
+side on the serial executor, ``workers × 4`` on the process executor.
 """
 
 from __future__ import annotations
@@ -44,10 +53,10 @@ from __future__ import annotations
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
+from math import ceil
 from typing import (
     TYPE_CHECKING,
     Dict,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -63,10 +72,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 from ..core.measures import MeasureConfig
 from ..records import RecordCollection
 from ..telemetry import Telemetry, resolve_telemetry
-from ..telemetry.spans import NULL_SPAN
 from .flat import FlatJoinState
 from .global_order import GlobalOrder
 from .kernels import resolve_kernel
+from .parallel import (
+    SHARDS_PER_WORKER,
+    ShardPlan,
+    ShardStream,
+    _pool_size,
+    _split_pooled_wall,
+    _stage_seconds,
+    shard_spans,
+)
 from .prepared import PreparedCollection
 from .signatures import SignatureMethod, SignedRecord, sign_record
 from .supervision import ExecutionReport, SupervisorPolicy
@@ -83,14 +100,6 @@ __all__ = [
 
 #: Either a raw record collection or a prepared one; engines accept both.
 Joinable = Union[RecordCollection, PreparedCollection]
-
-
-def _stage_seconds(span, began: float) -> float:
-    """Span-sourced stage timing, falling back to the hand timer only when
-    telemetry is disabled (the null span carries no clock)."""
-    if span is NULL_SPAN:
-        return time.perf_counter() - began
-    return span.wall_seconds
 
 
 @dataclass
@@ -246,6 +255,71 @@ def _check_process_only(resolved_executor: str, **knobs) -> None:
                 f"{name} requires executor='process' (got "
                 f"executor={resolved_executor!r})"
             )
+
+
+def _store_entries(
+    store: Optional["PreparedStore"], *prepared: Optional[PreparedCollection]
+) -> List[Tuple[PreparedCollection, int]]:
+    """Store-managed sides with their signature-cache size at resolve time.
+
+    The persist-back bookkeeping of :class:`PebbleJoin` and
+    :class:`~repro.join.framework.UnifiedJoin`: only preparations ``store``
+    loaded or built are candidates (a preparation the caller built
+    elsewhere is theirs), each recorded once.
+    """
+    if store is None:
+        return []
+    entries: List[Tuple[PreparedCollection, int]] = []
+    for prep in prepared:
+        if (
+            prep is not None
+            and store.manages(prep)
+            and all(prep is not known for known, _ in entries)
+        ):
+            entries.append((prep, prep.cached_signature_count))
+    return entries
+
+
+def _persist_store_entries(
+    store: Optional["PreparedStore"], entries: List[Tuple[PreparedCollection, int]]
+) -> None:
+    """Write store-managed preparations back when a join enriched them.
+
+    A join that signed under a new (order, θ, τ, method) grows the
+    signature cache; persisting the collection then makes the *next* run's
+    signing a cache hit (graph sides built along the way ride in the same
+    artifact).  A warm run whose signing was already cached changes
+    nothing and writes nothing.
+    """
+    for prepared, count_at_resolve in entries:
+        if prepared.cached_signature_count != count_at_resolve:
+            store.save(prepared)
+
+
+def _stream_then_persist(
+    store: Optional["PreparedStore"],
+    batches: Iterator["JoinBatch"],
+    entries: List[Tuple[PreparedCollection, int]],
+) -> Iterator["JoinBatch"]:
+    """Yield every batch, then write back enriched store preparations."""
+    yield from batches
+    _persist_store_entries(store, entries)
+
+
+def _batches(stream: ShardStream, suggestion_seconds: float) -> Iterator[JoinBatch]:
+    """One :class:`JoinBatch` per shard of a join stream."""
+    first = True
+    for shard in stream:
+        yield JoinBatch(
+            pairs=shard.pairs,
+            candidate_count=shard.candidate_count,
+            processed_pairs=shard.processed_pairs,
+            probe_range=(shard.start, shard.stop),
+            verification=shard.verification,
+            suggestion_seconds=suggestion_seconds if first else 0.0,
+            execution=stream.execution,
+        )
+        first = False
 
 
 def dual_index_filter_candidates(
@@ -459,37 +533,6 @@ class PebbleJoin:
             return collection
         return self.prepare(collection)
 
-    def _store_entries(
-        self, *prepared: Optional[PreparedCollection]
-    ) -> List[Tuple[PreparedCollection, int]]:
-        """Store-managed sides with their signature-cache size at resolve time.
-
-        Mirrors the facade's persist-back bookkeeping: only preparations
-        this engine's store loaded or built are candidates (a preparation
-        the caller built elsewhere is theirs), each recorded once.
-        """
-        if self.store is None:
-            return []
-        entries: List[Tuple[PreparedCollection, int]] = []
-        for prep in prepared:
-            if (
-                prep is not None
-                and self.store.manages(prep)
-                and all(prep is not known for known, _ in entries)
-            ):
-                entries.append((prep, prep.cached_signature_count))
-        return entries
-
-    def _persist_store_entries(
-        self, entries: List[Tuple[PreparedCollection, int]]
-    ) -> None:
-        """Write store-managed preparations back when a join enriched them."""
-        if self.store is None:
-            return
-        for prepared, count_at_resolve in entries:
-            if prepared.cached_signature_count != count_at_resolve:
-                self.store.save(prepared)
-
     def build_order(
         self, left: Joinable, right: Optional[Joinable] = None
     ) -> GlobalOrder:
@@ -661,6 +704,37 @@ class PebbleJoin:
         )
         return order, left_signed, right_signed
 
+    def _plan(
+        self,
+        left_prep: PreparedCollection,
+        right_prep: PreparedCollection,
+        left_signed: Sequence[SignedRecord],
+        right_signed: Sequence[SignedRecord],
+        self_join: bool,
+        executor: str,
+    ) -> ShardPlan:
+        """The shard plan of one run over two signed sides.
+
+        The flat state is the one :meth:`filter_candidates` resolves,
+        memoized on the indexed side's preparation, so a join over a
+        preparation an earlier filter or plan already encoded re-encodes
+        nothing.
+        """
+        flat, _, probe_is_left = self._flat_filter_state(
+            left_signed, right_signed, (left_prep, right_prep)
+        )
+        return ShardPlan.build(
+            self.verifier,
+            flat,
+            left_prep,
+            right_prep,
+            requirement=self.tau,
+            probe_is_left=probe_is_left,
+            exclude_self_pairs=self_join,
+            kernel=self.kernel,
+            executor=executor,
+        )
+
     def join(
         self,
         left: Joinable,
@@ -683,7 +757,10 @@ class PebbleJoin:
         ``executor`` selects how candidates are filtered and verified:
         ``"serial"`` (default) or ``"process"`` (the sharded multi-core
         driver of :mod:`repro.join.parallel`, which also runs the
-        *filtering* of each shard in the workers).  ``workers`` sizes the
+        *filtering* of each shard in the workers).  On both, the join drains
+        the same shard stream :meth:`join_batches` yields: one shard over
+        the probe side on the serial executor, ``workers × 4`` shards on
+        the process one.  ``workers`` sizes the
         process pool; when omitted it defaults to the size of ``pool`` — a
         :class:`~repro.join.pool.WarmJoinPool` whose warm worker processes
         serve the call — else to the CPU count.  ``pool`` is
@@ -696,8 +773,34 @@ class PebbleJoin:
         (with the default non-adaptive verifier) — including supervised runs
         that retried, respawned, or fell back to serial for some shards.
         """
+        return self._join(
+            left,
+            right,
+            precomputed_order,
+            signing_tau,
+            executor,
+            workers,
+            pool,
+            supervision,
+            SHARDS_PER_WORKER,
+        )
+
+    def _join(
+        self,
+        left: Joinable,
+        right: Optional[Joinable],
+        precomputed_order: Optional[GlobalOrder],
+        signing_tau: Optional[int],
+        executor: Optional[str],
+        workers: Optional[int],
+        pool,
+        supervision: Optional[SupervisorPolicy],
+        shards_per_worker: int,
+    ) -> JoinResult:
+        """:meth:`join` with ``shards_per_worker`` shards per process worker."""
         resolved_executor = _resolve_executor(executor, workers)
         _check_process_only(resolved_executor, pool=pool, supervision=supervision)
+        serial = resolved_executor == "serial"
         telemetry = self.telemetry
         metrics = telemetry.metrics
         metrics.counter("join.calls").add()
@@ -709,130 +812,86 @@ class PebbleJoin:
             tau=self.tau,
             executor=resolved_executor,
         ) as join_span:
-            start = time.perf_counter()
-            with telemetry.span("prepare") as prepare_span:
-                left_prep, right_prep, self_join = self._resolve_sides(left, right)
-                entries = self._store_entries(left_prep, right_prep)
-            prepare_seconds = _stage_seconds(prepare_span, start)
-            if resolved_executor == "process":
-                from .parallel import process_join
-
-                result = process_join(
-                    self,
-                    left_prep,
-                    None if self_join else right_prep,
-                    workers=workers,
-                    precomputed_order=precomputed_order,
-                    signing_tau=signing_tau,
-                    pool=pool,
-                    supervision=supervision,
-                )
-                # Raw sides were resolved (possibly store-loaded) out here, so
-                # their preparation time is folded back into the signing stage.
-                result.statistics.signing_seconds += prepare_seconds
-                self._persist_store_entries(entries)
-                join_span.annotate(pairs=len(result.pairs))
-                metrics.counter("join.pairs").add(len(result.pairs))
-                return result
-
-            statistics = JoinStatistics(
-                tau=self.tau,
-                theta=self.theta,
-                method=self.method,
-                left_records=len(left_prep),
-                right_records=len(right_prep),
-            )
-
-            with telemetry.span("sign") as sign_span:
-                sign_start = time.perf_counter()
-                _, left_signed, right_signed = self._order_and_sign(
-                    left_prep, right_prep, precomputed_order, signing_tau
-                )
             # Stage timings are span-sourced, so the statistics block and the
             # trace report one measurement (hand timers only fill in when
             # telemetry is off and the spans carry no clock).
-            statistics.signing_seconds = prepare_seconds + _stage_seconds(
-                sign_span, sign_start
-            )
-            statistics.avg_signature_length_left = _average_signature_length(left_signed)
-            statistics.avg_signature_length_right = _average_signature_length(right_signed)
-            metrics.histogram("join.sign_seconds").observe(statistics.signing_seconds)
-
-            with telemetry.span("filter", kernel=self.kernel) as filter_span:
-                filter_start = time.perf_counter()
-                outcome = self.filter_candidates(
-                    left_signed,
-                    right_signed,
-                    exclude_self_pairs=self_join,
-                    prepared=(left_prep, right_prep),
+            began = time.perf_counter()
+            with telemetry.span("prepare") as prepare_span:
+                left_prep, right_prep, self_join = self._resolve_sides(left, right)
+                entries = _store_entries(self.store, left_prep, right_prep)
+            signing_seconds = _stage_seconds(prepare_span, began)
+            with telemetry.span("sign") as sign_span:
+                began = time.perf_counter()
+                _, left_signed, right_signed = self._order_and_sign(
+                    left_prep, right_prep, precomputed_order, signing_tau
                 )
-            statistics.filtering_seconds = _stage_seconds(filter_span, filter_start)
-            statistics.processed_pairs = outcome.processed_pairs
-            statistics.candidate_count = outcome.candidate_count
-            filter_span.annotate(
-                candidates=outcome.candidate_count,
-                processed_pairs=outcome.processed_pairs,
-            )
-            metrics.histogram("join.filter_seconds").observe(
-                statistics.filtering_seconds
-            )
+            signing_seconds += _stage_seconds(sign_span, began)
 
-            with telemetry.span("verify") as verify_span:
-                verify_start = time.perf_counter()
-                snapshot = self._stats_snapshot()
-                pairs = self._verify_candidates(
-                    outcome.candidates,
-                    left_prep,
-                    right_prep,
-                    probe_side=outcome.probe_side,
+            # The plan build (the flat filter index; on the process executor
+            # also the payload copies) is no signing: a warm run signs from
+            # cache.
+            plan = self._plan(
+                left_prep, right_prep, left_signed, right_signed, self_join, resolved_executor
+            )
+            total = plan.probe_count
+            if serial:
+                spans = [(0, total)]
+            else:
+                workers = _pool_size(workers, pool)
+                shards = max(workers * shards_per_worker, 1)
+                spans = shard_spans(total, max(1, ceil(total / shards)))
+            stream = ShardStream(
+                plan,
+                spans,
+                self.verifier,
+                telemetry,
+                executor=resolved_executor,
+                workers=workers,
+                pool=pool,
+                supervision=supervision,
+            )
+            if serial or not spans:
+                merged = stream.drain()
+                filtering, verifying = merged.filter_seconds, merged.verify_seconds
+            else:
+                # Opened around the drain, the pooled stage runs from
+                # session-manager creation through its close().
+                began = time.perf_counter()
+                with telemetry.span(
+                    "pooled-stage", workers=min(workers, len(spans))
+                ) as stage_span:
+                    merged = stream.drain()
+                filtering, verifying = _split_pooled_wall(
+                    _stage_seconds(stage_span, began),
+                    merged.filter_seconds,
+                    merged.verify_seconds,
                 )
-            statistics.verification_seconds = _stage_seconds(verify_span, verify_start)
-            statistics.verification = self._stats_delta(snapshot)
-            statistics.result_count = len(pairs)
-            if statistics.verification is not None:
-                verify_span.annotate(
-                    **{
-                        name: getattr(statistics.verification, name)
-                        for name in statistics.verification._COUNTERS
-                    }
-                )
-            metrics.histogram("join.verify_seconds").observe(
-                statistics.verification_seconds
+
+            statistics = JoinStatistics(
+                signing_seconds=signing_seconds,
+                filtering_seconds=filtering,
+                verification_seconds=verifying,
+                processed_pairs=merged.processed_pairs,
+                candidate_count=merged.candidate_count,
+                result_count=len(merged.pairs),
+                left_records=len(left_prep),
+                right_records=len(right_prep),
+                avg_signature_length_left=_average_signature_length(left_signed),
+                avg_signature_length_right=_average_signature_length(right_signed),
+                tau=self.tau,
+                theta=self.theta,
+                method=self.method,
+                verification=merged.verification,
+                execution=stream.execution,
             )
-            join_span.annotate(pairs=len(pairs))
-            metrics.counter("join.pairs").add(len(pairs))
+            metrics.histogram("join.sign_seconds").observe(signing_seconds)
+            metrics.histogram("join.filter_seconds").observe(filtering)
+            metrics.histogram("join.verify_seconds").observe(verifying)
+            join_span.annotate(pairs=len(merged.pairs))
+            metrics.counter("join.pairs").add(len(merged.pairs))
 
-            self._persist_store_entries(entries)
-            return JoinResult(pairs=pairs, statistics=statistics)
-
-    def _stats_snapshot(self) -> Optional[VerificationStats]:
-        stats = getattr(self.verifier, "stats", None)
-        return stats.snapshot() if isinstance(stats, VerificationStats) else None
-
-    def _stats_delta(
-        self, snapshot: Optional[VerificationStats]
-    ) -> Optional[VerificationStats]:
-        if snapshot is None:
-            return None
-        return self.verifier.stats.diff(snapshot)
-
-    def _verify_candidates(
-        self,
-        candidates: Iterable[Tuple[int, int]],
-        left: PreparedCollection,
-        right: PreparedCollection,
-        probe_side: str = "left",
-    ) -> List[VerifiedPair]:
-        verify_batch = getattr(self.verifier, "verify_batch", None)
-        if verify_batch is None:
-            # Duck-typed verifiers exposing only verify() keep working.
-            pairs: List[VerifiedPair] = []
-            for left_id, right_id in candidates:
-                verified = self.verifier.verify(left[left_id], right[right_id])
-                if verified is not None:
-                    pairs.append(verified)
-            return pairs
-        return verify_batch(candidates, left, right, probe_side=probe_side)
+            _persist_store_entries(self.store, entries)
+            return JoinResult(pairs=merged.pairs, statistics=statistics)
 
     def join_batches(
         self,
@@ -856,103 +915,45 @@ class PebbleJoin:
         :class:`JoinBatch`, so the full candidate list is never
         materialized.  ``executor`` / ``workers`` / ``pool`` behave as in
         :meth:`join`: ``"process"`` hands whole probe chunks (filtering
-        included) to the sharded multi-core driver, which streams batches
-        back in probe order.  ``suggestion_seconds`` (set by
+        included) to pool workers, and batches stream back in probe order
+        while later chunks are still being computed, with at most
+        ``workers + 1`` chunks in flight.  ``suggestion_seconds`` (set by
         ``UnifiedJoin(tau="auto")``) is reported on the first yielded batch.
         The union of all batch pairs equals :meth:`join`'s result, in
-        identical order.
+        identical order.  Signing and validation happen at call time; store
+        preparations are persisted back once the stream is exhausted.
         """
-        # Validate at call time: the streaming body below lives in an inner
-        # generator, so raising here (not on first iteration) needs this
-        # wrapper to be a plain function.
         if batch_size < 1:
             raise ValueError("batch_size must be a positive integer")
         resolved_executor = _resolve_executor(executor, workers)
         _check_process_only(resolved_executor, pool=pool, supervision=supervision)
         left_prep, right_prep, self_join = self._resolve_sides(left, right)
-        entries = self._store_entries(left_prep, right_prep)
-        if resolved_executor == "process":
-            from .parallel import process_join_batches
-
-            batches = process_join_batches(
-                self,
-                left_prep,
-                None if self_join else right_prep,
-                workers=workers,
-                batch_size=batch_size,
-                precomputed_order=precomputed_order,
-                signing_tau=signing_tau,
-                suggestion_seconds=suggestion_seconds,
-                pool=pool,
-                supervision=supervision,
-            )
-        else:
-            batches = self._join_batches_iter(
-                left_prep,
-                right_prep,
-                self_join,
-                batch_size,
-                precomputed_order,
-                signing_tau,
-                suggestion_seconds,
-            )
-        if not entries:
-            return batches
-        return self._stream_then_persist(batches, entries)
-
-    def _stream_then_persist(
-        self,
-        batches: Iterator[JoinBatch],
-        entries: List[Tuple[PreparedCollection, int]],
-    ) -> Iterator[JoinBatch]:
-        """Yield every batch, then write back enriched store preparations."""
-        yield from batches
-        self._persist_store_entries(entries)
-
-    def _join_batches_iter(
-        self,
-        left_prep: PreparedCollection,
-        right_prep: PreparedCollection,
-        self_join: bool,
-        batch_size: int,
-        precomputed_order: Optional[GlobalOrder],
-        signing_tau: Optional[int],
-        suggestion_seconds: float = 0.0,
-    ) -> Iterator[JoinBatch]:
+        entries = _store_entries(self.store, left_prep, right_prep)
         _, left_signed, right_signed = self._order_and_sign(
             left_prep, right_prep, precomputed_order, signing_tau
         )
-        flat, probe_records, probe_is_left = self._flat_filter_state(
-            left_signed, right_signed, (left_prep, right_prep)
+        plan = self._plan(
+            left_prep, right_prep, left_signed, right_signed, self_join, resolved_executor
         )
-
-        first = True
-        for chunk_start in range(0, len(probe_records), batch_size):
-            chunk_stop = min(chunk_start + batch_size, len(probe_records))
-            candidates, processed = flat.probe_span(
-                chunk_start,
-                chunk_stop,
-                self.tau,
-                probe_is_left=probe_is_left,
-                exclude_self_pairs=self_join,
-                kernel=self.kernel,
-            )
-            snapshot = self._stats_snapshot()
-            pairs = self._verify_candidates(
-                candidates,
-                left_prep,
-                right_prep,
-                probe_side="left" if probe_is_left else "right",
-            )
-            yield JoinBatch(
-                pairs=pairs,
-                candidate_count=len(candidates),
-                processed_pairs=processed,
-                probe_range=(chunk_start, chunk_stop),
-                verification=self._stats_delta(snapshot),
-                suggestion_seconds=suggestion_seconds if first else 0.0,
-            )
-            first = False
+        workers = _pool_size(workers, pool)
+        stream = ShardStream(
+            plan,
+            shard_spans(plan.probe_count, batch_size),
+            self.verifier,
+            self.telemetry,
+            executor=resolved_executor,
+            workers=workers,
+            pool=pool,
+            supervision=supervision,
+            # Keep every worker busy plus one batch of lookahead, but never
+            # schedule the whole probe side up front: a slow consumer must
+            # apply backpressure to the pool instead of accumulating every
+            # completed shard in parent memory.
+            window=workers + 1,
+        )
+        return _stream_then_persist(
+            self.store, _batches(stream, suggestion_seconds), entries
+        )
 
     def self_join(self, collection: Joinable) -> JoinResult:
         """Self-join convenience wrapper (pairs reported once, left < right)."""

@@ -58,8 +58,16 @@ from ..records import RecordCollection
 from ..synonyms.rules import SynonymRuleSet
 from ..telemetry import Telemetry, resolve_telemetry
 from ..taxonomy.tree import Taxonomy
-from .aufilter import JoinBatch, JoinResult, PebbleJoin, _stage_seconds
+from .aufilter import (
+    JoinBatch,
+    JoinResult,
+    PebbleJoin,
+    _persist_store_entries,
+    _store_entries,
+    _stream_then_persist,
+)
 from .kernels import resolve_kernel
+from .parallel import _stage_seconds
 from .prepared import PreparedCollection
 from .signatures import SignatureMethod
 
@@ -132,6 +140,8 @@ class UnifiedJoin:
         kernel: str = "auto",
         telemetry: Optional[Telemetry] = None,
     ) -> None:
+        if not 0.0 <= theta <= 1.0:
+            raise ValueError("theta must be in [0, 1]")
         self.config = MeasureConfig.from_codes(measures, rules=rules, taxonomy=taxonomy, q=q)
         self.theta = theta
         self.method = SignatureMethod.validate(method)
@@ -229,22 +239,8 @@ class UnifiedJoin:
             right_prep = self._as_prepared(right, probe_engine)
             order = left_prep.shared_order_with(right_prep, probe_engine.order_strategy)
 
-        store_entries: List[Tuple[PreparedCollection, int]] = []
-        if self.store is not None:
-            for source, prepared in ((left, left_prep), (right, right_prep)):
-                # Persist-back covers every store-owned side: raw sides the
-                # store just resolved, and prepared sides the caller got
-                # from this store's prepare() earlier.  A preparation the
-                # caller built elsewhere is theirs — never auto-persisted.
-                if (
-                    prepared is not None
-                    and (
-                        not isinstance(source, PreparedCollection)
-                        or self.store.manages(prepared)
-                    )
-                    and all(prepared is not known for known, _ in store_entries)
-                ):
-                    store_entries.append((prepared, prepared.cached_signature_count))
+        # Recorded before the recommender signs, so its signing persists too.
+        store_entries = _store_entries(self.store, left_prep, right_prep)
 
         if self.tau != "auto":
             return probe_engine, left_prep, right_prep, order, None, 0.0, store_entries
@@ -281,23 +277,6 @@ class UnifiedJoin:
             suggestion_seconds,
             store_entries,
         )
-
-    def _persist_store_entries(
-        self, entries: List[Tuple[PreparedCollection, int]]
-    ) -> None:
-        """Write store-resolved preparations back when a join enriched them.
-
-        A join that signed under a new (order, θ, τ, method) grows the
-        signature cache; persisting the collection then makes the *next*
-        run's signing a cache hit (graph sides built along the way ride in
-        the same artifact).  A warm run whose signing was already cached
-        changes nothing and writes nothing.
-        """
-        if self.store is None:
-            return
-        for prepared, count_at_resolve in entries:
-            if prepared.cached_signature_count != count_at_resolve:
-                self.store.save(prepared)
 
     # ------------------------------------------------------------------ #
     # joining
@@ -338,7 +317,7 @@ class UnifiedJoin:
             supervision=supervision,
         )
         result.statistics.suggestion_seconds = suggestion_seconds
-        self._persist_store_entries(entries)
+        _persist_store_entries(self.store, entries)
         return result
 
     def join_batches(
@@ -376,18 +355,7 @@ class UnifiedJoin:
             supervision=supervision,
             suggestion_seconds=suggestion_seconds,
         )
-        if not entries:
-            return batches
-        return self._stream_then_persist(batches, entries)
-
-    def _stream_then_persist(
-        self,
-        batches: Iterator[JoinBatch],
-        entries: List[Tuple[PreparedCollection, int]],
-    ) -> Iterator[JoinBatch]:
-        """Yield every batch, then write back enriched store preparations."""
-        yield from batches
-        self._persist_store_entries(entries)
+        return _stream_then_persist(self.store, batches, entries)
 
     def self_join(self, collection) -> JoinResult:
         """Self-join convenience wrapper."""

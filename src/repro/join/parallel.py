@@ -1,46 +1,63 @@
-"""Process-pool sharded join driver: true multi-core filter + verify.
+"""The shard loop: one shard body and one supervised driver for every join.
 
-This module shards the *probe side* of a prepared join across worker
-processes:
+Algorithm 6 is a single pass over probe records — filter, then verify —
+and each probe record's work is independent of every other's.  This module
+runs that pass as contiguous probe shards ``[start, stop)``, and every
+join, join stream and batch query goes through it:
 
-1. The parent resolves the prepared sides, builds (or receives) the shared
-   global order, and signs both sides once — cache-backed, exactly as the
-   serial path does.
-2. One :class:`ShardPlan` — the measure config, the
-   :class:`~repro.join.flat.FlatJoinState` (signature prefixes, posting
-   lists, and per-record scalars re-encoded as flat integer arrays over
-   a global :class:`~repro.core.vocab.Vocabulary`), and both prepared
-   collections as pebble-free
-   :meth:`~repro.join.prepared.PreparedCollection.transfer_copy` views —
-   reaches every worker.  The transport follows from what the call can
-   observe (see :func:`_session_manager`): a caller's
-   :class:`~repro.join.pool.WarmJoinPool` registers the plan through one
-   ``multiprocessing.shared_memory`` segment that workers attach zero-copy
-   by name; otherwise, under the fork start method, a per-call pool
-   inherits the plan copy-on-write from a module global (zero
-   serialization); otherwise the call opens a one-shot warm pool and
-   closes it afterwards.  No pebble key text crosses the process boundary
-   — the vocabulary stays parent-side — and a self-join ships its probe
-   arrays only, with the postings re-derived worker-side by the same
-   counting sort.
-3. Each task is one contiguous shard ``[start, stop)`` of probe records.
-   The worker probes its shard with the flat filter kernel (semantics
-   identical to the serial probe), verifies the surviving candidates
-   through its own :class:`~repro.join.verification.UnifiedVerifier` with
-   the full tiered bound cascade, and returns the shard's pairs plus its
-   :class:`~repro.join.verification.VerificationStats`.
-4. The parent concatenates shard results in probe order and merges every
-   counter by summation.
+1. The caller builds one :class:`ShardPlan` with :meth:`ShardPlan.build`:
+   the :class:`~repro.join.flat.FlatJoinState` (signature prefixes, posting
+   lists, and per-record scalars encoded as flat integer arrays over a
+   :class:`~repro.core.vocab.Vocabulary`), both prepared collections, and
+   the filter settings.  :class:`~repro.join.aufilter.PebbleJoin` builds it
+   from its cache-backed signing;
+   :meth:`~repro.search.index.SimilarityIndex.query_batch` from the epoch's
+   member postings and the signed probes.
+2. :func:`_run_shard_on` is the only shard body: it probes one shard with
+   the flat filter kernel and verifies the shard's candidates, each stage
+   in its own ``filter`` / ``verify`` span, and returns a
+   :class:`ShardResult`.
+3. :class:`ShardStream` runs the body over a list of shards and yields
+   their results in probe order, on one of two executors:
+
+   * ``"serial"`` runs every shard in the parent, on a plan over the
+     caller's own prepared collections and against the caller's own
+     verifier — no transfer copy and no rebuilt verifier, so graph sides
+     stay cached on the caller's preparation and custom verifiers work;
+   * ``"process"`` ships a plan of pebble-free
+     :meth:`~repro.join.prepared.PreparedCollection.transfer_copy` views to
+     worker processes, which rebuild a
+     :class:`~repro.join.verification.UnifiedVerifier` from the plan, and
+     drives the shards through a
+     :class:`~repro.join.supervision.ShardSupervisor` — the one supervised
+     loop.  The transport follows from what the call can observe (see
+     :func:`_session_manager`): a caller's
+     :class:`~repro.join.pool.WarmJoinPool` takes the plan through one
+     ``multiprocessing.shared_memory`` segment that workers attach
+     zero-copy by name; otherwise, under the fork start method, a per-call
+     pool inherits it copy-on-write from a module global (zero
+     serialization); otherwise the call opens a one-shot warm pool and
+     closes it afterwards.  No pebble key text crosses the process
+     boundary — the vocabulary stays parent-side — and a self-join ships
+     its probe arrays only, with the postings re-derived worker-side by
+     the same counting sort.
+
+4. ``join`` drains a stream (:meth:`ShardStream.drain`) of one shard over
+   the probe side (serial) or ``workers × shards_per_worker`` shards
+   (process); ``join_batches`` yields one batch per ``batch_size`` shard;
+   a batch query drains one.
 
 Because per-probe filtering is independent across probe records and every
 statistic is a plain sum, the merged result — pairs, similarities, and all
-statistics counters — is **bit-identical** to the serial path at every
+statistics counters — is **bit-identical** on both executors at every
 worker count (with the default non-adaptive verifier; the path-equivalence
-tests enforce this).  Timing fields stay wall-clock: the parent measures
-the pooled stage end to end (pool startup and payload transport included)
-and splits it between filtering and verification by the workers' observed
-stage proportions, so ``JoinStatistics.total_seconds`` remains comparable
-across executors.
+tests enforce this).  Timing fields stay wall-clock and span-sourced: on
+the process executor the caller drains the stream inside a
+``pooled-stage`` span, which therefore runs from session-manager creation
+through ``close()`` (pool startup, payload transport and shutdown
+included), and the join splits its wall clock between filtering and
+verification by the workers' observed stage proportions, so
+``JoinStatistics.total_seconds`` remains comparable across executors.
 
 Use it through the ``executor="process"`` knob::
 
@@ -48,9 +65,9 @@ Use it through the ``executor="process"`` knob::
     engine.join_batches(left, executor="process", batch_size=2048)
 
 or call :func:`process_join` / :func:`process_join_batches` directly.
-:func:`build_shard_plan` exposes the payload construction on its own and
-:func:`plan_payload_bytes` measures it, which is what the scaling benchmark
-uses to record transfer bytes.
+:func:`build_shard_plan` exposes the process payload construction on its
+own and :func:`plan_payload_bytes` measures it, which is what the scaling
+benchmark uses to record transfer bytes.
 """
 
 from __future__ import annotations
@@ -62,23 +79,13 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import count
-from math import ceil
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
 from ..faults import FAULTS
-from ..telemetry.spans import Tracer, reset_stack
-from .aufilter import (
-    JoinBatch,
-    JoinResult,
-    JoinStatistics,
-    Joinable,
-    PebbleJoin,
-    _average_signature_length,
-)
+from ..telemetry.spans import NULL_SPAN, Tracer, reset_stack
 from .flat import FlatJoinState, SharedPayload, attach_payload, share_payload
 from .global_order import GlobalOrder
 from .prepared import PreparedCollection
-from .signatures import SignedRecord
 from .supervision import (
     ExecutionReport,
     ExecutorSession,
@@ -86,15 +93,25 @@ from .supervision import (
     ShardTransportError,
     SupervisorPolicy,
 )
-from .verification import UnifiedVerifier, VerificationStats, VerifiedPair
+from .verification import (
+    UnifiedVerifier,
+    VerificationStats,
+    VerifiedPair,
+    verify_candidates,
+)
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from .aufilter import JoinBatch, JoinResult, Joinable, PebbleJoin
 
 __all__ = [
     "ShardPlan",
     "ShardResult",
+    "ShardStream",
     "build_shard_plan",
     "plan_payload_bytes",
     "process_join",
     "process_join_batches",
+    "shard_spans",
 ]
 
 #: Default shards per worker for :func:`process_join` — several shards per
@@ -103,32 +120,101 @@ __all__ = [
 SHARDS_PER_WORKER = 4
 
 
+def _stage_seconds(span, began: float) -> float:
+    """Span-sourced stage timing, falling back to the hand timer only when
+    telemetry is disabled (the null span carries no clock)."""
+    if span is NULL_SPAN:
+        return time.perf_counter() - began
+    return span.wall_seconds
+
+
 @dataclass
 class ShardPlan:
-    """Everything a worker process needs, shipped once per worker.
+    """Everything the shard body needs, built by :meth:`build` only.
 
-    The plan is a pure-value object: pickling it must round-trip every
-    field, which the pickle round-trip tests enforce for the non-trivial
-    members.  ``flat`` carries the whole filter-stage payload as integer
-    arrays — prebuilt CSR postings and the vocabulary-encoded probe side —
-    so workers skip index construction entirely and the index side's key
-    tuples never cross the process boundary.
+    A process plan is shipped once per worker and is a pure-value object:
+    pickling it must round-trip every field, which the pickle round-trip
+    tests enforce for the non-trivial members.  ``flat`` carries the whole
+    filter-stage payload as integer arrays — prebuilt CSR postings and the
+    vocabulary-encoded probe side — so workers skip index construction
+    entirely and the index side's key tuples never cross the process
+    boundary.
     """
 
-    config: object
-    threshold: float
     requirement: int
-    verifier_kwargs: dict
     left_prep: PreparedCollection
     right_prep: PreparedCollection
     probe_is_left: bool
     exclude_self_pairs: bool
     #: The flat integer payload (CSR postings + encoded probe side).
     flat: FlatJoinState
-    #: Filter-kernel selection the workers dispatch with (a plain string,
-    #: pickle-safe; ``"auto"`` resolves inside each worker, so a numpy-less
-    #: worker falls back to the pure-Python kernel — bit-identically).
+    #: Filter-kernel selection the shard body dispatches with (a plain
+    #: string, pickle-safe; ``"auto"`` resolves inside each worker, so a
+    #: numpy-less worker falls back to the pure-Python kernel —
+    #: bit-identically).
     kernel: str = "auto"
+    #: What each worker rebuilds its verifier from; unset on a serial plan,
+    #: which runs against the caller's own verifier.
+    config: object = None
+    threshold: float = 0.0
+    verifier_kwargs: Optional[dict] = None
+
+    @classmethod
+    def build(
+        cls,
+        verifier,
+        flat: FlatJoinState,
+        left_prep: PreparedCollection,
+        right_prep: PreparedCollection,
+        *,
+        requirement: int,
+        probe_is_left: bool,
+        exclude_self_pairs: bool,
+        kernel: str,
+        executor: str,
+    ) -> "ShardPlan":
+        """The one plan constructor of every join, join stream and batch query.
+
+        A ``"serial"`` plan holds the caller's own prepared collections.  A
+        ``"process"`` plan is the worker payload: pebble-free transfer
+        copies of both sides (one copy for a self-join) and the parameters
+        each worker rebuilds ``verifier`` from — which takes the default
+        :class:`~repro.join.verification.UnifiedVerifier` (its similarity
+        callable is a closure, so the verifier itself cannot be pickled).
+        """
+        plan = cls(
+            requirement=requirement,
+            left_prep=left_prep,
+            right_prep=right_prep,
+            probe_is_left=probe_is_left,
+            exclude_self_pairs=exclude_self_pairs,
+            flat=flat,
+            kernel=kernel,
+        )
+        if executor == "serial":
+            return plan
+        if type(verifier) is not UnifiedVerifier:
+            raise ValueError(
+                "executor='process' requires the default UnifiedVerifier: custom "
+                "verifiers cannot be reconstructed in worker processes — use the "
+                "serial executor instead"
+            )
+        left_copy = left_prep.transfer_copy()
+        return replace(
+            plan,
+            left_prep=left_copy,
+            right_prep=(
+                left_copy if right_prep is left_prep else right_prep.transfer_copy()
+            ),
+            # Workers rebuild the *verifier*, so they must see its own
+            # config and threshold — a caller may legitimately verify at a
+            # different threshold than the engine filters at
+            # (verifier=UnifiedVerifier(config, other_theta)), and the two
+            # executors must agree on it.
+            config=verifier.config,
+            threshold=verifier.threshold,
+            verifier_kwargs=_verifier_kwargs(verifier),
+        )
 
     @property
     def probe_count(self) -> int:
@@ -138,12 +224,17 @@ class ShardPlan:
 
 @dataclass
 class ShardResult:
-    """One shard's contribution, merged losslessly on the parent.
+    """One shard's contribution, merged losslessly by :meth:`ShardStream.drain`.
 
-    ``spans`` carries the worker-side trace for this shard as plain
-    payload dicts (see :mod:`repro.telemetry.spans`): the worker runs its
-    own tracer and the parent grafts the finished tree into its trace with
-    ``Tracer.adopt``, so one report covers both sides of the pool.
+    ``verification`` is the shard's cascade-counter delta, ``None`` when
+    the verifier keeps no :class:`~repro.join.verification.VerificationStats`
+    (a custom verifier on the serial executor); ``filter_seconds`` /
+    ``verify_seconds`` are the wall clocks of the shard's two stage spans.
+    ``spans`` carries a worker's trace for this shard as plain payload
+    dicts (see :mod:`repro.telemetry.spans`): the worker runs its own
+    tracer and the parent grafts the finished tree into its trace with
+    ``Tracer.adopt``, so one report covers both sides of the pool.  A shard
+    that ran in the parent traced into the parent's tracer directly.
     """
 
     start: int
@@ -151,20 +242,27 @@ class ShardResult:
     pairs: List[VerifiedPair]
     candidate_count: int
     processed_pairs: int
-    verification: VerificationStats
+    verification: Optional[VerificationStats]
     filter_seconds: float
     verify_seconds: float
     spans: Tuple = ()
 
 
 class _WorkerRuntime:
-    """Per-process state: the plan (with its flat arrays) and a local verifier."""
+    """A plan and the verifier its shards verify with.
 
-    def __init__(self, plan: ShardPlan, shm=None) -> None:
+    Workers and the parent fallback rebuild a
+    :class:`~repro.join.verification.UnifiedVerifier` from the plan; the
+    serial executor passes the caller's own ``verifier``.
+    """
+
+    def __init__(self, plan: ShardPlan, shm=None, verifier=None) -> None:
         self.plan = plan
         self._shm = shm
-        self.verifier = UnifiedVerifier(
-            plan.config, plan.threshold, **plan.verifier_kwargs
+        self.verifier = (
+            verifier
+            if verifier is not None
+            else UnifiedVerifier(plan.config, plan.threshold, **plan.verifier_kwargs)
         )
 
     def release(self) -> None:
@@ -283,19 +381,20 @@ def _run_shard_on(
     span: Tuple[int, int],
     tracer: Optional[Tracer] = None,
 ) -> ShardResult:
-    """Filter and verify one probe shard against a materialized runtime.
+    """The shard body: filter one probe span, then verify its candidates.
 
-    Stage timings are span-sourced: ``filter_seconds`` / ``verify_seconds``
-    are the wall clocks of the two stage spans, so the counters on the
-    shard result and the trace report one measurement.  Callers without a
-    tracer get a private one (its spans are simply never exported).
+    Every join, join stream and batch query runs this — in the parent (the
+    serial executor and the supervisor's fallback) or in a pool worker.
+    Each stage runs in its own span of ``tracer`` and is timed by it; the
+    hand clock stands in only when the tracer is disabled (or absent).
     """
     if tracer is None:
-        tracer = Tracer()
+        tracer = Tracer(enabled=False)
     plan = runtime.plan
     start, stop = span
 
     with tracer.span("filter", kernel=plan.kernel) as filter_span:
+        began = time.perf_counter()
         candidates, processed = plan.flat.probe_span(
             start,
             stop,
@@ -304,17 +403,24 @@ def _run_shard_on(
             exclude_self_pairs=plan.exclude_self_pairs,
             kernel=plan.kernel,
         )
+    filter_seconds = _stage_seconds(filter_span, began)
     filter_span.annotate(candidates=len(candidates), processed_pairs=processed)
 
     with tracer.span("verify") as verify_span:
-        snapshot = runtime.verifier.stats.snapshot()
-        pairs = runtime.verifier.verify_batch(
+        began = time.perf_counter()
+        pairs, verification = verify_candidates(
+            runtime.verifier,
             candidates,
             plan.left_prep,
             plan.right_prep,
             probe_side="left" if plan.probe_is_left else "right",
         )
+    verify_seconds = _stage_seconds(verify_span, began)
     verify_span.annotate(pairs=len(pairs))
+    if verification is not None:
+        verify_span.annotate(
+            **{name: getattr(verification, name) for name in verification._COUNTERS}
+        )
 
     return ShardResult(
         start=start,
@@ -322,18 +428,14 @@ def _run_shard_on(
         pairs=pairs,
         candidate_count=len(candidates),
         processed_pairs=processed,
-        verification=runtime.verifier.stats.diff(snapshot),
-        filter_seconds=filter_span.wall_seconds,
-        verify_seconds=verify_span.wall_seconds,
+        verification=verification,
+        filter_seconds=filter_seconds,
+        verify_seconds=verify_seconds,
     )
 
 
 def _verifier_kwargs(verifier: UnifiedVerifier) -> dict:
-    """Reconstruction parameters for per-process verifiers.
-
-    The verifier itself is not picklable (its similarity callable is a
-    closure); workers rebuild an equivalent one from these parameters.
-    """
+    """Reconstruction parameters for per-process verifiers."""
     kwargs = {"t": verifier.t, "prune": verifier.prune, "adaptive": verifier.adaptive}
     lower_gate = verifier._lower_gate
     upper_gate = verifier._upper_gate
@@ -345,85 +447,6 @@ def _verifier_kwargs(verifier: UnifiedVerifier) -> dict:
             upper_tier_cost=upper_gate.min_hit_rate,
         )
     return kwargs
-
-
-def _checked_verifier(engine: PebbleJoin) -> UnifiedVerifier:
-    verifier = engine.verifier
-    if type(verifier) is not UnifiedVerifier:
-        raise ValueError(
-            "executor='process' requires the default UnifiedVerifier: custom "
-            "verifiers cannot be reconstructed in worker processes — use the "
-            "serial executor instead"
-        )
-    return verifier
-
-
-def _build_plan(
-    engine: PebbleJoin,
-    left_prep: PreparedCollection,
-    right_prep: PreparedCollection,
-    left_signed: Sequence[SignedRecord],
-    right_signed: Sequence[SignedRecord],
-    self_join: bool,
-) -> ShardPlan:
-    """Assemble the worker payload for one join run.
-
-    The filter stage ships as integer arrays: one
-    :class:`~repro.core.vocab.Vocabulary` interning every distinct pebble
-    key (kept parent-side), prebuilt CSR postings for the indexed side
-    (whose key tuples then never ship at all), and the probe side's CSR
-    signature prefixes — plus pebble-free transfer copies of the prepared
-    collections for verification.  The flat state is the one the serial
-    filter resolves, memoized on the indexed side's preparation, so a
-    process join over a preparation a serial filter (or an earlier plan)
-    already encoded re-encodes nothing.
-    """
-    verifier = _checked_verifier(engine)
-    flat, _, probe_is_left = engine._flat_filter_state(
-        left_signed, right_signed, (left_prep, right_prep)
-    )
-    left_transfer = left_prep.transfer_copy()
-    right_transfer = (
-        left_transfer if right_prep is left_prep else right_prep.transfer_copy()
-    )
-    return ShardPlan(
-        # Workers rebuild the *verifier*, so they must see its own config
-        # and threshold — a caller may legitimately verify at a different
-        # threshold than the engine filters at (verifier=UnifiedVerifier(
-        # config, other_theta)), and serial/process must agree on it.
-        config=verifier.config,
-        threshold=verifier.threshold,
-        requirement=engine.tau,
-        verifier_kwargs=_verifier_kwargs(verifier),
-        left_prep=left_transfer,
-        right_prep=right_transfer,
-        probe_is_left=probe_is_left,
-        exclude_self_pairs=self_join,
-        flat=flat,
-        kernel=engine.kernel,
-    )
-
-
-def _signed_plan(
-    engine: PebbleJoin,
-    left: Joinable,
-    right: Optional[Joinable],
-    precomputed_order: Optional[GlobalOrder],
-    signing_tau: Optional[int],
-) -> Tuple[ShardPlan, List[SignedRecord], List[SignedRecord]]:
-    """Resolve, order, and sign both sides, then build their plan.
-
-    Returns ``(plan, left_signed, right_signed)``; the signed lists feed
-    the signature-length statistics.
-    """
-    left_prep, right_prep, self_join = engine._resolve_sides(left, right)
-    _, left_signed, right_signed = engine._order_and_sign(
-        left_prep, right_prep, precomputed_order, signing_tau
-    )
-    plan = _build_plan(
-        engine, left_prep, right_prep, left_signed, right_signed, self_join
-    )
-    return plan, left_signed, right_signed
 
 
 def build_shard_plan(
@@ -440,7 +463,13 @@ def build_shard_plan(
     sizes can be measured (:func:`plan_payload_bytes`) and plans
     round-tripped in isolation.
     """
-    return _signed_plan(engine, left, right, precomputed_order, signing_tau)[0]
+    left_prep, right_prep, self_join = engine._resolve_sides(left, right)
+    _, left_signed, right_signed = engine._order_and_sign(
+        left_prep, right_prep, precomputed_order, signing_tau
+    )
+    return engine._plan(
+        left_prep, right_prep, left_signed, right_signed, self_join, "process"
+    )
 
 
 class _ColdSessionManager:
@@ -546,20 +575,18 @@ class _ParentFallback:
 
     Materializes a :class:`_WorkerRuntime` from the parent's own plan copy
     on first use (the parent plan keeps its ``flat`` arrays — the shm
-    export detaches a copy) and runs shards through the exact worker code
-    path, so a fallback shard's pairs and counters are bit-identical to
-    what a healthy worker would have returned.
+    export detaches a copy) and runs shards through the shard body with a
+    verifier rebuilt exactly as a worker's, so a fallback shard's pairs and
+    counters are bit-identical to what a healthy worker would have returned
+    and merge into the caller's verifier the same way.
     """
 
     __slots__ = ("_plan", "_runtime", "_tracer")
 
-    def __init__(self, plan: ShardPlan, tracer: Optional[Tracer] = None) -> None:
+    def __init__(self, plan: ShardPlan, tracer: Tracer) -> None:
         self._plan = plan
         self._runtime: Optional[_WorkerRuntime] = None
-        # Fallback shards always time through real spans (ShardResult's
-        # stage seconds are span-sourced), so a disabled parent tracer gets
-        # a private throwaway: timings survive, nothing enters the trace.
-        self._tracer = tracer if tracer is not None and tracer.enabled else Tracer()
+        self._tracer = tracer
 
     def __call__(self, span: Tuple[int, int]) -> ShardResult:
         if self._runtime is None:
@@ -570,75 +597,46 @@ class _ParentFallback:
             return _run_shard_on(self._runtime, span, tracer=self._tracer)
 
 
-def _shard_spans(total: int, shard_size: int) -> List[Tuple[int, int]]:
+def shard_spans(total: int, shard_size: int) -> List[Tuple[int, int]]:
+    """Contiguous probe spans of ``shard_size`` records covering ``[0, total)``."""
     return [
         (start, min(start + shard_size, total))
         for start in range(0, total, shard_size)
     ]
 
 
-def _merge_shard(
-    engine: PebbleJoin,
-    statistics: JoinStatistics,
-    merged: VerificationStats,
-    pairs: List[VerifiedPair],
-    shard: ShardResult,
-) -> None:
-    """Fold one shard into the run totals and the engine's verifier.
-
-    Mirrors the serial path's accumulation: the parent engine's verifier
-    keeps cumulative ``stats`` / ``verified_count`` across joins, so code
-    that inspects the verifier after a process join sees the same counters
-    it would after a serial one.  Timing is handled by the caller (wall
-    clock, not worker sums — see :func:`process_join`).
-    """
-    pairs.extend(shard.pairs)
-    merged.merge(shard.verification)
-    statistics.processed_pairs += shard.processed_pairs
-    statistics.candidate_count += shard.candidate_count
-    engine.verifier.stats.merge(shard.verification)
-    engine.verifier.verified_count += shard.candidate_count
-
-
 def _split_pooled_wall(
-    statistics: JoinStatistics,
-    wall: float,
-    worker_filter: float,
-    worker_verify: float,
-) -> None:
+    wall: float, worker_filter: float, worker_verify: float
+) -> Tuple[float, float]:
     """Split the pooled stage's wall clock by observed worker proportions.
 
-    The parent-measured wall (pool startup and payload transport included)
-    is distributed across filtering / verification by the summed
-    worker-side stage seconds, so ``JoinStatistics.total_seconds`` stays an
-    honest end-to-end elapsed time (all attributed to verification when no
-    work was measured at all).
+    Returns ``(filtering, verification)`` seconds: the parent-measured wall
+    (pool startup and payload transport included) distributed by the
+    summed worker-side stage seconds, so ``JoinStatistics.total_seconds``
+    stays an honest end-to-end elapsed time (all attributed to
+    verification when no work was measured at all).
     """
     busy = worker_filter + worker_verify
-    if busy > 0.0:
-        statistics.filtering_seconds = wall * (worker_filter / busy)
-        # Remainder, so the two parts always sum to the wall exactly.
-        statistics.verification_seconds = wall - statistics.filtering_seconds
-    else:
-        statistics.verification_seconds = wall
+    if busy <= 0.0:
+        return 0.0, wall
+    filtering = wall * (worker_filter / busy)
+    # Remainder, so the two parts sum to the wall.
+    return filtering, wall - filtering
 
 
-def _adopt_failed_attempts(telemetry, report, spans, base: int) -> None:
+def _adopt_failed_attempts(telemetry, report, spans) -> None:
     """Synthesize error spans for shard attempts that died in a worker.
 
     A killed or timed-out worker never ships its tracer back, so the parent
     reconstructs one error-flagged ``shard-attempt-failed`` span per failed
-    attempt from the supervisor's per-shard dispatch counts (``attempts``
-    entries ``base`` onward belong to this run).  In the merged tree the
-    failures sit as siblings next to the attempt that finally succeeded.
+    attempt from the supervisor's per-shard dispatch counts.  In the merged
+    tree the failures sit as siblings next to the attempt that finally
+    succeeded.
     """
     if not telemetry.enabled:
         return
-    for index, (start, stop) in enumerate(spans):
-        position = base + index
-        if position >= len(report.attempts):
-            break
-        for attempt in range(report.attempts[position] - 1):
+    for (start, stop), attempts in zip(spans, report.attempts):
+        for attempt in range(attempts - 1):
             # repro: ignore[unclosed-span] — synthesized after the fact
             failed = telemetry.tracer.span(
                 "shard-attempt-failed", shard=start, stop=stop, attempt=attempt
@@ -678,6 +676,102 @@ def _record_execution_metrics(metrics, report) -> None:
     metrics.counter("supervisor.fallback_shards").add(report.fallback_shards)
 
 
+class ShardStream:
+    """The shard body run over ``spans``; iterating yields their results in order.
+
+    On the ``"serial"`` executor every shard runs in the parent against
+    ``verifier`` itself, whose counters therefore accumulate directly, and
+    the stage spans go into the current trace.  On ``"process"`` the
+    shards run in pool workers under a
+    :class:`~repro.join.supervision.ShardSupervisor` over the session
+    manager :func:`_session_manager` picks for ``pool`` and ``workers``;
+    ``supervision`` is its policy and ``window`` bounds the shards in
+    flight (``None`` schedules every shard up front).  As each shard
+    arrives its counters merge into ``verifier`` and its worker spans are
+    adopted into the trace; the manager is created on the first step of
+    the iteration and closed after the last, error paths included.  No
+    span is held open across a yield: a consumer may run arbitrary
+    (instrumented) code between shards.
+    """
+
+    def __init__(
+        self,
+        plan: ShardPlan,
+        spans: Sequence[Tuple[int, int]],
+        verifier,
+        telemetry,
+        *,
+        executor: str = "serial",
+        workers: int = 1,
+        pool=None,
+        supervision: Optional[SupervisorPolicy] = None,
+        window: Optional[int] = None,
+    ) -> None:
+        #: The supervisor's live report on the process executor — its
+        #: counters grow as the stream runs and are final once it is
+        #: exhausted; ``None`` on the serial executor.
+        self.execution: Optional[ExecutionReport] = None
+        if executor == "serial":
+            runtime = _WorkerRuntime(plan, verifier=verifier)
+            self._shards = (
+                _run_shard_on(runtime, span, telemetry.tracer) for span in spans
+            )
+        else:
+            self.execution = ExecutionReport()
+            self._shards = self._supervised(
+                plan, spans, verifier, telemetry, workers, pool, supervision, window
+            )
+
+    def __iter__(self) -> Iterator[ShardResult]:
+        return self._shards
+
+    def _supervised(
+        self, plan, spans, verifier, telemetry, workers, pool, supervision, window
+    ) -> Iterator[ShardResult]:
+        if not spans:
+            return
+        manager = _session_manager(plan, min(workers, len(spans)), pool)
+        supervisor = ShardSupervisor(
+            manager, supervision, _ParentFallback(plan, telemetry.tracer)
+        )
+        self.execution = supervisor.report
+        try:
+            for shard in supervisor.run(spans, window=window):
+                # The caller's verifier keeps cumulative counters across
+                # runs, exactly as it would had it verified the shard.
+                verifier.stats.merge(shard.verification)
+                verifier.verified_count += shard.candidate_count
+                telemetry.tracer.adopt(shard.spans)
+                _record_worker_events(telemetry.metrics, shard.spans)
+                yield shard
+            _adopt_failed_attempts(telemetry, supervisor.report, spans)
+            _record_execution_metrics(telemetry.metrics, supervisor.report)
+        finally:
+            manager.close()
+
+    def drain(self) -> ShardResult:
+        """Run the stream to its end and fold it into one :class:`ShardResult`.
+
+        Pairs concatenate in probe order and every counter and stage time
+        sums, which makes the result the shard result of the spans' union;
+        ``verification`` is ``None`` when a shard's verifier kept no
+        statistics.
+        """
+        merged = ShardResult(0, 0, [], 0, 0, VerificationStats(), 0.0, 0.0)
+        for shard in self:
+            merged.stop = shard.stop
+            merged.pairs.extend(shard.pairs)
+            merged.candidate_count += shard.candidate_count
+            merged.processed_pairs += shard.processed_pairs
+            merged.filter_seconds += shard.filter_seconds
+            merged.verify_seconds += shard.verify_seconds
+            if shard.verification is None:
+                merged.verification = None
+            elif merged.verification is not None:
+                merged.verification.merge(shard.verification)
+        return merged
+
+
 def process_join(
     engine: PebbleJoin,
     left: Joinable,
@@ -690,18 +784,19 @@ def process_join(
     pool=None,
     supervision: Optional[SupervisorPolicy] = None,
 ) -> JoinResult:
-    """Run one join with filtering and verification sharded across processes.
+    """``engine.join(left, right, executor="process")`` at a chosen shard count.
 
     Signing happens (cache-backed) in the parent and the flat integer plan
-    ships once per machine (see :func:`_session_manager`).  The result —
+    ships once per machine (see :func:`_session_manager`); the probe side
+    is cut into ``workers × shards_per_worker`` shards.  The result —
     pairs, similarities, and every statistics counter — is bit-identical to
     ``engine.join(left, right)`` at any ``workers`` / ``shards_per_worker``.
     Passing ``pool`` (a :class:`~repro.join.pool.WarmJoinPool`) reuses
     already-warm worker processes instead of starting a pool per call;
     ``workers`` then defaults to the pool's size.  ``filtering_seconds`` /
-    ``verification_seconds`` split the *parent-measured wall clock* of the
-    pooled stage proportionally to the summed worker-side stage seconds
-    (see :func:`_split_pooled_wall`).
+    ``verification_seconds`` split the wall clock of the ``pooled-stage``
+    span proportionally to the summed worker-side stage seconds (see
+    :func:`_split_pooled_wall`).
 
     Shard dispatch runs under a :class:`~repro.join.supervision.ShardSupervisor`
     configured by ``supervision`` (default :class:`SupervisorPolicy` —
@@ -712,60 +807,17 @@ def process_join(
     ``statistics.execution``.  Pass ``SupervisorPolicy(enabled=False)`` for
     the legacy fail-fast behavior.
     """
-    workers = _pool_size(workers, pool)
-    telemetry = engine.telemetry
-    metrics = telemetry.metrics
-    start = time.perf_counter()
-    with telemetry.span("sign"):
-        plan, left_signed, right_signed = _signed_plan(
-            engine, left, right, precomputed_order, signing_tau
-        )
-    statistics = JoinStatistics(
-        tau=engine.tau,
-        theta=engine.theta,
-        method=engine.method,
-        left_records=len(plan.left_prep),
-        right_records=len(plan.right_prep),
-        signing_seconds=time.perf_counter() - start,
-        avg_signature_length_left=_average_signature_length(left_signed),
-        avg_signature_length_right=_average_signature_length(right_signed),
-        execution=ExecutionReport(),
+    return engine._join(
+        left,
+        right,
+        precomputed_order,
+        signing_tau,
+        "process",
+        workers,
+        pool,
+        supervision,
+        shards_per_worker,
     )
-
-    pairs: List[VerifiedPair] = []
-    merged = VerificationStats()
-    total = plan.probe_count
-    if total:
-        spans = _shard_spans(
-            total, max(1, ceil(total / max(workers * shards_per_worker, 1)))
-        )
-        stage_workers = min(workers, len(spans))
-        stage_start = time.perf_counter()
-        manager = _session_manager(plan, stage_workers, pool)
-        supervisor = ShardSupervisor(
-            manager, supervision, _ParentFallback(plan, telemetry.tracer)
-        )
-        base = len(supervisor.report.attempts)
-        worker_filter = worker_verify = 0.0
-        try:
-            with telemetry.span("pooled-stage", workers=stage_workers):
-                for shard in supervisor.run(spans):
-                    _merge_shard(engine, statistics, merged, pairs, shard)
-                    telemetry.tracer.adopt(shard.spans)
-                    _record_worker_events(metrics, shard.spans)
-                    worker_filter += shard.filter_seconds
-                    worker_verify += shard.verify_seconds
-                _adopt_failed_attempts(telemetry, supervisor.report, spans, base)
-        finally:
-            manager.close()
-        statistics.execution = supervisor.report
-        _record_execution_metrics(metrics, supervisor.report)
-        _split_pooled_wall(
-            statistics, time.perf_counter() - stage_start, worker_filter, worker_verify
-        )
-    statistics.verification = merged
-    statistics.result_count = len(pairs)
-    return JoinResult(pairs=pairs, statistics=statistics)
 
 
 def process_join_batches(
@@ -781,13 +833,13 @@ def process_join_batches(
     pool=None,
     supervision: Optional[SupervisorPolicy] = None,
 ) -> Iterator[JoinBatch]:
-    """Stream the join as :class:`JoinBatch` chunks computed by the pool.
+    """``engine.join_batches(left, right, executor="process")``.
 
     Each batch covers ``batch_size`` probe records — the same chunking as
-    the in-process ``join_batches`` — and batches are yielded in probe
-    order while later shards are still being computed, so the stream
-    overlaps verification with consumption.  The concatenated batches equal
-    the serial stream exactly (pairs, order, and per-batch counters).  A
+    the serial stream — and batches are yielded in probe order while later
+    shards are still being computed, so the stream overlaps verification
+    with consumption.  The concatenated batches equal the serial stream
+    exactly (pairs, order, and per-batch counters).  A
     :class:`~repro.join.pool.WarmJoinPool` passed as ``pool`` serves every
     chunk from the same warm workers, and sizes the submission window when
     ``workers`` is omitted.
@@ -798,67 +850,15 @@ def process_join_batches(
     ``batch.execution`` — one shared object whose counters grow as the
     stream progresses, final once the stream is exhausted.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be a positive integer")
-    plan = _signed_plan(engine, left, right, precomputed_order, signing_tau)[0]
-    return _process_batches_iter(
-        engine,
-        plan,
-        _pool_size(workers, pool),
-        batch_size,
-        suggestion_seconds,
-        pool,
-        supervision,
+    return engine.join_batches(
+        left,
+        right,
+        batch_size=batch_size,
+        precomputed_order=precomputed_order,
+        signing_tau=signing_tau,
+        executor="process",
+        workers=workers,
+        suggestion_seconds=suggestion_seconds,
+        pool=pool,
+        supervision=supervision,
     )
-
-
-def _process_batches_iter(
-    engine: PebbleJoin,
-    plan: ShardPlan,
-    workers: int,
-    batch_size: int,
-    suggestion_seconds: float,
-    pool,
-    supervision: Optional[SupervisorPolicy],
-) -> Iterator[JoinBatch]:
-    total = plan.probe_count
-    if not total:
-        return
-    spans = _shard_spans(total, batch_size)
-    telemetry = engine.telemetry
-    manager = _session_manager(plan, min(workers, len(spans)), pool)
-    supervisor = ShardSupervisor(
-        manager, supervision, _ParentFallback(plan, telemetry.tracer)
-    )
-    # Bounded submission window: keep every worker busy plus one batch of
-    # lookahead, but never schedule the whole probe side up front — a slow
-    # consumer must apply backpressure to the pool instead of accumulating
-    # all completed shard results in parent memory (the unbounded
-    # materialization join_batches exists to avoid).
-    window = min(workers + 1, len(spans))
-    # No span is held open across yields: a consumer may run arbitrary
-    # (instrumented) code between batches, and an open span here would
-    # capture it as a child via the thread-local stack.  Worker trees are
-    # adopted to the tracer's current attachment point as they arrive.
-    base = len(supervisor.report.attempts)
-    first = True
-    try:
-        for shard in supervisor.run(spans, window=window):
-            engine.verifier.stats.merge(shard.verification)
-            engine.verifier.verified_count += shard.candidate_count
-            telemetry.tracer.adopt(shard.spans)
-            _record_worker_events(telemetry.metrics, shard.spans)
-            yield JoinBatch(
-                pairs=shard.pairs,
-                candidate_count=shard.candidate_count,
-                processed_pairs=shard.processed_pairs,
-                probe_range=(shard.start, shard.stop),
-                verification=shard.verification,
-                suggestion_seconds=suggestion_seconds if first else 0.0,
-                execution=supervisor.report,
-            )
-            first = False
-        _adopt_failed_attempts(telemetry, supervisor.report, spans, base)
-        _record_execution_metrics(telemetry.metrics, supervisor.report)
-    finally:
-        manager.close()

@@ -1,14 +1,15 @@
 """A persistent warm worker pool reused across joins and batch queries.
 
-:func:`~repro.join.parallel.process_join` pays pool startup — process
-spawn, interpreter boot, payload materialization — on *every* call.  That
-amortizes over one big join, but a stream of ``join_batches`` chunks or
-repeated :meth:`~repro.search.index.SimilarityIndex.query_batch` calls
-pays it over and over.  :class:`WarmJoinPool` keeps one
-``ProcessPoolExecutor`` alive with **no** baked-in plan; each call
-registers its :class:`~repro.join.parallel.ShardPlan` with the running
-workers through a shared-memory segment (flat integer arrays re-viewed in
-place, the rest unpickled once per worker) and reuses the same processes::
+Without one, every process-executor call pays pool startup — process
+spawn or fork, interpreter boot, payload materialization — and shuts the
+pool down again (see :func:`repro.join.parallel._session_manager`).  That
+amortizes over one big join, but repeated joins, join streams, or
+:meth:`~repro.search.index.SimilarityIndex.query_batch` calls pay it over
+and over.  :class:`WarmJoinPool` keeps one ``ProcessPoolExecutor`` alive
+with **no** baked-in plan; each call's supervised shard loop registers its
+:class:`~repro.join.parallel.ShardPlan` with the running workers through a
+shared-memory segment (flat integer arrays re-viewed in place, the rest
+unpickled once per worker) and reuses the same processes::
 
     with WarmJoinPool(workers=4) as pool:
         engine.join(left, right, executor="process", pool=pool)
@@ -26,12 +27,11 @@ Workers release every cached runtime when they exit, so no mapping is
 still viewed when the interpreter finalizes the segments (a spawned worker
 runs that finalization, and a still-exported view would print a
 ``BufferError`` per worker).  A call that passes no pool but cannot fork
-opens a one-shot warm pool of its own (see
-:func:`repro.join.parallel._session_manager`).
+opens a one-shot warm pool of its own for the length of the call.
 
-Results are bit-identical to the serial engine, like every other executor
-path: the pool only changes *where* :func:`~repro.join.parallel._run_shard_on`
-runs, never what it computes.
+Results are bit-identical to the serial executor, like every other
+transport: the pool only changes *where* the one shard body,
+:func:`~repro.join.parallel._run_shard_on`, runs, never what it computes.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ import os
 from collections import OrderedDict
 from dataclasses import replace
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from typing import Optional
 
 from ..faults import FAULTS
@@ -246,25 +245,6 @@ class WarmJoinPool:
         """A supervisor-facing session manager serving ``plan`` (see
         :class:`_WarmSessionManager`)."""
         return _WarmSessionManager(self, plan)
-
-    @contextmanager
-    def session(self, plan: ShardPlan):
-        """Register ``plan`` with the workers and yield a shard session.
-
-        One shared-memory segment is created for the plan and unlinked when
-        the session exits — error paths included.  All shard futures must
-        be consumed inside the session (the drivers do): workers attach
-        lazily on their first task for the plan, and an unlinked segment
-        cannot be attached anew.  Already-attached workers keep serving
-        from their mapping after the unlink; their cache evicts it later.
-        A dead (broken) executor is detected and rebuilt on entry rather
-        than surfacing a stale ``BrokenProcessPool``.
-        """
-        manager = self.session_manager(plan)
-        try:
-            yield manager.open()
-        finally:
-            manager.close()
 
     def close(self) -> None:
         """Shut the workers down.  Idempotent and never-raising — closing a

@@ -1,12 +1,13 @@
 """Supervised shard execution: retries, timeouts, respawns, serial fallback.
 
-The process-pool drivers in :mod:`repro.join.parallel` and the warm pool in
-:mod:`repro.join.pool` historically assumed a perfect substrate: a worker
-that died (``BrokenProcessPool``), hung, or lost its shared-memory plan
-segment took the whole join down with an opaque exception.  This module
-adds the missing layer between "submit shards" and "collect results" — a
-:class:`ShardSupervisor` that drives any shard session through a
-:class:`SupervisorPolicy`:
+A process pool is not a perfect substrate: a worker can die
+(``BrokenProcessPool``), hang, or lose its shared-memory plan segment, and
+unsupervised, any of these takes the whole join down with an opaque
+exception.  This module is the layer between "submit shards" and "collect
+results" — a :class:`ShardSupervisor` that drives any shard session through
+a :class:`SupervisorPolicy`.  It is constructed in exactly one place, the
+process executor of :class:`repro.join.parallel.ShardStream`, which every
+process join, join stream and batch query runs through:
 
 * **Per-shard timeouts** — the head-of-line shard future is awaited with a
   deadline; a shard that exceeds it is treated as hung and recovered.
@@ -42,10 +43,13 @@ It speaks two small protocols:
 
 Sessions are instances of :class:`ExecutorSession`, the one place in the
 codebase allowed to call ``executor.submit`` for shard work (the
-``unsupervised-submit`` invariant — see ``docs/invariants.md``): managers
-in :mod:`repro.join.parallel` (the fork cold pool) and
-:mod:`repro.join.pool` (the warm pool) construct one around their live
-executor and a task-encoding rule instead of submitting themselves.
+``unsupervised-submit`` invariant — see ``docs/invariants.md``).  The
+three session managers, one per transport, construct one around their
+live executor and a task-encoding rule instead of submitting themselves:
+the fork-inheritance manager of :mod:`repro.join.parallel`, the warm-pool
+manager of :mod:`repro.join.pool` (a caller's
+:class:`~repro.join.pool.WarmJoinPool`), and the one-shot manager of
+:mod:`repro.join.parallel`, which wraps a warm pool opened for one call.
 :mod:`repro.join.parallel` also provides the parent-side serial runner.
 """
 
@@ -189,27 +193,11 @@ class ExecutionReport:
         if len(self.errors) < _MAX_ERRORS:
             self.errors.append(f"{type(exc).__name__}: {exc}"[:200])
 
-    def merge(self, other: "ExecutionReport") -> None:
-        """Fold another report into this one (multi-stage drivers)."""
-        self.shards += other.shards
-        self.attempts.extend(other.attempts)
-        self.retries += other.retries
-        self.respawns += other.respawns
-        self.timeouts += other.timeouts
-        self.worker_failures += other.worker_failures
-        self.transport_failures += other.transport_failures
-        self.fallback_shards += other.fallback_shards
-        self.respawn_seconds += other.respawn_seconds
-        for error in other.errors:
-            if len(self.errors) >= _MAX_ERRORS:
-                break
-            self.errors.append(error)
-
 
 class ShardSupervisor:
     """Drive shard spans through a session manager under a policy.
 
-    One supervisor serves one driver call; its :attr:`report` accumulates
+    One supervisor serves one shard stream; its :attr:`report` accumulates
     across (possibly several) :meth:`run` invocations.
     The caller owns the manager's terminal ``close()``.
     """

@@ -63,7 +63,13 @@ from ..core.graph import (
 from ..core.measures import MeasureConfig
 from ..records import Record
 
-__all__ = ["VerificationStats", "VerifiedPair", "Verifier", "UnifiedVerifier"]
+__all__ = [
+    "VerificationStats",
+    "VerifiedPair",
+    "Verifier",
+    "UnifiedVerifier",
+    "verify_candidates",
+]
 
 #: A similarity callable over two token sequences.
 SimilarityFunction = Callable[[Sequence[str], Sequence[str]], float]
@@ -586,3 +592,27 @@ class UnifiedVerifier(Verifier):
         self.stats.merge(local)
         self.verified_count += local.candidates
         return pairs
+
+
+def verify_candidates(
+    verifier,
+    candidates: Iterable[Tuple[int, int]],
+    left,
+    right,
+    *,
+    probe_side: str = "left",
+) -> Tuple[List[VerifiedPair], Optional[VerificationStats]]:
+    """Verify candidates through any verifier; return the pairs and its counter delta.
+
+    The delta is ``None`` for a verifier that keeps no
+    :class:`VerificationStats` (a custom :class:`Verifier`).  A duck-typed
+    verifier exposing only ``verify()`` is driven pair by pair, through the
+    same loop as :meth:`Verifier.verify_batch`.
+    """
+    stats = getattr(verifier, "stats", None)
+    snapshot = stats.snapshot() if isinstance(stats, VerificationStats) else None
+    if hasattr(verifier, "verify_batch"):
+        pairs = verifier.verify_batch(candidates, left, right, probe_side=probe_side)
+    else:
+        pairs = Verifier.verify_batch(verifier, candidates, left, right)
+    return pairs, None if snapshot is None else verifier.stats.diff(snapshot)

@@ -24,7 +24,9 @@ and mutation histories.  :meth:`query_topk` additionally orders candidates
 by the pebble-derived :func:`~repro.core.graph.usim_upper_bound` and stops
 verifying once the k-th best verified similarity strictly beats every
 remaining bound (:func:`~repro.core.topk.bounded_top_k` — exact, ties
-included).
+included).  :meth:`query_batch` signs its probes and runs them through the
+join's own shard loop (:class:`~repro.join.parallel.ShardStream`), on
+either executor, so a batch answer is a join by construction.
 
 Incremental maintenance
 -----------------------
@@ -71,7 +73,8 @@ from ..core.topk import bounded_top_k
 from ..core.vocab import Vocabulary
 from ..join.flat import FlatPostings, FlatSignatures, FlatJoinState
 from ..join.global_order import GlobalOrder
-from ..join.kernels import probe_span, resolve_kernel
+from ..join.kernels import resolve_kernel
+from ..join.parallel import SHARDS_PER_WORKER, ShardPlan, ShardStream, shard_spans
 from ..join.pebbles import generate_pebbles
 from ..join.prepared import PreparedCollection, PreparedRecord
 from ..join.signatures import SignatureMethod, SignedRecord, sign_record
@@ -265,7 +268,8 @@ class SimilarityIndex:
                 "the U-Filter method implies tau=1; got "
                 f"tau={tau} — pass tau=1 or use an AU-Filter method"
             )
-        if drift_threshold is not None and drift_threshold <= 0.0:
+        # Written so that NaN fails the comparison.
+        if drift_threshold is not None and not drift_threshold > 0.0:
             raise ValueError("drift_threshold must be positive (or None)")
         if isinstance(collection, PreparedCollection):
             if config is not None and config != collection.config:
@@ -309,13 +313,12 @@ class SimilarityIndex:
         self.reorder_count = 0
         self.resigned_records = 0
         # Serving epoch: bumped by every mutation of the member side (add,
-        # remove, re-order, rebuild) so derived serving state — the memoised
-        # process-pool plan views — can invalidate without re-deriving.
+        # remove, re-order, rebuild) so derived serving state — the flat
+        # postings — can invalidate without re-deriving.
         self._epoch = 0
-        self._plan_cache: Optional[Tuple[int, PreparedCollection]] = None
         # Per-epoch flat postings over the live rows: the filter kernel
-        # every serial query probes through (the process-pool plan reuses
-        # them), derived again only after a mutation bumps the epoch.
+        # every query probes through, serial or process, derived again only
+        # after a mutation bumps the epoch.
         self._flat_cache: Optional[Tuple[int, FlatPostings]] = None
         # The persistent integer vocabulary: append-only across the whole
         # add/remove lifetime, so every flat artifact derived at any epoch
@@ -530,31 +533,33 @@ class SimilarityIndex:
         self._flat_cache = (self._epoch, postings)
         return postings
 
-    def _probe_members(
-        self, signed_probes: Sequence[SignedRecord], tau_q: int
-    ) -> Tuple[List[Tuple[int, int]], int]:
-        """Stream signed probes through the member postings (kernel layer).
+    def _probe_state(self, signed_probes: Sequence[SignedRecord]) -> FlatJoinState:
+        """Signed probes against the epoch's member postings, as one flat state.
 
         Probes encode non-growing against the persistent vocabulary
-        (probe-only keys become the no-postings sentinel), and candidates
+        (probe-only keys become the no-postings sentinel), so candidates
         come back probe-major as ``(probe_id, member_id)``.
         """
-        postings = self._flat_postings()
-        probe_flat = FlatSignatures.from_signed(
-            signed_probes, self._vocab, grow=False
-        )
-        return probe_span(
-            postings,
-            probe_flat,
-            0,
-            len(probe_flat),
-            tau_q,
-            probe_is_left=True,
-            exclude_self_pairs=False,
+        return FlatJoinState(
+            self._vocab,
+            self._flat_postings(),
+            FlatSignatures.from_signed(signed_probes, self._vocab, grow=False),
             postings_ascending=True,
             # Member ids are dense in the underlying collection, so this
             # bounds every posted id without scanning the data.
             counts_size=len(self.prepared),
+        )
+
+    def _probe_members(
+        self, signed_probes: Sequence[SignedRecord], tau_q: int
+    ) -> Tuple[List[Tuple[int, int]], int]:
+        """Stream signed probes through the member postings (kernel layer)."""
+        return self._probe_state(signed_probes).probe_span(
+            0,
+            len(signed_probes),
+            tau_q,
+            probe_is_left=True,
+            exclude_self_pairs=False,
             kernel=self.kernel,
         )
 
@@ -752,14 +757,15 @@ class SimilarityIndex:
     ) -> BatchQueryResult:
         """Answer many probes in one pass (optionally sharded across cores).
 
-        The serial path signs every probe, streams them through the
-        postings probe-major, and verifies through the grouped batch
-        engine.  ``executor="process"`` ships one flat
-        :class:`~repro.join.parallel.ShardPlan` — the epoch's flat postings
-        over the index's persistent vocabulary, the signed probes
-        vocabulary-encoded as the probe side — to a *warm* worker pool
-        (kept alive across calls; see :meth:`close`) and shards the probes
-        across it under a
+        Every probe is signed, and one :class:`~repro.join.parallel.ShardPlan`
+        — the epoch's flat postings over the index's persistent vocabulary,
+        with the signed probes vocabulary-encoded as the probe side — runs
+        through the join's shard loop, :class:`~repro.join.parallel.ShardStream`.
+        The serial path filters and verifies the probes as one shard in
+        this process, through the grouped batch engine of the index's own
+        verifier.  ``executor="process"`` ships the plan to a
+        *warm* worker pool (kept alive across calls; see :meth:`close`) and
+        shards the probes across it under a
         :class:`~repro.join.supervision.ShardSupervisor` (``supervision``
         tunes the retry/timeout/fallback policy; faults degrade to
         in-parent execution, never to a different answer).  Both executors
@@ -792,39 +798,52 @@ class SimilarityIndex:
                 self._sign_member(prepared)
                 for prepared in probe_prepared.prepared_records
             ]
-            execution: Optional[ExecutionReport] = None
-            if executor == "process" and signed_probes:
-                (
-                    pairs,
-                    candidate_count,
-                    processed,
-                    local,
-                    execution,
-                ) = self._query_batch_process(
-                    probe_prepared, signed_probes, tau_q, workers, supervision
+            total = len(signed_probes)
+            run_on = "process" if executor == "process" and total else "serial"
+            plan = ShardPlan.build(
+                self.verifier,
+                self._probe_state(signed_probes),
+                probe_prepared,
+                self.prepared,
+                requirement=tau_q,
+                probe_is_left=True,
+                exclude_self_pairs=False,
+                kernel=self.kernel,
+                executor=run_on,
+            )
+            if run_on == "process":
+                pool = self._warm_join_pool(workers)
+                shard_size = ceil(total / (pool.workers * SHARDS_PER_WORKER))
+                stream = ShardStream(
+                    plan,
+                    shard_spans(total, shard_size),
+                    self.verifier,
+                    telemetry,
+                    executor="process",
+                    workers=pool.workers,
+                    pool=pool,
+                    supervision=supervision,
                 )
+                with telemetry.span("pooled-stage", workers=pool.workers):
+                    merged = stream.drain()
             else:
-                candidates, processed = self._probe_members(signed_probes, tau_q)
-                candidate_count = len(candidates)
-                snapshot = self.verifier.stats.snapshot()
-                pairs = self.verifier.verify_batch(
-                    candidates, probe_prepared, self.prepared, probe_side="left"
-                )
-                local = self.verifier.stats.diff(snapshot)
+                stream = ShardStream(plan, [(0, total)], self.verifier, telemetry)
+                merged = stream.drain()
+            pairs = merged.pairs
             if theta_q > self.theta:
                 pairs = [pair for pair in pairs if pair.similarity >= theta_q]
             self._end_read(epoch)
             batch_span.annotate(
-                probes=len(records), pairs=len(pairs), candidates=candidate_count
+                probes=len(records), pairs=len(pairs), candidates=merged.candidate_count
             )
         result = BatchQueryResult(
             pairs=pairs,
             probe_count=len(records),
-            candidate_count=candidate_count,
-            processed_pairs=processed,
-            verification=local,
+            candidate_count=merged.candidate_count,
+            processed_pairs=merged.processed_pairs,
+            verification=merged.verification,
             seconds=time.perf_counter() - start,
-            execution=execution,
+            execution=stream.execution,
         )
         metrics = telemetry.metrics
         metrics.counter("search.batch_queries").add()
@@ -833,108 +852,6 @@ class SimilarityIndex:
         metrics.histogram("search.batch_seconds").observe(result.seconds)
         metrics.gauge("search.staleness").set(self.staleness)
         return result
-
-    def _query_batch_process(
-        self,
-        probe_prepared: PreparedCollection,
-        signed_probes: List[SignedRecord],
-        tau_q: int,
-        workers: Optional[int],
-        supervision: Optional[SupervisorPolicy],
-    ) -> Tuple[List[VerifiedPair], int, int, VerificationStats, ExecutionReport]:
-        """Shard the probe side of a batch query across warm worker processes.
-
-        The shards run under a :class:`~repro.join.supervision.
-        ShardSupervisor` with an in-parent serial runner as the last-resort
-        fallback — a killed worker, a hung shard, or a vanished plan
-        segment degrades to retries/respawns/serial execution of exactly
-        the affected shards, with bit-identical answers either way.
-        """
-        from ..join.parallel import (
-            SHARDS_PER_WORKER,
-            ShardPlan,
-            _ParentFallback,
-            _adopt_failed_attempts,
-            _record_execution_metrics,
-            _record_worker_events,
-            _shard_spans,
-            _verifier_kwargs,
-        )
-        from ..join.supervision import ShardSupervisor
-
-        postings, right_transfer = self._member_plan_state()
-        probe_flat = FlatSignatures.from_signed(
-            signed_probes, self._vocab, grow=False
-        )
-        plan = ShardPlan(
-            config=self.config,
-            threshold=self.theta,
-            requirement=tau_q,
-            verifier_kwargs=_verifier_kwargs(self.verifier),
-            left_prep=probe_prepared.transfer_copy(),
-            right_prep=right_transfer,
-            probe_is_left=True,
-            exclude_self_pairs=False,
-            flat=FlatJoinState(
-                self._vocab,
-                postings,
-                probe_flat,
-                postings_ascending=True,
-                # Member ids are dense in the underlying collection, so
-                # this bounds every posted id without scanning the data.
-                counts_size=len(self.prepared),
-            ),
-            kernel=self.kernel,
-        )
-        pool = self._warm_join_pool(workers)
-        total = len(signed_probes)
-        spans = _shard_spans(
-            total, max(1, ceil(total / max(pool.workers * SHARDS_PER_WORKER, 1)))
-        )
-        telemetry = self.telemetry
-        pairs: List[VerifiedPair] = []
-        merged = VerificationStats()
-        candidate_count = processed = 0
-        manager = pool.session_manager(plan)
-        supervisor = ShardSupervisor(
-            manager, supervision, _ParentFallback(plan, telemetry.tracer)
-        )
-        base = len(supervisor.report.attempts)
-        try:
-            with telemetry.span("pooled-stage", workers=pool.workers):
-                for shard in supervisor.run(spans):
-                    pairs.extend(shard.pairs)
-                    merged.merge(shard.verification)
-                    candidate_count += shard.candidate_count
-                    processed += shard.processed_pairs
-                    telemetry.tracer.adopt(shard.spans)
-                    _record_worker_events(telemetry.metrics, shard.spans)
-                _adopt_failed_attempts(telemetry, supervisor.report, spans, base)
-        finally:
-            manager.close()
-        _record_execution_metrics(telemetry.metrics, supervisor.report)
-        self._finish_stats(merged)
-        return pairs, candidate_count, processed, merged, supervisor.report
-
-    def _member_plan_state(self) -> Tuple[FlatPostings, PreparedCollection]:
-        """The member side of a process-pool plan, memoised per epoch.
-
-        The flat postings are shared with the serial query path (see
-        :meth:`_flat_postings`); the pebble-free transfer copy of the
-        corpus is built only for process batch queries — serial queries
-        never pay for it.  Both only change when the member side does
-        (add/remove/re-order/rebuild, each bumping the epoch), so a
-        serving index answering many batch queries builds them once, not
-        per call.  Member signatures themselves never ship: the postings
-        array already encodes everything the filter stage reads from them.
-        """
-        postings = self._flat_postings()
-        cache = self._plan_cache
-        if cache is not None and cache[0] == self._epoch:
-            return postings, cache[1]
-        right_transfer = self.prepared.transfer_copy()
-        self._plan_cache = (self._epoch, right_transfer)
-        return postings, right_transfer
 
     def _warm_join_pool(self, workers: Optional[int]):
         """The lazily started warm pool, resized only on explicit request."""
@@ -1123,7 +1040,6 @@ class SimilarityIndex:
         state = dict(self.__dict__)
         del state["verifier"]
         # Derived serving state: cheap to rebuild, pure bloat in a snapshot.
-        state["_plan_cache"] = None
         state["_flat_cache"] = None
         state["_warm_pool"] = None
         # Locks don't pickle; each process guards its own mutations.
@@ -1154,8 +1070,10 @@ class SimilarityIndex:
 
     def __setstate__(self, state: dict) -> None:
         lengths = state.pop("_flat_signature_lengths", None)
-        # Snapshots written before the rows carry the dict index's slot.
+        # Snapshots written before the rows carry the dict index's slot, and
+        # those before the shard loop the process plan's memo.
         state.pop("_index", None)
+        state.pop("_plan_cache", None)
         self.__dict__.update(state)
         # Fresh per-process verifier; cascade counters do not persist.
         self.verifier = UnifiedVerifier(

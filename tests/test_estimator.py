@@ -10,17 +10,15 @@ from repro.estimator import (
     OnlineStatistics,
     RecommendationResult,
     TauRecommender,
-    bernoulli_sample,
-    generate_sample_series,
     recommend_tau,
     scale_estimate,
     student_t_quantile,
 )
+from repro.estimator.bernoulli import bernoulli_rows
 from repro.evaluation.experiments import config_for, split_dataset
 from repro.join import PreparedCollection, dual_index_filter_candidates
 from repro.join.aufilter import PebbleJoin
 from repro.join.kernels import numpy_available
-from repro.records import RecordCollection
 
 
 class TestOnlineStatistics:
@@ -65,27 +63,17 @@ class TestOnlineStatistics:
 
 class TestBernoulliSampling:
     def test_probability_bounds(self):
-        collection = RecordCollection.from_strings(["a", "b", "c"])
         with pytest.raises(ValueError):
-            bernoulli_sample(collection, 0.0)
+            bernoulli_rows(3, 0.0, random.Random(0))
         with pytest.raises(ValueError):
-            bernoulli_sample(collection, 1.5)
+            bernoulli_rows(3, 1.5, random.Random(0))
 
     def test_full_probability_keeps_everything(self):
-        collection = RecordCollection.from_strings(["a", "b", "c"])
-        sample = bernoulli_sample(collection, 1.0)
-        assert len(sample) == 3
+        assert bernoulli_rows(3, 1.0, random.Random(0)) == [0, 1, 2]
 
     def test_sample_size_statistically_reasonable(self):
-        collection = RecordCollection.from_strings([f"r{i}" for i in range(1000)])
-        sample = bernoulli_sample(collection, 0.1, random.Random(1))
+        sample = bernoulli_rows(1000, 0.1, random.Random(1))
         assert 50 <= len(sample) <= 200
-
-    def test_generate_sample_series(self):
-        collection = RecordCollection.from_strings([f"r{i}" for i in range(50)])
-        series = generate_sample_series(collection, 0.2, 5, seed=3)
-        assert len(series) == 5
-        assert all(sample.probability == 0.2 for sample in series)
 
     def test_scale_estimate(self):
         assert scale_estimate(10.0, 0.1, 0.1) == pytest.approx(1000.0)
@@ -94,11 +82,10 @@ class TestBernoulliSampling:
 
     def test_estimator_is_unbiased_in_expectation(self):
         # Average of many scaled sample counts should approach the true count.
-        collection = RecordCollection.from_strings([f"r{i}" for i in range(400)])
         rng = random.Random(7)
         estimates = []
         for _ in range(60):
-            sample = bernoulli_sample(collection, 0.1, rng)
+            sample = bernoulli_rows(400, 0.1, rng)
             estimates.append(scale_estimate(len(sample), 1.0, 0.1))
         mean = sum(estimates) / len(estimates)
         assert mean == pytest.approx(400, rel=0.15)
@@ -194,7 +181,7 @@ class TestTauRecommender:
             TauRecommender(factory, burn_in=0)
         with pytest.raises(ValueError):
             TauRecommender(factory, burn_in=5, max_iterations=2)
-        # Sampling probabilities must lie in (0, 1], as bernoulli_sample
+        # Sampling probabilities must lie in (0, 1], as bernoulli_rows
         # requires, and every candidate τ must be a positive integer.
         for probability in (0.0, -0.5, 1.7):
             with pytest.raises(ValueError, match="probability"):

@@ -128,6 +128,10 @@ class TestUnifiedJoinFacade:
             UnifiedJoin(rules=figure1_rules, tau="sometimes")
         with pytest.raises(ValueError):
             UnifiedJoin(rules=figure1_rules, tau=3, method=SignatureMethod.U_FILTER)
+        # θ is validated at construction, as PebbleJoin and SimilarityIndex do.
+        for theta in (1.5, float("nan")):
+            with pytest.raises(ValueError, match="theta"):
+                UnifiedJoin(rules=figure1_rules, theta=theta)
         # tau="auto" validates the recommender's inputs at construction,
         # not after a whole estimation.
         for probability in (0.0, -0.5, 1.7):

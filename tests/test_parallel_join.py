@@ -285,6 +285,55 @@ class TestExecutorEquivalence:
         assert _triples(result.pairs) == _triples(reference.pairs)
 
 
+class TestEmptySides:
+    @pytest.mark.parametrize("shape", ["self", "left-empty", "right-empty"])
+    def test_empty_side_identical_across_executors(self, parallel_dataset, shape):
+        """An empty side leaves nothing (or nothing to match) to shard."""
+        config = _config(parallel_dataset, "TJS")
+        records = parallel_dataset.records.head(12)
+        empty = records.subset([])
+        sides = {
+            "self": (empty,),
+            "left-empty": (empty, records),
+            "right-empty": (records, empty),
+        }[shape]
+        observations = []
+        for kwargs in ({}, {"executor": "process", "workers": 2}):
+            engine = PebbleJoin(config, THETA, tau=TAU)
+            joined = _observe(engine, engine.join(*sides, **kwargs))
+            streamed = [
+                (
+                    batch.probe_range,
+                    _triples(batch.pairs),
+                    _counters(batch.verification),
+                    batch.candidate_count,
+                    batch.processed_pairs,
+                )
+                for batch in PebbleJoin(config, THETA, tau=TAU).join_batches(
+                    *sides, batch_size=5, **kwargs
+                )
+            ]
+            observations.append((joined, streamed))
+        assert observations[0] == observations[1]
+
+
+class TestCallerVerifierCounters:
+    def test_process_runs_accumulate_on_the_engine_verifier(self, parallel_dataset):
+        """A process join or stream leaves the engine's own verifier with
+        the cumulative counters a serial run leaves there."""
+        config = _config(parallel_dataset, "TJS")
+        collection = parallel_dataset.records.head(30)
+        observed = []
+        for kwargs in ({}, {"executor": "process", "workers": 2}):
+            engine = PebbleJoin(config, THETA, tau=TAU)
+            engine.join(collection, **kwargs)
+            list(engine.join_batches(collection, batch_size=7, **kwargs))
+            stats = engine.verifier.stats
+            observed.append((_counters(stats), engine.verifier.verified_count))
+        assert observed[0][0]["candidates"] > 0
+        assert observed[0] == observed[1]
+
+
 class TestPickleRoundTrips:
     def test_prepared_collection_round_trip(self, parallel_dataset):
         config = _config(parallel_dataset, "TJS")

@@ -217,6 +217,16 @@ def test_query_batch_process_executor_identical(search_dataset):
             )
 
 
+def test_drift_threshold_must_be_positive(search_dataset):
+    config = _config(search_dataset, "J")
+    collection = search_dataset.records.head(5)
+    # NaN would pass a `<= 0` check and then never trigger a re-order.
+    for threshold in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="drift_threshold"):
+            SimilarityIndex(collection, config, drift_threshold=threshold)
+    SimilarityIndex(collection, config, drift_threshold=None)
+
+
 def test_query_batch_rejects_unknown_executor(search_dataset):
     config = _config(search_dataset, "J")
     index = SimilarityIndex(search_dataset.records.head(5), config, theta=0.5)

@@ -262,6 +262,46 @@ class TestProcessMerge:
         assert telemetry.tracer.roots == []
 
 
+class TestSpanSourcedTimings:
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_join_stage_seconds_are_span_walls(
+        self, config, collection, serial_triples, executor
+    ):
+        telemetry = Telemetry()
+        engine = PebbleJoin(config, THETA, tau=TAU, telemetry=telemetry)
+        kwargs = {"executor": "process", "workers": 2} if executor == "process" else {}
+        result = engine.join(collection, **kwargs)
+        assert _triples(result) == serial_triples
+        (join,) = telemetry.tracer.roots
+        stages = {child.name: child.wall_seconds for child in join.children}
+        statistics = result.statistics
+        assert statistics.signing_seconds == stages["prepare"] + stages["sign"]
+        if executor == "serial":
+            assert list(stages) == ["prepare", "sign", "filter", "verify"]
+            assert statistics.filtering_seconds == stages["filter"]
+            assert statistics.verification_seconds == stages["verify"]
+        else:
+            # The pooled stage spans the whole supervised run, pool
+            # shutdown included, and its wall is split between the stages.
+            assert list(stages) == ["prepare", "sign", "pooled-stage"]
+            assert statistics.filtering_seconds + statistics.verification_seconds == (
+                pytest.approx(stages["pooled-stage"], rel=1e-12)
+            )
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_join_batches_emit_filter_and_verify_per_batch(
+        self, config, collection, executor
+    ):
+        telemetry = Telemetry()
+        engine = PebbleJoin(config, THETA, tau=TAU, telemetry=telemetry)
+        kwargs = {"executor": "process", "workers": 2} if executor == "process" else {}
+        batches = list(engine.join_batches(collection, batch_size=10, **kwargs))
+        assert len(batches) > 1
+        names = [span.name for span in telemetry.tracer.iter_spans()]
+        assert names.count("filter") == len(batches)
+        assert names.count("verify") == len(batches)
+
+
 @pytest.mark.chaos
 class TestChaosTelemetry:
     def test_worker_kill_produces_failed_attempt_sibling_spans(
