@@ -17,6 +17,7 @@ realise the approximate similarity, so callers can explain results.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -25,12 +26,29 @@ from .graph import ConflictGraph, build_conflict_graph
 from .measures import MeasureConfig
 from .mis import greedy_wmis, squareimp_wmis
 
-__all__ = ["ApproximationResult", "approximate_usim", "approximate_usim_on_graph"]
+__all__ = [
+    "ApproximationResult",
+    "approximate_usim",
+    "approximate_usim_on_graph",
+    "check_approximation_t",
+]
 
 
 #: Slack added to the value ceiling before skipping improvement rounds; keeps
 #: the skip conservative against any floating-point drift in GetSim sums.
 _CEILING_EPSILON = 1e-9
+
+
+def check_approximation_t(t: float) -> float:
+    """Return ``t`` when it is a valid trade-off parameter, else raise.
+
+    Algorithm 1 ignores improvements below ``1/t`` and runs at most
+    ``floor(t)`` rounds, so it needs ``1 < t < inf``; the comparison is
+    written so that NaN fails it.
+    """
+    if not 1.0 < t < math.inf:
+        raise ValueError(f"t must be a finite number greater than 1; got t={t}")
+    return t
 
 
 @dataclass(frozen=True)
@@ -125,8 +143,7 @@ def approximate_usim_on_graph(
         result.  The returned value is bit-identical with the flag on or
         off; it exists so benchmarks can measure the pre-optimization cost.
     """
-    if t <= 1.0:
-        raise ValueError("t must be greater than 1")
+    check_approximation_t(t)
 
     if len(graph) == 0:
         breakdown = selection_similarity(graph, (), config)

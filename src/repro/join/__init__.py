@@ -30,7 +30,7 @@ from .supervision import (
     SupervisorPolicy,
 )
 from .ufilter import UFilterJoin
-from .verification import UnifiedVerifier, VerificationStats, VerifiedPair, Verifier
+from .verification import UnifiedVerifier, VerificationStats, VerifiedPair
 
 __all__ = [
     "ExecutionReport",
@@ -56,7 +56,6 @@ __all__ = [
     "UnifiedVerifier",
     "VerificationStats",
     "VerifiedPair",
-    "Verifier",
     "WarmJoinPool",
     "build_shard_plan",
     "build_shared_order",

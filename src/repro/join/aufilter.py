@@ -87,7 +87,7 @@ from .parallel import (
 from .prepared import PreparedCollection
 from .signatures import SignatureMethod, SignedRecord, sign_record
 from .supervision import ExecutionReport, SupervisorPolicy
-from .verification import UnifiedVerifier, VerificationStats, VerifiedPair, Verifier
+from .verification import UnifiedVerifier, VerificationStats, VerifiedPair
 
 __all__ = [
     "FilterOutcome",
@@ -141,10 +141,10 @@ class JoinBatch:
     """One streamed chunk of a :meth:`PebbleJoin.join_batches` run.
 
     ``verification`` carries the chunk's tiered-cascade counters (pruned vs
-    fully verified pairs) when the engine's verifier reports them.
-    ``suggestion_seconds`` is non-zero only on the *first* batch of a
-    ``tau="auto"`` run: the τ-recommendation happens once before streaming
-    starts, so its cost is attributed to the batch that paid the wait.
+    fully verified pairs).  ``suggestion_seconds`` is non-zero only on the
+    *first* batch of a ``tau="auto"`` run: the τ-recommendation happens once
+    before streaming starts, so its cost is attributed to the batch that
+    paid the wait.
     ``execution`` (process executor only) is the stream's **live**
     :class:`~repro.join.supervision.ExecutionReport` — one shared object
     across all batches whose fault counters grow as the stream progresses.
@@ -154,7 +154,7 @@ class JoinBatch:
     candidate_count: int
     processed_pairs: int
     probe_range: Tuple[int, int]
-    verification: Optional[VerificationStats] = None
+    verification: VerificationStats = field(default_factory=VerificationStats)
     suggestion_seconds: float = 0.0
     execution: Optional["ExecutionReport"] = None
 
@@ -164,9 +164,9 @@ class JoinStatistics:
     """Timing and cardinality statistics of one join run.
 
     ``verification`` breaks the verification stage down by cascade tier
-    (bound prunes, ceiling stops, full Algorithm-1 runs) when the engine's
-    verifier reports statistics; it is ``None`` for custom verifiers that
-    do not.  ``execution`` is the supervised process executor's
+    (bound prunes, ceiling stops, full Algorithm-1 runs); it stays all-zero
+    for joins that never enter the cascade (the baselines).  ``execution``
+    is the supervised process executor's
     :class:`~repro.join.supervision.ExecutionReport` (retries, respawns,
     fallbacks, per-shard attempts) — ``None`` on the serial executor, an
     all-zero report on a clean supervised run.
@@ -186,7 +186,7 @@ class JoinStatistics:
     tau: int = 1
     theta: float = 0.0
     method: str = SignatureMethod.U_FILTER
-    verification: Optional[VerificationStats] = None
+    verification: VerificationStats = field(default_factory=VerificationStats)
     execution: Optional["ExecutionReport"] = None
 
     @property
@@ -428,14 +428,13 @@ class PebbleJoin:
         Signature-selection strategy (one of :class:`SignatureMethod`).
     order_strategy:
         Global pebble ordering strategy (``"frequency"`` or ``"weight"``).
-    verifier:
-        Custom verifier; defaults to the approximate unified similarity.
+    approximation_t:
+        Algorithm 1's trade-off parameter ``t`` (``1 < t < inf``).
     adaptive_verification:
-        Enable the adaptive tier controller of the default verifier: a
-        bound tier whose observed hit rate drops below its cost is skipped
-        and periodically re-probed (pairs stay identical; see
-        :class:`~repro.join.verification.UnifiedVerifier`).  Ignored when a
-        custom ``verifier`` is supplied.
+        Enable the adaptive tier controller of the engine's
+        :class:`~repro.join.verification.UnifiedVerifier`: a bound tier
+        whose observed hit rate drops below its cost is skipped and
+        periodically re-probed (pairs stay identical).
     store:
         An optional :class:`~repro.store.PreparedStore`.  Historically only
         the :class:`~repro.join.framework.UnifiedJoin` facade was
@@ -470,7 +469,6 @@ class PebbleJoin:
         tau: int = 1,
         method: str = SignatureMethod.AU_DP,
         order_strategy: str = "frequency",
-        verifier: Optional[Verifier] = None,
         approximation_t: float = 4.0,
         adaptive_verification: bool = False,
         store: Optional["PreparedStore"] = None,
@@ -487,12 +485,13 @@ class PebbleJoin:
                 "the U-Filter method implies tau=1 (Algorithm 3); "
                 f"got tau={tau} — pass tau=1 or use an AU-Filter method"
             )
+        GlobalOrder(order_strategy)  # validate eagerly, with the order's error
         self.config = config
         self.theta = theta
         self.tau = tau
         self.method = method
         self.order_strategy = order_strategy
-        self.verifier = verifier or UnifiedVerifier(
+        self.verifier = UnifiedVerifier(
             config, theta, t=approximation_t, adaptive=adaptive_verification
         )
         self.approximation_t = approximation_t
@@ -525,12 +524,7 @@ class PebbleJoin:
         :attr:`store` when one is configured.
         """
         if isinstance(collection, PreparedCollection):
-            if collection.config is not self.config and collection.config != self.config:
-                raise ValueError(
-                    "the prepared collection is bound to a different MeasureConfig; "
-                    "prepare it with this engine (or use an equal config)"
-                )
-            return collection
+            return collection.require_config(self.config)
         return self.prepare(collection)
 
     def build_order(
@@ -770,7 +764,7 @@ class PebbleJoin:
         serial fallback; supervision is on by default and reports through
         ``statistics.execution``).  Both executors return bit-identical
         pairs, similarities, and statistics counters at every worker count
-        (with the default non-adaptive verifier) — including supervised runs
+        (with ``adaptive_verification=False``) — including supervised runs
         that retried, respawned, or fell back to serial for some shards.
         """
         return self._join(

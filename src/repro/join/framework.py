@@ -52,6 +52,7 @@ from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple, Uni
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..store import PreparedStore
 
+from ..core.approximation import check_approximation_t
 from ..core.grams import DEFAULT_Q
 from ..core.measures import MeasureConfig
 from ..records import RecordCollection
@@ -95,6 +96,10 @@ class UnifiedJoin:
         Signature selection method (default AU-Filter DP, the paper's best).
     q:
         Gram length for Jaccard pebbles and verification.
+    approximation_t:
+        Algorithm 1's trade-off parameter ``t``; anything but
+        ``1 < t < inf`` raises ``ValueError`` at construction (the engines
+        are built lazily, so the facade checks it itself).
     sample_probability, tau_universe:
         Parameters forwarded to the recommender when ``tau="auto"``; a
         probability outside (0, 1] or a τ below 1 raises ``ValueError`` at
@@ -145,7 +150,7 @@ class UnifiedJoin:
         self.config = MeasureConfig.from_codes(measures, rules=rules, taxonomy=taxonomy, q=q)
         self.theta = theta
         self.method = SignatureMethod.validate(method)
-        self.approximation_t = approximation_t
+        self.approximation_t = check_approximation_t(approximation_t)
         self.adaptive_verification = adaptive_verification
         self.sample_probability = sample_probability
         self.tau_universe = tuple(tau_universe)

@@ -23,7 +23,7 @@ join, join stream and batch query goes through it:
    * ``"serial"`` runs every shard in the parent, on a plan over the
      caller's own prepared collections and against the caller's own
      verifier — no transfer copy and no rebuilt verifier, so graph sides
-     stay cached on the caller's preparation and custom verifiers work;
+     stay cached on the caller's preparation;
    * ``"process"`` ships a plan of pebble-free
      :meth:`~repro.join.prepared.PreparedCollection.transfer_copy` views to
      worker processes, which rebuild a
@@ -50,8 +50,8 @@ join, join stream and batch query goes through it:
 Because per-probe filtering is independent across probe records and every
 statistic is a plain sum, the merged result — pairs, similarities, and all
 statistics counters — is **bit-identical** on both executors at every
-worker count (with the default non-adaptive verifier; the path-equivalence
-tests enforce this).  Timing fields stay wall-clock and span-sourced: on
+worker count (with a non-adaptive verifier; the path-equivalence tests
+enforce this).  Timing fields stay wall-clock and span-sourced: on
 the process executor the caller drains the stream inside a
 ``pooled-stage`` span, which therefore runs from session-manager creation
 through ``close()`` (pool startup, payload transport and shutdown
@@ -93,12 +93,7 @@ from .supervision import (
     ShardTransportError,
     SupervisorPolicy,
 )
-from .verification import (
-    UnifiedVerifier,
-    VerificationStats,
-    VerifiedPair,
-    verify_candidates,
-)
+from .verification import UnifiedVerifier, VerificationStats, VerifiedPair
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .aufilter import JoinBatch, JoinResult, Joinable, PebbleJoin
@@ -162,7 +157,7 @@ class ShardPlan:
     @classmethod
     def build(
         cls,
-        verifier,
+        verifier: UnifiedVerifier,
         flat: FlatJoinState,
         left_prep: PreparedCollection,
         right_prep: PreparedCollection,
@@ -178,9 +173,8 @@ class ShardPlan:
         A ``"serial"`` plan holds the caller's own prepared collections.  A
         ``"process"`` plan is the worker payload: pebble-free transfer
         copies of both sides (one copy for a self-join) and the parameters
-        each worker rebuilds ``verifier`` from — which takes the default
-        :class:`~repro.join.verification.UnifiedVerifier` (its similarity
-        callable is a closure, so the verifier itself cannot be pickled).
+        each worker rebuilds ``verifier`` from (its adaptive gates hold
+        locks, so the verifier itself does not pickle).
         """
         plan = cls(
             requirement=requirement,
@@ -193,12 +187,6 @@ class ShardPlan:
         )
         if executor == "serial":
             return plan
-        if type(verifier) is not UnifiedVerifier:
-            raise ValueError(
-                "executor='process' requires the default UnifiedVerifier: custom "
-                "verifiers cannot be reconstructed in worker processes — use the "
-                "serial executor instead"
-            )
         left_copy = left_prep.transfer_copy()
         return replace(
             plan,
@@ -206,11 +194,6 @@ class ShardPlan:
             right_prep=(
                 left_copy if right_prep is left_prep else right_prep.transfer_copy()
             ),
-            # Workers rebuild the *verifier*, so they must see its own
-            # config and threshold — a caller may legitimately verify at a
-            # different threshold than the engine filters at
-            # (verifier=UnifiedVerifier(config, other_theta)), and the two
-            # executors must agree on it.
             config=verifier.config,
             threshold=verifier.threshold,
             verifier_kwargs=_verifier_kwargs(verifier),
@@ -226,10 +209,9 @@ class ShardPlan:
 class ShardResult:
     """One shard's contribution, merged losslessly by :meth:`ShardStream.drain`.
 
-    ``verification`` is the shard's cascade-counter delta, ``None`` when
-    the verifier keeps no :class:`~repro.join.verification.VerificationStats`
-    (a custom verifier on the serial executor); ``filter_seconds`` /
-    ``verify_seconds`` are the wall clocks of the shard's two stage spans.
+    ``verification`` is the shard's cascade-counter delta;
+    ``filter_seconds`` / ``verify_seconds`` are the wall clocks of the
+    shard's two stage spans.
     ``spans`` carries a worker's trace for this shard as plain payload
     dicts (see :mod:`repro.telemetry.spans`): the worker runs its own
     tracer and the parent grafts the finished tree into its trace with
@@ -242,7 +224,7 @@ class ShardResult:
     pairs: List[VerifiedPair]
     candidate_count: int
     processed_pairs: int
-    verification: Optional[VerificationStats]
+    verification: VerificationStats
     filter_seconds: float
     verify_seconds: float
     spans: Tuple = ()
@@ -406,21 +388,22 @@ def _run_shard_on(
     filter_seconds = _stage_seconds(filter_span, began)
     filter_span.annotate(candidates=len(candidates), processed_pairs=processed)
 
+    verifier = runtime.verifier
     with tracer.span("verify") as verify_span:
         began = time.perf_counter()
-        pairs, verification = verify_candidates(
-            runtime.verifier,
+        before = verifier.stats.snapshot()
+        pairs = verifier.verify_batch(
             candidates,
             plan.left_prep,
             plan.right_prep,
             probe_side="left" if plan.probe_is_left else "right",
         )
+        verification = verifier.stats.diff(before)
     verify_seconds = _stage_seconds(verify_span, began)
-    verify_span.annotate(pairs=len(pairs))
-    if verification is not None:
-        verify_span.annotate(
-            **{name: getattr(verification, name) for name in verification._COUNTERS}
-        )
+    verify_span.annotate(
+        pairs=len(pairs),
+        **{name: getattr(verification, name) for name in verification._COUNTERS},
+    )
 
     return ShardResult(
         start=start,
@@ -740,7 +723,6 @@ class ShardStream:
                 # The caller's verifier keeps cumulative counters across
                 # runs, exactly as it would had it verified the shard.
                 verifier.stats.merge(shard.verification)
-                verifier.verified_count += shard.candidate_count
                 telemetry.tracer.adopt(shard.spans)
                 _record_worker_events(telemetry.metrics, shard.spans)
                 yield shard
@@ -753,9 +735,7 @@ class ShardStream:
         """Run the stream to its end and fold it into one :class:`ShardResult`.
 
         Pairs concatenate in probe order and every counter and stage time
-        sums, which makes the result the shard result of the spans' union;
-        ``verification`` is ``None`` when a shard's verifier kept no
-        statistics.
+        sums, which makes the result the shard result of the spans' union.
         """
         merged = ShardResult(0, 0, [], 0, 0, VerificationStats(), 0.0, 0.0)
         for shard in self:
@@ -765,10 +745,7 @@ class ShardStream:
             merged.processed_pairs += shard.processed_pairs
             merged.filter_seconds += shard.filter_seconds
             merged.verify_seconds += shard.verify_seconds
-            if shard.verification is None:
-                merged.verification = None
-            elif merged.verification is not None:
-                merged.verification.merge(shard.verification)
+            merged.verification.merge(shard.verification)
         return merged
 
 

@@ -270,6 +270,19 @@ class PreparedCollection:
     def __getitem__(self, record_id: int) -> Record:
         return self.collection[record_id]
 
+    def require_config(self, config: MeasureConfig) -> "PreparedCollection":
+        """This collection, once it is checked to be bound to ``config``.
+
+        Configs compare by content, so a collection bound to an equal config
+        (one that crossed a process boundary, say) qualifies.
+        """
+        if self.config is not config and self.config != config:
+            raise ValueError(
+                "the prepared collection is bound to a different MeasureConfig; "
+                "prepare it under this config (or an equal one)"
+            )
+        return self
+
     @property
     def prepared_records(self) -> Sequence[PreparedRecord]:
         """The cached per-record pebble artifacts, in record-id order."""

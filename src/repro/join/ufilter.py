@@ -8,12 +8,9 @@ only needs a single overlap.  The implementation is a thin specialisation of
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..core.measures import MeasureConfig
 from .aufilter import PebbleJoin
 from .signatures import SignatureMethod
-from .verification import Verifier
 
 __all__ = ["UFilterJoin"]
 
@@ -27,7 +24,6 @@ class UFilterJoin(PebbleJoin):
         theta: float,
         *,
         order_strategy: str = "frequency",
-        verifier: Optional[Verifier] = None,
         approximation_t: float = 4.0,
     ) -> None:
         super().__init__(
@@ -36,6 +32,5 @@ class UFilterJoin(PebbleJoin):
             tau=1,
             method=SignatureMethod.U_FILTER,
             order_strategy=order_strategy,
-            verifier=verifier,
             approximation_t=approximation_t,
         )

@@ -1,18 +1,22 @@
 """Candidate verification for the filter-and-verify join.
 
 Verification computes the actual unified similarity of every surviving
-candidate pair and keeps those meeting the join threshold.  The verifier is
-deliberately pluggable: the unified join uses the approximate USIM of
-Algorithm 1, while baselines reuse the same machinery with their own
-similarity callables.
+candidate pair and keeps those meeting the join threshold.  One class does
+it: :class:`UnifiedVerifier`, the approximate USIM of Algorithm 1 behind a
+lossless bound cascade.
 
-Prepared verification engine
-----------------------------
-:meth:`UnifiedVerifier.verify_batch` is the hot path of the join: it groups
-candidates by probe record, reuses per-record cached
-:class:`~repro.core.graph.GraphSide` state (segments, gram sets, overlap
-sets) from :class:`~repro.join.prepared.PreparedCollection`, and runs a
-tiered bound cascade before committing to the full Algorithm 1, cheapest
+One entry
+---------
+:meth:`UnifiedVerifier.verify_batch` is the only way into the cascade.
+Every join, join stream, batch query and single query reaches it through
+the shard body of :mod:`repro.join.parallel`; the member and top-k reads of
+:class:`~repro.search.index.SimilarityIndex` call it directly.  It reads
+each record's cached :class:`~repro.core.graph.GraphSide` (segments, gram
+sets, overlap sets) from :class:`~repro.join.prepared.PreparedCollection`
+inputs bound to the verifier's config — a raw collection, or one prepared
+under a different config, is rejected — groups candidates by probe record
+with one :class:`~repro.core.graph.PairGraphAssembler` per group, and runs
+a tiered bound cascade before committing to the full Algorithm 1, cheapest
 and most decisive stage first:
 
 1. *Maxima bound* (upper tier, first stage) — per-segment msim upper
@@ -31,15 +35,18 @@ and most decisive stage first:
    sides and Algorithm 1 runs with its value-ceiling short circuit (the
    improvement loop is skipped once no swap can gain ``1/t``).
 
-The cascade is lossless: the surviving pair set and every reported
-similarity are bit-identical to verifying each candidate with
-:meth:`Verifier.verify` (the pre-engine path), which the randomized
-equivalence tests enforce.  The stage order changes no counter either: a
-pair the lower bound clears is never pruned by an upper stage, so the
-counters equal those of running the lower bound first.  Counters are plain
-sums, so the shards of :mod:`repro.join.parallel` — where each worker
-process rebuilds a :class:`UnifiedVerifier` from picklable parameters and
-runs this same cascade — merge back to exactly the serial counters.
+Two oracles stay for the tests: :meth:`UnifiedVerifier.verify` computes one
+pair from its tokens with a fresh ``approximate_usim``, and ``prune=False``
+runs the cached assembly with every bound tier off.  The cascade is
+lossless: the surviving pair set and every reported similarity are
+bit-identical to :meth:`~UnifiedVerifier.verify` on each candidate, which
+the randomized equivalence tests enforce.  The stage order changes no
+counter either: a pair the lower bound clears is never pruned by an upper
+stage, so the counters equal those of running the lower bound first.
+Counters are plain sums, so the shards of :mod:`repro.join.parallel` —
+where each worker process rebuilds a :class:`UnifiedVerifier` from
+picklable parameters and runs this same cascade — merge back to exactly
+the serial counters.
 
 With ``adaptive=True`` the verifier additionally *gates* each bound tier on
 its observed hit rate (see :class:`UnifiedVerifier`), skipping tiers that
@@ -50,32 +57,28 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, fields, replace
-from typing import Callable, ClassVar, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, ClassVar, Iterable, List, Optional, Tuple
 
-from ..core.approximation import approximate_usim, approximate_usim_on_graph
+from ..core.approximation import (
+    approximate_usim,
+    approximate_usim_on_graph,
+    check_approximation_t,
+)
 from ..core.graph import (
     GraphSide,
     PairGraphAssembler,
     PairUpperBound,
-    build_conflict_graph_from_sides,
     singleton_greedy_lower_bound,
 )
 from ..core.measures import MeasureConfig
 from ..records import Record
+from .prepared import PreparedCollection
 
 __all__ = [
     "VerificationStats",
     "VerifiedPair",
-    "Verifier",
     "UnifiedVerifier",
-    "verify_candidates",
 ]
-
-#: A similarity callable over two token sequences.
-SimilarityFunction = Callable[[Sequence[str], Sequence[str]], float]
-
-#: Maximum number of ad-hoc (non-prepared) graph sides memoised per verifier.
-_SIDE_CACHE_LIMIT = 100_000
 
 
 @dataclass(frozen=True)
@@ -162,69 +165,6 @@ VerificationStats._COUNTERS = tuple(
 )
 
 
-class Verifier:
-    """Verify candidate pairs with an arbitrary similarity function."""
-
-    def __init__(self, similarity: SimilarityFunction, threshold: float) -> None:
-        if not 0.0 <= threshold <= 1.0:
-            raise ValueError("threshold must be in [0, 1]")
-        self.similarity = similarity
-        self.threshold = threshold
-        self.verified_count = 0
-
-    def _verify_one(self, left: Record, right: Record) -> Optional[VerifiedPair]:
-        """Verify one pair without touching shared counters (thread-safe).
-
-        This is the extension hook for custom pair semantics: every path —
-        :meth:`verify`, :meth:`verify_all`, and :meth:`verify_batch` —
-        routes through it.
-        """
-        value = self.similarity(left.tokens, right.tokens)
-        if value >= self.threshold:
-            return VerifiedPair(left.record_id, right.record_id, value)
-        return None
-
-    def verify(self, left: Record, right: Record) -> Optional[VerifiedPair]:
-        """Return a :class:`VerifiedPair` when the pair passes the threshold."""
-        self.verified_count += 1
-        return self._verify_one(left, right)
-
-    def verify_all(
-        self, pairs: Iterable[Tuple[Record, Record]]
-    ) -> List[VerifiedPair]:
-        """Verify many candidate pairs and return the survivors."""
-        results: List[VerifiedPair] = []
-        for left, right in pairs:
-            verified = self.verify(left, right)
-            if verified is not None:
-                results.append(verified)
-        return results
-
-    def verify_batch(
-        self,
-        candidates: Iterable[Tuple[int, int]],
-        left,
-        right,
-        *,
-        probe_side: str = "left",
-    ) -> List[VerifiedPair]:
-        """Verify ``(left_id, right_id)`` candidates against two collections.
-
-        ``left``/``right`` may be raw record collections or prepared ones
-        (anything id-addressable).  Every pair goes through :meth:`verify`,
-        so a subclass overriding it or :meth:`_verify_one` keeps its
-        semantics.  ``probe_side`` names the filter's probe side, which only
-        the prepared engine of :class:`UnifiedVerifier` uses.  Result order
-        matches the candidate order.
-        """
-        pairs: List[VerifiedPair] = []
-        for left_id, right_id in candidates:
-            verified = self.verify(left[left_id], right[right_id])
-            if verified is not None:
-                pairs.append(verified)
-        return pairs
-
-
 class _AdaptiveTierGate:
     """Windowed hit-rate controller for one bound tier.
 
@@ -290,14 +230,15 @@ class _AdaptiveTierGate:
                 self.hits = 0
 
 
-class UnifiedVerifier(Verifier):
-    """Verifier backed by the approximate unified similarity (Algorithm 1).
+class UnifiedVerifier:
+    """The verifier of every join and search read: Algorithm 1 behind a cascade.
 
-    :meth:`verify` computes each pair from scratch (the reference path);
-    :meth:`verify_batch` runs the prepared engine with per-record cached
-    graph sides and the tiered bound cascade.  Both report bit-identical
-    pairs and similarity values; ``prune=False`` disables the bound tiers
-    (cached assembly only), which the equivalence tests and benchmarks use.
+    :meth:`verify_batch` is the engine (see the module docs); :meth:`verify`
+    computes one pair afresh and ``prune=False`` turns every bound
+    tier off — both are kept as oracles for the equivalence tests and
+    benchmarks, and all three report bit-identical pairs and similarities.
+    ``t`` is Algorithm 1's trade-off parameter and must satisfy
+    ``1 < t < inf``.
 
     Adaptive tier selection
     -----------------------
@@ -339,12 +280,14 @@ class UnifiedVerifier(Verifier):
         lower_tier_cost: float = 0.05,
         upper_tier_cost: float = 0.05,
     ) -> None:
+        if not 0.0 <= threshold <= 1.0:
+            raise ValueError("threshold must be in [0, 1]")
         self.config = config
-        self.t = t
+        self.threshold = threshold
+        self.t = check_approximation_t(t)
         self.prune = prune
         self.adaptive = adaptive
         self.stats = VerificationStats()
-        self._side_cache: dict = {}
         self._lower_gate = (
             _AdaptiveTierGate(lower_tier_cost, adaptive_window, adaptive_probe_windows)
             if adaptive
@@ -356,55 +299,41 @@ class UnifiedVerifier(Verifier):
             else None
         )
 
-        def similarity(left_tokens: Sequence[str], right_tokens: Sequence[str]) -> float:
-            return approximate_usim(left_tokens, right_tokens, config, t=t).value
+    @property
+    def verified_count(self) -> int:
+        """Candidates verified so far (``stats.candidates``)."""
+        return self.stats.candidates
 
-        super().__init__(similarity, threshold)
+    def verify(self, left: Record, right: Record) -> Optional[VerifiedPair]:
+        """One pair from its tokens, by a fresh ``approximate_usim`` (the oracle).
 
-    # ------------------------------------------------------------------ #
-    # cached graph sides
-    # ------------------------------------------------------------------ #
-    def _side_getter(self, collection) -> Callable[[int], GraphSide]:
-        """Resolve the per-record :class:`GraphSide` source for a collection.
-
-        Prepared collections bound to a config *equal* to this verifier's
-        (configs compare by content, so an equal-but-distinct config — e.g.
-        one that crossed a process boundary — qualifies) serve their own
-        cached sides; anything else falls back to a verifier-local memo
-        keyed by token tuple (so repeated records still hit the cache).
+        No cached side, no bound and no counter is touched.
         """
-        graph_side = getattr(collection, "graph_side", None)
-        if graph_side is not None:
-            bound_config = getattr(collection, "config", None)
-            if bound_config is self.config or bound_config == self.config:
-                return graph_side
+        value = approximate_usim(left.tokens, right.tokens, self.config, t=self.t).value
+        if value >= self.threshold:
+            return VerifiedPair(left.record_id, right.record_id, value)
+        return None
 
-        cache = self._side_cache
-        config = self.config
-
-        def fallback(record_id: int) -> GraphSide:
-            tokens = collection[record_id].tokens
-            side = cache.get(tokens)
-            if side is None:
-                side = GraphSide(tokens, config)
-                if len(cache) < _SIDE_CACHE_LIMIT:
-                    cache[tokens] = side
-            return side
-
-        return fallback
+    def _graph_sides(self, collection: PreparedCollection) -> Callable[[int], GraphSide]:
+        """The collection's cached-side getter, checked against this config."""
+        if not isinstance(collection, PreparedCollection):
+            raise TypeError(
+                "verify_batch reads graph sides from prepared collections; got "
+                f"{type(collection).__name__} — prepare it first"
+            )
+        return collection.require_config(self.config).graph_side
 
     # ------------------------------------------------------------------ #
     # the tiered cascade
     # ------------------------------------------------------------------ #
     def _verify_prepared(
         self,
-        left_record: Record,
-        right_record: Record,
+        left_id: int,
+        right_id: int,
         left_side: GraphSide,
         right_side: GraphSide,
         stats: VerificationStats,
-        *,
-        assembler: Optional[PairGraphAssembler] = None,
+        assembler: PairGraphAssembler,
     ) -> Optional[VerifiedPair]:
         stats.candidates += 1
         threshold = self.threshold
@@ -434,16 +363,11 @@ class UnifiedVerifier(Verifier):
                 stats.adaptive_upper_skips += 1
 
         stats.graphs_built += 1
-        if assembler is not None:
-            # The probe-side assembler (shared across one probe's candidate
-            # group) builds a graph vertex-for-vertex identical to the
-            # two-sided constructor, with the probe's qualification state
-            # hoisted out of the pair loop.
-            graph = assembler.build(
-                right_side if assembler.probe_is_left else left_side
-            )
-        else:
-            graph = build_conflict_graph_from_sides(left_side, right_side, config)
+        # The probe-side assembler (shared across one probe's candidate
+        # group) builds a graph vertex-for-vertex identical to the two-sided
+        # constructor, with the probe's qualification state hoisted out of
+        # the pair loop.
+        graph = assembler.build(right_side if assembler.probe_is_left else left_side)
         result = approximate_usim_on_graph(graph, config, t=self.t)
         if result.ceiling_stopped:
             stats.ceiling_stops += 1
@@ -452,7 +376,7 @@ class UnifiedVerifier(Verifier):
         value = result.value
         if value >= threshold:
             stats.results += 1
-            return VerifiedPair(left_record.record_id, right_record.record_id, value)
+            return VerifiedPair(left_id, right_id, value)
         return None
 
     def _lower_bound_clears(
@@ -478,80 +402,30 @@ class UnifiedVerifier(Verifier):
             stats.lower_bound_skips += 1
         return cleared
 
-    def verify_prepared_pair(
-        self,
-        left_record: Record,
-        right_record: Record,
-        left_side: GraphSide,
-        right_side: GraphSide,
-        stats: Optional[VerificationStats] = None,
-    ) -> Optional[VerifiedPair]:
-        """Run ONE pair through the tiered cascade (the single-pair unit).
-
-        This is the public entry the online search index drives: one probe
-        record against one candidate member, both with prepared
-        :class:`~repro.core.graph.GraphSide` state, through exactly the
-        bound / Algorithm-1 cascade that :meth:`verify_batch` runs per
-        candidate — so a query's surviving pairs and similarities are
-        bit-identical to the batch join's.
-
-        ``stats`` redirects the cascade counters into a caller-owned block
-        (merge it into :attr:`stats` when done, as :meth:`verify_batch`
-        does per batch); without it, counters accumulate here directly and
-        ``verified_count`` is bumped.
-        """
-        if stats is not None:
-            return self._verify_prepared(
-                left_record, right_record, left_side, right_side, stats
-            )
-        pair = self._verify_prepared(
-            left_record, right_record, left_side, right_side, self.stats
-        )
-        self.verified_count += 1
-        return pair
-
     # ------------------------------------------------------------------ #
     # batch verification
     # ------------------------------------------------------------------ #
     def verify_batch(
         self,
         candidates: Iterable[Tuple[int, int]],
-        left,
-        right,
+        left: PreparedCollection,
+        right: PreparedCollection,
         *,
         probe_side: str = "left",
     ) -> List[VerifiedPair]:
-        """Verify candidates through the prepared engine (see class docs).
+        """Verify ``(left_id, right_id)`` candidates; return the survivors.
 
-        The filter emits candidates probe-major (every partner of one probe
-        record before the next, on the ``probe_side`` id), so one probe's
-        cached side and graph assembler serve its whole run of partners.
-
-        A subclass that overrides :meth:`verify` or the :meth:`_verify_one`
-        extension hook without overriding :meth:`_verify_prepared` keeps
-        its per-pair semantics: the batch engine would silently bypass such
-        an override, so those verifiers are routed through the base class's
-        per-pair path instead (which honors both hooks).
+        ``left`` and ``right`` are prepared collections bound to this
+        verifier's config (or an equal one): anything else raises before a
+        candidate is read.  The filter emits candidates probe-major (every
+        partner of one probe record before the next, on the ``probe_side``
+        id), so one probe's cached side and graph assembler serve its whole
+        run of partners.  Result order matches the candidate order, and the
+        cascade counters accumulate on :attr:`stats`.
         """
-        per_pair_override = (
-            type(self).verify is not Verifier.verify
-            or type(self)._verify_one is not Verifier._verify_one
-        )
-        if (
-            per_pair_override
-            and type(self)._verify_prepared is UnifiedVerifier._verify_prepared
-        ):
-            return Verifier.verify_batch(
-                self, candidates, left, right, probe_side=probe_side
-            )
-        get_left = self._side_getter(left)
-        get_right = self._side_getter(right)
+        get_left = self._graph_sides(left)
+        get_right = self._graph_sides(right)
         probe_is_left = probe_side == "left"
-        # A subclass may override ``_verify_prepared`` with the historical
-        # signature; only the base cascade is handed the group assembler.
-        base_cascade = (
-            type(self)._verify_prepared is UnifiedVerifier._verify_prepared
-        )
         local = VerificationStats()
         pairs: List[VerifiedPair] = []
         # One assembler per run of pairs sharing the probe record: its
@@ -560,59 +434,20 @@ class UnifiedVerifier(Verifier):
         current_probe: Optional[int] = None
         assembler: Optional[PairGraphAssembler] = None
         for left_id, right_id in candidates:
-            left_graph_side = get_left(left_id)
-            right_graph_side = get_right(right_id)
-            if base_cascade:
-                probe_id = left_id if probe_is_left else right_id
-                if assembler is None or probe_id != current_probe:
-                    current_probe = probe_id
-                    assembler = PairGraphAssembler(
-                        left_graph_side if probe_is_left else right_graph_side,
-                        self.config,
-                        probe_is_left=probe_is_left,
-                    )
-                verified = self._verify_prepared(
-                    left[left_id],
-                    right[right_id],
-                    left_graph_side,
-                    right_graph_side,
-                    local,
-                    assembler=assembler,
+            left_side = get_left(left_id)
+            right_side = get_right(right_id)
+            probe_id = left_id if probe_is_left else right_id
+            if assembler is None or probe_id != current_probe:
+                current_probe = probe_id
+                assembler = PairGraphAssembler(
+                    left_side if probe_is_left else right_side,
+                    self.config,
+                    probe_is_left=probe_is_left,
                 )
-            else:
-                verified = self._verify_prepared(
-                    left[left_id],
-                    right[right_id],
-                    left_graph_side,
-                    right_graph_side,
-                    local,
-                )
+            verified = self._verify_prepared(
+                left_id, right_id, left_side, right_side, local, assembler
+            )
             if verified is not None:
                 pairs.append(verified)
         self.stats.merge(local)
-        self.verified_count += local.candidates
         return pairs
-
-
-def verify_candidates(
-    verifier,
-    candidates: Iterable[Tuple[int, int]],
-    left,
-    right,
-    *,
-    probe_side: str = "left",
-) -> Tuple[List[VerifiedPair], Optional[VerificationStats]]:
-    """Verify candidates through any verifier; return the pairs and its counter delta.
-
-    The delta is ``None`` for a verifier that keeps no
-    :class:`VerificationStats` (a custom :class:`Verifier`).  A duck-typed
-    verifier exposing only ``verify()`` is driven pair by pair, through the
-    same loop as :meth:`Verifier.verify_batch`.
-    """
-    stats = getattr(verifier, "stats", None)
-    snapshot = stats.snapshot() if isinstance(stats, VerificationStats) else None
-    if hasattr(verifier, "verify_batch"):
-        pairs = verifier.verify_batch(candidates, left, right, probe_side=probe_side)
-    else:
-        pairs = Verifier.verify_batch(verifier, candidates, left, right)
-    return pairs, None if snapshot is None else verifier.stats.diff(snapshot)

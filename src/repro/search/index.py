@@ -14,19 +14,28 @@ Query semantics
 The index is built at a base ``(θ, τ, method)``; its member signatures
 guarantee that any pair with unified similarity ≥ θ shares ≥ τ signature
 pebbles.  A query may therefore *tighten* but never loosen the contract:
-``query(probe, theta=θ', tau=τ')`` serves any θ' ≥ θ and τ' ≤ τ.  Results
-are **bit-identical** to the corresponding batch join restricted to the
-probe record — the same filter counters, the same tiered verification
-cascade (:meth:`~repro.join.verification.UnifiedVerifier.verify_prepared_pair`),
-the same :class:`~repro.join.verification.VerificationStats` — which the
-randomized equivalence tests enforce across measures, self-join corpora,
-and mutation histories.  :meth:`query_topk` additionally orders candidates
-by the pebble-derived :func:`~repro.core.graph.usim_upper_bound` and stops
+``query(probe, theta=θ', tau=τ')`` serves any θ' ≥ θ and τ' ≤ τ.
+
+Every read verifies through the one entry of the verification cascade,
+:meth:`~repro.join.verification.UnifiedVerifier.verify_batch`.
+:meth:`query_batch` signs its probes and runs them through the join's own
+shard loop (:class:`~repro.join.parallel.ShardStream`), on either
+executor, so a batch answer is a join by construction; :meth:`query` runs
+the same body as a one-probe batch on the serial executor.  A query's
+pairs, similarities, candidate and processed counts and
+:class:`~repro.join.verification.VerificationStats` therefore equal those
+of the two-collection join of ``{probe}`` against the live members signed
+under the index's frozen order — ``PebbleJoin(config, θ, tau=τ).join(
+{probe}, live, precomputed_order=<the index's order>)`` — which the
+randomized equivalence tests enforce across measures and mutation
+histories.  The order is part of the contract: a plain join builds its own
+order over ``{probe} ∪ live`` and may sign (and so count) differently.
+:meth:`query_member` verifies a member's row in one batch oriented as the
+self-join emits it.  :meth:`query_topk` additionally orders candidates by
+the pebble-derived :func:`~repro.core.graph.usim_upper_bound` and stops
 verifying once the k-th best verified similarity strictly beats every
 remaining bound (:func:`~repro.core.topk.bounded_top_k` — exact, ties
-included).  :meth:`query_batch` signs its probes and runs them through the
-join's own shard loop (:class:`~repro.join.parallel.ShardStream`), on
-either executor, so a batch answer is a join by construction.
+included).
 
 Incremental maintenance
 -----------------------
@@ -66,7 +75,7 @@ from math import ceil
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..core.graph import GraphSide, usim_upper_bound
+from ..core.graph import usim_upper_bound
 from ..core.measures import MeasureConfig
 from ..core.tokenizer import default_tokenizer
 from ..core.topk import bounded_top_k
@@ -74,8 +83,13 @@ from ..core.vocab import Vocabulary
 from ..join.flat import FlatPostings, FlatSignatures, FlatJoinState
 from ..join.global_order import GlobalOrder
 from ..join.kernels import resolve_kernel
-from ..join.parallel import SHARDS_PER_WORKER, ShardPlan, ShardStream, shard_spans
-from ..join.pebbles import generate_pebbles
+from ..join.parallel import (
+    SHARDS_PER_WORKER,
+    ShardPlan,
+    ShardResult,
+    ShardStream,
+    shard_spans,
+)
 from ..join.prepared import PreparedCollection, PreparedRecord
 from ..join.signatures import SignatureMethod, SignedRecord, sign_record
 from ..join.supervision import ExecutionReport, SupervisorPolicy
@@ -178,29 +192,6 @@ class BatchQueryResult:
         return len(self.pairs)
 
 
-class _ProbeState:
-    """One probe's signing and verification material (built per query)."""
-
-    __slots__ = ("record", "segments", "signed", "side")
-
-    def __init__(self, index: "SimilarityIndex", record: Record) -> None:
-        config = index.config
-        segments, pebbles = generate_pebbles(record.tokens, config)
-        self.record = record
-        self.segments = segments
-        self.signed = sign_record(
-            record,
-            config,
-            index._order,
-            index.theta,
-            tau=index.tau,
-            method=index.method,
-            segments=segments,
-            pebbles=pebbles,
-        )
-        self.side = GraphSide(record.tokens, config, segments=segments)
-
-
 class SimilarityIndex:
     """A long-lived, incrementally maintained similarity-search index.
 
@@ -272,11 +263,8 @@ class SimilarityIndex:
         if drift_threshold is not None and not drift_threshold > 0.0:
             raise ValueError("drift_threshold must be positive (or None)")
         if isinstance(collection, PreparedCollection):
-            if config is not None and config != collection.config:
-                raise ValueError(
-                    "the prepared collection is bound to a different "
-                    "MeasureConfig than the one supplied"
-                )
+            if config is not None:
+                collection.require_config(config)
             prepared = collection
             config = collection.config
         else:
@@ -497,20 +485,23 @@ class SimilarityIndex:
             )
         return theta_q, tau_q
 
-    def _probe_record(self, probe: Probe) -> Record:
-        if isinstance(probe, Record):
-            return Record(record_id=0, text=probe.text, tokens=probe.tokens)
-        if isinstance(probe, str):
-            return Record(
-                record_id=0,
-                text=probe,
-                tokens=tuple(default_tokenizer.tokenize(probe)),
-            )
-        tokens = tuple(probe)
-        return Record(record_id=0, text=" ".join(tokens), tokens=tokens)
-
-    def _member_side(self, record_id: int) -> GraphSide:
-        return self.prepared.graph_side(record_id)
+    def _sign_probes(
+        self, probes: Iterable[Probe]
+    ) -> Tuple[PreparedCollection, List[SignedRecord]]:
+        """The probes prepared as one collection (ids are batch positions),
+        with their signatures under the frozen order."""
+        records = []
+        for position, probe in enumerate(probes):
+            if isinstance(probe, Record):
+                text, tokens = probe.text, probe.tokens
+            elif isinstance(probe, str):
+                text, tokens = probe, tuple(default_tokenizer.tokenize(probe))
+            else:
+                tokens = tuple(probe)
+                text = " ".join(tokens)
+            records.append(Record(record_id=position, text=text, tokens=tokens))
+        prepared = PreparedCollection.prepare(RecordCollection(records), self.config)
+        return prepared, [self._sign_member(record) for record in prepared.prepared_records]
 
     def _flat_postings(self) -> FlatPostings:
         """The live members' flat postings, memoised per epoch.
@@ -563,39 +554,69 @@ class SimilarityIndex:
             kernel=self.kernel,
         )
 
-    def _finish_stats(self, local: VerificationStats) -> None:
-        self.verifier.stats.merge(local)
-        self.verifier.verified_count += local.candidates
-
-    def _verify_against_member(
+    def _run_probes(
         self,
-        probe_record: Record,
-        probe_side: GraphSide,
-        member_id: int,
-        local: VerificationStats,
-        *,
-        member_is_left: bool,
-    ) -> Optional[float]:
-        """One probe/member pair through the cascade, in join orientation.
+        span_name: str,
+        probes: Iterable[Probe],
+        theta: Optional[float],
+        tau: Optional[int],
+        executor: str = "serial",
+        workers: Optional[int] = None,
+        supervision: Optional[SupervisorPolicy] = None,
+    ) -> Tuple[List[VerifiedPair], ShardResult, Optional[ExecutionReport], int]:
+        """The read body of :meth:`query` and :meth:`query_batch`.
 
-        ``member_is_left`` mirrors the batch reference exactly: a self-join
-        reports pairs as ``(lower_id, higher_id)``, so a member query
-        orients each pair by id; an external probe plays the left role of a
-        two-collection join.  Orientation is semantically irrelevant when
-        the measure is symmetric, but bit-identity is the contract, so the
-        index never relies on that.
+        Signs the probes, builds one :class:`~repro.join.parallel.ShardPlan`
+        over the epoch's postings and drains a
+        :class:`~repro.join.parallel.ShardStream` — one shard in this
+        process on the serial executor.  Returns the pairs at the query θ,
+        the merged shard result, the supervisor's report (``None`` on the
+        serial executor) and the probe count.
         """
-        member_record = self.prepared[member_id]
-        member_side = self._member_side(member_id)
-        if member_is_left:
-            pair = self.verifier.verify_prepared_pair(
-                member_record, probe_record, member_side, probe_side, local
+        theta_q, tau_q = self._resolve_query(theta, tau)
+        telemetry = self.telemetry
+        with telemetry.span(span_name, executor=executor) as read_span:
+            epoch = self._begin_read()
+            probe_prepared, signed_probes = self._sign_probes(probes)
+            total = len(signed_probes)
+            run_on = "process" if executor == "process" and total else "serial"
+            plan = ShardPlan.build(
+                self.verifier,
+                self._probe_state(signed_probes),
+                probe_prepared,
+                self.prepared,
+                requirement=tau_q,
+                probe_is_left=True,
+                exclude_self_pairs=False,
+                kernel=self.kernel,
+                executor=run_on,
             )
-        else:
-            pair = self.verifier.verify_prepared_pair(
-                probe_record, member_record, probe_side, member_side, local
+            if run_on == "process":
+                pool = self._warm_join_pool(workers)
+                shard_size = ceil(total / (pool.workers * SHARDS_PER_WORKER))
+                stream = ShardStream(
+                    plan,
+                    shard_spans(total, shard_size),
+                    self.verifier,
+                    telemetry,
+                    executor="process",
+                    workers=pool.workers,
+                    pool=pool,
+                    supervision=supervision,
+                )
+                with telemetry.span("pooled-stage", workers=pool.workers):
+                    merged = stream.drain()
+            else:
+                stream = ShardStream(plan, [(0, total)], self.verifier, telemetry)
+                merged = stream.drain()
+            pairs = merged.pairs
+            if theta_q > self.theta:
+                pairs = [pair for pair in pairs if pair.similarity >= theta_q]
+            self._end_read(epoch)
+            read_span.annotate(
+                probes=total, pairs=len(pairs), candidates=merged.candidate_count
             )
-        return None if pair is None else pair.similarity
+        return pairs, merged, stream.execution, total
 
     def query(
         self,
@@ -606,32 +627,19 @@ class SimilarityIndex:
     ) -> QueryResult:
         """All live members with unified similarity ≥ θ to an external probe.
 
-        Equivalent to joining ``{probe}`` against the live corpus at
-        ``(theta, tau)`` and reading the probe's row — same pairs, same
-        similarities, same cascade counters — for the price of signing one
-        record and probing the standing postings.
+        A one-probe :meth:`query_batch` on the serial executor, read back as
+        the probe's row: the pairs, similarities and cascade counters of
+        joining ``{probe}`` against the live corpus under the index's frozen
+        order (see the module docs), for the price of signing one record
+        and probing the standing postings.
         """
-        theta_q, tau_q = self._resolve_query(theta, tau)
         start = time.perf_counter()
-        epoch = self._begin_read()
-        state = _ProbeState(self, self._probe_record(probe))
-        candidates, processed = self._probe_members([state.signed], tau_q)
-        partners = [member_id for _, member_id in candidates]
-        local = VerificationStats()
-        matches: List[QueryMatch] = []
-        for member_id in partners:
-            similarity = self._verify_against_member(
-                state.record, state.side, member_id, local, member_is_left=False
-            )
-            if similarity is not None and similarity >= theta_q:
-                matches.append(QueryMatch(member_id, similarity))
-        self._end_read(epoch)
-        self._finish_stats(local)
+        pairs, merged, _, _ = self._run_probes("query", (probe,), theta, tau)
         result = QueryResult(
-            matches=matches,
-            candidate_count=len(partners),
-            processed_pairs=processed,
-            verification=local,
+            matches=[QueryMatch(pair.right_id, pair.similarity) for pair in pairs],
+            candidate_count=merged.candidate_count,
+            processed_pairs=merged.processed_pairs,
+            verification=merged.verification,
             seconds=time.perf_counter() - start,
         )
         self._record_query_metrics(result)
@@ -647,41 +655,40 @@ class SimilarityIndex:
         """All live partners of an indexed member (its self-join row).
 
         Uses the member's stored signature — no signing at all — and
-        orients every verified pair ``(min_id, max_id)`` exactly as the
-        batch self-join does, so the returned similarities are the member's
-        row of the full self-join, bit for bit.
+        verifies its row in one batch with every pair oriented
+        ``(min_id, max_id)`` and probed from the right, exactly as the
+        batch self-join emits them, so the returned similarities are the
+        member's row of the full self-join, bit for bit.
         """
         if record_id not in self:
             raise KeyError(f"record {record_id} is not live in this index")
         theta_q, tau_q = self._resolve_query(theta, tau)
         start = time.perf_counter()
         epoch = self._begin_read()
-        signed = self._signed[record_id]
-        probe_record = self.prepared[record_id]
-        probe_side = self._member_side(record_id)
-        candidates, processed = self._probe_members([signed], tau_q)
-        partners = [member_id for _, member_id in candidates]
-        local = VerificationStats()
-        matches: List[QueryMatch] = []
-        for member_id in partners:
-            if member_id == record_id:
-                continue
-            similarity = self._verify_against_member(
-                probe_record,
-                probe_side,
-                member_id,
-                local,
-                member_is_left=member_id < record_id,
-            )
-            if similarity is not None and similarity >= theta_q:
-                matches.append(QueryMatch(member_id, similarity))
+        candidates, processed = self._probe_members([self._signed[record_id]], tau_q)
+        row = [
+            (min(record_id, member_id), max(record_id, member_id))
+            for _, member_id in candidates
+            if member_id != record_id
+        ]
+        stats = self.verifier.stats
+        before = stats.snapshot()
+        pairs = self.verifier.verify_batch(
+            row, self.prepared, self.prepared, probe_side="right"
+        )
         self._end_read(epoch)
-        self._finish_stats(local)
         result = QueryResult(
-            matches=matches,
-            candidate_count=sum(1 for member in partners if member != record_id),
+            matches=[
+                QueryMatch(
+                    pair.left_id if pair.right_id == record_id else pair.right_id,
+                    pair.similarity,
+                )
+                for pair in pairs
+                if pair.similarity >= theta_q
+            ],
+            candidate_count=len(row),
             processed_pairs=processed,
-            verification=local,
+            verification=stats.diff(before),
             seconds=time.perf_counter() - start,
         )
         self._record_query_metrics(result)
@@ -698,44 +705,45 @@ class SimilarityIndex:
         """The k most similar live members (≥ the θ floor), bound-pruned.
 
         Candidates are verified in descending
-        :func:`~repro.core.graph.usim_upper_bound` order; verification
-        stops as soon as the k-th best verified similarity strictly beats
-        every remaining bound, so the expensive cascade runs only where it
-        can still change the answer.  The result equals the top-k (by
-        ``(-similarity, record_id)``) of the corresponding full query —
-        exact, ties included.
+        :func:`~repro.core.graph.usim_upper_bound` order, each through its
+        own :meth:`~repro.join.verification.UnifiedVerifier.verify_batch`
+        call; verification stops as soon as the k-th best verified
+        similarity strictly beats every remaining bound, so the expensive
+        cascade runs only where it can still change the answer.  The
+        result equals the top-k (by ``(-similarity, record_id)``) of the
+        corresponding full query — exact, ties included.
         """
         theta_q, tau_q = self._resolve_query(theta, tau)
         start = time.perf_counter()
         epoch = self._begin_read()
-        state = _ProbeState(self, self._probe_record(probe))
-        candidates, processed = self._probe_members([state.signed], tau_q)
+        probe_prepared, signed_probes = self._sign_probes((probe,))
+        candidates, processed = self._probe_members(signed_probes, tau_q)
         partners = [member_id for _, member_id in candidates]
-        config = self.config
+        probe_side = probe_prepared.graph_side(0)
         bounds = [
-            usim_upper_bound(state.side, self._member_side(member_id), config)
+            usim_upper_bound(probe_side, self.prepared.graph_side(member_id), self.config)
             for member_id in partners
         ]
-        local = VerificationStats()
+        stats = self.verifier.stats
+        before = stats.snapshot()
 
         def evaluate(member_id: int) -> Optional[float]:
-            similarity = self._verify_against_member(
-                state.record, state.side, member_id, local, member_is_left=False
+            verified = self.verifier.verify_batch(
+                [(0, member_id)], probe_prepared, self.prepared
             )
-            if similarity is None or similarity < theta_q:
+            if not verified or verified[0].similarity < theta_q:
                 return None
-            return similarity
+            return verified[0].similarity
 
         top, evaluated = bounded_top_k(
             partners, bounds, evaluate, k, tie_key=lambda member_id: member_id
         )
         self._end_read(epoch)
-        self._finish_stats(local)
         result = QueryResult(
             matches=[QueryMatch(member_id, similarity) for member_id, similarity in top],
             candidate_count=len(partners),
             processed_pairs=processed,
-            verification=local,
+            verification=stats.diff(before),
             seconds=time.perf_counter() - start,
             bound_skipped=len(partners) - evaluated,
         )
@@ -781,71 +789,20 @@ class SimilarityIndex:
             raise ValueError(
                 "supervision policies apply to executor='process' only"
             )
-        theta_q, tau_q = self._resolve_query(theta, tau)
-        telemetry = self.telemetry
         start = time.perf_counter()
-        with telemetry.span("query-batch", executor=executor) as batch_span:
-            epoch = self._begin_read()
-            records = [self._probe_record(probe) for probe in probes]
-            probe_collection = RecordCollection(
-                [
-                    Record(record_id=position, text=record.text, tokens=record.tokens)
-                    for position, record in enumerate(records)
-                ]
-            )
-            probe_prepared = PreparedCollection.prepare(probe_collection, self.config)
-            signed_probes = [
-                self._sign_member(prepared)
-                for prepared in probe_prepared.prepared_records
-            ]
-            total = len(signed_probes)
-            run_on = "process" if executor == "process" and total else "serial"
-            plan = ShardPlan.build(
-                self.verifier,
-                self._probe_state(signed_probes),
-                probe_prepared,
-                self.prepared,
-                requirement=tau_q,
-                probe_is_left=True,
-                exclude_self_pairs=False,
-                kernel=self.kernel,
-                executor=run_on,
-            )
-            if run_on == "process":
-                pool = self._warm_join_pool(workers)
-                shard_size = ceil(total / (pool.workers * SHARDS_PER_WORKER))
-                stream = ShardStream(
-                    plan,
-                    shard_spans(total, shard_size),
-                    self.verifier,
-                    telemetry,
-                    executor="process",
-                    workers=pool.workers,
-                    pool=pool,
-                    supervision=supervision,
-                )
-                with telemetry.span("pooled-stage", workers=pool.workers):
-                    merged = stream.drain()
-            else:
-                stream = ShardStream(plan, [(0, total)], self.verifier, telemetry)
-                merged = stream.drain()
-            pairs = merged.pairs
-            if theta_q > self.theta:
-                pairs = [pair for pair in pairs if pair.similarity >= theta_q]
-            self._end_read(epoch)
-            batch_span.annotate(
-                probes=len(records), pairs=len(pairs), candidates=merged.candidate_count
-            )
+        pairs, merged, execution, total = self._run_probes(
+            "query-batch", probes, theta, tau, executor, workers, supervision
+        )
         result = BatchQueryResult(
             pairs=pairs,
-            probe_count=len(records),
+            probe_count=total,
             candidate_count=merged.candidate_count,
             processed_pairs=merged.processed_pairs,
             verification=merged.verification,
             seconds=time.perf_counter() - start,
-            execution=stream.execution,
+            execution=execution,
         )
-        metrics = telemetry.metrics
+        metrics = self.telemetry.metrics
         metrics.counter("search.batch_queries").add()
         metrics.counter("search.candidates").add(result.candidate_count)
         metrics.counter("search.verified").add(result.verification.candidates)
@@ -1034,7 +991,7 @@ class SimilarityIndex:
         return index
 
     # ------------------------------------------------------------------ #
-    # pickling (the verifier holds an unpicklable closure)
+    # pickling (the verifier's counters and adaptive gates are per process)
     # ------------------------------------------------------------------ #
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)

@@ -7,6 +7,9 @@ single object.  Every instrumented entry point (``PebbleJoin``,
 ``telemetry=``; passing nothing resolves to the module default
 (:func:`get_default`), so instrumentation is on out of the box and a whole
 process can be silenced with ``set_default(Telemetry(enabled=False))``.
+Nothing clears the default bundle, so it keeps only its newest
+:data:`DEFAULT_ROOT_LIMIT` root span trees; a bundle a caller constructs
+keeps every root.
 
 Workers never receive the parent's bundle: each worker runs its own
 :class:`~.spans.Tracer` and ships finished span trees back as plain
@@ -18,6 +21,7 @@ trace files — live in :mod:`.report` and behind
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Optional
 
 from .metrics import DEFAULT_BUCKETS, Counter, Gauge, Histogram, MetricsRegistry
@@ -39,6 +43,7 @@ from .spans import (
 
 __all__ = [
     "DEFAULT_BUCKETS",
+    "DEFAULT_ROOT_LIMIT",
     "NULL_SPAN",
     "PAYLOAD_VERSION",
     "Counter",
@@ -91,8 +96,15 @@ class Telemetry:
         )
 
 
+#: Root span trees the process-wide default bundle retains, newest last.  A
+#: long-lived service tracing every join and query through the default would
+#: otherwise grow without limit (a one-probe batch query leaves a root of
+#: three spans, about 1.7 KB).
+DEFAULT_ROOT_LIMIT = 1000
+
 #: The process-wide default bundle every entry point falls back to.
 _DEFAULT = Telemetry()
+_DEFAULT.tracer.roots = deque(maxlen=DEFAULT_ROOT_LIMIT)
 
 
 def get_default() -> Telemetry:

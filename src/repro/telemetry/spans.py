@@ -284,7 +284,10 @@ class Tracer:
     """Per-run span collector: hands out spans and keeps the root list.
 
     One tracer per process per run; cross-process trees merge through
-    :meth:`export` (worker side) and :meth:`adopt` (parent side).
+    :meth:`export` (worker side) and :meth:`adopt` (parent side).  The
+    process-wide default bundle swaps ``roots`` for a bounded deque (see
+    :data:`repro.telemetry.DEFAULT_ROOT_LIMIT`); every other tracer keeps
+    every root.
     """
 
     __slots__ = ("enabled", "roots")
@@ -341,7 +344,10 @@ class Tracer:
             yield from root.iter_spans()
 
     def clear(self) -> None:
-        self.roots = []
+        """Drop every collected root, in place: spans already handed out
+        keep appending to the same container (and a bounded one stays
+        bounded)."""
+        self.roots.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "on" if self.enabled else "off"

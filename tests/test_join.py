@@ -11,7 +11,6 @@ from repro.join import (
     UnifiedJoin,
     UnifiedVerifier,
 )
-from repro.join.verification import Verifier
 from repro.records import RecordCollection
 
 
@@ -74,6 +73,16 @@ class TestPebbleJoinEndToEnd:
         # silently clamped.
         with pytest.raises(ValueError):
             PebbleJoin(figure1_config, 0.8, tau=2, method=SignatureMethod.U_FILTER)
+        # Algorithm 1's t and the order strategy fail at construction, not
+        # when a join first builds a graph or an order.
+        for t in (1.0, 0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="t must be"):
+                PebbleJoin(figure1_config, 0.8, approximation_t=t)
+            with pytest.raises(ValueError, match="t must be"):
+                UFilterJoin(figure1_config, 0.8, approximation_t=t)
+        for engine in (PebbleJoin, UFilterJoin):
+            with pytest.raises(ValueError, match="strategy"):
+                engine(figure1_config, 0.8, order_strategy="bogus")
 
     def test_ufilter_join_class(self, figure1_config, poi_collections):
         left, right = poi_collections
@@ -94,24 +103,15 @@ class TestPebbleJoinEndToEnd:
 
 
 class TestCustomVerifier:
-    def test_verifier_threshold_validation(self):
+    def test_verifier_threshold_validation(self, figure1_config):
         with pytest.raises(ValueError):
-            Verifier(lambda a, b: 1.0, threshold=2.0)
-
-    def test_custom_verifier_is_used(self, figure1_config, poi_collections):
-        left, right = poi_collections
-        always_one = Verifier(lambda a, b: 1.0, threshold=0.5)
-        engine = PebbleJoin(figure1_config, 0.5, tau=1, verifier=always_one)
-        result = engine.join(left, right)
-        # Every candidate passes with the constant verifier.
-        assert len(result) == result.statistics.candidate_count
+            UnifiedVerifier(figure1_config, threshold=2.0)
 
     def test_unified_verifier_counts_calls(self, figure1_config, poi_collections):
         left, right = poi_collections
-        verifier = UnifiedVerifier(figure1_config, 0.7)
-        engine = PebbleJoin(figure1_config, 0.7, tau=1, verifier=verifier)
+        engine = PebbleJoin(figure1_config, 0.7, tau=1)
         result = engine.join(left, right)
-        assert verifier.verified_count == result.statistics.candidate_count
+        assert engine.verifier.verified_count == result.statistics.candidate_count
 
 
 class TestUnifiedJoinFacade:
@@ -142,6 +142,11 @@ class TestUnifiedJoinFacade:
         with pytest.raises(ValueError, match="tau_universe"):
             UnifiedJoin(rules=figure1_rules, tau="auto", tau_universe=())
         UnifiedJoin(rules=figure1_rules, tau="auto", sample_probability=1.0)
+        # The facade builds its engines lazily, so it checks Algorithm 1's t
+        # itself: a bad t used to surface only once a join built a graph.
+        for t in (1.0, 0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="t must be"):
+                UnifiedJoin(rules=figure1_rules, approximation_t=t)
 
     def test_auto_tau_with_ufilter_warns_and_skips_recommendation(
         self, figure1_rules, figure1_taxonomy, poi_collections

@@ -258,17 +258,6 @@ class TestExecutorEquivalence:
         assert _resolve_executor(None, None) == "serial"
         assert _resolve_executor("process", None) == "process"
 
-    def test_process_executor_rejects_custom_verifier(self, parallel_dataset):
-        from repro.join.verification import Verifier
-
-        config = _config(parallel_dataset, "J")
-        collection = parallel_dataset.records.head(6)
-        engine = PebbleJoin(
-            config, THETA, tau=1, verifier=Verifier(lambda a, b: 1.0, 0.5)
-        )
-        with pytest.raises(ValueError, match="UnifiedVerifier"):
-            engine.join(collection, executor="process", workers=1)
-
     def test_warm_pool_size_sets_default_workers(self, parallel_dataset):
         """A caller's warm pool sizes the shards when ``workers`` is omitted,
         not the machine's CPU count."""
@@ -472,14 +461,12 @@ class TestSatelliteFixes:
         verifier = UnifiedVerifier(config_b, 0.3)
         candidates = [(i, j) for i in range(10) for j in (i + 1, i + 2) if j < 15]
         pairs = verifier.verify_batch(candidates, prepared, prepared)
-        # The prepared collection served its own sides: the verifier-local
-        # fallback memo (the historical slow path) stayed empty...
-        assert verifier._side_cache == {}
-        # ...and the prepared records now hold the built sides.
+        # The prepared collection served its own sides: the prepared records
+        # now hold the built sides.
         assert any(r.graph_side is not None for r in prepared.prepared_records)
-        reference = UnifiedVerifier(config_a, 0.3).verify_batch(
-            candidates, collection, collection
-        )
+        oracle = UnifiedVerifier(config_a, 0.3)
+        verified = (oracle.verify(collection[i], collection[j]) for i, j in candidates)
+        reference = [pair for pair in verified if pair is not None]
         assert _triples(pairs) == _triples(reference)
 
     def test_config_equality_tracks_knowledge_mutation(self):
@@ -550,49 +537,6 @@ class TestSatelliteFixes:
         # Bypassed tiers mean fewer bound computations, never fewer results.
         assert adaptive.stats.results == plain.stats.results
         assert adaptive.stats.candidates == plain.stats.candidates
-
-    def test_unified_verifier_subclass_verify_override_honored(self, parallel_dataset):
-        """verify() / _verify_one() overrides on a UnifiedVerifier subclass
-        must not be bypassed by the batch engine's prepared cascade."""
-
-        class VetoEverything(UnifiedVerifier):
-            def verify(self, left, right):
-                self.verified_count += 1
-                return None
-
-        class VetoViaHook(UnifiedVerifier):
-            def _verify_one(self, left, right):
-                return None
-
-        config = _config(parallel_dataset, "TJS")
-        collection = parallel_dataset.records.head(12)
-        prepared = PebbleJoin(config, 0.0).prepare(collection)
-        candidates = [(i, j) for i in range(6) for j in range(6, 12)]
-        verifier = VetoEverything(config, 0.0)
-        assert verifier.verify_batch(candidates, prepared, prepared) == []
-        assert verifier.verified_count == len(candidates)
-        hooked = VetoViaHook(config, 0.0)
-        assert hooked.verify_batch(candidates, prepared, prepared) == []
-        assert hooked.verify_all(
-            (collection[i], collection[j]) for i, j in candidates
-        ) == []
-
-    def test_process_executor_uses_verifier_threshold(self, parallel_dataset):
-        """Workers must rebuild the verifier at *its* threshold, not the
-        engine's filtering θ, when the two legitimately differ."""
-        config = _config(parallel_dataset, "TJS")
-        collection = parallel_dataset.records.head(24)
-        strict = UnifiedVerifier(config, 0.9)
-        serial = PebbleJoin(config, 0.4, tau=1, verifier=strict).join(collection)
-        # A custom-but-default-typed verifier is the supported process case.
-        pooled_engine = PebbleJoin(
-            config, 0.4, tau=1, verifier=UnifiedVerifier(config, 0.9)
-        )
-        pooled = pooled_engine.join(collection, executor="process", workers=2)
-        assert _triples(pooled.pairs) == _triples(serial.pairs)
-        assert _counters(pooled.statistics.verification) == _counters(
-            serial.statistics.verification
-        )
 
     def test_adaptive_join_passthrough(self, parallel_dataset):
         config = _config(parallel_dataset, "TJS")

@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.measures import MeasureConfig
 from repro.datasets import TINY_PROFILE, generate_dataset
-from repro.join import PebbleJoin
+from repro.join import PebbleJoin, PreparedCollection
 from repro.join.flat import FlatJoinState
 from repro.records import Record, RecordCollection
 from repro.search import SimilarityIndex
@@ -148,6 +148,80 @@ def test_topk_equals_full_query_head(search_dataset):
             assert top.candidate_count == full.candidate_count
 
 
+def _counters(stats):
+    return {name: getattr(stats, name) for name in stats._COUNTERS}
+
+
+@pytest.mark.parametrize("codes", ["J", "S", "T", "TJS"])
+def test_reads_count_as_the_join_under_the_frozen_order(search_dataset, codes):
+    """A read's counters are those of joining {probe} against the live
+    members under the index's frozen order: the same pairs, candidate and
+    processed counts and every VerificationStats field — for query, for
+    each probe of query_batch, and for query_topk's candidate count."""
+    config = _config(search_dataset, codes)
+    theta, tau = 0.5, 2
+    index = SimilarityIndex(search_dataset.records.head(35), config, theta=theta, tau=tau)
+    index.add([record.text for record in search_dataset.records.subset(range(35, 40))])
+    index.remove([3, 17, 36])
+    live = index.live_ids()
+    corpus = PreparedCollection.prepare(
+        RecordCollection(
+            Record(position, index.prepared[member].text, index.prepared[member].tokens)
+            for position, member in enumerate(live)
+        ),
+        config,
+    )
+    engine = PebbleJoin(config, theta, tau=tau)
+    # External probes, plus copies of members so some pairs clear θ.
+    probes = list(search_dataset.records.subset(range(40, 52))) + [
+        index.prepared[member] for member in live[:4]
+    ]
+    totals = {"candidates": 0, "processed": 0, "verification": {}}
+    batch = index.query_batch(probes)
+    grouped = batch.by_probe()
+    for position, probe in enumerate(probes):
+        single = RecordCollection([Record(0, probe.text, probe.tokens)])
+        joined = engine.join(single, corpus, precomputed_order=index._order)
+        statistics = joined.statistics
+        expected = {live[pair.right_id]: pair.similarity for pair in joined.pairs}
+        result = index.query(probe)
+        assert {m.record_id: m.similarity for m in result.matches} == expected
+        assert result.candidate_count == statistics.candidate_count
+        assert result.processed_pairs == statistics.processed_pairs
+        assert _counters(result.verification) == _counters(statistics.verification)
+        assert {
+            m.record_id: m.similarity for m in grouped.get(position, [])
+        } == expected
+        assert index.query_topk(probe, 2).candidate_count == statistics.candidate_count
+        totals["candidates"] += statistics.candidate_count
+        totals["processed"] += statistics.processed_pairs
+        for name, value in _counters(statistics.verification).items():
+            totals["verification"][name] = totals["verification"].get(name, 0) + value
+    assert batch.candidate_count == totals["candidates"] > 0
+    assert batch.processed_pairs == totals["processed"]
+    assert _counters(batch.verification) == totals["verification"]
+    if "J" in codes:
+        # Member copies clear every θ under Jaccard; S and T alone score a
+        # token 0 unless a rule or taxonomy node covers it.
+        assert totals["verification"]["results"] > 0
+
+
+def test_single_query_traces_the_batch_body(search_dataset):
+    """query runs the shard body of query_batch: one query root with the
+    body's filter and verify spans."""
+    config = _config(search_dataset, "TJS")
+    telemetry = Telemetry()
+    index = SimilarityIndex(
+        search_dataset.records.head(20), config, theta=0.5, telemetry=telemetry
+    )
+    result = index.query(search_dataset.records[3])
+    (root,) = telemetry.tracer.roots
+    assert root.name == "query"
+    assert [child.name for child in root.children] == ["filter", "verify"]
+    assert root.attrs["candidates"] == result.candidate_count
+    assert root.children[1].attrs["candidates"] == result.verification.candidates
+
+
 def test_query_metrics_sum_the_verification_blocks(search_dataset):
     """The per-query tier counters equal the summed QueryResult stats."""
     config = _config(search_dataset, "TJS")
@@ -225,6 +299,16 @@ def test_drift_threshold_must_be_positive(search_dataset):
         with pytest.raises(ValueError, match="drift_threshold"):
             SimilarityIndex(collection, config, drift_threshold=threshold)
     SimilarityIndex(collection, config, drift_threshold=None)
+
+
+def test_approximation_t_validated_at_construction(search_dataset):
+    """A t outside (1, inf) used to construct and fail on the first query
+    that built a graph."""
+    config = _config(search_dataset, "J")
+    collection = search_dataset.records.head(5)
+    for t in (1.0, 0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="t must be"):
+            SimilarityIndex(collection, config, approximation_t=t)
 
 
 def test_query_batch_rejects_unknown_executor(search_dataset):

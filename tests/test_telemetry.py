@@ -22,12 +22,14 @@ from repro.datasets import TINY_PROFILE, generate_dataset
 from repro.faults import FAULTS, FaultRule
 from repro.join import PebbleJoin, SupervisorPolicy, UnifiedJoin
 from repro.telemetry import (
+    DEFAULT_ROOT_LIMIT,
     PAYLOAD_VERSION,
     Histogram,
     MetricsRegistry,
     Telemetry,
     Tracer,
     current_span,
+    get_default,
     read_report,
     render_json,
     render_text,
@@ -371,6 +373,44 @@ class TestChaosTelemetry:
         ), events
         counters = telemetry.metrics.snapshot()["counters"]
         assert counters.get("faults.injected", 0) >= 1
+
+
+class TestDefaultRetention:
+    def test_default_bundle_keeps_only_the_newest_roots(self, config, dataset):
+        """Nothing clears the process-wide default, so it keeps its newest
+        DEFAULT_ROOT_LIMIT root trees: a long-lived service reading through
+        it must not grow without bound."""
+        from repro.search import SimilarityIndex
+
+        default = get_default()
+        default.tracer.clear()
+        index = SimilarityIndex(dataset.records.head(12), config, theta=THETA, tau=TAU)
+        probe = dataset.records[20].text
+        try:
+            for _ in range(DEFAULT_ROOT_LIMIT + 10):
+                index.query(probe)
+            roots = default.tracer.roots
+            assert len(roots) == DEFAULT_ROOT_LIMIT
+            assert {root.name for root in roots} == {"query"}
+            for call in range(10):
+                with default.span("call", n=call):
+                    pass
+            assert len(roots) == DEFAULT_ROOT_LIMIT
+            assert [root.attrs.get("n") for root in list(roots)[-10:]] == list(range(10))
+            assert roots[0].name == "query"
+        finally:
+            default.tracer.clear()
+        # The clear empties the same bounded container in place.
+        assert default.tracer.roots is roots and len(roots) == 0
+
+    def test_constructed_bundles_keep_every_root(self):
+        telemetry = Telemetry()
+        for call in range(DEFAULT_ROOT_LIMIT + 10):
+            with telemetry.span("call", n=call):
+                pass
+        roots = telemetry.tracer.roots
+        assert len(roots) == DEFAULT_ROOT_LIMIT + 10
+        assert roots[0].attrs["n"] == 0
 
 
 class TestReport:

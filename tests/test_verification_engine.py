@@ -2,8 +2,8 @@
 
 The engine's contract is strict: for any candidate set, the pairs surviving
 :meth:`UnifiedVerifier.verify_batch` and their similarity values must be
-*bit-identical* to verifying each candidate with the seed per-pair path
-(:meth:`Verifier.verify`, i.e. a fresh ``approximate_usim`` per pair).  The
+*bit-identical* to verifying each candidate with the per-pair oracle
+(:meth:`UnifiedVerifier.verify`, i.e. a fresh ``approximate_usim`` per pair).  The
 tests here enforce that over randomized candidate sets across measure
 configurations, self-joins, and pruning toggles, and separately check the soundness of each tier of the bound cascade.
 """
@@ -26,7 +26,7 @@ from repro.core.graph import (
 from repro.core.measures import MeasureConfig
 from repro.datasets import TINY_PROFILE, generate_dataset, generate_ground_truth
 from repro.join import PebbleJoin, SignatureMethod
-from repro.join.verification import UnifiedVerifier, VerificationStats, Verifier
+from repro.join.verification import UnifiedVerifier, VerificationStats
 from repro.records import Record, RecordCollection
 
 MEASURE_CODES = ("J", "S", "T", "TJS")
@@ -112,59 +112,34 @@ class TestVerifyBatchEquivalence:
             assert engine.stats.upper_bound_prunes == 0
             assert engine.stats.graphs_built == len(candidates)
 
-    def test_raw_collections_fall_back_to_local_cache(self, engine_dataset):
+    def test_raw_collections_rejected(self, engine_dataset):
+        """Graph sides come from prepared collections only: raw input, or a
+        collection prepared under a different config, raises before any
+        candidate is verified."""
         config = _config(engine_dataset, "TJS")
         collection = engine_dataset.records.head(20)
-        rng = random.Random(7)
-        candidates = _random_candidates(rng, 60, len(collection), len(collection))
-        threshold = 0.3
-        reference = _reference_results(config, threshold, candidates, collection, collection)
-        engine = UnifiedVerifier(config, threshold)
-        got = engine.verify_batch(candidates, collection, collection)
-        assert _as_triples(got) == reference
-        assert engine._side_cache  # the fallback memo was exercised
+        prepared = PebbleJoin(config, 0.3).prepare(collection)
+        candidates = [(0, 1), (2, 3)]
+        engine = UnifiedVerifier(config, 0.3)
+        for left, right in ((collection, prepared), (prepared, collection)):
+            with pytest.raises(TypeError, match="prepared"):
+                engine.verify_batch(candidates, left, right)
+        other = PebbleJoin(_config(engine_dataset, "TJ"), 0.3).prepare(collection)
+        with pytest.raises(ValueError, match="MeasureConfig"):
+            engine.verify_batch(candidates, prepared, other)
+        assert engine.stats == VerificationStats()
 
-    def test_legacy_verify_override_honored_on_every_path(self, engine_dataset):
-        """Subclasses overriding verify() keep their semantics in batches
-        and through the join engine."""
-
-        class RejectEverything(Verifier):
-            def verify(self, left, right):
-                self.verified_count += 1
-                return None
-
-        collection = engine_dataset.records.head(10)
-        verifier = RejectEverything(lambda left, right: 1.0, 0.0)
-        candidates = [(i, j) for i in range(5) for j in range(5)]
-        assert verifier.verify_batch(candidates, collection, collection) == []
-        assert verifier.verified_count == len(candidates)
+    def test_invalid_approximation_t_rejected(self, engine_dataset):
+        """t outside (1, inf) fails at construction, and Algorithm 1 itself
+        rejects NaN and inf (a ``t <= 1`` check lets NaN through)."""
         config = _config(engine_dataset, "J")
-        result = PebbleJoin(config, 0.0, tau=1, verifier=verifier).join(collection)
-        assert result.pairs == []
-        assert verifier.verified_count == (
-            len(candidates) + result.statistics.candidate_count
-        )
-
-    def test_duck_typed_verifier_without_verify_batch(self, engine_dataset):
-        """PebbleJoin still accepts verifiers exposing only verify()."""
-
-        class MinimalVerifier:
-            threshold = 0.0
-            verified_count = 0
-
-            def verify(self, left, right):
-                self.verified_count += 1
-                from repro.join.verification import VerifiedPair
-
-                return VerifiedPair(left.record_id, right.record_id, 1.0)
-
-        config = _config(engine_dataset, "J")
-        collection = engine_dataset.records.head(15)
-        engine = PebbleJoin(config, 0.0, tau=1, method=SignatureMethod.U_FILTER,
-                            verifier=MinimalVerifier())
-        result = engine.join(collection)
-        assert len(result) == result.statistics.candidate_count
-        assert result.statistics.verification is None
+        graph = build_conflict_graph(("coffee", "shop"), ("coffee", "shop"), config)
+        for t in (1.0, 0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="t must be"):
+                UnifiedVerifier(config, 0.5, t=t)
+            with pytest.raises(ValueError, match="t must be"):
+                approximate_usim_on_graph(graph, config, t=t)
+        assert UnifiedVerifier(config, 0.5, t=1.5).t == 1.5
 
     def test_join_reports_verification_stats(self, engine_dataset):
         config = _config(engine_dataset, "TJS")
@@ -279,15 +254,6 @@ class TestCascadeOrderCounters:
             batch = UnifiedVerifier(config, threshold)
             batch.verify_batch(candidates, prepared_left, prepared_right)
             assert batch.stats == expected, threshold
-            single = UnifiedVerifier(config, threshold)
-            for left_id, right_id in candidates:
-                single.verify_prepared_pair(
-                    prepared_left[left_id],
-                    prepared_right[right_id],
-                    prepared_left.graph_side(left_id),
-                    prepared_right.graph_side(right_id),
-                )
-            assert single.stats == expected, threshold
             assert expected.upper_bound_prunes > 0, threshold
             if "J" in codes:
                 # Exact copies clear every θ under Jaccard; S and T alone
