@@ -27,11 +27,27 @@ bound and then a matching bound, the two stages of
 :class:`PairUpperBound`), and :func:`singleton_greedy_lower_bound` bounds
 the *exact* USIM from below via a matching of the all-singletons
 partitions.
+
+Integer bound encoding
+----------------------
+:attr:`GraphSide.bound_codes` re-encodes a side's bound material once as
+flat integer arrays (:class:`SideBoundCodes`), which is what the group
+maxima kernel of :mod:`repro.join.bound_kernel` reads: each segment's
+q-gram ids with its gram count, its synonym ``(key id, closeness)``
+entries, its own key id (set only when the key is in its own closeness
+map — the scalar bound needs a key in *both* maps), and the root path of
+its taxonomy node.  Grams and synonym keys are interned in one
+process-local table, so an encoding means nothing in another process:
+:meth:`GraphSide.__getstate__` drops it, and a side that crossed a process
+boundary (a worker payload, an index snapshot) encodes again on first use
+against the receiving process's table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import threading
+from array import array
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -39,6 +55,7 @@ from .grams import qgram_set
 from .matching import matching_weight_lower_bound, matching_weight_upper_bound
 from .measures import Measure, MeasureConfig
 from .segments import Segment, enumerate_segments
+from .vocab import Vocabulary
 
 __all__ = [
     "PairVertex",
@@ -49,11 +66,19 @@ __all__ = [
     "build_conflict_graph",
     "build_conflict_graph_from_sides",
     "PairUpperBound",
+    "SideBoundCodes",
     "usim_upper_bound",
     "singleton_greedy_lower_bound",
 ]
 
 _EPSILON = 1e-12
+
+#: The process-local intern table of the bound encoding: q-grams (strings)
+#: and synonym lhs keys (token tuples) share it, since the two never compare
+#: equal.  The lock keeps concurrent first encodings from assigning one id
+#: twice.
+_BOUND_VOCAB = Vocabulary()
+_BOUND_VOCAB_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -172,6 +197,63 @@ class _SegmentBoundState:
         self.self_tokens = self_tokens
         self.tax_ancestors = tax_ancestors
         self.tax_depth = tax_depth
+
+
+class SideBoundCodes:
+    """One side's bound material as flat arrays (see the module docs).
+
+    Per segment, in segment order: ``gram_counts`` grams in ``gram_ids``;
+    ``syn_counts`` synonym entries in ``syn_keys`` / ``syn_values``;
+    ``self_keys`` (``-1`` when the segment's own key is not in its own
+    closeness map) with that entry's closeness in ``self_closeness``
+    (``0.0`` when absent); and ``tax_depths`` root-path node ids in
+    ``tax_nodes`` (depth 0: no taxonomy node).  Ids come from the
+    process-local intern table, except taxonomy node ids, which are the
+    taxonomy's own.
+    """
+
+    __slots__ = (
+        "segment_count",
+        "min_partition_size",
+        "gram_ids",
+        "gram_counts",
+        "syn_keys",
+        "syn_values",
+        "syn_counts",
+        "self_keys",
+        "self_closeness",
+        "tax_nodes",
+        "tax_depths",
+    )
+
+    def __init__(self, side: "GraphSide") -> None:
+        states = side.bound_state
+        self.segment_count = len(states)
+        self.min_partition_size = side.min_partition_size
+        self.gram_ids = array("i")
+        self.gram_counts = array("i")
+        self.syn_keys = array("i")
+        self.syn_values = array("d")
+        self.syn_counts = array("i")
+        self.self_keys = array("i")
+        self.self_closeness = array("d")
+        self.tax_nodes = array("i")
+        self.tax_depths = array("i")
+        with _BOUND_VOCAB_LOCK:
+            encode = _BOUND_VOCAB.encode
+            for state in states:
+                self.gram_ids.extend(map(encode, state.grams))
+                self.gram_counts.append(len(state.grams))
+                closeness = state.syn_closeness or {}
+                self.syn_keys.extend(map(encode, closeness))
+                self.syn_values.extend(closeness.values())
+                self.syn_counts.append(len(closeness))
+                own = closeness.get(state.self_tokens)
+                self.self_keys.append(-1 if own is None else encode(state.self_tokens))
+                self.self_closeness.append(0.0 if own is None else own)
+                ancestors = state.tax_ancestors or {}
+                self.tax_nodes.extend(sorted(ancestors, key=ancestors.__getitem__))
+                self.tax_depths.append(len(ancestors))
 
 
 class GraphSide:
@@ -305,6 +387,18 @@ class GraphSide:
     def singleton_token_tuples(self) -> Tuple[Tuple[str, ...], ...]:
         """Each token as a 1-tuple (msim probes of the singleton partition)."""
         return tuple((token,) for token in self.tokens)
+
+    @cached_property
+    def bound_codes(self) -> SideBoundCodes:
+        """The bound material as process-local integer arrays (never pickled)."""
+        return SideBoundCodes(self)
+
+    def __getstate__(self) -> dict:
+        # Everything else ships by value; the encoding's ids belong to this
+        # process's intern table and would be wrong in any other.
+        state = dict(self.__dict__)
+        state.pop("bound_codes", None)
+        return state
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GraphSide(tokens={len(self.tokens)}, segments={len(self.segments)})"
@@ -685,17 +779,20 @@ class PairUpperBound:
         The smaller of the two sums is the bound, but when the row sum
         alone already falls below ``threshold`` the (looser, still valid)
         row bound is returned: only its comparison with ``threshold`` is
-        ever used.
+        ever used.  Both sums add their maxima one at a time, in row and
+        column order: the group kernel of :mod:`repro.join.bound_kernel`
+        adds in the same order, which is what makes it bit-identical.
         """
         matrix = self.matrix
         if not matrix or not matrix[0]:
             return 0.0
-        cheap = sum(max(row) for row in matrix)
+        cheap = 0.0
+        for row in matrix:
+            cheap += max(row)
         if cheap / self.denominator >= threshold:
-            col_sum = sum(
-                max(row[column] for row in matrix)
-                for column in range(len(matrix[0]))
-            )
+            col_sum = 0.0
+            for column in range(len(matrix[0])):
+                col_sum += max(row[column] for row in matrix)
             cheap = min(cheap, col_sum)
         value = cheap / self.denominator
         return 1.0 if value > 1.0 else value
@@ -718,8 +815,9 @@ def usim_upper_bound(
     """An upper bound on the unified similarity, pair graph not required.
 
     The composition of the two :class:`PairUpperBound` stages: without
-    ``threshold`` this is the matching bound (the tightest, which top-k
-    search orders candidates by).  ``threshold`` is a pure short circuit
+    ``threshold`` this is the matching bound (the tightest; top-k search
+    refines a candidate to it at the head of its queue).  ``threshold`` is
+    a pure short circuit
     for callers that only compare the bound against a pruning threshold:
     when the cheap maxima bound already falls below it, that bound is
     returned and the matching solver never runs.  Every decision of the

@@ -491,13 +491,17 @@ class PebbleJoin:
         self.tau = tau
         self.method = method
         self.order_strategy = order_strategy
+        resolve_kernel(kernel)  # validate eagerly: typos fail at construction
+        self.kernel = kernel
         self.verifier = UnifiedVerifier(
-            config, theta, t=approximation_t, adaptive=adaptive_verification
+            config,
+            theta,
+            t=approximation_t,
+            adaptive=adaptive_verification,
+            kernel=kernel,
         )
         self.approximation_t = approximation_t
         self.store = store
-        resolve_kernel(kernel)  # validate eagerly: typos fail at construction
-        self.kernel = kernel
         self.telemetry = resolve_telemetry(telemetry)
 
     # ------------------------------------------------------------------ #

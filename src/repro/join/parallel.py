@@ -143,10 +143,10 @@ class ShardPlan:
     exclude_self_pairs: bool
     #: The flat integer payload (CSR postings + encoded probe side).
     flat: FlatJoinState
-    #: Filter-kernel selection the shard body dispatches with (a plain
-    #: string, pickle-safe; ``"auto"`` resolves inside each worker, so a
-    #: numpy-less worker falls back to the pure-Python kernel —
-    #: bit-identically).
+    #: Filter-kernel selection the shard body dispatches with, and each
+    #: rebuilt verifier's stage-1 selection (a plain string, pickle-safe;
+    #: ``"auto"`` resolves inside each worker, so a numpy-less worker falls
+    #: back to the pure-Python paths — bit-identically).
     kernel: str = "auto"
     #: What each worker rebuilds its verifier from; unset on a serial plan,
     #: which runs against the caller's own verifier.
@@ -244,7 +244,12 @@ class _WorkerRuntime:
         self.verifier = (
             verifier
             if verifier is not None
-            else UnifiedVerifier(plan.config, plan.threshold, **plan.verifier_kwargs)
+            else UnifiedVerifier(
+                plan.config,
+                plan.threshold,
+                kernel=plan.kernel,
+                **plan.verifier_kwargs,
+            )
         )
 
     def release(self) -> None:

@@ -15,15 +15,25 @@ each record's cached :class:`~repro.core.graph.GraphSide` (segments, gram
 sets, overlap sets) from :class:`~repro.join.prepared.PreparedCollection`
 inputs bound to the verifier's config — a raw collection, or one prepared
 under a different config, is rejected — groups candidates by probe record
-with one :class:`~repro.core.graph.PairGraphAssembler` per group, and runs
-a tiered bound cascade before committing to the full Algorithm 1, cheapest
-and most decisive stage first:
+(each run of candidates sharing a probe is one *probe group*, with one
+:class:`~repro.core.graph.PairGraphAssembler`), and runs a tiered bound
+cascade before committing to the full Algorithm 1, cheapest and most
+decisive stage first:
 
 1. *Maxima bound* (upper tier, first stage) — per-segment msim upper
    bounds from cached pebble material, summed over row and column maxima,
    reject pairs whose unified similarity cannot reach the threshold
-   without building the pair graph.  It runs on every candidate and
-   prunes nearly every pruned one.
+   without building the pair graph.  It runs once per probe group, for
+   every candidate of the group
+   (:class:`~repro.join.bound_kernel.GroupUpperBounds`), and prunes nearly
+   every pruned candidate.  A group whose segment-pair count reaches
+   :data:`~repro.join.bound_kernel.GROUP_KERNEL_MIN_PAIRS` runs the
+   vectorised numpy kernel, bit-identical to the scalar
+   :class:`~repro.core.graph.PairUpperBound` loop that smaller groups run.
+   The scalar loop is also the kernel's test oracle and the only path
+   without numpy: the verifier's ``kernel`` is the engine's filter-kernel
+   selection (``"python"``, or ``REPRO_NO_NUMPY=1``, keeps every group
+   scalar).
 2. *Lower-bound tier* — on the survivors only, a matching of the
    all-singletons partitions (exact Hungarian for small token matrices,
    weight-descending greedy beyond) lower-bounds the exact USIM; when it
@@ -37,7 +47,11 @@ and most decisive stage first:
 
 Two oracles stay for the tests: :meth:`UnifiedVerifier.verify` computes one
 pair from its tokens with a fresh ``approximate_usim``, and ``prune=False``
-runs the cached assembly with every bound tier off.  The cascade is
+runs the cached assembly with every bound tier off.  With tracing on, each
+tier runs in a span under the shard body's ``verify`` span:
+``verify.maxima`` once per probe group, and ``verify.lower_bound``,
+``verify.matching`` and ``verify.algorithm1`` once per candidate that
+reaches the tier.  The cascade is
 lossless: the surviving pair set and every reported similarity are
 bit-identical to :meth:`~UnifiedVerifier.verify` on each candidate, which
 the randomized equivalence tests enforce.  The stage order changes no
@@ -57,6 +71,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, fields, replace
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, ClassVar, Iterable, List, Optional, Tuple
 
 from ..core.approximation import (
@@ -64,14 +80,12 @@ from ..core.approximation import (
     approximate_usim_on_graph,
     check_approximation_t,
 )
-from ..core.graph import (
-    GraphSide,
-    PairGraphAssembler,
-    PairUpperBound,
-    singleton_greedy_lower_bound,
-)
+from ..core.graph import GraphSide, PairGraphAssembler, singleton_greedy_lower_bound
 from ..core.measures import MeasureConfig
 from ..records import Record
+from ..telemetry.spans import NULL_SPAN, Span, current_span
+from .bound_kernel import GroupUpperBounds
+from .kernels import resolve_kernel
 from .prepared import PreparedCollection
 
 __all__ = [
@@ -165,6 +179,22 @@ VerificationStats._COUNTERS = tuple(
 )
 
 
+def _tier_span(name: str, **attrs):
+    """A tier span under the program's open ``verify`` span, else a no-op.
+
+    The cascade has no telemetry handle; its tiers nest under the
+    ``verify`` span the shard body (or a search read) opened with its own
+    tracer, which is off when that tracer is disabled.  A caller's own
+    span around a bare :meth:`UnifiedVerifier.verify_batch` call (a
+    benchmark's layer span, say) gets no tier children, so its self time
+    stays whole.
+    """
+    parent = current_span()
+    if parent is None or parent.name != "verify":
+        return NULL_SPAN
+    return Span(name, attrs=attrs)
+
+
 class _AdaptiveTierGate:
     """Windowed hit-rate controller for one bound tier.
 
@@ -238,7 +268,9 @@ class UnifiedVerifier:
     tier off — both are kept as oracles for the equivalence tests and
     benchmarks, and all three report bit-identical pairs and similarities.
     ``t`` is Algorithm 1's trade-off parameter and must satisfy
-    ``1 < t < inf``.
+    ``1 < t < inf``.  ``kernel`` is the owning engine's filter-kernel
+    selection (see :mod:`repro.join.kernels`); it picks the stage-1
+    implementation the same way, with bit-identical results.
 
     Adaptive tier selection
     -----------------------
@@ -279,14 +311,17 @@ class UnifiedVerifier:
         adaptive_probe_windows: int = 4,
         lower_tier_cost: float = 0.05,
         upper_tier_cost: float = 0.05,
+        kernel: str = "auto",
     ) -> None:
         if not 0.0 <= threshold <= 1.0:
             raise ValueError("threshold must be in [0, 1]")
+        resolve_kernel(kernel)  # validate eagerly: typos fail at construction
         self.config = config
         self.threshold = threshold
         self.t = check_approximation_t(t)
         self.prune = prune
         self.adaptive = adaptive
+        self.kernel = kernel
         self.stats = VerificationStats()
         self._lower_gate = (
             _AdaptiveTierGate(lower_tier_cost, adaptive_window, adaptive_probe_windows)
@@ -326,58 +361,81 @@ class UnifiedVerifier:
     # ------------------------------------------------------------------ #
     # the tiered cascade
     # ------------------------------------------------------------------ #
-    def _verify_prepared(
+    def _verify_group(
         self,
-        left_id: int,
-        right_id: int,
-        left_side: GraphSide,
-        right_side: GraphSide,
+        group: List[Tuple[int, int]],
+        probe_side: GraphSide,
+        partner_sides: List[GraphSide],
+        probe_is_left: bool,
         stats: VerificationStats,
-        assembler: PairGraphAssembler,
-    ) -> Optional[VerifiedPair]:
-        stats.candidates += 1
+        pairs: List[VerifiedPair],
+    ) -> None:
+        """Run the cascade over one probe's run of candidates, in order."""
         threshold = self.threshold
         config = self.config
-
+        upper_gate = self._upper_gate
+        # One assembler per group: the probe's qualification pre-pass is
+        # computed once and reused against every partner.
+        assembler = PairGraphAssembler(probe_side, config, probe_is_left=probe_is_left)
         # Empty-token records need no special case: both bounds are 0.0 and
         # the empty pair graph realises 0.0, matching approximate_usim's
         # empty-input result, so the cascade handles them like any pair (and
         # the tier counters keep partitioning the candidates).
+        bounds = None
         if self.prune and threshold > 0.0:
-            upper_gate = self._upper_gate
-            if upper_gate is None or upper_gate.should_run():
-                upper = PairUpperBound(left_side, right_side, config)
-                pruned = upper.maxima(threshold) < threshold
-                if not pruned and not self._lower_bound_clears(
-                    left_side, right_side, stats
-                ):
-                    pruned = upper.matching() < threshold
-                if upper_gate is not None:
-                    upper_gate.record(pruned)
-                if pruned:
-                    # Algorithm 1 realises ≤ exact USIM ≤ either upper stage
-                    # < θ: the unpruned path would reject this pair too.
-                    stats.upper_bound_prunes += 1
-                    return None
-            else:
-                stats.adaptive_upper_skips += 1
+            bounds = GroupUpperBounds(
+                probe_side,
+                partner_sides,
+                config,
+                probe_is_left=probe_is_left,
+                kernel=self.kernel,
+            )
+        maxima: Optional[List[float]] = None
+        for position, (left_id, right_id) in enumerate(group):
+            stats.candidates += 1
+            partner_side = partner_sides[position]
+            if bounds is not None:
+                if upper_gate is None or upper_gate.should_run():
+                    if maxima is None:
+                        # Stage 1 for the whole group, on first need.
+                        with _tier_span(
+                            "verify.maxima",
+                            candidates=len(group),
+                            kernel=bounds.use_kernel,
+                        ):
+                            maxima = bounds.maxima(threshold)
+                    pruned = maxima[position] < threshold
+                    if not pruned:
+                        left_side, right_side = (
+                            (probe_side, partner_side)
+                            if probe_is_left
+                            else (partner_side, probe_side)
+                        )
+                        if not self._lower_bound_clears(left_side, right_side, stats):
+                            with _tier_span("verify.matching"):
+                                pruned = bounds.matching(position) < threshold
+                    if upper_gate is not None:
+                        upper_gate.record(pruned)
+                    if pruned:
+                        # Algorithm 1 realises ≤ exact USIM ≤ either upper
+                        # stage < θ: the unpruned path would reject it too.
+                        stats.upper_bound_prunes += 1
+                        continue
+                else:
+                    stats.adaptive_upper_skips += 1
 
-        stats.graphs_built += 1
-        # The probe-side assembler (shared across one probe's candidate
-        # group) builds a graph vertex-for-vertex identical to the two-sided
-        # constructor, with the probe's qualification state hoisted out of
-        # the pair loop.
-        graph = assembler.build(right_side if assembler.probe_is_left else left_side)
-        result = approximate_usim_on_graph(graph, config, t=self.t)
-        if result.ceiling_stopped:
-            stats.ceiling_stops += 1
-        else:
-            stats.full_runs += 1
-        value = result.value
-        if value >= threshold:
-            stats.results += 1
-            return VerifiedPair(left_id, right_id, value)
-        return None
+            stats.graphs_built += 1
+            with _tier_span("verify.algorithm1"):
+                # Vertex-for-vertex the two-sided constructor's graph.
+                graph = assembler.build(partner_side)
+                result = approximate_usim_on_graph(graph, config, t=self.t)
+            if result.ceiling_stopped:
+                stats.ceiling_stops += 1
+            else:
+                stats.full_runs += 1
+            if result.value >= threshold:
+                stats.results += 1
+                pairs.append(VerifiedPair(left_id, right_id, result.value))
 
     def _lower_bound_clears(
         self, left_side: GraphSide, right_side: GraphSide, stats: VerificationStats
@@ -392,10 +450,11 @@ class UnifiedVerifier:
         if lower_gate is not None and not lower_gate.should_run():
             stats.adaptive_lower_skips += 1
             return False
-        cleared = (
-            singleton_greedy_lower_bound(left_side, right_side, self.config)
-            >= self.threshold
-        )
+        with _tier_span("verify.lower_bound"):
+            cleared = (
+                singleton_greedy_lower_bound(left_side, right_side, self.config)
+                >= self.threshold
+            )
         if lower_gate is not None:
             lower_gate.record(cleared)
         if cleared:
@@ -419,35 +478,29 @@ class UnifiedVerifier:
         verifier's config (or an equal one): anything else raises before a
         candidate is read.  The filter emits candidates probe-major (every
         partner of one probe record before the next, on the ``probe_side``
-        id), so one probe's cached side and graph assembler serve its whole
-        run of partners.  Result order matches the candidate order, and the
-        cascade counters accumulate on :attr:`stats`.
+        id), so each run of candidates sharing a probe record is one group:
+        one cached probe side, one graph assembler and one stage-1 pass.
+        Result order matches the candidate order, and the cascade counters
+        accumulate on :attr:`stats`.
         """
         get_left = self._graph_sides(left)
         get_right = self._graph_sides(right)
         probe_is_left = probe_side == "left"
+        get_probe, get_partner = (
+            (get_left, get_right) if probe_is_left else (get_right, get_left)
+        )
+        probe_index, partner_index = (0, 1) if probe_is_left else (1, 0)
         local = VerificationStats()
         pairs: List[VerifiedPair] = []
-        # One assembler per run of pairs sharing the probe record: its
-        # qualification pre-pass is computed once and reused against every
-        # partner in the run.
-        current_probe: Optional[int] = None
-        assembler: Optional[PairGraphAssembler] = None
-        for left_id, right_id in candidates:
-            left_side = get_left(left_id)
-            right_side = get_right(right_id)
-            probe_id = left_id if probe_is_left else right_id
-            if assembler is None or probe_id != current_probe:
-                current_probe = probe_id
-                assembler = PairGraphAssembler(
-                    left_side if probe_is_left else right_side,
-                    self.config,
-                    probe_is_left=probe_is_left,
-                )
-            verified = self._verify_prepared(
-                left_id, right_id, left_side, right_side, local, assembler
+        for probe_id, run in groupby(candidates, key=itemgetter(probe_index)):
+            group = list(run)
+            self._verify_group(
+                group,
+                get_probe(probe_id),
+                [get_partner(pair[partner_index]) for pair in group],
+                probe_is_left,
+                local,
+                pairs,
             )
-            if verified is not None:
-                pairs.append(verified)
         self.stats.merge(local)
         return pairs

@@ -30,12 +30,16 @@ under the index's frozen order — ``PebbleJoin(config, θ, tau=τ).join(
 randomized equivalence tests enforce across measures and mutation
 histories.  The order is part of the contract: a plain join builds its own
 order over ``{probe} ∪ live`` and may sign (and so count) differently.
-:meth:`query_member` verifies a member's row in one batch oriented as the
-self-join emits it.  :meth:`query_topk` additionally orders candidates by
-the pebble-derived :func:`~repro.core.graph.usim_upper_bound` and stops
-verifying once the k-th best verified similarity strictly beats every
-remaining bound (:func:`~repro.core.topk.bounded_top_k` — exact, ties
-included).
+:meth:`query_member` verifies a member's row oriented as the self-join
+emits it, as two probe groups of the member.  :meth:`query_topk` is lazy:
+one stage-1 pass of the verification cascade bounds every candidate by its
+maxima bound at the query θ, candidates below θ drop out, and the rest
+queue by that bound; a candidate's dearer matching bound is computed only
+when it reaches the head of the queue, and verification stops once the
+k-th best verified similarity strictly beats the head's key
+(:func:`~repro.core.topk.bounded_top_k` — exact, ties included).  Each
+read opens a root span (``query``, ``query-batch``, ``query-member``,
+``query-topk``) with ``filter`` and ``verify`` children.
 
 Incremental maintenance
 -----------------------
@@ -75,12 +79,12 @@ from math import ceil
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..core.graph import usim_upper_bound
 from ..core.measures import MeasureConfig
 from ..core.tokenizer import default_tokenizer
-from ..core.topk import bounded_top_k
+from ..core.topk import bounded_top_k, check_top_k
 from ..core.vocab import Vocabulary
 from ..join.flat import FlatPostings, FlatSignatures, FlatJoinState
+from ..join.bound_kernel import GroupUpperBounds
 from ..join.global_order import GlobalOrder
 from ..join.kernels import resolve_kernel
 from ..join.parallel import (
@@ -286,7 +290,11 @@ class SimilarityIndex:
         # telemetry bundle (and its collected spans) across processes.
         self._telemetry = telemetry
         self.verifier = UnifiedVerifier(
-            config, theta, t=approximation_t, adaptive=adaptive_verification
+            config,
+            theta,
+            t=approximation_t,
+            adaptive=adaptive_verification,
+            kernel=kernel,
         )
 
         self._live: List[bool] = [True] * len(prepared)
@@ -655,38 +663,60 @@ class SimilarityIndex:
         """All live partners of an indexed member (its self-join row).
 
         Uses the member's stored signature — no signing at all — and
-        verifies its row in one batch with every pair oriented
-        ``(min_id, max_id)`` and probed from the right, exactly as the
-        batch self-join emits them, so the returned similarities are the
-        member's row of the full self-join, bit for bit.
+        verifies its row with every pair oriented ``(min_id, max_id)``,
+        exactly as the batch self-join emits them, so the returned
+        similarities are the member's row of the full self-join, bit for
+        bit.  The row is verified as two probe groups of the member —
+        partners below its id, with the member on the right, then partners
+        above it, with the member on the left — so each runs one stage-1
+        pass; the matches come back in candidate-emission order.
         """
         if record_id not in self:
             raise KeyError(f"record {record_id} is not live in this index")
         theta_q, tau_q = self._resolve_query(theta, tau)
+        telemetry = self.telemetry
         start = time.perf_counter()
-        epoch = self._begin_read()
-        candidates, processed = self._probe_members([self._signed[record_id]], tau_q)
-        row = [
-            (min(record_id, member_id), max(record_id, member_id))
-            for _, member_id in candidates
-            if member_id != record_id
-        ]
-        stats = self.verifier.stats
-        before = stats.snapshot()
-        pairs = self.verifier.verify_batch(
-            row, self.prepared, self.prepared, probe_side="right"
-        )
-        self._end_read(epoch)
-        result = QueryResult(
-            matches=[
-                QueryMatch(
-                    pair.left_id if pair.right_id == record_id else pair.right_id,
-                    pair.similarity,
+        with telemetry.span("query-member", record=record_id) as read_span:
+            epoch = self._begin_read()
+            with telemetry.span("filter", kernel=self.kernel) as filter_span:
+                candidates, processed = self._probe_members(
+                    [self._signed[record_id]], tau_q
                 )
-                for pair in pairs
-                if pair.similarity >= theta_q
-            ],
-            candidate_count=len(row),
+            filter_span.annotate(candidates=len(candidates), processed_pairs=processed)
+            partners = [
+                member_id for _, member_id in candidates if member_id != record_id
+            ]
+            stats = self.verifier.stats
+            before = stats.snapshot()
+            with telemetry.span("verify"):
+                pairs = self.verifier.verify_batch(
+                    [(member_id, record_id) for member_id in partners if member_id < record_id],
+                    self.prepared,
+                    self.prepared,
+                    probe_side="right",
+                ) + self.verifier.verify_batch(
+                    [(record_id, member_id) for member_id in partners if member_id > record_id],
+                    self.prepared,
+                    self.prepared,
+                    probe_side="left",
+                )
+            self._end_read(epoch)
+            rank = {member_id: position for position, member_id in enumerate(partners)}
+            matches = sorted(
+                (
+                    QueryMatch(
+                        pair.left_id if pair.right_id == record_id else pair.right_id,
+                        pair.similarity,
+                    )
+                    for pair in pairs
+                    if pair.similarity >= theta_q
+                ),
+                key=lambda match: rank[match.record_id],
+            )
+            read_span.annotate(pairs=len(matches), candidates=len(partners))
+        result = QueryResult(
+            matches=matches,
+            candidate_count=len(partners),
             processed_pairs=processed,
             verification=stats.diff(before),
             seconds=time.perf_counter() - start,
@@ -704,43 +734,82 @@ class SimilarityIndex:
     ) -> QueryResult:
         """The k most similar live members (≥ the θ floor), bound-pruned.
 
-        Candidates are verified in descending
-        :func:`~repro.core.graph.usim_upper_bound` order, each through its
-        own :meth:`~repro.join.verification.UnifiedVerifier.verify_batch`
-        call; verification stops as soon as the k-th best verified
-        similarity strictly beats every remaining bound, so the expensive
-        cascade runs only where it can still change the answer.  The
-        result equals the top-k (by ``(-similarity, record_id)``) of the
-        corresponding full query — exact, ties included.
+        The top-k queue is lazy (:func:`~repro.core.topk.bounded_top_k`
+        with a refine step).  One stage-1 pass computes every candidate's
+        maxima bound at the query θ
+        (:class:`~repro.join.bound_kernel.GroupUpperBounds`); candidates
+        below θ are dropped and the rest queue by that bound, ties by
+        member id.  A candidate's matching bound is computed only when it
+        first reaches the head of the queue (it is dropped if that bound is
+        below θ, else re-queued under it), and it is verified through
+        :meth:`~repro.join.verification.UnifiedVerifier.verify_batch` on
+        its second arrival.  Verification stops once the k-th best verified
+        similarity strictly beats the head's key, so the cascade runs only
+        where it can still change the answer.  The result equals the top-k
+        (by ``(-similarity, record_id)``) of the corresponding full query —
+        exact, ties included.
         """
+        k = check_top_k(k)
         theta_q, tau_q = self._resolve_query(theta, tau)
+        telemetry = self.telemetry
         start = time.perf_counter()
-        epoch = self._begin_read()
-        probe_prepared, signed_probes = self._sign_probes((probe,))
-        candidates, processed = self._probe_members(signed_probes, tau_q)
-        partners = [member_id for _, member_id in candidates]
-        probe_side = probe_prepared.graph_side(0)
-        bounds = [
-            usim_upper_bound(probe_side, self.prepared.graph_side(member_id), self.config)
-            for member_id in partners
-        ]
-        stats = self.verifier.stats
-        before = stats.snapshot()
+        with telemetry.span("query-topk", k=k) as read_span:
+            epoch = self._begin_read()
+            probe_prepared, signed_probes = self._sign_probes((probe,))
+            with telemetry.span("filter", kernel=self.kernel) as filter_span:
+                candidates, processed = self._probe_members(signed_probes, tau_q)
+            filter_span.annotate(candidates=len(candidates), processed_pairs=processed)
+            partners = [member_id for _, member_id in candidates]
+            stats = self.verifier.stats
+            before = stats.snapshot()
+            with telemetry.span("verify"):
+                bounds = GroupUpperBounds(
+                    probe_prepared.graph_side(0),
+                    [self.prepared.graph_side(member_id) for member_id in partners],
+                    self.config,
+                    probe_is_left=True,
+                    kernel=self.kernel,
+                )
+                with telemetry.span(
+                    "verify.maxima",
+                    candidates=len(partners),
+                    kernel=bounds.use_kernel,
+                ):
+                    maxima = bounds.maxima(theta_q)
+                eligible = [
+                    position
+                    for position, value in enumerate(maxima)
+                    if value >= theta_q
+                ]
 
-        def evaluate(member_id: int) -> Optional[float]:
-            verified = self.verifier.verify_batch(
-                [(0, member_id)], probe_prepared, self.prepared
-            )
-            if not verified or verified[0].similarity < theta_q:
-                return None
-            return verified[0].similarity
+                def refine(position: int) -> Optional[float]:
+                    with telemetry.span("verify.matching"):
+                        value = bounds.matching(position)
+                    return value if value >= theta_q else None
 
-        top, evaluated = bounded_top_k(
-            partners, bounds, evaluate, k, tie_key=lambda member_id: member_id
-        )
-        self._end_read(epoch)
+                def evaluate(position: int) -> Optional[float]:
+                    verified = self.verifier.verify_batch(
+                        [(0, partners[position])], probe_prepared, self.prepared
+                    )
+                    if not verified or verified[0].similarity < theta_q:
+                        return None
+                    return verified[0].similarity
+
+                top, evaluated = bounded_top_k(
+                    eligible,
+                    [maxima[position] for position in eligible],
+                    evaluate,
+                    k,
+                    tie_key=partners.__getitem__,
+                    refine=refine,
+                )
+            self._end_read(epoch)
+            read_span.annotate(pairs=len(top), candidates=len(partners))
         result = QueryResult(
-            matches=[QueryMatch(member_id, similarity) for member_id, similarity in top],
+            matches=[
+                QueryMatch(partners[position], similarity)
+                for position, similarity in top
+            ],
             candidate_count=len(partners),
             processed_pairs=processed,
             verification=stats.diff(before),
@@ -1032,20 +1101,21 @@ class SimilarityIndex:
         state.pop("_index", None)
         state.pop("_plan_cache", None)
         self.__dict__.update(state)
+        # Snapshots from before the kernel knob / flat-postings memo.
+        self.__dict__.setdefault("kernel", "auto")
+        self.__dict__.setdefault("_flat_cache", None)
         # Fresh per-process verifier; cascade counters do not persist.
         self.verifier = UnifiedVerifier(
             self.config,
             self.theta,
             t=self.approximation_t,
             adaptive=getattr(self, "adaptive_verification", False),
+            kernel=self.kernel,
         )
         if getattr(self, "_vocab", None) is None:
             self._vocab = Vocabulary()
         if getattr(self, "_warm_pool", "absent") == "absent":
             self._warm_pool = None
-        # Snapshots from before the kernel knob / flat-postings memo.
-        self.__dict__.setdefault("kernel", "auto")
-        self.__dict__.setdefault("_flat_cache", None)
         self.__dict__.setdefault("_telemetry", None)
         self._mutation_lock = threading.Lock()
         if lengths is not None:

@@ -53,6 +53,7 @@ file is still an ordinary miss.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import os
 import pickle
@@ -452,11 +453,19 @@ class PreparedStore:
                 f"v{format_version} {fingerprint[:12]}…",
             )
             return None
+        # Unpickling builds the whole corpus at once and none of it is
+        # garbage, so cyclic collections during it only add pauses — a full
+        # one can cost more than the rest of the load in a large process.
+        collecting = gc.isenabled()
+        gc.disable()
         try:
             payload = pickle.loads(blob[newline + 1 :])
         except Exception as exc:
             self._quarantine(path, f"unpicklable payload ({type(exc).__name__})")
             return None
+        finally:
+            if collecting:
+                gc.enable()
         if not isinstance(payload, dict) or payload.get("fingerprint") != fingerprint:
             self._quarantine(path, "payload fingerprint mismatch")
             return None

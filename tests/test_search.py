@@ -101,6 +101,35 @@ def test_query_theta_tau_tightening(search_dataset):
         assert _member_rows(index, theta=theta, tau=tau) == reference
 
 
+@pytest.mark.parametrize("codes", ["J", "TJS"])
+def test_member_row_equals_one_right_probed_batch(search_dataset, codes):
+    """A member read verifies its row as two probe groups of the member;
+    its matches, their order and its counters equal one batch of the row
+    oriented (min_id, max_id) and probed from the right."""
+    from repro.join.verification import UnifiedVerifier
+
+    config = _config(search_dataset, codes)
+    index = SimilarityIndex(search_dataset.records.head(45), config, theta=0.45, tau=1)
+    oracle = UnifiedVerifier(config, 0.45)
+    for record_id in range(0, 45, 4):
+        candidates, _ = index._probe_members([index._signed[record_id]], 1)
+        row = [
+            (min(record_id, member_id), max(record_id, member_id))
+            for _, member_id in candidates
+            if member_id != record_id
+        ]
+        before = oracle.stats.snapshot()
+        pairs = oracle.verify_batch(row, index.prepared, index.prepared, probe_side="right")
+        expected = [
+            (pair.left_id if pair.right_id == record_id else pair.right_id, pair.similarity)
+            for pair in pairs
+        ]
+        result = index.query_member(record_id)
+        assert [(m.record_id, m.similarity) for m in result.matches] == expected
+        assert result.verification == oracle.stats.diff(before)
+        assert result.candidate_count == len(row)
+
+
 def test_query_rejects_loosened_contract(search_dataset):
     config = _config(search_dataset, "J")
     index = SimilarityIndex(search_dataset.records.head(10), config, theta=0.7, tau=2)
@@ -251,6 +280,53 @@ def test_topk_validates_k(search_dataset):
     index = SimilarityIndex(search_dataset.records.head(5), config, theta=0.5)
     with pytest.raises(ValueError, match="k"):
         index.query_topk("anything", 0)
+    # NaN, infinite and fractional k used to return every match (the early
+    # stop never fired); k is checked before the probe is even signed.
+    for k in (float("nan"), float("inf"), 1.5, 2.5):
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            index.query_topk("anything", k)
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            index.query_topk(12345, k)  # not a probe: signing would raise
+
+
+def _expected_head(index, probe, k, **query_kwargs):
+    full = index.query(probe, **query_kwargs)
+    ranked = sorted(
+        ((m.similarity, m.record_id) for m in full.matches),
+        key=lambda pair: (-pair[0], pair[1]),
+    )
+    return full, ranked[:k]
+
+
+def test_topk_with_fewer_matches_than_k(search_dataset):
+    """Fewer than k candidates reach the θ floor: every match comes back,
+    in (-similarity, id) order, and the lazy queue verifies no more
+    candidates than the eager one would have (all of them)."""
+    config = _config(search_dataset, "TJS")
+    index = SimilarityIndex(search_dataset.records.head(45), config, theta=0.45, tau=1)
+    probes = [search_dataset.records[record_id] for record_id in (0, 46, 50, 57)]
+    for probe in probes:
+        full, expected = _expected_head(index, probe, 40)
+        assert len(full.matches) < 40
+        top = index.query_topk(probe, 40)
+        assert [(m.similarity, m.record_id) for m in top.matches] == expected
+        assert top.candidate_count == full.candidate_count
+        evaluated = top.candidate_count - top.bound_skipped
+        assert len(full.matches) <= evaluated <= full.verification.candidates
+
+
+def test_topk_at_a_tightened_theta(search_dataset):
+    """A query θ above the index θ: the head of the tightened full query."""
+    config = _config(search_dataset, "TJS")
+    index = SimilarityIndex(search_dataset.records.head(45), config, theta=0.45, tau=1)
+    rng = random.Random(11)
+    probes = [search_dataset.records[rng.randrange(60)] for _ in range(6)]
+    for probe in probes:
+        for theta in (0.5, 0.7, 0.9):
+            for k in (1, 3):
+                _, expected = _expected_head(index, probe, k, theta=theta)
+                top = index.query_topk(probe, k, theta=theta)
+                assert [(m.similarity, m.record_id) for m in top.matches] == expected
 
 
 # --------------------------------------------------------------------- #

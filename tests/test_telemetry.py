@@ -304,6 +304,82 @@ class TestSpanSourcedTimings:
         assert names.count("verify") == len(batches)
 
 
+class TestTierSpans:
+    """Each verification tier has its span under ``verify``: ``verify.maxima``
+    once per probe group, the others once per candidate reaching them."""
+
+    TIERS = {"verify.maxima", "verify.lower_bound", "verify.matching", "verify.algorithm1"}
+
+    def _tier_counts(self, telemetry):
+        counts = {name: 0 for name in self.TIERS}
+        for span in telemetry.tracer.iter_spans():
+            if span.name in self.TIERS:
+                counts[span.name] += 1
+            if span.name == "verify":
+                assert {child.name for child in span.children} <= self.TIERS
+        return counts
+
+    def test_serial_join_traces_each_tier(self, config, collection):
+        telemetry = Telemetry()
+        engine = PebbleJoin(config, THETA, tau=TAU, telemetry=telemetry)
+        prepared = engine.prepare(collection)
+        result = engine.join(prepared)
+        signed = prepared.signed(
+            prepared.build_order(engine.order_strategy), THETA, TAU, engine.method
+        )
+        outcome = engine.filter_candidates(
+            signed, signed, exclude_self_pairs=True, prepared=(prepared, prepared)
+        )
+        probe = 0 if outcome.probe_side == "left" else 1
+        groups = sum(
+            1
+            for position, pair in enumerate(outcome.candidates)
+            if position == 0 or outcome.candidates[position - 1][probe] != pair[probe]
+        )
+        stats = result.statistics.verification
+        counts = self._tier_counts(telemetry)
+        assert groups > 1 and stats.graphs_built > 0
+        assert counts["verify.maxima"] == groups
+        assert counts["verify.algorithm1"] == stats.graphs_built
+        assert counts["verify.lower_bound"] >= stats.lower_bound_skips
+
+    def test_topk_read_traces_each_tier(self, config, collection):
+        from repro.search import SimilarityIndex
+
+        telemetry = Telemetry()
+        index = SimilarityIndex(
+            collection, config, theta=THETA, tau=TAU, telemetry=telemetry
+        )
+        telemetry.clear()
+        result = index.query_topk(collection[5].text, 2)
+        (root,) = telemetry.tracer.roots
+        assert root.name == "query-topk"
+        assert [child.name for child in root.children] == ["filter", "verify"]
+        counts = self._tier_counts(telemetry)
+        evaluated = result.candidate_count - result.bound_skipped
+        assert evaluated > 0 and result.verification.graphs_built > 0
+        # One group for the whole read, then one per verified candidate.
+        assert counts["verify.maxima"] == 1 + evaluated
+        assert counts["verify.algorithm1"] == result.verification.graphs_built
+        # Every verified candidate had its matching bound refined first.
+        assert counts["verify.matching"] >= evaluated
+
+    def test_member_read_opens_its_root(self, config, collection):
+        from repro.search import SimilarityIndex
+
+        telemetry = Telemetry()
+        index = SimilarityIndex(
+            collection, config, theta=THETA, tau=TAU, telemetry=telemetry
+        )
+        telemetry.clear()
+        result = index.query_member(5)
+        (root,) = telemetry.tracer.roots
+        assert root.name == "query-member"
+        assert [child.name for child in root.children] == ["filter", "verify"]
+        counts = self._tier_counts(telemetry)
+        assert counts["verify.algorithm1"] == result.verification.graphs_built
+
+
 @pytest.mark.chaos
 class TestChaosTelemetry:
     def test_worker_kill_produces_failed_attempt_sibling_spans(

@@ -45,6 +45,67 @@ def test_exact_against_brute_force_randomized():
         assert evaluated == len(evaluated_items) <= len(items)
 
 
+def test_lazy_refinement_against_brute_force_randomized():
+    """With a refine step (maxima >= matching >= score) the answer is the
+    brute-force top-k, and the evaluated sequence is that of the eager
+    queue keyed by the refined bounds: laziness only skips refinements."""
+    rng = random.Random(2026)
+    for trial in range(300):
+        count = rng.randint(0, 25)
+        items = list(range(count))
+        floor = rng.choice([None, 0.3, 0.6])
+        scores, matching, maxima = {}, {}, []
+        for item in items:
+            score = round(rng.uniform(0.0, 1.0), 2)
+            refined = min(1.0, score + rng.choice([0.0, 0.0, 0.05, 0.2]))
+            cheap = min(1.0, refined + rng.choice([0.0, 0.0, 0.1, 0.4]))
+            eligible = rng.random() > 0.2 and (floor is None or score >= floor)
+            scores[item] = score if eligible else None
+            matching[item] = refined
+            maxima.append(cheap)
+        k = rng.randint(1, 6)
+
+        def refine(item):
+            value = matching[item]
+            return value if floor is None or value >= floor else None
+
+        lazy_calls, eager_calls, refined_calls = [], [], []
+
+        def traced(calls, scorer):
+            def evaluate(item):
+                calls.append(item)
+                return scorer(item)
+            return evaluate
+
+        def counted_refine(item):
+            refined_calls.append(item)
+            return refine(item)
+
+        top, evaluated = bounded_top_k(
+            items,
+            maxima,
+            traced(lazy_calls, scores.__getitem__),
+            k,
+            tie_key=lambda item: item,
+            refine=counted_refine,
+        )
+        assert top == brute_force(items, scores, k, lambda item: item)
+        assert evaluated == len(lazy_calls)
+        # Every evaluated item was refined first, and at most once.
+        assert set(lazy_calls) <= set(refined_calls)
+        assert len(refined_calls) == len(set(refined_calls))
+        if floor is None:
+            eager_top, _ = bounded_top_k(
+                items,
+                [matching[item] for item in items],
+                traced(eager_calls, scores.__getitem__),
+                k,
+                tie_key=lambda item: item,
+            )
+            assert eager_top == top
+            assert lazy_calls == eager_calls
+
+
 def test_early_stop_skips_dominated_candidates():
     items = ["a", "b", "c", "d"]
     bounds = [1.0, 0.9, 0.3, 0.2]
@@ -77,6 +138,10 @@ def test_ties_at_the_boundary_are_still_evaluated():
 def test_validation():
     with pytest.raises(ValueError, match="k"):
         bounded_top_k([], [], lambda item: None, 0)
+    # A non-integer k never meets the early stop's `len(kept) == k`.
+    for k in (float("nan"), float("inf"), 1.5, 2.5, 2.0, -1, True, "3"):
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            bounded_top_k([1, 2, 3], [0.5, 0.4, 0.3], lambda item: 0.1, k)
     with pytest.raises(ValueError, match="aligned"):
         bounded_top_k([1], [], lambda item: None, 1)
     assert bounded_top_k([], [], lambda item: None, 3) == ([], 0)
