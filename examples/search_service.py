@@ -7,7 +7,7 @@ Walks the life cycle of an online :class:`~repro.search.SimilarityIndex`:
    read, no corpus preparation),
 3. answer threshold and top-k single-record queries,
 4. ingest new records and retire old ones, re-querying live in between,
-5. inspect staleness and the verification-cascade counters,
+5. inspect the verification-cascade counters,
 6. shard a batch query across a *warm* process pool — the workers stay
    alive between ``query_batch(executor="process")`` calls, receiving the
    maintained index as flat integer arrays over shared memory, and are
@@ -125,8 +125,7 @@ def main() -> None:
 
         # --- online ingestion --------------------------------------------
         added = service.add(["new york pizza placé", "apple gateau bakery"])
-        print(f"\nadd() -> new ids {added} "
-              f"(live={service.live_count}, staleness={service.staleness:.2f})")
+        print(f"\nadd() -> new ids {added} (live={service.live_count})")
         show(service, f"query_member({added[1]})", service.query_member(added[1]))
 
         # --- retirement ---------------------------------------------------

@@ -41,6 +41,7 @@ from ..core.measures import MeasureConfig
 from ..core.vocab import Vocabulary
 from ..join.flat import FlatPostings, FlatSignatures
 from ..join.kernels import overlap_histogram
+from ..join.signatures import check_tau
 from .bernoulli import bernoulli_rows, scale_estimate
 from .cost_model import CostEstimate, CostModel
 
@@ -63,13 +64,11 @@ def check_sampling(tau_universe: Sequence[int], *probabilities: float) -> Tuple[
     :func:`~repro.estimator.bernoulli.bernoulli_rows` enforces, and every
     τ must be a positive integer.  Returns the sorted, deduplicated universe.
     """
-    universe = tuple(sorted(set(tau_universe)))
+    universe = tuple(
+        sorted({check_tau(tau, "every tau in tau_universe") for tau in tau_universe})
+    )
     if not universe:
         raise ValueError("tau_universe must not be empty")
-    if universe[0] < 1:
-        raise ValueError(
-            f"every tau in tau_universe must be a positive integer; got {universe[0]}"
-        )
     for probability in probabilities:
         if not 0.0 < probability <= 1.0:
             raise ValueError(

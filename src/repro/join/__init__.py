@@ -15,8 +15,6 @@ from .parallel import (
     ShardResult,
     build_shard_plan,
     plan_payload_bytes,
-    process_join,
-    process_join_batches,
 )
 from .partition_bound import greedy_cover_size, min_partition_size
 from .pebbles import Pebble, PebbleKey, generate_pebbles
@@ -64,8 +62,6 @@ __all__ = [
     "greedy_cover_size",
     "min_partition_size",
     "plan_payload_bytes",
-    "process_join",
-    "process_join_batches",
     "select_signature_prefix",
     "sign_record",
 ]

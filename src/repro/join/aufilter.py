@@ -85,7 +85,7 @@ from .parallel import (
     shard_spans,
 )
 from .prepared import PreparedCollection
-from .signatures import SignatureMethod, SignedRecord, sign_record
+from .signatures import SignatureMethod, SignedRecord, check_tau, sign_record
 from .supervision import ExecutionReport, SupervisorPolicy
 from .verification import UnifiedVerifier, VerificationStats, VerifiedPair
 
@@ -477,8 +477,7 @@ class PebbleJoin:
     ) -> None:
         if not 0.0 <= theta <= 1.0:
             raise ValueError("theta must be in [0, 1]")
-        if tau < 1:
-            raise ValueError("tau must be a positive integer")
+        tau = check_tau(tau)
         SignatureMethod.validate(method)
         if method == SignatureMethod.U_FILTER and tau > 1:
             raise ValueError(
@@ -771,31 +770,6 @@ class PebbleJoin:
         (with ``adaptive_verification=False``) — including supervised runs
         that retried, respawned, or fell back to serial for some shards.
         """
-        return self._join(
-            left,
-            right,
-            precomputed_order,
-            signing_tau,
-            executor,
-            workers,
-            pool,
-            supervision,
-            SHARDS_PER_WORKER,
-        )
-
-    def _join(
-        self,
-        left: Joinable,
-        right: Optional[Joinable],
-        precomputed_order: Optional[GlobalOrder],
-        signing_tau: Optional[int],
-        executor: Optional[str],
-        workers: Optional[int],
-        pool,
-        supervision: Optional[SupervisorPolicy],
-        shards_per_worker: int,
-    ) -> JoinResult:
-        """:meth:`join` with ``shards_per_worker`` shards per process worker."""
         resolved_executor = _resolve_executor(executor, workers)
         _check_process_only(resolved_executor, pool=pool, supervision=supervision)
         serial = resolved_executor == "serial"
@@ -836,7 +810,7 @@ class PebbleJoin:
                 spans = [(0, total)]
             else:
                 workers = _pool_size(workers, pool)
-                shards = max(workers * shards_per_worker, 1)
+                shards = max(workers * SHARDS_PER_WORKER, 1)
                 spans = shard_spans(total, max(1, ceil(total / shards)))
             stream = ShardStream(
                 plan,

@@ -70,7 +70,7 @@ from .aufilter import (
 from .kernels import resolve_kernel
 from .parallel import _stage_seconds
 from .prepared import PreparedCollection
-from .signatures import SignatureMethod
+from .signatures import SignatureMethod, check_tau
 
 __all__ = ["UnifiedJoin"]
 
@@ -172,14 +172,12 @@ class UnifiedJoin:
                 check_sampling(self.tau_universe, sample_probability)
                 self.tau = "auto"
         else:
-            if tau < 1:
-                raise ValueError("tau must be a positive integer or 'auto'")
-            if self.method == SignatureMethod.U_FILTER and tau > 1:
+            self.tau = check_tau(tau)
+            if self.method == SignatureMethod.U_FILTER and self.tau > 1:
                 raise ValueError(
                     "the U-Filter method implies tau=1 (Algorithm 3); "
                     f"got tau={tau} — pass tau=1 or use an AU-Filter method"
                 )
-            self.tau = int(tau)
         self.last_recommendation = None
         self.store = store
         resolve_kernel(kernel)  # validate eagerly: typos fail at construction
@@ -230,7 +228,7 @@ class UnifiedJoin:
         preparation with its signature-cache size at resolve time — the
         persist-back hook compares against it after the join.
         """
-        probe_engine = self._engine(1 if self.tau == "auto" else int(self.tau))
+        probe_engine = self._engine(1 if self.tau == "auto" else self.tau)
         self_join = right is None
         left_prep = self._as_prepared(left, probe_engine)
         if self_join:

@@ -59,12 +59,13 @@ included), and the join splits its wall clock between filtering and
 verification by the workers' observed stage proportions, so
 ``JoinStatistics.total_seconds`` remains comparable across executors.
 
-Use it through the ``executor="process"`` knob::
+Use it through the ``executor="process"`` knob of
+:meth:`~repro.join.aufilter.PebbleJoin.join` and
+:meth:`~repro.join.aufilter.PebbleJoin.join_batches`::
 
     engine.join(left, right, executor="process", workers=4)
     engine.join_batches(left, executor="process", batch_size=2048)
 
-or call :func:`process_join` / :func:`process_join_batches` directly.
 :func:`build_shard_plan` exposes the process payload construction on its
 own and :func:`plan_payload_bytes` measures it, which is what the scaling
 benchmark uses to record transfer bytes.
@@ -96,7 +97,7 @@ from .supervision import (
 from .verification import UnifiedVerifier, VerificationStats, VerifiedPair
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .aufilter import JoinBatch, JoinResult, Joinable, PebbleJoin
+    from .aufilter import Joinable, PebbleJoin
 
 __all__ = [
     "ShardPlan",
@@ -104,14 +105,12 @@ __all__ = [
     "ShardStream",
     "build_shard_plan",
     "plan_payload_bytes",
-    "process_join",
-    "process_join_batches",
     "shard_spans",
 ]
 
-#: Default shards per worker for :func:`process_join` — several shards per
-#: process keep the pool busy when shard costs are skewed, while staying
-#: coarse enough that per-task pickling stays negligible.
+#: Shards per worker of a process join and a process batch query — several
+#: shards per process keep the pool busy when shard costs are skewed, while
+#: staying coarse enough that per-task pickling stays negligible.
 SHARDS_PER_WORKER = 4
 
 
@@ -424,17 +423,7 @@ def _run_shard_on(
 
 def _verifier_kwargs(verifier: UnifiedVerifier) -> dict:
     """Reconstruction parameters for per-process verifiers."""
-    kwargs = {"t": verifier.t, "prune": verifier.prune, "adaptive": verifier.adaptive}
-    lower_gate = verifier._lower_gate
-    upper_gate = verifier._upper_gate
-    if lower_gate is not None and upper_gate is not None:
-        kwargs.update(
-            adaptive_window=lower_gate.window,
-            adaptive_probe_windows=lower_gate.probe_windows,
-            lower_tier_cost=lower_gate.min_hit_rate,
-            upper_tier_cost=upper_gate.min_hit_rate,
-        )
-    return kwargs
+    return {"t": verifier.t, "prune": verifier.prune, "adaptive": verifier.adaptive}
 
 
 def build_shard_plan(
@@ -447,9 +436,9 @@ def build_shard_plan(
 ) -> ShardPlan:
     """Build the worker payload for a join without running it.
 
-    This is the plan :func:`process_join` would ship.  Exposed so payload
-    sizes can be measured (:func:`plan_payload_bytes`) and plans
-    round-tripped in isolation.
+    This is the plan ``engine.join(left, right, executor="process")``
+    would ship.  Exposed so payload sizes can be measured
+    (:func:`plan_payload_bytes`) and plans round-tripped in isolation.
     """
     left_prep, right_prep, self_join = engine._resolve_sides(left, right)
     _, left_signed, right_signed = engine._order_and_sign(
@@ -752,95 +741,3 @@ class ShardStream:
             merged.verify_seconds += shard.verify_seconds
             merged.verification.merge(shard.verification)
         return merged
-
-
-def process_join(
-    engine: PebbleJoin,
-    left: Joinable,
-    right: Optional[Joinable] = None,
-    *,
-    workers: Optional[int] = None,
-    shards_per_worker: int = SHARDS_PER_WORKER,
-    precomputed_order: Optional[GlobalOrder] = None,
-    signing_tau: Optional[int] = None,
-    pool=None,
-    supervision: Optional[SupervisorPolicy] = None,
-) -> JoinResult:
-    """``engine.join(left, right, executor="process")`` at a chosen shard count.
-
-    Signing happens (cache-backed) in the parent and the flat integer plan
-    ships once per machine (see :func:`_session_manager`); the probe side
-    is cut into ``workers × shards_per_worker`` shards.  The result —
-    pairs, similarities, and every statistics counter — is bit-identical to
-    ``engine.join(left, right)`` at any ``workers`` / ``shards_per_worker``.
-    Passing ``pool`` (a :class:`~repro.join.pool.WarmJoinPool`) reuses
-    already-warm worker processes instead of starting a pool per call;
-    ``workers`` then defaults to the pool's size.  ``filtering_seconds`` /
-    ``verification_seconds`` split the wall clock of the ``pooled-stage``
-    span proportionally to the summed worker-side stage seconds (see
-    :func:`_split_pooled_wall`).
-
-    Shard dispatch runs under a :class:`~repro.join.supervision.ShardSupervisor`
-    configured by ``supervision`` (default :class:`SupervisorPolicy` —
-    retries with respawn, serial fallback, no timeout): a killed worker, a
-    hung shard (with ``shard_timeout`` set), or a vanished transport is
-    recovered instead of failing the join, and the resulting
-    :class:`~repro.join.supervision.ExecutionReport` is attached as
-    ``statistics.execution``.  Pass ``SupervisorPolicy(enabled=False)`` for
-    the legacy fail-fast behavior.
-    """
-    return engine._join(
-        left,
-        right,
-        precomputed_order,
-        signing_tau,
-        "process",
-        workers,
-        pool,
-        supervision,
-        shards_per_worker,
-    )
-
-
-def process_join_batches(
-    engine: PebbleJoin,
-    left: Joinable,
-    right: Optional[Joinable] = None,
-    *,
-    workers: Optional[int] = None,
-    batch_size: int = 1024,
-    precomputed_order: Optional[GlobalOrder] = None,
-    signing_tau: Optional[int] = None,
-    suggestion_seconds: float = 0.0,
-    pool=None,
-    supervision: Optional[SupervisorPolicy] = None,
-) -> Iterator[JoinBatch]:
-    """``engine.join_batches(left, right, executor="process")``.
-
-    Each batch covers ``batch_size`` probe records — the same chunking as
-    the serial stream — and batches are yielded in probe order while later
-    shards are still being computed, so the stream overlaps verification
-    with consumption.  The concatenated batches equal the serial stream
-    exactly (pairs, order, and per-batch counters).  A
-    :class:`~repro.join.pool.WarmJoinPool` passed as ``pool`` serves every
-    chunk from the same warm workers, and sizes the submission window when
-    ``workers`` is omitted.
-
-    The stream runs supervised exactly like :func:`process_join`
-    (``supervision`` knob, same defaults); each yielded batch carries the
-    run's **live** :class:`~repro.join.supervision.ExecutionReport` as
-    ``batch.execution`` — one shared object whose counters grow as the
-    stream progresses, final once the stream is exhausted.
-    """
-    return engine.join_batches(
-        left,
-        right,
-        batch_size=batch_size,
-        precomputed_order=precomputed_order,
-        signing_tau=signing_tau,
-        executor="process",
-        workers=workers,
-        suggestion_seconds=suggestion_seconds,
-        pool=pool,
-        supervision=supervision,
-    )

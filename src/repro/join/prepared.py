@@ -245,9 +245,8 @@ class PreparedCollection:
         signatures, shared orders — is dropped (the per-record pebbles and
         graph sides of existing records survive untouched), and
         :attr:`content_version` is bumped so holders of content-derived
-        state (the store's fingerprint memo, the search index's staleness
-        tracking) can detect the mutation.  Returns the newly prepared
-        records.
+        state (the store's fingerprint memo) can detect the mutation.
+        Returns the newly prepared records.
         """
         self._require_pebbles("extend")
         additions = list(records)

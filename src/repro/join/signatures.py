@@ -33,6 +33,7 @@ J at θ=0.9, τ=2, and 23% under TJS at θ=0.8, τ=3.
 from __future__ import annotations
 
 import bisect
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -47,6 +48,7 @@ from .pebbles import Pebble, PebbleKey, generate_pebbles
 __all__ = [
     "SignatureMethod",
     "SignedRecord",
+    "check_tau",
     "select_signature_prefix",
     "sign_record",
     "accumulated_similarity_profile",
@@ -80,6 +82,18 @@ class SignatureMethod:
         if method not in cls.ALL:
             raise ValueError(f"unknown signature method {method!r}; expected one of {cls.ALL}")
         return method
+
+
+def check_tau(tau: object, name: str = "tau") -> int:
+    """``tau`` when it is an integer ``>= 1``; raise ``ValueError`` otherwise.
+
+    τ counts shared signature pebbles and cuts the heaviest-weight credit of
+    the signature walk as a slice, so a float — NaN or fractional — and a
+    bool are rejected even when integral in value.
+    """
+    if isinstance(tau, bool) or not isinstance(tau, numbers.Integral) or tau < 1:
+        raise ValueError(f"{name} must be a positive integer; got {tau!r}")
+    return int(tau)
 
 
 @dataclass(frozen=True)
@@ -277,8 +291,7 @@ def select_signature_prefix(
     SignatureMethod.validate(method)
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must be in [0, 1]")
-    if tau < 1:
-        raise ValueError("tau must be a positive integer")
+    tau = check_tau(tau)
     if method == SignatureMethod.U_FILTER:
         tau = 1
 

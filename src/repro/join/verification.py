@@ -65,6 +65,10 @@ the serial counters.
 With ``adaptive=True`` the verifier additionally *gates* each bound tier on
 its observed hit rate (see :class:`UnifiedVerifier`), skipping tiers that
 stopped paying for themselves — without ever changing the surviving pairs.
+``adaptive`` is the only setting: the gates' window, re-probe interval
+and tier costs are the module constants :data:`ADAPTIVE_WINDOW`,
+:data:`ADAPTIVE_PROBE_WINDOWS`, :data:`LOWER_TIER_COST` and
+:data:`UPPER_TIER_COST`.
 """
 
 from __future__ import annotations
@@ -93,6 +97,17 @@ __all__ = [
     "VerifiedPair",
     "UnifiedVerifier",
 ]
+
+#: Settings of the adaptive tier gates (see :class:`UnifiedVerifier`).  A
+#: gate measures its tier's hit rate over windows of ``ADAPTIVE_WINDOW``
+#: outcomes, closes the tier when the rate falls below the tier's cost —
+#: the break-even share of candidates the bound must serve to pay for
+#: itself — and re-probes a closed tier after ``ADAPTIVE_PROBE_WINDOWS``
+#: windows of bypassed candidates.
+ADAPTIVE_WINDOW = 256
+ADAPTIVE_PROBE_WINDOWS = 4
+LOWER_TIER_COST = 0.05
+UPPER_TIER_COST = 0.05
 
 
 @dataclass(frozen=True)
@@ -276,8 +291,8 @@ class UnifiedVerifier:
     -----------------------
     With ``adaptive=True`` each bound tier is wrapped in an
     :class:`_AdaptiveTierGate`: when a tier's observed hit rate over a
-    window of candidates drops below its cost (``lower_tier_cost`` /
-    ``upper_tier_cost``, the break-even hit rate of computing the bound),
+    window of candidates drops below its cost (:data:`LOWER_TIER_COST` /
+    :data:`UPPER_TIER_COST`, the break-even hit rate of computing the bound),
     the tier is skipped for subsequent candidates and periodically re-probed.
     The upper gate covers the whole upper tier — both stages, one outcome
     per candidate: pruned or not — and a bypassed upper tier bypasses the
@@ -307,10 +322,6 @@ class UnifiedVerifier:
         t: float = 4.0,
         prune: bool = True,
         adaptive: bool = False,
-        adaptive_window: int = 256,
-        adaptive_probe_windows: int = 4,
-        lower_tier_cost: float = 0.05,
-        upper_tier_cost: float = 0.05,
         kernel: str = "auto",
     ) -> None:
         if not 0.0 <= threshold <= 1.0:
@@ -324,12 +335,12 @@ class UnifiedVerifier:
         self.kernel = kernel
         self.stats = VerificationStats()
         self._lower_gate = (
-            _AdaptiveTierGate(lower_tier_cost, adaptive_window, adaptive_probe_windows)
+            _AdaptiveTierGate(LOWER_TIER_COST, ADAPTIVE_WINDOW, ADAPTIVE_PROBE_WINDOWS)
             if adaptive
             else None
         )
         self._upper_gate = (
-            _AdaptiveTierGate(upper_tier_cost, adaptive_window, adaptive_probe_windows)
+            _AdaptiveTierGate(UPPER_TIER_COST, ADAPTIVE_WINDOW, ADAPTIVE_PROBE_WINDOWS)
             if adaptive
             else None
         )

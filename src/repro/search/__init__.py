@@ -2,8 +2,8 @@
 
 See :mod:`repro.search.index` for the :class:`SimilarityIndex` — threshold
 and top-k single-record queries, batched (optionally multi-core) querying,
-in-place add/remove with drift-triggered lazy re-signing, and store-backed
-snapshots.
+in-place add/remove under a frozen order (re-ordered only by an explicit
+``rebuild()``), and store-backed snapshots.
 """
 
 from .index import (

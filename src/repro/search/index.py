@@ -3,11 +3,11 @@
 Every other path in the framework is batch-shaped — prepare two whole
 collections, join once, exit.  :class:`SimilarityIndex` is the serving
 counterpart: a long-lived, queryable object wrapping a prepared corpus, its
-frozen global order, and the per-record signatures selected under it (each
-also kept as one vocabulary-encoded row of key ids), so "which records
-match this one record, right now?" is answered by signing *one* probe and
-streaming it through the members' flat postings — not by re-running a
-join.
+frozen global order, and one row per live member: the key ids of the
+signature selected under that order, encoded against a persistent
+vocabulary.  "Which records match this one record, right now?" is answered
+by signing *one* probe and streaming it through the members' flat postings
+— not by re-running a join.
 
 Query semantics
 ---------------
@@ -30,41 +30,42 @@ under the index's frozen order — ``PebbleJoin(config, θ, tau=τ).join(
 randomized equivalence tests enforce across measures and mutation
 histories.  The order is part of the contract: a plain join builds its own
 order over ``{probe} ∪ live`` and may sign (and so count) differently.
-:meth:`query_member` verifies a member's row oriented as the self-join
-emits it, as two probe groups of the member.  :meth:`query_topk` is lazy:
-one stage-1 pass of the verification cascade bounds every candidate by its
-maxima bound at the query θ, candidates below θ drop out, and the rest
-queue by that bound; a candidate's dearer matching bound is computed only
-when it reaches the head of the queue, and verification stops once the
-k-th best verified similarity strictly beats the head's key
+:meth:`query_member` probes with the member's own row and verifies the
+partners oriented as the self-join emits them, as two probe groups of the
+member.  :meth:`query_topk` is lazy: one stage-1 pass of the verification
+cascade bounds every candidate by its maxima bound at the query θ,
+candidates below θ drop out, and the rest queue by that bound; a
+candidate's dearer matching bound is computed only when it reaches the
+head of the queue, and verification stops once the k-th best verified
+similarity strictly beats the head's key
 (:func:`~repro.core.topk.bounded_top_k` — exact, ties included).  Each
 read opens a root span (``query``, ``query-batch``, ``query-member``,
 ``query-topk``) with ``filter`` and ``verify`` children.
 
 Incremental maintenance
 -----------------------
-:meth:`add` and :meth:`remove` update the prepared state, signatures, and
-encoded rows in place.  The flat postings every query probes are a pure
-function of the live members' rows: the first query of each serving epoch
-derives them with the same counting sort a batch join uses, so nothing is
-maintained per key.  Correctness never depends on the order being "fresh":
-signatures are valid under *any* fixed total key order as long as every
-member and every probe use the same one, so mutations sign new records
-under the frozen order and stay exact.  What drifts is *selectivity* —
-frequencies move as the corpus churns — so the index tracks staleness
-(mutations since the order was last built over the live corpus) and, past
-``drift_threshold``, re-orders: it rebuilds the order over the live corpus
-and re-signs and re-encodes every live member, exactly as :meth:`rebuild`
-does.  Re-signing only the members whose pebble sort moved would save
-little, because a new order moves nearly every member's sort.
+:meth:`add` signs each new record under the frozen order and appends its
+row; :meth:`remove` tombstones rows.  Both bump the serving epoch and do
+nothing else.  The flat postings every query probes are a pure function of
+the live members' rows: the first query of each serving epoch derives them
+with the same counting sort a batch join uses, so nothing is maintained per
+key.  Correctness never depends on the order being "fresh": signatures are
+valid under *any* fixed total key order as long as every member and every
+probe use the same one, so a new order changes how selective the filter
+is, never what a read returns.  The index therefore never re-orders on its
+own — on 2,000-member churn, re-ordering as frequencies drifted lost more
+time than its sharper filter saved in every case measured.
+:meth:`rebuild` re-derives the order over the live corpus and re-signs
+every live member on request.
 
 Persistence
 -----------
-:meth:`snapshot` writes the index (prepared corpus, order, and one prefix
+:meth:`snapshot` writes the index (prepared corpus, order, and one row
 length per member) into a :class:`~repro.store.PreparedStore` keyed by a
 content fingerprint; :meth:`load` brings it back in one validated file
-read and re-derives signatures and rows from those, so a service restart
-costs an unpickle, not a corpus preparation.
+read and re-derives each row from those — the member's pebbles sorted
+under the shipped order, cut at the stored length — so a service restart
+costs an unpickle, not a corpus preparation or a signature selection.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ from ..join.parallel import (
     shard_spans,
 )
 from ..join.prepared import PreparedCollection, PreparedRecord
-from ..join.signatures import SignatureMethod, SignedRecord, sign_record
+from ..join.signatures import SignatureMethod, SignedRecord, check_tau, sign_record
 from ..join.supervision import ExecutionReport, SupervisorPolicy
 from ..join.verification import UnifiedVerifier, VerificationStats, VerifiedPair
 from ..records import Record, RecordCollection
@@ -211,11 +212,6 @@ class SimilarityIndex:
     theta, tau, method:
         The base signing contract.  Queries may raise θ and lower τ but
         never the reverse (the signatures would stop guaranteeing recall).
-    drift_threshold:
-        Mutated-fraction of the live corpus (since the order was last
-        built) that triggers the lazy re-order/re-sign; ``None`` disables
-        automatic re-ordering (:meth:`rebuild` remains available).  Purely
-        a performance knob: answers are identical at any threshold.
     adaptive_verification:
         Enable the verifier's adaptive tier controller (see
         :class:`~repro.join.verification.UnifiedVerifier`): at high θ the
@@ -232,9 +228,9 @@ class SimilarityIndex:
         answers either way (see :mod:`repro.join.kernels`).
     telemetry:
         A :class:`~repro.telemetry.Telemetry` bundle queries and writes
-        report to — latency histograms, candidate/verified counters, the
-        staleness gauge, epoch rejections, batch-query trace spans, and
-        the add/remove/re-order counters and re-order histogram (defaults
+        report to — latency histograms, candidate, verified and tier
+        counters, epoch rejections, read trace spans, the add/remove
+        counters, and the :meth:`rebuild` counter and histogram (defaults
         to the process-wide bundle; see ``docs/observability.md``).
     """
 
@@ -248,24 +244,19 @@ class SimilarityIndex:
         method: str = SignatureMethod.AU_DP,
         approximation_t: float = 4.0,
         order_strategy: str = "frequency",
-        drift_threshold: Optional[float] = 0.25,
         adaptive_verification: bool = False,
         kernel: str = "auto",
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         if not 0.0 <= theta <= 1.0:
             raise ValueError("theta must be in [0, 1]")
-        if tau < 1:
-            raise ValueError("tau must be a positive integer")
+        tau = check_tau(tau)
         SignatureMethod.validate(method)
         if method == SignatureMethod.U_FILTER and tau > 1:
             raise ValueError(
                 "the U-Filter method implies tau=1; got "
                 f"tau={tau} — pass tau=1 or use an AU-Filter method"
             )
-        # Written so that NaN fails the comparison.
-        if drift_threshold is not None and not drift_threshold > 0.0:
-            raise ValueError("drift_threshold must be positive (or None)")
         if isinstance(collection, PreparedCollection):
             if config is not None:
                 collection.require_config(config)
@@ -282,7 +273,6 @@ class SimilarityIndex:
         self.method = method
         self.approximation_t = approximation_t
         self.order_strategy = order_strategy
-        self.drift_threshold = drift_threshold
         self.adaptive_verification = adaptive_verification
         resolve_kernel(kernel)  # validate eagerly: typos fail at construction
         self.kernel = kernel
@@ -297,20 +287,16 @@ class SimilarityIndex:
             kernel=kernel,
         )
 
-        self._live: List[bool] = [True] * len(prepared)
-        self._signed: List[Optional[SignedRecord]] = [None] * len(prepared)
         # Each live member's signature key sequence encoded against the
-        # persistent vocabulary (``None`` for tombstones); the per-epoch
-        # flat postings are derived from these rows.
-        self._rows: List[Optional[array]] = [None] * len(prepared)
+        # persistent vocabulary, ``None`` for a tombstone: the only member
+        # state; liveness and the per-epoch flat postings derive from it.
+        self._rows: List[Optional[array]] = []
         self._order = GlobalOrder(order_strategy)
-        self._mutations_since_order = 0
-        self._order_live_basis = 0
         self.reorder_count = 0
         self.resigned_records = 0
         # Serving epoch: bumped by every mutation of the member side (add,
-        # remove, re-order, rebuild) so derived serving state — the flat
-        # postings — can invalidate without re-deriving.
+        # remove, rebuild) so derived serving state — the flat postings —
+        # can invalidate without re-deriving.
         self._epoch = 0
         # Per-epoch flat postings over the live rows: the filter kernel
         # every query probes through, serial or process, derived again only
@@ -326,7 +312,7 @@ class SimilarityIndex:
         # Re-entrancy guard: mutations hold this (non-blocking) so an
         # overlapping mutation fails loudly instead of corrupting members.
         self._mutation_lock = threading.Lock()
-        self._build_from_prepared()
+        self._build_from_prepared(range(len(prepared)))
 
     # ------------------------------------------------------------------ #
     # construction
@@ -344,40 +330,36 @@ class SimilarityIndex:
             min_partitions=prepared.min_partitions,
         )
 
-    def _encode_row(self, signed: SignedRecord) -> array:
-        """A member's signature key sequence as persistent vocabulary ids."""
+    def _encode_keys(self, keys: Iterable) -> array:
+        """Pebble keys as persistent vocabulary ids, interning new keys."""
         encode = self._vocab.encode
-        return array("i", [encode(key) for key in signed.signature_key_sequence])
+        return array("i", [encode(key) for key in keys])
 
-    def _build_from_prepared(self) -> None:
-        """(Re)derive order, signatures, and rows over the live corpus.
+    def _member_row(self, prepared: PreparedRecord) -> array:
+        """A member's row: its signature key sequence under the frozen order."""
+        return self._encode_keys(self._sign_member(prepared).signature_key_sequence)
 
-        Every build after the constructor's is a re-order — a drift
-        re-order or :meth:`rebuild` — and is counted and timed here: in
-        ``reorder_count`` and ``resigned_records``, and in the
-        ``search.reorders`` counter and ``search.reorder_seconds`` histogram.
+    def _build_from_prepared(self, live: Sequence[int]) -> None:
+        """Derive the order over the ``live`` members and each one's row.
+
+        Every build after the constructor's is a :meth:`rebuild`, counted
+        and timed here: in ``reorder_count`` and ``resigned_records``, and
+        in the ``search.reorders`` counter and ``search.reorder_seconds``
+        histogram.
         """
         start = time.perf_counter()
-        order = GlobalOrder(self.order_strategy)
         records = self.prepared.prepared_records
-        for record_id, prepared in enumerate(records):
-            if self._live[record_id]:
-                order.add_record_pebbles(prepared.pebbles)
+        order = GlobalOrder(self.order_strategy)
+        for record_id in live:
+            order.add_record_pebbles(records[record_id].pebbles)
         self._order = order
-        signed_count = 0
-        for record_id, prepared in enumerate(records):
-            if not self._live[record_id]:
-                self._signed[record_id] = self._rows[record_id] = None
-                continue
-            signed = self._sign_member(prepared)
-            self._signed[record_id] = signed
-            self._rows[record_id] = self._encode_row(signed)
-            signed_count += 1
-        self._mutations_since_order = 0
-        self._order_live_basis = self.live_count
+        rows: List[Optional[array]] = [None] * len(records)
+        for record_id in live:
+            rows[record_id] = self._member_row(records[record_id])
+        self._rows = rows
         if self._epoch:  # epoch 0 is the constructor's first signing
             self.reorder_count += 1
-            self.resigned_records += signed_count
+            self.resigned_records += len(live)
             metrics = self.telemetry.metrics
             metrics.counter("search.reorders").add()
             metrics.histogram("search.reorder_seconds").observe(
@@ -391,22 +373,17 @@ class SimilarityIndex:
     @property
     def live_count(self) -> int:
         """Number of records currently served (tombstones excluded)."""
-        return sum(self._live)
+        return len(self._rows) - self._rows.count(None)
 
     def __len__(self) -> int:
         return self.live_count
 
     def __contains__(self, record_id: int) -> bool:
-        return 0 <= record_id < len(self._live) and self._live[record_id]
+        return 0 <= record_id < len(self._rows) and self._rows[record_id] is not None
 
     def live_ids(self) -> List[int]:
         """The served member ids, ascending (ids are never reused)."""
-        return [record_id for record_id, live in enumerate(self._live) if live]
-
-    @property
-    def staleness(self) -> float:
-        """Mutated fraction of the live corpus since the last re-order."""
-        return self._mutations_since_order / max(self._order_live_basis, 1)
+        return [record_id for record_id, row in enumerate(self._rows) if row is not None]
 
     @property
     def telemetry(self) -> Telemetry:
@@ -421,8 +398,7 @@ class SimilarityIndex:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"SimilarityIndex(live={self.live_count}, theta={self.theta}, "
-            f"tau={self.tau}, method={self.method!r}, "
-            f"staleness={self.staleness:.2f})"
+            f"tau={self.tau}, method={self.method!r})"
         )
 
     # ------------------------------------------------------------------ #
@@ -441,24 +417,28 @@ class SimilarityIndex:
         finally:
             self._mutation_lock.release()
 
-    def _record_query_metrics(self, result) -> None:
-        """Fold one answered query into the metrics registry.
+    def _record_read(
+        self,
+        result: Union[QueryResult, BatchQueryResult],
+        calls: str = "search.queries",
+        seconds: str = "search.query_seconds",
+    ) -> None:
+        """Fold one answered read — single, member, top-k or batch — into
+        the metrics registry.
 
         ``search.verified`` counts candidates that entered the verification
         cascade (the stats block's ``candidates``), and the tier counters
-        add the block's own, once per query; the staleness gauge tracks
-        drift so a long-serving index shows when re-ordering is due.
+        add the block's own, once per read.
         """
         metrics = self.telemetry.metrics
         verification = result.verification
-        metrics.counter("search.queries").add()
+        metrics.counter(calls).add()
         metrics.counter("search.candidates").add(result.candidate_count)
         metrics.counter("search.verified").add(verification.candidates)
         metrics.counter("search.upper_bound_prunes").add(verification.upper_bound_prunes)
         metrics.counter("search.lower_bound_skips").add(verification.lower_bound_skips)
         metrics.counter("search.graphs_built").add(verification.graphs_built)
-        metrics.histogram("search.query_seconds").observe(result.seconds)
-        metrics.gauge("search.staleness").set(self.staleness)
+        metrics.histogram(seconds).observe(result.seconds)
 
     def _begin_read(self) -> int:
         return self._epoch
@@ -485,8 +465,8 @@ class SimilarityIndex:
                 f"signatures cannot guarantee recall at theta={theta_q} — "
                 "build an index at the lower threshold"
             )
-        tau_q = self.tau if tau is None else int(tau)
-        if not 1 <= tau_q <= self.tau:
+        tau_q = self.tau if tau is None else check_tau(tau)
+        if tau_q > self.tau:
             raise ValueError(
                 f"query tau must be in [1, {self.tau}] (the index's signing "
                 f"tau); got {tau_q}"
@@ -495,9 +475,13 @@ class SimilarityIndex:
 
     def _sign_probes(
         self, probes: Iterable[Probe]
-    ) -> Tuple[PreparedCollection, List[SignedRecord]]:
+    ) -> Tuple[PreparedCollection, FlatSignatures]:
         """The probes prepared as one collection (ids are batch positions),
-        with their signatures under the frozen order."""
+        with their signatures under the frozen order encoded as rows.
+
+        Probes encode non-growing against the persistent vocabulary:
+        probe-only keys become the no-postings sentinel.
+        """
         records = []
         for position, probe in enumerate(probes):
             if isinstance(probe, Record):
@@ -509,7 +493,8 @@ class SimilarityIndex:
                 text = " ".join(tokens)
             records.append(Record(record_id=position, text=text, tokens=tokens))
         prepared = PreparedCollection.prepare(RecordCollection(records), self.config)
-        return prepared, [self._sign_member(record) for record in prepared.prepared_records]
+        signed = [self._sign_member(record) for record in prepared.prepared_records]
+        return prepared, FlatSignatures.from_signed(signed, self._vocab, grow=False)
 
     def _flat_postings(self) -> FlatPostings:
         """The live members' flat postings, memoised per epoch.
@@ -524,7 +509,7 @@ class SimilarityIndex:
         cache = self._flat_cache
         if cache is not None and cache[0] == self._epoch:
             return cache[1]
-        live = [record_id for record_id, row in enumerate(self._rows) if row is not None]
+        live = self.live_ids()
         members = FlatSignatures.from_rows(
             self._vocab, live, [self._rows[record_id] for record_id in live]
         )
@@ -532,17 +517,13 @@ class SimilarityIndex:
         self._flat_cache = (self._epoch, postings)
         return postings
 
-    def _probe_state(self, signed_probes: Sequence[SignedRecord]) -> FlatJoinState:
-        """Signed probes against the epoch's member postings, as one flat state.
-
-        Probes encode non-growing against the persistent vocabulary
-        (probe-only keys become the no-postings sentinel), so candidates
-        come back probe-major as ``(probe_id, member_id)``.
-        """
+    def _probe_state(self, probes: FlatSignatures) -> FlatJoinState:
+        """Encoded probes against the epoch's member postings, as one flat
+        state; candidates come back probe-major as ``(probe_id, member_id)``."""
         return FlatJoinState(
             self._vocab,
             self._flat_postings(),
-            FlatSignatures.from_signed(signed_probes, self._vocab, grow=False),
+            probes,
             postings_ascending=True,
             # Member ids are dense in the underlying collection, so this
             # bounds every posted id without scanning the data.
@@ -550,12 +531,12 @@ class SimilarityIndex:
         )
 
     def _probe_members(
-        self, signed_probes: Sequence[SignedRecord], tau_q: int
+        self, probes: FlatSignatures, tau_q: int
     ) -> Tuple[List[Tuple[int, int]], int]:
-        """Stream signed probes through the member postings (kernel layer)."""
-        return self._probe_state(signed_probes).probe_span(
+        """Stream encoded probes through the member postings (kernel layer)."""
+        return self._probe_state(probes).probe_span(
             0,
-            len(signed_probes),
+            len(probes),
             tau_q,
             probe_is_left=True,
             exclude_self_pairs=False,
@@ -585,12 +566,12 @@ class SimilarityIndex:
         telemetry = self.telemetry
         with telemetry.span(span_name, executor=executor) as read_span:
             epoch = self._begin_read()
-            probe_prepared, signed_probes = self._sign_probes(probes)
-            total = len(signed_probes)
+            probe_prepared, probe_rows = self._sign_probes(probes)
+            total = len(probe_rows)
             run_on = "process" if executor == "process" and total else "serial"
             plan = ShardPlan.build(
                 self.verifier,
-                self._probe_state(signed_probes),
+                self._probe_state(probe_rows),
                 probe_prepared,
                 self.prepared,
                 requirement=tau_q,
@@ -650,7 +631,7 @@ class SimilarityIndex:
             verification=merged.verification,
             seconds=time.perf_counter() - start,
         )
-        self._record_query_metrics(result)
+        self._record_read(result)
         return result
 
     def query_member(
@@ -662,8 +643,8 @@ class SimilarityIndex:
     ) -> QueryResult:
         """All live partners of an indexed member (its self-join row).
 
-        Uses the member's stored signature — no signing at all — and
-        verifies its row with every pair oriented ``(min_id, max_id)``,
+        Probes with the member's stored row — no signing at all — and
+        verifies the partners with every pair oriented ``(min_id, max_id)``,
         exactly as the batch self-join emits them, so the returned
         similarities are the member's row of the full self-join, bit for
         bit.  The row is verified as two probe groups of the member —
@@ -680,7 +661,10 @@ class SimilarityIndex:
             epoch = self._begin_read()
             with telemetry.span("filter", kernel=self.kernel) as filter_span:
                 candidates, processed = self._probe_members(
-                    [self._signed[record_id]], tau_q
+                    FlatSignatures.from_rows(
+                        self._vocab, [record_id], [self._rows[record_id]]
+                    ),
+                    tau_q,
                 )
             filter_span.annotate(candidates=len(candidates), processed_pairs=processed)
             partners = [
@@ -721,7 +705,7 @@ class SimilarityIndex:
             verification=stats.diff(before),
             seconds=time.perf_counter() - start,
         )
-        self._record_query_metrics(result)
+        self._record_read(result)
         return result
 
     def query_topk(
@@ -755,9 +739,9 @@ class SimilarityIndex:
         start = time.perf_counter()
         with telemetry.span("query-topk", k=k) as read_span:
             epoch = self._begin_read()
-            probe_prepared, signed_probes = self._sign_probes((probe,))
+            probe_prepared, probe_rows = self._sign_probes((probe,))
             with telemetry.span("filter", kernel=self.kernel) as filter_span:
-                candidates, processed = self._probe_members(signed_probes, tau_q)
+                candidates, processed = self._probe_members(probe_rows, tau_q)
             filter_span.annotate(candidates=len(candidates), processed_pairs=processed)
             partners = [member_id for _, member_id in candidates]
             stats = self.verifier.stats
@@ -816,7 +800,7 @@ class SimilarityIndex:
             seconds=time.perf_counter() - start,
             bound_skipped=len(partners) - evaluated,
         )
-        self._record_query_metrics(result)
+        self._record_read(result)
         return result
 
     # ------------------------------------------------------------------ #
@@ -871,12 +855,7 @@ class SimilarityIndex:
             seconds=time.perf_counter() - start,
             execution=execution,
         )
-        metrics = self.telemetry.metrics
-        metrics.counter("search.batch_queries").add()
-        metrics.counter("search.candidates").add(result.candidate_count)
-        metrics.counter("search.verified").add(result.verification.candidates)
-        metrics.histogram("search.batch_seconds").observe(result.seconds)
-        metrics.gauge("search.staleness").set(self.staleness)
+        self._record_read(result, "search.batch_queries", "search.batch_seconds")
         return result
 
     def _warm_join_pool(self, workers: Optional[int]):
@@ -919,8 +898,7 @@ class SimilarityIndex:
         :class:`~repro.records.Record` objects (their ids are replaced —
         the index numbers its members itself and never reuses an id).  New
         records are prepared, signed under the frozen order (exact — see
-        the module docs), and indexed; the mutation counts toward
-        staleness and may trigger the lazy re-order.  Raises
+        the module docs), and appended as rows.  Raises
         :class:`ConcurrentMutationError` if another mutation is in flight.
         """
         with self._mutating():
@@ -949,12 +927,9 @@ class SimilarityIndex:
                 return []
             prepared_new = self.prepared.extend_with(additions)
             for prepared in prepared_new:
-                signed = self._sign_member(prepared)
-                self._signed.append(signed)
-                self._rows.append(self._encode_row(signed))
-                self._live.append(True)
+                self._rows.append(self._member_row(prepared))
             self.telemetry.metrics.counter("search.adds").add(len(additions))
-            self._note_mutations(len(additions))
+            self._epoch += 1
             return [record.record_id for record in additions]
 
     def remove(self, record_ids: Iterable[int]) -> None:
@@ -972,31 +947,22 @@ class SimilarityIndex:
                     raise KeyError(f"record {record_id} is not live in this index")
                 seen.add(record_id)
             for record_id in ids:
-                self._signed[record_id] = self._rows[record_id] = None
-                self._live[record_id] = False
+                self._rows[record_id] = None
             if ids:
                 self.telemetry.metrics.counter("search.removes").add(len(ids))
-                self._note_mutations(len(ids))
-
-    def _note_mutations(self, count: int) -> None:
-        self._epoch += 1
-        self._mutations_since_order += count
-        if (
-            self.drift_threshold is not None
-            and self.staleness > self.drift_threshold
-        ):
-            self._build_from_prepared()
+                self._epoch += 1
 
     def rebuild(self) -> None:
-        """From-scratch escape hatch: re-derive order, signatures, rows.
+        """Re-derive the order over the live corpus and re-sign every row.
 
-        Ids stay stable (tombstones stay tombstones); only the derived
-        artifacts are rebuilt, exactly as a fresh index over the live
-        corpus would build them.  Raises :class:`ConcurrentMutationError`
-        if another mutation is in flight.
+        Ids stay stable (tombstones stay tombstones); only the order and the
+        rows are rebuilt, exactly as a fresh index over the live corpus
+        would build them.  Answers do not change — any fixed order is exact
+        — only how selective the filter is.  Raises
+        :class:`ConcurrentMutationError` if another mutation is in flight.
         """
         with self._mutating():
-            self._build_from_prepared()
+            self._build_from_prepared(self.live_ids())
 
     # ------------------------------------------------------------------ #
     # persistence
@@ -1006,8 +972,8 @@ class SimilarityIndex:
 
         Covers the live members (ids, texts, tokens), the measure
         configuration, and the signing contract (θ, τ, method, order
-        strategy, approximation t) — anything else (drift counters, cached
-        graph sides) is derived or operational.  Two indexes answering
+        strategy, approximation t) — anything else (rows, cached graph
+        sides) is derived or operational.  Two indexes answering
         identically by construction share a fingerprint.
         """
         hasher = hashlib.sha256()
@@ -1038,8 +1004,8 @@ class SimilarityIndex:
         """Persist the whole index into a store; returns the artifact path.
 
         The artifact carries everything a restarted service needs —
-        prepared corpus, frozen order, one signature prefix length per
-        member — keyed by :meth:`content_fingerprint` under the store's
+        prepared corpus, frozen order, one row length per member — keyed
+        by :meth:`content_fingerprint` under the store's
         index format version.  See :meth:`~repro.store.PreparedStore.save_index`.
         """
         return store.save_index(self)
@@ -1065,88 +1031,44 @@ class SimilarityIndex:
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         del state["verifier"]
+        # Locks don't pickle; each process guards its own mutations.
+        del state["_mutation_lock"]
         # Derived serving state: cheap to rebuild, pure bloat in a snapshot.
         state["_flat_cache"] = None
         state["_warm_pool"] = None
-        # Locks don't pickle; each process guards its own mutations.
-        state.pop("_mutation_lock", None)
         # Telemetry bundles are per-process: a snapshot must not drag a
         # tracer's collected spans along.  The restored index falls back to
         # its process's default bundle.
         state["_telemetry"] = None
-        # A fresh process re-interns its own vocabulary (ids are artifact-
-        # local, and every flat artifact is dropped with the plan cache).
-        state["_vocab"] = None
-        # Flat signature payload: member signatures duplicate the prepared
-        # pebbles (sorted) plus one integer, and the rows and postings are a
-        # pure function of them — so the snapshot stores only the per-record
-        # prefix lengths as one integer array and re-derives the rest
-        # exactly on load (sort under the shipped order + stored length; no
-        # selection DP runs).  Rows are vocabulary-local and never pickled.
-        state["_signed"] = None
+        # Rows are vocabulary-local: a fresh process re-interns its own
+        # vocabulary.  A row is the member's pebbles sorted under the
+        # shipped order and cut at the row's length, so the snapshot stores
+        # only that length (-1 for a tombstone) and no selection DP runs on
+        # load.
+        del state["_vocab"]
         del state["_rows"]
-        state["_flat_signature_lengths"] = array(
-            "i",
-            (
-                -1 if signed is None else signed.signature_length
-                for signed in self._signed
-            ),
+        state["_row_lengths"] = array(
+            "i", (-1 if row is None else len(row) for row in self._rows)
         )
         return state
 
     def __setstate__(self, state: dict) -> None:
-        lengths = state.pop("_flat_signature_lengths", None)
-        # Snapshots written before the rows carry the dict index's slot, and
-        # those before the shard loop the process plan's memo.
-        state.pop("_index", None)
-        state.pop("_plan_cache", None)
+        lengths = state.pop("_row_lengths")
         self.__dict__.update(state)
-        # Snapshots from before the kernel knob / flat-postings memo.
-        self.__dict__.setdefault("kernel", "auto")
-        self.__dict__.setdefault("_flat_cache", None)
         # Fresh per-process verifier; cascade counters do not persist.
         self.verifier = UnifiedVerifier(
             self.config,
             self.theta,
             t=self.approximation_t,
-            adaptive=getattr(self, "adaptive_verification", False),
+            adaptive=self.adaptive_verification,
             kernel=self.kernel,
         )
-        if getattr(self, "_vocab", None) is None:
-            self._vocab = Vocabulary()
-        if getattr(self, "_warm_pool", "absent") == "absent":
-            self._warm_pool = None
-        self.__dict__.setdefault("_telemetry", None)
+        self._vocab = Vocabulary()
         self._mutation_lock = threading.Lock()
-        if lengths is not None:
-            self._restore_flat_signatures(lengths)
+        sort = self._order.sort_pebbles
         self._rows = [
-            None if signed is None else self._encode_row(signed)
-            for signed in self._signed
+            None
+            if length < 0
+            else self._encode_keys(pebble.key for pebble in sort(prepared.pebbles)[:length])
+            for prepared, length in zip(self.prepared.prepared_records, lengths)
         ]
-
-    def _restore_flat_signatures(self, lengths: Sequence[int]) -> None:
-        """Rebuild member signatures from flat prefix lengths.
-
-        Bit-exact: a live record's signature is its pebbles sorted under
-        the (shipped) frozen order, cut at the stored prefix length — the
-        same two inputs the original signing reduced to, so no selection
-        DP re-runs and no statistics drift.
-        """
-        records = self.prepared.prepared_records
-        signed_list: List[Optional[SignedRecord]] = []
-        for record_id, prepared in enumerate(records):
-            length = lengths[record_id]
-            if not self._live[record_id] or length < 0:
-                signed_list.append(None)
-                continue
-            sorted_pebbles = tuple(self._order.sort_pebbles(prepared.pebbles))
-            signed = SignedRecord(
-                record=prepared.record,
-                segments=tuple(prepared.segments),
-                pebbles=sorted_pebbles,
-                signature_length=length,
-                min_partition_size=prepared.min_partitions,
-            )
-            signed_list.append(signed)
-        self._signed = signed_list

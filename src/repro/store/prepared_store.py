@@ -92,12 +92,13 @@ FORMAT_VERSION = 1
 
 #: On-disk format version of similarity-index snapshots (independent of the
 #: prepared-collection format: the two artifact kinds evolve separately).
-#: v2: flat signature payload — snapshots store per-record signature prefix
-#: lengths as one integer array instead of full signed records and posting
-#: lists, both re-derived exactly on load (see
-#: :meth:`repro.search.index.SimilarityIndex.__getstate__`).  v1 artifacts
-#: are simply never consulted again, per the store's versioning contract.
-INDEX_FORMAT_VERSION = 2
+#: v3: the pickled index holds one row length per member (-1 for a
+#: tombstone) and no signed records or drift-tracking fields; each row is
+#: re-derived exactly on load (see
+#: :meth:`repro.search.index.SimilarityIndex.__getstate__`).  Artifacts of
+#: older versions are simply never consulted again, per the store's
+#: versioning contract.
+INDEX_FORMAT_VERSION = 3
 
 _MAGIC = "repro-prepared-collection"
 _INDEX_MAGIC = "repro-similarity-index"
@@ -534,11 +535,11 @@ class PreparedStore:
         ``index`` is anything exposing ``content_fingerprint()`` and
         pickling whole — in practice a
         :class:`~repro.search.SimilarityIndex`, whose snapshot carries the
-        prepared corpus, frozen order, and member signature prefix lengths
-        (signatures and postings re-derive exactly on load, with no
-        selection DP), so :meth:`load_index` restores a *serving* index,
-        not a rebuild recipe.  Kept duck-typed so the store never imports the
-        search layer it persists.
+        prepared corpus, frozen order, and member row lengths (rows and
+        postings re-derive exactly on load, with no selection DP), so
+        :meth:`load_index` restores a *serving* index, not a rebuild
+        recipe.  Kept duck-typed so the store never imports the search
+        layer it persists.
         """
         fingerprint = index.content_fingerprint()
         path = self.index_path_for(fingerprint)

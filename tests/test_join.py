@@ -67,6 +67,11 @@ class TestPebbleJoinEndToEnd:
             PebbleJoin(figure1_config, 1.5)
         with pytest.raises(ValueError):
             PebbleJoin(figure1_config, 0.8, tau=0)
+        # A fractional, NaN or bool tau used to construct and then fail
+        # inside signing (a float slice index).
+        for tau in (2.5, float("nan"), True):
+            with pytest.raises(ValueError, match="tau must be a positive integer"):
+                PebbleJoin(figure1_config, 0.8, tau=tau)
         with pytest.raises(ValueError):
             PebbleJoin(figure1_config, 0.8, method="magic")
         # U-Filter implies tau=1: a conflicting larger tau is rejected, not
@@ -128,6 +133,10 @@ class TestUnifiedJoinFacade:
             UnifiedJoin(rules=figure1_rules, tau="sometimes")
         with pytest.raises(ValueError):
             UnifiedJoin(rules=figure1_rules, tau=3, method=SignatureMethod.U_FILTER)
+        # tau=2.5 used to join silently at tau=2.
+        for tau in (2.5, float("nan"), True):
+            with pytest.raises(ValueError, match="tau must be a positive integer"):
+                UnifiedJoin(rules=figure1_rules, tau=tau)
         # θ is validated at construction, as PebbleJoin and SimilarityIndex do.
         for theta in (1.5, float("nan")):
             with pytest.raises(ValueError, match="theta"):
@@ -137,8 +146,9 @@ class TestUnifiedJoinFacade:
         for probability in (0.0, -0.5, 1.7):
             with pytest.raises(ValueError, match="probability"):
                 UnifiedJoin(rules=figure1_rules, tau="auto", sample_probability=probability)
-        with pytest.raises(ValueError, match="tau_universe"):
-            UnifiedJoin(rules=figure1_rules, tau="auto", tau_universe=(0, 1))
+        for universe in ((0, 1), (1.5, 2), (1, float("nan"))):
+            with pytest.raises(ValueError, match="tau_universe"):
+                UnifiedJoin(rules=figure1_rules, tau="auto", tau_universe=universe)
         with pytest.raises(ValueError, match="tau_universe"):
             UnifiedJoin(rules=figure1_rules, tau="auto", tau_universe=())
         UnifiedJoin(rules=figure1_rules, tau="auto", sample_probability=1.0)

@@ -20,7 +20,7 @@ import pytest
 from repro.core.graph import GraphSide
 from repro.core.measures import MeasureConfig
 from repro.datasets import TINY_PROFILE, generate_dataset
-from repro.join import PebbleJoin, UnifiedJoin, parallel
+from repro.join import PebbleJoin, UnifiedJoin, parallel, verification
 from repro.join.aufilter import _resolve_executor
 from repro.join.pool import WarmJoinPool
 from repro.join.verification import UnifiedVerifier
@@ -213,19 +213,23 @@ class TestExecutorEquivalence:
             assert engine.verifier.verified_count == result.statistics.candidate_count
 
     def test_shard_size_does_not_change_results(self, parallel_dataset):
-        """Merging is lossless at any shard granularity, not just defaults."""
+        """Merging is lossless at any shard granularity: one-record shards
+        and one shard over the whole probe side concatenate to the serial
+        join's pairs and sum to its counters."""
         config = _config(parallel_dataset, "TJS")
         collection = parallel_dataset.records.head(36)
         reference, _ = _run(config, collection)
-        for shards_per_worker in (1, 9):
+        for batch_size in (1, len(collection)):
             engine = PebbleJoin(config, THETA, tau=TAU)
-            result = parallel.process_join(
-                engine, collection, workers=2, shards_per_worker=shards_per_worker
-            )
-            assert _triples(result.pairs) == _triples(reference.pairs)
-            assert _counters(result.statistics.verification) == _counters(
-                reference.statistics.verification
-            )
+            pairs, totals = [], {}
+            for batch in engine.join_batches(
+                collection, executor="process", workers=2, batch_size=batch_size
+            ):
+                pairs.extend(batch.pairs)
+                for name, value in _counters(batch.verification).items():
+                    totals[name] = totals.get(name, 0) + value
+            assert _triples(pairs) == _triples(reference.pairs), batch_size
+            assert totals == _counters(reference.statistics.verification), batch_size
 
     def test_unified_join_executor_passthrough(self, parallel_dataset):
         kwargs = dict(
@@ -513,7 +517,9 @@ class TestSatelliteFixes:
         ).join(parallel_dataset.records.head(30))
         assert rejoin.statistics.suggestion_seconds > 0.0
 
-    def test_adaptive_tiers_skip_but_keep_pairs_identical(self, parallel_dataset):
+    def test_adaptive_tiers_skip_but_keep_pairs_identical(
+        self, parallel_dataset, monkeypatch
+    ):
         config = _config(parallel_dataset, "TJS")
         collection = parallel_dataset.records.head(30)
         prepared = PebbleJoin(config, 0.2).prepare(collection)
@@ -528,9 +534,9 @@ class TestSatelliteFixes:
         # tier keeps pruning and stays active).
         plain = UnifiedVerifier(config, 0.2)
         expected = plain.verify_batch(candidates, prepared, prepared)
-        adaptive = UnifiedVerifier(
-            config, 0.2, adaptive=True, adaptive_window=64, lower_tier_cost=0.5
-        )
+        monkeypatch.setattr(verification, "ADAPTIVE_WINDOW", 64)
+        monkeypatch.setattr(verification, "LOWER_TIER_COST", 0.5)
+        adaptive = UnifiedVerifier(config, 0.2, adaptive=True)
         got = adaptive.verify_batch(candidates, prepared, prepared)
         assert _triples(got) == _triples(expected)
         assert adaptive.stats.adaptive_lower_skips > 0

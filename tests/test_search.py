@@ -18,10 +18,11 @@ import pytest
 from repro.core.measures import MeasureConfig
 from repro.datasets import TINY_PROFILE, generate_dataset
 from repro.join import PebbleJoin, PreparedCollection
-from repro.join.flat import FlatJoinState
+from repro.join.flat import FlatJoinState, FlatSignatures
+from repro.join.signatures import sign_record
 from repro.records import Record, RecordCollection
 from repro.search import SimilarityIndex
-from repro.store import PreparedStore
+from repro.store import INDEX_FORMAT_VERSION, PreparedStore
 from repro.telemetry import Telemetry
 
 
@@ -112,7 +113,8 @@ def test_member_row_equals_one_right_probed_batch(search_dataset, codes):
     index = SimilarityIndex(search_dataset.records.head(45), config, theta=0.45, tau=1)
     oracle = UnifiedVerifier(config, 0.45)
     for record_id in range(0, 45, 4):
-        candidates, _ = index._probe_members([index._signed[record_id]], 1)
+        member = FlatSignatures.from_rows(index._vocab, [record_id], [index._rows[record_id]])
+        candidates, _ = index._probe_members(member, 1)
         row = [
             (min(record_id, member_id), max(record_id, member_id))
             for _, member_id in candidates
@@ -144,12 +146,17 @@ def test_query_rejects_loosened_contract(search_dataset):
         for theta in (0.5, 1.5, float("nan")):
             with pytest.raises(ValueError, match="theta"):
                 call(theta=theta)
-        for tau in (3, 0):
+        # A fractional query tau used to run silently at its floor.
+        for tau in (3, 0, 1.5, float("nan"), True):
             with pytest.raises(ValueError, match="tau"):
                 call(tau=tau)
         call(theta=0.9, tau=1)  # tightening stays served
     with pytest.raises(KeyError):
         index.query_member(999)
+    # The index tau is checked before the corpus is prepared.
+    for tau in (0, 2.5, float("nan"), True):
+        with pytest.raises(ValueError, match="tau must be a positive integer"):
+            SimilarityIndex(search_dataset.records.head(10), config, tau=tau)
 
 
 # --------------------------------------------------------------------- #
@@ -264,6 +271,7 @@ def test_query_metrics_sum_the_verification_blocks(search_dataset):
     results = [index.query(probe) for probe in probes]
     results += [index.query_topk(probe, 2) for probe in probes]
     results += [index.query_member(record_id) for record_id in range(6)]
+    results.append(index.query_batch(probes))
     counters = telemetry.metrics.snapshot()["counters"]
     for field in ("upper_bound_prunes", "lower_bound_skips", "graphs_built"):
         assert counters[f"search.{field}"] == sum(
@@ -272,6 +280,9 @@ def test_query_metrics_sum_the_verification_blocks(search_dataset):
         assert counters[f"search.{field}"] > 0
     assert counters["search.verified"] == sum(
         result.verification.candidates for result in results
+    )
+    assert counters["search.candidates"] == sum(
+        result.candidate_count for result in results
     )
 
 
@@ -367,16 +378,6 @@ def test_query_batch_process_executor_identical(search_dataset):
             )
 
 
-def test_drift_threshold_must_be_positive(search_dataset):
-    config = _config(search_dataset, "J")
-    collection = search_dataset.records.head(5)
-    # NaN would pass a `<= 0` check and then never trigger a re-order.
-    for threshold in (0.0, -1.0, float("nan")):
-        with pytest.raises(ValueError, match="drift_threshold"):
-            SimilarityIndex(collection, config, drift_threshold=threshold)
-    SimilarityIndex(collection, config, drift_threshold=None)
-
-
 def test_approximation_t_validated_at_construction(search_dataset):
     """A t outside (1, inf) used to construct and fail on the first query
     that built a graph."""
@@ -411,24 +412,19 @@ def _fresh_reference(index: SimilarityIndex, config, theta, tau):
     return fresh, {original: position for position, original in enumerate(live)}
 
 
-@pytest.mark.parametrize("drift_threshold", [0.05, 0.5, None])
-def test_incremental_identity_under_churn(search_dataset, drift_threshold):
+@pytest.mark.parametrize("rebuild_every", [1, 3, None])
+def test_incremental_identity_under_churn(search_dataset, rebuild_every):
     """Interleaved add/remove answers identically to a from-scratch index.
 
-    Swept across drift thresholds so the invariant is checked in all three
-    regimes: re-ordering nearly every mutation, re-ordering occasionally,
-    and never re-ordering (signing forever under the original frozen
-    order).
+    Swept across rebuild cadences so the invariant is checked in all three
+    regimes: a new order after every step, after every third step, and
+    never (signing forever under the original frozen order).
     """
     theta, tau, codes = 0.55, 2, "TJS"
     config = _config(search_dataset, codes)
-    rng = random.Random(101 if drift_threshold is None else int(drift_threshold * 100))
+    rng = random.Random(101 if rebuild_every is None else rebuild_every)
     index = SimilarityIndex(
-        search_dataset.records.head(25),
-        config,
-        theta=theta,
-        tau=tau,
-        drift_threshold=drift_threshold,
+        search_dataset.records.head(25), config, theta=theta, tau=tau
     )
     extra = [record.text for record in search_dataset.records.subset(range(25, 60))]
     for step in range(5):
@@ -437,6 +433,8 @@ def test_incremental_identity_under_churn(search_dataset, drift_threshold):
         assert all(record_id in index for record_id in new_ids)
         removable = index.live_ids()
         index.remove(rng.sample(removable, rng.randint(1, 3)))
+        if rebuild_every is not None and (step + 1) % rebuild_every == 0:
+            index.rebuild()
 
         fresh, mapping = _fresh_reference(index, config, theta, tau)
         reference = _member_rows(fresh)
@@ -447,27 +445,33 @@ def test_incremental_identity_under_churn(search_dataset, drift_threshold):
             for record_id, row in _member_rows(index).items()
         }
         assert got == reference
-    if drift_threshold == 0.05:
-        assert index.reorder_count > 0
-    if drift_threshold is None:
-        assert index.reorder_count == 0
+    # Writes never re-order: only rebuild() does.
+    assert index.reorder_count == (0 if rebuild_every is None else 5 // rebuild_every)
 
 
 def test_epoch_postings_equal_a_from_scratch_encoding(search_dataset):
     """The flat postings every query probes are a pure function of the live
-    members: after each step of a seeded add/remove/re-order history they
-    equal the batch join's encoding of the live signed members."""
+    members: after each step of a seeded add/remove/rebuild history they
+    equal the batch join's encoding of the live members signed afresh
+    under the index's order."""
     config = _config(search_dataset, "TJS")
-    index = SimilarityIndex(
-        search_dataset.records.head(25), config, theta=0.55, tau=2,
-        drift_threshold=0.1,
-    )
+    index = SimilarityIndex(search_dataset.records.head(25), config, theta=0.55, tau=2)
     extra = [record.text for record in search_dataset.records.subset(range(25, 60))]
     rng = random.Random(29)
 
     def check():
         postings = index._flat_postings()
-        live = [index._signed[record_id] for record_id in index.live_ids()]
+        live = [
+            sign_record(
+                index.prepared[record_id],
+                config,
+                index._order,
+                index.theta,
+                tau=index.tau,
+                method=index.method,
+            )
+            for record_id in index.live_ids()
+        ]
         keys = len(index._vocab)
         expected = FlatJoinState.from_signed_sides(
             live, live, postings_ascending=True, vocab=index._vocab
@@ -486,39 +490,33 @@ def test_epoch_postings_equal_a_from_scratch_encoding(search_dataset):
         else:
             index.rebuild()
         check()
-    assert index.resigned_records > 0  # drift re-orders re-signed members
+    assert index.resigned_records > 0  # rebuilds re-signed members
 
 
 def test_write_path_instruments_count_churn(search_dataset):
-    """Add/remove counters count records; every re-order (drift or
-    rebuild) is counted once and timed once, re-signing every live member."""
+    """Add/remove counters count records; writes never re-order, and every
+    rebuild is counted once and timed once, re-signing every live member."""
     config = _config(search_dataset, "TJS")
     telemetry = Telemetry()
     index = SimilarityIndex(
-        search_dataset.records.head(25), config, theta=0.55, tau=2,
-        drift_threshold=0.05, telemetry=telemetry,
+        search_dataset.records.head(25), config, theta=0.55, tau=2, telemetry=telemetry
     )
     extra = [record.text for record in search_dataset.records.subset(range(25, 60))]
     rng = random.Random(7)
     added = removed = resigned = 0
-    for _ in range(6):
-        before = index.reorder_count
+    for step in range(6):
         added += len(index.add(rng.sample(extra, rng.randint(1, 3))))
-        if index.reorder_count != before:
-            resigned += index.live_count
         victims = rng.sample(index.live_ids(), rng.randint(1, 2))
-        before = index.reorder_count
         index.remove(victims)
         removed += len(victims)
-        if index.reorder_count != before:
+        if step % 2:
+            index.rebuild()
             resigned += index.live_count
-    index.rebuild()
-    resigned += index.live_count
     metrics = telemetry.metrics.snapshot()
     counters = metrics["counters"]
     assert counters["search.adds"] == added
     assert counters["search.removes"] == removed
-    assert index.reorder_count > 1
+    assert index.reorder_count == 3
     assert counters["search.reorders"] == index.reorder_count
     assert metrics["histograms"]["search.reorder_seconds"]["count"] == index.reorder_count
     assert index.resigned_records == resigned
@@ -528,27 +526,20 @@ def test_snapshot_state_carries_no_rows(search_dataset):
     config = _config(search_dataset, "J")
     index = SimilarityIndex(search_dataset.records.head(12), config, theta=0.6)
     state = index.__getstate__()
-    assert "_rows" not in state and "_index" not in state
-    # Snapshots written before the rows carry ``_index: None``; loading
-    # one drops the slot and re-derives the rows.
+    assert "_rows" not in state
+    # Loading re-derives every row from the stored lengths.
     restored = SimilarityIndex.__new__(SimilarityIndex)
-    restored.__setstate__(dict(state, _index=None))
-    assert not hasattr(restored, "_index")
+    restored.__setstate__(state)
     assert _member_rows(restored) == _member_rows(index)
 
 
-def test_rebuild_preserves_answers_and_resets_staleness(search_dataset):
+def test_rebuild_preserves_answers(search_dataset):
     config = _config(search_dataset, "TJS")
-    index = SimilarityIndex(
-        search_dataset.records.head(20), config, theta=0.55, tau=2,
-        drift_threshold=None,
-    )
+    index = SimilarityIndex(search_dataset.records.head(20), config, theta=0.55, tau=2)
     index.add(["alpha beta", "beta gamma delta"])
     index.remove([3, 7])
     before = _member_rows(index)
-    assert index.staleness > 0.0
     index.rebuild()
-    assert index.staleness == 0.0
     assert _member_rows(index) == before
 
 
@@ -629,6 +620,17 @@ def test_load_misses_raise_and_tampering_is_rejected(search_dataset, tmp_path):
     foreign = "f" * 64
     path.rename(store.index_path_for(foreign))
     assert store.load_index(foreign) is None
+
+
+def test_older_snapshot_format_is_a_miss(search_dataset, tmp_path):
+    """A snapshot saved under index format v2 holds the pre-v3 pickled
+    layout, so a current store never loads it."""
+    assert INDEX_FORMAT_VERSION == 3
+    config = _config(search_dataset, "J")
+    index = SimilarityIndex(search_dataset.records.head(8), config, theta=0.6)
+    index.snapshot(PreparedStore(tmp_path / "store", index_format_version=2))
+    with pytest.raises(LookupError):
+        SimilarityIndex.load(PreparedStore(tmp_path / "store"), index.content_fingerprint())
 
 
 def test_index_pickle_roundtrip(search_dataset):
