@@ -9,7 +9,7 @@ Verification breakdown
 ``run_verification_breakdown`` isolates the verification stage: one shared
 filtering pass produces a candidate set, then the pre-engine verifier (fresh
 conflict graph per pair, no bound cascade, no ceiling break) and the
-prepared verification engine (cached graph sides + tiered pruning) verify
+prepared verification engine (cached graph sides + bound cascade) verify
 the identical candidates.  Both start from cold measure caches.  The
 machine-readable summary — pairs/sec before and after, prune rates, bound
 hit rates — is written to ``BENCH_verification.json``.
@@ -148,13 +148,12 @@ def run_verification_breakdown(
             "pairs_per_second": candidate_count / max(baseline_seconds, 1e-12),
         },
         "after": {
-            "verifier": "prepared engine (cached sides + tiered bounds)",
+            "verifier": "prepared engine (cached sides + maxima and matching bounds)",
             "seconds": engine_seconds,
             "pairs_per_second": candidate_count / max(engine_seconds, 1e-12),
         },
         "speedup": baseline_seconds / max(engine_seconds, 1e-12),
         "bound_hit_rates": {
-            "lower_bound_skips": rate(stats.lower_bound_skips),
             "upper_bound_prunes": rate(stats.upper_bound_prunes),
             "graphs_built": rate(stats.graphs_built),
             "ceiling_stops": rate(stats.ceiling_stops),
@@ -209,8 +208,7 @@ def test_table10_verification_breakdown(benchmark, med_dataset):
             f"→ {outcome['speedup']:.1f}x"
         )
         print(
-            f"  bound hits: lb-skip {rates['lower_bound_skips']:.1%}, "
-            f"ub-prune {rates['upper_bound_prunes']:.1%}, "
+            f"  bound hits: ub-prune {rates['upper_bound_prunes']:.1%}, "
             f"ceiling-stop {rates['ceiling_stops']:.1%}, "
             f"full {rates['full_runs']:.1%} "
             f"(written to {DEFAULT_VERIFICATION_JSON.name})"

@@ -16,7 +16,6 @@ from .graph import (
     build_conflict_graph,
     build_conflict_graph_from_sides,
     prepare_graph_side,
-    singleton_greedy_lower_bound,
     usim_upper_bound,
 )
 from .grams import DEFAULT_Q, jaccard, qgram_set, qgrams
@@ -67,7 +66,6 @@ __all__ = [
     "prepare_graph_side",
     "qgram_set",
     "qgrams",
-    "singleton_greedy_lower_bound",
     "squareimp_wmis",
     "usim_upper_bound",
 ]

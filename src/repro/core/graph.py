@@ -20,13 +20,12 @@ cached sides, and :func:`build_conflict_graph` is now a thin wrapper that
 builds both sides ad hoc (one code path, so the cached and uncached
 constructions cannot diverge).
 
-The side state also powers the verification pruning cascade:
+The side state also powers the verification cascade's two bounds:
 :func:`usim_upper_bound` bounds the unified similarity from above without
 building the pair graph (per-segment msim upper bounds fed to a maxima
 bound and then a matching bound, the two stages of
-:class:`PairUpperBound`), and :func:`singleton_greedy_lower_bound` bounds
-the *exact* USIM from below via a matching of the all-singletons
-partitions.
+:class:`PairUpperBound`), and a pair either bound puts below the
+threshold never reaches Algorithm 1.
 
 Integer bound encoding
 ----------------------
@@ -52,7 +51,7 @@ from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .grams import qgram_set
-from .matching import matching_weight_lower_bound, matching_weight_upper_bound
+from .matching import matching_weight_upper_bound
 from .measures import Measure, MeasureConfig
 from .segments import Segment, enumerate_segments
 from .vocab import Vocabulary
@@ -68,7 +67,6 @@ __all__ = [
     "PairUpperBound",
     "SideBoundCodes",
     "usim_upper_bound",
-    "singleton_greedy_lower_bound",
 ]
 
 _EPSILON = 1e-12
@@ -382,11 +380,6 @@ class GraphSide:
                     current = candidate
             best[position] = current
         return best[0]
-
-    @cached_property
-    def singleton_token_tuples(self) -> Tuple[Tuple[str, ...], ...]:
-        """Each token as a 1-tuple (msim probes of the singleton partition)."""
-        return tuple((token,) for token in self.tokens)
 
     @cached_property
     def bound_codes(self) -> SideBoundCodes:
@@ -746,8 +739,8 @@ class PairUpperBound:
     sums row/column maxima, which dominate any matching's weight (a
     matching takes at most one entry per row and per column), and
     :meth:`matching` runs the matching solver, which is tighter and dearer.
-    The verification cascade runs the lower-bound tier between the two
-    stages on one instance, so the matrix is built once per candidate.
+    The two stages share one instance, so a candidate that reaches the
+    matching stage builds its matrix once.
     """
 
     __slots__ = ("matrix", "denominator")
@@ -824,8 +817,8 @@ def usim_upper_bound(
     form ``usim_upper_bound(...) < threshold`` is identical with or without
     the short circuit — only the returned value may be the (valid but
     looser) maxima bound in the sub-threshold cases.  The verification
-    cascade runs the same two stages itself, with the lower-bound tier
-    between them (see :mod:`repro.join.verification`).
+    cascade runs the same two stages itself (see
+    :mod:`repro.join.verification`).
     """
     bound = PairUpperBound(left_side, right_side, config)
     if threshold is not None:
@@ -834,34 +827,3 @@ def usim_upper_bound(
             return cheap
     return bound.matching(exact_limit)
 
-
-def singleton_greedy_lower_bound(
-    left_side: GraphSide,
-    right_side: GraphSide,
-    config: MeasureConfig,
-) -> float:
-    """A lower bound on the *exact* USIM via the all-singletons partitions.
-
-    Matches tokens by msim and divides by the larger token count — any
-    feasible matching weight lower-bounds ``GetSim`` of the all-singletons
-    partitions and hence the exact USIM.  Small token matrices get the
-    exact Hungarian assignment (via
-    :func:`~repro.core.matching.matching_weight_lower_bound`), which is
-    the singleton-partition ``GetSim`` itself — the tightest bound this
-    tier can produce — so more pairs clear the threshold here and skip
-    the upper-bound tier; larger matrices keep the weight-descending
-    greedy.  Note this does **not** lower-bound the Algorithm-1
-    approximation (whose seed selection may realise less than the
-    singleton partitions), so the cascade only uses it to skip
-    upper-bound work that provably cannot prune, never to accept pairs.
-    """
-    left_tuples = left_side.singleton_token_tuples
-    right_tuples = right_side.singleton_token_tuples
-    if not left_tuples or not right_tuples:
-        return 0.0
-    msim = config.msim
-    weights = [
-        [msim(left, right) for right in right_tuples] for left in left_tuples
-    ]
-    total = matching_weight_lower_bound(weights)
-    return total / max(len(left_tuples), len(right_tuples))

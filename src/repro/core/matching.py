@@ -27,7 +27,6 @@ __all__ = [
     "hungarian_matching",
     "greedy_matching",
     "maximum_weight_matching",
-    "matching_weight_lower_bound",
     "matching_weight_upper_bound",
 ]
 
@@ -177,31 +176,6 @@ def matching_weight_upper_bound(
     )
     greedy_total, _ = greedy_matching(weights)
     return min(row_max_sum, col_max_sum, 2.0 * greedy_total)
-
-
-def matching_weight_lower_bound(
-    weights: Sequence[Sequence[float]],
-    *,
-    exact_limit: int = 8,
-) -> float:
-    """A sound lower bound on the maximum-weight matching of ``weights``.
-
-    The dual of :func:`matching_weight_upper_bound`, used by the
-    verification cascade's lower-bound tier: any feasible matching weight
-    is ≤ the optimum, so clearing a threshold with it is lossless.  Small
-    matrices (every dimension ≤ ``exact_limit``) get the exact Hungarian
-    optimum — the tightest possible lower bound, so strictly more pairs
-    skip the matching-bound stage than under greedy, at O(n³) on at most
-    ``exact_limit``² weights; larger matrices keep the weight-descending
-    greedy (≥ 1/2 of the optimum).
-    """
-    if not weights or not weights[0]:
-        return 0.0
-    if max(len(weights), len(weights[0])) <= exact_limit:
-        total, _ = maximum_weight_matching(weights)
-        return total
-    total, _ = greedy_matching(weights)
-    return total
 
 
 def greedy_matching(

@@ -172,8 +172,8 @@ class ShardPlan:
         A ``"serial"`` plan holds the caller's own prepared collections.  A
         ``"process"`` plan is the worker payload: pebble-free transfer
         copies of both sides (one copy for a self-join) and the parameters
-        each worker rebuilds ``verifier`` from (its adaptive gates hold
-        locks, so the verifier itself does not pickle).
+        each worker rebuilds ``verifier`` from (its adaptive gate holds a
+        lock, so the verifier itself does not pickle).
         """
         plan = cls(
             requirement=requirement,
@@ -423,7 +423,7 @@ def _run_shard_on(
 
 def _verifier_kwargs(verifier: UnifiedVerifier) -> dict:
     """Reconstruction parameters for per-process verifiers."""
-    return {"t": verifier.t, "prune": verifier.prune, "adaptive": verifier.adaptive}
+    return {"t": verifier.t, "adaptive": verifier.adaptive}
 
 
 def build_shard_plan(

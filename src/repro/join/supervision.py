@@ -56,6 +56,8 @@ manager of :mod:`repro.join.pool` (a caller's
 from __future__ import annotations
 
 import heapq
+import math
+import numbers
 import time
 from collections import deque
 from concurrent.futures import BrokenExecutor
@@ -135,6 +137,11 @@ class SupervisorPolicy:
     ``i`` sleeps ``min(backoff_cap, backoff_base * 2**(i-1))`` first.
     ``enabled=False`` bypasses supervision entirely (legacy fail-fast
     semantics — the benchmark's overhead baseline).
+
+    Invalid values raise ``ValueError`` at construction: ``shard_timeout``
+    is ``None`` or finite and > 0 (a zero or NaN deadline expires every
+    wait at once, and an infinite one overflows the wait), the retry and
+    respawn budgets are ints ≥ 0, and the backoffs are finite and ≥ 0.
     """
 
     enabled: bool = True
@@ -144,6 +151,26 @@ class SupervisorPolicy:
     backoff_base: float = 0.05
     backoff_cap: float = 1.0
     serial_fallback: bool = True
+
+    def __post_init__(self) -> None:
+        # The float comparisons are written so that NaN fails them.
+        timeout = self.shard_timeout
+        if timeout is not None and not 0 < timeout < math.inf:
+            raise ValueError(
+                f"shard_timeout must be None or finite and > 0; got {timeout!r}"
+            )
+        for name in ("max_retries", "max_respawns"):
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Integral)
+                or value < 0
+            ):
+                raise ValueError(f"{name} must be an integer >= 0; got {value!r}")
+        for name in ("backoff_base", "backoff_cap"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0; got {value!r}")
 
     def backoff_seconds(self, respawn_index: int) -> float:
         if self.backoff_base <= 0.0:

@@ -16,15 +16,13 @@ sets, overlap sets) from :class:`~repro.join.prepared.PreparedCollection`
 inputs bound to the verifier's config — a raw collection, or one prepared
 under a different config, is rejected — groups candidates by probe record
 (each run of candidates sharing a probe is one *probe group*, with one
-:class:`~repro.core.graph.PairGraphAssembler`), and runs a tiered bound
-cascade before committing to the full Algorithm 1, cheapest and most
-decisive stage first:
+:class:`~repro.core.graph.PairGraphAssembler`), and runs three stages,
+cheapest and most decisive first:
 
-1. *Maxima bound* (upper tier, first stage) — per-segment msim upper
-   bounds from cached pebble material, summed over row and column maxima,
-   reject pairs whose unified similarity cannot reach the threshold
-   without building the pair graph.  It runs once per probe group, for
-   every candidate of the group
+1. *Maxima bound* — per-segment msim upper bounds from cached pebble
+   material, summed over row and column maxima, reject pairs whose unified
+   similarity cannot reach the threshold without building the pair graph.
+   It runs once per probe group, for every candidate of the group
    (:class:`~repro.join.bound_kernel.GroupUpperBounds`), and prunes nearly
    every pruned candidate.  A group whose segment-pair count reaches
    :data:`~repro.join.bound_kernel.GROUP_KERNEL_MIN_PAIRS` runs the
@@ -34,41 +32,33 @@ decisive stage first:
    without numpy: the verifier's ``kernel`` is the engine's filter-kernel
    selection (``"python"``, or ``REPRO_NO_NUMPY=1``, keeps every group
    scalar).
-2. *Lower-bound tier* — on the survivors only, a matching of the
-   all-singletons partitions (exact Hungarian for small token matrices,
-   weight-descending greedy beyond) lower-bounds the exact USIM; when it
-   already clears the threshold the matching stage is skipped (it
-   provably cannot prune this pair).
-3. *Matching bound* (upper tier, second stage) — the same msim bounds fed
-   to a matching solver, on the pairs the lower bound did not clear.
-4. *Full verification* — the pair graph is assembled from the two cached
-   sides and Algorithm 1 runs with its value-ceiling short circuit (the
+2. *Matching bound* — the same msim bounds fed to a matching solver, on
+   the pairs the maxima bound did not prune.
+3. *Algorithm 1* — the pair graph is assembled from the two cached sides
+   and Algorithm 1 runs with its value-ceiling short circuit (the
    improvement loop is skipped once no swap can gain ``1/t``).
 
-Two oracles stay for the tests: :meth:`UnifiedVerifier.verify` computes one
-pair from its tokens with a fresh ``approximate_usim``, and ``prune=False``
-runs the cached assembly with every bound tier off.  With tracing on, each
-tier runs in a span under the shard body's ``verify`` span:
-``verify.maxima`` once per probe group, and ``verify.lower_bound``,
-``verify.matching`` and ``verify.algorithm1`` once per candidate that
-reaches the tier.  The cascade is
-lossless: the surviving pair set and every reported similarity are
-bit-identical to :meth:`~UnifiedVerifier.verify` on each candidate, which
-the randomized equivalence tests enforce.  The stage order changes no
-counter either: a pair the lower bound clears is never pruned by an upper
-stage, so the counters equal those of running the lower bound first.
-Counters are plain sums, so the shards of :mod:`repro.join.parallel` —
-where each worker process rebuilds a :class:`UnifiedVerifier` from
-picklable parameters and runs this same cascade — merge back to exactly
-the serial counters.
+The two bound stages are the *upper tier*: both bound the exact USIM from
+above, and Algorithm 1 never realises more than the exact USIM, so a pair
+either stage prunes would be rejected by Algorithm 1 too.  The per-pair
+:meth:`UnifiedVerifier.verify` stays as the tests' oracle: it computes one
+pair from its tokens with a fresh ``approximate_usim``.  With tracing on,
+each stage runs in a span under the shard body's ``verify`` span:
+``verify.maxima`` once per probe group, and ``verify.matching`` and
+``verify.algorithm1`` once per candidate that reaches the stage.  The
+cascade is lossless: the surviving pair set and every reported similarity
+are bit-identical to :meth:`~UnifiedVerifier.verify` on each candidate,
+which the randomized equivalence tests enforce.  Counters are plain sums,
+so the shards of :mod:`repro.join.parallel` — where each worker process
+rebuilds a :class:`UnifiedVerifier` from picklable parameters and runs this
+same cascade — merge back to exactly the serial counters.
 
-With ``adaptive=True`` the verifier additionally *gates* each bound tier on
-its observed hit rate (see :class:`UnifiedVerifier`), skipping tiers that
-stopped paying for themselves — without ever changing the surviving pairs.
-``adaptive`` is the only setting: the gates' window, re-probe interval
-and tier costs are the module constants :data:`ADAPTIVE_WINDOW`,
-:data:`ADAPTIVE_PROBE_WINDOWS`, :data:`LOWER_TIER_COST` and
-:data:`UPPER_TIER_COST`.
+With ``adaptive=True`` the verifier additionally *gates* the upper tier on
+its observed prune rate (see :class:`UnifiedVerifier`), skipping it while
+it does not pay for itself — without ever changing the surviving pairs.
+``adaptive`` is the only setting: the gate's window, re-probe interval and
+cost are the module constants :data:`ADAPTIVE_WINDOW`,
+:data:`ADAPTIVE_PROBE_WINDOWS` and :data:`UPPER_TIER_COST`.
 """
 
 from __future__ import annotations
@@ -84,7 +74,7 @@ from ..core.approximation import (
     approximate_usim_on_graph,
     check_approximation_t,
 )
-from ..core.graph import GraphSide, PairGraphAssembler, singleton_greedy_lower_bound
+from ..core.graph import GraphSide, PairGraphAssembler
 from ..core.measures import MeasureConfig
 from ..records import Record
 from ..telemetry.spans import NULL_SPAN, Span, current_span
@@ -98,15 +88,14 @@ __all__ = [
     "UnifiedVerifier",
 ]
 
-#: Settings of the adaptive tier gates (see :class:`UnifiedVerifier`).  A
-#: gate measures its tier's hit rate over windows of ``ADAPTIVE_WINDOW``
-#: outcomes, closes the tier when the rate falls below the tier's cost —
-#: the break-even share of candidates the bound must serve to pay for
-#: itself — and re-probes a closed tier after ``ADAPTIVE_PROBE_WINDOWS``
-#: windows of bypassed candidates.
+#: Settings of the adaptive tier gate (see :class:`UnifiedVerifier`).  The
+#: gate measures the upper tier's prune rate over windows of
+#: ``ADAPTIVE_WINDOW`` outcomes, closes the tier when the rate falls below
+#: ``UPPER_TIER_COST`` — the break-even share of candidates the bounds must
+#: prune to pay for themselves — and re-probes a closed tier after
+#: ``ADAPTIVE_PROBE_WINDOWS`` windows of bypassed candidates.
 ADAPTIVE_WINDOW = 256
 ADAPTIVE_PROBE_WINDOWS = 4
-LOWER_TIER_COST = 0.05
 UPPER_TIER_COST = 0.05
 
 
@@ -121,29 +110,25 @@ class VerifiedPair:
 
 @dataclass
 class VerificationStats:
-    """Counters of the tiered verification cascade (cumulative per verifier).
+    """Counters of the verification cascade (cumulative per verifier).
 
     ``candidates`` is the number of pairs examined; of those,
-    ``upper_bound_prunes`` were rejected without building a pair graph and
-    ``graphs_built`` went through Algorithm 1 (``ceiling_stops`` of them
-    skipped the improvement loop via the value ceiling, ``full_runs`` ran
-    it).  ``lower_bound_skips`` counts pairs whose lower bound cleared the
-    threshold, letting the cascade skip the matching stage of the upper
-    tier.  ``adaptive_lower_skips`` / ``adaptive_upper_skips`` count
-    candidates for which the adaptive controller (see
-    :class:`UnifiedVerifier`) bypassed a bound tier because its observed
-    hit rate had dropped below its cost; both stay 0 when adaptivity is
-    off.
+    ``upper_bound_prunes`` were rejected by the maxima or the matching
+    bound without building a pair graph and ``graphs_built`` went through
+    Algorithm 1 (``ceiling_stops`` of them skipped the improvement loop via
+    the value ceiling, ``full_runs`` ran it); ``results`` reached the
+    threshold.  ``adaptive_upper_skips`` counts candidates for which the
+    adaptive gate (see :class:`UnifiedVerifier`) bypassed both bounds
+    because their observed prune rate had dropped below their cost; it
+    stays 0 when adaptivity is off.
     """
 
     candidates: int = 0
-    lower_bound_skips: int = 0
     upper_bound_prunes: int = 0
     graphs_built: int = 0
     ceiling_stops: int = 0
     full_runs: int = 0
     results: int = 0
-    adaptive_lower_skips: int = 0
     adaptive_upper_skips: int = 0
 
     #: Every dataclass field is a counter; derived below (after the class
@@ -173,6 +158,17 @@ class VerificationStats:
                 for name in self._COUNTERS
             }
         )
+
+    @property
+    def lower_bound_skips(self) -> int:
+        """Always 0: the cascade has no lower-bound tier.
+
+        Read-only and not a counter, so nothing can increment it.
+        ``perfbench/workloads.py::_stats_metrics`` still reports it as
+        ``verification.lower_bound_skips``; it goes with the next change to
+        that benchmark.
+        """
+        return 0
 
     @property
     def prune_rate(self) -> float:
@@ -211,7 +207,7 @@ def _tier_span(name: str, **attrs):
 
 
 class _AdaptiveTierGate:
-    """Windowed hit-rate controller for one bound tier.
+    """Windowed hit-rate controller for the upper tier.
 
     The tier runs normally while ``active``; after each measurement window
     of ``window`` outcomes, the tier is disabled when its hit rate fell
@@ -276,42 +272,32 @@ class _AdaptiveTierGate:
 
 
 class UnifiedVerifier:
-    """The verifier of every join and search read: Algorithm 1 behind a cascade.
+    """The verifier of every join and search read: Algorithm 1 behind two bounds.
 
     :meth:`verify_batch` is the engine (see the module docs); :meth:`verify`
-    computes one pair afresh and ``prune=False`` turns every bound
-    tier off — both are kept as oracles for the equivalence tests and
-    benchmarks, and all three report bit-identical pairs and similarities.
+    computes one pair afresh and is kept as the oracle of the equivalence
+    tests and benchmarks; both report bit-identical pairs and similarities.
     ``t`` is Algorithm 1's trade-off parameter and must satisfy
     ``1 < t < inf``.  ``kernel`` is the owning engine's filter-kernel
-    selection (see :mod:`repro.join.kernels`); it picks the stage-1
+    selection (see :mod:`repro.join.kernels`); it picks the maxima stage's
     implementation the same way, with bit-identical results.
 
-    Adaptive tier selection
-    -----------------------
-    With ``adaptive=True`` each bound tier is wrapped in an
-    :class:`_AdaptiveTierGate`: when a tier's observed hit rate over a
-    window of candidates drops below its cost (:data:`LOWER_TIER_COST` /
-    :data:`UPPER_TIER_COST`, the break-even hit rate of computing the bound),
-    the tier is skipped for subsequent candidates and periodically re-probed.
-    The upper gate covers the whole upper tier — both stages, one outcome
-    per candidate: pruned or not — and a bypassed upper tier bypasses the
-    lower tier with it, since the lower bound only serves to skip the
-    matching stage.  The lower gate covers the lower tier, so it only sees
-    candidates the maxima bound did not prune: at high join thresholds few
-    of those clear θ (``BENCH_verification.json`` records 0% at θ ≥ 0.7),
-    and ``adaptive=True`` sheds their singleton matchings after the first
-    window while keeping the tier available for the low-θ,
-    similarity-dense workloads it exists for.
-    Because both tiers are lossless, the surviving pairs and similarities
-    are *identical* with adaptivity on or off — only the per-tier counters
-    (and runtime) change, with bypasses reported as
-    ``adaptive_lower_skips`` / ``adaptive_upper_skips``.  The gates are
-    driven by the candidate stream, so the decision sequence is
+    Adaptive gate
+    -------------
+    With ``adaptive=True`` the upper tier — the maxima and the matching
+    bound, one outcome per candidate: pruned or not — is wrapped in one
+    :class:`_AdaptiveTierGate`.  When its observed prune rate over a window
+    of candidates drops below :data:`UPPER_TIER_COST` (the break-even rate
+    of computing the bounds), the tier is skipped for subsequent candidates,
+    which go straight to Algorithm 1, and it is periodically re-probed.
+    Because the bounds are lossless, the surviving pairs and similarities
+    are *identical* with adaptivity on or off — only the counters (and
+    runtime) change, with bypasses reported as ``adaptive_upper_skips``.
+    The gate is driven by the candidate stream, so its decision sequence is
     deterministic on the serial path; under process execution each worker
-    gates its own shards, which is why the executor-equivalence guarantee on
-    *statistics* is stated for ``adaptive=False`` (the default), while the
-    pair-set guarantee holds always.
+    gates its own shards, which is why the executor-equivalence guarantee
+    on *statistics* is stated for ``adaptive=False`` (the default), while
+    the pair-set guarantee holds always.
     """
 
     def __init__(
@@ -320,7 +306,6 @@ class UnifiedVerifier:
         threshold: float,
         *,
         t: float = 4.0,
-        prune: bool = True,
         adaptive: bool = False,
         kernel: str = "auto",
     ) -> None:
@@ -330,15 +315,9 @@ class UnifiedVerifier:
         self.config = config
         self.threshold = threshold
         self.t = check_approximation_t(t)
-        self.prune = prune
         self.adaptive = adaptive
         self.kernel = kernel
         self.stats = VerificationStats()
-        self._lower_gate = (
-            _AdaptiveTierGate(LOWER_TIER_COST, ADAPTIVE_WINDOW, ADAPTIVE_PROBE_WINDOWS)
-            if adaptive
-            else None
-        )
         self._upper_gate = (
             _AdaptiveTierGate(UPPER_TIER_COST, ADAPTIVE_WINDOW, ADAPTIVE_PROBE_WINDOWS)
             if adaptive
@@ -370,7 +349,7 @@ class UnifiedVerifier:
         return collection.require_config(self.config).graph_side
 
     # ------------------------------------------------------------------ #
-    # the tiered cascade
+    # the cascade
     # ------------------------------------------------------------------ #
     def _verify_group(
         self,
@@ -391,9 +370,9 @@ class UnifiedVerifier:
         # Empty-token records need no special case: both bounds are 0.0 and
         # the empty pair graph realises 0.0, matching approximate_usim's
         # empty-input result, so the cascade handles them like any pair (and
-        # the tier counters keep partitioning the candidates).
+        # the counters keep partitioning the candidates).
         bounds = None
-        if self.prune and threshold > 0.0:
+        if threshold > 0.0:
             bounds = GroupUpperBounds(
                 probe_side,
                 partner_sides,
@@ -417,19 +396,13 @@ class UnifiedVerifier:
                             maxima = bounds.maxima(threshold)
                     pruned = maxima[position] < threshold
                     if not pruned:
-                        left_side, right_side = (
-                            (probe_side, partner_side)
-                            if probe_is_left
-                            else (partner_side, probe_side)
-                        )
-                        if not self._lower_bound_clears(left_side, right_side, stats):
-                            with _tier_span("verify.matching"):
-                                pruned = bounds.matching(position) < threshold
+                        with _tier_span("verify.matching"):
+                            pruned = bounds.matching(position) < threshold
                     if upper_gate is not None:
                         upper_gate.record(pruned)
                     if pruned:
-                        # Algorithm 1 realises ≤ exact USIM ≤ either upper
-                        # stage < θ: the unpruned path would reject it too.
+                        # Algorithm 1 realises ≤ exact USIM ≤ either bound
+                        # < θ: the unpruned path would reject it too.
                         stats.upper_bound_prunes += 1
                         continue
                 else:
@@ -447,30 +420,6 @@ class UnifiedVerifier:
             if result.value >= threshold:
                 stats.results += 1
                 pairs.append(VerifiedPair(left_id, right_id, result.value))
-
-    def _lower_bound_clears(
-        self, left_side: GraphSide, right_side: GraphSide, stats: VerificationStats
-    ) -> bool:
-        """The lower-bound tier: True when the pair provably reaches θ.
-
-        The exact USIM is ≥ the lower bound, and both upper stages are ≥
-        the exact USIM, so a lower bound clearing θ proves the matching
-        stage cannot prune: the cascade skips it.
-        """
-        lower_gate = self._lower_gate
-        if lower_gate is not None and not lower_gate.should_run():
-            stats.adaptive_lower_skips += 1
-            return False
-        with _tier_span("verify.lower_bound"):
-            cleared = (
-                singleton_greedy_lower_bound(left_side, right_side, self.config)
-                >= self.threshold
-            )
-        if lower_gate is not None:
-            lower_gate.record(cleared)
-        if cleared:
-            stats.lower_bound_skips += 1
-        return cleared
 
     # ------------------------------------------------------------------ #
     # batch verification

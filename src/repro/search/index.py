@@ -213,13 +213,11 @@ class SimilarityIndex:
         The base signing contract.  Queries may raise θ and lower τ but
         never the reverse (the signatures would stop guaranteeing recall).
     adaptive_verification:
-        Enable the verifier's adaptive tier controller (see
-        :class:`~repro.join.verification.UnifiedVerifier`): at high θ the
-        lower-bound tier rarely clears the candidates that survive the
-        maxima bound, and a long-lived serving index pays it on each of
-        them in every query — adaptivity sheds it after the first window.
-        Answers are identical either way; only the per-tier counters (and
-        latency) change.
+        Enable the verifier's adaptive tier gate (see
+        :class:`~repro.join.verification.UnifiedVerifier`): when the bounds
+        stop pruning enough candidates to pay for themselves, candidates go
+        straight to Algorithm 1 until the next re-probe.  Answers are
+        identical either way; only the counters (and latency) change.
     kernel:
         Filter-kernel selection for every probe — single queries, top-k,
         member queries, serial and process batch queries: ``"auto"`` (the
@@ -436,7 +434,6 @@ class SimilarityIndex:
         metrics.counter("search.candidates").add(result.candidate_count)
         metrics.counter("search.verified").add(verification.candidates)
         metrics.counter("search.upper_bound_prunes").add(verification.upper_bound_prunes)
-        metrics.counter("search.lower_bound_skips").add(verification.lower_bound_skips)
         metrics.counter("search.graphs_built").add(verification.graphs_built)
         metrics.histogram(seconds).observe(result.seconds)
 
@@ -830,8 +827,15 @@ class SimilarityIndex:
         :class:`~repro.join.supervision.ShardSupervisor` (``supervision``
         tunes the retry/timeout/fallback policy; faults degrade to
         in-parent execution, never to a different answer).  Both executors
-        return identical pairs in identical order.
+        return identical pairs in identical order.  A bare string is one
+        probe, not an iterable of them: pass it to :meth:`query` or in a
+        list (``TypeError`` otherwise).
         """
+        if isinstance(probes, str):
+            raise TypeError(
+                "query_batch takes an iterable of probes, not one string; "
+                "use query() or wrap it in a list"
+            )
         if executor not in ("serial", "process"):
             raise ValueError(
                 f"unknown executor {executor!r}; expected 'serial' or 'process'"
@@ -899,8 +903,14 @@ class SimilarityIndex:
         the index numbers its members itself and never reuses an id).  New
         records are prepared, signed under the frozen order (exact — see
         the module docs), and appended as rows.  Raises
-        :class:`ConcurrentMutationError` if another mutation is in flight.
+        :class:`ConcurrentMutationError` if another mutation is in flight,
+        and ``TypeError`` on a bare string (one record, not an iterable of
+        them: wrap it in a list) before anything changes.
         """
+        if isinstance(records, str):
+            raise TypeError(
+                "add takes an iterable of records, not one string; wrap it in a list"
+            )
         with self._mutating():
             # Ids continue the underlying collection's dense sequence;
             # RecordCollection.extend (via extend_with) enforces the convention.
@@ -1026,7 +1036,7 @@ class SimilarityIndex:
         return index
 
     # ------------------------------------------------------------------ #
-    # pickling (the verifier's counters and adaptive gates are per process)
+    # pickling (the verifier's counters and adaptive gate are per process)
     # ------------------------------------------------------------------ #
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import numbers
 import os
 import pickle
 import re
@@ -111,6 +112,17 @@ _ARTIFACT_NAME = re.compile(
 
 #: Anything fingerprintable: a raw collection or a prepared one.
 Fingerprintable = Union[RecordCollection, PreparedCollection]
+
+
+def _check_budget(budget: object, name: str) -> None:
+    """Raise ``ValueError`` unless ``budget`` is an integer ``>= 0``.
+
+    That is what ``python -m repro.store`` parses.  A float is refused
+    rather than compared: ``total <= nan`` is never true, so a NaN budget
+    would evict every artifact.  A bool is refused too.
+    """
+    if isinstance(budget, bool) or not isinstance(budget, numbers.Integral) or budget < 0:
+        raise ValueError(f"{name} must be a non-negative integer; got {budget!r}")
 
 
 def collection_fingerprint(
@@ -203,8 +215,8 @@ class PreparedStore:
         size_budget_bytes: Optional[int] = None,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
-        if size_budget_bytes is not None and size_budget_bytes < 0:
-            raise ValueError("size_budget_bytes must be non-negative (or None)")
+        if size_budget_bytes is not None:
+            _check_budget(size_budget_bytes, "size_budget_bytes")
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.format_version = format_version
@@ -620,13 +632,16 @@ class PreparedStore:
         """Delete least-recently-used artifacts until the store fits.
 
         ``budget`` defaults to the store's ``size_budget_bytes``; one of
-        the two must be set.  Returns the evicted artifacts (empty when
-        already within budget).  Loads refresh mtimes, so a hot artifact
-        survives churn even if it was written long ago; note a budget
-        smaller than the newest artifact evicts everything, making the
-        store a pass-through.
+        the two must be set, and an explicit one is checked like the
+        constructor's before anything is deleted.  Returns the evicted
+        artifacts (empty when already within budget).  Loads refresh
+        mtimes, so a hot artifact survives churn even if it was written
+        long ago; note a budget smaller than the newest artifact evicts
+        everything, making the store a pass-through.
         """
-        if budget is None:
+        if budget is not None:
+            _check_budget(budget, "budget")
+        else:
             budget = self.size_budget_bytes
         if budget is None:
             raise ValueError(

@@ -79,7 +79,6 @@ def test_verification_breakdown_harness_smoke(smoke_dataset, tmp_path):
         run["candidates"] for run in suite["runs"]
     ]
     assert set(recorded["runs"][0]["bound_hit_rates"]) == {
-        "lower_bound_skips",
         "upper_bound_prunes",
         "graphs_built",
         "ceiling_stops",

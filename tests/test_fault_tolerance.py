@@ -204,6 +204,43 @@ class TestSupervisedRecovery:
         assert batches[-1].execution.faulted
 
 
+class TestPolicyValidation:
+    """A policy that cannot mean what it says fails at construction: a zero,
+    negative or NaN deadline would time every wait out at once and quietly
+    run the whole join in the parent, and an infinite one overflows the
+    wait."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("shard_timeout", 0),
+            ("shard_timeout", -1.0),
+            ("shard_timeout", float("nan")),
+            ("shard_timeout", float("inf")),
+            ("max_retries", -1),
+            ("max_retries", True),
+            ("max_retries", 1.5),
+            ("max_respawns", -1),
+            ("max_respawns", False),
+            ("backoff_base", -0.1),
+            ("backoff_base", float("nan")),
+            ("backoff_cap", -1.0),
+            ("backoff_cap", float("inf")),
+        ],
+    )
+    def test_invalid_values_raise(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SupervisorPolicy(**{field: value})
+
+    def test_boundary_values_are_accepted(self):
+        policy = SupervisorPolicy(
+            shard_timeout=None, max_retries=0, max_respawns=0, backoff_base=0.0,
+            backoff_cap=0.0,
+        )
+        assert policy.backoff_seconds(3) == 0.0
+        assert SupervisorPolicy(shard_timeout=0.15).shard_timeout == 0.15
+
+
 class TestTransportError:
     def test_vanished_segment_raises_typed_error(self, config, collection):
         plan = build_shard_plan(PebbleJoin(config, THETA, tau=TAU), collection)

@@ -367,8 +367,7 @@ class TestPickleRoundTrips:
         other = parallel_dataset.records[1]
         side = GraphSide(record.tokens, config)
         # Warm every cached property so the pickle carries derived state too.
-        side.match_state, side.bound_state, side.overlap_sets
-        side.min_partition_size, side.singleton_token_tuples
+        side.match_state, side.bound_state, side.overlap_sets, side.min_partition_size
         clone = pickle.loads(pickle.dumps(side))
         assert clone.tokens == side.tokens
         assert clone.segments == side.segments
@@ -527,19 +526,17 @@ class TestSatelliteFixes:
         candidates = sorted(
             (rng.randrange(30), rng.randrange(30)) for _ in range(600)
         )
-        # θ = 0.2 over random pairs: the lower tier only sees the 168 pairs
-        # the maxima bound did not prune, and about a quarter of those clear
-        # the threshold — below the tier's cost of one half, so its gate
-        # closes after the first window and the tier is bypassed (the upper
-        # tier keeps pruning and stays active).
+        # θ = 0.2 over random pairs: the bounds prune about 0.73 of the
+        # candidates — below a cost of 0.9, so the gate closes after its
+        # first window and bypassed candidates go straight to Algorithm 1.
         plain = UnifiedVerifier(config, 0.2)
         expected = plain.verify_batch(candidates, prepared, prepared)
         monkeypatch.setattr(verification, "ADAPTIVE_WINDOW", 64)
-        monkeypatch.setattr(verification, "LOWER_TIER_COST", 0.5)
+        monkeypatch.setattr(verification, "UPPER_TIER_COST", 0.9)
         adaptive = UnifiedVerifier(config, 0.2, adaptive=True)
         got = adaptive.verify_batch(candidates, prepared, prepared)
         assert _triples(got) == _triples(expected)
-        assert adaptive.stats.adaptive_lower_skips > 0
+        assert adaptive.stats.adaptive_upper_skips > 0
         # Bypassed tiers mean fewer bound computations, never fewer results.
         assert adaptive.stats.results == plain.stats.results
         assert adaptive.stats.candidates == plain.stats.candidates

@@ -265,7 +265,7 @@ def test_query_metrics_sum_the_verification_blocks(search_dataset):
     index = SimilarityIndex(
         search_dataset.records.head(45), config, theta=0.45, tau=1, telemetry=telemetry
     )
-    # Copies of members (0-2) clear the lower bound; the rest mostly prune.
+    # Copies of members (0-2) reach Algorithm 1; the rest mostly prune.
     probe_ids = [0, 1, 2] + list(range(45, 53))
     probes = [search_dataset.records[record_id] for record_id in probe_ids]
     results = [index.query(probe) for probe in probes]
@@ -273,7 +273,7 @@ def test_query_metrics_sum_the_verification_blocks(search_dataset):
     results += [index.query_member(record_id) for record_id in range(6)]
     results.append(index.query_batch(probes))
     counters = telemetry.metrics.snapshot()["counters"]
-    for field in ("upper_bound_prunes", "lower_bound_skips", "graphs_built"):
+    for field in ("upper_bound_prunes", "graphs_built"):
         assert counters[f"search.{field}"] == sum(
             getattr(result.verification, field) for result in results
         )
@@ -557,6 +557,21 @@ def test_remove_validates_ids(search_dataset):
         index.remove([2])
     assert index.live_count == 5
     assert index.add([]) == []
+
+
+def test_bare_string_is_not_an_iterable_of_records(search_dataset):
+    """A str is iterable, but one text is never one record (or probe) per
+    character: add and query_batch refuse it, and add changes nothing."""
+    config = _config(search_dataset, "J")
+    index = SimilarityIndex(search_dataset.records.head(20), config, theta=0.5)
+    with pytest.raises(TypeError, match="not one string"):
+        index.add("coffee shop")
+    with pytest.raises(TypeError, match="not one string"):
+        index.query_batch("cafe")
+    assert index.live_count == 20
+    # The next id is still 20: the refused call assigned none.
+    assert index.add(["coffee shop"]) == [20]
+    assert index.query_batch(["cafe"]).probe_count == 1
 
 
 def test_removed_member_disappears_from_answers(search_dataset):

@@ -91,6 +91,24 @@ def test_save_enforces_budget_automatically(tmp_path, small_config):
         PreparedStore(tmp_path, size_budget_bytes=-1)
 
 
+def test_invalid_budgets_raise_and_delete_nothing(tmp_path, small_config):
+    """A budget is an int >= 0 wherever it is given: NaN (``total <= nan``
+    is never true), inf, a negative and ``True`` all raise, in the
+    constructor and in evict(), and no artifact is deleted."""
+    store = PreparedStore(tmp_path)
+    for text in ("first budget text", "second budget text", "third one"):
+        store.prepare(_collection([text]), small_config)
+    before = sorted(artifact.path for artifact in store.artifacts())
+    assert len(before) == 3
+    for budget in (float("nan"), float("inf"), -1, True):
+        with pytest.raises(ValueError, match="size_budget_bytes"):
+            PreparedStore(tmp_path, size_budget_bytes=budget)
+        with pytest.raises(ValueError, match="budget"):
+            store.evict(budget=budget)
+    assert sorted(artifact.path for artifact in store.artifacts()) == before
+    assert store.evict(budget=0) and store.artifacts() == []
+
+
 # --------------------------------------------------------------------- #
 # the CLI
 # --------------------------------------------------------------------- #

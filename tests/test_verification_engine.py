@@ -5,7 +5,8 @@ The engine's contract is strict: for any candidate set, the pairs surviving
 *bit-identical* to verifying each candidate with the per-pair oracle
 (:meth:`UnifiedVerifier.verify`, i.e. a fresh ``approximate_usim`` per pair).  The
 tests here enforce that over randomized candidate sets across measure
-configurations, self-joins, and pruning toggles, and separately check the soundness of each tier of the bound cascade.
+configurations and self-joins, and separately check the soundness of the
+cascade's upper bounds.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from repro.core.graph import (
     GraphSide,
     build_conflict_graph,
     build_conflict_graph_from_sides,
-    singleton_greedy_lower_bound,
     usim_upper_bound,
 )
 from repro.core.measures import MeasureConfig
@@ -94,8 +94,7 @@ class TestVerifyBatchEquivalence:
             assert _as_triples(got) == reference
             assert engine.verified_count == len(candidates)
 
-    @pytest.mark.parametrize("prune", [True, False])
-    def test_self_join_equivalence(self, engine_dataset, prune):
+    def test_self_join_equivalence(self, engine_dataset):
         config = _config(engine_dataset, "TJS")
         collection = engine_dataset.records.head(30)
         rng = random.Random(91)
@@ -104,13 +103,10 @@ class TestVerifyBatchEquivalence:
         )
         threshold = 0.5
         reference = _reference_results(config, threshold, candidates, collection, collection)
-        engine = UnifiedVerifier(config, threshold, prune=prune)
+        engine = UnifiedVerifier(config, threshold)
         prepared = PebbleJoin(config, threshold).prepare(collection)
         got = engine.verify_batch(candidates, prepared, prepared)
         assert _as_triples(got) == reference
-        if not prune:
-            assert engine.stats.upper_bound_prunes == 0
-            assert engine.stats.graphs_built == len(candidates)
 
     def test_raw_collections_rejected(self, engine_dataset):
         """Graph sides come from prepared collections only: raw input, or a
@@ -181,8 +177,8 @@ class TestVerifyBatchEquivalence:
 
 def _near_duplicate_collection(dataset, count=12, exact_copies=3):
     """Originals followed by their near-duplicates (the first few exact
-    copies), so that some candidates clear the lower bound even at high θ
-    while most are pruned."""
+    copies), so that some candidates reach even a high θ while most are
+    pruned."""
     truth = generate_ground_truth(
         dataset, positive_pairs=count, negative_pairs=0, seed=3
     )
@@ -199,16 +195,15 @@ def _near_duplicate_collection(dataset, count=12, exact_copies=3):
 
 
 def _reference_cascade_stats(config, threshold, candidates, left, right):
-    """The historical tier order from the public bounds: the lower bound
-    first, then the upper bound with its sub-θ maxima short circuit."""
+    """The cascade from the public bounds, one pair at a time: a pair is
+    pruned when the upper bound (with its sub-θ maxima short circuit) falls
+    below θ, and otherwise runs Algorithm 1 on the two-sided graph."""
     stats = VerificationStats()
     for left_id, right_id in candidates:
         left_side = left.graph_side(left_id)
         right_side = right.graph_side(right_id)
         stats.candidates += 1
-        if singleton_greedy_lower_bound(left_side, right_side, config) >= threshold:
-            stats.lower_bound_skips += 1
-        elif usim_upper_bound(left_side, right_side, config, threshold=threshold) < threshold:
+        if usim_upper_bound(left_side, right_side, config, threshold=threshold) < threshold:
             stats.upper_bound_prunes += 1
             continue
         stats.graphs_built += 1
@@ -224,8 +219,9 @@ def _reference_cascade_stats(config, threshold, candidates, left, right):
 
 
 class TestCascadeOrderCounters:
-    """Running the maxima bound before the lower bound changes no counter:
-    a pair the lower bound clears is never pruned by any upper stage."""
+    """The grouped cascade counts exactly what the public bounds and
+    Algorithm 1 decide pair by pair: grouping candidates by probe and
+    running stage 1 once per group changes no counter."""
 
     @pytest.mark.parametrize("self_join", [True, False], ids=["self", "two"])
     @pytest.mark.parametrize("codes", MEASURE_CODES)
@@ -255,10 +251,13 @@ class TestCascadeOrderCounters:
             batch.verify_batch(candidates, prepared_left, prepared_right)
             assert batch.stats == expected, threshold
             assert expected.upper_bound_prunes > 0, threshold
+            assert expected.candidates == (
+                expected.upper_bound_prunes + expected.graphs_built
+            ), threshold
             if "J" in codes:
-                # Exact copies clear every θ under Jaccard; S and T alone
+                # Exact copies reach every θ under Jaccard; S and T alone
                 # score a token 0 unless a rule or taxonomy node covers it.
-                assert expected.lower_bound_skips > 0, threshold
+                assert expected.results > 0, threshold
 
 
 class TestBoundSoundness:
@@ -276,7 +275,7 @@ class TestBoundSoundness:
             approx = approximate_usim(left.tokens, right.tokens, config).value
             assert approx <= upper + 1e-9
 
-    def test_bounds_bracket_exact_usim(self, engine_dataset):
+    def test_upper_bound_dominates_exact_usim(self, engine_dataset):
         config = _config(engine_dataset, "TJS")
         checked = 0
         for left, right in self._random_pairs(engine_dataset, 60, 5):
@@ -289,9 +288,7 @@ class TestBoundSoundness:
             except ExactBudgetExceeded:
                 continue
             checked += 1
-            lower = singleton_greedy_lower_bound(left_side, right_side, config)
             upper = usim_upper_bound(left_side, right_side, config)
-            assert lower <= exact + 1e-9
             assert exact <= upper + 1e-9
         assert checked > 10
 
@@ -299,7 +296,6 @@ class TestBoundSoundness:
         tokens = ("coffee", "shop", "latte")
         side = GraphSide(tokens, figure1_config)
         other = GraphSide(tokens, figure1_config)
-        assert singleton_greedy_lower_bound(side, other, figure1_config) == 1.0
         assert usim_upper_bound(side, other, figure1_config) == 1.0
 
     def test_synonym_bound_tight_under_rule_transitivity(self):
