@@ -15,7 +15,6 @@ from .graph import (
     PairVertex,
     build_conflict_graph,
     build_conflict_graph_from_sides,
-    prepare_graph_side,
     usim_upper_bound,
 )
 from .grams import DEFAULT_Q, jaccard, qgram_set, qgrams
@@ -63,7 +62,6 @@ __all__ = [
     "matching_weight_upper_bound",
     "maximum_weight_matching",
     "partition_similarity",
-    "prepare_graph_side",
     "qgram_set",
     "qgrams",
     "squareimp_wmis",

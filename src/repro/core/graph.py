@@ -11,7 +11,9 @@ Prepared verification
 ---------------------
 Everything the graph needs from one string — its well-defined segments,
 per-segment synonym/taxonomy lookups, gram sets, positional overlaps among
-segments, and its minimal partition size — depends on that string alone.
+segments, and its minimal partition size ``MP(S)`` (the exact minimum of
+:func:`~repro.core.segments.min_partition_size`, which signing uses too) —
+depends on that string alone.
 :class:`GraphSide` caches this one-sided state so that a record verified
 against ``k`` candidates pays the segment enumeration and per-segment
 bookkeeping once instead of ``k`` times;
@@ -53,7 +55,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 from .grams import qgram_set
 from .matching import matching_weight_upper_bound
 from .measures import Measure, MeasureConfig
-from .segments import Segment, enumerate_segments
+from .segments import Segment, enumerate_segments, min_partition_size
 from .vocab import Vocabulary
 
 __all__ = [
@@ -61,7 +63,6 @@ __all__ = [
     "ConflictGraph",
     "GraphSide",
     "PairGraphAssembler",
-    "prepare_graph_side",
     "build_conflict_graph",
     "build_conflict_graph_from_sides",
     "PairUpperBound",
@@ -354,32 +355,13 @@ class GraphSide:
 
     @cached_property
     def min_partition_size(self) -> int:
-        """Exact minimal number of segments in any well-defined partition.
+        """``MP(S)``, the exact minimal partition size.
 
-        A linear DP over positions (segments are intervals, so minimum
-        interval cover is polynomial); every position starts at least a
-        singleton segment, so the DP always completes.  This is the true
-        minimum — tighter than the Algorithm-2 set-cover estimate — and it
-        lower-bounds ``max(|P_S|, |P_T|)`` for every well-defined partition,
-        which is what the upper bound divides by.
+        See :func:`~repro.core.segments.min_partition_size`.  It
+        lower-bounds ``max(|P_S|, |P_T|)`` for every well-defined partition
+        pair, which is what the upper bound divides by.
         """
-        n = len(self.tokens)
-        if n == 0:
-            return 0
-        infinity = n + 1
-        best = [infinity] * (n + 1)
-        best[n] = 0
-        ends_by_start: Dict[int, List[int]] = {}
-        for segment in self.segments:
-            ends_by_start.setdefault(segment.span.start, []).append(segment.span.end)
-        for position in range(n - 1, -1, -1):
-            current = infinity
-            for end in ends_by_start.get(position, (position + 1,)):
-                candidate = 1 + best[end]
-                if candidate < current:
-                    current = candidate
-            best[position] = current
-        return best[0]
+        return min_partition_size(len(self.tokens), self.segments)
 
     @cached_property
     def bound_codes(self) -> SideBoundCodes:
@@ -397,27 +379,10 @@ class GraphSide:
         return f"GraphSide(tokens={len(self.tokens)}, segments={len(self.segments)})"
 
 
-def prepare_graph_side(
-    tokens: Sequence[str],
-    config: MeasureConfig,
-    *,
-    segments: Optional[Sequence[Segment]] = None,
-) -> GraphSide:
-    """Build the cached one-sided graph state of a token sequence.
-
-    ``segments`` may be supplied when the caller already holds the record's
-    well-defined segments (e.g. from pebble generation); they must have been
-    enumerated under the same measure configuration.
-    """
-    return GraphSide(tokens, config, segments)
-
-
 def build_conflict_graph_from_sides(
     left_side: GraphSide,
     right_side: GraphSide,
     config: MeasureConfig,
-    *,
-    min_weight: float = _EPSILON,
 ) -> ConflictGraph:
     """Assemble the pair conflict graph from two cached sides.
 
@@ -429,14 +394,13 @@ def build_conflict_graph_from_sides(
     of re-testing spans per vertex pair.
     """
     _check_side_configs(left_side, right_side, config)
-    return _assemble_graph(left_side, right_side, config, min_weight)
+    return _assemble_graph(left_side, right_side, config)
 
 
 def _assemble_graph(
     left_side: GraphSide,
     right_side: GraphSide,
     config: MeasureConfig,
-    min_weight: float,
     left_indices: Optional[Sequence[int]] = None,
     right_indices: Optional[Sequence[int]] = None,
 ) -> ConflictGraph:
@@ -492,7 +456,7 @@ def _assemble_graph(
                 left_text=left.text,
                 right_text=right.text,
             )
-            if weight < min_weight:
+            if weight < _EPSILON:
                 continue
             vertices.append(
                 PairVertex(
@@ -547,15 +511,13 @@ def build_conflict_graph(
     left_tokens: Sequence[str],
     right_tokens: Sequence[str],
     config: MeasureConfig,
-    *,
-    min_weight: float = _EPSILON,
 ) -> ConflictGraph:
     """Build the conflict graph of two token sequences.
 
     Vertices are segment pairs qualifying under conditions (a)–(c) of
-    Section 2.3 whose ``msim`` weight is at least ``min_weight`` (zero-weight
-    vertices can never contribute to the similarity, so they are dropped to
-    keep the graph small).  Edges connect vertices whose segments overlap on
+    Section 2.3 whose ``msim`` weight is positive (zero-weight vertices can
+    never contribute to the similarity, so they are dropped to keep the
+    graph small).  Edges connect vertices whose segments overlap on
     either side.  This is a convenience wrapper that prepares both sides ad
     hoc; repeated verification should cache :class:`GraphSide` objects and
     call :func:`build_conflict_graph_from_sides`.
@@ -564,7 +526,6 @@ def build_conflict_graph(
         GraphSide(left_tokens, config),
         GraphSide(right_tokens, config),
         config,
-        min_weight=min_weight,
     )
 
 
@@ -588,7 +549,7 @@ class PairGraphAssembler:
     contract); partners supply the other side per :meth:`build` call.
     """
 
-    __slots__ = ("probe_side", "config", "probe_is_left", "min_weight", "_active")
+    __slots__ = ("probe_side", "config", "probe_is_left", "_active")
 
     def __init__(
         self,
@@ -596,12 +557,10 @@ class PairGraphAssembler:
         config: MeasureConfig,
         *,
         probe_is_left: bool = True,
-        min_weight: float = _EPSILON,
     ) -> None:
         self.probe_side = probe_side
         self.config = config
         self.probe_is_left = probe_is_left
-        self.min_weight = min_weight
         match_state = probe_side.match_state
         active = tuple(
             index
@@ -626,7 +585,6 @@ class PairGraphAssembler:
             left_side,
             right_side,
             self.config,
-            self.min_weight,
             left_indices,
             right_indices,
         )
@@ -790,9 +748,9 @@ class PairUpperBound:
         value = cheap / self.denominator
         return 1.0 if value > 1.0 else value
 
-    def matching(self, exact_limit: int = 16) -> float:
-        """The matching-solver bound (exact Hungarian up to ``exact_limit``)."""
-        numerator = matching_weight_upper_bound(self.matrix, exact_limit=exact_limit)
+    def matching(self) -> float:
+        """The matching-solver bound (see :func:`matching_weight_upper_bound`)."""
+        numerator = matching_weight_upper_bound(self.matrix)
         value = numerator / self.denominator
         return 1.0 if value > 1.0 else value
 
@@ -802,7 +760,6 @@ def usim_upper_bound(
     right_side: GraphSide,
     config: MeasureConfig,
     *,
-    exact_limit: int = 16,
     threshold: Optional[float] = None,
 ) -> float:
     """An upper bound on the unified similarity, pair graph not required.
@@ -825,5 +782,5 @@ def usim_upper_bound(
         cheap = bound.maxima(threshold)
         if cheap < threshold:
             return cheap
-    return bound.matching(exact_limit)
+    return bound.matching()
 

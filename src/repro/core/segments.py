@@ -6,8 +6,9 @@ a taxonomy entity, or (iii) consists of exactly one token.  A *well-defined
 partition* is a set of pairwise disjoint well-defined segments that covers
 every token of ``S`` exactly once.
 
-This module enumerates segments and partitions and defines the
-:class:`Segment` value object that the rest of the library passes around.
+This module enumerates segments and partitions, computes the minimal
+partition size ``MP(S)``, and defines the :class:`Segment` value object that
+the rest of the library passes around.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ __all__ = [
     "enumerate_segments",
     "enumerate_partitions",
     "count_partitions",
+    "min_partition_size",
     "singleton_partition",
 ]
 
@@ -217,3 +219,48 @@ def count_partitions(
             total += counts[segment.span.end]
         counts[position] = total
     return counts[0]
+
+
+def min_partition_size(token_count: int, segments: Iterable[Segment]) -> int:
+    """``MP(S)``: the exact minimal number of segments of a well-defined partition.
+
+    ``segments`` are the well-defined segments of a string of
+    ``token_count`` tokens.  Segments are token intervals, so the minimum
+    is a linear DP over positions rather than the NP-hard minimum exact
+    cover of general sets; a position no segment starts at counts as a
+    singleton, so the DP always completes.  Both users of ``MP(S)`` read
+    this one definition: the verification bounds, which divide by
+    ``max(|P_S|, |P_T|)``, and the signature walk of Algorithms 2, 4 and 5,
+    whose target is ``MP(S)·θ``.
+
+    The paper estimates ``MP(S)`` instead, as a greedy set cover divided
+    by ``ln n + 1`` (Algorithm 2, Lines 6–12).  Signing with the exact
+    minimum cannot change an answer:
+
+    * USIM divides the matching weight by ``max(|P_S|, |P_T|)``, so a pair
+      with USIM ≥ θ has a matching weight of at least ``θ·|P_S|``, hence of
+      at least ``θ·MP(S)`` for any lower bound ``MP(S)`` on ``|P_S|``.  That
+      is the only place where the walk's guarantee uses ``MP(S)``.
+    * The exact minimum is such a bound, and it is never below the paper's
+      estimate: the smallest partition is at least the smallest cover,
+      which is at least the greedy cover divided by ``ln n + 1``, and both
+      sides are integers.
+    * At each step of the walk, the value compared with the target (the
+      suffix's accumulated similarity plus the credit) does not depend on
+      ``MP(S)``.  A larger target therefore drops at least as many pebbles:
+      each prefix is a prefix of the one the estimate gives, so a pair can
+      only share fewer pebbles.  The walk's DP gate is computed from the
+      same target, so it stays exact.
+    * When every segment is one token (Jaccard alone), both definitions
+      equal the token count.
+    """
+    ends_by_start: Dict[int, List[int]] = {}
+    for segment in segments:
+        ends_by_start.setdefault(segment.span.start, []).append(segment.span.end)
+    # best[i]: the fewest segments that partition tokens i onward.
+    best = [0] * (token_count + 1)
+    for position in range(token_count - 1, -1, -1):
+        best[position] = 1 + min(
+            best[end] for end in ends_by_start.get(position, (position + 1,))
+        )
+    return best[0]

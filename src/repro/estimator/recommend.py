@@ -92,10 +92,6 @@ class RecommendationResult:
     #: Whether the recommendation estimated a self-join.
     self_join: bool = False
 
-    def estimated_cost(self, tau: int) -> float:
-        """Estimated total cost of joining with ``tau``."""
-        return self.estimates[tau].mean_cost
-
 
 class TauRecommender:
     """Monte-Carlo τ recommendation for a pebble join (Algorithm 7)."""

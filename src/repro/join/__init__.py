@@ -16,7 +16,6 @@ from .parallel import (
     build_shard_plan,
     plan_payload_bytes,
 )
-from .partition_bound import greedy_cover_size, min_partition_size
 from .pebbles import Pebble, PebbleKey, generate_pebbles
 from .pool import WarmJoinPool
 from .prepared import PreparedCollection, PreparedRecord, build_shared_order
@@ -59,8 +58,6 @@ __all__ = [
     "build_shared_order",
     "dual_index_filter_candidates",
     "generate_pebbles",
-    "greedy_cover_size",
-    "min_partition_size",
     "plan_payload_bytes",
     "select_signature_prefix",
     "sign_record",

@@ -340,8 +340,7 @@ def dual_index_filter_candidates(
     filtering benchmark compare against it.  ``overlap_counts`` here are
     exact (not saturated).
     """
-    if requirement < 1:
-        raise ValueError("the overlap requirement must be a positive integer")
+    requirement = check_tau(requirement, "requirement")
 
     def index(signed_side: Sequence[SignedRecord]) -> Dict[object, List[int]]:
         postings: Dict[object, List[int]] = defaultdict(list)
@@ -624,9 +623,7 @@ class PebbleJoin:
         optionally names the collections that own the signed lists so the
         encoded flat state is memoized per content version.
         """
-        requirement = self.tau if tau is None else tau
-        if requirement < 1:
-            raise ValueError("the overlap requirement must be a positive integer")
+        requirement = self.tau if tau is None else check_tau(tau)
 
         flat, probe_records, probe_is_left = self._flat_filter_state(
             left_signed, right_signed, prepared

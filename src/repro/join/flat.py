@@ -216,10 +216,6 @@ class FlatPostings:
                 cursor[key_id] += 1
         return cls(offsets, data)
 
-    @property
-    def total_postings(self) -> int:
-        return len(self.data)
-
     def max_record_id(self) -> int:
         """The largest posted record id (-1 when there are no postings)."""
         data = self.data

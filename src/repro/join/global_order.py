@@ -47,11 +47,6 @@ class GlobalOrder:
         self._frequencies.update({pebble.key for pebble in pebbles})
         self._mutation_count += 1
 
-    def add_collections(self, pebble_lists: Iterable[Iterable[Pebble]]) -> None:
-        """Register many records' pebbles."""
-        for pebbles in pebble_lists:
-            self.add_record_pebbles(pebbles)
-
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #

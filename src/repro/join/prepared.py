@@ -7,8 +7,9 @@ generates every record's pebbles, signing generates them again, and the
 every Monte-Carlo iteration.  :class:`PreparedCollection` caches the three
 layers explicitly:
 
-1. **Pebbles** (``segments``, ``pebbles``, and the ``MP(S)`` partition bound
-   per record) — computed once per record, independent of θ/τ/method.
+1. **Pebbles** (``segments`` and ``pebbles`` per record) — computed once
+   per record, independent of θ/τ/method; signing derives the record's
+   ``MP(S)`` from its segments with a linear DP.
 2. **Global orders** — one :class:`~repro.join.global_order.GlobalOrder` per
    ordering strategy, built from the cached pebbles
    (:func:`build_shared_order` combines several prepared collections into one
@@ -40,7 +41,6 @@ from ..core.segments import Segment
 from ..records import Record, RecordCollection
 from .flat import FlatJoinState
 from .global_order import GlobalOrder
-from .partition_bound import min_partition_size
 from .pebbles import Pebble, generate_pebbles
 from .signatures import SignedRecord, sign_record
 
@@ -72,19 +72,17 @@ class PreparedRecord:
     or contributed to an order.
     """
 
-    __slots__ = ("record", "segments", "pebbles", "min_partitions", "graph_side")
+    __slots__ = ("record", "segments", "pebbles", "graph_side")
 
     def __init__(
         self,
         record: Record,
         segments: Sequence[Segment],
         pebbles: Optional[Sequence[Pebble]],
-        min_partitions: int,
     ) -> None:
         self.record = record
         self.segments = segments
         self.pebbles = pebbles
-        self.min_partitions = min_partitions
         self.graph_side: Optional[GraphSide] = None
 
 
@@ -101,10 +99,6 @@ class PreparedCollection:
     The container protocol delegates to the underlying collection, so
     ``prepared[record_id]`` and ``len(prepared)`` behave identically.
     """
-
-    #: Class-level default so artifacts pickled before the online-growth
-    #: support unpickle with a well-defined version.
-    content_version: int = 0
 
     def __init__(self, collection: RecordCollection, config: MeasureConfig) -> None:
         self.collection = collection
@@ -167,9 +161,7 @@ class PreparedCollection:
         clone.config = self.config
         slim: List[PreparedRecord] = []
         for prepared in self._prepared:
-            record = PreparedRecord(
-                prepared.record, prepared.segments, None, prepared.min_partitions
-            )
+            record = PreparedRecord(prepared.record, prepared.segments, None)
             record.graph_side = prepared.graph_side
             slim.append(record)
         clone._prepared = slim
@@ -219,8 +211,6 @@ class PreparedCollection:
     def __setstate__(self, state: dict) -> None:
         signatures = state.pop("_signatures")
         self.__dict__.update(state)
-        # Artifacts pickled before the flat kernel memo lack the slot.
-        self.__dict__.setdefault("_flat_states", {})
         self._signatures = {
             # Fresh ids for the new process; reads re-validate by identity.
             # repro: ignore[id-keyed-container]
@@ -230,8 +220,7 @@ class PreparedCollection:
 
     def _prepare_record(self, record: Record) -> PreparedRecord:
         segments, pebbles = generate_pebbles(record.tokens, self.config)
-        min_partitions = min_partition_size(record.tokens, self.config, segments=segments)
-        return PreparedRecord(record, segments, pebbles, min_partitions)
+        return PreparedRecord(record, segments, pebbles)
 
     # ------------------------------------------------------------------ #
     # growth (online ingestion)
@@ -439,7 +428,6 @@ class PreparedCollection:
                 method=method,
                 segments=prepared.segments,
                 pebbles=prepared.pebbles,
-                min_partitions=prepared.min_partitions,
             )
             for prepared in self._prepared
         ]

@@ -5,7 +5,13 @@ keeps the shortest prefix such that any record similar to it (USIM ≥ θ) must
 share at least τ pebbles with the prefix:
 
 * **U-Filter** (Algorithm 2, τ = 1) — remove pebbles from the tail while the
-  accumulated similarity of removed pebbles stays below ``MP(S)·θ``.
+  accumulated similarity of removed pebbles stays below ``MP(S)·θ``.  The
+  paper estimates the minimal partition size ``MP(S)`` with a greedy set
+  cover; segments are token intervals, so the walk uses the exact minimum
+  of :func:`~repro.core.segments.min_partition_size` instead, the same
+  ``MP(S)`` the verification bounds divide by.  It is never below the
+  estimate, so every prefix is a prefix of the paper's and no answer
+  changes (the argument is in that function's docs).
 * **AU-Filter heuristic** (Algorithm 4) — additionally credit the τ−1
   heaviest pebbles of the remaining prefix, so the prefix can stay shorter
   while guaranteeing τ overlaps.
@@ -26,8 +32,8 @@ accumulated similarity plus that ceiling stays below ``MP(S)·θ``, no credit
 can stop the walk, so the DP is skipped.  The gate is exact: it skips only
 steps the DP would pass, and a ``1e-9`` slack, far above the rounding error
 of the DP's sums, keeps it exact in floating point.  On 500 records of the
-benchmark's MED-like corpus it leaves the DP 1.6% of the walk's steps under
-J at θ=0.9, τ=2, and 23% under TJS at θ=0.8, τ=3.
+benchmark's MED-like corpus (q=3) it leaves the DP 1.6% of the walk's steps
+under J at θ=0.9, τ=2, and 13% under TJS at θ=0.8, τ=3.
 """
 
 from __future__ import annotations
@@ -35,14 +41,13 @@ from __future__ import annotations
 import bisect
 import numbers
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.measures import Measure, MeasureConfig
-from ..core.segments import Segment
+from ..core.segments import Segment, min_partition_size
 from ..records import Record
 from .global_order import GlobalOrder
-from .partition_bound import min_partition_size
 from .pebbles import Pebble, PebbleKey, generate_pebbles
 
 __all__ = [
@@ -104,21 +109,15 @@ class SignedRecord:
     ----------
     record:
         The underlying record.
-    segments:
-        The well-defined segments used for pebble generation.
     pebbles:
         All pebbles, sorted by the global order.
     signature_length:
         Length of the retained prefix.
-    min_partition_size:
-        The ``MP(S)`` lower bound used during selection.
     """
 
     record: Record
-    segments: Tuple[Segment, ...]
     pebbles: Tuple[Pebble, ...]
     signature_length: int
-    min_partition_size: int
 
     @property
     def signature(self) -> Tuple[Pebble, ...]:
@@ -271,7 +270,7 @@ class _SelectionState:
 def select_signature_prefix(
     pebbles: Sequence[Pebble],
     segment_count: int,
-    min_partitions: int,
+    partition_size: int,
     theta: float,
     *,
     tau: int = 1,
@@ -286,7 +285,9 @@ def select_signature_prefix(
     below ``MP(S)·θ``; the strategies differ only in the credit they grant
     the retained prefix (0, top τ−1 weights, or the DP bound).  The DP runs
     only at steps the record's τ−1 heaviest weights could stop (see the
-    module docs).
+    module docs).  ``partition_size`` is ``MP(S)``: any lower bound on the
+    size of the record's well-defined partitions keeps the walk sound, and
+    :func:`sign_record` passes the exact minimum.
     """
     SignatureMethod.validate(method)
     if not 0.0 <= theta <= 1.0:
@@ -298,7 +299,7 @@ def select_signature_prefix(
     total = len(pebbles)
     if total == 0:
         return 0
-    target = min_partitions * theta
+    target = partition_size * theta
     state = _SelectionState(pebbles, segment_count, enabled_measures)
     # The prefix weights, descending: the heuristic credits their head, and
     # the whole record's head is the ceiling that gates the DP.
@@ -354,31 +355,27 @@ def sign_record(
     method: str = SignatureMethod.U_FILTER,
     segments: Optional[Sequence[Segment]] = None,
     pebbles: Optional[Sequence[Pebble]] = None,
-    min_partitions: Optional[int] = None,
 ) -> SignedRecord:
     """Generate pebbles for ``record``, sort them, and select its signature.
 
-    ``segments``, ``pebbles``, and ``min_partitions`` may be supplied when the
-    caller has already computed them (see
-    :class:`~repro.join.prepared.PreparedCollection`).  Pebble generation is
-    the largest part of signing: on the benchmark's MED-like corpus it costs
-    1.2–1.5× the selection walk for J records (θ=0.9, τ=2) and 3–3.6× for
-    TJS records (θ=0.8, τ=3), and the partition bound costs less than
-    either.  Reusing them makes re-signing under a different
-    (θ, τ, method) cost a sort and a walk.
-    ``segments`` and ``pebbles`` must be passed together.
+    ``segments`` and ``pebbles`` may be supplied when the caller has
+    already computed them (see
+    :class:`~repro.join.prepared.PreparedCollection`); they must be passed
+    together.  Pebble generation is the largest part of signing: on the
+    benchmark's MED-like corpus (q=3) it costs 1.3–1.6× the selection walk
+    for J records (θ=0.9, τ=2) and 2.2–2.4× for TJS records (θ=0.8, τ=3).
+    Reusing them makes re-signing under a different (θ, τ, method) cost a
+    sort, the linear ``MP(S)`` DP over the segments, and a walk.
     """
     if (segments is None) != (pebbles is None):
         raise ValueError("segments and pebbles must be supplied together")
     if segments is None or pebbles is None:
         segments, pebbles = generate_pebbles(record.tokens, config)
     sorted_pebbles = order.sort_pebbles(pebbles)
-    if min_partitions is None:
-        min_partitions = min_partition_size(record.tokens, config, segments=segments)
     prefix_length = select_signature_prefix(
         sorted_pebbles,
         len(segments),
-        min_partitions,
+        min_partition_size(len(record.tokens), segments),
         theta,
         tau=tau,
         method=method,
@@ -386,8 +383,6 @@ def sign_record(
     )
     return SignedRecord(
         record=record,
-        segments=tuple(segments),
         pebbles=tuple(sorted_pebbles),
         signature_length=prefix_length,
-        min_partition_size=min_partitions,
     )

@@ -71,6 +71,7 @@ costs an unpickle, not a corpus preparation or a signature selection.
 from __future__ import annotations
 
 import hashlib
+import numbers
 import threading
 import time
 from array import array
@@ -325,7 +326,6 @@ class SimilarityIndex:
             method=self.method,
             segments=prepared.segments,
             pebbles=prepared.pebbles,
-            min_partitions=prepared.min_partitions,
         )
 
     def _encode_keys(self, keys: Iterable) -> array:
@@ -377,7 +377,13 @@ class SimilarityIndex:
         return self.live_count
 
     def __contains__(self, record_id: int) -> bool:
-        return 0 <= record_id < len(self._rows) and self._rows[record_id] is not None
+        # A bool is an int to Python, but never a member id.
+        return (
+            isinstance(record_id, numbers.Integral)
+            and not isinstance(record_id, bool)
+            and 0 <= record_id < len(self._rows)
+            and self._rows[record_id] is not None
+        )
 
     def live_ids(self) -> List[int]:
         """The served member ids, ascending (ids are never reused)."""

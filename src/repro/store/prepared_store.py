@@ -89,7 +89,8 @@ QUARANTINE_DIRNAME = "quarantine"
 #: Current on-disk format version.  Bump whenever the pickled layout of
 #: prepared collections (or this header) changes incompatibly; artifacts
 #: written under any other version are never loaded.
-FORMAT_VERSION = 1
+#: v2: prepared and signed records no longer carry a partition-size field.
+FORMAT_VERSION = 2
 
 #: On-disk format version of similarity-index snapshots (independent of the
 #: prepared-collection format: the two artifact kinds evolve separately).
@@ -99,7 +100,8 @@ FORMAT_VERSION = 1
 #: :meth:`repro.search.index.SimilarityIndex.__getstate__`).  Artifacts of
 #: older versions are simply never consulted again, per the store's
 #: versioning contract.
-INDEX_FORMAT_VERSION = 3
+#: v4: rows are signed with the exact ``MP(S)``, so v3 row lengths are stale.
+INDEX_FORMAT_VERSION = 4
 
 _MAGIC = "repro-prepared-collection"
 _INDEX_MAGIC = "repro-similarity-index"

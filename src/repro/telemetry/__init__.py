@@ -5,8 +5,9 @@ one :class:`~.metrics.MetricsRegistry` bundled so call sites thread a
 single object.  Every instrumented entry point (``PebbleJoin``,
 ``UnifiedJoin``, ``SimilarityIndex``, ``PreparedStore``) accepts
 ``telemetry=``; passing nothing resolves to the module default
-(:func:`get_default`), so instrumentation is on out of the box and a whole
-process can be silenced with ``set_default(Telemetry(enabled=False))``.
+(:func:`get_default`), so instrumentation is on out of the box.  A
+disabled bundle (``Telemetry(enabled=False)``, installed process-wide with
+:func:`set_default`) switches spans off; its metrics registry still records.
 Nothing clears the default bundle, so it keeps only its newest
 :data:`DEFAULT_ROOT_LIMIT` root span trees; a bundle a caller constructs
 keeps every root.

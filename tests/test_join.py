@@ -10,8 +10,12 @@ from repro.join import (
     UFilterJoin,
     UnifiedJoin,
     UnifiedVerifier,
+    dual_index_filter_candidates,
 )
+from repro.join.kernels import numpy_available
 from repro.records import RecordCollection
+
+_KERNELS = ["python"] + (["numpy"] if numpy_available() else [])
 
 
 class TestPebbleJoinEndToEnd:
@@ -105,6 +109,41 @@ class TestPebbleJoinEndToEnd:
         strict = engine.filter_candidates(left_signed, right_signed, tau=3)
         assert set(strict.candidates).issubset(set(loose.candidates))
         assert loose.processed_pairs == strict.processed_pairs
+
+
+class TestTauOverrideValidation:
+    """A per-call τ override is checked like every other τ: a float (even
+    an integral one or NaN) or a bool is refused, never rounded or read as 1."""
+
+    @pytest.fixture(scope="class")
+    def signed(self, tiny_dataset):
+        records = tiny_dataset.records.head(40)
+        engine = PebbleJoin(config_for(tiny_dataset), 0.6, tau=3, method=SignatureMethod.AU_DP)
+        return engine, engine.sign_collection(records, engine.build_order(records))
+
+    @pytest.mark.parametrize("tau", [2.5, 3.0, float("nan"), True])
+    @pytest.mark.parametrize("kernel", _KERNELS)
+    def test_filter_candidates_rejects_non_integer_tau(self, signed, kernel, tau):
+        engine, records = signed
+        with pytest.raises(ValueError, match="positive integer"):
+            engine.filter_candidates(
+                records, records, tau=tau, exclude_self_pairs=True, kernel=kernel
+            )
+        # The integer form of the same override still filters.
+        at_three = engine.filter_candidates(
+            records, records, tau=3, exclude_self_pairs=True, kernel=kernel
+        )
+        assert at_three.candidates == engine.filter_candidates(
+            records, records, exclude_self_pairs=True, kernel=kernel
+        ).candidates
+
+    @pytest.mark.parametrize("requirement", [2.5, 3.0, float("nan"), True])
+    def test_dual_index_rejects_non_integer_requirement(self, signed, requirement):
+        _, records = signed
+        with pytest.raises(ValueError, match="positive integer"):
+            dual_index_filter_candidates(
+                records, records, requirement=requirement, exclude_self_pairs=True
+            )
 
 
 class TestCustomVerifier:

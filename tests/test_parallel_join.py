@@ -164,7 +164,7 @@ PATH_TABLE = {
         lambda case: _join(case, case.collection, executor="process", workers=1),
     ),
     "process-fork-3w": (
-        "S",
+        "ST",
         lambda case: _join(case, case.collection),
         lambda case: _join(case, case.collection, executor="process", workers=3),
     ),

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.measures import Measure, MeasureConfig
+from repro.core.segments import min_partition_size
 from repro.join.global_order import GlobalOrder
-from repro.join.partition_bound import greedy_cover_size, min_partition_size
 from repro.join.pebbles import generate_pebbles, segments_for_pebbles
 
 
@@ -95,26 +95,24 @@ class TestGlobalOrder:
         assert order.frequency(ordered[0].key) == 0
 
 
-class TestPartitionBound:
-    def test_greedy_cover_prefers_large_segments(self, figure1_config):
-        tokens = ("coffee", "shop", "latte")
-        segments = segments_for_pebbles(tokens, figure1_config)
-        # "coffee shop" (2 tokens) + "latte" -> greedy cover of size 2.
-        assert greedy_cover_size(tokens, segments) == 2
+def _min_partition_size(tokens, config):
+    return min_partition_size(len(tokens), segments_for_pebbles(tokens, config))
 
+
+class TestPartitionBound:
     def test_example6_min_partition_size(self, figure1_config):
         # Example 6: GetMinPartitionSize of "espresso cafe Helsinki" returns 3.
-        assert min_partition_size(("espresso", "cafe", "helsinki"), figure1_config) == 3
+        assert _min_partition_size(("espresso", "cafe", "helsinki"), figure1_config) == 3
 
     def test_empty_tokens(self, figure1_config):
-        assert min_partition_size((), figure1_config) == 0
+        assert _min_partition_size((), figure1_config) == 0
 
     def test_single_token(self, figure1_config):
-        assert min_partition_size(("espresso",), figure1_config) == 1
+        assert _min_partition_size(("espresso",), figure1_config) == 1
 
     @settings(max_examples=30, deadline=None)
     @given(tokens=st.lists(st.sampled_from(["coffee", "shop", "latte", "cake", "apple", "x"]),
                            min_size=1, max_size=6))
     def test_bound_is_positive_and_at_most_token_count(self, figure1_config, tokens):
-        bound = min_partition_size(tuple(tokens), figure1_config)
+        bound = _min_partition_size(tuple(tokens), figure1_config)
         assert 1 <= bound <= len(tokens)

@@ -1,0 +1,93 @@
+"""Recall against the definition: the filter keeps every similar pair.
+
+The equivalence suites compare one code path with another; this table
+compares the signature filter with USIM itself.  Every pair whose exact
+unified similarity (:func:`~repro.core.exact.exact_usim`, every partition
+pair enumerated) reaches θ must be a candidate of the self-join filter.
+At τ=1 that is what the signature walk guarantees for all three selection
+methods, whatever lower bound on the partition size it signs with, so an
+overestimated ``MP(S)`` shows up here as missed pairs.
+
+Each row is one measure set over three seeded TINY corpora (30 records plus
+12 generated near-duplicates each) and every (θ, method) cell of the table.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import pytest
+
+from repro.core.exact import exact_usim
+from repro.core.measures import MeasureConfig
+from repro.datasets import TINY_PROFILE, generate_dataset, generate_ground_truth
+from repro.join import PebbleJoin, SignatureMethod
+from repro.records import RecordCollection
+
+#: Seeds of the table's corpora (dataset and near-duplicates alike).
+RECALL_SEEDS = (1, 2, 3)
+THETAS = (0.6, 0.7, 0.8)
+TAU = 1
+
+#: row id -> measure codes; every row sweeps every seed, θ and method.
+RECALL_TABLE = {
+    "all-measures": "TJS",
+    "taxonomy": "T",
+    "synonym": "S",
+    "jaccard": "J",
+}
+
+
+@pytest.fixture(scope="module")
+def recall_corpora():
+    """seed -> (dataset, records): 30 records plus their near-duplicates."""
+    corpora = {}
+    for seed in RECALL_SEEDS:
+        dataset = generate_dataset(TINY_PROFILE, count=30, seed=seed)
+        truth = generate_ground_truth(
+            dataset, positive_pairs=12, negative_pairs=0, seed=seed
+        )
+        duplicates = sorted(
+            (pair.right for pair in truth.positives()),
+            key=lambda record: record.record_id,
+        )
+        corpora[seed] = dataset, RecordCollection(list(dataset.records) + duplicates)
+    return corpora
+
+
+def _candidates(config, records, theta, method):
+    """The self-join filter's candidate pairs at ``TAU``."""
+    engine = PebbleJoin(config, theta, tau=TAU, method=method)
+    prepared = engine.prepare(records)
+    signed = engine.sign_collection(prepared, engine.build_order(prepared))
+    outcome = engine.filter_candidates(signed, signed, exclude_self_pairs=True)
+    return set(outcome.candidates)
+
+
+class TestRecallTable:
+    @pytest.mark.parametrize("row", list(RECALL_TABLE))
+    def test_every_similar_pair_is_a_candidate(self, recall_corpora, row):
+        codes = RECALL_TABLE[row]
+        truth_pairs = 0
+        misses = []
+        for seed, (dataset, records) in recall_corpora.items():
+            config = MeasureConfig.from_codes(
+                codes, rules=dataset.rules, taxonomy=dataset.taxonomy, q=3
+            )
+            usim = {
+                (left.record_id, right.record_id): exact_usim(
+                    left.tokens, right.tokens, config
+                ).value
+                for left, right in itertools.combinations(records, 2)
+            }
+            for theta in THETAS:
+                similar = {pair for pair, value in usim.items() if value >= theta}
+                truth_pairs += len(similar)
+                for method in SignatureMethod.ALL:
+                    missed = similar - _candidates(config, records, theta, method)
+                    misses.extend(
+                        (seed, theta, method, pair, usim[pair]) for pair in sorted(missed)
+                    )
+        # A row without a similar pair would prove nothing about recall.
+        assert truth_pairs > 0, row
+        assert not misses, misses[:5]

@@ -559,6 +559,19 @@ def test_remove_validates_ids(search_dataset):
     assert index.add([]) == []
 
 
+def test_bool_is_not_a_member_id(search_dataset):
+    """``True == 1`` in Python, but a bool never names member 1: remove and
+    query_member refuse it before anything changes."""
+    config = _config(search_dataset, "J")
+    index = SimilarityIndex(search_dataset.records.head(20), config, theta=0.5)
+    assert 1 in index and True not in index
+    with pytest.raises(KeyError):
+        index.remove([True])
+    with pytest.raises(KeyError):
+        index.query_member(True)
+    assert index.live_count == 20 and 1 in index
+
+
 def test_bare_string_is_not_an_iterable_of_records(search_dataset):
     """A str is iterable, but one text is never one record (or probe) per
     character: add and query_batch refuse it, and add changes nothing."""
@@ -638,12 +651,12 @@ def test_load_misses_raise_and_tampering_is_rejected(search_dataset, tmp_path):
 
 
 def test_older_snapshot_format_is_a_miss(search_dataset, tmp_path):
-    """A snapshot saved under index format v2 holds the pre-v3 pickled
-    layout, so a current store never loads it."""
-    assert INDEX_FORMAT_VERSION == 3
+    """A snapshot saved under index format v3 holds rows signed with the
+    paper's partition-size estimate, so a current store never loads it."""
+    assert INDEX_FORMAT_VERSION == 4
     config = _config(search_dataset, "J")
     index = SimilarityIndex(search_dataset.records.head(8), config, theta=0.6)
-    index.snapshot(PreparedStore(tmp_path / "store", index_format_version=2))
+    index.snapshot(PreparedStore(tmp_path / "store", index_format_version=3))
     with pytest.raises(LookupError):
         SimilarityIndex.load(PreparedStore(tmp_path / "store"), index.content_fingerprint())
 

@@ -1,6 +1,8 @@
 """Tests for signature selection (U-Filter, AU-heuristic, AU-DP)."""
 
 import bisect
+import functools
+import math
 import random
 from typing import Dict, List, Sequence, Tuple
 
@@ -8,10 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.measures import Measure, MeasureConfig
+from repro.core.segments import min_partition_size
 from repro.datasets import MED_PROFILE, generate_dataset
 from repro.join.global_order import GlobalOrder
 from repro.join.pebbles import Pebble, generate_pebbles
-from repro.join.partition_bound import min_partition_size
 from repro.join.prepared import PreparedCollection
 from repro.join.signatures import (
     SignatureMethod,
@@ -228,13 +230,14 @@ def _reference_select_signature_prefix(
     return 0
 
 
-def _swept_lists():
-    """(label, sorted pebbles, segment count, MP(S), measures) to sweep.
+@functools.lru_cache(maxsize=None)
+def _swept_records():
+    """(label, sorted pebbles, segments, token count, measures) of MED records.
 
     MED records under J/S/T/TJS and both order strategies (twelve records
-    per configuration, spread over the length range), then seeded random
-    pebble lists with tied weights, single-segment lists, and empty lists.
+    per configuration, spread over the length range).
     """
+    records = []
     dataset = generate_dataset(MED_PROFILE, count=60, seed=3)
     for codes in ("J", "S", "T", "TJS"):
         config = MeasureConfig.from_codes(
@@ -249,13 +252,31 @@ def _swept_lists():
             for rec in prepared.prepared_records:
                 order.add_record_pebbles(rec.pebbles)
             for rec in chosen:
-                yield (
+                records.append((
                     f"{codes}/{strategy}/{rec.record.record_id}",
                     order.sort_pebbles(rec.pebbles),
-                    len(rec.segments),
-                    rec.min_partitions,
+                    tuple(rec.segments),
+                    len(rec.record.tokens),
                     enabled,
-                )
+                ))
+    return tuple(records)
+
+
+def _swept_lists():
+    """(label, sorted pebbles, segment count, MP(S), measures) to sweep.
+
+    The records of :func:`_swept_records` with their exact ``MP(S)``, then
+    seeded random pebble lists with tied weights, single-segment lists, and
+    empty lists.
+    """
+    for label, pebbles, segments, token_count, enabled in _swept_records():
+        yield (
+            label,
+            pebbles,
+            len(segments),
+            min_partition_size(token_count, segments),
+            enabled,
+        )
     rng = random.Random(17)
     measures = sorted(Measure, key=lambda measure: measure.value)
     weights = (0.1, 0.125, 0.2, 0.25, 1 / 3, 0.5, 1.0)
@@ -388,9 +409,6 @@ class TestSignaturePrefixSelection:
 
     def test_signed_record_properties(self, figure1_config):
         signed = _signed("coffee shop latte", figure1_config, 0.8, 2, SignatureMethod.AU_DP)
-        assert signed.min_partition_size == min_partition_size(
-            ("coffee", "shop", "latte"), figure1_config
-        )
         assert all(key in {p.key for p in signed.pebbles} for key in signed.signature_keys)
 
 
@@ -413,6 +431,48 @@ class TestSelectionOracle:
             if method == SignatureMethod.AU_DP
             for tau in _TAUS
         )
+
+
+def _paper_min_partition_size(token_count, segments):
+    """Algorithm 2's ``GetMinPartitionSize`` (Lines 6–12), the oracle.
+
+    The greedy set cover of the token positions, divided by its
+    ``ln n + 1`` approximation factor, where ``n`` is the token count of
+    the largest segment.
+    """
+    uncovered = set(range(token_count))
+    if not uncovered:
+        return 0
+    ordered = sorted(segments, key=lambda segment: (-len(segment), segment.span.start))
+    cover = 0
+    while uncovered:
+        best = max(ordered, key=lambda segment: len(uncovered & set(segment.span.positions())))
+        uncovered -= set(best.span.positions())
+        cover += 1
+    largest = max((len(segment) for segment in segments), default=1)
+    return max(1, math.ceil(cover / (math.log(largest) + 1.0)))
+
+
+class TestExactPartitionSize:
+    """Signing with the exact ``MP(S)`` only ever shortens the paper's prefixes."""
+
+    def test_exact_minimum_never_lengthens_the_paper_prefix(self, selection_sweep):
+        raised = 0
+        for label, pebbles, segments, token_count, measures in _swept_records():
+            exact = min_partition_size(token_count, segments)
+            paper = _paper_min_partition_size(token_count, segments)
+            assert exact >= paper, label
+            raised += exact > paper
+            for theta in _THETAS:
+                for method in SignatureMethod.ALL:
+                    for tau, (length, _) in zip(_TAUS, selection_sweep[label, theta, method]):
+                        paper_length = select_signature_prefix(
+                            pebbles, len(segments), paper, theta,
+                            tau=tau, method=method, enabled_measures=measures,
+                        )
+                        assert length <= paper_length, (label, theta, method, tau)
+        # The sweep reaches records where the two definitions differ.
+        assert raised
 
 
 class TestFilterCorrectness:

@@ -313,7 +313,9 @@ class TestStoreInvalidation:
         assert store.load(collection, config) is None
         # Header edited to a future format version (filename kept).
         header_end = blob.find(b"\n") + 1
-        future = blob[:header_end].replace(b" v1 ", b" v9 ") + blob[header_end:]
+        current = f" v{FORMAT_VERSION} ".encode("ascii")
+        future = blob[:header_end].replace(current, b" v99 ") + blob[header_end:]
+        assert future != blob
         path.write_bytes(future)
         assert store.load(collection, config) is None
         # Garbage header.

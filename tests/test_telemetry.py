@@ -254,7 +254,7 @@ class TestProcessMerge:
         assert counters["join.calls"] == 1
         assert counters["supervisor.shards"] == len(shards)
 
-    def test_disabled_bundle_records_nothing_and_stays_identical(
+    def test_disabled_bundle_records_no_spans_but_still_counts(
         self, config, collection, serial_triples
     ):
         telemetry = Telemetry(enabled=False)
@@ -262,6 +262,13 @@ class TestProcessMerge:
         result = engine.join(collection, executor="process", workers=2)
         assert _triples(result) == serial_triples
         assert telemetry.tracer.roots == []
+        # Only spans are off: the metrics registry records as it would in
+        # an enabled bundle.
+        snapshot = telemetry.metrics.snapshot()
+        assert snapshot["counters"]["join.calls"] == 1
+        assert snapshot["counters"]["join.pairs"] == len(serial_triples)
+        for stage in ("sign", "filter", "verify"):
+            assert snapshot["histograms"][f"join.{stage}_seconds"]["count"] == 1
 
 
 class TestSpanSourcedTimings:
