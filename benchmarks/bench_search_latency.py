@@ -93,9 +93,6 @@ def run_search_latency(
         store_root = cleanup.name
     try:
         # Cold build: raw records -> serving index, snapshot persisted.
-        # adaptive_verification is the serving configuration: a long-lived
-        # index sheds bound tiers that stop paying for themselves (answers
-        # are identical; the identity check below still enforces that).
         store = PreparedStore(store_root)
         start = time.perf_counter()
         index = SimilarityIndex(
@@ -103,7 +100,6 @@ def run_search_latency(
             config,
             theta=theta,
             tau=tau,
-            adaptive_verification=True,
         )
         cold_build_seconds = time.perf_counter() - start
         index.snapshot(store)

@@ -43,15 +43,20 @@ class CostModel:
     Parameters
     ----------
     filter_cost, verify_cost:
-        The per-pair constants ``c_f`` and ``c_v``.  Their ratio is what
-        matters for τ selection; the defaults reflect that verifying one
-        candidate (an approximate USIM computation) is orders of magnitude
-        more expensive than one posting-combination increment.
+        The per-pair constants ``c_f`` and ``c_v``, each finite and > 0
+        (``ValueError`` otherwise).  Their ratio is what matters for τ
+        selection; the defaults reflect that verifying one candidate (an
+        approximate USIM computation) is orders of magnitude more expensive
+        than one posting-combination increment.
     """
 
     def __init__(self, *, filter_cost: float = 1.0, verify_cost: float = 50.0) -> None:
-        if filter_cost <= 0 or verify_cost <= 0:
-            raise ValueError("cost constants must be positive")
+        # Written so that NaN fails the comparisons.
+        if not (0 < filter_cost < math.inf and 0 < verify_cost < math.inf):
+            raise ValueError(
+                "cost constants must be finite and > 0; got "
+                f"filter_cost={filter_cost!r}, verify_cost={verify_cost!r}"
+            )
         self.filter_cost = filter_cost
         self.verify_cost = verify_cost
         self._processed: Dict[int, OnlineStatistics] = {}

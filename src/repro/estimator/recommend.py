@@ -32,6 +32,7 @@ probability ``p²``, so estimates scale by ``1/p²``).
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -118,12 +119,18 @@ class TauRecommender:
         the samples run through.
 
         Raises ``ValueError`` for a probability outside (0, 1] or a τ below
-        1 (see :func:`check_sampling`).
+        1 (see :func:`check_sampling`), for a ``burn_in`` or
+        ``max_iterations`` that is not an integer ≥ 1 (a bool included), for
+        ``max_iterations < burn_in``, and for a ``t_quantile`` or cost
+        constant that is not finite and > 0.
         """
-        if burn_in < 1:
-            raise ValueError("burn_in must be at least 1")
+        burn_in = check_tau(burn_in, "burn_in")
+        max_iterations = check_tau(max_iterations, "max_iterations")
         if max_iterations < burn_in:
             raise ValueError("max_iterations must be at least burn_in")
+        # Written so that NaN fails the comparison.
+        if not 0 < t_quantile < math.inf:
+            raise ValueError(f"t_quantile must be finite and > 0; got {t_quantile!r}")
         self.join_factory = join_factory
         self.tau_universe = check_sampling(
             tau_universe, left_probability, right_probability

@@ -240,8 +240,8 @@ def _resolve_executor(executor: Optional[str], workers: Optional[int]) -> str:
     if executor == "serial":
         if workers not in (None, 0):
             raise ValueError("the serial executor takes no workers")
-    elif workers is not None and workers < 1:
-        raise ValueError("the process executor needs workers >= 1")
+    elif workers is not None:
+        check_tau(workers, "workers")
     return executor
 
 
@@ -430,10 +430,8 @@ class PebbleJoin:
     approximation_t:
         Algorithm 1's trade-off parameter ``t`` (``1 < t < inf``).
     adaptive_verification:
-        Enable the adaptive tier controller of the engine's
-        :class:`~repro.join.verification.UnifiedVerifier`: a bound tier
-        whose observed hit rate drops below its cost is skipped and
-        periodically re-probed (pairs stay identical).
+        Accepted and ignored, for benchmark compatibility: ``perfbench/``
+        still passes it.  Every join runs the one verification cascade.
     store:
         An optional :class:`~repro.store.PreparedStore`.  Historically only
         the :class:`~repro.join.framework.UnifiedJoin` facade was
@@ -495,7 +493,6 @@ class PebbleJoin:
             config,
             theta,
             t=approximation_t,
-            adaptive=adaptive_verification,
             kernel=kernel,
         )
         self.approximation_t = approximation_t
@@ -764,8 +761,8 @@ class PebbleJoin:
         serial fallback; supervision is on by default and reports through
         ``statistics.execution``).  Both executors return bit-identical
         pairs, similarities, and statistics counters at every worker count
-        (with ``adaptive_verification=False``) — including supervised runs
-        that retried, respawned, or fell back to serial for some shards.
+        — including supervised runs that retried, respawned, or fell back
+        to serial for some shards.
         """
         resolved_executor = _resolve_executor(executor, workers)
         _check_process_only(resolved_executor, pool=pool, supervision=supervision)
@@ -892,8 +889,7 @@ class PebbleJoin:
         identical order.  Signing and validation happen at call time; store
         preparations are persisted back once the stream is exhausted.
         """
-        if batch_size < 1:
-            raise ValueError("batch_size must be a positive integer")
+        check_tau(batch_size, "batch_size")
         resolved_executor = _resolve_executor(executor, workers)
         _check_process_only(resolved_executor, pool=pool, supervision=supervision)
         left_prep, right_prep, self_join = self._resolve_sides(left, right)

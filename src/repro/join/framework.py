@@ -104,10 +104,6 @@ class UnifiedJoin:
         Parameters forwarded to the recommender when ``tau="auto"``; a
         probability outside (0, 1] or a τ below 1 raises ``ValueError`` at
         construction.
-    adaptive_verification:
-        Enable the verifier's adaptive tier controller (bound tiers whose
-        observed hit rate drops below their cost are skipped and
-        periodically re-probed; the result pairs are unaffected).
     store:
         An optional :class:`~repro.store.PreparedStore`.  When set, raw
         collections passed to :meth:`join` / :meth:`join_batches` /
@@ -126,6 +122,10 @@ class UnifiedJoin:
         bundle; see ``docs/observability.md``).
     """
 
+    #: Always ``False``, kept for benchmark compatibility: ``perfbench/``
+    #: reads it and forwards it to :class:`PebbleJoin`, which ignores it.
+    adaptive_verification = False
+
     def __init__(
         self,
         *,
@@ -140,7 +140,6 @@ class UnifiedJoin:
         sample_probability: float = 0.05,
         tau_universe: Sequence[int] = (1, 2, 3, 4, 5, 6),
         recommendation_seed: Optional[int] = None,
-        adaptive_verification: bool = False,
         store: Optional["PreparedStore"] = None,
         kernel: str = "auto",
         telemetry: Optional[Telemetry] = None,
@@ -151,7 +150,6 @@ class UnifiedJoin:
         self.theta = theta
         self.method = SignatureMethod.validate(method)
         self.approximation_t = check_approximation_t(approximation_t)
-        self.adaptive_verification = adaptive_verification
         self.sample_probability = sample_probability
         self.tau_universe = tuple(tau_universe)
         self.recommendation_seed = recommendation_seed
@@ -205,7 +203,6 @@ class UnifiedJoin:
             tau=tau,
             method=self.method,
             approximation_t=self.approximation_t,
-            adaptive_verification=self.adaptive_verification,
             kernel=self.kernel,
             telemetry=self.telemetry,
         )

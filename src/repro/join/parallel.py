@@ -22,13 +22,13 @@ join, join stream and batch query goes through it:
 
    * ``"serial"`` runs every shard in the parent, on a plan over the
      caller's own prepared collections and against the caller's own
-     verifier — no transfer copy and no rebuilt verifier, so graph sides
+     verifier — no transfer copy and no verifier copy, so graph sides
      stay cached on the caller's preparation;
    * ``"process"`` ships a plan of pebble-free
-     :meth:`~repro.join.prepared.PreparedCollection.transfer_copy` views to
-     worker processes, which rebuild a
-     :class:`~repro.join.verification.UnifiedVerifier` from the plan, and
-     drives the shards through a
+     :meth:`~repro.join.prepared.PreparedCollection.transfer_copy` views and
+     a fresh copy of the caller's
+     :class:`~repro.join.verification.UnifiedVerifier` to worker processes,
+     and drives the shards through a
      :class:`~repro.join.supervision.ShardSupervisor` — the one supervised
      loop.  The transport follows from what the call can observe (see
      :func:`_session_manager`): a caller's
@@ -50,14 +50,14 @@ join, join stream and batch query goes through it:
 Because per-probe filtering is independent across probe records and every
 statistic is a plain sum, the merged result — pairs, similarities, and all
 statistics counters — is **bit-identical** on both executors at every
-worker count (with a non-adaptive verifier; the path-equivalence tests
-enforce this).  Timing fields stay wall-clock and span-sourced: on
-the process executor the caller drains the stream inside a
-``pooled-stage`` span, which therefore runs from session-manager creation
-through ``close()`` (pool startup, payload transport and shutdown
-included), and the join splits its wall clock between filtering and
-verification by the workers' observed stage proportions, so
-``JoinStatistics.total_seconds`` remains comparable across executors.
+worker count (the path-equivalence tests enforce this).  Timing fields
+stay wall-clock and span-sourced: on the process executor the caller
+drains the stream inside a ``pooled-stage`` span, which therefore runs
+from session-manager creation through ``close()`` (pool startup, payload
+transport and shutdown included), and the join splits its wall clock
+between filtering and verification by the workers' observed stage
+proportions, so ``JoinStatistics.total_seconds`` remains comparable across
+executors.
 
 Use it through the ``executor="process"`` knob of
 :meth:`~repro.join.aufilter.PebbleJoin.join` and
@@ -142,16 +142,15 @@ class ShardPlan:
     exclude_self_pairs: bool
     #: The flat integer payload (CSR postings + encoded probe side).
     flat: FlatJoinState
-    #: Filter-kernel selection the shard body dispatches with, and each
-    #: rebuilt verifier's stage-1 selection (a plain string, pickle-safe;
-    #: ``"auto"`` resolves inside each worker, so a numpy-less worker falls
-    #: back to the pure-Python paths — bit-identically).
+    #: Filter-kernel selection the shard body dispatches with (a plain
+    #: string, pickle-safe; ``"auto"`` resolves inside each worker, so a
+    #: numpy-less worker falls back to the pure-Python paths —
+    #: bit-identically).
     kernel: str = "auto"
-    #: What each worker rebuilds its verifier from; unset on a serial plan,
-    #: which runs against the caller's own verifier.
-    config: object = None
-    threshold: float = 0.0
-    verifier_kwargs: Optional[dict] = None
+    #: The verifier every worker verifies with: a fresh copy of the
+    #: caller's, with zero counters.  Unset on a serial plan, which runs
+    #: against the caller's own verifier.
+    verifier: Optional[UnifiedVerifier] = None
 
     @classmethod
     def build(
@@ -171,9 +170,9 @@ class ShardPlan:
 
         A ``"serial"`` plan holds the caller's own prepared collections.  A
         ``"process"`` plan is the worker payload: pebble-free transfer
-        copies of both sides (one copy for a self-join) and the parameters
-        each worker rebuilds ``verifier`` from (its adaptive gate holds a
-        lock, so the verifier itself does not pickle).
+        copies of both sides (one copy for a self-join) and a fresh copy of
+        ``verifier`` — same settings, zero counters, never the caller's
+        object, whose counters the shard results merge back into.
         """
         plan = cls(
             requirement=requirement,
@@ -193,9 +192,12 @@ class ShardPlan:
             right_prep=(
                 left_copy if right_prep is left_prep else right_prep.transfer_copy()
             ),
-            config=verifier.config,
-            threshold=verifier.threshold,
-            verifier_kwargs=_verifier_kwargs(verifier),
+            verifier=UnifiedVerifier(
+                verifier.config,
+                verifier.threshold,
+                t=verifier.t,
+                kernel=verifier.kernel,
+            ),
         )
 
     @property
@@ -232,24 +234,14 @@ class ShardResult:
 class _WorkerRuntime:
     """A plan and the verifier its shards verify with.
 
-    Workers and the parent fallback rebuild a
-    :class:`~repro.join.verification.UnifiedVerifier` from the plan; the
-    serial executor passes the caller's own ``verifier``.
+    Workers and the parent fallback verify with the plan's own verifier;
+    the serial executor passes the caller's ``verifier``.
     """
 
     def __init__(self, plan: ShardPlan, shm=None, verifier=None) -> None:
         self.plan = plan
         self._shm = shm
-        self.verifier = (
-            verifier
-            if verifier is not None
-            else UnifiedVerifier(
-                plan.config,
-                plan.threshold,
-                kernel=plan.kernel,
-                **plan.verifier_kwargs,
-            )
-        )
+        self.verifier = verifier if verifier is not None else plan.verifier
 
     def release(self) -> None:
         """Drop plan state and detach the shared-memory mapping (if any).
@@ -392,17 +384,16 @@ def _run_shard_on(
     filter_seconds = _stage_seconds(filter_span, began)
     filter_span.annotate(candidates=len(candidates), processed_pairs=processed)
 
-    verifier = runtime.verifier
+    verification = VerificationStats()
     with tracer.span("verify") as verify_span:
         began = time.perf_counter()
-        before = verifier.stats.snapshot()
-        pairs = verifier.verify_batch(
+        pairs = runtime.verifier.verify_batch(
             candidates,
             plan.left_prep,
             plan.right_prep,
             probe_side="left" if plan.probe_is_left else "right",
+            stats=verification,
         )
-        verification = verifier.stats.diff(before)
     verify_seconds = _stage_seconds(verify_span, began)
     verify_span.annotate(
         pairs=len(pairs),
@@ -419,11 +410,6 @@ def _run_shard_on(
         filter_seconds=filter_seconds,
         verify_seconds=verify_seconds,
     )
-
-
-def _verifier_kwargs(verifier: UnifiedVerifier) -> dict:
-    """Reconstruction parameters for per-process verifiers."""
-    return {"t": verifier.t, "adaptive": verifier.adaptive}
 
 
 def build_shard_plan(
@@ -552,8 +538,8 @@ class _ParentFallback:
 
     Materializes a :class:`_WorkerRuntime` from the parent's own plan copy
     on first use (the parent plan keeps its ``flat`` arrays — the shm
-    export detaches a copy) and runs shards through the shard body with a
-    verifier rebuilt exactly as a worker's, so a fallback shard's pairs and
+    export detaches a copy) and runs shards through the shard body with
+    the plan's verifier, as a worker does, so a fallback shard's pairs and
     counters are bit-identical to what a healthy worker would have returned
     and merge into the caller's verifier the same way.
     """

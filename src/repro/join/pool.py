@@ -53,6 +53,7 @@ from .parallel import (
     _run_shard_on,
     _WorkerRuntime,
 )
+from .signatures import check_tau
 from .supervision import ExecutorSession
 
 __all__ = ["WarmJoinPool"]
@@ -187,9 +188,11 @@ class WarmJoinPool:
     """
 
     def __init__(self, workers: Optional[int] = None) -> None:
-        self.workers = workers if workers is not None else (os.cpu_count() or 1)
-        if self.workers < 1:
-            raise ValueError("WarmJoinPool needs workers >= 1")
+        self.workers = (
+            check_tau(workers, "workers")
+            if workers is not None
+            else (os.cpu_count() or 1)
+        )
         self._executor: Optional[ProcessPoolExecutor] = None
         self._closed = False
         #: Executors replaced over this pool's lifetime (self-healing plus

@@ -48,17 +48,11 @@ each stage runs in a span under the shard body's ``verify`` span:
 ``verify.algorithm1`` once per candidate that reaches the stage.  The
 cascade is lossless: the surviving pair set and every reported similarity
 are bit-identical to :meth:`~UnifiedVerifier.verify` on each candidate,
-which the randomized equivalence tests enforce.  Counters are plain sums,
-so the shards of :mod:`repro.join.parallel` — where each worker process
-rebuilds a :class:`UnifiedVerifier` from picklable parameters and runs this
-same cascade — merge back to exactly the serial counters.
-
-With ``adaptive=True`` the verifier additionally *gates* the upper tier on
-its observed prune rate (see :class:`UnifiedVerifier`), skipping it while
-it does not pay for itself — without ever changing the surviving pairs.
-``adaptive`` is the only setting: the gate's window, re-probe interval and
-cost are the module constants :data:`ADAPTIVE_WINDOW`,
-:data:`ADAPTIVE_PROBE_WINDOWS` and :data:`UPPER_TIER_COST`.
+which the randomized equivalence tests enforce.  Counters are plain sums
+over one fixed sequence of stages, so the shards of
+:mod:`repro.join.parallel` — where each worker process runs this same
+cascade on the fresh :class:`UnifiedVerifier` its shard plan carries —
+merge back to exactly the serial counters.
 """
 
 from __future__ import annotations
@@ -88,15 +82,11 @@ __all__ = [
     "UnifiedVerifier",
 ]
 
-#: Settings of the adaptive tier gate (see :class:`UnifiedVerifier`).  The
-#: gate measures the upper tier's prune rate over windows of
-#: ``ADAPTIVE_WINDOW`` outcomes, closes the tier when the rate falls below
-#: ``UPPER_TIER_COST`` — the break-even share of candidates the bounds must
-#: prune to pay for themselves — and re-probes a closed tier after
-#: ``ADAPTIVE_PROBE_WINDOWS`` windows of bypassed candidates.
-ADAPTIVE_WINDOW = 256
-ADAPTIVE_PROBE_WINDOWS = 4
-UPPER_TIER_COST = 0.05
+#: Serialises every merge into a counter block, so concurrent readers of
+#: one :class:`~repro.search.index.SimilarityIndex` — which share its
+#: verifier's cumulative counters — never lose an update.  Module-level, so
+#: the verifier a shard plan ships stays plain, picklable data.
+_MERGE_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -117,10 +107,7 @@ class VerificationStats:
     bound without building a pair graph and ``graphs_built`` went through
     Algorithm 1 (``ceiling_stops`` of them skipped the improvement loop via
     the value ceiling, ``full_runs`` ran it); ``results`` reached the
-    threshold.  ``adaptive_upper_skips`` counts candidates for which the
-    adaptive gate (see :class:`UnifiedVerifier`) bypassed both bounds
-    because their observed prune rate had dropped below their cost; it
-    stays 0 when adaptivity is off.
+    threshold.
     """
 
     candidates: int = 0
@@ -129,7 +116,6 @@ class VerificationStats:
     ceiling_stops: int = 0
     full_runs: int = 0
     results: int = 0
-    adaptive_upper_skips: int = 0
 
     #: Every dataclass field is a counter; derived below (after the class
     #: body) so a newly added field can never be silently dropped by
@@ -141,14 +127,17 @@ class VerificationStats:
 
         Every field is a plain sum, which is what makes merging lossless:
         any partition of one candidate stream into process shards merges
-        back to exactly the serial counters.
+        back to exactly the serial counters.  The merge is atomic with
+        respect to every other merge and snapshot.
         """
-        for name in self._COUNTERS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
+        with _MERGE_LOCK:
+            for name in self._COUNTERS:
+                setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def snapshot(self) -> "VerificationStats":
         """A copy of the current counters (for before/after deltas)."""
-        return replace(self)
+        with _MERGE_LOCK:
+            return replace(self)
 
     def diff(self, earlier: "VerificationStats") -> "VerificationStats":
         """The counters accumulated since ``earlier`` was snapshotted."""
@@ -206,71 +195,6 @@ def _tier_span(name: str, **attrs):
     return Span(name, attrs=attrs)
 
 
-class _AdaptiveTierGate:
-    """Windowed hit-rate controller for the upper tier.
-
-    The tier runs normally while ``active``; after each measurement window
-    of ``window`` outcomes, the tier is disabled when its hit rate fell
-    below ``min_hit_rate`` (the tier's cost expressed as the break-even
-    fraction of candidates it must serve to pay for itself).  A disabled
-    tier is re-probed after ``window * probe_windows`` bypassed candidates,
-    so a workload whose regime shifts mid-run gets the tier back.  The
-    controller is a pure function of the candidate sequence, hence
-    deterministic on the serial path; a lock keeps its counters exact when
-    concurrent :class:`~repro.search.index.SimilarityIndex` readers share
-    one verifier (the *sequence* of outcomes then depends on their
-    interleaving, but no update is ever lost).
-    """
-
-    __slots__ = (
-        "min_hit_rate",
-        "window",
-        "probe_windows",
-        "active",
-        "seen",
-        "hits",
-        "bypassed",
-        "_lock",
-    )
-
-    def __init__(self, min_hit_rate: float, window: int, probe_windows: int) -> None:
-        self.min_hit_rate = min_hit_rate
-        self.window = window
-        self.probe_windows = probe_windows
-        self.active = True
-        self.seen = 0
-        self.hits = 0
-        self.bypassed = 0
-        self._lock = threading.Lock()
-
-    def should_run(self) -> bool:
-        """Decide whether the tier runs for the next candidate."""
-        with self._lock:
-            if self.active:
-                return True
-            self.bypassed += 1
-            if self.bypassed >= self.window * self.probe_windows:
-                self.active = True
-                self.bypassed = 0
-                self.seen = 0
-                self.hits = 0
-                return True
-            return False
-
-    def record(self, hit: bool) -> None:
-        """Record one tier outcome; close the window when it fills up."""
-        with self._lock:
-            self.seen += 1
-            if hit:
-                self.hits += 1
-            if self.seen >= self.window:
-                if self.hits < self.min_hit_rate * self.seen:
-                    self.active = False
-                    self.bypassed = 0
-                self.seen = 0
-                self.hits = 0
-
-
 class UnifiedVerifier:
     """The verifier of every join and search read: Algorithm 1 behind two bounds.
 
@@ -280,24 +204,9 @@ class UnifiedVerifier:
     ``t`` is Algorithm 1's trade-off parameter and must satisfy
     ``1 < t < inf``.  ``kernel`` is the owning engine's filter-kernel
     selection (see :mod:`repro.join.kernels`); it picks the maxima stage's
-    implementation the same way, with bit-identical results.
-
-    Adaptive gate
-    -------------
-    With ``adaptive=True`` the upper tier — the maxima and the matching
-    bound, one outcome per candidate: pruned or not — is wrapped in one
-    :class:`_AdaptiveTierGate`.  When its observed prune rate over a window
-    of candidates drops below :data:`UPPER_TIER_COST` (the break-even rate
-    of computing the bounds), the tier is skipped for subsequent candidates,
-    which go straight to Algorithm 1, and it is periodically re-probed.
-    Because the bounds are lossless, the surviving pairs and similarities
-    are *identical* with adaptivity on or off — only the counters (and
-    runtime) change, with bypasses reported as ``adaptive_upper_skips``.
-    The gate is driven by the candidate stream, so its decision sequence is
-    deterministic on the serial path; under process execution each worker
-    gates its own shards, which is why the executor-equivalence guarantee
-    on *statistics* is stated for ``adaptive=False`` (the default), while
-    the pair-set guarantee holds always.
+    implementation the same way, with bit-identical results.  The
+    verifier is plain data — its settings and :attr:`stats` — so a process
+    shard plan ships a fresh copy of it to every worker.
     """
 
     def __init__(
@@ -306,7 +215,6 @@ class UnifiedVerifier:
         threshold: float,
         *,
         t: float = 4.0,
-        adaptive: bool = False,
         kernel: str = "auto",
     ) -> None:
         if not 0.0 <= threshold <= 1.0:
@@ -315,14 +223,8 @@ class UnifiedVerifier:
         self.config = config
         self.threshold = threshold
         self.t = check_approximation_t(t)
-        self.adaptive = adaptive
         self.kernel = kernel
         self.stats = VerificationStats()
-        self._upper_gate = (
-            _AdaptiveTierGate(UPPER_TIER_COST, ADAPTIVE_WINDOW, ADAPTIVE_PROBE_WINDOWS)
-            if adaptive
-            else None
-        )
 
     @property
     def verified_count(self) -> int:
@@ -363,7 +265,6 @@ class UnifiedVerifier:
         """Run the cascade over one probe's run of candidates, in order."""
         threshold = self.threshold
         config = self.config
-        upper_gate = self._upper_gate
         # One assembler per group: the probe's qualification pre-pass is
         # computed once and reused against every partner.
         assembler = PairGraphAssembler(probe_side, config, probe_is_left=probe_is_left)
@@ -371,8 +272,9 @@ class UnifiedVerifier:
         # the empty pair graph realises 0.0, matching approximate_usim's
         # empty-input result, so the cascade handles them like any pair (and
         # the counters keep partitioning the candidates).
-        bounds = None
+        bounds = maxima = None
         if threshold > 0.0:
+            # Stage 1 for the whole group in one pass.
             bounds = GroupUpperBounds(
                 probe_side,
                 partner_sides,
@@ -380,38 +282,27 @@ class UnifiedVerifier:
                 probe_is_left=probe_is_left,
                 kernel=self.kernel,
             )
-        maxima: Optional[List[float]] = None
+            with _tier_span(
+                "verify.maxima", candidates=len(group), kernel=bounds.use_kernel
+            ):
+                maxima = bounds.maxima(threshold)
         for position, (left_id, right_id) in enumerate(group):
             stats.candidates += 1
-            partner_side = partner_sides[position]
-            if bounds is not None:
-                if upper_gate is None or upper_gate.should_run():
-                    if maxima is None:
-                        # Stage 1 for the whole group, on first need.
-                        with _tier_span(
-                            "verify.maxima",
-                            candidates=len(group),
-                            kernel=bounds.use_kernel,
-                        ):
-                            maxima = bounds.maxima(threshold)
-                    pruned = maxima[position] < threshold
-                    if not pruned:
-                        with _tier_span("verify.matching"):
-                            pruned = bounds.matching(position) < threshold
-                    if upper_gate is not None:
-                        upper_gate.record(pruned)
-                    if pruned:
-                        # Algorithm 1 realises ≤ exact USIM ≤ either bound
-                        # < θ: the unpruned path would reject it too.
-                        stats.upper_bound_prunes += 1
-                        continue
-                else:
-                    stats.adaptive_upper_skips += 1
+            if maxima is not None:
+                pruned = maxima[position] < threshold
+                if not pruned:
+                    with _tier_span("verify.matching"):
+                        pruned = bounds.matching(position) < threshold
+                if pruned:
+                    # Algorithm 1 realises ≤ exact USIM ≤ either bound < θ:
+                    # the unpruned path would reject it too.
+                    stats.upper_bound_prunes += 1
+                    continue
 
             stats.graphs_built += 1
             with _tier_span("verify.algorithm1"):
                 # Vertex-for-vertex the two-sided constructor's graph.
-                graph = assembler.build(partner_side)
+                graph = assembler.build(partner_sides[position])
                 result = approximate_usim_on_graph(graph, config, t=self.t)
             if result.ceiling_stopped:
                 stats.ceiling_stops += 1
@@ -431,6 +322,7 @@ class UnifiedVerifier:
         right: PreparedCollection,
         *,
         probe_side: str = "left",
+        stats: Optional[VerificationStats] = None,
     ) -> List[VerifiedPair]:
         """Verify ``(left_id, right_id)`` candidates; return the survivors.
 
@@ -440,8 +332,10 @@ class UnifiedVerifier:
         partner of one probe record before the next, on the ``probe_side``
         id), so each run of candidates sharing a probe record is one group:
         one cached probe side, one graph assembler and one stage-1 pass.
-        Result order matches the candidate order, and the cascade counters
-        accumulate on :attr:`stats`.
+        Result order matches the candidate order.  The call's cascade
+        counters are added to the verifier's cumulative :attr:`stats` and,
+        when ``stats`` is given, to that caller-owned block too: the one
+        count of a read that concurrent calls on this verifier cannot touch.
         """
         get_left = self._graph_sides(left)
         get_right = self._graph_sides(right)
@@ -463,4 +357,6 @@ class UnifiedVerifier:
                 pairs,
             )
         self.stats.merge(local)
+        if stats is not None:
+            stats.merge(local)
         return pairs

@@ -143,9 +143,10 @@ class QueryResult:
 
     ``matches`` are in candidate-emission order for threshold queries and
     in ``(-similarity, record_id)`` order for top-k queries.
-    ``verification`` is the query's own cascade-counter delta (the same
-    counters also accumulate on the index's verifier); ``bound_skipped``
-    counts candidates the top-k early stop never had to verify.
+    ``verification`` holds the query's own cascade counters, exact under
+    concurrent reads (they also accumulate on the index's verifier);
+    ``bound_skipped`` counts candidates the top-k early stop never had to
+    verify.
     """
 
     matches: List[QueryMatch]
@@ -214,11 +215,8 @@ class SimilarityIndex:
         The base signing contract.  Queries may raise θ and lower τ but
         never the reverse (the signatures would stop guaranteeing recall).
     adaptive_verification:
-        Enable the verifier's adaptive tier gate (see
-        :class:`~repro.join.verification.UnifiedVerifier`): when the bounds
-        stop pruning enough candidates to pay for themselves, candidates go
-        straight to Algorithm 1 until the next re-probe.  Answers are
-        identical either way; only the counters (and latency) change.
+        Accepted and ignored, for benchmark compatibility: ``perfbench/``
+        still passes it.  Every read runs the one verification cascade.
     kernel:
         Filter-kernel selection for every probe — single queries, top-k,
         member queries, serial and process batch queries: ``"auto"`` (the
@@ -272,7 +270,6 @@ class SimilarityIndex:
         self.method = method
         self.approximation_t = approximation_t
         self.order_strategy = order_strategy
-        self.adaptive_verification = adaptive_verification
         resolve_kernel(kernel)  # validate eagerly: typos fail at construction
         self.kernel = kernel
         # Stored raw and resolved lazily: a pickled index must not drag a
@@ -282,7 +279,6 @@ class SimilarityIndex:
             config,
             theta,
             t=approximation_t,
-            adaptive=adaptive_verification,
             kernel=kernel,
         )
 
@@ -673,19 +669,20 @@ class SimilarityIndex:
             partners = [
                 member_id for _, member_id in candidates if member_id != record_id
             ]
-            stats = self.verifier.stats
-            before = stats.snapshot()
+            verification = VerificationStats()
             with telemetry.span("verify"):
                 pairs = self.verifier.verify_batch(
                     [(member_id, record_id) for member_id in partners if member_id < record_id],
                     self.prepared,
                     self.prepared,
                     probe_side="right",
+                    stats=verification,
                 ) + self.verifier.verify_batch(
                     [(record_id, member_id) for member_id in partners if member_id > record_id],
                     self.prepared,
                     self.prepared,
                     probe_side="left",
+                    stats=verification,
                 )
             self._end_read(epoch)
             rank = {member_id: position for position, member_id in enumerate(partners)}
@@ -705,7 +702,7 @@ class SimilarityIndex:
             matches=matches,
             candidate_count=len(partners),
             processed_pairs=processed,
-            verification=stats.diff(before),
+            verification=verification,
             seconds=time.perf_counter() - start,
         )
         self._record_read(result)
@@ -747,8 +744,7 @@ class SimilarityIndex:
                 candidates, processed = self._probe_members(probe_rows, tau_q)
             filter_span.annotate(candidates=len(candidates), processed_pairs=processed)
             partners = [member_id for _, member_id in candidates]
-            stats = self.verifier.stats
-            before = stats.snapshot()
+            verification = VerificationStats()
             with telemetry.span("verify"):
                 bounds = GroupUpperBounds(
                     probe_prepared.graph_side(0),
@@ -776,7 +772,10 @@ class SimilarityIndex:
 
                 def evaluate(position: int) -> Optional[float]:
                     verified = self.verifier.verify_batch(
-                        [(0, partners[position])], probe_prepared, self.prepared
+                        [(0, partners[position])],
+                        probe_prepared,
+                        self.prepared,
+                        stats=verification,
                     )
                     if not verified or verified[0].similarity < theta_q:
                         return None
@@ -799,7 +798,7 @@ class SimilarityIndex:
             ],
             candidate_count=len(partners),
             processed_pairs=processed,
-            verification=stats.diff(before),
+            verification=verification,
             seconds=time.perf_counter() - start,
             bound_skipped=len(partners) - evaluated,
         )
@@ -848,6 +847,8 @@ class SimilarityIndex:
             )
         if executor == "serial" and workers not in (None, 0):
             raise ValueError("the serial executor takes no workers")
+        if executor == "process" and workers is not None:
+            check_tau(workers, "workers")
         if supervision is not None and executor != "process":
             raise ValueError(
                 "supervision policies apply to executor='process' only"
@@ -1042,7 +1043,7 @@ class SimilarityIndex:
         return index
 
     # ------------------------------------------------------------------ #
-    # pickling (the verifier's counters and adaptive gate are per process)
+    # pickling (the verifier's counters are per process)
     # ------------------------------------------------------------------ #
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
@@ -1076,7 +1077,6 @@ class SimilarityIndex:
             self.config,
             self.theta,
             t=self.approximation_t,
-            adaptive=self.adaptive_verification,
             kernel=self.kernel,
         )
         self._vocab = Vocabulary()

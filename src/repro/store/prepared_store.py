@@ -101,7 +101,8 @@ FORMAT_VERSION = 2
 #: older versions are simply never consulted again, per the store's
 #: versioning contract.
 #: v4: rows are signed with the exact ``MP(S)``, so v3 row lengths are stale.
-INDEX_FORMAT_VERSION = 4
+#: v5: the pickled index no longer stores the deleted adaptive gate's flag.
+INDEX_FORMAT_VERSION = 5
 
 _MAGIC = "repro-prepared-collection"
 _INDEX_MAGIC = "repro-similarity-index"

@@ -7,6 +7,7 @@ lint engine, never imported.
 
 import threading
 import weakref
+from typing import Optional
 
 
 class CallbackState:
@@ -32,8 +33,16 @@ class LockedState:
         self._hook = local_hook  # expect[pickle-boundary]
 
 
+class OptionalState:
+    """Reachable only through ShardPlan's ``Optional[...]`` annotation."""
+
+    def __init__(self):
+        self._lock = threading.Lock()  # expect[pickle-boundary]
+
+
 class ShardPlan:
     """The seed: everything its annotations reach crosses the boundary."""
 
     state: CallbackState
     locked: "LockedState"
+    optional: Optional[OptionalState] = None

@@ -3,6 +3,7 @@ unreachable classes are never inspected."""
 
 import threading
 import weakref
+from typing import Optional
 
 
 class GuardedState:
@@ -24,5 +25,17 @@ class Unshipped:
         self._cb = lambda: None
 
 
+class GuardedOptionalState:
+    """Reachable only through an ``Optional[...]`` annotation, and owns its
+    wire state via __getstate__."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+
+    def __getstate__(self):
+        return {}
+
+
 class ShardPlan:
     state: GuardedState
+    optional: Optional[GuardedOptionalState] = None

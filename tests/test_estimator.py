@@ -119,8 +119,11 @@ class TestCostModel:
         assert low <= model.estimate(1).mean_cost <= high
 
     def test_invalid_costs(self):
-        with pytest.raises(ValueError):
-            CostModel(filter_cost=0)
+        for bad in (0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                CostModel(filter_cost=bad)
+            with pytest.raises(ValueError, match="finite"):
+                CostModel(verify_cost=bad)
 
     def test_empty_model(self):
         assert CostModel().best_tau() is None
@@ -190,9 +193,32 @@ class TestTauRecommender:
                 TauRecommender(factory, right_probability=probability)
         with pytest.raises(ValueError, match="tau_universe"):
             TauRecommender(factory, tau_universe=(0, 1))
+        # Iteration counts are integers >= 1, not bools; the quantile and
+        # the costs are finite and > 0.  Each of these used to run: a NaN
+        # count stopped at once or never, and a NaN or infinite cost
+        # recommended tau=1 whatever the data.
+        nan, inf = float("nan"), float("inf")
+        for name, settings in (
+            ("max_iterations", {"max_iterations": nan}),
+            ("max_iterations", {"max_iterations": 12.5}),
+            ("max_iterations", {"max_iterations": True, "burn_in": 1}),
+            ("burn_in", {"burn_in": nan}),
+            ("burn_in", {"burn_in": 2.5}),
+            ("burn_in", {"burn_in": True}),
+            ("verify_cost", {"verify_cost": nan}),
+            ("filter_cost", {"filter_cost": inf}),
+            ("t_quantile", {"t_quantile": nan}),
+            ("t_quantile", {"t_quantile": inf}),
+            ("t_quantile", {"t_quantile": 0.0}),
+        ):
+            with pytest.raises(ValueError, match=name):
+                TauRecommender(factory, **settings)
         left, right = split_dataset(tiny_dataset, 30, 30)
         with pytest.raises(ValueError, match="probability"):
             recommend_tau(left, right, config_for(tiny_dataset), 0.8, sample_probability=0)
+        for name, value in (("max_iterations", nan), ("burn_in", True), ("t_quantile", inf)):
+            with pytest.raises(ValueError, match=name):
+                recommend_tau(left, right, config_for(tiny_dataset), 0.8, **{name: value})
         TauRecommender(factory, left_probability=1.0, right_probability=1.0)
 
     def test_recommend_tau_wrapper(self, tiny_dataset):

@@ -6,7 +6,7 @@ statistics counters bit-identical to the serial join at every worker count.
 :class:`TestPathTable` enforces that over one seeded table with one row per
 path — a deleted path is a deleted row — next to the pickle round-trips the
 process path relies on and the regression tests of earlier fixes
-(suggestion-seconds threading, config equality, adaptive tier gating).
+(suggestion-seconds threading, config equality, pool-size validation).
 """
 
 from __future__ import annotations
@@ -262,6 +262,33 @@ class TestExecutorEquivalence:
         assert _resolve_executor(None, None) == "serial"
         assert _resolve_executor("process", None) == "process"
 
+    def test_non_integer_pool_sizes_start_no_pool(self, parallel_dataset):
+        """A fractional, bool or NaN ``workers`` or ``batch_size`` raises
+        before any work starts.  A process join used to start no pool for
+        ``workers=2.5`` and quietly ran every shard in the parent."""
+        from repro.search import SimilarityIndex
+
+        config = _config(parallel_dataset, "TJS")
+        collection = parallel_dataset.records.head(30)
+        engine = PebbleJoin(config, 0.7, tau=TAU)
+        index = SimilarityIndex(collection, config, theta=0.7, tau=TAU)
+        started = mock.Mock(side_effect=AssertionError("a process pool started"))
+        with mock.patch.object(parallel, "ProcessPoolExecutor", started), mock.patch(
+            "repro.join.pool.ProcessPoolExecutor", started
+        ):
+            for bad in (2.5, True, float("nan")):
+                with pytest.raises(ValueError, match="workers"):
+                    engine.join(collection, executor="process", workers=bad)
+                with pytest.raises(ValueError, match="workers"):
+                    engine.join_batches(collection, executor="process", workers=bad)
+                with pytest.raises(ValueError, match="workers"):
+                    index.query_batch([collection[0].text], executor="process", workers=bad)
+                with pytest.raises(ValueError, match="workers"):
+                    WarmJoinPool(bad)
+                with pytest.raises(ValueError, match="batch_size"):
+                    engine.join_batches(collection, batch_size=bad)
+        started.assert_not_called()
+
     def test_warm_pool_size_sets_default_workers(self, parallel_dataset):
         """A caller's warm pool sizes the shards when ``workers`` is omitted,
         not the machine's CPU count."""
@@ -397,6 +424,26 @@ class TestPickleRoundTrips:
             "TJS", rules=parallel_dataset.rules, taxonomy=parallel_dataset.taxonomy, q=4
         )
 
+    def test_plan_ships_a_fresh_verifier(self, parallel_dataset):
+        """A process plan carries a copy of the engine's verifier with zero
+        counters, even after the engine has verified, and the copy survives
+        pickling."""
+        config = _config(parallel_dataset, "TJS")
+        collection = parallel_dataset.records.head(20)
+        engine = PebbleJoin(config, THETA, tau=TAU, approximation_t=3.0, kernel="python")
+        engine.join(collection)
+        assert engine.verifier.stats.candidates > 0
+        plan = parallel.build_shard_plan(engine, collection)
+        shipped = plan.verifier
+        assert shipped is not engine.verifier
+        assert shipped.stats == verification.VerificationStats()
+        settings = ("config", "threshold", "t", "kernel")
+        expected = tuple(getattr(engine.verifier, name) for name in settings)
+        assert tuple(getattr(shipped, name) for name in settings) == expected
+        clone = pickle.loads(pickle.dumps(plan)).verifier
+        assert tuple(getattr(clone, name) for name in settings) == expected
+        assert clone.stats == shipped.stats
+
     def test_worker_payload_trims_stale_signings(self, parallel_dataset):
         """Plans ship no signings, no pebbles, and no key text at all."""
         config = _config(parallel_dataset, "TJS")
@@ -515,39 +562,3 @@ class TestSatelliteFixes:
             recommendation_seed=3,
         ).join(parallel_dataset.records.head(30))
         assert rejoin.statistics.suggestion_seconds > 0.0
-
-    def test_adaptive_tiers_skip_but_keep_pairs_identical(
-        self, parallel_dataset, monkeypatch
-    ):
-        config = _config(parallel_dataset, "TJS")
-        collection = parallel_dataset.records.head(30)
-        prepared = PebbleJoin(config, 0.2).prepare(collection)
-        rng = random.Random(11)
-        candidates = sorted(
-            (rng.randrange(30), rng.randrange(30)) for _ in range(600)
-        )
-        # θ = 0.2 over random pairs: the bounds prune about 0.73 of the
-        # candidates — below a cost of 0.9, so the gate closes after its
-        # first window and bypassed candidates go straight to Algorithm 1.
-        plain = UnifiedVerifier(config, 0.2)
-        expected = plain.verify_batch(candidates, prepared, prepared)
-        monkeypatch.setattr(verification, "ADAPTIVE_WINDOW", 64)
-        monkeypatch.setattr(verification, "UPPER_TIER_COST", 0.9)
-        adaptive = UnifiedVerifier(config, 0.2, adaptive=True)
-        got = adaptive.verify_batch(candidates, prepared, prepared)
-        assert _triples(got) == _triples(expected)
-        assert adaptive.stats.adaptive_upper_skips > 0
-        # Bypassed tiers mean fewer bound computations, never fewer results.
-        assert adaptive.stats.results == plain.stats.results
-        assert adaptive.stats.candidates == plain.stats.candidates
-
-    def test_adaptive_join_passthrough(self, parallel_dataset):
-        config = _config(parallel_dataset, "TJS")
-        collection = parallel_dataset.records.head(30)
-        plain = PebbleJoin(config, 0.3, tau=1).join(collection)
-        adaptive_engine = PebbleJoin(
-            config, 0.3, tau=1, adaptive_verification=True
-        )
-        adaptive = adaptive_engine.join(collection)
-        assert _triples(adaptive.pairs) == _triples(plain.pairs)
-        assert adaptive_engine.verifier.adaptive

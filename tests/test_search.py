@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import pickle
 import random
+import sys
+import threading
 
 import pytest
 
@@ -284,6 +286,49 @@ def test_query_metrics_sum_the_verification_blocks(search_dataset):
     assert counters["search.candidates"] == sum(
         result.candidate_count for result in results
     )
+
+
+def test_concurrent_reads_keep_their_own_counters(search_dataset):
+    """Reader threads share the index's verifier.  Every read succeeds, its
+    counters equal the same read's single-threaded ones, and the
+    cumulative counters grow by exactly their sum: a read counts the block
+    its own cascade calls filled, not a before/after difference of
+    counters that other readers move too."""
+    config = _config(search_dataset, "TJS")
+    index = SimilarityIndex(search_dataset.records.head(45), config, theta=0.45, tau=1)
+    probes = [search_dataset.records[record_id].text for record_id in range(45, 60)]
+    reads = [(index.query, probe) for probe in probes]
+    reads += [(index.query_member, record_id) for record_id in range(0, 45, 3)]
+    reads += [(lambda probe: index.query_topk(probe, 2), probe) for probe in probes[:5]]
+    expected = [_counters(read(argument).verification) for read, argument in reads]
+    before = index.stats.snapshot()
+    observed, errors = [], []
+
+    def reader():
+        try:
+            for _ in range(2):
+                observed.append(
+                    [_counters(read(argument).verification) for read, argument in reads]
+                )
+        except Exception as exc:  # asserted on below, in the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=reader) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert observed == [expected] * 8
+    assert _counters(index.stats.diff(before)) == {
+        name: 8 * sum(block[name] for block in expected) for name in expected[0]
+    }
 
 
 def test_topk_validates_k(search_dataset):
@@ -651,12 +696,12 @@ def test_load_misses_raise_and_tampering_is_rejected(search_dataset, tmp_path):
 
 
 def test_older_snapshot_format_is_a_miss(search_dataset, tmp_path):
-    """A snapshot saved under index format v3 holds rows signed with the
-    paper's partition-size estimate, so a current store never loads it."""
-    assert INDEX_FORMAT_VERSION == 4
+    """A snapshot saved under index format v4 pickles the index with its
+    ``adaptive_verification`` flag, so a current store never loads it."""
+    assert INDEX_FORMAT_VERSION == 5
     config = _config(search_dataset, "J")
     index = SimilarityIndex(search_dataset.records.head(8), config, theta=0.6)
-    index.snapshot(PreparedStore(tmp_path / "store", index_format_version=3))
+    index.snapshot(PreparedStore(tmp_path / "store", index_format_version=4))
     with pytest.raises(LookupError):
         SimilarityIndex.load(PreparedStore(tmp_path / "store"), index.content_fingerprint())
 
