@@ -32,20 +32,16 @@ processed-identical to the python reference before their times count.
 The ≥3x numpy bar is asserted on the large corpus, where per-posting
 throughput dominates per-probe dispatch overhead.
 
-The ``supervision`` block prices the fault-tolerance layer itself: the
-same join best-of-N under the default :class:`~repro.join.supervision.
-SupervisorPolicy` versus supervision disabled (the legacy fail-fast loop),
-with the no-fault overhead asserted to stay within noise.  The
-``recovery`` block injects a deterministic worker kill
-(:mod:`repro.faults`) and records what one full recovery actually costs —
-``respawn_seconds``, retries, fallback shards — next to proof that the
-recovered join still matched the serial reference bit for bit.
+The ``recovery`` block injects a deterministic worker kill
+(:mod:`repro.faults`) and records what one full recovery of the
+supervised executor actually costs — ``respawn_seconds``, retries,
+fallback shards — next to proof that the recovered join still matched the
+serial reference bit for bit.
 
-The ``telemetry_overhead`` block prices the default-on telemetry layer the
-same way the supervision block prices the supervisor: the same process
-join best-of-N with a live :class:`~repro.telemetry.Telemetry` bundle
-versus a disabled one, rounds interleaved, bit-identity asserted before
-either time counts.  The recorded no-fault overhead is asserted to stay
+The ``telemetry_overhead`` block prices the default-on telemetry layer:
+the same process join best-of-N with a live
+:class:`~repro.telemetry.Telemetry` bundle versus a disabled one, rounds
+interleaved, bit-identity asserted before either time counts.  The recorded no-fault overhead is asserted to stay
 within 2% (or scheduler noise) — the number ``docs/observability.md``
 quotes.
 """
@@ -88,52 +84,15 @@ def _counters(stats):
     return {name: getattr(stats, name) for name in stats._COUNTERS}
 
 
-def _supervision_overhead(
-    engine, prepared, reference_triples, *, workers=2, rounds=3
-):
-    """Best-of-N process join, supervised vs supervision disabled.
-
-    Both runs are verified bit-identical before their time counts, so the
-    recorded overhead is the supervisor's bookkeeping (per-shard attempt
-    tracking, in-order collection, report tallies) and nothing else.  The
-    rounds are *interleaved* — each round times both labels back to back —
-    so slow machine drift (thermal throttling, a background task winding
-    down) hits both labels alike instead of biasing whichever block ran
-    second into a nonsense negative overhead.
-    """
-    labelled = (
-        ("supervised", SupervisorPolicy()),
-        ("unsupervised", SupervisorPolicy(enabled=False)),
-    )
-    timings = {label: float("inf") for label, _ in labelled}
-    for _ in range(rounds):
-        for label, policy in labelled:
-            start = time.perf_counter()
-            result = engine().join(
-                prepared, executor="process", workers=workers, supervision=policy
-            )
-            seconds = time.perf_counter() - start
-            assert _triples(result.pairs) == reference_triples
-            timings[label] = min(timings[label], seconds)
-    overhead = timings["supervised"] - timings["unsupervised"]
-    return {
-        "workers": workers,
-        "rounds": rounds,
-        "supervised_seconds": timings["supervised"],
-        "unsupervised_seconds": timings["unsupervised"],
-        "overhead_seconds": overhead,
-        "overhead_fraction": overhead / max(timings["unsupervised"], 1e-12),
-    }
-
-
 def _telemetry_overhead(
     engine, prepared, reference_triples, *, workers=2, rounds=3
 ):
     """Best-of-N process join, default-on telemetry vs a disabled bundle.
 
-    Each round times both labels back to back (the same interleaving
-    discipline as :func:`_supervision_overhead`, for the same reason), each
-    run gets a fresh bundle so traces never accumulate across rounds, and
+    Each round times both labels back to back — so slow machine drift
+    (thermal throttling, a background task winding down) hits both labels
+    alike instead of biasing whichever block ran second — each run gets a
+    fresh bundle so traces never accumulate across rounds, and
     both runs are verified bit-identical to serial before their time
     counts.  The recorded delta is what span bookkeeping and counter
     updates cost on the no-fault hot path — the price of leaving telemetry
@@ -327,7 +286,6 @@ def run_parallel_scaling(
         "shm_segment_bytes": shm_segment_bytes,
     }
 
-    supervision = _supervision_overhead(engine, prepared, reference_triples)
     recovery = _recovery_cost(engine, prepared, reference_triples)
     telemetry_overhead = _telemetry_overhead(engine, prepared, reference_triples)
 
@@ -363,7 +321,6 @@ def run_parallel_scaling(
             / max(serial_seconds, 1e-12),
         },
         "payload": plan_payload,
-        "supervision": supervision,
         "recovery": recovery,
         "telemetry_overhead": telemetry_overhead,
         "filter_kernel": filter_kernel,
@@ -411,14 +368,7 @@ def test_parallel_scaling(benchmark, med_dataset):
         suffix = f" → numpy {speedup:.2f}x" if speedup is not None else ""
         print(f"  filter kernel [{corpus}, {comparison['records']} records]: {line}{suffix}")
 
-    supervision = payload["supervision"]
     recovery = payload["recovery"]
-    print(
-        f"  supervision overhead (no fault, x{supervision['workers']}): "
-        f"{supervision['supervised_seconds']:.3f}s supervised vs "
-        f"{supervision['unsupervised_seconds']:.3f}s plain "
-        f"({supervision['overhead_fraction']:+.1%})"
-    )
     print(
         f"  recovery ({recovery['fault']}): {recovery['seconds']:.3f}s, "
         f"{recovery['respawns']} respawn(s) costing "
@@ -439,15 +389,9 @@ def test_parallel_scaling(benchmark, med_dataset):
     # A join that survived a worker kill must still be the serial join.
     assert recovery["results_match"]
     assert recovery["respawns"] >= 1
-    # The no-fault hot path may not pay measurably for supervision: within
-    # 2% of the unsupervised loop, or within scheduler noise on corpora too
-    # small for a stable ratio.
-    assert (
-        supervision["overhead_fraction"] <= 0.02
-        or supervision["overhead_seconds"] <= 0.02
-    ), supervision
-    # Default-on telemetry holds to the same bar: within 2% of a disabled
-    # bundle, or within scheduler noise on corpora too small for a ratio.
+    # The no-fault hot path may not pay measurably for default-on
+    # telemetry: within 2% of a disabled bundle, or within scheduler noise
+    # on corpora too small for a stable ratio.
     assert (
         telemetry["overhead_fraction"] <= 0.02
         or telemetry["overhead_seconds"] <= 0.02

@@ -23,15 +23,17 @@ thread, and every process transport.  Three rules defend it statically:
     lookup results (and any iteration order derived from them) run-specific.
     Flagged: ``id(...)`` inside a subscript key, inside the first argument
     of ``.get``/``.setdefault``/``.pop``, or as a dict-comprehension key.
-    Identity-checked memo caches that hold a strong reference to the keyed
-    object are legitimate — suppress those sites with a comment explaining
-    the guard.
+    A key bound to a local name first (``key = (id(x), ...)`` then
+    ``cache.get(key)``) is followed when the function assigns that name
+    once; the finding lands on the assignment.  Identity-checked memo
+    caches that hold a strong reference to the keyed object are
+    legitimate — suppress those sites with a comment explaining the guard.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Iterator, List, Optional, Set
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..engine import Checker, Finding
 from ..model import ModuleInfo, Project
@@ -283,7 +285,7 @@ class UnseededRandomChecker(Checker):
 
 class IdKeyedContainerChecker(Checker):
     rule = "id-keyed-container"
-    version = 1
+    version = 2
     description = "containers keyed by id(...) make results run-specific"
     hint = (
         "key by stable content (or suppress with a comment when the cache "
@@ -293,27 +295,66 @@ class IdKeyedContainerChecker(Checker):
     def check_module(
         self, module: ModuleInfo, project: Project
     ) -> Iterable[Finding]:
+        # The offending id() calls by position: a nested function's key is
+        # reached from its enclosing function's walk too.
+        calls: Set[Tuple[int, int]] = set()
         for node in ast.walk(module.tree):
-            key_exprs: List[ast.AST] = []
-            if isinstance(node, ast.Subscript):
-                key_exprs.append(node.slice)
-            elif isinstance(node, ast.Call) and isinstance(
-                node.func, ast.Attribute
-            ):
-                if node.func.attr in {"get", "setdefault", "pop"} and node.args:
-                    key_exprs.append(node.args[0])
-            elif isinstance(node, ast.DictComp):
-                key_exprs.append(node.key)
-            for key_expr in key_exprs:
+            for key_expr in _key_exprs(node):
                 call = _find_id_call(key_expr)
                 if call is not None:
-                    yield self.finding(
-                        module,
-                        call.lineno,
-                        "container keyed by id(...) — identity keys do not "
-                        "survive across runs or processes",
-                        col=call.col_offset,
-                    )
+                    calls.add((call.lineno, call.col_offset))
+        for function in _functions(module.tree):
+            bound = _names_bound_to_id(function)
+            for node in ast.walk(function):
+                for key_expr in _key_exprs(node):
+                    if isinstance(key_expr, ast.Name) and key_expr.id in bound:
+                        call = bound[key_expr.id]
+                        calls.add((call.lineno, call.col_offset))
+        for line, col in sorted(calls):
+            yield self.finding(
+                module,
+                line,
+                "container keyed by id(...) — identity keys do not "
+                "survive across runs or processes",
+                col=col,
+            )
+
+
+def _key_exprs(node: ast.AST) -> List[ast.AST]:
+    """The key expressions a container access ``node`` looks up, if any."""
+    if isinstance(node, ast.Subscript):
+        return [node.slice]
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in {"get", "setdefault", "pop"}
+        and node.args
+    ):
+        return [node.args[0]]
+    if isinstance(node, ast.DictComp):
+        return [node.key]
+    return []
+
+
+def _names_bound_to_id(function: ast.AST) -> Dict[str, ast.Call]:
+    """Names the function assigns once, to a value containing ``id(...)``."""
+    stores: Dict[str, int] = {}
+    for node in ast.walk(function):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            stores[node.id] = stores.get(node.id, 0) + 1
+    bound: Dict[str, ast.Call] = {}
+    for node in ast.walk(function):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target, value = node.targets[0], node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            target, value = node.target, node.value
+        else:
+            continue
+        if isinstance(target, ast.Name) and stores.get(target.id) == 1:
+            call = _find_id_call(value)
+            if call is not None:
+                bound[target.id] = call
+    return bound
 
 
 def _find_id_call(node: ast.AST) -> Optional[ast.Call]:

@@ -38,6 +38,20 @@ __all__ = [
 #: the skip conservative against any floating-point drift in GetSim sums.
 _CEILING_EPSILON = 1e-9
 
+#: Maximum number of talons per candidate claw swap.
+MAX_TALONS = 2
+
+#: Maximum number of out-of-solution vertices considered per round.
+POOL_LIMIT = 12
+
+#: Number of highest-ranked candidate swaps whose ``GetSim`` is actually
+#: evaluated per round.  Candidates are ranked by their vertex-weight gain,
+#: which is what bounds the similarity improvement; evaluating only the top
+#: swaps keeps each round cheap without changing the algorithm's guarantees
+#: (a swap that improves GetSim by ≥ 1/t must also carry substantial
+#: vertex-weight gain).
+MAX_EVALUATIONS = 8
+
 
 def check_approximation_t(t: float) -> float:
     """Return ``t`` when it is a valid trade-off parameter, else raise.
@@ -75,11 +89,7 @@ class ApproximationResult:
 
 
 def _candidate_talon_sets(
-    graph: ConflictGraph,
-    selection: Set[int],
-    *,
-    max_talons: int,
-    pool_limit: int,
+    graph: ConflictGraph, selection: Set[int]
 ) -> Iterable[Tuple[int, ...]]:
     """Enumerate bounded independent sets of out-of-solution vertices.
 
@@ -93,8 +103,8 @@ def _candidate_talon_sets(
         (index for index in range(len(graph)) if index not in selection),
         key=lambda index: -graph.vertices[index].weight,
     )
-    outside_pool = outside[:pool_limit]
-    for size in range(1, max_talons + 1):
+    outside_pool = outside[:POOL_LIMIT]
+    for size in range(1, MAX_TALONS + 1):
         for combo in itertools.combinations(outside_pool, size):
             if graph.is_independent(combo):
                 yield combo
@@ -105,9 +115,6 @@ def approximate_usim_on_graph(
     config: MeasureConfig,
     *,
     t: float = 4.0,
-    max_talons: int = 2,
-    pool_limit: int = 12,
-    max_evaluations: int = 8,
     seed: str = "squareimp",
     early_ceiling: bool = True,
 ) -> ApproximationResult:
@@ -122,17 +129,6 @@ def approximate_usim_on_graph(
     t:
         The paper's trade-off parameter: improvements smaller than ``1/t``
         are ignored and at most ``floor(t)`` improvement rounds run.
-    max_talons:
-        Maximum number of talons per candidate claw swap.
-    pool_limit:
-        Maximum number of out-of-solution vertices considered per round.
-    max_evaluations:
-        Number of highest-ranked candidate swaps whose ``GetSim`` is actually
-        evaluated per round.  Candidates are ranked by their vertex-weight
-        gain, which is what bounds the similarity improvement; evaluating
-        only the top swaps keeps each round cheap without changing the
-        algorithm's guarantees (a swap that improves GetSim by ≥ 1/t must
-        also carry substantial vertex-weight gain).
     seed:
         ``"squareimp"`` (default) or ``"greedy"`` — the ablation benchmark
         compares the two.
@@ -173,9 +169,7 @@ def approximate_usim_on_graph(
         # Rank candidate swaps by raw vertex-weight gain, then evaluate the
         # best few with the full GetSim computation.
         ranked: List[Tuple[float, Set[int], Tuple[int, ...]]] = []
-        for talons in _candidate_talon_sets(
-            graph, selection, max_talons=max_talons, pool_limit=pool_limit
-        ):
+        for talons in _candidate_talon_sets(graph, selection):
             removed: Set[int] = set()
             for talon in talons:
                 removed |= graph.neighbors(talon) & selection
@@ -188,7 +182,7 @@ def approximate_usim_on_graph(
         ranked.sort(key=lambda item: -item[0])
 
         best_swap: Optional[Tuple[Set[int], SimilarityBreakdown]] = None
-        for _, removed, talons in ranked[:max_evaluations]:
+        for _, removed, talons in ranked[:MAX_EVALUATIONS]:
             candidate = (selection - removed) | set(talons)
             breakdown = selection_similarity(graph, candidate, config)
             if breakdown.value >= best_breakdown.value + min_gain:
@@ -213,13 +207,11 @@ def approximate_usim(
     config: MeasureConfig,
     *,
     t: float = 4.0,
-    max_talons: int = 2,
-    pool_limit: int = 12,
-    max_evaluations: int = 8,
     seed: str = "squareimp",
     early_ceiling: bool = True,
 ) -> ApproximationResult:
     """Build the conflict graph for a string pair and run Algorithm 1."""
+    check_approximation_t(t)
     if not left_tokens or not right_tokens:
         return ApproximationResult(SimilarityBreakdown(0.0, (), (), ()), (), 0, 0)
     graph = build_conflict_graph(left_tokens, right_tokens, config)
@@ -227,9 +219,6 @@ def approximate_usim(
         graph,
         config,
         t=t,
-        max_talons=max_talons,
-        pool_limit=pool_limit,
-        max_evaluations=max_evaluations,
         seed=seed,
         early_ceiling=early_ceiling,
     )

@@ -37,22 +37,11 @@ def is_maximal_independent_set(graph: ConflictGraph, selection: Set[int]) -> boo
     return True
 
 
-def greedy_wmis(graph: ConflictGraph, *, key: str = "weight") -> Set[int]:
-    """Greedy w-MIS: repeatedly take the best remaining non-conflicting vertex.
-
-    ``key`` selects the greedy criterion: ``"weight"`` (descending weight) or
-    ``"ratio"`` (weight divided by degree + 1, a classic refinement).
-    """
-    if key not in {"weight", "ratio"}:
-        raise ValueError("key must be 'weight' or 'ratio'")
-
-    def score(index: int) -> float:
-        weight = graph.vertices[index].weight
-        if key == "weight":
-            return weight
-        return weight / (graph.degree(index) + 1)
-
-    order = sorted(range(len(graph)), key=score, reverse=True)
+def greedy_wmis(graph: ConflictGraph) -> Set[int]:
+    """Greedy w-MIS: repeatedly take the heaviest remaining non-conflicting vertex."""
+    order = sorted(
+        range(len(graph)), key=lambda index: graph.vertices[index].weight, reverse=True
+    )
     selected: Set[int] = set()
     blocked: Set[int] = set()
     for index in order:

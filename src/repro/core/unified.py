@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .aggregation import SimilarityBreakdown
-from .approximation import ApproximationResult, approximate_usim
+from .approximation import ApproximationResult, approximate_usim, check_approximation_t
 from .exact import DEFAULT_PARTITION_LIMIT, exact_usim
 from .grams import DEFAULT_Q
 from .measures import MeasureConfig
@@ -55,7 +55,8 @@ class UnifiedSimilarity:
         ``"approximate"`` (default) runs Algorithm 1; ``"exact"`` enumerates
         all partition pairs (exponential — small strings only).
     t:
-        Algorithm 1's accuracy/time trade-off parameter.
+        Algorithm 1's accuracy/time trade-off parameter: a finite number
+        greater than 1, checked at construction for both methods.
     tokenizer:
         Tokenizer used for raw string inputs.
     """
@@ -75,7 +76,7 @@ class UnifiedSimilarity:
             raise ValueError("method must be 'approximate' or 'exact'")
         self.config = MeasureConfig.from_codes(measures, rules=rules, taxonomy=taxonomy, q=q)
         self.method = method
-        self.t = t
+        self.t = check_approximation_t(t)
         self.tokenizer = tokenizer or default_tokenizer
 
     # ------------------------------------------------------------------ #
@@ -105,8 +106,8 @@ class UnifiedSimilarity:
         """Run Algorithm 1 explicitly, returning the full approximation result.
 
         Keyword arguments are forwarded to
-        :func:`repro.core.approximation.approximate_usim` (``t``,
-        ``max_talons``, ``pool_limit``, ``seed``).
+        :func:`repro.core.approximation.approximate_usim` (``t``, ``seed``,
+        ``early_ceiling``).
         """
         kwargs.setdefault("t", self.t)
         return approximate_usim(

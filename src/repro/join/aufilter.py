@@ -53,10 +53,11 @@ from __future__ import annotations
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
-from math import ceil
+from itertools import chain
 from typing import (
     TYPE_CHECKING,
     Dict,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -76,14 +77,15 @@ from .flat import FlatJoinState
 from .global_order import GlobalOrder
 from .kernels import resolve_kernel
 from .parallel import (
-    SHARDS_PER_WORKER,
     ShardPlan,
     ShardStream,
     _pool_size,
     _split_pooled_wall,
     _stage_seconds,
+    pool_spans,
     shard_spans,
 )
+from .pebbles import Pebble, generate_pebbles
 from .prepared import PreparedCollection
 from .signatures import SignatureMethod, SignedRecord, check_tau, sign_record
 from .supervision import ExecutionReport, SupervisorPolicy
@@ -530,19 +532,23 @@ class PebbleJoin:
         self, left: Joinable, right: Optional[Joinable] = None
     ) -> GlobalOrder:
         """Build the corpus-wide pebble order over one or two collections."""
-        from .pebbles import generate_pebbles
 
-        order = GlobalOrder(self.order_strategy)
-        for collection in (left, right):
-            if collection is None:
-                continue
+        def pebble_lists(collection: Joinable) -> Iterable[Sequence[Pebble]]:
             if isinstance(collection, PreparedCollection):
-                collection.contribute_to_order(order)
-                continue
-            for record in collection:
-                _, pebbles = generate_pebbles(record.tokens, self.config)
-                order.add_record_pebbles(pebbles)
-        return order
+                return collection.pebble_lists()
+            return (
+                generate_pebbles(record.tokens, self.config)[1]
+                for record in collection
+            )
+
+        return GlobalOrder(
+            self.order_strategy,
+            chain.from_iterable(
+                pebble_lists(collection)
+                for collection in (left, right)
+                if collection is not None
+            ),
+        )
 
     def sign_collection(
         self, collection: Joinable, order: GlobalOrder
@@ -804,8 +810,7 @@ class PebbleJoin:
                 spans = [(0, total)]
             else:
                 workers = _pool_size(workers, pool)
-                shards = max(workers * SHARDS_PER_WORKER, 1)
-                spans = shard_spans(total, max(1, ceil(total / shards)))
+                spans = pool_spans(total, workers)
             stream = ShardStream(
                 plan,
                 spans,

@@ -6,9 +6,13 @@ same thing on both sides of the join.  The paper sorts by ascending pebble
 frequency — rare pebbles first — so that the retained prefix consists of the
 most selective signature elements.
 
-:class:`GlobalOrder` builds the frequency table over one or more record
-collections and provides the sort key.  An alternative weight-descending
-order is included for the ablation benchmark.
+:class:`GlobalOrder` is an immutable value: its constructor counts the
+frequency table over the records' pebble lists, and nothing changes it
+afterwards.  Orders compare and hash by (strategy, frequency table) — the
+two inputs of the sort key — so equal orders sign every record identically
+and one order can key a signing cache directly (see
+:meth:`~repro.join.prepared.PreparedCollection.signed`).  An alternative
+weight-descending order is included for the ablation benchmark.
 """
 
 from __future__ import annotations
@@ -30,57 +34,58 @@ class GlobalOrder:
         ``"frequency"`` (default) sorts ascending by the number of records a
         pebble key occurs in, breaking ties lexicographically — the paper's
         order.  ``"weight"`` sorts descending by pebble weight (ablation).
+    pebble_lists:
+        One pebble list per record; each list's distinct keys count once.
+
+    Two orders are equal when their strategies and frequency tables are.
+    The table holds only positive counts, so dict equality and the hash of
+    its item set agree.  The hash is computed on first use and never
+    pickled: string hashes are salted per interpreter.
     """
 
-    def __init__(self, strategy: str = "frequency") -> None:
+    def __init__(
+        self,
+        strategy: str = "frequency",
+        pebble_lists: Iterable[Iterable[Pebble]] = (),
+    ) -> None:
         if strategy not in {"frequency", "weight"}:
             raise ValueError("strategy must be 'frequency' or 'weight'")
+        frequencies: Counter = Counter()
+        for pebbles in pebble_lists:
+            frequencies.update({pebble.key for pebble in pebbles})
         self.strategy = strategy
-        self._frequencies: Counter = Counter()
-        self._mutation_count = 0
+        self._frequencies: Dict[PebbleKey, int] = dict(frequencies)
+        self._hash: Optional[int] = None
 
     # ------------------------------------------------------------------ #
-    # building
+    # value semantics
     # ------------------------------------------------------------------ #
-    def add_record_pebbles(self, pebbles: Iterable[Pebble]) -> None:
-        """Register one record's pebbles (each distinct key counted once)."""
-        self._frequencies.update({pebble.key for pebble in pebbles})
-        self._mutation_count += 1
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GlobalOrder):
+            return NotImplemented
+        return self is other or (
+            self.strategy == other.strategy
+            and self._frequencies == other._frequencies
+        )
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.strategy, frozenset(self._frequencies.items())))
+        return self._hash
+
+    def __getstate__(self) -> Tuple[str, Dict[PebbleKey, int]]:
+        return self.strategy, self._frequencies
+
+    def __setstate__(self, state: Tuple[str, Dict[PebbleKey, int]]) -> None:
+        self.strategy, self._frequencies = state
+        self._hash = None
 
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
     def frequency(self, key: PebbleKey) -> int:
-        """Number of registered records containing ``key`` (0 when unseen)."""
+        """Number of counted records containing ``key`` (0 when unseen)."""
         return self._frequencies.get(key, 0)
-
-    @property
-    def mutation_count(self) -> int:
-        """Number of building calls so far.
-
-        Signature caches (see :class:`~repro.join.prepared.PreparedCollection`)
-        key cached signatures by ``(id(order), order.mutation_count, ...)`` so
-        that signing against an order that was extended afterwards never
-        returns stale signatures.
-        """
-        return self._mutation_count
-
-    def content_equal(self, other: "GlobalOrder") -> bool:
-        """True when ``other`` sorts every pebble list identically.
-
-        The sort key is a pure function of (strategy, frequency table), so
-        content-equal orders are interchangeable for signing.  This is what
-        lets a signature cache serve signings made under an order object
-        that no longer exists — e.g. a shared two-collection order rebuilt
-        on a warm store run (shared orders are weakref-cached and never
-        persist, but their content is deterministic in the corpus).
-        """
-        if other is self:
-            return True
-        return (
-            self.strategy == other.strategy
-            and self._frequencies == other._frequencies
-        )
 
     def sort_pebbles(self, pebbles: Sequence[Pebble]) -> List[Pebble]:
         """Return ``pebbles`` sorted by this global order.

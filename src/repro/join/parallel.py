@@ -80,6 +80,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import count
+from math import ceil
 from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
 from ..faults import FAULTS
@@ -105,6 +106,7 @@ __all__ = [
     "ShardStream",
     "build_shard_plan",
     "plan_payload_bytes",
+    "pool_spans",
     "shard_spans",
 ]
 
@@ -566,6 +568,13 @@ def shard_spans(total: int, shard_size: int) -> List[Tuple[int, int]]:
         (start, min(start + shard_size, total))
         for start in range(0, total, shard_size)
     ]
+
+
+def pool_spans(total: int, workers: int) -> List[Tuple[int, int]]:
+    """The process executor's shards: ``total`` probes cut into at most
+    ``workers × SHARDS_PER_WORKER`` equal contiguous spans."""
+    shards = max(workers * SHARDS_PER_WORKER, 1)
+    return shard_spans(total, max(1, ceil(total / shards)))
 
 
 def _split_pooled_wall(

@@ -11,12 +11,16 @@ layers explicitly:
    per record, independent of θ/τ/method; signing derives the record's
    ``MP(S)`` from its segments with a linear DP.
 2. **Global orders** — one :class:`~repro.join.global_order.GlobalOrder` per
-   ordering strategy, built from the cached pebbles
-   (:func:`build_shared_order` combines several prepared collections into one
-   corpus-wide order for two-collection joins).
+   ordering strategy, built in one constructor call from the cached
+   pebbles (:func:`build_shared_order` combines several prepared
+   collections into one corpus-wide order for two-collection joins).
+   Orders are immutable values that compare and hash by (strategy,
+   frequency table).
 3. **Signatures** — one signed-record list per ``(order, θ, τ, method)``
-   combination, so repeated joins, the τ-recommender, and the final
-   ``tau="auto"`` join all share a single full signing.
+   key, so repeated joins, the τ-recommender, and the final
+   ``tau="auto"`` join all share a single full signing.  The order is
+   part of the key by value: a content-equal order rebuilt later (a warm
+   store run's shared order, say) finds the same entry.
 
 A prepared collection is bound to one :class:`~repro.core.measures.MeasureConfig`
 (pebbles depend on the knowledge sources and gram length); engines check the
@@ -33,6 +37,7 @@ prepared state to worker processes.
 from __future__ import annotations
 
 import weakref
+from itertools import chain
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.graph import GraphSide
@@ -45,13 +50,6 @@ from .pebbles import Pebble, generate_pebbles
 from .signatures import SignedRecord, sign_record
 
 __all__ = ["PreparedCollection", "PreparedRecord", "build_shared_order"]
-
-#: Maximum content-equality fallback hits memoised by ``signed()``.  Each
-#: alias pins its querying order (a corpus-wide frequency table), so the
-#: memo is cleared wholesale at the cap — a long-lived collection joined
-#: against an endless stream of rebuilt-but-equal orders must not pin one
-#: order per run (re-priming after a clear is one linear scan).
-_ALIAS_MEMO_LIMIT = 16
 
 #: Cap on memoized flat kernel states (each holds CSR copies of a signing).
 _FLAT_MEMO_LIMIT = 8
@@ -86,8 +84,8 @@ class PreparedRecord:
         self.graph_side: Optional[GraphSide] = None
 
 
-#: Cache key for one signing: order identity and version plus (θ, τ, method).
-_SignatureKey = Tuple[int, int, float, int, str]
+#: Cache key for one signing: the order (by value) plus (θ, τ, method).
+_SignatureKey = Tuple[GlobalOrder, float, int, str]
 
 
 class PreparedCollection:
@@ -108,18 +106,7 @@ class PreparedCollection:
             self._prepare_record(record) for record in collection
         ]
         self._orders: Dict[str, GlobalOrder] = {}
-        # Cache values keep a strong reference to their GlobalOrder: the key
-        # uses id(order), and without the reference a dead order's id could
-        # be reused by a new order, silently returning stale signatures.
-        self._signatures: Dict[_SignatureKey, Tuple[GlobalOrder, List[SignedRecord]]] = {}
-        # Identity-keyed memo of content-equality fallback hits (see
-        # signed()): serves repeat queries under a rebuilt order in O(1)
-        # without growing the real cache — it is bookkeeping, not state, so
-        # it does not count toward cached_signature_count and never ships
-        # in pickles or transfer copies.
-        self._signature_aliases: Dict[
-            _SignatureKey, Tuple[GlobalOrder, List[SignedRecord]]
-        ] = {}
+        self._signatures: Dict[_SignatureKey, List[SignedRecord]] = {}
         # Partner collections are held weakly so a long-lived collection
         # joined against many short-lived partners does not pin them (their
         # shared orders die with them; our own signatures under those orders
@@ -167,7 +154,6 @@ class PreparedCollection:
         clone._prepared = slim
         clone._orders = {}
         clone._signatures = {}
-        clone._signature_aliases = {}
         clone._shared_orders = {}
         clone._flat_states = {}
         clone._pebble_free = True
@@ -188,35 +174,17 @@ class PreparedCollection:
     def __getstate__(self) -> dict:
         """Make the collection picklable for process-pool join workers.
 
-        Two caches need translation: ``_shared_orders`` holds weakrefs (and
-        its partners are not part of this pickle anyway), so it is dropped;
-        ``_signatures`` is keyed by ``id(order)``, which is not stable across
-        processes, so entries are stored positionally and re-keyed against
-        the unpickled order objects in :meth:`__setstate__`.  Everything
-        else — records, pebbles, cached orders, and any already-built graph
-        sides — ships by value, so a worker starts with a warm cache.
+        Two identity-keyed caches are dropped: ``_shared_orders`` holds
+        weakrefs (and its partners are not part of this pickle anyway), and
+        ``_flat_states`` keys on the ids of signed lists.  Everything else —
+        records, pebbles, cached orders, signatures keyed by order value,
+        and any already-built graph sides — ships as it is, so a worker
+        starts with a warm cache.
         """
         state = dict(self.__dict__)
         state["_shared_orders"] = {}
-        state["_signature_aliases"] = {}
         state["_flat_states"] = {}
-        state["_signatures"] = [
-            # (stale-safe) keep the mutation count recorded at signing time:
-            # an entry that was already stale must stay stale after the trip.
-            (key[1], key[2], key[3], key[4], order, signed)
-            for key, (order, signed) in self._signatures.items()
-        ]
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        signatures = state.pop("_signatures")
-        self.__dict__.update(state)
-        self._signatures = {
-            # Fresh ids for the new process; reads re-validate by identity.
-            # repro: ignore[id-keyed-container]
-            (id(order), mutation_count, theta, tau, method): (order, signed)
-            for mutation_count, theta, tau, method, order, signed in signatures
-        }
 
     def _prepare_record(self, record: Record) -> PreparedRecord:
         segments, pebbles = generate_pebbles(record.tokens, self.config)
@@ -295,18 +263,19 @@ class PreparedCollection:
     # ------------------------------------------------------------------ #
     # orders
     # ------------------------------------------------------------------ #
-    def contribute_to_order(self, order: GlobalOrder) -> GlobalOrder:
-        """Register this collection's cached pebbles with ``order``."""
+    def pebble_lists(self) -> Iterator[Sequence[Pebble]]:
+        """Every record's cached pebble list, in record-id order.
+
+        This is what a :class:`GlobalOrder` is built from.
+        """
         self._require_pebbles("build an order")
-        for prepared in self._prepared:
-            order.add_record_pebbles(prepared.pebbles)
-        return order
+        return (prepared.pebbles for prepared in self._prepared)
 
     def build_order(self, strategy: str = "frequency") -> GlobalOrder:
         """A single-collection global order, cached per strategy."""
         order = self._orders.get(strategy)
         if order is None:
-            order = self.contribute_to_order(GlobalOrder(strategy))
+            order = GlobalOrder(strategy, self.pebble_lists())
             self._orders[strategy] = order
         return order
 
@@ -316,9 +285,8 @@ class PreparedCollection:
         """A corpus-wide order over this collection and ``other``, cached.
 
         Repeated two-collection joins over the same prepared pair reuse one
-        order object, which is what lets the per-(order, θ, τ, method)
-        signature cache hit across calls.  The cache is mirrored on both
-        collections, so ``a.shared_order_with(b)`` and
+        order object instead of counting both corpora again.  The cache is
+        mirrored on both collections, so ``a.shared_order_with(b)`` and
         ``b.shared_order_with(a)`` return the same order (pebble frequencies
         are symmetric in the contribution order).
         """
@@ -339,11 +307,12 @@ class PreparedCollection:
     ) -> None:
         """Cache a shared order, auto-purging when the partner dies.
 
-        The weakref callback drops the entry and every signature signed
-        under that order: once the partner is gone the order can never be
-        cache-hit again, so keeping those signings would be a leak.
+        The weakref callback drops the entry and every signature keyed by
+        that order object: once the partner is gone, keeping those signings
+        would be a leak.
         """
-        key = (id(partner), strategy)
+        # The partner's weakref in the value guards a recycled id.
+        key = (id(partner), strategy)  # repro: ignore[id-keyed-container]
         owner_ref = weakref.ref(self)
 
         def _purge(_dead, owner_ref=owner_ref, key=key, order=order):
@@ -353,7 +322,7 @@ class PreparedCollection:
             entry = owner._shared_orders.get(key)
             if entry is not None and entry[1] is order:
                 del owner._shared_orders[key]
-            stale = [k for k, v in owner._signatures.items() if v[0] is order]
+            stale = [k for k in owner._signatures if k[0] is order]
             for stale_key in stale:
                 del owner._signatures[stale_key]
 
@@ -371,7 +340,6 @@ class PreparedCollection:
         """
         self._orders.clear()
         self._signatures.clear()
-        self._signature_aliases.clear()
         self._shared_orders.clear()
         self._flat_states.clear()
 
@@ -387,36 +355,14 @@ class PreparedCollection:
     ) -> List[SignedRecord]:
         """Sign every record under ``order``, caching per (order, θ, τ, method).
 
-        The cache key includes the order's :attr:`~GlobalOrder.mutation_count`
-        so signatures computed against an order that was extended afterwards
-        are never returned stale.  On an identity miss, a signing cached
-        under a *content-equal* order (same strategy and frequency table —
-        the sort key is a pure function of both) is served without
-        re-signing and without growing the cache: this is what makes a warm
-        store run's signing a hit even for shared two-collection orders,
-        which are weakref-cached, never persist, and are therefore rebuilt
-        as new-but-identical objects on every run.
+        The order is part of the key by value, so a content-equal order — a
+        shared two-collection order rebuilt on a warm store run, say — finds
+        the signing cached under its twin.
         """
-        key = (id(order), order.mutation_count, theta, tau, method)
-        entry = self._signatures.get(key)
-        if entry is not None and entry[0] is order:
-            return entry[1]
-        entry = self._signature_aliases.get(key)
-        if entry is not None and entry[0] is order:
-            return entry[1]
-        for cache_key, (cached_order, cached_signed) in self._signatures.items():
-            if (
-                cache_key[2:] == (theta, tau, method)
-                and cached_order.mutation_count == cache_key[1]
-                and cached_order.content_equal(order)
-            ):
-                # Memoize the hit under the querying order's own identity
-                # (strong ref guards id reuse) so repeat calls skip the
-                # linear scan and its frequency-table comparisons.
-                if len(self._signature_aliases) >= _ALIAS_MEMO_LIMIT:
-                    self._signature_aliases.clear()
-                self._signature_aliases[key] = (order, cached_signed)
-                return cached_signed
+        key = (order, theta, tau, method)
+        signed = self._signatures.get(key)
+        if signed is not None:
+            return signed
         self._require_pebbles("sign")
         signed = [
             sign_record(
@@ -431,7 +377,7 @@ class PreparedCollection:
             )
             for prepared in self._prepared
         ]
-        self._signatures[key] = (order, signed)
+        self._signatures[key] = signed
         return signed
 
     def flat_state(
@@ -489,11 +435,11 @@ def build_shared_order(
     self-join) are contributed only once, matching how
     ``PebbleJoin.build_order`` treats a self-join.
     """
-    order = GlobalOrder(strategy)
     contributed: List[PreparedCollection] = []
     for collection in prepared:
-        if any(collection is existing for existing in contributed):
-            continue
-        contributed.append(collection)
-        collection.contribute_to_order(order)
-    return order
+        if not any(collection is existing for existing in contributed):
+            contributed.append(collection)
+    return GlobalOrder(
+        strategy,
+        chain.from_iterable(collection.pebble_lists() for collection in contributed),
+    )

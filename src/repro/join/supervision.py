@@ -59,11 +59,9 @@ import heapq
 import math
 import numbers
 import time
-from collections import deque
 from concurrent.futures import BrokenExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -79,6 +77,9 @@ _MAX_ERRORS = 16
 
 #: Recovery kinds a session manager can be asked to handle.
 RESPAWN_KINDS = ("worker", "timeout", "transport")
+
+#: Longest backoff sleep ahead of one executor respawn, in seconds.
+BACKOFF_CAP_SECONDS = 1.0
 
 
 class ShardTransportError(RuntimeError):
@@ -134,23 +135,19 @@ class SupervisorPolicy:
     disables timeout detection); a shard is dispatched to the pool at most
     ``1 + max_retries`` times before falling back to serial; the executor
     is rebuilt at most ``max_respawns`` times per supervisor; respawn
-    ``i`` sleeps ``min(backoff_cap, backoff_base * 2**(i-1))`` first.
-    ``enabled=False`` bypasses supervision entirely (legacy fail-fast
-    semantics — the benchmark's overhead baseline).
+    ``i`` sleeps ``min(BACKOFF_CAP_SECONDS, backoff_base * 2**(i-1))``
+    first.
 
     Invalid values raise ``ValueError`` at construction: ``shard_timeout``
     is ``None`` or finite and > 0 (a zero or NaN deadline expires every
     wait at once, and an infinite one overflows the wait), the retry and
-    respawn budgets are ints ≥ 0, and the backoffs are finite and ≥ 0.
+    respawn budgets are ints ≥ 0, and the backoff base is finite and ≥ 0.
     """
 
-    enabled: bool = True
     shard_timeout: Optional[float] = None
     max_retries: int = 2
     max_respawns: int = 2
     backoff_base: float = 0.05
-    backoff_cap: float = 1.0
-    serial_fallback: bool = True
 
     def __post_init__(self) -> None:
         # The float comparisons are written so that NaN fails them.
@@ -167,16 +164,17 @@ class SupervisorPolicy:
                 or value < 0
             ):
                 raise ValueError(f"{name} must be an integer >= 0; got {value!r}")
-        for name in ("backoff_base", "backoff_cap"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0; got {value!r}")
+        if not 0 <= self.backoff_base < math.inf:
+            raise ValueError(
+                f"backoff_base must be finite and >= 0; got {self.backoff_base!r}"
+            )
 
     def backoff_seconds(self, respawn_index: int) -> float:
         if self.backoff_base <= 0.0:
             return 0.0
         return min(
-            self.backoff_cap, self.backoff_base * (2 ** max(respawn_index - 1, 0))
+            BACKOFF_CAP_SECONDS,
+            self.backoff_base * (2 ** max(respawn_index - 1, 0)),
         )
 
 
@@ -232,8 +230,8 @@ class ShardSupervisor:
     def __init__(
         self,
         manager,
-        policy: Optional[SupervisorPolicy] = None,
-        serial_runner: Optional[Callable[[Tuple[int, int]], object]] = None,
+        policy: Optional[SupervisorPolicy],
+        serial_runner: Callable[[Tuple[int, int]], object],
     ) -> None:
         self.manager = manager
         self.policy = policy if policy is not None else SupervisorPolicy()
@@ -246,13 +244,6 @@ class ShardSupervisor:
     # ------------------------------------------------------------------ #
     # session lifecycle
     # ------------------------------------------------------------------ #
-    def _open_plain(self):
-        """Open the session, propagating failures (unsupervised paths)."""
-        if self._session is None:
-            self._session = self.manager.open()
-            self._opened = True
-        return self._session
-
     def _ensure_session(self):
         """The live session, or ``None`` once supervision gave up on it."""
         if self._dead:
@@ -316,22 +307,12 @@ class ShardSupervisor:
         if total == 0:
             return
         window = total if window is None else max(1, min(window, total))
-
-        if not self.policy.enabled:
-            yield from self._run_plain(spans, window, base)
-            return
-
         ready: List[int] = list(range(total))
         pending: dict = {}  # Future -> index, in submission order
         results: dict = {}
         serial_marked: set = set()
 
         def serial_run(index: int) -> None:
-            if not self.policy.serial_fallback or self.serial_runner is None:
-                raise RuntimeError(
-                    f"shard {spans[index]} failed in the pool and serial "
-                    f"fallback is unavailable (errors: {self.report.errors[-3:]})"
-                )
             report.attempts[base + index] += 1
             report.fallback_shards += 1
             results[index] = self.serial_runner(spans[index])
@@ -427,23 +408,3 @@ class ShardSupervisor:
             else:
                 del pending[future]
                 results[index] = shard
-
-    def _run_plain(
-        self, spans: List[Tuple[int, int]], window: int, base: int
-    ) -> Iterator[object]:
-        """Legacy fail-fast submission (``enabled=False``): bounded window,
-        in-order collection, no recovery — the overhead baseline."""
-        session = self._open_plain()
-        report = self.report
-        indices = iter(range(len(spans)))
-        pending = deque()
-        for index in islice(indices, window):
-            report.attempts[base + index] += 1
-            pending.append(session.submit_span(spans[index], 0))
-        while pending:
-            shard = pending.popleft().result()
-            index = next(indices, None)
-            if index is not None:
-                report.attempts[base + index] += 1
-                pending.append(session.submit_span(spans[index], 0))
-            yield shard

@@ -77,7 +77,6 @@ import time
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
-from math import ceil
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -85,17 +84,12 @@ from ..core.measures import MeasureConfig
 from ..core.tokenizer import default_tokenizer
 from ..core.topk import bounded_top_k, check_top_k
 from ..core.vocab import Vocabulary
+from ..join.aufilter import _check_process_only, _resolve_executor
 from ..join.flat import FlatPostings, FlatSignatures, FlatJoinState
 from ..join.bound_kernel import GroupUpperBounds
 from ..join.global_order import GlobalOrder
 from ..join.kernels import resolve_kernel
-from ..join.parallel import (
-    SHARDS_PER_WORKER,
-    ShardPlan,
-    ShardResult,
-    ShardStream,
-    shard_spans,
-)
+from ..join.parallel import ShardPlan, ShardResult, ShardStream, pool_spans
 from ..join.prepared import PreparedCollection, PreparedRecord
 from ..join.signatures import SignatureMethod, SignedRecord, check_tau, sign_record
 from ..join.supervision import ExecutionReport, SupervisorPolicy
@@ -343,10 +337,9 @@ class SimilarityIndex:
         """
         start = time.perf_counter()
         records = self.prepared.prepared_records
-        order = GlobalOrder(self.order_strategy)
-        for record_id in live:
-            order.add_record_pebbles(records[record_id].pebbles)
-        self._order = order
+        self._order = GlobalOrder(
+            self.order_strategy, (records[record_id].pebbles for record_id in live)
+        )
         rows: List[Optional[array]] = [None] * len(records)
         for record_id in live:
             rows[record_id] = self._member_row(records[record_id])
@@ -581,10 +574,9 @@ class SimilarityIndex:
             )
             if run_on == "process":
                 pool = self._warm_join_pool(workers)
-                shard_size = ceil(total / (pool.workers * SHARDS_PER_WORKER))
                 stream = ShardStream(
                     plan,
-                    shard_spans(total, shard_size),
+                    pool_spans(total, pool.workers),
                     self.verifier,
                     telemetry,
                     executor="process",
@@ -814,7 +806,7 @@ class SimilarityIndex:
         *,
         theta: Optional[float] = None,
         tau: Optional[int] = None,
-        executor: str = "serial",
+        executor: Optional[str] = "serial",
         workers: Optional[int] = None,
         supervision: Optional[SupervisorPolicy] = None,
     ) -> BatchQueryResult:
@@ -826,7 +818,9 @@ class SimilarityIndex:
         through the join's shard loop, :class:`~repro.join.parallel.ShardStream`.
         The serial path filters and verifies the probes as one shard in
         this process, through the grouped batch engine of the index's own
-        verifier.  ``executor="process"`` ships the plan to a
+        verifier.  ``executor`` and ``workers`` are checked as on
+        :meth:`~repro.join.PebbleJoin.join` (``None`` means serial).
+        ``executor="process"`` ships the plan to a
         *warm* worker pool (kept alive across calls; see :meth:`close`) and
         shards the probes across it under a
         :class:`~repro.join.supervision.ShardSupervisor` (``supervision``
@@ -841,18 +835,8 @@ class SimilarityIndex:
                 "query_batch takes an iterable of probes, not one string; "
                 "use query() or wrap it in a list"
             )
-        if executor not in ("serial", "process"):
-            raise ValueError(
-                f"unknown executor {executor!r}; expected 'serial' or 'process'"
-            )
-        if executor == "serial" and workers not in (None, 0):
-            raise ValueError("the serial executor takes no workers")
-        if executor == "process" and workers is not None:
-            check_tau(workers, "workers")
-        if supervision is not None and executor != "process":
-            raise ValueError(
-                "supervision policies apply to executor='process' only"
-            )
+        executor = _resolve_executor(executor, workers)
+        _check_process_only(executor, supervision=supervision)
         start = time.perf_counter()
         pairs, merged, execution, total = self._run_probes(
             "query-batch", probes, theta, tau, executor, workers, supervision

@@ -90,7 +90,9 @@ QUARANTINE_DIRNAME = "quarantine"
 #: prepared collections (or this header) changes incompatibly; artifacts
 #: written under any other version are never loaded.
 #: v2: prepared and signed records no longer carry a partition-size field.
-FORMAT_VERSION = 2
+#: v3: global orders pickle as (strategy, frequency table) and signatures
+#: are keyed by the order's value, not by its id and mutation count.
+FORMAT_VERSION = 3
 
 #: On-disk format version of similarity-index snapshots (independent of the
 #: prepared-collection format: the two artifact kinds evolve separately).
@@ -102,7 +104,8 @@ FORMAT_VERSION = 2
 #: versioning contract.
 #: v4: rows are signed with the exact ``MP(S)``, so v3 row lengths are stale.
 #: v5: the pickled index no longer stores the deleted adaptive gate's flag.
-INDEX_FORMAT_VERSION = 5
+#: v6: the index's global order pickles as (strategy, frequency table).
+INDEX_FORMAT_VERSION = 6
 
 _MAGIC = "repro-prepared-collection"
 _INDEX_MAGIC = "repro-similarity-index"
@@ -197,8 +200,7 @@ class PreparedStore:
 
     The store never returns a stale artifact: the corpus, the measure
     configuration, both knowledge sources, and the format version all feed
-    the validation chain (see the module docs).  ``format_version`` is
-    overridable for tests that exercise the version bump path.
+    the validation chain (see the module docs).
 
     Alongside prepared collections the store holds **similarity-index
     snapshots** (:meth:`save_index` / :meth:`load_index`, the persistence
@@ -213,8 +215,6 @@ class PreparedStore:
         self,
         root: Union[str, os.PathLike],
         *,
-        format_version: int = FORMAT_VERSION,
-        index_format_version: int = INDEX_FORMAT_VERSION,
         size_budget_bytes: Optional[int] = None,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
@@ -222,8 +222,6 @@ class PreparedStore:
             _check_budget(size_budget_bytes, "size_budget_bytes")
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.format_version = format_version
-        self.index_format_version = index_format_version
         self.size_budget_bytes = size_budget_bytes
         # Stored raw, resolved lazily: the default bundle may be swapped
         # after this store is built, and a pickled store must not drag one.
@@ -307,11 +305,11 @@ class PreparedStore:
     # ------------------------------------------------------------------ #
     def path_for(self, fingerprint: str) -> Path:
         """The artifact path of a fingerprint under the current format."""
-        return self.root / f"{fingerprint}.v{self.format_version}.pkl"
+        return self.root / f"{fingerprint}.v{FORMAT_VERSION}.pkl"
 
     def index_path_for(self, fingerprint: str) -> Path:
         """The similarity-index artifact path of a fingerprint."""
-        return self.root / f"{fingerprint}.idx.v{self.index_format_version}.pkl"
+        return self.root / f"{fingerprint}.idx.v{INDEX_FORMAT_VERSION}.pkl"
 
     @staticmethod
     def _header(magic: str, version: int, fingerprint: str) -> bytes:
@@ -339,15 +337,10 @@ class PreparedStore:
         """Persist a prepared collection (atomically; overwrites).
 
         Everything the prepared pickle carries survives: pebbles, cached
-        single-collection orders, per-(θ, τ, method) signatures re-keyed to
-        the persisted orders, and built graph sides — so an artifact saved
-        *after* a join makes the next run's signing a cache hit.  Shared
-        two-collection orders are weakref-cached and do not persist as
-        orders, but the signatures signed under them do, and a warm run's
-        rebuilt shared order is content-equal to the persisted signing's —
-        :meth:`~repro.join.prepared.PreparedCollection.signed` serves those
-        entries through its content-equality fallback, so two-collection
-        warm runs sign from cache too.
+        single-collection orders, per-(order, θ, τ, method) signatures, and
+        built graph sides — so an artifact saved *after* a join makes the
+        next run's signing a cache hit.  Signatures are keyed by the order's
+        value, so a warm run's rebuilt shared order finds them too.
         """
         entry = self._managed.get(prepared)
         if entry is not None and entry[1] == prepared.content_version:
@@ -365,7 +358,7 @@ class PreparedStore:
             protocol=pickle.HIGHEST_PROTOCOL,
         )
         self._write_artifact(
-            path, self._header(_MAGIC, self.format_version, fingerprint), payload
+            path, self._header(_MAGIC, FORMAT_VERSION, fingerprint), payload
         )
         return path
 
@@ -413,7 +406,7 @@ class PreparedStore:
     ) -> Optional[PreparedCollection]:
         """:meth:`load` with the (O(corpus) to compute) fingerprint in hand."""
         path = self.path_for(fingerprint)
-        payload = self._read_artifact(path, _MAGIC, self.format_version, fingerprint)
+        payload = self._read_artifact(path, _MAGIC, FORMAT_VERSION, fingerprint)
         if payload is None:
             return None
         prepared = payload.get("prepared")
@@ -564,7 +557,7 @@ class PreparedStore:
         )
         self._write_artifact(
             path,
-            self._header(_INDEX_MAGIC, self.index_format_version, fingerprint),
+            self._header(_INDEX_MAGIC, INDEX_FORMAT_VERSION, fingerprint),
             payload,
         )
         return path
@@ -581,7 +574,7 @@ class PreparedStore:
         """
         path = self.index_path_for(fingerprint)
         payload = self._read_artifact(
-            path, _INDEX_MAGIC, self.index_format_version, fingerprint
+            path, _INDEX_MAGIC, INDEX_FORMAT_VERSION, fingerprint
         )
         if payload is None:
             return None

@@ -41,3 +41,8 @@ def memo_lookup(cache, record):
 
 def memo_store(cache, record, value):
     cache[id(record)] = value  # expect[id-keyed-container]
+
+
+def memo_lookup_via_name(cache, record, method):
+    key = (id(record), method)  # expect[id-keyed-container]
+    return cache.get(key)

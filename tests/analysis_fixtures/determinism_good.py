@@ -30,3 +30,10 @@ def sample_one(items, seed):
 
 def keyed_by_content(cache, record):
     return cache.get(record.record_id)
+
+
+def guarded_memo_lookup(cache, record, method):
+    # The value holds the record and is identity-checked below.
+    key = (id(record), method)  # repro: ignore[id-keyed-container]
+    entry = cache.get(key)
+    return entry[1] if entry is not None and entry[0] is record else None

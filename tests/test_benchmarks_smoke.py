@@ -113,11 +113,8 @@ def test_parallel_scaling_harness_smoke(smoke_dataset, tmp_path):
     recorded = json.loads(out_path.read_text())
     assert recorded["cpu_count"] >= 1
     assert [run["workers"] for run in recorded["runs"]] == [1, 2] * 2
-    # The fault-tolerance blocks: the supervised no-fault run stayed
-    # bit-identical (asserted inside the harness) and the injected
-    # worker-kill run recovered to the same answer with ≥1 respawn.
-    assert recorded["supervision"]["supervised_seconds"] > 0.0
-    assert recorded["supervision"]["unsupervised_seconds"] > 0.0
+    # The fault-tolerance block: the injected worker-kill run recovered
+    # to the same answer with ≥1 respawn.
     assert recorded["recovery"]["results_match"]
     assert recorded["recovery"]["respawns"] >= 1
     assert recorded["recovery"]["respawn_seconds"] >= 0.0

@@ -125,11 +125,6 @@ class TestWMIS:
             with pytest.raises(ValueError):
                 exact_wmis(graph, max_vertices=8)
 
-    def test_greedy_invalid_key(self, example5_graph):
-        graph, _ = example5_graph
-        with pytest.raises(ValueError):
-            greedy_wmis(graph, key="nope")
-
 
 # --------------------------------------------------------------------- #
 # SquareImp oracle: the original, unoptimised claw search, kept verbatim

@@ -1,5 +1,7 @@
 """Tests for pebble generation, the global order, and the partition bound."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -63,13 +65,10 @@ class TestPebbleGeneration:
 
 class TestGlobalOrder:
     def test_frequency_order_puts_rare_first(self, figure1_config):
-        order = GlobalOrder()
         _, common = generate_pebbles(("coffee",), figure1_config)
         _, rare = generate_pebbles(("zebra",), figure1_config)
-        # "coffee" pebbles registered twice, "zebra" pebbles once.
-        order.add_record_pebbles(common)
-        order.add_record_pebbles(common)
-        order.add_record_pebbles(rare)
+        # "coffee" pebbles counted twice, "zebra" pebbles once.
+        order = GlobalOrder(pebble_lists=(common, common, rare))
         mixed = list(common) + list(rare)
         ordered = order.sort_pebbles(mixed)
         frequencies = [order.frequency(p.key) for p in ordered]
@@ -87,12 +86,22 @@ class TestGlobalOrder:
             GlobalOrder("alphabetical")
 
     def test_unseen_keys_sort_first(self, figure1_config):
-        order = GlobalOrder()
         _, seen = generate_pebbles(("coffee",), figure1_config)
-        order.add_record_pebbles(seen)
+        order = GlobalOrder(pebble_lists=[seen])
         _, unseen = generate_pebbles(("zebra",), figure1_config)
         ordered = order.sort_pebbles(list(seen) + list(unseen))
         assert order.frequency(ordered[0].key) == 0
+
+    def test_orders_are_values(self, figure1_config):
+        _, coffee = generate_pebbles(("coffee",), figure1_config)
+        _, zebra = generate_pebbles(("zebra",), figure1_config)
+        order = GlobalOrder(pebble_lists=[coffee, zebra])
+        twin = GlobalOrder(pebble_lists=[zebra, coffee])
+        assert twin is not order and twin == order and hash(twin) == hash(order)
+        assert GlobalOrder("weight", [coffee, zebra]) != order
+        assert GlobalOrder(pebble_lists=[coffee, coffee, zebra]) != order
+        clone = pickle.loads(pickle.dumps(order))
+        assert clone == order and hash(clone) == hash(order)
 
 
 def _min_partition_size(tokens, config):

@@ -24,7 +24,7 @@ from repro.join.flat import FlatJoinState, FlatSignatures
 from repro.join.signatures import sign_record
 from repro.records import Record, RecordCollection
 from repro.search import SimilarityIndex
-from repro.store import INDEX_FORMAT_VERSION, PreparedStore
+from repro.store import INDEX_FORMAT_VERSION, PreparedStore, prepared_store
 from repro.telemetry import Telemetry
 
 
@@ -695,13 +695,15 @@ def test_load_misses_raise_and_tampering_is_rejected(search_dataset, tmp_path):
     assert store.load_index(foreign) is None
 
 
-def test_older_snapshot_format_is_a_miss(search_dataset, tmp_path):
-    """A snapshot saved under index format v4 pickles the index with its
-    ``adaptive_verification`` flag, so a current store never loads it."""
-    assert INDEX_FORMAT_VERSION == 5
+def test_older_snapshot_format_is_a_miss(search_dataset, tmp_path, monkeypatch):
+    """A snapshot saved under index format v5 pickles the index's order with
+    its mutation counter, so a current store never loads it."""
+    assert INDEX_FORMAT_VERSION == 6
     config = _config(search_dataset, "J")
     index = SimilarityIndex(search_dataset.records.head(8), config, theta=0.6)
-    index.snapshot(PreparedStore(tmp_path / "store", index_format_version=4))
+    monkeypatch.setattr(prepared_store, "INDEX_FORMAT_VERSION", 5)
+    index.snapshot(PreparedStore(tmp_path / "store"))
+    monkeypatch.undo()
     with pytest.raises(LookupError):
         SimilarityIndex.load(PreparedStore(tmp_path / "store"), index.content_fingerprint())
 

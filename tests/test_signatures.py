@@ -248,9 +248,9 @@ def _swept_records():
         by_length = sorted(prepared.prepared_records, key=lambda rec: len(rec.pebbles))
         chosen = by_length[:: len(by_length) // 12][:12]
         for strategy in ("frequency", "weight"):
-            order = GlobalOrder(strategy)
-            for rec in prepared.prepared_records:
-                order.add_record_pebbles(rec.pebbles)
+            order = GlobalOrder(
+                strategy, (rec.pebbles for rec in prepared.prepared_records)
+            )
             for rec in chosen:
                 records.append((
                     f"{codes}/{strategy}/{rec.record.record_id}",
@@ -315,10 +315,9 @@ def _signed(record_text, config, theta, tau, method, corpus=None):
     """Helper: sign a single record against an order built from a small corpus."""
     corpus_texts = corpus or [record_text]
     collection = RecordCollection.from_strings(corpus_texts + [record_text])
-    order = GlobalOrder()
-    for record in collection:
-        _, pebbles = generate_pebbles(record.tokens, config)
-        order.add_record_pebbles(pebbles)
+    order = GlobalOrder(
+        pebble_lists=(generate_pebbles(record.tokens, config)[1] for record in collection)
+    )
     target = collection[len(collection) - 1]
     return sign_record(target, config, order, theta, tau=tau, method=method)
 
@@ -326,8 +325,7 @@ def _signed(record_text, config, theta, tau, method, corpus=None):
 class TestAccumulatedSimilarity:
     def test_profile_is_monotone_decreasing(self, figure1_config):
         _, pebbles = generate_pebbles(("espresso", "cafe", "helsinki"), figure1_config)
-        order = GlobalOrder()
-        order.add_record_pebbles(pebbles)
+        order = GlobalOrder(pebble_lists=[pebbles])
         sorted_pebbles = order.sort_pebbles(pebbles)
         profile = accumulated_similarity_profile(sorted_pebbles, 3)
         for i in range(len(profile) - 1):

@@ -12,8 +12,12 @@ surface stale prepared state.
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,10 +26,49 @@ from repro.core.measures import MeasureConfig
 from repro.datasets import TINY_PROFILE, generate_dataset
 from repro.join import PebbleJoin, UnifiedJoin
 from repro.records import RecordCollection
-from repro.store import FORMAT_VERSION, PreparedStore, collection_fingerprint
+from repro.store import (
+    FORMAT_VERSION,
+    PreparedStore,
+    collection_fingerprint,
+    prepared_store,
+)
 
 THETA = 0.55
 TAU = 2
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: One two-collection join through a store at ``sys.argv[1]``, counting the
+#: records the signing cache signs; prints the count and the pairs.
+TWO_COLLECTION_RUN = r'''
+import json, sys
+import repro.join.prepared as prepared_module
+from repro.datasets import TINY_PROFILE, generate_dataset
+from repro.join import UnifiedJoin
+from repro.store import PreparedStore
+
+signings = []
+original = prepared_module.sign_record
+
+
+def counted(*args, **kwargs):
+    signings.append(1)
+    return original(*args, **kwargs)
+
+
+prepared_module.sign_record = counted
+dataset = generate_dataset(TINY_PROFILE, seed=83)
+records = dataset.records.head(30)
+join = UnifiedJoin(
+    rules=dataset.rules, taxonomy=dataset.taxonomy, theta=%r, tau=%r,
+    store=PreparedStore(sys.argv[1]),
+)
+result = join.join(records.subset(range(0, 15)), records.subset(range(15, 30)))
+print(json.dumps({
+    "signings": len(signings),
+    "pairs": [[p.left_id, p.right_id, p.similarity] for p in result.pairs],
+}))
+''' % (THETA, TAU)
 
 
 @pytest.fixture(scope="module")
@@ -184,9 +227,35 @@ class TestStoreReuse:
         assert sizes[1] == sizes[2], "warm runs must not grow the artifacts"
         assert signing_seconds[2] < max(signing_seconds[0] / 10, 1e-3)
 
-    def test_content_equal_order_serves_cached_signing(self, store_dataset):
-        """PreparedCollection.signed must reuse a signing made under a
-        distinct but content-equal order, without growing its cache."""
+    def test_warm_run_in_another_interpreter_signs_nothing(self, tmp_path):
+        """Signatures persist keyed by their order's value, and string
+        hashes are salted per interpreter: a warm two-collection run under
+        another hash seed must still find every signing of the cold run
+        (it would not if an order's hash were pickled)."""
+
+        def run(seed: str) -> dict:
+            env = dict(os.environ)
+            env["PYTHONHASHSEED"] = seed
+            env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+            completed = subprocess.run(
+                [sys.executable, "-c", TWO_COLLECTION_RUN, str(tmp_path)],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+                check=False,
+            )
+            assert completed.returncode == 0, completed.stderr
+            return json.loads(completed.stdout.strip().splitlines()[-1])
+
+        cold, warm = run("0"), run("1")
+        assert cold["signings"] == 30
+        assert warm["signings"] == 0
+        assert warm["pairs"] == cold["pairs"]
+
+    def test_equal_orders_share_one_signing(self, store_dataset):
+        """Two orders built over the same collections compare and hash equal
+        and share one entry of the signing cache; other content misses."""
         from repro.join import build_shared_order
 
         config = _config(store_dataset)
@@ -196,16 +265,15 @@ class TestStoreReuse:
         right_prep = engine.prepare(records.subset(range(10, 20)))
         order_a = build_shared_order([left_prep, right_prep])
         order_b = build_shared_order([left_prep, right_prep])
-        assert order_a is not order_b and order_a.content_equal(order_b)
+        assert order_a is not order_b
+        assert order_a == order_b and hash(order_a) == hash(order_b)
         signed_a = left_prep.signed(order_a, THETA, TAU, engine.method)
         assert left_prep.signed(order_b, THETA, TAU, engine.method) is signed_a
         assert left_prep.cached_signature_count == 1
-        # A genuinely different order still re-signs.
-        order_b.add_record_pebbles(
-            right_prep.prepared_records[0].pebbles
-        )
-        assert not order_a.content_equal(order_b)
-        resigned = left_prep.signed(order_b, THETA, TAU, engine.method)
+        # An order over other content misses.
+        solo = left_prep.build_order()
+        assert solo != order_a
+        resigned = left_prep.signed(solo, THETA, TAU, engine.method)
         assert resigned is not signed_a
         assert left_prep.cached_signature_count == 2
 
@@ -277,15 +345,19 @@ class TestStoreInvalidation:
         )
         assert store.load(collection, changed) is None
 
-    def test_format_version_bump_forces_repreparation(self, store_dataset, tmp_path):
+    def test_format_version_bump_forces_repreparation(
+        self, store_dataset, tmp_path, monkeypatch
+    ):
         store, collection, config = self._store_with_artifact(store_dataset, tmp_path)
-        bumped = PreparedStore(tmp_path, format_version=FORMAT_VERSION + 1)
+        monkeypatch.setattr(prepared_store, "FORMAT_VERSION", FORMAT_VERSION + 1)
+        bumped = PreparedStore(tmp_path)
         assert bumped.load(collection, config) is None
         bumped.prepare(collection, config)
         assert not bumped.last_outcome.hit
-        # Both versions now coexist; each store only sees its own format.
-        assert store.load(collection, config) is not None
         assert bumped.load(collection, config) is not None
+        # Both versions now coexist; each version only sees its own artifact.
+        monkeypatch.undo()
+        assert store.load(collection, config) is not None
 
     def test_renamed_artifact_is_rejected(self, store_dataset, tmp_path):
         """Stale-artifact reuse by file manipulation must be impossible."""

@@ -111,6 +111,17 @@ class TestApproximateUsim:
 
 
 class TestUnifiedSimilarityFacade:
+    @pytest.mark.parametrize("t", [1.0, 0.5, float("nan"), float("inf")])
+    def test_invalid_t_rejected(self, t, figure1_config):
+        """An invalid Algorithm-1 ``t`` used to construct (NaN failed only
+        at the first non-empty approximation, and the exact method never
+        checked it) and an empty side returned 0.0 without a check."""
+        for method in ("approximate", "exact"):
+            with pytest.raises(ValueError, match="t must be"):
+                UnifiedSimilarity(method=method, t=t)
+        with pytest.raises(ValueError, match="t must be"):
+            approximate_usim((), ("a",), figure1_config, t=t)
+
     def test_similarity_and_explain_agree(self, figure1_rules, figure1_taxonomy):
         usim = UnifiedSimilarity(rules=figure1_rules, taxonomy=figure1_taxonomy)
         left, right = "coffee shop latte Helsingki", "espresso cafe Helsinki"
