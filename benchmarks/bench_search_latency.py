@@ -8,7 +8,7 @@
 * **single-record queries** — p50/p95/mean wall time of threshold queries
   and bound-pruned top-k queries against the warm index, after one untimed
   warm-up pass (a standing service amortizes its lazily built member graph
-  sides and msim memos across requests; first-request cost is reported
+  sides across requests; first-request cost is reported
   separately as ``first_query_seconds``).  Threshold queries use external
   probes; the top-k queries probe with corpus documents themselves (the
   "more like this" serving shape) — a guaranteed similarity-1.0 match

@@ -10,7 +10,7 @@ Verification breakdown
 filtering pass produces a candidate set, then the pre-engine verifier (fresh
 conflict graph per pair, no bound cascade, no ceiling break) and the
 prepared verification engine (cached graph sides + bound cascade) verify
-the identical candidates.  Both start from cold measure caches.  The
+the identical candidates, each under its own config.  The
 machine-readable summary — pairs/sec before and after, prune rates, bound
 hit rates — is written to ``BENCH_verification.json``.
 """
@@ -85,8 +85,8 @@ def run_verification_breakdown(
     """
 
     def fresh_config() -> MeasureConfig:
-        # Cold per-run caches so neither side benefits from the other's msim
-        # memoisation (3-grams for the synthetic vocabulary, as elsewhere).
+        # One config per verifier (3-grams for the synthetic vocabulary, as
+        # elsewhere).
         return MeasureConfig.from_codes(
             "TJS", rules=dataset.rules, taxonomy=dataset.taxonomy, q=3
         )

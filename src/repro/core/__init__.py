@@ -25,7 +25,7 @@ from .matching import (
     maximum_weight_matching,
 )
 from .measures import Measure, MeasureConfig
-from .mis import exact_wmis, greedy_wmis, squareimp_wmis
+from .mis import exact_wmis, greedy_mask, squareimp_mask
 from .segments import Segment, enumerate_partitions, enumerate_segments
 from .tokenizer import Tokenizer, TokenSpan, default_tokenizer
 from .topk import bounded_top_k
@@ -55,8 +55,8 @@ __all__ = [
     "enumerate_segments",
     "exact_usim",
     "exact_wmis",
+    "greedy_mask",
     "greedy_matching",
-    "greedy_wmis",
     "hungarian_matching",
     "jaccard",
     "matching_weight_upper_bound",
@@ -64,6 +64,6 @@ __all__ = [
     "partition_similarity",
     "qgram_set",
     "qgrams",
-    "squareimp_wmis",
+    "squareimp_mask",
     "usim_upper_bound",
 ]

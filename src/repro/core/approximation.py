@@ -3,15 +3,19 @@
 The algorithm has two stages:
 
 1. Seed: compute a weighted maximum independent set of the conflict graph
-   with a SquareImp-style local search (:func:`repro.core.mis.squareimp_wmis`).
+   with a SquareImp-style local search (:func:`repro.core.mis.squareimp_mask`).
 2. Improve: repeatedly look for a claw whose talons, once swapped into the
    solution (removing their conflicting neighbours), raise the *unified
    similarity realised by the selection* (``GetSim``) by at least ``1/t``.
    The loop therefore runs at most ``floor(t)`` times, keeping the overall
    running time polynomial in ``t · n`` as in the paper's Theorem 2.
 
-The returned breakdown records the partitions and matched segment pairs that
-realise the approximate similarity, so callers can explain results.
+Both stages work on the graph's adjacency masks with the selection as a
+mask, and ``GetSim`` reads the graph's weight table
+(:attr:`~repro.core.graph.ConflictGraph.table`), so a run on a built graph
+computes no similarity measure.  The returned breakdown records the
+partitions and matched segment pairs that realise the approximate
+similarity, so callers can explain results.
 """
 
 from __future__ import annotations
@@ -19,12 +23,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .aggregation import SimilarityBreakdown, selection_similarity
-from .graph import ConflictGraph, build_conflict_graph
+from .graph import ConflictGraph, build_conflict_graph, mask_indices
 from .measures import MeasureConfig
-from .mis import greedy_wmis, squareimp_wmis
+from .mis import greedy_mask, squareimp_mask
 
 __all__ = [
     "ApproximationResult",
@@ -65,6 +69,15 @@ def check_approximation_t(t: float) -> float:
     return t
 
 
+def _seed_search(seed: str):
+    """The seed search named by ``seed``, else raise."""
+    if seed == "squareimp":
+        return squareimp_mask
+    if seed == "greedy":
+        return greedy_mask
+    raise ValueError("seed must be 'squareimp' or 'greedy'")
+
+
 @dataclass(frozen=True)
 class ApproximationResult:
     """Outcome of Algorithm 1 on one string pair.
@@ -89,19 +102,21 @@ class ApproximationResult:
 
 
 def _candidate_talon_sets(
-    graph: ConflictGraph, selection: Set[int]
+    graph: ConflictGraph, selection: int
 ) -> Iterable[Tuple[int, ...]]:
     """Enumerate bounded independent sets of out-of-solution vertices.
 
-    The enumeration is anchored on vertices outside the current solution,
-    ordered by descending weight, and bounded both in talon count and in the
-    size of the neighbourhood pool each anchor explores.  This keeps each
-    improvement round polynomial while still finding the swaps that matter
-    in practice (Example 5 of the paper is recovered by 2-talon swaps).
+    The enumeration is anchored on vertices outside the current solution
+    (the mask ``selection``), ordered by descending weight, and bounded both
+    in talon count and in the size of the neighbourhood pool each anchor
+    explores.  This keeps each improvement round polynomial while still
+    finding the swaps that matter in practice (Example 5 of the paper is
+    recovered by 2-talon swaps).
     """
+    weights = graph.weights
     outside = sorted(
-        (index for index in range(len(graph)) if index not in selection),
-        key=lambda index: -graph.vertices[index].weight,
+        mask_indices(((1 << len(graph)) - 1) & ~selection),
+        key=lambda index: -weights[index],
     )
     outside_pool = outside[:POOL_LIMIT]
     for size in range(1, MAX_TALONS + 1):
@@ -112,7 +127,6 @@ def _candidate_talon_sets(
 
 def approximate_usim_on_graph(
     graph: ConflictGraph,
-    config: MeasureConfig,
     *,
     t: float = 4.0,
     seed: str = "squareimp",
@@ -123,9 +137,8 @@ def approximate_usim_on_graph(
     Parameters
     ----------
     graph:
-        The conflict graph of the string pair.
-    config:
-        Measure configuration used to evaluate ``GetSim``.
+        The conflict graph of the string pair; ``GetSim`` reads its weight
+        table.
     t:
         The paper's trade-off parameter: improvements smaller than ``1/t``
         are ignored and at most ``floor(t)`` improvement rounds run.
@@ -140,23 +153,19 @@ def approximate_usim_on_graph(
         off; it exists so benchmarks can measure the pre-optimization cost.
     """
     check_approximation_t(t)
+    search = _seed_search(seed)
 
     if len(graph) == 0:
-        breakdown = selection_similarity(graph, (), config)
+        breakdown = selection_similarity(graph, ())
         return ApproximationResult(breakdown, (), 0, 0)
 
-    if seed == "squareimp":
-        selection = squareimp_wmis(graph)
-    elif seed == "greedy":
-        selection = greedy_wmis(graph)
-    else:
-        raise ValueError("seed must be 'squareimp' or 'greedy'")
-
-    best_breakdown = selection_similarity(graph, selection, config)
+    selection = search(graph)
+    best_breakdown = selection_similarity(graph, mask_indices(selection))
     min_gain = 1.0 / t
     rounds = 0
     max_rounds = int(t)
-    weights = [vertex.weight for vertex in graph.vertices]
+    weights = graph.weights
+    adjacency = graph.adjacency
     ceiling_stopped = False
 
     while rounds < max_rounds:
@@ -168,23 +177,26 @@ def approximate_usim_on_graph(
         rounds += 1
         # Rank candidate swaps by raw vertex-weight gain, then evaluate the
         # best few with the full GetSim computation.
-        ranked: List[Tuple[float, Set[int], Tuple[int, ...]]] = []
+        ranked: List[Tuple[float, int, Tuple[int, ...]]] = []
         for talons in _candidate_talon_sets(graph, selection):
-            removed: Set[int] = set()
+            removed = 0
             for talon in talons:
-                removed |= graph.neighbors(talon) & selection
+                removed |= adjacency[talon]
+            removed &= selection
             gain = sum(weights[talon] for talon in talons) - sum(
-                weights[index] for index in removed
+                weights[index] for index in mask_indices(removed)
             )
             if gain <= 0.0:
                 continue
             ranked.append((gain, removed, talons))
         ranked.sort(key=lambda item: -item[0])
 
-        best_swap: Optional[Tuple[Set[int], SimilarityBreakdown]] = None
+        best_swap: Optional[Tuple[int, SimilarityBreakdown]] = None
         for _, removed, talons in ranked[:MAX_EVALUATIONS]:
-            candidate = (selection - removed) | set(talons)
-            breakdown = selection_similarity(graph, candidate, config)
+            candidate = selection & ~removed
+            for talon in talons:
+                candidate |= 1 << talon
+            breakdown = selection_similarity(graph, mask_indices(candidate))
             if breakdown.value >= best_breakdown.value + min_gain:
                 if best_swap is None or breakdown.value > best_swap[1].value:
                     best_swap = (candidate, breakdown)
@@ -194,7 +206,7 @@ def approximate_usim_on_graph(
 
     return ApproximationResult(
         breakdown=best_breakdown,
-        selection=tuple(sorted(selection)),
+        selection=tuple(mask_indices(selection)),
         graph_size=len(graph),
         improvement_rounds=rounds,
         ceiling_stopped=ceiling_stopped,
@@ -212,12 +224,12 @@ def approximate_usim(
 ) -> ApproximationResult:
     """Build the conflict graph for a string pair and run Algorithm 1."""
     check_approximation_t(t)
+    _seed_search(seed)
     if not left_tokens or not right_tokens:
         return ApproximationResult(SimilarityBreakdown(0.0, (), (), ()), (), 0, 0)
     graph = build_conflict_graph(left_tokens, right_tokens, config)
     return approximate_usim_on_graph(
         graph,
-        config,
         t=t,
         seed=seed,
         early_ceiling=early_ceiling,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .aggregation import SimilarityBreakdown, partition_similarity
+from .aggregation import SimilarityBreakdown, table_similarity
 from .measures import Measure, MeasureConfig
 from .segments import enumerate_partitions, enumerate_segments
 
@@ -73,10 +73,19 @@ def exact_usim(
     except RuntimeError as error:
         raise ExactBudgetExceeded(str(error)) from error
 
+    # Partitions share their segments: each segment pair's msim once.
+    table = [
+        [config.msim(left.tokens, right.tokens) for right in right_segments]
+        for left in left_segments
+    ]
+    left_rows = {segment.span: index for index, segment in enumerate(left_segments)}
+    right_rows = {segment.span: index for index, segment in enumerate(right_segments)}
     best: Optional[SimilarityBreakdown] = None
     for left_partition in left_partitions:
         for right_partition in right_partitions:
-            breakdown = partition_similarity(left_partition, right_partition, config)
+            breakdown = table_similarity(
+                left_partition, right_partition, table, left_rows, right_rows
+            )
             if best is None or breakdown.value > best.value:
                 best = breakdown
     assert best is not None  # both partition lists are non-empty for non-empty input

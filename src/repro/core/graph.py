@@ -16,11 +16,24 @@ segments, and its minimal partition size ``MP(S)`` (the exact minimum of
 depends on that string alone.
 :class:`GraphSide` caches this one-sided state so that a record verified
 against ``k`` candidates pays the segment enumeration and per-segment
-bookkeeping once instead of ``k`` times;
-:func:`build_conflict_graph_from_sides` assembles the pair graph from two
-cached sides, and :func:`build_conflict_graph` is now a thin wrapper that
-builds both sides ad hoc (one code path, so the cached and uncached
-constructions cannot diverge).
+bookkeeping once instead of ``k`` times.  Every graph is assembled by one
+path, :func:`build_conflict_graph_from_sides`, from two sides and their
+stage-1 bound matrix (:class:`PairUpperBound`): the verifier hands over the
+matrix its bound stages already built, and every other caller (and the
+verifier at θ = 0, where no bound runs) lets it build its own.
+:func:`build_conflict_graph` prepares both sides ad hoc.
+
+Weights come from that matrix, not from ``msim``.  Its Jaccard and taxonomy
+entries are exact (the same integer ratios ``msim`` divides), so an entry
+equals ``msim`` bit for bit unless both segments carry a synonym closeness
+map; only for those entries is the rule looked up, and the entry becomes
+the larger of the rule's closeness and its Jaccard and taxonomy parts.  A
+rule of positive closeness connecting two segments puts its lhs in both
+maps, so no other entry has a synonym part.  The corrected matrix is the graph's weight
+:attr:`~ConflictGraph.table`, which ``GetSim`` reads too.  Adjacency is one
+int mask per vertex: each segment gets the mask of its vertices, and a
+vertex's conflicts are the OR of those masks over the segments overlapping
+its own, on either side, without its own bit.
 
 The side state also powers the verification cascade's two bounds:
 :func:`usim_upper_bound` bounds the unified similarity from above without
@@ -56,13 +69,14 @@ from .grams import qgram_set
 from .matching import matching_weight_upper_bound
 from .measures import Measure, MeasureConfig
 from .segments import Segment, enumerate_segments, min_partition_size
+from .tokenizer import TokenSpan
 from .vocab import Vocabulary
 
 __all__ = [
     "PairVertex",
     "ConflictGraph",
+    "mask_indices",
     "GraphSide",
-    "PairGraphAssembler",
     "build_conflict_graph",
     "build_conflict_graph_from_sides",
     "PairUpperBound",
@@ -80,6 +94,16 @@ _BOUND_VOCAB = Vocabulary()
 _BOUND_VOCAB_LOCK = threading.Lock()
 
 
+def mask_indices(mask: int) -> List[int]:
+    """The set bits of ``mask``, in ascending order."""
+    indices: List[int] = []
+    while mask:
+        low = mask & -mask
+        indices.append(low.bit_length() - 1)
+        mask ^= low
+    return indices
+
+
 @dataclass(frozen=True)
 class PairVertex:
     """A vertex of the conflict graph: one segment of S matched to one of T.
@@ -92,69 +116,89 @@ class PairVertex:
         The segments of ``S`` and ``T`` respectively.
     weight:
         ``msim(left, right)`` under the active measure configuration.
-    measure:
-        The measure attaining the weight (None only for zero-weight vertices,
-        which the builder drops).
     """
 
     index: int
     left: Segment
     right: Segment
     weight: float
-    measure: Optional[Measure]
-
-    def conflicts_with(self, other: "PairVertex") -> bool:
-        """True when the two vertices cannot be selected together."""
-        return self.left.conflicts_with(other.left) or self.right.conflicts_with(other.right)
 
 
 class ConflictGraph:
-    """The conflict graph over candidate segment pairs of two strings."""
+    """The conflict graph over candidate segment pairs of two strings.
+
+    Vertex ``v`` matches left segment ``ends[v][0]`` with right segment
+    ``ends[v][1]`` (indices into the sides' segment lists) at weight
+    ``weights[v]``; ``adjacency[v]`` is the int mask of the vertices it
+    conflicts with.  ``table[i][j]`` is ``msim`` of left segment ``i`` and
+    right segment ``j``, for every segment pair (the vertices' weights
+    included), which is what ``GetSim`` aggregates.  :attr:`vertices` and the
+    set-valued helpers are views derived on use, for tests and explanations.
+    """
 
     def __init__(
         self,
-        left_tokens: Sequence[str],
-        right_tokens: Sequence[str],
-        vertices: Sequence[PairVertex],
-        adjacency: Sequence[Set[int]],
+        left_side: "GraphSide",
+        right_side: "GraphSide",
+        ends: Sequence[Tuple[int, int]],
+        weights: Sequence[float],
+        adjacency: Sequence[int],
+        table: Sequence[Sequence[float]],
     ) -> None:
-        self.left_tokens: Tuple[str, ...] = tuple(left_tokens)
-        self.right_tokens: Tuple[str, ...] = tuple(right_tokens)
-        self.vertices: Tuple[PairVertex, ...] = tuple(vertices)
-        self._adjacency: Tuple[FrozenSet[int], ...] = tuple(frozenset(neigh) for neigh in adjacency)
+        self.left_side = left_side
+        self.right_side = right_side
+        self.left_tokens: Tuple[str, ...] = left_side.tokens
+        self.right_tokens: Tuple[str, ...] = right_side.tokens
+        self.ends: Tuple[Tuple[int, int], ...] = tuple(ends)
+        self.weights: Tuple[float, ...] = tuple(weights)
+        self.adjacency: Tuple[int, ...] = tuple(adjacency)
+        self.table = table
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self.weights)
+
+    @cached_property
+    def vertices(self) -> Tuple[PairVertex, ...]:
+        """The vertices as segment pairs."""
+        left, right = self.left_side.segments, self.right_side.segments
+        return tuple(
+            PairVertex(index, left[i], right[j], weight)
+            for index, ((i, j), weight) in enumerate(zip(self.ends, self.weights))
+        )
+
+    @cached_property
+    def segment_rows(self) -> Tuple[Dict[TokenSpan, int], Dict[TokenSpan, int]]:
+        """Per side, each segment's :attr:`table` index by its span."""
+        return (
+            {segment.span: index for index, segment in enumerate(self.left_side.segments)},
+            {segment.span: index for index, segment in enumerate(self.right_side.segments)},
+        )
 
     def neighbors(self, index: int) -> FrozenSet[int]:
         """Indices of vertices conflicting with vertex ``index``."""
-        return self._adjacency[index]
+        return frozenset(mask_indices(self.adjacency[index]))
 
     def are_adjacent(self, left_index: int, right_index: int) -> bool:
         """True when the two vertices conflict."""
-        return right_index in self._adjacency[left_index]
+        return bool(self.adjacency[left_index] >> right_index & 1)
 
     def is_independent(self, indices: Iterable[int]) -> bool:
         """True when no two of ``indices`` conflict."""
-        selected = list(indices)
-        for position, index in enumerate(selected):
-            neighbours = self._adjacency[index]
-            for other in selected[position + 1:]:
-                if other in neighbours:
-                    return False
+        adjacency = self.adjacency
+        blocked = 0
+        for index in indices:
+            if blocked >> index & 1:
+                return False
+            blocked |= adjacency[index]
         return True
 
     def total_weight(self, indices: Iterable[int]) -> float:
         """Sum of vertex weights over ``indices``."""
-        return sum(self.vertices[index].weight for index in indices)
-
-    def degree(self, index: int) -> int:
-        """Number of conflicting vertices of vertex ``index``."""
-        return len(self._adjacency[index])
+        return sum(self.weights[index] for index in indices)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        edge_count = sum(len(neigh) for neigh in self._adjacency) // 2
-        return f"ConflictGraph(vertices={len(self.vertices)}, edges={edge_count})"
+        edge_count = sum(bin(mask).count("1") for mask in self.adjacency) // 2
+        return f"ConflictGraph(vertices={len(self)}, edges={edge_count})"
 
 
 class _SegmentMatchState:
@@ -383,128 +427,135 @@ def build_conflict_graph_from_sides(
     left_side: GraphSide,
     right_side: GraphSide,
     config: MeasureConfig,
+    matrix: Optional[List[List[float]]] = None,
 ) -> ConflictGraph:
     """Assemble the pair conflict graph from two cached sides.
 
-    Produces a graph identical (vertex order, weights, adjacency) to the
-    historical per-pair construction: vertices are emitted left-major over
-    the positionally sorted segment lists, weights come from the shared
-    memoised ``msim``, and edges connect vertices whose segments overlap on
-    either side — now looked up in each side's cached overlap sets instead
-    of re-testing spans per vertex pair.
+    Vertices are emitted left-major over the positionally sorted segment
+    lists; weights come from the pair's bound matrix, made exact where a
+    rule may connect the segments (see the module docs); edges connect
+    vertices whose segments overlap on either side, read from each side's
+    cached overlap sets.  ``matrix`` is the pair's
+    :attr:`PairUpperBound.matrix` when the verifier's bound stages built
+    one; without it the matrix is built here.
     """
     _check_side_configs(left_side, right_side, config)
-    return _assemble_graph(left_side, right_side, config)
+    if matrix is None:
+        matrix = _bound_matrix(left_side, right_side, config)
+    return _assemble_graph(left_side, right_side, config, matrix)
+
+
+def _weight_table(
+    left_side: GraphSide,
+    right_side: GraphSide,
+    config: MeasureConfig,
+    matrix: List[List[float]],
+) -> Tuple[List[List[float]], Set[Tuple[int, int]]]:
+    """``msim`` of every segment pair, from the bound matrix.
+
+    Returns the table and the entries a rule connects (positive synonym
+    similarity, condition (b) of the graph).  Only entries whose segments
+    both carry a closeness map can have a synonym part; each such entry
+    with a positive bound is recomputed with the rule's exact closeness in
+    place of the closeness bound.  Their rows are copies, so ``matrix``
+    itself is left as it was.
+    """
+    linked: Set[Tuple[int, int]] = set()
+    rules = config.rules if config.uses(Measure.SYNONYM) else None
+    if rules is None:
+        return matrix, linked
+    right_states = right_side.bound_state
+    right_synonym = [
+        j for j, state in enumerate(right_states) if state.syn_closeness is not None
+    ]
+    if not right_synonym:
+        return matrix, linked
+    use_jaccard = config.uses(Measure.JACCARD)
+    table = matrix
+    for i, left in enumerate(left_side.bound_state):
+        if left.syn_closeness is None:
+            continue
+        if table is matrix:
+            table = list(matrix)
+        row = table[i] = list(matrix[i])
+        for j in right_synonym:
+            if not row[j]:
+                continue  # 0 ≤ msim ≤ bound = 0
+            right = right_states[j]
+            synonym = rules.similarity(left.self_tokens, right.self_tokens)
+            if synonym > 0.0:
+                linked.add((i, j))
+            row[j] = _segment_pair_upper_bound(left, right, use_jaccard, synonym)
+    return table, linked
+
+
+def _conflict_masks(
+    overlap_sets: Sequence[FrozenSet[int]], members: List[int]
+) -> List[int]:
+    """Per segment with vertices, the OR of ``members`` over its overlaps."""
+    masks = [0] * len(members)
+    for index, own in enumerate(members):
+        if own:
+            mask = 0
+            for other in overlap_sets[index]:
+                mask |= members[other]
+            masks[index] = mask
+    return masks
 
 
 def _assemble_graph(
     left_side: GraphSide,
     right_side: GraphSide,
     config: MeasureConfig,
-    left_indices: Optional[Sequence[int]] = None,
-    right_indices: Optional[Sequence[int]] = None,
+    matrix: List[List[float]],
 ) -> ConflictGraph:
-    """The shared graph-assembly core (configs already checked).
+    """The one graph-assembly path (configs already checked).
 
-    ``left_indices`` / ``right_indices`` restrict one side to a subset of
-    its segments, in ascending order; a restriction is only sound when the
-    skipped segments provably form no vertex against *any* partner segment
-    (see :class:`PairGraphAssembler`), in which case the restricted build
-    is vertex-for-vertex identical to the full one.
+    ``matrix`` is the pair's stage-1 bound matrix (left segments × right
+    segments).
     """
-    rules = config.rules if config.uses(Measure.SYNONYM) else None
-    use_tax = config.uses(Measure.TAXONOMY) and config.taxonomy is not None
-    left_match = left_side.match_state
-    right_match = right_side.match_state
     left_segments = left_side.segments
     right_segments = right_side.segments
-    if left_indices is None:
-        left_indices = range(len(left_segments))
-    if right_indices is None:
-        right_indices = range(len(right_segments))
-    msim = config.msim_with_measure
+    if not matrix:
+        # An empty side: no segment pairs, no vertices.
+        return ConflictGraph(left_side, right_side, (), (), (), matrix)
+    table, linked = _weight_table(left_side, right_side, config, matrix)
+    right_match = right_side.match_state
 
-    vertices: List[PairVertex] = []
-    vertex_sides: List[Tuple[int, int]] = []
-    for i in left_indices:
-        left = left_segments[i]
-        left_state = left_match[i]
-        for j in right_indices:
-            right = right_segments[j]
-            right_state = right_match[j]
-            # Conditions (a)–(c) of Section 2.3.  The synonym condition is
-            # pre-filtered by shared lhs pebble keys: a connecting rule
-            # deposits its lhs key on both sides, so disjoint key sets imply
-            # similarity 0 without the directional rule lookup.
-            if left_state.is_single and right_state.is_single:
-                pass
-            elif (
-                rules is not None
-                and left_state.syn_keys is not None
-                and right_state.syn_keys is not None
-                and not left_state.syn_keys.isdisjoint(right_state.syn_keys)
-                and rules.similarity(left.tokens, right.tokens) > 0.0
-            ):
-                pass
-            elif use_tax and left_state.has_tax and right_state.has_tax:
-                pass
-            else:
-                continue
-            weight, measure = msim(
-                left.tokens,
-                right.tokens,
-                left_text=left.text,
-                right_text=right.text,
-            )
+    ends: List[Tuple[int, int]] = []
+    weights: List[float] = []
+    for i, left_state in enumerate(left_side.match_state):
+        row = table[i]
+        left_single = left_state.is_single
+        left_tax = left_state.has_tax
+        for j, right_state in enumerate(right_match):
+            weight = row[j]
             if weight < _EPSILON:
-                continue
-            vertices.append(
-                PairVertex(
-                    index=len(vertices),
-                    left=left,
-                    right=right,
-                    weight=weight,
-                    measure=measure,
-                )
-            )
-            vertex_sides.append((i, j))
+                continue  # a zero-weight vertex never contributes
+            # Conditions (a)–(c) of Section 2.3: two single tokens, a rule
+            # connecting the segments, or two taxonomy nodes.
+            if (
+                (left_single and right_state.is_single)
+                or (left_tax and right_state.has_tax)
+                or (i, j) in linked
+            ):
+                ends.append((i, j))
+                weights.append(weight)
 
-    by_left: Dict[int, Set[int]] = {}
-    by_right: Dict[int, Set[int]] = {}
-    for vertex_id, (i, j) in enumerate(vertex_sides):
-        by_left.setdefault(i, set()).add(vertex_id)
-        by_right.setdefault(j, set()).add(vertex_id)
-
-    left_overlap = left_side.overlap_sets
-    right_overlap = right_side.overlap_sets
-    union_left: Dict[int, Set[int]] = {}
-    union_right: Dict[int, Set[int]] = {}
-
-    def conflict_union(
-        index: int,
-        overlaps: Sequence[FrozenSet[int]],
-        by_segment: Dict[int, Set[int]],
-        cache: Dict[int, Set[int]],
-    ) -> Set[int]:
-        union = cache.get(index)
-        if union is None:
-            union = set()
-            for other in overlaps[index]:
-                members = by_segment.get(other)
-                if members:
-                    union |= members
-            cache[index] = union
-        return union
-
-    adjacency: List[Set[int]] = []
-    for vertex_id, (i, j) in enumerate(vertex_sides):
-        neighbours = conflict_union(i, left_overlap, by_left, union_left) | conflict_union(
-            j, right_overlap, by_right, union_right
-        )
-        neighbours.discard(vertex_id)
-        adjacency.append(neighbours)
-
-    return ConflictGraph(left_side.tokens, right_side.tokens, vertices, adjacency)
+    left_members = [0] * len(left_segments)
+    right_members = [0] * len(right_segments)
+    for vertex, (i, j) in enumerate(ends):
+        bit = 1 << vertex
+        left_members[i] |= bit
+        right_members[j] |= bit
+    left_conflicts = _conflict_masks(left_side.overlap_sets, left_members)
+    right_conflicts = _conflict_masks(right_side.overlap_sets, right_members)
+    # A segment overlaps itself, so each union holds the vertex's own bit.
+    adjacency = [
+        (left_conflicts[i] | right_conflicts[j]) ^ (1 << vertex)
+        for vertex, (i, j) in enumerate(ends)
+    ]
+    return ConflictGraph(left_side, right_side, ends, weights, adjacency, table)
 
 
 def build_conflict_graph(
@@ -527,78 +578,6 @@ def build_conflict_graph(
         GraphSide(right_tokens, config),
         config,
     )
-
-
-class PairGraphAssembler:
-    """Builds conflict graphs of one fixed *probe* side against many partners.
-
-    The batch verifier checks every candidate of a probe against the same
-    probe-side state, so the per-pair work that depends only on the probe
-    can be hoisted out of the pair loop.  The assembler precomputes, once,
-    which probe segments can qualify under conditions (a)–(c) at all: a
-    segment that is not a singleton, carries no synonym lhs keys, and has
-    no taxonomy node fails every branch of the qualification test against
-    *any* partner segment, so the vertex loop skips its whole row (or
-    column) without consulting the partner.  Because the surviving indices
-    are iterated in their original ascending order, the assembled graph is
-    vertex-for-vertex identical — order, weights, adjacency — to
-    :func:`build_conflict_graph_from_sides` on the same pair.
-
-    ``probe_is_left`` fixes which side of the graph the probe occupies
-    (vertex order is left-major, so it is part of the bit-identity
-    contract); partners supply the other side per :meth:`build` call.
-    """
-
-    __slots__ = ("probe_side", "config", "probe_is_left", "_active")
-
-    def __init__(
-        self,
-        probe_side: GraphSide,
-        config: MeasureConfig,
-        *,
-        probe_is_left: bool = True,
-    ) -> None:
-        self.probe_side = probe_side
-        self.config = config
-        self.probe_is_left = probe_is_left
-        match_state = probe_side.match_state
-        active = tuple(
-            index
-            for index, state in enumerate(match_state)
-            if state.is_single or state.syn_keys is not None or state.has_tax
-        )
-        # ``None`` keeps the plain ``range`` fast path when nothing is skipped.
-        self._active: Optional[Tuple[int, ...]] = (
-            None if len(active) == len(match_state) else active
-        )
-
-    def build(self, partner_side: GraphSide) -> ConflictGraph:
-        """Assemble the conflict graph of the probe against ``partner_side``."""
-        if self.probe_is_left:
-            left_side, right_side = self.probe_side, partner_side
-            left_indices, right_indices = self._active, None
-        else:
-            left_side, right_side = partner_side, self.probe_side
-            left_indices, right_indices = None, self._active
-        _check_side_configs(left_side, right_side, self.config)
-        return _assemble_graph(
-            left_side,
-            right_side,
-            self.config,
-            left_indices,
-            right_indices,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        skipped = (
-            0
-            if self._active is None
-            else len(self.probe_side.segments) - len(self._active)
-        )
-        return (
-            f"PairGraphAssembler(segments={len(self.probe_side.segments)}, "
-            f"skipped={skipped}, probe_is_left={self.probe_is_left})"
-        )
 
 
 def _check_side_configs(
@@ -629,6 +608,7 @@ def _segment_pair_upper_bound(
     left: _SegmentBoundState,
     right: _SegmentBoundState,
     use_jaccard: bool,
+    synonym: Optional[float] = None,
 ) -> float:
     """An upper bound on ``msim`` of one segment pair from cached state.
 
@@ -643,7 +623,9 @@ def _segment_pair_upper_bound(
     realise a similarity and are no longer consulted (they made the
     historical full-intersection bound loose under rule transitivity).
     The bound stays an upper bound because two segments may carry each
-    other's lhs keys without a rule mapping one to the *other*.
+    other's lhs keys without a rule mapping one to the *other*.  Given the
+    pair's exact rule closeness as ``synonym``, the entry uses it instead
+    and is ``msim`` exactly (see :func:`_weight_table`).
     """
     bound = 0.0
     if use_jaccard and left.grams and right.grams:
@@ -653,7 +635,10 @@ def _segment_pair_upper_bound(
             value = intersection / union
             if value > bound:
                 bound = value
-    if left.syn_closeness is not None and right.syn_closeness is not None:
+    if synonym is not None:
+        if synonym > bound:
+            bound = synonym
+    elif left.syn_closeness is not None and right.syn_closeness is not None:
         keys = (
             (left.self_tokens,)
             if left.self_tokens == right.self_tokens
@@ -684,6 +669,20 @@ def _segment_pair_upper_bound(
     return bound
 
 
+def _bound_matrix(
+    left_side: GraphSide, right_side: GraphSide, config: MeasureConfig
+) -> List[List[float]]:
+    """Per-segment-pair msim upper bounds (empty when a side has no tokens)."""
+    if not left_side.tokens or not right_side.tokens:
+        return []
+    use_jaccard = config.uses(Measure.JACCARD)
+    right_bounds = right_side.bound_state
+    return [
+        [_segment_pair_upper_bound(left, right, use_jaccard) for right in right_bounds]
+        for left in left_side.bound_state
+    ]
+
+
 class PairUpperBound:
     """The two stages of :func:`usim_upper_bound` over one pair's matrix.
 
@@ -698,7 +697,8 @@ class PairUpperBound:
     matching takes at most one entry per row and per column), and
     :meth:`matching` runs the matching solver, which is tighter and dearer.
     The two stages share one instance, so a candidate that reaches the
-    matching stage builds its matrix once.
+    matching stage builds its matrix once, and Algorithm 1 takes its vertex
+    weights from the same matrix (:func:`build_conflict_graph_from_sides`).
     """
 
     __slots__ = ("matrix", "denominator")
@@ -707,22 +707,12 @@ class PairUpperBound:
         self, left_side: GraphSide, right_side: GraphSide, config: MeasureConfig
     ) -> None:
         _check_side_configs(left_side, right_side, config)
-        self.matrix: List[List[float]] = []
+        self.matrix = _bound_matrix(left_side, right_side, config)
         self.denominator = 1
-        if not left_side.tokens or not right_side.tokens:
-            return
-        use_jaccard = config.uses(Measure.JACCARD)
-        right_bounds = right_side.bound_state
-        self.matrix = [
-            [
-                _segment_pair_upper_bound(left, right, use_jaccard)
-                for right in right_bounds
-            ]
-            for left in left_side.bound_state
-        ]
-        self.denominator = max(
-            left_side.min_partition_size, right_side.min_partition_size, 1
-        )
+        if self.matrix:
+            self.denominator = max(
+                left_side.min_partition_size, right_side.min_partition_size, 1
+            )
 
     def maxima(self, threshold: float) -> float:
         """The maxima bound; the column sum is skipped when rows prune.

@@ -15,8 +15,8 @@ T / J / S / TJ / JS / TS / TJS variants are expressed.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, Optional, Sequence, Tuple
 
 from . import grams
 from ..synonyms.rules import SynonymRuleSet
@@ -76,8 +76,8 @@ class MeasureConfig:
     contents), not identity: two configs built from equal knowledge sources
     are interchangeable, which is what lets prepared collections and cached
     graph sides survive a pickle round-trip into worker processes.  The
-    per-instance msim memo is excluded from equality and from pickles (each
-    process rebuilds its own).
+    per-instance equality memo is excluded from equality and from pickles
+    (each process rebuilds its own).
     """
 
     rules: Optional[SynonymRuleSet] = None
@@ -92,14 +92,11 @@ class MeasureConfig:
             raise ValueError("q must be positive")
         if not self.enabled:
             raise ValueError("at least one measure must be enabled")
-        # Per-instance memo for msim: segment pairs recur heavily inside the
-        # approximation's improvement loop and across join verification.
-        # The dataclass is frozen, so the cache is attached via object.__setattr__.
-        object.__setattr__(self, "_msim_cache", {})
         # Memo for __eq__ against other config objects: the graph assembly
         # path checks config agreement per candidate pair, and a content
         # comparison walks the full rule set / taxonomy — pay it once per
-        # distinct partner object, then answer by identity.
+        # distinct partner object, then answer by identity.  The dataclass
+        # is frozen, so the memo is attached via object.__setattr__.
         object.__setattr__(self, "_eq_memo", {})
 
     # ------------------------------------------------------------------ #
@@ -160,16 +157,14 @@ class MeasureConfig:
         )
 
     def __getstate__(self) -> dict:
-        # The msim and equality memos are per-process caches: dropping them
-        # keeps pickles small and every process rebuilds its own.
+        # The equality memo is a per-process cache: dropping it keeps
+        # pickles small and every process rebuilds its own.
         state = dict(self.__dict__)
-        state.pop("_msim_cache", None)
         state.pop("_eq_memo", None)
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        object.__setattr__(self, "_msim_cache", {})
         object.__setattr__(self, "_eq_memo", {})
 
     # ------------------------------------------------------------------ #
@@ -253,57 +248,29 @@ class MeasureConfig:
     # msim
     # ------------------------------------------------------------------ #
     def msim(self, left: Sequence[str], right: Sequence[str]) -> float:
-        """The maximum similarity over enabled measures (Equation 4)."""
-        value, _ = self.msim_with_measure(left, right)
-        return value
+        """The maximum similarity over enabled measures (Equation 4).
 
-    def msim_with_measure(
-        self,
-        left: Sequence[str],
-        right: Sequence[str],
-        *,
-        left_text: Optional[str] = None,
-        right_text: Optional[str] = None,
-    ) -> Tuple[float, Optional[Measure]]:
-        """Like :meth:`msim` but also report which measure attains the maximum.
-
-        Returns ``(0.0, None)`` when no enabled measure yields a positive
-        similarity.  Results are memoised per token-tuple pair.  Callers that
-        already hold token tuples (``Segment.tokens``) pay no copy for the
-        cache key, and callers holding the cached segment text can pass it
-        via ``left_text``/``right_text`` to spare the Jaccard measure its
-        re-join.
+        Computed afresh on every call, so it always reflects the knowledge
+        sources as they are now.  It is 0.0 when no enabled measure yields a
+        positive similarity.  Verification never calls it: conflict graphs
+        take their weights from the stage-1 bound matrix (see
+        :mod:`repro.core.graph`), and the exact solver computes each segment
+        pair once per call.
         """
-        cache: dict = self._msim_cache  # type: ignore[attr-defined]
-        if type(left) is not tuple:
-            left = tuple(left)
-        if type(right) is not tuple:
-            right = tuple(right)
-        cache_key = (left, right)
-        cached = cache.get(cache_key)
-        if cached is not None:
-            return cached
-        best_value = 0.0
-        best_measure: Optional[Measure] = None
+        best = 0.0
         if self.uses(Measure.SYNONYM):
             value = self.synonym(left, right)
-            if value > best_value:
-                best_value, best_measure = value, Measure.SYNONYM
+            if value > best:
+                best = value
         if self.uses(Measure.TAXONOMY):
             value = self.taxonomy_similarity(left, right)
-            if value > best_value:
-                best_value, best_measure = value, Measure.TAXONOMY
+            if value > best:
+                best = value
         if self.uses(Measure.JACCARD):
-            value = self.jaccard_text(
-                left_text if left_text is not None else " ".join(left),
-                right_text if right_text is not None else " ".join(right),
-            )
-            if value > best_value:
-                best_value, best_measure = value, Measure.JACCARD
-        result = (best_value, best_measure)
-        if len(cache) < 1_000_000:
-            cache[cache_key] = result
-        return result
+            value = self.jaccard(left, right)
+            if value > best:
+                best = value
+        return best
 
 
 def segment_similarity(

@@ -69,8 +69,9 @@ class GroupUpperBounds:
 
     :meth:`maxima` is stage 1 for the whole group, by the numpy kernel or
     the scalar loop (see the module docs); :meth:`matching` is stage 2 for
-    one candidate.  The scalar loop keeps the matrices of the candidates
-    that survive stage 1, so their matching stage reuses them.  The sides
+    one candidate.  The scalar loop keeps the bounds of the candidates
+    that survive stage 1, and :meth:`pair_bound` hands one over, so the
+    matching stage and Algorithm 1's weights reuse its matrix.  The sides
     must be bound to ``config`` (prepared collections guarantee it).
     """
 
@@ -102,7 +103,7 @@ class GroupUpperBounds:
         )
         self._pair_bounds: Dict[int, PairUpperBound] = {}
 
-    def _pair_bound(self, position: int) -> PairUpperBound:
+    def _build(self, position: int) -> PairUpperBound:
         partner = self.partner_sides[position]
         if self.probe_is_left:
             return PairUpperBound(self.probe_side, partner, self.config)
@@ -119,19 +120,26 @@ class GroupUpperBounds:
             )
         values = []
         for position in range(len(self.partner_sides)):
-            bound = self._pair_bound(position)
+            bound = self._build(position)
             value = bound.maxima(threshold)
             if value >= threshold:
                 self._pair_bounds[position] = bound
             values.append(value)
         return values
 
-    def matching(self, position: int) -> float:
-        """One candidate's :meth:`PairUpperBound.matching` bound."""
+    def pair_bound(self, position: int) -> PairUpperBound:
+        """Hand over one candidate's bound: the one stage 1 kept, else a new one.
+
+        The group keeps no reference to it afterwards.
+        """
         bound = self._pair_bounds.pop(position, None)
         if bound is None:
-            bound = self._pair_bound(position)
-        return bound.matching()
+            bound = self._build(position)
+        return bound
+
+    def matching(self, position: int) -> float:
+        """One candidate's :meth:`PairUpperBound.matching` bound."""
+        return self.pair_bound(position).matching()
 
 
 # --------------------------------------------------------------------- #

@@ -15,9 +15,8 @@ each record's cached :class:`~repro.core.graph.GraphSide` (segments, gram
 sets, overlap sets) from :class:`~repro.join.prepared.PreparedCollection`
 inputs bound to the verifier's config — a raw collection, or one prepared
 under a different config, is rejected — groups candidates by probe record
-(each run of candidates sharing a probe is one *probe group*, with one
-:class:`~repro.core.graph.PairGraphAssembler`), and runs three stages,
-cheapest and most decisive first:
+(each run of candidates sharing a probe is one *probe group*), and runs
+three stages, cheapest and most decisive first:
 
 1. *Maxima bound* — per-segment msim upper bounds from cached pebble
    material, summed over row and column maxima, reject pairs whose unified
@@ -35,8 +34,12 @@ cheapest and most decisive first:
 2. *Matching bound* — the same msim bounds fed to a matching solver, on
    the pairs the maxima bound did not prune.
 3. *Algorithm 1* — the pair graph is assembled from the two cached sides
-   and Algorithm 1 runs with its value-ceiling short circuit (the
-   improvement loop is skipped once no swap can gain ``1/t``).
+   and the matching stage's bound matrix, whose exact Jaccard and taxonomy
+   entries become the vertex weights (a rule is looked up only where both
+   segments carry synonym closeness; at θ = 0 no bound runs and the
+   graph builds the matrix itself), and Algorithm 1 runs with its
+   value-ceiling short circuit (the improvement loop is skipped once no
+   swap can gain ``1/t``).  No stage computes ``msim``.
 
 The two bound stages are the *upper tier*: both bound the exact USIM from
 above, and Algorithm 1 never realises more than the exact USIM, so a pair
@@ -68,7 +71,7 @@ from ..core.approximation import (
     approximate_usim_on_graph,
     check_approximation_t,
 )
-from ..core.graph import GraphSide, PairGraphAssembler
+from ..core.graph import GraphSide, build_conflict_graph_from_sides
 from ..core.measures import MeasureConfig
 from ..records import Record
 from ..telemetry.spans import NULL_SPAN, Span, current_span
@@ -265,9 +268,6 @@ class UnifiedVerifier:
         """Run the cascade over one probe's run of candidates, in order."""
         threshold = self.threshold
         config = self.config
-        # One assembler per group: the probe's qualification pre-pass is
-        # computed once and reused against every partner.
-        assembler = PairGraphAssembler(probe_side, config, probe_is_left=probe_is_left)
         # Empty-token records need no special case: both bounds are 0.0 and
         # the empty pair graph realises 0.0, matching approximate_usim's
         # empty-input result, so the cascade handles them like any pair (and
@@ -288,11 +288,14 @@ class UnifiedVerifier:
                 maxima = bounds.maxima(threshold)
         for position, (left_id, right_id) in enumerate(group):
             stats.candidates += 1
+            matrix = None
             if maxima is not None:
                 pruned = maxima[position] < threshold
                 if not pruned:
                     with _tier_span("verify.matching"):
-                        pruned = bounds.matching(position) < threshold
+                        pair_bound = bounds.pair_bound(position)
+                        pruned = pair_bound.matching() < threshold
+                    matrix = pair_bound.matrix
                 if pruned:
                     # Algorithm 1 realises ≤ exact USIM ≤ either bound < θ:
                     # the unpruned path would reject it too.
@@ -300,10 +303,15 @@ class UnifiedVerifier:
                     continue
 
             stats.graphs_built += 1
+            partner_side = partner_sides[position]
+            left_side, right_side = (
+                (probe_side, partner_side) if probe_is_left else (partner_side, probe_side)
+            )
             with _tier_span("verify.algorithm1"):
-                # Vertex-for-vertex the two-sided constructor's graph.
-                graph = assembler.build(partner_sides[position])
-                result = approximate_usim_on_graph(graph, config, t=self.t)
+                graph = build_conflict_graph_from_sides(
+                    left_side, right_side, config, matrix
+                )
+                result = approximate_usim_on_graph(graph, t=self.t)
             if result.ceiling_stopped:
                 stats.ceiling_stops += 1
             else:
@@ -331,7 +339,7 @@ class UnifiedVerifier:
         candidate is read.  The filter emits candidates probe-major (every
         partner of one probe record before the next, on the ``probe_side``
         id), so each run of candidates sharing a probe record is one group:
-        one cached probe side, one graph assembler and one stage-1 pass.
+        one cached probe side and one stage-1 pass.
         Result order matches the candidate order.  The call's cascade
         counters are added to the verifier's cumulative :attr:`stats` and,
         when ``stats`` is given, to that caller-owned block too: the one

@@ -68,8 +68,8 @@ class TestIndividualMeasures:
         config = MeasureConfig.from_codes("J", rules=figure1_rules, taxonomy=figure1_taxonomy)
         assert config.synonym(("coffee", "shop"), ("cafe",)) == 1.0  # raw helper still works
         # but msim ignores it:
-        value, measure = config.msim_with_measure(("coffee", "shop"), ("cafe",))
-        assert measure is Measure.JACCARD or value == 0.0
+        value = config.msim(("coffee", "shop"), ("cafe",))
+        assert value == config.jaccard(("coffee", "shop"), ("cafe",)) < 1.0
 
     def test_missing_knowledge_sources(self):
         config = MeasureConfig()  # no rules, no taxonomy
@@ -81,24 +81,42 @@ class TestIndividualMeasures:
 class TestMsim:
     def test_msim_picks_maximum(self, figure1_config):
         # Paper: msim(cake, apple cake) = max(Jaccard 0.33, taxonomy 0.75) = 0.75.
-        value, measure = figure1_config.msim_with_measure(("cake",), ("apple", "cake"))
+        left, right = ("cake",), ("apple", "cake")
+        value = figure1_config.msim(left, right)
         assert value == pytest.approx(0.75)
-        assert measure is Measure.TAXONOMY
+        assert value == figure1_config.taxonomy_similarity(left, right)
 
     def test_msim_synonym_beats_jaccard(self, figure1_config):
-        value, measure = figure1_config.msim_with_measure(("coffee", "shop"), ("cafe",))
-        assert value == 1.0
-        assert measure is Measure.SYNONYM
+        left, right = ("coffee", "shop"), ("cafe",)
+        value = figure1_config.msim(left, right)
+        assert value == 1.0 == figure1_config.synonym(left, right)
+        assert figure1_config.jaccard(left, right) < value
 
     def test_msim_zero_for_unrelated(self, figure1_config):
-        value, measure = figure1_config.msim_with_measure(("xyz",), ("qqq",))
-        assert value == 0.0
-        assert measure is None
+        assert figure1_config.msim(("xyz",), ("qqq",)) == 0.0
 
-    def test_msim_cache_returns_same_value(self, figure1_config):
+    def test_msim_repeats_its_value(self, figure1_config):
         first = figure1_config.msim(("latte",), ("espresso",))
         second = figure1_config.msim(("latte",), ("espresso",))
         assert first == second == pytest.approx(0.8)
+
+    def test_rule_added_after_first_use_is_seen(self):
+        """msim and exact USIM reflect a rule added after the config's
+        first use, as a fresh (and equal) config does."""
+        from repro.core.exact import exact_usim
+        from repro.synonyms.rules import SynonymRuleSet
+
+        rules = SynonymRuleSet()
+        config = MeasureConfig.from_codes("S", rules=rules)
+        left, right = ("big", "apple"), ("new", "york")
+        assert config.msim(left, right) == 0.0
+        assert exact_usim(left, right, config).value == 0.0
+        rules.add_text_rule("big apple", "new york", 0.9)
+        fresh = MeasureConfig.from_codes("S", rules=rules)
+        assert config == fresh
+        assert fresh.msim(left, right) == 0.9
+        assert config.msim(left, right) == 0.9
+        assert exact_usim(left, right, config).value == exact_usim(left, right, fresh).value == 0.9
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -414,10 +414,10 @@ class TestPickleRoundTrips:
         clone = pickle.loads(pickle.dumps(config))
         assert clone == config
         assert hash(clone) == hash(config)
-        # The msim memo is per-process and must not travel.
-        config.msim(("coffee",), ("coffee",))
-        reclone = pickle.loads(pickle.dumps(config))
-        assert reclone._msim_cache == {}
+        # The equality memo is per-process and must not travel.
+        assert clone._eq_memo
+        reclone = pickle.loads(pickle.dumps(clone))
+        assert reclone._eq_memo == {}
         # Inequality still detected on real differences.
         assert clone != _config(parallel_dataset, "TJ")
         assert clone != MeasureConfig.from_codes(

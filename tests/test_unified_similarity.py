@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import UnifiedSimilarity
-from repro.core.approximation import approximate_usim
+from repro.core.approximation import approximate_usim, approximate_usim_on_graph
+from repro.core.graph import build_conflict_graph
 from repro.core.exact import ExactBudgetExceeded, exact_usim
 from repro.core.measures import MeasureConfig
 from repro.core.aggregation import partition_similarity
@@ -96,6 +97,15 @@ class TestApproximateUsim:
     def test_unknown_seed_rejected(self, figure1_config):
         with pytest.raises(ValueError):
             approximate_usim(("a",), ("a",), figure1_config, seed="magic")
+
+    def test_unknown_seed_rejected_on_empty_input(self, figure1_config):
+        """The seed is checked before the empty-input early returns."""
+        with pytest.raises(ValueError, match="seed"):
+            approximate_usim((), ("a",), figure1_config, seed="bogus")
+        graph = build_conflict_graph(("xyz",), ("qqq",), figure1_config)
+        assert len(graph) == 0
+        with pytest.raises(ValueError, match="seed"):
+            approximate_usim_on_graph(graph, seed="bogus")
 
     @settings(max_examples=25, deadline=None)
     @given(

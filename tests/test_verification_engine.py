@@ -23,9 +23,12 @@ from repro.core.graph import (
     build_conflict_graph_from_sides,
     usim_upper_bound,
 )
-from repro.core.measures import MeasureConfig
-from repro.datasets import TINY_PROFILE, generate_dataset, generate_ground_truth
+from repro.core.graph import PairUpperBound
+from repro.core.measures import Measure, MeasureConfig
+from repro.datasets import MED_PROFILE, TINY_PROFILE, generate_dataset, generate_ground_truth
 from repro.join import PebbleJoin, SignatureMethod
+from repro.join import verification
+from repro.join.prepared import PreparedCollection
 from repro.join.verification import UnifiedVerifier, VerificationStats
 from repro.records import Record, RecordCollection
 
@@ -134,7 +137,7 @@ class TestVerifyBatchEquivalence:
             with pytest.raises(ValueError, match="t must be"):
                 UnifiedVerifier(config, 0.5, t=t)
             with pytest.raises(ValueError, match="t must be"):
-                approximate_usim_on_graph(graph, config, t=t)
+                approximate_usim_on_graph(graph, t=t)
         assert UnifiedVerifier(config, 0.5, t=1.5).t == 1.5
 
     def test_join_reports_verification_stats(self, engine_dataset):
@@ -208,7 +211,7 @@ def _reference_cascade_stats(config, threshold, candidates, left, right):
             continue
         stats.graphs_built += 1
         graph = build_conflict_graph_from_sides(left_side, right_side, config)
-        result = approximate_usim_on_graph(graph, config, t=4.0)
+        result = approximate_usim_on_graph(graph, t=4.0)
         if result.ceiling_stopped:
             stats.ceiling_stops += 1
         else:
@@ -355,16 +358,9 @@ class TestGraphSideAssembly:
             from_sides = build_conflict_graph_from_sides(
                 GraphSide(left.tokens, config), GraphSide(right.tokens, config), config
             )
-            assert len(ad_hoc) == len(from_sides)
-            for a, b in zip(ad_hoc.vertices, from_sides.vertices):
-                assert (a.left, a.right, a.weight, a.measure) == (
-                    b.left,
-                    b.right,
-                    b.weight,
-                    b.measure,
-                )
-            for index in range(len(ad_hoc)):
-                assert ad_hoc.neighbors(index) == from_sides.neighbors(index)
+            assert ad_hoc.vertices == from_sides.vertices
+            assert ad_hoc.adjacency == from_sides.adjacency
+            assert ad_hoc.table == from_sides.table
 
     def test_prepared_collection_caches_graph_sides(self, engine_dataset):
         config = _config(engine_dataset, "TJS")
@@ -415,3 +411,153 @@ class TestGraphSideAssembly:
         assert side.min_partition_size == 2
         singleton_only = GraphSide(("grand", "hotel", "paris"), figure1_config)
         assert singleton_only.min_partition_size == 3
+
+
+# --------------------------------------------------------------------- #
+# graph oracle: the msim assembly loop the bound-matrix assembly replaced
+# --------------------------------------------------------------------- #
+def _reference_assemble(left_side, right_side, config):
+    """Every vertex as ``(left segment, right segment, msim)``, left-major,
+    and each vertex's neighbour set, from ``msim`` and the overlap sets."""
+    rules = config.rules if config.uses(Measure.SYNONYM) else None
+    use_tax = config.uses(Measure.TAXONOMY) and config.taxonomy is not None
+    vertices, vertex_sides = [], []
+    for i, left in enumerate(left_side.segments):
+        left_state = left_side.match_state[i]
+        for j, right in enumerate(right_side.segments):
+            right_state = right_side.match_state[j]
+            # Conditions (a)–(c) of Section 2.3.
+            if left_state.is_single and right_state.is_single:
+                pass
+            elif (
+                rules is not None
+                and left_state.syn_keys is not None
+                and right_state.syn_keys is not None
+                and not left_state.syn_keys.isdisjoint(right_state.syn_keys)
+                and rules.similarity(left.tokens, right.tokens) > 0.0
+            ):
+                pass
+            elif use_tax and left_state.has_tax and right_state.has_tax:
+                pass
+            else:
+                continue
+            weight = config.msim(left.tokens, right.tokens)
+            if weight < 1e-12:
+                continue
+            vertices.append((left, right, weight))
+            vertex_sides.append((i, j))
+    by_left, by_right = {}, {}
+    for vertex, (i, j) in enumerate(vertex_sides):
+        by_left.setdefault(i, set()).add(vertex)
+        by_right.setdefault(j, set()).add(vertex)
+    adjacency = []
+    for vertex, (i, j) in enumerate(vertex_sides):
+        neighbours = set()
+        for other in left_side.overlap_sets[i]:
+            neighbours |= by_left.get(other, set())
+        for other in right_side.overlap_sets[j]:
+            neighbours |= by_right.get(other, set())
+        neighbours.discard(vertex)
+        adjacency.append(neighbours)
+    return vertices, adjacency
+
+
+def _probe_major_candidates(rng, size, duplicates, probe_index):
+    """Candidates grouped by the probe id: each probe against a few random
+    partners and its near-duplicate."""
+    candidates = []
+    for probe in rng.sample(range(size), 8):
+        partners = rng.sample(range(size), 4) + [duplicates.get(probe, probe)]
+        for partner in partners:
+            pair = (probe, partner) if probe_index == 0 else (partner, probe)
+            candidates.append(pair)
+    return candidates
+
+
+class TestGraphOracle:
+    """The verifier's graphs — weights from the stage-1 matrix, adjacency
+    from masks — equal the msim assembly vertex for vertex, weight for
+    weight, bit for bit."""
+
+    @pytest.mark.parametrize("profile", [TINY_PROFILE, MED_PROFILE], ids=["TINY", "MED"])
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("codes", MEASURE_CODES)
+    def test_verifier_graphs_match_msim_assembly(self, monkeypatch, profile, q, codes):
+        dataset = generate_dataset(profile, count=120, seed=7)
+        config = MeasureConfig.from_codes(
+            codes, rules=dataset.rules, taxonomy=dataset.taxonomy, q=q
+        )
+        collection = _near_duplicate_collection(dataset, count=20, exact_copies=6)
+        half = len(collection) // 2
+        duplicates = {index: index + half for index in range(half)}
+        duplicates.update({index + half: index for index in range(half)})
+        prepared = PreparedCollection.prepare(collection, config)
+        graphs = []
+        run = verification.approximate_usim_on_graph
+
+        def capture(graph, **kwargs):
+            graphs.append(graph)
+            return run(graph, **kwargs)
+
+        monkeypatch.setattr(verification, "approximate_usim_on_graph", capture)
+        rng = random.Random(f"{codes}-{q}")
+        for probe_side, probe_index in (("left", 0), ("right", 1)):
+            candidates = _probe_major_candidates(rng, len(collection), duplicates, probe_index)
+            for threshold in (0.0, 0.5):
+                UnifiedVerifier(config, threshold).verify_batch(
+                    candidates, prepared, prepared, probe_side=probe_side
+                )
+        loose = vertices = 0
+        for graph in graphs:
+            left_side, right_side = graph.left_side, graph.right_side
+            expected, adjacency = _reference_assemble(left_side, right_side, config)
+            assert [
+                (vertex.left, vertex.right, vertex.weight) for vertex in graph.vertices
+            ] == expected
+            assert [graph.neighbors(index) for index in range(len(graph))] == adjacency
+            vertices += len(graph)
+            bound = PairUpperBound(left_side, right_side, config).matrix
+            for i, left in enumerate(left_side.segments):
+                for j, right in enumerate(right_side.segments):
+                    assert graph.table[i][j] == config.msim(left.tokens, right.tokens)
+                    loose += bound[i][j] > graph.table[i][j]
+        assert vertices > 0
+        if codes == "S":
+            # A multi-token rule side against itself: its closeness map
+            # bounds the synonym part at its rules' closeness, but no rule
+            # maps the segment to itself, so the weight is 0.
+            assert loose > 0
+
+
+class TestNoMsimOnVerificationPath:
+    @pytest.mark.parametrize("codes", MEASURE_CODES)
+    def test_verify_batch_never_calls_msim(self, engine_dataset, codes, monkeypatch):
+        config = _config(engine_dataset, codes)
+        collection = _near_duplicate_collection(engine_dataset)
+        prepared = PreparedCollection.prepare(collection, config)
+        candidates = [
+            (i, j) for i in range(len(collection)) for j in range(i + 1, len(collection))
+        ]
+        thresholds = (0.0, 0.5, 0.8)
+        expected = {
+            threshold: _reference_results(
+                config, threshold, candidates, collection, collection
+            )
+            for threshold in thresholds
+        }
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("msim called on the verification path")
+
+        monkeypatch.setattr(MeasureConfig, "msim", forbidden)
+        built = {}
+        for threshold in thresholds:
+            verifier = UnifiedVerifier(config, threshold)
+            got = verifier.verify_batch(candidates, prepared, prepared)
+            assert _as_triples(got) == expected[threshold]
+            built[threshold] = verifier.stats.graphs_built
+        # θ = 0 runs no bound, so each graph builds its matrix itself;
+        # above it, graphs take the matching stage's matrix (the synonym
+        # measure alone scores these pairs too low to reach θ = 0.5).
+        assert built[0.0] == len(candidates)
+        assert built[0.5] > 0 or codes == "S"
