@@ -78,11 +78,8 @@ def main() -> None:
     print(f"  -> best τ by exhaustive measurement: {best_tau}")
 
     # --- sampling-based recommendation (Algorithm 7) -----------------------
-    def factory(tau: int) -> PebbleJoin:
-        return PebbleJoin(config, THETA, tau=tau, method=SignatureMethod.AU_DP)
-
     recommender = TauRecommender(
-        factory,
+        PebbleJoin(config, THETA, method=SignatureMethod.AU_DP),
         tau_universe=TAUS,
         left_probability=0.15,
         right_probability=0.15,

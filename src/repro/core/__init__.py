@@ -15,7 +15,6 @@ from .graph import (
     PairVertex,
     build_conflict_graph,
     build_conflict_graph_from_sides,
-    usim_upper_bound,
 )
 from .grams import DEFAULT_Q, jaccard, qgram_set, qgrams
 from .matching import (
@@ -65,5 +64,4 @@ __all__ = [
     "qgram_set",
     "qgrams",
     "squareimp_mask",
-    "usim_upper_bound",
 ]

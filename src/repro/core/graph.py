@@ -36,11 +36,10 @@ vertex's conflicts are the OR of those masks over the segments overlapping
 its own, on either side, without its own bit.
 
 The side state also powers the verification cascade's two bounds:
-:func:`usim_upper_bound` bounds the unified similarity from above without
+:class:`PairUpperBound` bounds the unified similarity from above without
 building the pair graph (per-segment msim upper bounds fed to a maxima
-bound and then a matching bound, the two stages of
-:class:`PairUpperBound`), and a pair either bound puts below the
-threshold never reaches Algorithm 1.
+bound and then a matching bound, its two stages), and a pair either
+bound puts below the threshold never reaches Algorithm 1.
 
 Integer bound encoding
 ----------------------
@@ -81,7 +80,6 @@ __all__ = [
     "build_conflict_graph_from_sides",
     "PairUpperBound",
     "SideBoundCodes",
-    "usim_upper_bound",
 ]
 
 _EPSILON = 1e-12
@@ -684,7 +682,7 @@ def _bound_matrix(
 
 
 class PairUpperBound:
-    """The two stages of :func:`usim_upper_bound` over one pair's matrix.
+    """An upper bound on one pair's unified similarity, in two stages.
 
     Every well-defined partition pair realises ``W(P) / max(|P_S|, |P_T|)``
     where the matching ``W(P)`` only pairs well-defined segments; bounding
@@ -743,34 +741,4 @@ class PairUpperBound:
         numerator = matching_weight_upper_bound(self.matrix)
         value = numerator / self.denominator
         return 1.0 if value > 1.0 else value
-
-
-def usim_upper_bound(
-    left_side: GraphSide,
-    right_side: GraphSide,
-    config: MeasureConfig,
-    *,
-    threshold: Optional[float] = None,
-) -> float:
-    """An upper bound on the unified similarity, pair graph not required.
-
-    The composition of the two :class:`PairUpperBound` stages: without
-    ``threshold`` this is the matching bound (the tightest; top-k search
-    refines a candidate to it at the head of its queue).  ``threshold`` is
-    a pure short circuit
-    for callers that only compare the bound against a pruning threshold:
-    when the cheap maxima bound already falls below it, that bound is
-    returned and the matching solver never runs.  Every decision of the
-    form ``usim_upper_bound(...) < threshold`` is identical with or without
-    the short circuit — only the returned value may be the (valid but
-    looser) maxima bound in the sub-threshold cases.  The verification
-    cascade runs the same two stages itself (see
-    :mod:`repro.join.verification`).
-    """
-    bound = PairUpperBound(left_side, right_side, config)
-    if threshold is not None:
-        cheap = bound.maxima(threshold)
-        if cheap < threshold:
-            return cheap
-    return bound.matching()
 

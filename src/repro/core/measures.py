@@ -15,6 +15,7 @@ T / J / S / TJ / JS / TS / TJS variants are expressed.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 from typing import FrozenSet, Optional, Sequence, Tuple
 
@@ -22,7 +23,7 @@ from . import grams
 from ..synonyms.rules import SynonymRuleSet
 from ..taxonomy.tree import Taxonomy
 
-__all__ = ["Measure", "MeasureConfig", "segment_similarity"]
+__all__ = ["Measure", "MeasureConfig"]
 
 #: Maximum partner configs memoised per config by ``MeasureConfig.__eq__``.
 _EQ_MEMO_LIMIT = 64
@@ -88,8 +89,13 @@ class MeasureConfig:
     )
 
     def __post_init__(self) -> None:
-        if self.q <= 0:
-            raise ValueError("q must be positive")
+        # The gram length slices text, so a float (fractional, NaN or
+        # integral) and a bool are refused; an integral q is stored as a
+        # plain int, so equal configs also fingerprint equally.
+        q = self.q
+        if isinstance(q, bool) or not isinstance(q, numbers.Integral) or q < 1:
+            raise ValueError(f"q must be a positive integer; got {q!r}")
+        object.__setattr__(self, "q", int(q))
         if not self.enabled:
             raise ValueError("at least one measure must be enabled")
         # Memo for __eq__ against other config objects: the graph assembly
@@ -224,14 +230,6 @@ class MeasureConfig:
         """Gram Jaccard similarity between the joined texts of two segments."""
         return grams.jaccard(" ".join(left), " ".join(right), self.q)
 
-    def jaccard_text(self, left_text: str, right_text: str) -> float:
-        """Gram Jaccard on pre-joined segment texts (skips the token join).
-
-        Callers holding :attr:`Segment.text` (cached on the segment) avoid
-        re-joining the tokens on every similarity probe.
-        """
-        return grams.jaccard(left_text, right_text, self.q)
-
     def synonym(self, left: Sequence[str], right: Sequence[str]) -> float:
         """Synonym similarity (Eq. 2) or 0.0 when no rule set is configured."""
         if self.rules is None:
@@ -272,11 +270,3 @@ class MeasureConfig:
                 best = value
         return best
 
-
-def segment_similarity(
-    left_tokens: Sequence[str],
-    right_tokens: Sequence[str],
-    config: MeasureConfig,
-) -> float:
-    """Convenience wrapper: ``msim`` between two token sequences."""
-    return config.msim(left_tokens, right_tokens)

@@ -23,7 +23,7 @@ with the 2-gram Jaccard of Equation 1 that segment scores 2/3, giving the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from .aggregation import SimilarityBreakdown
 from .approximation import ApproximationResult, approximate_usim, check_approximation_t
@@ -85,10 +85,6 @@ class UnifiedSimilarity:
     def similarity(self, left: str, right: str) -> float:
         """Unified similarity between two raw strings (in [0, 1])."""
         return self.explain(left, right).value
-
-    def similarity_tokens(self, left_tokens: Sequence[str], right_tokens: Sequence[str]) -> float:
-        """Unified similarity between two pre-tokenised strings."""
-        return self.explain_tokens(left_tokens, right_tokens).value
 
     def explain(self, left: str, right: str) -> SimilarityBreakdown:
         """Similarity plus the partitions and matched segment pairs behind it."""

@@ -1,8 +1,10 @@
 """Algorithm 7: sampling-based recommendation of the overlap constraint τ.
 
-The recommender signs the full input collections **once** (at the largest
-candidate τ, through the :class:`~repro.join.prepared.PreparedCollection`
-signature cache) and encodes each signed side once per call as
+The recommender takes a join engine and signs the full input collections
+**once**, through the engine's
+:meth:`~repro.join.aufilter.PebbleJoin.resolve` (at the largest candidate
+τ, cached in the :class:`~repro.join.prepared.PreparedCollection`
+signature cache), and encodes each signed side once per call as
 :class:`~repro.join.flat.FlatSignatures`.  It then draws a series of small
 independent Bernoulli samples as row gathers of that encoding (one
 ``rng.random()`` per row, in row order), runs only the filtering stage on
@@ -36,7 +38,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..core.measures import MeasureConfig
 from ..core.vocab import Vocabulary
@@ -45,6 +47,9 @@ from ..join.kernels import overlap_histogram
 from ..join.signatures import check_tau
 from .bernoulli import bernoulli_rows, scale_estimate
 from .cost_model import CostEstimate, CostModel
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from ..join.aufilter import PebbleJoin
 
 __all__ = ["RecommendationResult", "TauRecommender", "recommend_tau"]
 
@@ -99,7 +104,7 @@ class TauRecommender:
 
     def __init__(
         self,
-        join_factory,
+        engine: "PebbleJoin",
         *,
         tau_universe: Sequence[int] = DEFAULT_TAU_UNIVERSE,
         left_probability: float = 0.01,
@@ -111,12 +116,11 @@ class TauRecommender:
         verify_cost: float = 50.0,
         seed: Optional[int] = None,
     ) -> None:
-        """``join_factory(tau)`` must return a join engine exposing
-        ``as_prepared`` and the ``theta`` / ``method`` / ``order_strategy`` /
-        ``kernel`` attributes — i.e. a
-        :class:`~repro.join.aufilter.PebbleJoin` configured for the target θ
-        and signature method.  Its ``kernel`` knob picks the filter kernel
-        the samples run through.
+        """``engine`` is the :class:`~repro.join.aufilter.PebbleJoin` whose
+        θ, signature method, order strategy and store the recommendation
+        signs with (its ``resolve``, at ``max(tau_universe)``, which must
+        not be below the engine's own τ); its ``kernel`` knob picks the
+        filter kernel the samples run through.
 
         Raises ``ValueError`` for a probability outside (0, 1] or a τ below
         1 (see :func:`check_sampling`), for a ``burn_in`` or
@@ -131,7 +135,7 @@ class TauRecommender:
         # Written so that NaN fails the comparison.
         if not 0 < t_quantile < math.inf:
             raise ValueError(f"t_quantile must be finite and > 0; got {t_quantile!r}")
-        self.join_factory = join_factory
+        self.engine = engine
         self.tau_universe = check_sampling(
             tau_universe, left_probability, right_probability
         )
@@ -242,7 +246,8 @@ class TauRecommender:
 
         ``left`` and ``right`` may be raw
         :class:`~repro.records.RecordCollection` objects or prepared
-        collections; ``right=None`` estimates a self-join (deduplicated
+        collections, resolved as :meth:`PebbleJoin.resolve` resolves a
+        join's sides; ``right=None`` estimates a self-join (deduplicated
         pairs, ``exclude_self_pairs``).  Passing the same collection twice
         keeps cross-join semantics — matching what ``join(c, c)`` executes —
         while still sharing one preparation and signing.  A precomputed
@@ -251,32 +256,19 @@ class TauRecommender:
         """
         start = time.perf_counter()
         signing_tau = max(self.tau_universe)
-        engine = self.join_factory(signing_tau)
-        self_join = right is None
-
-        left_prep = engine.as_prepared(left)
-        right_prep = left_prep if (self_join or right is left) else engine.as_prepared(right)
-        if order is None:
-            if right_prep is left_prep:
-                order = left_prep.build_order(engine.order_strategy)
-            else:
-                order = left_prep.shared_order_with(right_prep, engine.order_strategy)
-
         # One full signing at the largest candidate τ serves every iteration
         # and — through the prepared cache — the final join.
-        left_signed = left_prep.signed(order, engine.theta, signing_tau, engine.method)
-        right_signed = (
-            left_signed
-            if self_join
-            else right_prep.signed(order, engine.theta, signing_tau, engine.method)
+        sides = self.engine.resolve(
+            left, right, precomputed_order=order, signing_tau=signing_tau
         )
+        self_join = sides.self_join
         # Encoded once; every sample is a row gather of these arrays.
         vocab = Vocabulary()
-        left_flat = FlatSignatures.from_signed(left_signed, vocab)
+        left_flat = FlatSignatures.from_signed(sides.left_signed, vocab)
         right_flat = (
             left_flat
-            if right_signed is left_signed
-            else FlatSignatures.from_signed(right_signed, vocab)
+            if sides.right_signed is sides.left_signed
+            else FlatSignatures.from_signed(sides.right_signed, vocab)
         )
         index_ids = right_flat.record_ids
         # Rows keep their order in every sample, so ascending full-side ids
@@ -291,7 +283,7 @@ class TauRecommender:
         while iteration < self.max_iterations:
             iteration += 1
             estimates, sizes, raw_processed = self._run_iteration(
-                left_flat, right_flat, self_join, ascending, counts_size, engine.kernel
+                left_flat, right_flat, self_join, ascending, counts_size, self.engine.kernel
             )
             sample_sizes.append(sizes)
             last_raw_processed = raw_processed
@@ -331,15 +323,16 @@ def recommend_tau(
     """Convenience wrapper: recommend τ for a unified join configuration.
 
     ``left``/``right`` accept raw or prepared collections; ``right=None``
-    recommends for a self-join.
+    recommends for a self-join.  The engine filters at ``max(tau_universe)``,
+    so the U-Filter method (which implies τ = 1) takes a universe of 1 only.
     """
     from ..join.aufilter import PebbleJoin
 
-    def factory(tau: int) -> PebbleJoin:
-        return PebbleJoin(config, theta, tau=tau, method=method)
-
+    engine = PebbleJoin(
+        config, theta, tau=check_sampling(tau_universe)[-1], method=method
+    )
     recommender = TauRecommender(
-        factory,
+        engine,
         tau_universe=tau_universe,
         left_probability=sample_probability,
         right_probability=sample_probability,

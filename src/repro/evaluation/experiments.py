@@ -17,9 +17,9 @@ from ..core.approximation import approximate_usim
 from ..core.exact import ExactBudgetExceeded, exact_usim
 from ..core.measures import MeasureConfig
 from ..baselines import AdaptJoin, CombinationJoin, KJoin, PKDuck
-from ..datasets.ground_truth import GroundTruth, generate_ground_truth
+from ..datasets.ground_truth import GroundTruth
 from ..datasets.synthetic import SyntheticDataset
-from ..estimator.recommend import RecommendationResult, TauRecommender
+from ..estimator.recommend import TauRecommender
 from ..join.aufilter import JoinResult, PebbleJoin
 from ..join.prepared import PreparedCollection, build_shared_order
 from ..join.signatures import SignatureMethod
@@ -363,11 +363,8 @@ def time_breakdown(
         right_prep = PreparedCollection.prepare(right, config)
         order = left_prep.shared_order_with(right_prep)
 
-        def factory(tau: int) -> PebbleJoin:
-            return PebbleJoin(config, theta, tau=tau, method=SignatureMethod.AU_DP)
-
         recommender = TauRecommender(
-            factory,
+            PebbleJoin(config, theta, method=SignatureMethod.AU_DP),
             left_probability=sample_probability,
             right_probability=sample_probability,
             burn_in=3,
@@ -435,11 +432,8 @@ def parameter_selection_comparison(
             tau: _join_seconds_for_tau(left, right, config, theta, tau, method) for tau in taus
         }
 
-        def factory(tau: int) -> PebbleJoin:
-            return PebbleJoin(config, theta, tau=_effective_tau(method, tau), method=method)
-
         recommender = TauRecommender(
-            factory,
+            PebbleJoin(config, theta, method=method),
             tau_universe=taus,
             left_probability=sample_probability,
             right_probability=sample_probability,
@@ -492,11 +486,8 @@ def suggestion_accuracy(
         hits = 0
         suggestion_seconds = 0.0
         for run in range(runs):
-            def factory(tau: int) -> PebbleJoin:
-                return PebbleJoin(config, theta, tau=_effective_tau(method, tau), method=method)
-
             recommender = TauRecommender(
-                factory,
+                PebbleJoin(config, theta, method=method),
                 tau_universe=taus,
                 left_probability=sample_probability,
                 right_probability=sample_probability,
@@ -535,11 +526,8 @@ def sampling_probability_tradeoff(
     order = left_prep.shared_order_with(right_prep)
     outcome: Dict[float, Dict[str, float]] = {}
     for probability in probabilities:
-        def factory(tau: int) -> PebbleJoin:
-            return PebbleJoin(config, theta, tau=_effective_tau(method, tau), method=method)
-
         recommender = TauRecommender(
-            factory,
+            PebbleJoin(config, theta, method=method),
             tau_universe=taus,
             left_probability=probability,
             right_probability=probability,

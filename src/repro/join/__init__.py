@@ -6,6 +6,7 @@ from .aufilter import (
     JoinResult,
     JoinStatistics,
     PebbleJoin,
+    ResolvedSides,
     dual_index_filter_candidates,
 )
 from .framework import UnifiedJoin
@@ -26,7 +27,6 @@ from .supervision import (
     ShardTransportError,
     SupervisorPolicy,
 )
-from .ufilter import UFilterJoin
 from .verification import UnifiedVerifier, VerificationStats, VerifiedPair
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
     "PebbleJoin",
     "PreparedCollection",
     "PreparedRecord",
+    "ResolvedSides",
     "ShardPlan",
     "ShardResult",
     "ShardSupervisor",
@@ -48,7 +49,6 @@ __all__ = [
     "SignatureMethod",
     "SignedRecord",
     "SupervisorPolicy",
-    "UFilterJoin",
     "UnifiedJoin",
     "UnifiedVerifier",
     "VerificationStats",

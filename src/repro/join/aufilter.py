@@ -30,11 +30,18 @@ that equivalence tests and the filtering benchmark compare against.
 
 Signing reuse
 -------------
-Both sides of a join may be passed as
-:class:`~repro.join.prepared.PreparedCollection` objects, in which case
-pebble generation, the global order, and per-(θ, τ, method) signatures are
-all cached and shared across joins, the τ-recommender, and
-``UnifiedJoin(tau="auto")``.
+:meth:`PebbleJoin.resolve` is the one front end of the pipeline: it
+prepares both sides (raw collections through :meth:`PebbleJoin.as_prepared`,
+so through the engine's store when it has one), resolves the global order
+and signs both sides.  Every join, join stream, process shard plan
+(:func:`~repro.join.parallel.build_shard_plan`) and τ recommendation
+(:class:`~repro.estimator.recommend.TauRecommender`) goes through it.  Each
+step is cached on the :class:`~repro.join.prepared.PreparedCollection`
+objects, so prepared sides share pebbles, orders and per-(order, θ, τ,
+method) signings across joins, the τ-recommender and
+``UnifiedJoin(tau="auto")``.  After a run, the engine hands each side to
+:meth:`~repro.store.PreparedStore.persist`, and the store saves the ones it
+manages that gained signings since it last loaded or saved them.
 
 One shard loop
 --------------
@@ -53,13 +60,12 @@ from __future__ import annotations
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import (
     TYPE_CHECKING,
     Dict,
-    Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -85,9 +91,8 @@ from .parallel import (
     pool_spans,
     shard_spans,
 )
-from .pebbles import Pebble, generate_pebbles
 from .prepared import PreparedCollection
-from .signatures import SignatureMethod, SignedRecord, check_tau, sign_record
+from .signatures import SignatureMethod, SignedRecord, check_tau
 from .supervision import ExecutionReport, SupervisorPolicy
 from .verification import UnifiedVerifier, VerificationStats, VerifiedPair
 
@@ -97,6 +102,7 @@ __all__ = [
     "JoinStatistics",
     "JoinResult",
     "PebbleJoin",
+    "ResolvedSides",
     "dual_index_filter_candidates",
 ]
 
@@ -202,6 +208,22 @@ class JoinStatistics:
         )
 
 
+class ResolvedSides(NamedTuple):
+    """Both sides of a join, prepared, ordered and signed by :meth:`PebbleJoin.resolve`.
+
+    ``right_prep`` is ``left_prep`` for a self-join and for the same
+    collection passed twice; ``self_join`` tells the two apart.  The signed
+    lists are the cached entries of the preparations' signature caches.
+    """
+
+    left_prep: PreparedCollection
+    right_prep: PreparedCollection
+    self_join: bool
+    order: GlobalOrder
+    left_signed: List[SignedRecord]
+    right_signed: List[SignedRecord]
+
+
 @dataclass
 class JoinResult:
     """The verified pairs of a join together with its statistics."""
@@ -257,55 +279,6 @@ def _check_process_only(resolved_executor: str, **knobs) -> None:
                 f"{name} requires executor='process' (got "
                 f"executor={resolved_executor!r})"
             )
-
-
-def _store_entries(
-    store: Optional["PreparedStore"], *prepared: Optional[PreparedCollection]
-) -> List[Tuple[PreparedCollection, int]]:
-    """Store-managed sides with their signature-cache size at resolve time.
-
-    The persist-back bookkeeping of :class:`PebbleJoin` and
-    :class:`~repro.join.framework.UnifiedJoin`: only preparations ``store``
-    loaded or built are candidates (a preparation the caller built
-    elsewhere is theirs), each recorded once.
-    """
-    if store is None:
-        return []
-    entries: List[Tuple[PreparedCollection, int]] = []
-    for prep in prepared:
-        if (
-            prep is not None
-            and store.manages(prep)
-            and all(prep is not known for known, _ in entries)
-        ):
-            entries.append((prep, prep.cached_signature_count))
-    return entries
-
-
-def _persist_store_entries(
-    store: Optional["PreparedStore"], entries: List[Tuple[PreparedCollection, int]]
-) -> None:
-    """Write store-managed preparations back when a join enriched them.
-
-    A join that signed under a new (order, θ, τ, method) grows the
-    signature cache; persisting the collection then makes the *next* run's
-    signing a cache hit (graph sides built along the way ride in the same
-    artifact).  A warm run whose signing was already cached changes
-    nothing and writes nothing.
-    """
-    for prepared, count_at_resolve in entries:
-        if prepared.cached_signature_count != count_at_resolve:
-            store.save(prepared)
-
-
-def _stream_then_persist(
-    store: Optional["PreparedStore"],
-    batches: Iterator["JoinBatch"],
-    entries: List[Tuple[PreparedCollection, int]],
-) -> Iterator["JoinBatch"]:
-    """Yield every batch, then write back enriched store preparations."""
-    yield from batches
-    _persist_store_entries(store, entries)
 
 
 def _batches(stream: ShardStream, suggestion_seconds: float) -> Iterator[JoinBatch]:
@@ -435,14 +408,12 @@ class PebbleJoin:
         Accepted and ignored, for benchmark compatibility: ``perfbench/``
         still passes it.  Every join runs the one verification cascade.
     store:
-        An optional :class:`~repro.store.PreparedStore`.  Historically only
-        the :class:`~repro.join.framework.UnifiedJoin` facade was
-        store-backed; with a store here, the *engine* resolves raw
-        collections through the on-disk store in :meth:`prepare` /
-        :meth:`as_prepared`, and :meth:`join` / :meth:`join_batches`
-        persist store-managed preparations back whenever the run enriched
-        them (added signings), so direct engine users get the same
-        warm-run behaviour as the facade.
+        An optional :class:`~repro.store.PreparedStore`.  With a store, raw
+        collections resolve through the on-disk store in :meth:`prepare` /
+        :meth:`as_prepared`, and :meth:`join` / :meth:`join_batches` end by
+        handing each side to :meth:`~repro.store.PreparedStore.persist`,
+        which saves a store-managed preparation that gained signings, so
+        the next run signs from the artifact.
     kernel:
         Filter-kernel selection for the probe loop, on every execution
         path (serial, streaming batches, and pool workers):
@@ -528,45 +499,37 @@ class PebbleJoin:
             return collection.require_config(self.config)
         return self.prepare(collection)
 
+    def _prepared_sides(
+        self, left: Joinable, right: Optional[Joinable]
+    ) -> Tuple[PreparedCollection, PreparedCollection]:
+        """Both sides as preparations; one for a self-join or a side passed twice."""
+        left_prep = self.as_prepared(left)
+        if right is None or right is left:
+            return left_prep, left_prep
+        return left_prep, self.as_prepared(right)
+
     def build_order(
         self, left: Joinable, right: Optional[Joinable] = None
     ) -> GlobalOrder:
-        """Build the corpus-wide pebble order over one or two collections."""
+        """The corpus-wide pebble order a join of ``left`` and ``right`` signs under.
 
-        def pebble_lists(collection: Joinable) -> Iterable[Sequence[Pebble]]:
-            if isinstance(collection, PreparedCollection):
-                return collection.pebble_lists()
-            return (
-                generate_pebbles(record.tokens, self.config)[1]
-                for record in collection
-            )
-
-        return GlobalOrder(
-            self.order_strategy,
-            chain.from_iterable(
-                pebble_lists(collection)
-                for collection in (left, right)
-                if collection is not None
-            ),
-        )
+        Both sides go through :meth:`as_prepared`, and the order is cached
+        on their preparations: one collection (``right`` omitted or the same
+        collection) counts its pebbles once.
+        """
+        return self._resolve_order(*self._prepared_sides(left, right), None)
 
     def sign_collection(
         self, collection: Joinable, order: GlobalOrder
     ) -> List[SignedRecord]:
-        """Sign every record of a collection under the given global order."""
-        if isinstance(collection, PreparedCollection):
-            return collection.signed(order, self.theta, self.tau, self.method)
-        return [
-            sign_record(
-                record,
-                self.config,
-                order,
-                self.theta,
-                tau=self.tau,
-                method=self.method,
-            )
-            for record in collection
-        ]
+        """Sign every record of a collection under the given global order.
+
+        The collection goes through :meth:`as_prepared`, and the signing is
+        the cached entry of its preparation.
+        """
+        return self.as_prepared(collection).signed(
+            order, self.theta, self.tau, self.method
+        )
 
     # ------------------------------------------------------------------ #
     # filtering
@@ -648,20 +611,11 @@ class PebbleJoin:
     # ------------------------------------------------------------------ #
     # full join
     # ------------------------------------------------------------------ #
-    def _resolve_sides(
-        self, left: Joinable, right: Optional[Joinable]
-    ) -> Tuple[PreparedCollection, PreparedCollection, bool]:
-        self_join = right is None
-        left_prep = self.as_prepared(left)
-        if self_join or right is left:
-            right_prep = left_prep
-        else:
-            right_prep = self.as_prepared(right)
-        return left_prep, right_prep, self_join
-
     def _signing_tau(self, signing_tau: Optional[int]) -> int:
+        """The τ to sign at: the filtering τ, or a checked larger ``signing_tau``."""
         if signing_tau is None:
             return self.tau
+        signing_tau = check_tau(signing_tau, "signing_tau")
         if signing_tau < self.tau:
             raise ValueError(
                 "signing_tau must be >= the filtering tau: signatures selected "
@@ -683,15 +637,27 @@ class PebbleJoin:
             return left_prep.build_order(self.order_strategy)
         return left_prep.shared_order_with(right_prep, self.order_strategy)
 
-    def _order_and_sign(
+    def resolve(
         self,
-        left_prep: PreparedCollection,
-        right_prep: PreparedCollection,
-        precomputed_order: Optional[GlobalOrder],
-        signing_tau: Optional[int],
-    ) -> Tuple[GlobalOrder, List[SignedRecord], List[SignedRecord]]:
-        """Resolve the global order and sign both sides (cache-backed)."""
+        left: Joinable,
+        right: Optional[Joinable] = None,
+        *,
+        precomputed_order: Optional[GlobalOrder] = None,
+        signing_tau: Optional[int] = None,
+    ) -> ResolvedSides:
+        """Prepare both sides, resolve the global order and sign them.
+
+        The front end of every join, join stream, shard plan and τ
+        recommendation.  ``right=None`` is a self-join; the same collection
+        passed twice keeps cross-join semantics but is prepared and signed
+        once.  ``precomputed_order`` replaces the order the sides would
+        build (the order a :meth:`build_order` call returns, cached on the
+        preparations).  ``signing_tau`` signs at a τ at least the filtering
+        τ; it is checked before anything is prepared.  Every step is
+        cache-backed: a second call over the same preparations signs nothing.
+        """
         sign_tau = self._signing_tau(signing_tau)
+        left_prep, right_prep = self._prepared_sides(left, right)
         order = self._resolve_order(left_prep, right_prep, precomputed_order)
         left_signed = left_prep.signed(order, self.theta, sign_tau, self.method)
         right_signed = (
@@ -699,18 +665,12 @@ class PebbleJoin:
             if right_prep is left_prep
             else right_prep.signed(order, self.theta, sign_tau, self.method)
         )
-        return order, left_signed, right_signed
+        return ResolvedSides(
+            left_prep, right_prep, right is None, order, left_signed, right_signed
+        )
 
-    def _plan(
-        self,
-        left_prep: PreparedCollection,
-        right_prep: PreparedCollection,
-        left_signed: Sequence[SignedRecord],
-        right_signed: Sequence[SignedRecord],
-        self_join: bool,
-        executor: str,
-    ) -> ShardPlan:
-        """The shard plan of one run over two signed sides.
+    def _plan(self, sides: ResolvedSides, executor: str) -> ShardPlan:
+        """The shard plan of one run over two resolved sides.
 
         The flat state is the one :meth:`filter_candidates` resolves,
         memoized on the indexed side's preparation, so a join over a
@@ -718,19 +678,26 @@ class PebbleJoin:
         nothing.
         """
         flat, _, probe_is_left = self._flat_filter_state(
-            left_signed, right_signed, (left_prep, right_prep)
+            sides.left_signed, sides.right_signed, (sides.left_prep, sides.right_prep)
         )
         return ShardPlan.build(
             self.verifier,
             flat,
-            left_prep,
-            right_prep,
+            sides.left_prep,
+            sides.right_prep,
             requirement=self.tau,
             probe_is_left=probe_is_left,
-            exclude_self_pairs=self_join,
+            exclude_self_pairs=sides.self_join,
             kernel=self.kernel,
             executor=executor,
         )
+
+    def _persist(self, sides: ResolvedSides) -> None:
+        """Hand each distinct side to the store, which saves it if it gained signings."""
+        if self.store is not None:
+            self.store.persist(sides.left_prep)
+            if sides.right_prep is not sides.left_prep:
+                self.store.persist(sides.right_prep)
 
     def join(
         self,
@@ -772,6 +739,7 @@ class PebbleJoin:
         """
         resolved_executor = _resolve_executor(executor, workers)
         _check_process_only(resolved_executor, pool=pool, supervision=supervision)
+        self._signing_tau(signing_tau)  # checked before anything is prepared
         serial = resolved_executor == "serial"
         telemetry = self.telemetry
         metrics = telemetry.metrics
@@ -789,22 +757,22 @@ class PebbleJoin:
             # telemetry is off and the spans carry no clock).
             began = time.perf_counter()
             with telemetry.span("prepare") as prepare_span:
-                left_prep, right_prep, self_join = self._resolve_sides(left, right)
-                entries = _store_entries(self.store, left_prep, right_prep)
+                left_prep, right_prep = self._prepared_sides(left, right)
             signing_seconds = _stage_seconds(prepare_span, began)
             with telemetry.span("sign") as sign_span:
                 began = time.perf_counter()
-                _, left_signed, right_signed = self._order_and_sign(
-                    left_prep, right_prep, precomputed_order, signing_tau
+                sides = self.resolve(
+                    left_prep,
+                    None if right is None else right_prep,
+                    precomputed_order=precomputed_order,
+                    signing_tau=signing_tau,
                 )
             signing_seconds += _stage_seconds(sign_span, began)
 
             # The plan build (the flat filter index; on the process executor
             # also the payload copies) is no signing: a warm run signs from
             # cache.
-            plan = self._plan(
-                left_prep, right_prep, left_signed, right_signed, self_join, resolved_executor
-            )
+            plan = self._plan(sides, resolved_executor)
             total = plan.probe_count
             if serial:
                 spans = [(0, total)]
@@ -847,8 +815,8 @@ class PebbleJoin:
                 result_count=len(merged.pairs),
                 left_records=len(left_prep),
                 right_records=len(right_prep),
-                avg_signature_length_left=_average_signature_length(left_signed),
-                avg_signature_length_right=_average_signature_length(right_signed),
+                avg_signature_length_left=_average_signature_length(sides.left_signed),
+                avg_signature_length_right=_average_signature_length(sides.right_signed),
                 tau=self.tau,
                 theta=self.theta,
                 method=self.method,
@@ -861,7 +829,7 @@ class PebbleJoin:
             join_span.annotate(pairs=len(merged.pairs))
             metrics.counter("join.pairs").add(len(merged.pairs))
 
-            _persist_store_entries(self.store, entries)
+            self._persist(sides)
             return JoinResult(pairs=merged.pairs, statistics=statistics)
 
     def join_batches(
@@ -897,14 +865,10 @@ class PebbleJoin:
         check_tau(batch_size, "batch_size")
         resolved_executor = _resolve_executor(executor, workers)
         _check_process_only(resolved_executor, pool=pool, supervision=supervision)
-        left_prep, right_prep, self_join = self._resolve_sides(left, right)
-        entries = _store_entries(self.store, left_prep, right_prep)
-        _, left_signed, right_signed = self._order_and_sign(
-            left_prep, right_prep, precomputed_order, signing_tau
+        sides = self.resolve(
+            left, right, precomputed_order=precomputed_order, signing_tau=signing_tau
         )
-        plan = self._plan(
-            left_prep, right_prep, left_signed, right_signed, self_join, resolved_executor
-        )
+        plan = self._plan(sides, resolved_executor)
         workers = _pool_size(workers, pool)
         stream = ShardStream(
             plan,
@@ -921,9 +885,12 @@ class PebbleJoin:
             # completed shard in parent memory.
             window=workers + 1,
         )
-        return _stream_then_persist(
-            self.store, _batches(stream, suggestion_seconds), entries
-        )
+
+        def batches_then_persist() -> Iterator[JoinBatch]:
+            yield from _batches(stream, suggestion_seconds)
+            self._persist(sides)
+
+        return batches_then_persist()
 
     def self_join(self, collection: Joinable) -> JoinResult:
         """Self-join convenience wrapper (pairs reported once, left < right)."""

@@ -21,12 +21,17 @@ orders, per-(θ, τ, method) signatures, *and per-record verification state*
 :meth:`join` / :meth:`join_batches` to amortize signing and verification
 across repeated joins.  Prepared collections are picklable and configs
 compare by content, so prepared state survives a trip into worker
-processes.  With ``tau="auto"`` the facade prepares both sides itself,
-shares one global order between the recommendation and the final join, and
-signs the full collections exactly once: the recommender signs at
-``max(tau_universe)`` and the final join reuses those signatures while
-filtering at the recommended τ (lossless, since a τ'-signature guarantees
-τ' ≥ τ overlaps for any θ-similar pair).
+processes.  The facade prepares and orders both sides with one engine
+before the join; with ``tau="auto"`` it hands that engine to the
+recommender and builds one more, at the recommended τ, for the join.
+Both sign through :meth:`~repro.join.aufilter.PebbleJoin.resolve`, so the
+full collections are signed exactly once: the recommender signs at
+``max(tau_universe)`` and the final join finds those signatures in the
+cache while filtering at the recommended τ (lossless, since a
+τ'-signature guarantees τ' ≥ τ overlaps for any θ-similar pair).  With a
+store, every engine the facade builds is store-backed, and the store
+decides after the join which preparations to save
+(:meth:`~repro.store.PreparedStore.persist`).
 
 Execution
 ---------
@@ -47,7 +52,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..store import PreparedStore
@@ -59,14 +64,8 @@ from ..records import RecordCollection
 from ..synonyms.rules import SynonymRuleSet
 from ..telemetry import Telemetry, resolve_telemetry
 from ..taxonomy.tree import Taxonomy
-from .aufilter import (
-    JoinBatch,
-    JoinResult,
-    PebbleJoin,
-    _persist_store_entries,
-    _store_entries,
-    _stream_then_persist,
-)
+from .aufilter import JoinBatch, JoinResult, PebbleJoin
+from .global_order import GlobalOrder
 from .kernels import resolve_kernel
 from .parallel import _stage_seconds
 from .prepared import PreparedCollection
@@ -192,9 +191,7 @@ class UnifiedJoin:
         on-disk artifact is loaded instead of rebuilt, and a fresh build is
         persisted for the next run.
         """
-        if self.store is not None:
-            return self.store.prepare(collection, self.config)
-        return PreparedCollection.prepare(collection, self.config)
+        return self._engine(1).prepare(collection)
 
     def _engine(self, tau: int) -> PebbleJoin:
         return PebbleJoin(
@@ -203,54 +200,36 @@ class UnifiedJoin:
             tau=tau,
             method=self.method,
             approximation_t=self.approximation_t,
+            store=self.store,
             kernel=self.kernel,
             telemetry=self.telemetry,
         )
 
-    def _as_prepared(self, collection, engine: PebbleJoin) -> PreparedCollection:
-        """Coerce one side, routing raw collections through the store."""
-        if self.store is not None and not isinstance(collection, PreparedCollection):
-            return self.store.prepare(collection, self.config)
-        return engine.as_prepared(collection)
-
     def _resolve(
         self, left, right
-    ) -> Tuple[PebbleJoin, PreparedCollection, Optional[PreparedCollection], object, Optional[int], float, List[Tuple[PreparedCollection, int]]]:
+    ) -> Tuple[PebbleJoin, PreparedCollection, Optional[PreparedCollection], GlobalOrder, Optional[int], float]:
         """Prepare the sides, pick τ, and return the configured engine.
 
         Returns ``(engine, left_prep, right_prep_or_None, order, signing_tau,
-        suggestion_seconds, store_entries)`` where ``right_prep_or_None`` is
-        ``None`` for a self-join (so the engine takes its dedicated
-        self-join path) and ``store_entries`` holds each store-resolved
-        preparation with its signature-cache size at resolve time — the
-        persist-back hook compares against it after the join.
+        suggestion_seconds)`` where ``right_prep_or_None`` is ``None`` for a
+        self-join (so the engine takes its dedicated self-join path).  The
+        sides are prepared and ordered here, outside the join's spans; with
+        ``tau="auto"`` the same engine serves the recommender, whose
+        max-τ signing the ``recommend`` span times.
         """
-        probe_engine = self._engine(1 if self.tau == "auto" else self.tau)
-        self_join = right is None
-        left_prep = self._as_prepared(left, probe_engine)
-        if self_join:
-            right_prep = None
-            order = left_prep.build_order(probe_engine.order_strategy)
-        elif right is left:
-            # join(c, c): cross-join semantics, but share one preparation.
-            right_prep = left_prep
-            order = left_prep.build_order(probe_engine.order_strategy)
-        else:
-            right_prep = self._as_prepared(right, probe_engine)
-            order = left_prep.shared_order_with(right_prep, probe_engine.order_strategy)
-
-        # Recorded before the recommender signs, so its signing persists too.
-        store_entries = _store_entries(self.store, left_prep, right_prep)
-
+        engine = self._engine(1 if self.tau == "auto" else self.tau)
+        left_prep = engine.as_prepared(left)
+        right_prep = (
+            None if right is None else engine.as_prepared(left_prep if right is left else right)
+        )
+        order = engine.build_order(left_prep, right_prep)
         if self.tau != "auto":
-            return probe_engine, left_prep, right_prep, order, None, 0.0, store_entries
+            return engine, left_prep, right_prep, order, None, 0.0
 
         from ..estimator.recommend import DEFAULT_MAX_ITERATIONS, TauRecommender
 
-        # The recommender builds its engine with this facade's factory, so
-        # it samples through the configured filter kernel.
         recommender = TauRecommender(
-            self._engine,
+            engine,
             tau_universe=self.tau_universe,
             left_probability=self.sample_probability,
             right_probability=self.sample_probability,
@@ -267,15 +246,13 @@ class UnifiedJoin:
             )
         suggestion_seconds = _stage_seconds(recommend_span, start)
         self.last_recommendation = recommendation
-        engine = self._engine(recommendation.best_tau)
         return (
-            engine,
+            self._engine(recommendation.best_tau),
             left_prep,
             right_prep,
             order,
             recommendation.signing_tau,
             suggestion_seconds,
-            store_entries,
         )
 
     # ------------------------------------------------------------------ #
@@ -299,11 +276,11 @@ class UnifiedJoin:
         ``executor`` / ``workers`` select serial or sharded process-pool
         execution, and ``pool`` / ``supervision`` tune the process path's
         pooling and fault tolerance, exactly as on :meth:`PebbleJoin.join`.
-        With a :attr:`store`, raw sides resolve
-        through the on-disk artifact store and enriched preparations are
-        persisted back after the join.
+        With a :attr:`store`, raw sides resolve through the on-disk artifact
+        store, and the store saves the preparations that gained signings
+        after the join.
         """
-        engine, left_prep, right_prep, order, signing_tau, suggestion_seconds, entries = (
+        engine, left_prep, right_prep, order, signing_tau, suggestion_seconds = (
             self._resolve(left, right)
         )
         result = engine.join(
@@ -317,7 +294,6 @@ class UnifiedJoin:
             supervision=supervision,
         )
         result.statistics.suggestion_seconds = suggestion_seconds
-        _persist_store_entries(self.store, entries)
         return result
 
     def join_batches(
@@ -337,13 +313,14 @@ class UnifiedJoin:
         starts; its cost is reported as ``suggestion_seconds`` on the first
         yielded batch (it used to be silently discarded here), so streaming
         consumers can account for the full end-to-end time just like
-        :meth:`join` does through ``JoinStatistics``.  Store-resolved
-        preparations are persisted back once the stream is exhausted.
+        :meth:`join` does through ``JoinStatistics``.  With a :attr:`store`,
+        the store saves the preparations that gained signings once the
+        stream is exhausted.
         """
-        engine, left_prep, right_prep, order, signing_tau, suggestion_seconds, entries = (
+        engine, left_prep, right_prep, order, signing_tau, suggestion_seconds = (
             self._resolve(left, right)
         )
-        batches = engine.join_batches(
+        return engine.join_batches(
             left_prep,
             right_prep,
             batch_size=batch_size,
@@ -355,7 +332,6 @@ class UnifiedJoin:
             supervision=supervision,
             suggestion_seconds=suggestion_seconds,
         )
-        return _stream_then_persist(self.store, batches, entries)
 
     def self_join(self, collection) -> JoinResult:
         """Self-join convenience wrapper."""

@@ -35,7 +35,7 @@ join, join stream and batch query goes through it:
      :class:`~repro.join.pool.WarmJoinPool` takes the plan through one
      ``multiprocessing.shared_memory`` segment that workers attach
      zero-copy by name; otherwise, under the fork start method, a per-call
-     pool inherits it copy-on-write from a module global (zero
+     pool inherits it copy-on-write as its initializer's argument (zero
      serialization); otherwise the call opens a one-shot warm pool and
      closes it afterwards.  No pebble key text crosses the process
      boundary — the vocabulary stays parent-side — and a self-join ships
@@ -79,7 +79,6 @@ import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import count
 from math import ceil
 from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
@@ -265,16 +264,9 @@ class _WorkerRuntime:
 #: The per-process runtime, installed by the fork pool's initializer.
 _RUNTIME: Optional[_WorkerRuntime] = None
 
-#: Parent-side plan registry for the fork zero-copy path: the plan is
-#: parked here *before* the pool forks, so every worker inherits it through
-#: copy-on-write page sharing — no pickle, no copy, no segment.  Entries
-#: are removed when the owning pool shuts down.
-_FORK_PLANS: dict = {}
-_FORK_TOKENS = count()
-
 
 def _fork_start() -> bool:
-    """Whether per-call pools fork, so workers can inherit a parked plan."""
+    """Whether per-call pools fork, so workers inherit the initializer's plan."""
     return multiprocessing.get_start_method() == "fork"
 
 
@@ -321,10 +313,14 @@ def plan_payload_bytes(plan: object) -> int:
     return len(pickle.dumps(plan, protocol=pickle.HIGHEST_PROTOCOL))
 
 
-def _init_worker(token: str) -> None:
-    """Fork pool initializer: adopt the copy-on-write inherited plan."""
+def _init_worker(plan: ShardPlan) -> None:
+    """Fork pool initializer: adopt the plan, inherited copy-on-write.
+
+    A forked worker receives its initializer arguments with the parent's
+    memory, so the plan is never pickled.
+    """
     global _RUNTIME
-    _RUNTIME = _WorkerRuntime(_FORK_PLANS[token])
+    _RUNTIME = _WorkerRuntime(plan)
 
 
 def _require_runtime() -> _WorkerRuntime:
@@ -428,25 +424,21 @@ def build_shard_plan(
     would ship.  Exposed so payload sizes can be measured
     (:func:`plan_payload_bytes`) and plans round-tripped in isolation.
     """
-    left_prep, right_prep, self_join = engine._resolve_sides(left, right)
-    _, left_signed, right_signed = engine._order_and_sign(
-        left_prep, right_prep, precomputed_order, signing_tau
+    sides = engine.resolve(
+        left, right, precomputed_order=precomputed_order, signing_tau=signing_tau
     )
-    return engine._plan(
-        left_prep, right_prep, left_signed, right_signed, self_join, "process"
-    )
+    return engine._plan(sides, "process")
 
 
 class _ColdSessionManager:
-    """Publish a plan for fork inheritance and mint per-call pools over it.
+    """Mint per-call fork pools that inherit a plan.
 
-    The plan is parked in :data:`_FORK_PLANS` before the pool forks, so
-    every worker inherits it copy-on-write — zero pickling, zero copies.
+    The plan is the pool initializer's argument, which forked workers
+    inherit with the parent's memory — zero pickling, zero copies.
     :meth:`respawn` is the supervisor's recovery hook: it discards the
-    (broken or hung) executor without waiting on it and forks a fresh one,
-    which re-reads the same immutable entry.  :meth:`close` shuts the pool
-    down and drops the entry — error paths included, tolerant of an
-    already-broken executor.
+    (broken or hung) executor without waiting on it and forks a fresh one
+    over the same plan.  :meth:`close` shuts the pool down — error paths
+    included, tolerant of an already-broken executor.
     """
 
     def __init__(self, plan: ShardPlan, workers: int) -> None:
@@ -454,8 +446,7 @@ class _ColdSessionManager:
             raise ValueError("process execution needs workers >= 1")
         self._workers = workers
         self._pool: Optional[ProcessPoolExecutor] = None
-        self._token = f"plan-{next(_FORK_TOKENS)}"
-        _FORK_PLANS[self._token] = plan
+        self._plan = plan
 
     def _discard_pool(self, wait: bool) -> None:
         pool, self._pool = self._pool, None
@@ -470,7 +461,7 @@ class _ColdSessionManager:
         self._pool = ProcessPoolExecutor(
             max_workers=self._workers,
             initializer=_init_worker,
-            initargs=(self._token,),
+            initargs=(self._plan,),
         )
         # Cold pools load the plan in their initializer, so the task
         # signature is just (span, attempt) — ExecutorSession's default.
@@ -482,7 +473,6 @@ class _ColdSessionManager:
 
     def close(self) -> None:
         self._discard_pool(wait=True)
-        _FORK_PLANS.pop(self._token, None)
 
 
 class _OneShotPoolManager:

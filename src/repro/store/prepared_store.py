@@ -193,7 +193,7 @@ class PreparedStore:
     >>> store = PreparedStore("artifacts/")
     >>> prepared = store.prepare(records, config)   # cold: builds + saves
     >>> result = engine.join(prepared)
-    >>> store.save(prepared)                        # persist warm signatures
+    >>> store.persist(prepared)                     # saves the new signing
     ...
     >>> prepared = store.prepare(records, config)   # warm: loads; the next
     ...                                             # join signs from cache
@@ -227,18 +227,19 @@ class PreparedStore:
         # after this store is built, and a pickled store must not drag one.
         self._telemetry = telemetry
         self.last_outcome: Optional[StoreOutcome] = None
-        # Collections this store instance handed out (loaded or built),
-        # mapped to (content fingerprint, content_version at that time), so
-        # a store-backed facade can tell "persist my enrichments back" from
-        # "the caller brought their own preparation" and save() skips
-        # re-hashing the corpus.  The cached fingerprint is valid while the
-        # version matches: records are immutable and knowledge sources are
-        # treated as frozen once shared, but a collection *extended* in
-        # place (the search index's ingestion path) bumps its
-        # content_version, which invalidates the memo instead of letting a
-        # stale fingerprint alias new content.  Weak: the store must not
-        # pin every collection it ever served.
-        self._managed: "weakref.WeakKeyDictionary[PreparedCollection, Tuple[str, int]]" = (
+        # Collections this store instance loaded, built or saved, mapped to
+        # (content fingerprint, content_version, signature count) as of
+        # that load or save.  persist() reads it to tell "a collection of
+        # mine gained signings" from "nothing new" and from "the caller
+        # brought their own preparation", and save() skips re-hashing the
+        # corpus.  The cached fingerprint is valid while the version
+        # matches: records are immutable and knowledge sources are treated
+        # as frozen once shared, but a collection *extended* in place (the
+        # search index's ingestion path) bumps its content_version, which
+        # invalidates the memo instead of letting a stale fingerprint alias
+        # new content.  Weak: the store must not pin every collection it
+        # ever served.
+        self._managed: "weakref.WeakKeyDictionary[PreparedCollection, Tuple[str, int, int]]" = (
             weakref.WeakKeyDictionary()
         )
         #: ``(quarantined_path, reason)`` per quarantine this instance
@@ -291,14 +292,35 @@ class PreparedStore:
         )
 
     def manages(self, prepared: PreparedCollection) -> bool:
-        """True when this store loaded or built ``prepared`` (unmutated).
+        """True when this store loaded, built or saved ``prepared`` (unmutated).
 
-        A collection mutated since the store handed it out (its
-        ``content_version`` moved) no longer matches its artifact and is
-        deliberately reported as unmanaged.
+        A collection mutated since (its ``content_version`` moved) no
+        longer matches its artifact and is deliberately reported as
+        unmanaged.
         """
         entry = self._managed.get(prepared)
         return entry is not None and entry[1] == prepared.content_version
+
+    def persist(self, prepared: PreparedCollection) -> Optional[Path]:
+        """Save ``prepared`` if it is managed and gained signings; else do nothing.
+
+        A join that signed under a new (order, θ, τ, method) grows the
+        signature cache; saving the collection then makes the next run's
+        signing a cache hit (graph sides built along the way ride in the
+        same artifact).  The count compared is the one at this store's last
+        load or save of the collection, whoever signed in between, so a warm
+        run whose signing was already cached writes nothing.  A preparation
+        the store did not hand out, or one mutated since, is the caller's
+        and is never saved here.  Returns the artifact path when it saved.
+        """
+        entry = self._managed.get(prepared)
+        if (
+            entry is None
+            or entry[1] != prepared.content_version
+            or entry[2] == prepared.cached_signature_count
+        ):
+            return None
+        return self._save_at(entry[0], prepared)
 
     # ------------------------------------------------------------------ #
     # paths and headers
@@ -347,11 +369,14 @@ class PreparedStore:
             fingerprint = entry[0]
         else:
             fingerprint = collection_fingerprint(prepared, prepared.config)
-            self._managed[prepared] = (fingerprint, prepared.content_version)
         return self._save_at(fingerprint, prepared)
 
     def _save_at(self, fingerprint: str, prepared: PreparedCollection) -> Path:
-        """:meth:`save` with the (O(corpus) to compute) fingerprint in hand."""
+        """:meth:`save` with the (O(corpus) to compute) fingerprint in hand.
+
+        Records the collection as managed, with its signature count at
+        this save.
+        """
         path = self.path_for(fingerprint)
         payload = pickle.dumps(
             {"fingerprint": fingerprint, "prepared": prepared},
@@ -360,7 +385,15 @@ class PreparedStore:
         self._write_artifact(
             path, self._header(_MAGIC, FORMAT_VERSION, fingerprint), payload
         )
+        self._remember(fingerprint, prepared)
         return path
+
+    def _remember(self, fingerprint: str, prepared: PreparedCollection) -> None:
+        self._managed[prepared] = (
+            fingerprint,
+            prepared.content_version,
+            prepared.cached_signature_count,
+        )
 
     def _write_artifact(self, path: Path, header: bytes, payload: bytes) -> None:
         """Atomically write one artifact, then enforce the size budget.
@@ -426,7 +459,7 @@ class PreparedStore:
         ):
             self._quarantine(path, "stored record content drifted from live inputs")
             return None
-        self._managed[prepared] = (fingerprint, prepared.content_version)
+        self._remember(fingerprint, prepared)
         self._touch(path)
         return prepared
 
@@ -497,9 +530,10 @@ class PreparedStore:
         """Load the prepared collection, or build and persist it.
 
         A cold call pays full preparation once and writes the baseline
-        artifact (pebbles and bounds; call :meth:`save` again after joining
-        to persist the signatures too — :class:`~repro.join.UnifiedJoin`
-        does that automatically when constructed with a store).  The call's
+        artifact (pebbles and bounds).  The returned collection is managed:
+        :meth:`persist` saves it again once it gains signings, which every
+        store-backed :class:`~repro.join.PebbleJoin` and
+        :class:`~repro.join.UnifiedJoin` run does for its sides.  The call's
         outcome (hit/miss, fingerprint, seconds) is recorded in
         :attr:`last_outcome`.
         """
@@ -517,7 +551,6 @@ class PreparedStore:
             if prepared is None:
                 prepared = PreparedCollection.prepare(collection, config)
                 path = self._save_at(fingerprint, prepared)
-                self._managed[prepared] = (fingerprint, prepared.content_version)
             else:
                 path = self.path_for(fingerprint)
             prepare_span.annotate(hit=hit, fingerprint=fingerprint)

@@ -130,18 +130,13 @@ class TestCostModel:
 
 
 class TestTauRecommender:
-    def _factory(self, dataset, theta):
-        config = config_for(dataset)
-
-        def factory(tau: int) -> PebbleJoin:
-            return PebbleJoin(config, theta, tau=tau, method="au-heuristic")
-
-        return factory
+    def _engine(self, dataset, theta):
+        return PebbleJoin(config_for(dataset), theta, method="au-heuristic")
 
     def test_recommendation_runs_and_returns_valid_tau(self, tiny_dataset):
         left, right = split_dataset(tiny_dataset, 40, 40)
         recommender = TauRecommender(
-            self._factory(tiny_dataset, 0.85),
+            self._engine(tiny_dataset, 0.85),
             tau_universe=(1, 2, 3),
             left_probability=0.3,
             right_probability=0.3,
@@ -158,7 +153,7 @@ class TestTauRecommender:
     def test_estimates_scale_with_sampling_probability(self, tiny_dataset):
         left, right = split_dataset(tiny_dataset, 40, 40)
         recommender = TauRecommender(
-            self._factory(tiny_dataset, 0.85),
+            self._engine(tiny_dataset, 0.85),
             tau_universe=(1,),
             left_probability=0.5,
             right_probability=0.5,
@@ -170,29 +165,29 @@ class TestTauRecommender:
         estimate = result.estimates[1]
         # The scaled processed-pair estimate must be on the order of the true
         # full-data filtering workload (not the tiny per-sample count).
-        engine = self._factory(tiny_dataset, 0.85)(1)
+        engine = self._engine(tiny_dataset, 0.85)
         true_result = engine.join(left, right)
         assert estimate.mean_processed == pytest.approx(
             true_result.statistics.processed_pairs, rel=1.0
         )
 
     def test_invalid_configuration(self, tiny_dataset):
-        factory = self._factory(tiny_dataset, 0.8)
+        engine = self._engine(tiny_dataset, 0.8)
         with pytest.raises(ValueError):
-            TauRecommender(factory, tau_universe=())
+            TauRecommender(engine, tau_universe=())
         with pytest.raises(ValueError):
-            TauRecommender(factory, burn_in=0)
+            TauRecommender(engine, burn_in=0)
         with pytest.raises(ValueError):
-            TauRecommender(factory, burn_in=5, max_iterations=2)
+            TauRecommender(engine, burn_in=5, max_iterations=2)
         # Sampling probabilities must lie in (0, 1], as bernoulli_rows
         # requires, and every candidate τ must be a positive integer.
         for probability in (0.0, -0.5, 1.7):
             with pytest.raises(ValueError, match="probability"):
-                TauRecommender(factory, left_probability=probability)
+                TauRecommender(engine, left_probability=probability)
             with pytest.raises(ValueError, match="probability"):
-                TauRecommender(factory, right_probability=probability)
+                TauRecommender(engine, right_probability=probability)
         with pytest.raises(ValueError, match="tau_universe"):
-            TauRecommender(factory, tau_universe=(0, 1))
+            TauRecommender(engine, tau_universe=(0, 1))
         # Iteration counts are integers >= 1, not bools; the quantile and
         # the costs are finite and > 0.  Each of these used to run: a NaN
         # count stopped at once or never, and a NaN or infinite cost
@@ -212,14 +207,14 @@ class TestTauRecommender:
             ("t_quantile", {"t_quantile": 0.0}),
         ):
             with pytest.raises(ValueError, match=name):
-                TauRecommender(factory, **settings)
+                TauRecommender(engine, **settings)
         left, right = split_dataset(tiny_dataset, 30, 30)
         with pytest.raises(ValueError, match="probability"):
             recommend_tau(left, right, config_for(tiny_dataset), 0.8, sample_probability=0)
         for name, value in (("max_iterations", nan), ("burn_in", True), ("t_quantile", inf)):
             with pytest.raises(ValueError, match=name):
                 recommend_tau(left, right, config_for(tiny_dataset), 0.8, **{name: value})
-        TauRecommender(factory, left_probability=1.0, right_probability=1.0)
+        TauRecommender(engine, left_probability=1.0, right_probability=1.0)
 
     def test_recommend_tau_wrapper(self, tiny_dataset):
         left, right = split_dataset(tiny_dataset, 30, 30)
@@ -275,7 +270,7 @@ class _ReferenceRecommender(TauRecommender):
 
     def recommend(self, left, right=None, *, order=None):
         signing_tau = max(self.tau_universe)
-        engine = self.join_factory(signing_tau)
+        engine = self.engine
         self_join = right is None
         left_prep = engine.as_prepared(left)
         right_prep = left_prep if (self_join or right is left) else engine.as_prepared(right)
@@ -335,8 +330,7 @@ class TestFlatSamplingMatchesReference:
             "same-collection": (single, single),
         }
 
-        def factory(tau: int) -> PebbleJoin:
-            return PebbleJoin(config, 0.7, tau=tau, kernel=kernel)
+        engine = PebbleJoin(config, 0.7, kernel=kernel)
 
         overlapping = 0
         for name, (left_side, right_side) in cases.items():
@@ -349,8 +343,8 @@ class TestFlatSamplingMatchesReference:
                     max_iterations=20,
                     seed=seed,
                 )
-                got = TauRecommender(factory, **kwargs).recommend(left_side, right_side)
-                expected = _ReferenceRecommender(factory, **kwargs).recommend(
+                got = TauRecommender(engine, **kwargs).recommend(left_side, right_side)
+                expected = _ReferenceRecommender(engine, **kwargs).recommend(
                     left_side, right_side
                 )
                 case = (name, seed, probability)

@@ -7,7 +7,6 @@ from repro.evaluation.experiments import config_for
 from repro.join import (
     PebbleJoin,
     SignatureMethod,
-    UFilterJoin,
     UnifiedJoin,
     UnifiedVerifier,
     dual_index_filter_candidates,
@@ -88,14 +87,21 @@ class TestPebbleJoinEndToEnd:
             with pytest.raises(ValueError, match="t must be"):
                 PebbleJoin(figure1_config, 0.8, approximation_t=t)
             with pytest.raises(ValueError, match="t must be"):
-                UFilterJoin(figure1_config, 0.8, approximation_t=t)
-        for engine in (PebbleJoin, UFilterJoin):
+                PebbleJoin(
+                    figure1_config,
+                    0.8,
+                    method=SignatureMethod.U_FILTER,
+                    approximation_t=t,
+                )
+        for method in (SignatureMethod.AU_DP, SignatureMethod.U_FILTER):
             with pytest.raises(ValueError, match="strategy"):
-                engine(figure1_config, 0.8, order_strategy="bogus")
+                PebbleJoin(figure1_config, 0.8, method=method, order_strategy="bogus")
 
-    def test_ufilter_join_class(self, figure1_config, poi_collections):
+    def test_ufilter_join(self, figure1_config, poi_collections):
         left, right = poi_collections
-        result = UFilterJoin(figure1_config, 0.7).join(left, right)
+        result = PebbleJoin(figure1_config, 0.7, method=SignatureMethod.U_FILTER).join(
+            left, right
+        )
         assert (0, 0) in result.pair_ids()
         assert result.statistics.tau == 1
 

@@ -47,6 +47,21 @@ class TestMeasureConfig:
         with pytest.raises(ValueError):
             MeasureConfig(q=0)
 
+    @pytest.mark.parametrize("q", [2.5, float("nan"), 3.0, True])
+    def test_non_integer_q_rejected(self, q):
+        """q slices text into grams: a float (fractional, NaN or integral)
+        or a bool used to construct and then fail in the first similarity
+        call; q=True also equalled q=1 but fingerprinted differently."""
+        from repro.core.unified import UnifiedSimilarity
+        from repro.join import UnifiedJoin
+
+        with pytest.raises(ValueError, match="q must be a positive integer"):
+            MeasureConfig(q=q)
+        with pytest.raises(ValueError, match="q must be a positive integer"):
+            UnifiedSimilarity(q=q)
+        with pytest.raises(ValueError, match="q must be a positive integer"):
+            UnifiedJoin(q=q)
+
     def test_max_rule_tokens(self, figure1_config):
         # "coffee shop" (rule) and "coffee drinks"/"apple cake" (taxonomy) are 2 tokens.
         assert figure1_config.max_rule_tokens == 2

@@ -145,6 +145,43 @@ def _store_warmed(case):
     return _join(case, warmed, executor="process", workers=2)
 
 
+def _auto(case, *args, store=None, **kwargs):
+    """A ``tau="auto"`` facade join: recommendation, then the join."""
+    join = UnifiedJoin(
+        rules=case.config.rules,
+        taxonomy=case.config.taxonomy,
+        measures=case.codes,
+        q=case.config.q,
+        theta=case.theta,
+        tau="auto",
+        tau_universe=(1, 2, 3),
+        sample_probability=0.5,
+        recommendation_seed=PATH_SEED,
+        store=store,
+    )
+    result = join.join(*args, **kwargs)
+    stats = result.statistics
+    return (
+        _triples(result.pairs),
+        _counters(stats.verification),
+        stats.candidate_count,
+        stats.processed_pairs,
+        (stats.tau, join.last_recommendation.signing_tau),
+    )
+
+
+def _auto_store(case, warm: bool):
+    """A store-backed auto join: a cold run, or a warm one after a cold one."""
+    root = case.tmp_path / ("auto-warm" if warm else "auto-cold")
+    cold = _auto(case, case.collection, store=PreparedStore(root))
+    if not warm:
+        return cold
+    store = PreparedStore(root)
+    observed = _auto(case, case.collection, store=store)
+    assert store.last_outcome.hit
+    return observed
+
+
 def _one_shot_warm(case):
     # A start method that cannot fork: the call opens (and closes) its own
     # warm pool, and the fork-inheritance manager must not be touched.
@@ -185,6 +222,16 @@ PATH_TABLE = {
         _store_warmed,
     ),
     "one-shot-warm": ("TJS", lambda case: _join(case, case.collection), _one_shot_warm),
+    "auto-tau-process": (
+        "TJS",
+        lambda case: _auto(case, case.collection),
+        lambda case: _auto(case, case.collection, executor="process", workers=2),
+    ),
+    "auto-tau-store-warm": (
+        "TJS",
+        lambda case: _auto_store(case, warm=False),
+        lambda case: _auto_store(case, warm=True),
+    ),
 }
 
 
@@ -387,7 +434,7 @@ class TestPickleRoundTrips:
         assert _triples(rejoined.pairs) == _triples(reference.pairs)
 
     def test_graph_side_round_trip(self, parallel_dataset):
-        from repro.core.graph import build_conflict_graph_from_sides, usim_upper_bound
+        from repro.core.graph import PairUpperBound, build_conflict_graph_from_sides
 
         config = _config(parallel_dataset, "TJS")
         record = parallel_dataset.records[0]
@@ -405,8 +452,8 @@ class TestPickleRoundTrips:
         assert [v.weight for v in graph.vertices] == [
             v.weight for v in reference.vertices
         ]
-        assert usim_upper_bound(partner, clone, clone.config) == usim_upper_bound(
-            partner, side, config
+        assert PairUpperBound(partner, clone, clone.config).matching() == (
+            PairUpperBound(partner, side, config).matching()
         )
 
     def test_measure_config_round_trip_equality(self, parallel_dataset):

@@ -227,6 +227,29 @@ class TestSigningReuse:
         with pytest.raises(ValueError):
             engine.join(left, right, signing_tau=2)
 
+    @pytest.mark.parametrize("signing_tau", [2.5, True])
+    def test_bad_signing_tau_rejected_before_preparation(
+        self, figure1_config, tmp_path, signing_tau
+    ):
+        """signing_tau is checked under its own name before anything is
+        prepared: it used to be checked as "tau" after a store-backed engine
+        had prepared the collection and written its artifact."""
+        from repro.store import PreparedStore
+
+        records = RecordCollection.from_strings(["coffee shop", "cafe", "museum"])
+        engine = PebbleJoin(
+            figure1_config, 0.8, tau=1, store=PreparedStore(tmp_path / "store")
+        )
+        calls = (
+            lambda: engine.join(records, signing_tau=signing_tau),
+            lambda: engine.join_batches(records, signing_tau=signing_tau),
+            lambda: engine.resolve(records, signing_tau=signing_tau),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="signing_tau must be a positive integer"):
+                call()
+        assert list((tmp_path / "store").iterdir()) == []
+
     def test_signing_tau_above_filter_tau_is_lossless(
         self, figure1_config, poi_collections
     ):

@@ -135,11 +135,8 @@ class TestSelfJoinInvariants:
 
 
 class TestSelfJoinRecommendation:
-    def _factory(self, config, theta):
-        def factory(tau: int) -> PebbleJoin:
-            return PebbleJoin(config, theta, tau=tau, method=SignatureMethod.AU_HEURISTIC)
-
-        return factory
+    def _engine(self, config, theta):
+        return PebbleJoin(config, theta, tau=2, method=SignatureMethod.AU_HEURISTIC)
 
     def test_selfjoin_estimates_exclude_self_pairs(self, figure1_config):
         """With p = 1 every sample is the full collection, so the candidate
@@ -148,7 +145,7 @@ class TestSelfJoinRecommendation:
         rng = random.Random(3)
         collection = _random_collection(rng, 25)
         recommender = TauRecommender(
-            self._factory(figure1_config, 0.7),
+            self._engine(figure1_config, 0.7),
             tau_universe=(1, 2),
             left_probability=1.0,
             right_probability=1.0,
@@ -159,7 +156,7 @@ class TestSelfJoinRecommendation:
         result = recommender.recommend(collection)
         assert result.self_join
 
-        engine = self._factory(figure1_config, 0.7)(2)
+        engine = self._engine(figure1_config, 0.7)
         order = engine.build_order(collection)
         signed = engine.sign_collection(collection, order)
         for tau in (1, 2):

@@ -305,6 +305,57 @@ class TestStoreReuse:
             triple for batch in serial for triple in _triples(batch.pairs)
         ]
 
+    def test_store_decides_what_to_persist(self, store_dataset, tmp_path):
+        """The store saves a collection it manages only when its signature
+        count moved since the store last loaded or saved it, whichever
+        engine signed it: an auto join writes once, a warm rerun writes
+        nothing, and a store-less signing is saved by the next store-backed
+        join."""
+        from repro.telemetry import Telemetry
+
+        collection = store_dataset.records.head(20)
+        kwargs = dict(
+            rules=store_dataset.rules,
+            taxonomy=store_dataset.taxonomy,
+            theta=THETA,
+            tau="auto",
+            tau_universe=(1, 2, 3),
+            sample_probability=0.5,
+            recommendation_seed=3,
+        )
+
+        def writes(run, root):
+            telemetry = Telemetry()
+            store = PreparedStore(root, telemetry=telemetry)
+            result = run(store)
+            return telemetry.metrics.counter("store.writes").value, result, store
+
+        def auto_join(store):
+            join = UnifiedJoin(**kwargs, store=store)
+            return join.join(join.prepare(collection))
+
+        # Preparing writes the baseline; the auto join writes its signing once.
+        count, cold, _ = writes(auto_join, tmp_path / "auto")
+        assert count == 2
+        count, warm, store = writes(auto_join, tmp_path / "auto")
+        assert store.last_outcome.hit and count == 0
+        assert _triples(warm.pairs) == _triples(cold.pairs)
+
+        config = _config(store_dataset)
+
+        def signed_elsewhere(store):
+            prepared = store.prepare(collection, config)
+            PebbleJoin(config, THETA, tau=TAU).join(prepared)  # no store: no write
+            # The signing is cached, but the store has not saved it yet.
+            PebbleJoin(config, THETA, tau=TAU, store=store).join(prepared)
+            PebbleJoin(config, THETA, tau=TAU, store=store).join(prepared)
+            return store.persist(prepared)
+
+        count, persisted, _ = writes(signed_elsewhere, tmp_path / "elsewhere")
+        assert count == 2 and persisted is None
+        loaded = PreparedStore(tmp_path / "elsewhere").load(collection, config)
+        assert loaded.cached_signature_count == 1
+
 
 class TestStoreInvalidation:
     def _store_with_artifact(self, dataset, tmp_path, collection=None, config=None):

@@ -19,11 +19,10 @@ from repro.core.approximation import approximate_usim, approximate_usim_on_graph
 from repro.core.exact import ExactBudgetExceeded, exact_usim
 from repro.core.graph import (
     GraphSide,
+    PairUpperBound,
     build_conflict_graph,
     build_conflict_graph_from_sides,
-    usim_upper_bound,
 )
-from repro.core.graph import PairUpperBound
 from repro.core.measures import Measure, MeasureConfig
 from repro.datasets import MED_PROFILE, TINY_PROFILE, generate_dataset, generate_ground_truth
 from repro.join import PebbleJoin, SignatureMethod
@@ -199,14 +198,15 @@ def _near_duplicate_collection(dataset, count=12, exact_copies=3):
 
 def _reference_cascade_stats(config, threshold, candidates, left, right):
     """The cascade from the public bounds, one pair at a time: a pair is
-    pruned when the upper bound (with its sub-θ maxima short circuit) falls
-    below θ, and otherwise runs Algorithm 1 on the two-sided graph."""
+    pruned when the maxima bound, or else the matching bound, falls below
+    θ, and otherwise runs Algorithm 1 on the two-sided graph."""
     stats = VerificationStats()
     for left_id, right_id in candidates:
         left_side = left.graph_side(left_id)
         right_side = right.graph_side(right_id)
         stats.candidates += 1
-        if usim_upper_bound(left_side, right_side, config, threshold=threshold) < threshold:
+        bound = PairUpperBound(left_side, right_side, config)
+        if bound.maxima(threshold) < threshold or bound.matching() < threshold:
             stats.upper_bound_prunes += 1
             continue
         stats.graphs_built += 1
@@ -274,7 +274,7 @@ class TestBoundSoundness:
         for left, right in self._random_pairs(engine_dataset, 60, 3):
             left_side = GraphSide(left.tokens, config)
             right_side = GraphSide(right.tokens, config)
-            upper = usim_upper_bound(left_side, right_side, config)
+            upper = PairUpperBound(left_side, right_side, config).matching()
             approx = approximate_usim(left.tokens, right.tokens, config).value
             assert approx <= upper + 1e-9
 
@@ -291,7 +291,7 @@ class TestBoundSoundness:
             except ExactBudgetExceeded:
                 continue
             checked += 1
-            upper = usim_upper_bound(left_side, right_side, config)
+            upper = PairUpperBound(left_side, right_side, config).matching()
             assert exact <= upper + 1e-9
         assert checked > 10
 
@@ -299,7 +299,7 @@ class TestBoundSoundness:
         tokens = ("coffee", "shop", "latte")
         side = GraphSide(tokens, figure1_config)
         other = GraphSide(tokens, figure1_config)
-        assert usim_upper_bound(side, other, figure1_config) == 1.0
+        assert PairUpperBound(side, other, figure1_config).matching() == 1.0
 
     def test_synonym_bound_tight_under_rule_transitivity(self):
         """Two rhs of rules sharing one lhs are transitively related but not
@@ -319,11 +319,11 @@ class TestBoundSoundness:
         # No rule connects the two rhs: similarity is 0 and the tightened
         # bound agrees (the shared "coffee shop" lhs is no longer a hit).
         assert config.msim(("cafe",), ("coffeehouse",)) == 0.0
-        assert usim_upper_bound(cafe, coffeehouse, config) == 0.0
+        assert PairUpperBound(cafe, coffeehouse, config).matching() == 0.0
         # A directly connected pair still bounds at the rule's closeness.
         shop = GraphSide(("coffee", "shop"), config)
         assert config.msim(("coffee", "shop"), ("cafe",)) == 0.9
-        assert usim_upper_bound(shop, cafe, config) >= 0.9
+        assert PairUpperBound(shop, cafe, config).matching() >= 0.9
 
 
 class TestCeilingBreak:
@@ -381,7 +381,7 @@ class TestGraphSideAssembly:
         with pytest.raises(ValueError):
             build_conflict_graph_from_sides(side, other, config_a)
         with pytest.raises(ValueError):
-            usim_upper_bound(side, other, config_a)
+            PairUpperBound(side, other, config_a)
 
     def test_equal_but_distinct_config_sides_accepted(self, engine_dataset):
         """Configs compare by content: distinct-but-equal objects mix freely."""
@@ -399,11 +399,11 @@ class TestGraphSideAssembly:
         assert [v.weight for v in graph.vertices] == [
             v.weight for v in reference.vertices
         ]
-        assert usim_upper_bound(side, other, config_a) == usim_upper_bound(
+        assert PairUpperBound(side, other, config_a).matching() == PairUpperBound(
             GraphSide(("coffee", "shop"), config_b),
             GraphSide(("cafe",), config_b),
             config_b,
-        )
+        ).matching()
 
     def test_min_partition_size_is_exact_minimum(self, figure1_config):
         # "coffee shop latte": {"coffee shop", "latte"} is the smallest cover.
