@@ -148,7 +148,7 @@ def run_verification_breakdown(
             "pairs_per_second": candidate_count / max(baseline_seconds, 1e-12),
         },
         "after": {
-            "verifier": "prepared engine (cached sides + maxima and matching bounds)",
+            "verifier": "prepared engine (cached sides + maxima and partition bounds)",
             "seconds": engine_seconds,
             "pairs_per_second": candidate_count / max(engine_seconds, 1e-12),
         },

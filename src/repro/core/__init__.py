@@ -17,12 +17,7 @@ from .graph import (
     build_conflict_graph_from_sides,
 )
 from .grams import DEFAULT_Q, jaccard, qgram_set, qgrams
-from .matching import (
-    greedy_matching,
-    hungarian_matching,
-    matching_weight_upper_bound,
-    maximum_weight_matching,
-)
+from .matching import maximum_weight_matching
 from .measures import Measure, MeasureConfig
 from .mis import exact_wmis, greedy_mask, squareimp_mask
 from .segments import Segment, enumerate_partitions, enumerate_segments
@@ -55,10 +50,7 @@ __all__ = [
     "exact_usim",
     "exact_wmis",
     "greedy_mask",
-    "greedy_matching",
-    "hungarian_matching",
     "jaccard",
-    "matching_weight_upper_bound",
     "maximum_weight_matching",
     "partition_similarity",
     "qgram_set",

@@ -18,9 +18,8 @@ depends on that string alone.
 against ``k`` candidates pays the segment enumeration and per-segment
 bookkeeping once instead of ``k`` times.  Every graph is assembled by one
 path, :func:`build_conflict_graph_from_sides`, from two sides and their
-stage-1 bound matrix (:class:`PairUpperBound`): the verifier hands over the
-matrix its bound stages already built, and every other caller (and the
-verifier at θ = 0, where no bound runs) lets it build its own.
+stage-1 bound matrix (:class:`PairUpperBound`): the verifier hands over
+the one its scalar stage 1 built, and otherwise the graph builds it.
 :func:`build_conflict_graph` prepares both sides ad hoc.
 
 Weights come from that matrix, not from ``msim``.  Its Jaccard and taxonomy
@@ -36,10 +35,10 @@ vertex's conflicts are the OR of those masks over the segments overlapping
 its own, on either side, without its own bit.
 
 The side state also powers the verification cascade's two bounds:
-:class:`PairUpperBound` bounds the unified similarity from above without
-building the pair graph (per-segment msim upper bounds fed to a maxima
-bound and then a matching bound, its two stages), and a pair either
-bound puts below the threshold never reaches Algorithm 1.
+:class:`PairUpperBound` bounds USIM from above without building the pair
+graph, by row and column maxima of per-segment msim upper bounds summed
+over all segments (the maxima bound) or over each side's best partitions
+(the partition bound; its soundness proof is in the class docs).
 
 Integer bound encoding
 ----------------------
@@ -65,9 +64,14 @@ from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .grams import qgram_set
-from .matching import matching_weight_upper_bound
 from .measures import Measure, MeasureConfig
-from .segments import Segment, enumerate_segments, min_partition_size
+from .segments import (
+    UNREACHABLE,
+    Segment,
+    enumerate_segments,
+    min_partition_size,
+    partition_sums,
+)
 from .tokenizer import TokenSpan
 from .vocab import Vocabulary
 
@@ -80,6 +84,8 @@ __all__ = [
     "build_conflict_graph_from_sides",
     "PairUpperBound",
     "SideBoundCodes",
+    "PARTITION_SLACK",
+    "partition_bound",
 ]
 
 _EPSILON = 1e-12
@@ -175,10 +181,6 @@ class ConflictGraph:
     def neighbors(self, index: int) -> FrozenSet[int]:
         """Indices of vertices conflicting with vertex ``index``."""
         return frozenset(mask_indices(self.adjacency[index]))
-
-    def are_adjacent(self, left_index: int, right_index: int) -> bool:
-        """True when the two vertices conflict."""
-        return bool(self.adjacency[left_index] >> right_index & 1)
 
     def is_independent(self, indices: Iterable[int]) -> bool:
         """True when no two of ``indices`` conflict."""
@@ -681,36 +683,108 @@ def _bound_matrix(
     ]
 
 
+#: Stage 2 prunes only below θ minus this, and the top-k queue adds it to
+#: its keys: the bound and ``exact_usim`` add the same terms in different
+#: orders, so rounding can put the bound below the exact USIM (on 101 of
+#: 25,830 TINY pairs, by at most 1.2e-16).
+PARTITION_SLACK = 1e-9
+
+
+def partition_bound(
+    left_side: GraphSide,
+    right_side: GraphSide,
+    row_maxima: Sequence[float],
+    column_maxima: Sequence[float],
+) -> float:
+    """``max_{a,b} min(A[a], B[b], min(a, b)) / max(a, b)``, clamped to 1.0.
+
+    ``A`` is :func:`~repro.core.segments.partition_sums` of the left side
+    weighted by the pair's row maxima ``r``, ``B`` that of the right side
+    weighted by its column maxima ``c`` (see :class:`PairUpperBound`).
+    """
+    if not row_maxima or not column_maxima:
+        return 0.0
+    left = partition_sums(len(left_side.tokens), left_side.segments, row_maxima)
+    right = partition_sums(len(right_side.tokens), right_side.segments, column_maxima)
+    # With A'[a] = min(A[a], a), the best numerator over max(a, b) = m is
+    # max(min(A'[m], max_{b<=m} B'[b]), min(max_{a<=m} A'[a], B'[m])); min,
+    # max and rounding are monotone, so this equals the pairwise maximum.
+    best = 0.0
+    left_best = right_best = UNREACHABLE
+    for size in range(1, max(len(left), len(right))):
+        here_left = min(left[size], size) if size < len(left) else UNREACHABLE
+        here_right = min(right[size], size) if size < len(right) else UNREACHABLE
+        left_best = max(left_best, here_left)
+        right_best = max(right_best, here_right)
+        numerator = max(min(here_left, right_best), min(left_best, here_right))
+        best = max(best, numerator / size)
+    return min(best, 1.0)
+
+
 class PairUpperBound:
     """An upper bound on one pair's unified similarity, in two stages.
 
-    Every well-defined partition pair realises ``W(P) / max(|P_S|, |P_T|)``
-    where the matching ``W(P)`` only pairs well-defined segments; bounding
-    the numerator by a matching over *all* segment pairs (with per-pair
-    msim upper bounds, :attr:`matrix`) and the denominator from below by
-    the exact minimal partition sizes therefore bounds USIM — and a
-    fortiori the Algorithm-1 approximation, which realises some partition
-    pair — from above.  The numerator comes in two strengths: :meth:`maxima`
-    sums row/column maxima, which dominate any matching's weight (a
-    matching takes at most one entry per row and per column), and
-    :meth:`matching` runs the matching solver, which is tighter and dearer.
-    The two stages share one instance, so a candidate that reaches the
-    matching stage builds its matrix once, and Algorithm 1 takes its vertex
-    weights from the same matrix (:func:`build_conflict_graph_from_sides`).
+    A well-defined partition pair realises ``W(P) / max(|P_S|, |P_T|)``,
+    where the matching ``W(P)`` pairs segments of the two partitions.
+    :attr:`matrix` bounds msim from above for *every* pair of well-defined
+    segments, so a matched msim is at most its row maximum ``r(p)`` and its
+    column maximum ``c(q)``.  Both stages bound USIM, and so the Algorithm-1
+    value, which realises some partition pair, from above:
+
+    * :meth:`maxima` sums ``r`` over all left segments (and ``c`` over all
+      right ones) and divides by ``max(MP(S), MP(T)) ≤ max(|P_S|, |P_T|)``.
+    * :meth:`partition`: with ``a = |P_S|`` and ``b = |P_T|``, a matching
+      uses each segment of ``P_S`` once, so ``W(P) ≤ Σ_{p∈P_S} r(p) ≤
+      A[a]``, the best such sum over partitions of S into ``a`` segments;
+      likewise ``W(P) ≤ B[b]``; and ``W(P) ≤ min(a, b)``, as it has at most
+      that many pairs of msim ≤ 1.  So USIM ≤ :func:`partition_bound`, and
+      USIM ≤ 1 keeps its clamp sound.
+
+    In floating point the partition bound can fall a few ulps below the
+    exact USIM (see :data:`PARTITION_SLACK`).  It never exceeds
+    ``maxima(0.0)``, bit for bit: ``A[a]`` adds a subset of the row maxima
+    in the order the row sum adds all of them, so with non-negative terms
+    and monotone rounding it is at most the row sum (``B[b]`` likewise),
+    and ``max(a, b) ≥ max(MP(S), MP(T), 1)``.  It does not dominate a
+    maximum-weight matching over all segments pair by pair (row maxima may
+    share a right segment): on 5,166 TINY pairs (seeds 1–3 with
+    near-duplicates, q 2 and 3) under J, JS, TJS, T and S at θ 0.6–0.9,
+    that matching bound alone pruned 6 (pair, θ) stage-1 survivors, and the
+    partition bound alone 453.
     """
 
-    __slots__ = ("matrix", "denominator")
+    __slots__ = (
+        "left_side", "right_side", "matrix", "denominator", "_row_maxima", "_column_maxima"
+    )
 
     def __init__(
         self, left_side: GraphSide, right_side: GraphSide, config: MeasureConfig
     ) -> None:
         _check_side_configs(left_side, right_side, config)
+        self.left_side = left_side
+        self.right_side = right_side
         self.matrix = _bound_matrix(left_side, right_side, config)
         self.denominator = 1
         if self.matrix:
             self.denominator = max(
                 left_side.min_partition_size, right_side.min_partition_size, 1
             )
+        self._row_maxima: Optional[List[float]] = None
+        self._column_maxima: Optional[List[float]] = None
+
+    @property
+    def row_maxima(self) -> List[float]:
+        """``r``: each left segment's largest matrix entry (computed once)."""
+        if self._row_maxima is None:
+            self._row_maxima = [max(row) for row in self.matrix]
+        return self._row_maxima
+
+    @property
+    def column_maxima(self) -> List[float]:
+        """``c``: each right segment's largest matrix entry (computed once)."""
+        if self._column_maxima is None:
+            self._column_maxima = [max(column) for column in zip(*self.matrix)]
+        return self._column_maxima
 
     def maxima(self, threshold: float) -> float:
         """The maxima bound; the column sum is skipped when rows prune.
@@ -722,23 +796,23 @@ class PairUpperBound:
         column order: the group kernel of :mod:`repro.join.bound_kernel`
         adds in the same order, which is what makes it bit-identical.
         """
-        matrix = self.matrix
-        if not matrix or not matrix[0]:
+        if not self.matrix or not self.matrix[0]:
             return 0.0
         cheap = 0.0
-        for row in matrix:
-            cheap += max(row)
+        for value in self.row_maxima:
+            cheap += value
         if cheap / self.denominator >= threshold:
             col_sum = 0.0
-            for column in range(len(matrix[0])):
-                col_sum += max(row[column] for row in matrix)
+            for value in self.column_maxima:
+                col_sum += value
             cheap = min(cheap, col_sum)
         value = cheap / self.denominator
         return 1.0 if value > 1.0 else value
 
-    def matching(self) -> float:
-        """The matching-solver bound (see :func:`matching_weight_upper_bound`)."""
-        numerator = matching_weight_upper_bound(self.matrix)
-        value = numerator / self.denominator
-        return 1.0 if value > 1.0 else value
-
+    def partition(self) -> float:
+        """The partition bound (see :func:`partition_bound`)."""
+        if not self.matrix or not self.matrix[0]:
+            return 0.0
+        return partition_bound(
+            self.left_side, self.right_side, self.row_maxima, self.column_maxima
+        )

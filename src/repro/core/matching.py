@@ -1,34 +1,18 @@
 """Maximum-weight bipartite matching (the numerator of Equation 6).
 
-The unified similarity aggregates per-segment similarities by selecting a
-set of segment pairs such that every segment is used at most once and the
-sum of the selected similarities is maximal — a maximum-weight matching in a
-bipartite graph whose left vertices are the segments of ``S`` and right
-vertices are the segments of ``T``.
-
-Two solvers are provided:
-
-* :func:`maximum_weight_matching` — an O(n^3) implementation of the
-  Kuhn–Munkres (Hungarian) algorithm on a dense weight matrix, the solver
-  the paper cites.  :func:`hungarian_matching` is an alias.
-* :func:`greedy_matching` — a simple weight-descending greedy used as a fast
-  fallback and as a cross-check in property tests.
-
-Both return the total weight together with the selected ``(row, col)`` pairs.
-Zero-weight assignments are dropped from the returned pair list because a
-pair with similarity 0 contributes nothing to Equation 6.
+The unified similarity pairs segments of ``S`` with segments of ``T``, each
+used at most once, maximising the summed similarities: a maximum-weight
+bipartite matching.  :func:`maximum_weight_matching` solves it with the
+O(n^3) Kuhn–Munkres (Hungarian) algorithm the paper cites, for ``GetSim``
+(:mod:`repro.core.aggregation`) and the K-Join baseline; the verification
+cascade bounds matchings without it.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Set, Tuple
+from typing import List, Sequence, Tuple
 
-__all__ = [
-    "hungarian_matching",
-    "greedy_matching",
-    "maximum_weight_matching",
-    "matching_weight_upper_bound",
-]
+__all__ = ["maximum_weight_matching"]
 
 _EPSILON = 1e-12
 
@@ -137,73 +121,4 @@ def maximum_weight_matching(
         if j < original_cols and matrix[i][j] > _EPSILON:
             total += matrix[i][j]
             pairs.append((i, j))
-    return total, pairs
-
-
-#: Alias kept for readers following the paper's terminology.
-hungarian_matching = maximum_weight_matching
-
-
-def matching_weight_upper_bound(
-    weights: Sequence[Sequence[float]],
-    *,
-    exact_limit: int = 16,
-) -> float:
-    """A cheap upper bound on the maximum-weight matching of ``weights``.
-
-    Used by the verification pruning cascade: when the matrix is small the
-    exact Hungarian solver is run (the tightest possible bound); larger
-    matrices fall back to the minimum of three sound bounds —
-
-    * the sum of per-row maxima (each row is matched at most once),
-    * the sum of per-column maxima (symmetrically), and
-    * twice the greedy matching weight (greedy is a 1/2-approximation, so
-      ``2 · greedy ≥ optimum``).
-
-    Every returned value is ≥ the true maximum matching weight, which is what
-    makes threshold pruning against it lossless.
-    """
-    if not weights or not weights[0]:
-        return 0.0
-    rows = len(weights)
-    cols = len(weights[0])
-    if max(rows, cols) <= exact_limit:
-        total, _ = maximum_weight_matching(weights)
-        return total
-    row_max_sum = sum(max(row) for row in weights)
-    col_max_sum = sum(
-        max(weights[i][j] for i in range(rows)) for j in range(cols)
-    )
-    greedy_total, _ = greedy_matching(weights)
-    return min(row_max_sum, col_max_sum, 2.0 * greedy_total)
-
-
-def greedy_matching(
-    weights: Sequence[Sequence[float]],
-) -> Tuple[float, List[Tuple[int, int]]]:
-    """Greedy weight-descending matching (at least 1/2 of the optimum).
-
-    Used as a fast fallback and as a lower-bound cross-check in tests; the
-    exact solver is :func:`maximum_weight_matching`.
-    """
-    if not weights or not weights[0]:
-        return 0.0, []
-    _validate_non_negative(weights)
-    entries: List[Tuple[float, int, int]] = []
-    for i, row in enumerate(weights):
-        for j, value in enumerate(row):
-            if value > _EPSILON:
-                entries.append((float(value), i, j))
-    entries.sort(key=lambda item: -item[0])
-    used_rows: Set[int] = set()
-    used_cols: Set[int] = set()
-    total = 0.0
-    pairs: List[Tuple[int, int]] = []
-    for value, i, j in entries:
-        if i in used_rows or j in used_cols:
-            continue
-        used_rows.add(i)
-        used_cols.add(j)
-        total += value
-        pairs.append((i, j))
     return total, pairs

@@ -27,6 +27,7 @@ __all__ = [
     "enumerate_partitions",
     "count_partitions",
     "min_partition_size",
+    "partition_sums",
     "singleton_partition",
 ]
 
@@ -70,10 +71,6 @@ class Segment:
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-    def conflicts_with(self, other: "Segment") -> bool:
-        """True when the two segments overlap positionally."""
-        return self.span.overlaps(other.span)
 
 
 def enumerate_segments(
@@ -221,17 +218,58 @@ def count_partitions(
     return counts[0]
 
 
+#: :func:`partition_sums`' entry for a segment count no partition has.
+UNREACHABLE = float("-inf")
+
+
+def partition_sums(
+    token_count: int,
+    segments: Iterable[Segment],
+    weights: Optional[Sequence[float]] = None,
+) -> List[float]:
+    """Per segment count ``a``, the largest weight sum of a partition into ``a`` segments.
+
+    ``weights[i]`` is the non-negative weight of ``segments[i]`` (0.0 for
+    all when ``None``); entry ``a = 0 .. token_count`` is :data:`UNREACHABLE`
+    when no partition has ``a`` segments, and a position no segment starts
+    at counts as a weightless singleton.  An interval DP over positions ×
+    counts, run forward, so each entry adds its partition's weights left to
+    right: for segments in positional order, a subset of the terms of the
+    full weight sum in that sum's order.  With non-negative terms and
+    monotone rounding, no entry exceeds the floating-point full sum, which
+    :class:`~repro.core.graph.PairUpperBound` relies on.
+    """
+    by_start: Dict[int, List[Tuple[int, float]]] = {}
+    for index, segment in enumerate(segments):
+        weight = 0.0 if weights is None else weights[index]
+        by_start.setdefault(segment.span.start, []).append((segment.span.end, weight))
+    # sums[i][a]: the best sum over partitions of tokens [0, i) into a
+    # segments; no partition of [0, i) has fewer than fewest[i].
+    sums = [[UNREACHABLE] * (position + 1) for position in range(token_count + 1)]
+    sums[0][0] = 0.0
+    fewest = list(range(token_count + 1))
+    for position in range(token_count):
+        source = sums[position]
+        low = fewest[position]
+        for end, weight in by_start.get(position, ((position + 1, 0.0),)):
+            target = sums[end]
+            fewest[end] = min(fewest[end], low + 1)
+            for count in range(low, position + 1):
+                total = source[count] + weight
+                if total > target[count + 1]:
+                    target[count + 1] = total
+    return sums[token_count]
+
+
 def min_partition_size(token_count: int, segments: Iterable[Segment]) -> int:
     """``MP(S)``: the exact minimal number of segments of a well-defined partition.
 
     ``segments`` are the well-defined segments of a string of
-    ``token_count`` tokens.  Segments are token intervals, so the minimum
-    is a linear DP over positions rather than the NP-hard minimum exact
-    cover of general sets; a position no segment starts at counts as a
-    singleton, so the DP always completes.  Both users of ``MP(S)`` read
-    this one definition: the verification bounds, which divide by
-    ``max(|P_S|, |P_T|)``, and the signature walk of Algorithms 2, 4 and 5,
-    whose target is ``MP(S)·θ``.
+    ``token_count`` tokens; the minimum is the weight-free case of
+    :func:`partition_sums` (segments are intervals, so no exact cover is
+    solved).  Both users of ``MP(S)`` read this one definition: the verification
+    bounds, which divide by ``max(|P_S|, |P_T|)``, and the signature walk
+    of Algorithms 2, 4 and 5, whose target is ``MP(S)·θ``.
 
     The paper estimates ``MP(S)`` instead, as a greedy set cover divided
     by ``ln n + 1`` (Algorithm 2, Lines 6–12).  Signing with the exact
@@ -254,13 +292,5 @@ def min_partition_size(token_count: int, segments: Iterable[Segment]) -> int:
     * When every segment is one token (Jaccard alone), both definitions
       equal the token count.
     """
-    ends_by_start: Dict[int, List[int]] = {}
-    for segment in segments:
-        ends_by_start.setdefault(segment.span.start, []).append(segment.span.end)
-    # best[i]: the fewest segments that partition tokens i onward.
-    best = [0] * (token_count + 1)
-    for position in range(token_count - 1, -1, -1):
-        best[position] = 1 + min(
-            best[end] for end in ends_by_start.get(position, (position + 1,))
-        )
-    return best[0]
+    sums = partition_sums(token_count, segments)
+    return next(count for count, total in enumerate(sums) if total != UNREACHABLE)

@@ -83,6 +83,10 @@ def check_sampling(tau_universe: Sequence[int], *probabilities: float) -> Tuple[
     return universe
 
 
+def _sample_rows(flat: FlatSignatures, probability: float, rng: random.Random) -> FlatSignatures:
+    return flat.take(bernoulli_rows(len(flat), probability, rng))
+
+
 @dataclass
 class RecommendationResult:
     """Outcome of the τ recommendation."""
@@ -144,17 +148,18 @@ class TauRecommender:
         self.burn_in = burn_in
         self.max_iterations = max_iterations
         self.t_quantile = t_quantile
-        self.cost_model = CostModel(filter_cost=filter_cost, verify_cost=verify_cost)
-        self.rng = random.Random(seed)
+        # Validated here; each recommend() call builds its own model from them.
+        CostModel(filter_cost=filter_cost, verify_cost=verify_cost)
+        self.filter_cost = filter_cost
+        self.verify_cost = verify_cost
+        self.seed = seed
 
     # ------------------------------------------------------------------ #
     # one estimation iteration
     # ------------------------------------------------------------------ #
-    def _sample_rows(self, flat: FlatSignatures, probability: float) -> FlatSignatures:
-        return flat.take(bernoulli_rows(len(flat), probability, self.rng))
-
     def _run_iteration(
         self,
+        rng: random.Random,
         left_flat: FlatSignatures,
         right_flat: FlatSignatures,
         self_join: bool,
@@ -162,7 +167,7 @@ class TauRecommender:
         counts_size: int,
         kernel: str,
     ) -> Tuple[Dict[int, Tuple[float, float]], Tuple[int, int], float]:
-        """Sample the encoded sides, count every τ in one pass, scale.
+        """Sample the encoded sides from ``rng``, count every τ in one pass, scale.
 
         Returns the per-τ ``(T̂, V̂)`` estimates, the sample sizes, and the raw
         (unscaled) processed-pair count of this iteration, which feeds the
@@ -171,12 +176,12 @@ class TauRecommender:
         if self_join:
             # A self-join sample is filtered as a self-join: one index,
             # (i, i) and mirrored pairs excluded.
-            probe = index = self._sample_rows(left_flat, self.left_probability)
+            probe = index = _sample_rows(left_flat, self.left_probability, rng)
             sizes = (len(probe), len(probe))
             left_scale = right_scale = self.left_probability
         else:
-            probe = self._sample_rows(left_flat, self.left_probability)
-            index = self._sample_rows(right_flat, self.right_probability)
+            probe = _sample_rows(left_flat, self.left_probability, rng)
+            index = _sample_rows(right_flat, self.right_probability, rng)
             sizes = (len(probe), len(index))
             left_scale, right_scale = self.left_probability, self.right_probability
 
@@ -209,8 +214,8 @@ class TauRecommender:
     # ------------------------------------------------------------------ #
     # stopping rule
     # ------------------------------------------------------------------ #
-    def _should_stop(self, iteration: int, last_raw_processed: float) -> bool:
-        """Inequality 24 after the burn-in period.
+    def _should_stop(self, cost_model: CostModel, iteration: int, last_raw_processed: float) -> bool:
+        """Inequality 24 after the burn-in period, on this call's ``cost_model``.
 
         One estimation iteration is a single counts-mode kernel pass, so its
         cost is one filtering pass over the sample — not one pass per
@@ -218,7 +223,7 @@ class TauRecommender:
         """
         if iteration < self.burn_in:
             return False
-        estimates = {tau: self.cost_model.estimate(tau) for tau in self.tau_universe}
+        estimates = {tau: cost_model.estimate(tau) for tau in self.tau_universe}
         best_tau = min(estimates.values(), key=lambda estimate: estimate.mean_cost).tau
         _, best_upper = estimates[best_tau].confidence_interval(self.t_quantile)
         other_lowers = [
@@ -229,7 +234,7 @@ class TauRecommender:
         if not other_lowers:
             return True
         penalty = best_upper - min(other_lowers)
-        next_iteration_cost = self.cost_model.filter_cost * last_raw_processed
+        next_iteration_cost = cost_model.filter_cost * last_raw_processed
         return penalty < next_iteration_cost
 
     # ------------------------------------------------------------------ #
@@ -253,6 +258,9 @@ class TauRecommender:
         while still sharing one preparation and signing.  A precomputed
         ``order`` (shared with the final join) can be supplied to avoid
         rebuilding the global order.
+
+        Each call has its own cost model and random stream (from ``seed``),
+        so a second call returns what a fresh recommender would.
         """
         start = time.perf_counter()
         signing_tau = max(self.tau_universe)
@@ -276,23 +284,23 @@ class TauRecommender:
         ascending = all(a < b for a, b in zip(index_ids, index_ids[1:]))
         counts_size = max(index_ids, default=-1) + 1
 
+        cost_model = CostModel(filter_cost=self.filter_cost, verify_cost=self.verify_cost)
+        rng = random.Random(self.seed)
         sample_sizes: List[Tuple[int, int]] = []
         iteration = 0
-        last_raw_processed = 0.0
 
         while iteration < self.max_iterations:
             iteration += 1
             estimates, sizes, raw_processed = self._run_iteration(
-                left_flat, right_flat, self_join, ascending, counts_size, self.engine.kernel
+                rng, left_flat, right_flat, self_join, ascending, counts_size, self.engine.kernel
             )
             sample_sizes.append(sizes)
-            last_raw_processed = raw_processed
             for tau, (processed, candidates) in estimates.items():
-                self.cost_model.observe(tau, processed, candidates)
-            if self._should_stop(iteration, last_raw_processed):
+                cost_model.observe(tau, processed, candidates)
+            if self._should_stop(cost_model, iteration, raw_processed):
                 break
 
-        estimates_by_tau = {tau: self.cost_model.estimate(tau) for tau in self.tau_universe}
+        estimates_by_tau = {tau: cost_model.estimate(tau) for tau in self.tau_universe}
         best_tau = min(estimates_by_tau.values(), key=lambda estimate: estimate.mean_cost).tau
         return RecommendationResult(
             best_tau=best_tau,

@@ -1,12 +1,12 @@
-"""The group maxima kernel: stage 1 of verification for a whole probe group.
+"""The group bound stages: stages 1 and 2 of verification for a whole probe group.
 
-The verification cascade's first stage is the maxima bound of
-:class:`~repro.core.graph.PairUpperBound`: a matrix of per-segment-pair
-msim upper bounds, summed over its row maxima and (when that sum alone
-does not prune) its column maxima.  The filter emits candidates
-probe-major, so the cascade sees one probe record against a run of
-partners; :class:`GroupUpperBounds` computes that stage for the whole run
-at once and the matching stage for one candidate on demand.
+Stage 1 is the maxima bound of :class:`~repro.core.graph.PairUpperBound`:
+a matrix of per-segment-pair msim upper bounds, summed over its row maxima
+and (when that sum alone does not prune) its column maxima.  Stage 2, the
+partition bound (:func:`~repro.core.graph.partition_bound`), reads the
+same maxima.  The filter emits candidates probe-major, so
+:class:`GroupUpperBounds` runs stage 1 for one probe's run of partners at
+once and stage 2 for its survivors, from the maxima stage 1 kept.
 
 Two implementations of stage 1, selected per group:
 
@@ -32,7 +32,9 @@ matrix entry is one correctly rounded int/int division or a min/max of
 such values, and the row and column maxima are added one at a time in the
 scalar order (vector adds across candidates, never ``np.sum``, whose
 pairwise summation can round differently).  The denominator, the θ short
-circuit and the 1.0 clamp follow :meth:`PairUpperBound.maxima`.
+circuit and the 1.0 clamp follow :meth:`PairUpperBound.maxima`.  The
+maxima it hands to stage 2 are exact, so stage 2 is bit-identical too,
+and a kernel group builds a scalar matrix only for Algorithm 1's pairs.
 
 The kernel has a fixed numpy cost per group, so it runs only when the
 group's segment-pair count (probe segments × summed partner segments)
@@ -44,9 +46,9 @@ loop.  Temporaries are bounded by cutting a group into chunks of about
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..core.graph import GraphSide, PairUpperBound, SideBoundCodes
+from ..core.graph import GraphSide, PairUpperBound, SideBoundCodes, partition_bound
 from ..core.measures import MeasureConfig
 from .kernels import _np, resolve_kernel
 
@@ -64,24 +66,22 @@ GROUP_KERNEL_MIN_PAIRS = 600
 _CHUNK_COLUMNS = 768
 
 
+#: One candidate's row and column maxima (``r`` and ``c``).
+Maxima = Tuple[List[float], List[float]]
+
+
 class GroupUpperBounds:
     """Both upper-bound stages of one probe record against its candidates.
 
-    :meth:`maxima` is stage 1 for the whole group, by the numpy kernel or
-    the scalar loop (see the module docs); :meth:`matching` is stage 2 for
-    one candidate.  The scalar loop keeps the bounds of the candidates
-    that survive stage 1, and :meth:`pair_bound` hands one over, so the
-    matching stage and Algorithm 1's weights reuse its matrix.  The sides
-    must be bound to ``config`` (prepared collections guarantee it).
+    :meth:`maxima` is stage 1 for the whole group (see the module docs) and
+    :meth:`partition` stage 2 for its survivors; :meth:`matrix` hands a
+    scalar survivor's bound matrix to Algorithm 1.  The sides must be
+    bound to ``config`` (prepared collections guarantee it).
     """
 
     __slots__ = (
-        "probe_side",
-        "partner_sides",
-        "config",
-        "probe_is_left",
-        "use_kernel",
-        "_pair_bounds",
+        "probe_side", "partner_sides", "config", "probe_is_left", "use_kernel",
+        "_maxima", "_matrices",
     )
 
     def __init__(
@@ -101,45 +101,49 @@ class GroupUpperBounds:
             len(probe_side.segments) * sum(len(side.segments) for side in partner_sides)
             >= GROUP_KERNEL_MIN_PAIRS
         )
-        self._pair_bounds: Dict[int, PairUpperBound] = {}
+        self._maxima: Dict[int, Maxima] = {}
+        self._matrices: Dict[int, List[List[float]]] = {}
 
-    def _build(self, position: int) -> PairUpperBound:
+    def _sides(self, position: int) -> Tuple[GraphSide, GraphSide]:
         partner = self.partner_sides[position]
         if self.probe_is_left:
-            return PairUpperBound(self.probe_side, partner, self.config)
-        return PairUpperBound(partner, self.probe_side, self.config)
+            return self.probe_side, partner
+        return partner, self.probe_side
 
     def maxima(self, threshold: float) -> List[float]:
-        """Every candidate's :meth:`PairUpperBound.maxima` at ``threshold``."""
+        """Every candidate's :meth:`PairUpperBound.maxima` at ``threshold``.
+
+        Keeps the maxima of the survivors (bound ≥ ``threshold``).
+        """
         if self.use_kernel:
-            return group_maxima_numpy(
+            values, self._maxima = group_maxima_numpy(
                 self.probe_side.bound_codes,
                 [side.bound_codes for side in self.partner_sides],
                 threshold,
                 probe_is_left=self.probe_is_left,
             )
+            return values
         values = []
         for position in range(len(self.partner_sides)):
-            bound = self._build(position)
+            bound = PairUpperBound(*self._sides(position), self.config)
             value = bound.maxima(threshold)
             if value >= threshold:
-                self._pair_bounds[position] = bound
+                self._maxima[position] = (bound.row_maxima, bound.column_maxima)
+                self._matrices[position] = bound.matrix
             values.append(value)
         return values
 
-    def pair_bound(self, position: int) -> PairUpperBound:
-        """Hand over one candidate's bound: the one stage 1 kept, else a new one.
+    def partition(self, positions: Iterable[int]) -> List[float]:
+        """:meth:`PairUpperBound.partition` of each survivor of :meth:`maxima`."""
+        values = []
+        for position in positions:
+            rows, columns = self._maxima[position]
+            values.append(partition_bound(*self._sides(position), rows, columns))
+        return values
 
-        The group keeps no reference to it afterwards.
-        """
-        bound = self._pair_bounds.pop(position, None)
-        if bound is None:
-            bound = self._build(position)
-        return bound
-
-    def matching(self, position: int) -> float:
-        """One candidate's :meth:`PairUpperBound.matching` bound."""
-        return self.pair_bound(position).matching()
+    def matrix(self, position: int) -> Optional[List[List[float]]]:
+        """Hand over (once) a scalar survivor's matrix; ``None`` after the kernel."""
+        return self._matrices.pop(position, None)
 
 
 # --------------------------------------------------------------------- #
@@ -301,19 +305,23 @@ def group_maxima_numpy(
     threshold: float,
     *,
     probe_is_left: bool,
-) -> List[float]:
+) -> Tuple[List[float], Dict[int, Maxima]]:
     """Every partner's maxima bound against ``probe``, in one vectorised pass.
 
-    Bit-identical to ``PairUpperBound(left, right, config).maxima(threshold)``
-    with the probe on the left when ``probe_is_left`` (see the module docs).
+    Returns the bounds and, per partner whose bound reaches ``threshold``,
+    its ``(row_maxima, column_maxima)``; all bit-identical to
+    :class:`PairUpperBound` with the probe on the left when
+    ``probe_is_left`` (see the module docs).
     """
     np = _np
     values = [0.0] * len(partners)
+    # An empty record's scalar matrix is empty, and so are its maxima.
+    kept = {position: ([], []) for position in range(len(partners) if threshold <= 0.0 else 0)}
     if not probe.segment_count:
-        return values  # an empty record: the scalar matrix is empty
+        return values, kept
     chosen = [position for position, codes in enumerate(partners) if codes.segment_count]
     if not chosen:
-        return values
+        return values, kept
     probe_arrays = _ProbeArrays(probe)
     counts = np.array([partners[position].segment_count for position in chosen])
     offsets = np.zeros(len(chosen) + 1, dtype=np.int64)
@@ -363,4 +371,13 @@ def group_maxima_numpy(
     bound = np.minimum(cheap / denominator, 1.0)
     for position, value in zip(chosen, bound.tolist()):
         values[position] = value
-    return values
+    # Survivors take their maxima along: the probe's, and the partner's.
+    survivors = np.flatnonzero(bound >= threshold)
+    for index, probe_maxima in zip(survivors.tolist(), probe_max[:, survivors].T.tolist()):
+        partner_maxima = partner_max[offsets[index]:offsets[index + 1]].tolist()
+        kept[chosen[index]] = (
+            (probe_maxima, partner_maxima)
+            if probe_is_left
+            else (partner_maxima, probe_maxima)
+        )
+    return values, kept

@@ -31,13 +31,16 @@ three stages, cheapest and most decisive first:
    without numpy: the verifier's ``kernel`` is the engine's filter-kernel
    selection (``"python"``, or ``REPRO_NO_NUMPY=1``, keeps every group
    scalar).
-2. *Matching bound* — the same msim bounds fed to a matching solver, on
-   the pairs the maxima bound did not prune.
+2. *Partition bound* — stage 1's row and column maxima weight each side's
+   best partitions (:func:`~repro.core.graph.partition_bound`, proved in
+   :class:`~repro.core.graph.PairUpperBound`), once per probe group over
+   stage 1's survivors.  It prunes only below ``θ −``
+   :data:`~repro.core.graph.PARTITION_SLACK`, which covers its rounding.
 3. *Algorithm 1* — the pair graph is assembled from the two cached sides
-   and the matching stage's bound matrix, whose exact Jaccard and taxonomy
-   entries become the vertex weights (a rule is looked up only where both
-   segments carry synonym closeness; at θ = 0 no bound runs and the
-   graph builds the matrix itself), and Algorithm 1 runs with its
+   and the pair's bound matrix (handed over by a scalar stage 1, else
+   built for this pair alone), whose exact Jaccard and taxonomy entries
+   become the vertex weights (a rule is looked up only where both
+   segments carry synonym closeness), and Algorithm 1 runs with its
    value-ceiling short circuit (the improvement loop is skipped once no
    swap can gain ``1/t``).  No stage computes ``msim``.
 
@@ -47,9 +50,9 @@ either stage prunes would be rejected by Algorithm 1 too.  The per-pair
 :meth:`UnifiedVerifier.verify` stays as the tests' oracle: it computes one
 pair from its tokens with a fresh ``approximate_usim``.  With tracing on,
 each stage runs in a span under the shard body's ``verify`` span:
-``verify.maxima`` once per probe group, and ``verify.matching`` and
-``verify.algorithm1`` once per candidate that reaches the stage.  The
-cascade is lossless: the surviving pair set and every reported similarity
+``verify.maxima`` once per probe group, ``verify.partition`` once per
+group with a stage-1 survivor, and ``verify.algorithm1`` once per
+candidate that reaches it.  The cascade is lossless: the surviving pair set and every reported similarity
 are bit-identical to :meth:`~UnifiedVerifier.verify` on each candidate,
 which the randomized equivalence tests enforce.  Counters are plain sums
 over one fixed sequence of stages, so the shards of
@@ -64,14 +67,14 @@ import threading
 from dataclasses import dataclass, fields, replace
 from itertools import groupby
 from operator import itemgetter
-from typing import Callable, ClassVar, Iterable, List, Optional, Tuple
+from typing import Callable, ClassVar, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.approximation import (
     approximate_usim,
     approximate_usim_on_graph,
     check_approximation_t,
 )
-from ..core.graph import GraphSide, build_conflict_graph_from_sides
+from ..core.graph import PARTITION_SLACK, GraphSide, build_conflict_graph_from_sides
 from ..core.measures import MeasureConfig
 from ..records import Record
 from ..telemetry.spans import NULL_SPAN, Span, current_span
@@ -106,7 +109,7 @@ class VerificationStats:
     """Counters of the verification cascade (cumulative per verifier).
 
     ``candidates`` is the number of pairs examined; of those,
-    ``upper_bound_prunes`` were rejected by the maxima or the matching
+    ``upper_bound_prunes`` were rejected by the maxima or the partition
     bound without building a pair graph and ``graphs_built`` went through
     Algorithm 1 (``ceiling_stops`` of them skipped the improvement loop via
     the value ceiling, ``full_runs`` ran it); ``results`` reached the
@@ -229,11 +232,6 @@ class UnifiedVerifier:
         self.kernel = kernel
         self.stats = VerificationStats()
 
-    @property
-    def verified_count(self) -> int:
-        """Candidates verified so far (``stats.candidates``)."""
-        return self.stats.candidates
-
     def verify(self, left: Record, right: Record) -> Optional[VerifiedPair]:
         """One pair from its tokens, by a fresh ``approximate_usim`` (the oracle).
 
@@ -272,9 +270,9 @@ class UnifiedVerifier:
         # the empty pair graph realises 0.0, matching approximate_usim's
         # empty-input result, so the cascade handles them like any pair (and
         # the counters keep partitioning the candidates).
-        bounds = maxima = None
+        bounds = None
+        survivors: Sequence[int] = range(len(group))
         if threshold > 0.0:
-            # Stage 1 for the whole group in one pass.
             bounds = GroupUpperBounds(
                 probe_side,
                 partner_sides,
@@ -286,31 +284,26 @@ class UnifiedVerifier:
                 "verify.maxima", candidates=len(group), kernel=bounds.use_kernel
             ):
                 maxima = bounds.maxima(threshold)
-        for position, (left_id, right_id) in enumerate(group):
-            stats.candidates += 1
-            matrix = None
-            if maxima is not None:
-                pruned = maxima[position] < threshold
-                if not pruned:
-                    with _tier_span("verify.matching"):
-                        pair_bound = bounds.pair_bound(position)
-                        pruned = pair_bound.matching() < threshold
-                    matrix = pair_bound.matrix
-                if pruned:
-                    # Algorithm 1 realises ≤ exact USIM ≤ either bound < θ:
-                    # the unpruned path would reject it too.
-                    stats.upper_bound_prunes += 1
-                    continue
-
+            survivors = [p for p, value in enumerate(maxima) if value >= threshold]
+            if survivors:
+                with _tier_span("verify.partition", candidates=len(survivors)):
+                    partition = bounds.partition(survivors)
+                # Algorithm 1 realises ≤ exact USIM ≤ either bound (up to
+                # rounding) < θ: it would reject every pair pruned here.
+                floor = threshold - PARTITION_SLACK
+                survivors = [p for p, value in zip(survivors, partition) if value >= floor]
+        stats.candidates += len(group)
+        stats.upper_bound_prunes += len(group) - len(survivors)
+        for position in survivors:
             stats.graphs_built += 1
             partner_side = partner_sides[position]
             left_side, right_side = (
                 (probe_side, partner_side) if probe_is_left else (partner_side, probe_side)
             )
+            left_id, right_id = group[position]
             with _tier_span("verify.algorithm1"):
-                graph = build_conflict_graph_from_sides(
-                    left_side, right_side, config, matrix
-                )
+                matrix = None if bounds is None else bounds.matrix(position)
+                graph = build_conflict_graph_from_sides(left_side, right_side, config, matrix)
                 result = approximate_usim_on_graph(graph, t=self.t)
             if result.ceiling_stopped:
                 stats.ceiling_stops += 1

@@ -32,11 +32,10 @@ histories.  The order is part of the contract: a plain join builds its own
 order over ``{probe} ∪ live`` and may sign (and so count) differently.
 :meth:`query_member` probes with the member's own row and verifies the
 partners oriented as the self-join emits them, as two probe groups of the
-member.  :meth:`query_topk` is lazy: one stage-1 pass of the verification
-cascade bounds every candidate by its maxima bound at the query θ,
-candidates below θ drop out, and the rest queue by that bound; a
-candidate's dearer matching bound is computed only when it reaches the
-head of the queue, and verification stops once the k-th best verified
+member.  :meth:`query_topk` bounds before it verifies: the two bound
+stages of the verification cascade run once over every candidate at the
+query θ, candidates they prune drop out, and the rest queue by their
+partition bound; verification stops once the k-th best verified
 similarity strictly beats the head's key
 (:func:`~repro.core.topk.bounded_top_k` — exact, ties included).  Each
 read opens a root span (``query``, ``query-batch``, ``query-member``,
@@ -82,6 +81,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..core.measures import MeasureConfig
 from ..core.tokenizer import default_tokenizer
+from ..core.graph import PARTITION_SLACK
 from ..core.topk import bounded_top_k, check_top_k
 from ..core.vocab import Vocabulary
 from ..join.aufilter import _check_process_only, _resolve_executor
@@ -710,20 +710,16 @@ class SimilarityIndex:
     ) -> QueryResult:
         """The k most similar live members (≥ the θ floor), bound-pruned.
 
-        The top-k queue is lazy (:func:`~repro.core.topk.bounded_top_k`
-        with a refine step).  One stage-1 pass computes every candidate's
-        maxima bound at the query θ
-        (:class:`~repro.join.bound_kernel.GroupUpperBounds`); candidates
-        below θ are dropped and the rest queue by that bound, ties by
-        member id.  A candidate's matching bound is computed only when it
-        first reaches the head of the queue (it is dropped if that bound is
-        below θ, else re-queued under it), and it is verified through
-        :meth:`~repro.join.verification.UnifiedVerifier.verify_batch` on
-        its second arrival.  Verification stops once the k-th best verified
-        similarity strictly beats the head's key, so the cascade runs only
-        where it can still change the answer.  The result equals the top-k
-        (by ``(-similarity, record_id)``) of the corresponding full query —
-        exact, ties included.
+        The cascade's two bound stages
+        (:class:`~repro.join.bound_kernel.GroupUpperBounds`) run once over
+        every candidate at the query θ; the candidates they would prune
+        drop out, and the rest queue by partition bound plus
+        :data:`~repro.core.graph.PARTITION_SLACK`, ties by member id
+        (:func:`~repro.core.topk.bounded_top_k`).  Each is verified through
+        :meth:`~repro.join.verification.UnifiedVerifier.verify_batch` until
+        the k-th best verified similarity strictly beats the head's key.
+        The result equals the top-k (by ``(-similarity, record_id)``) of
+        the corresponding full query — exact, ties included.
         """
         k = check_top_k(k)
         theta_q, tau_q = self._resolve_query(theta, tau)
@@ -751,16 +747,16 @@ class SimilarityIndex:
                     kernel=bounds.use_kernel,
                 ):
                     maxima = bounds.maxima(theta_q)
-                eligible = [
-                    position
-                    for position, value in enumerate(maxima)
-                    if value >= theta_q
+                survivors = [p for p, value in enumerate(maxima) if value >= theta_q]
+                partition: List[float] = []
+                if survivors:
+                    with telemetry.span("verify.partition", candidates=len(survivors)):
+                        partition = bounds.partition(survivors)
+                queued = [
+                    (p, value + PARTITION_SLACK)
+                    for p, value in zip(survivors, partition)
+                    if value >= theta_q - PARTITION_SLACK
                 ]
-
-                def refine(position: int) -> Optional[float]:
-                    with telemetry.span("verify.matching"):
-                        value = bounds.matching(position)
-                    return value if value >= theta_q else None
 
                 def evaluate(position: int) -> Optional[float]:
                     verified = self.verifier.verify_batch(
@@ -774,12 +770,8 @@ class SimilarityIndex:
                     return verified[0].similarity
 
                 top, evaluated = bounded_top_k(
-                    eligible,
-                    [maxima[position] for position in eligible],
-                    evaluate,
-                    k,
+                    [p for p, _ in queued], [key for _, key in queued], evaluate, k,
                     tie_key=partners.__getitem__,
-                    refine=refine,
                 )
             self._end_read(epoch)
             read_span.annotate(pairs=len(top), candidates=len(partners))

@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 
 from repro.datasets import MED_PROFILE, generate_dataset
+from repro.join import prepared as prepared_module
+from repro.join import signatures as signatures_module
 from repro.join.signatures import SignatureMethod
 
 BENCHMARKS_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
@@ -20,6 +22,7 @@ if str(BENCHMARKS_DIR) not in sys.path:
     sys.path.insert(0, str(BENCHMARKS_DIR))
 
 import bench_fig4_join_time  # noqa: E402
+import bench_fig5_filtering_power  # noqa: E402
 import bench_fig7_scalability  # noqa: E402
 import bench_parallel_scaling  # noqa: E402
 import bench_search_latency  # noqa: E402
@@ -45,6 +48,32 @@ def test_fig4_harness_smoke(smoke_dataset):
     reference = results[SignatureMethod.U_FILTER][0.85].pair_ids()
     assert results[SignatureMethod.AU_DP][0.85].pair_ids() == reference
     assert results[SignatureMethod.AU_HEURISTIC][0.85].pair_ids() == reference
+
+
+def test_fig5_harness_smoke(smoke_dataset, monkeypatch):
+    generated = []
+
+    def counting(module):
+        generate = module.generate_pebbles
+
+        def wrapper(tokens, config):
+            generated.append(tokens)
+            return generate(tokens, config)
+
+        monkeypatch.setattr(module, "generate_pebbles", wrapper)
+
+    counting(prepared_module)
+    counting(signatures_module)
+    rows = bench_fig5_filtering_power.run_fig5(smoke_dataset, side=20)
+    taus = bench_fig5_filtering_power.TAUS
+    assert set(rows) == {
+        (method, tau)
+        for method in (SignatureMethod.AU_HEURISTIC, SignatureMethod.AU_DP)
+        for tau in taus
+    } | {(SignatureMethod.U_FILTER, 1)}
+    # Both sides are prepared once for all 11 cells: one pebble generation
+    # per record of the two 20-record sides.
+    assert len(generated) == 40
 
 
 def test_fig4_selfjoin_filter_harness_smoke(smoke_dataset):

@@ -1,10 +1,12 @@
-"""The group maxima kernel against its scalar oracle, and its process boundary.
+"""The group bound stages against their scalar oracle, and the process boundary.
 
 :class:`~repro.join.bound_kernel.GroupUpperBounds` computes stage 1 of the
 verification cascade for a whole probe group — by the numpy kernel when the
-group is large enough, else by the scalar :class:`PairUpperBound` loop.  The
-contract is bit-identity with ``PairUpperBound(left, right, config).maxima``
-for every candidate, so every prune decision is the same on either path.
+group is large enough, else by the scalar :class:`PairUpperBound` loop — and
+stage 2 for stage 1's survivors from the row and column maxima stage 1 hands
+over.  The contract is bit-identity with ``PairUpperBound(left, right,
+config)``'s ``maxima`` and ``partition`` for every candidate, so every prune
+decision is the same on either path.
 The table sweeps every measure set, q, θ (0 and 1 included), both
 orientations, an empty record, groups on both sides of the size constant
 and groups that cross a chunk boundary.
@@ -109,15 +111,30 @@ def test_group_maxima_equal_the_scalar_bound(dataset, collection, codes, q):
                 )
                 # Bit for bit: equal floats, so equal prune decisions too.
                 assert group.maxima(theta) == expected, (probe_id, theta)
+                survivors = [
+                    position
+                    for position, value in enumerate(expected)
+                    if value >= theta
+                ]
+                assert group.partition(survivors) == [
+                    oracle[position].partition() for position in survivors
+                ], (probe_id, theta)
                 if numpy_available():
-                    assert group_maxima_numpy(
+                    values, maxima = group_maxima_numpy(
                         probe.bound_codes,
                         [side.bound_codes for side in partners],
                         theta,
                         probe_is_left=probe_is_left,
-                    ) == expected, (probe_id, theta)
-            for position in range(0, len(partners), 7):
-                assert group.matching(position) == oracle[position].matching()
+                    )
+                    assert values == expected, (probe_id, theta)
+                    # The maxima handed to stage 2 are the scalar ones.
+                    assert maxima == {
+                        position: (
+                            oracle[position].row_maxima,
+                            oracle[position].column_maxima,
+                        )
+                        for position in survivors
+                    }, (probe_id, theta)
 
 
 def test_encoding_is_dropped_from_pickles(dataset):

@@ -14,6 +14,7 @@ from repro.estimator import (
     scale_estimate,
     student_t_quantile,
 )
+from repro.datasets import TINY_PROFILE, generate_dataset
 from repro.estimator.bernoulli import bernoulli_rows
 from repro.evaluation.experiments import config_for, split_dataset
 from repro.join import PreparedCollection, dual_index_filter_candidates
@@ -216,6 +217,30 @@ class TestTauRecommender:
                 recommend_tau(left, right, config_for(tiny_dataset), 0.8, **{name: value})
         TauRecommender(engine, left_probability=1.0, right_probability=1.0)
 
+    def test_second_call_equals_a_fresh_recommender(self):
+        """A call's cost model and random stream are its own: recommending
+        on a second collection folds in nothing from the first call."""
+        dataset = generate_dataset(TINY_PROFILE, seed=3)
+        engine = PebbleJoin(config_for(dataset), 0.7, tau=3)
+        settings = dict(
+            tau_universe=(1, 2, 3),
+            left_probability=0.5,
+            right_probability=0.5,
+            burn_in=3,
+            max_iterations=6,
+            seed=1,
+        )
+        first = dataset.records.subset(range(40))
+        second = dataset.records.subset(range(40, 80))
+        reused = TauRecommender(engine, **settings)
+        reused.recommend(first)
+        again = reused.recommend(second)
+        fresh = TauRecommender(engine, **settings).recommend(second)
+        assert again.iterations == fresh.iterations
+        assert again.sample_sizes == fresh.sample_sizes
+        assert again.estimates == fresh.estimates
+        assert again.best_tau == fresh.best_tau
+
     def test_recommend_tau_wrapper(self, tiny_dataset):
         left, right = split_dataset(tiny_dataset, 30, 30)
         result = recommend_tau(
@@ -236,18 +261,21 @@ class _ReferenceRecommender(TauRecommender):
     rule are the recommender's own.
     """
 
-    def _sample_signed(self, signed, probability):
-        return [record for record in signed if self.rng.random() < probability]
+    @staticmethod
+    def _sample_signed(signed, probability, rng):
+        return [record for record in signed if rng.random() < probability]
 
-    def _reference_iteration(self, left_signed, right_signed, self_join):
+    def _reference_iteration(self, rng, left_signed, right_signed, self_join):
         if self_join:
             left_sample = right_sample = self._sample_signed(
-                left_signed, self.left_probability
+                left_signed, self.left_probability, rng
             )
             left_scale = right_scale = self.left_probability
         else:
-            left_sample = self._sample_signed(left_signed, self.left_probability)
-            right_sample = self._sample_signed(right_signed, self.right_probability)
+            left_sample = self._sample_signed(left_signed, self.left_probability, rng)
+            right_sample = self._sample_signed(
+                right_signed, self.right_probability, rng
+            )
             left_scale, right_scale = self.left_probability, self.right_probability
         sizes = (len(left_sample), len(right_sample))
         if not left_sample or not right_sample:
@@ -285,19 +313,21 @@ class _ReferenceRecommender(TauRecommender):
             if self_join
             else right_prep.signed(order, engine.theta, signing_tau, engine.method)
         )
+        cost_model = CostModel(filter_cost=self.filter_cost, verify_cost=self.verify_cost)
+        rng = random.Random(self.seed)
         sample_sizes = []
         iteration = 0
         while iteration < self.max_iterations:
             iteration += 1
             estimates, sizes, raw_processed = self._reference_iteration(
-                left_signed, right_signed, self_join
+                rng, left_signed, right_signed, self_join
             )
             sample_sizes.append(sizes)
             for tau, (processed, candidates) in estimates.items():
-                self.cost_model.observe(tau, processed, candidates)
-            if self._should_stop(iteration, raw_processed):
+                cost_model.observe(tau, processed, candidates)
+            if self._should_stop(cost_model, iteration, raw_processed):
                 break
-        estimates_by_tau = {tau: self.cost_model.estimate(tau) for tau in self.tau_universe}
+        estimates_by_tau = {tau: cost_model.estimate(tau) for tau in self.tau_universe}
         best_tau = min(estimates_by_tau.values(), key=lambda estimate: estimate.mean_cost).tau
         return RecommendationResult(
             best_tau=best_tau,

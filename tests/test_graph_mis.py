@@ -57,14 +57,14 @@ class TestConflictGraph:
         by_weight = {round(v.weight, 2): v.index for v in graph.vertices}
         r3 = by_weight[0.27]  # {c d} -> {f g}
         r5 = by_weight[0.22]  # {d} -> {h}
-        assert graph.are_adjacent(r3, r5)  # share token "d" on the S side
+        assert graph.adjacency[r3] >> r5 & 1  # share token "d" on the S side
 
     def test_non_conflicting_rules_not_adjacent(self, example5_graph):
         graph, _ = example5_graph
         by_weight = {round(v.weight, 2): v.index for v in graph.vertices}
         r1 = by_weight[0.3]   # {b c d} -> {f}
         r4 = by_weight[0.09]  # {a} -> {g}
-        assert not graph.are_adjacent(r1, r4)
+        assert not graph.adjacency[r1] >> r4 & 1
 
     def test_zero_weight_pairs_dropped(self, figure1_config):
         graph = build_conflict_graph(("xyz",), ("qqq",), figure1_config)
@@ -195,7 +195,7 @@ def _reference_squareimp_wmis(graph, *, max_claw_size=2, max_iterations=200):
         for anchor in outside:
             neighbourhood = [anchor] + [
                 index for index in outside
-                if index != anchor and graph.are_adjacent(anchor, index) is False
+                if index != anchor and not graph.adjacency[anchor] >> index & 1
                 and (graph.neighbors(anchor) & graph.neighbors(index))
             ]
             # Restrict to a bounded pool for tractability.
@@ -519,8 +519,8 @@ def _random_pair_graph(rng, vertex_count):
             for other, (k, m) in enumerate(ends)
             if other != vertex
             and (
-                left.segments[i].conflicts_with(left.segments[k])
-                or right.segments[j].conflicts_with(right.segments[m])
+                left.segments[i].span.overlaps(left.segments[k].span)
+                or right.segments[j].span.overlaps(right.segments[m].span)
             )
         }
         for vertex, (i, j) in enumerate(ends)

@@ -161,7 +161,7 @@ class TestCustomVerifier:
         left, right = poi_collections
         engine = PebbleJoin(figure1_config, 0.7, tau=1)
         result = engine.join(left, right)
-        assert engine.verifier.verified_count == result.statistics.candidate_count
+        assert engine.verifier.stats.candidates == result.statistics.candidate_count
 
 
 class TestUnifiedJoinFacade:

@@ -1,16 +1,11 @@
-"""Tests for maximum-weight bipartite matching (Hungarian and greedy)."""
+"""Tests for maximum-weight bipartite matching (the Hungarian solver)."""
 
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.matching import (
-    greedy_matching,
-    hungarian_matching,
-    matching_weight_upper_bound,
-    maximum_weight_matching,
-)
+from repro.core.matching import maximum_weight_matching
 
 
 def brute_force_matching(weights):
@@ -81,9 +76,6 @@ class TestMaximumWeightMatching:
         with pytest.raises(ValueError):
             maximum_weight_matching([[0.1, 0.2], [0.3]])
 
-    def test_hungarian_alias(self):
-        assert hungarian_matching is maximum_weight_matching
-
     def test_example3_aggregation(self):
         # Example 3: segment similarities 1, 0.8, 2/3 all matched.
         weights = [
@@ -110,54 +102,3 @@ class TestMaximumWeightMatching:
     def test_total_equals_sum_of_selected(self, weights):
         total, pairs = maximum_weight_matching(weights)
         assert total == pytest.approx(sum(weights[i][j] for i, j in pairs))
-
-
-class TestGreedyMatching:
-    @settings(max_examples=60, deadline=None)
-    @given(WEIGHT_MATRICES)
-    def test_greedy_is_at_most_optimal(self, weights):
-        greedy_total, _ = greedy_matching(weights)
-        optimal_total, _ = maximum_weight_matching(weights)
-        assert greedy_total <= optimal_total + 1e-9
-
-    @settings(max_examples=60, deadline=None)
-    @given(WEIGHT_MATRICES)
-    def test_greedy_is_half_approximate(self, weights):
-        greedy_total, _ = greedy_matching(weights)
-        optimal_total, _ = maximum_weight_matching(weights)
-        assert greedy_total >= optimal_total / 2 - 1e-9
-
-    def test_greedy_valid_matching(self):
-        weights = [[0.9, 0.8], [0.8, 0.1]]
-        total, pairs = greedy_matching(weights)
-        rows = [i for i, _ in pairs]
-        cols = [j for _, j in pairs]
-        assert len(rows) == len(set(rows))
-        assert len(cols) == len(set(cols))
-
-
-class TestMatchingWeightUpperBound:
-    @settings(max_examples=60, deadline=None)
-    @given(WEIGHT_MATRICES)
-    def test_dominates_optimum_small(self, weights):
-        bound = matching_weight_upper_bound(weights)
-        optimal_total, _ = maximum_weight_matching(weights)
-        assert bound >= optimal_total - 1e-9
-
-    @settings(max_examples=20, deadline=None)
-    @given(WEIGHT_MATRICES)
-    def test_dominates_optimum_on_fallback_path(self, weights):
-        # exact_limit=0 forces the row/column/greedy fallback bounds even on
-        # small matrices, so the fallback's soundness is exercised directly.
-        bound = matching_weight_upper_bound(weights, exact_limit=0)
-        optimal_total, _ = maximum_weight_matching(weights)
-        assert bound >= optimal_total - 1e-9
-
-    def test_small_matrices_are_tight(self):
-        weights = [[0.9, 0.2], [0.3, 0.8]]
-        optimal_total, _ = maximum_weight_matching(weights)
-        assert matching_weight_upper_bound(weights) == pytest.approx(optimal_total)
-
-    def test_empty_matrix(self):
-        assert matching_weight_upper_bound([]) == 0.0
-        assert matching_weight_upper_bound([[]]) == 0.0

@@ -100,7 +100,7 @@ def _observe(engine, result):
         stats.candidate_count,
         stats.processed_pairs,
         # The engine's verifier mirrors the serial accumulation contract.
-        engine.verifier.verified_count,
+        engine.verifier.stats.candidates,
     )
 
 
@@ -257,7 +257,7 @@ class TestExecutorEquivalence:
         for workers in (1, 3):
             result, engine = _run(config, collection, executor="process", workers=workers)
             assert _observe(engine, result) == expected, workers
-            assert engine.verifier.verified_count == result.statistics.candidate_count
+            assert engine.verifier.stats.candidates == result.statistics.candidate_count
 
     def test_shard_size_does_not_change_results(self, parallel_dataset):
         """Merging is lossless at any shard granularity: one-record shards
@@ -396,7 +396,7 @@ class TestCallerVerifierCounters:
             engine.join(collection, **kwargs)
             list(engine.join_batches(collection, batch_size=7, **kwargs))
             stats = engine.verifier.stats
-            observed.append((_counters(stats), engine.verifier.verified_count))
+            observed.append((_counters(stats), engine.verifier.stats.candidates))
         assert observed[0][0]["candidates"] > 0
         assert observed[0] == observed[1]
 
@@ -452,8 +452,8 @@ class TestPickleRoundTrips:
         assert [v.weight for v in graph.vertices] == [
             v.weight for v in reference.vertices
         ]
-        assert PairUpperBound(partner, clone, clone.config).matching() == (
-            PairUpperBound(partner, side, config).matching()
+        assert PairUpperBound(partner, clone, clone.config).partition() == (
+            PairUpperBound(partner, side, config).partition()
         )
 
     def test_measure_config_round_trip_equality(self, parallel_dataset):

@@ -1,12 +1,19 @@
-"""Recall against the definition: the filter keeps every similar pair.
+"""Recall and bounds against the definition.
 
 The equivalence suites compare one code path with another; this table
-compares the signature filter with USIM itself.  Every pair whose exact
-unified similarity (:func:`~repro.core.exact.exact_usim`, every partition
-pair enumerated) reaches θ must be a candidate of the self-join filter.
-At τ=1 that is what the signature walk guarantees for all three selection
-methods, whatever lower bound on the partition size it signs with, so an
-overestimated ``MP(S)`` shows up here as missed pairs.
+compares the signature filter and the verification bounds with USIM
+itself, computed by :func:`~repro.core.exact.exact_usim` (every partition
+pair enumerated) once per corpus and row.
+
+* Recall: every pair whose exact unified similarity reaches θ must be a
+  candidate of the self-join filter.  At τ=1 that is what the signature
+  walk guarantees for all three selection methods, whatever lower bound on
+  the partition size it signs with, so an overestimated ``MP(S)`` shows up
+  here as missed pairs.
+* Bounds: on every pair, the partition bound of stage 2 is at least the
+  exact USIM (less a rounding slack far below
+  :data:`~repro.core.graph.PARTITION_SLACK`) and at most the maxima bound
+  of stage 1 at θ = 0, bit for bit.
 
 Each row is one measure set over three seeded TINY corpora (30 records plus
 12 generated near-duplicates each) and every (θ, method) cell of the table.
@@ -19,6 +26,7 @@ import itertools
 import pytest
 
 from repro.core.exact import exact_usim
+from repro.core.graph import GraphSide, PairUpperBound
 from repro.core.measures import MeasureConfig
 from repro.datasets import TINY_PROFILE, generate_dataset, generate_ground_truth
 from repro.join import PebbleJoin, SignatureMethod
@@ -55,6 +63,22 @@ def recall_corpora():
     return corpora
 
 
+@pytest.fixture(scope="module")
+def exact_table(recall_corpora):
+    """(row, seed) -> (config, {pair of records: exact USIM}), every pair once."""
+    table = {}
+    for row, codes in RECALL_TABLE.items():
+        for seed, (dataset, records) in recall_corpora.items():
+            config = MeasureConfig.from_codes(
+                codes, rules=dataset.rules, taxonomy=dataset.taxonomy, q=3
+            )
+            table[row, seed] = config, {
+                (left, right): exact_usim(left.tokens, right.tokens, config).value
+                for left, right in itertools.combinations(records, 2)
+            }
+    return table
+
+
 def _candidates(config, records, theta, method):
     """The self-join filter's candidate pairs at ``TAU``."""
     engine = PebbleJoin(config, theta, tau=TAU, method=method)
@@ -66,19 +90,14 @@ def _candidates(config, records, theta, method):
 
 class TestRecallTable:
     @pytest.mark.parametrize("row", list(RECALL_TABLE))
-    def test_every_similar_pair_is_a_candidate(self, recall_corpora, row):
-        codes = RECALL_TABLE[row]
+    def test_every_similar_pair_is_a_candidate(self, recall_corpora, exact_table, row):
         truth_pairs = 0
         misses = []
         for seed, (dataset, records) in recall_corpora.items():
-            config = MeasureConfig.from_codes(
-                codes, rules=dataset.rules, taxonomy=dataset.taxonomy, q=3
-            )
+            config, exact = exact_table[row, seed]
             usim = {
-                (left.record_id, right.record_id): exact_usim(
-                    left.tokens, right.tokens, config
-                ).value
-                for left, right in itertools.combinations(records, 2)
+                (left.record_id, right.record_id): value
+                for (left, right), value in exact.items()
             }
             for theta in THETAS:
                 similar = {pair for pair, value in usim.items() if value >= theta}
@@ -91,3 +110,26 @@ class TestRecallTable:
         # A row without a similar pair would prove nothing about recall.
         assert truth_pairs > 0, row
         assert not misses, misses[:5]
+
+    @pytest.mark.parametrize("row", list(RECALL_TABLE))
+    def test_partition_bound_brackets_exact_usim(self, exact_table, row):
+        tighter = 0
+        for seed in RECALL_SEEDS:
+            config, exact = exact_table[row, seed]
+            sides = {}
+            for (left, right), value in exact.items():
+                for record in (left, right):
+                    if record.record_id not in sides:
+                        sides[record.record_id] = GraphSide(record.tokens, config)
+                bound = PairUpperBound(
+                    sides[left.record_id], sides[right.record_id], config
+                )
+                partition, maxima = bound.partition(), bound.maxima(0.0)
+                pair = (seed, left.record_id, right.record_id)
+                assert partition >= value - 1e-9, (pair, partition, value)
+                assert partition <= maxima, (pair, partition, maxima)
+                tighter += partition < maxima
+        if row != "jaccard":
+            # Jaccard segments are single tokens: each side has one
+            # partition, and the two bounds coincide.
+            assert tighter > 0, row

@@ -1,15 +1,21 @@
 """Tests for well-defined segments and partitions (Definitions 1–2)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.segments import (
+    UNREACHABLE,
     Segment,
     count_partitions,
     enumerate_partitions,
     enumerate_segments,
+    min_partition_size,
+    partition_sums,
     singleton_partition,
 )
+from repro.datasets import TINY_PROFILE, generate_dataset
 from repro.core.tokenizer import TokenSpan
 from repro.synonyms.rules import SynonymRuleSet
 
@@ -47,8 +53,8 @@ class TestEnumerateSegments:
         a = Segment(TokenSpan(0, 2), ("x", "y"))
         b = Segment(TokenSpan(1, 3), ("y", "z"))
         c = Segment(TokenSpan(2, 3), ("z",))
-        assert a.conflicts_with(b)
-        assert not a.conflicts_with(c)
+        assert a.span.overlaps(b.span)
+        assert not a.span.overlaps(c.span)
 
 
 class TestEnumeratePartitions:
@@ -135,3 +141,47 @@ class TestCachedEnumerationAgreement:
         assert len(ny) == 1 and ny[0].from_synonym
         pizza = [s for s in segments if s.tokens == ("pizza",)]
         assert len(pizza) == 1 and not pizza[0].from_synonym
+
+
+class TestPartitionSums:
+    """The interval DP against the partitions it summarises, bit for bit."""
+
+    def test_equal_the_best_sum_over_enumerated_partitions(self):
+        dataset = generate_dataset(TINY_PROFILE, count=60, seed=11)
+        rng = random.Random(11)
+        multi = 0
+        for record in dataset.records:
+            segments = enumerate_segments(
+                record.tokens, rules=dataset.rules, taxonomy=dataset.taxonomy
+            )
+            multi += any(len(segment) > 1 for segment in segments)
+            weights = [rng.choice([0.0, 0.25, rng.random(), 1.0]) for _ in segments]
+            position = {segment: index for index, segment in enumerate(segments)}
+            expected = [UNREACHABLE] * (len(record.tokens) + 1)
+            for partition in enumerate_partitions(record.tokens, segments):
+                total = 0.0  # left to right, as the DP adds
+                for segment in partition:
+                    total += weights[position[segment]]
+                expected[len(partition)] = max(expected[len(partition)], total)
+            assert partition_sums(len(record.tokens), segments, weights) == expected
+            # The weight-free case: every reachable count sums to 0.0, and
+            # MP(S) is the smallest of them.
+            reachable = [count for count, total in enumerate(expected) if total != UNREACHABLE]
+            assert partition_sums(len(record.tokens), segments) == [
+                0.0 if count in reachable else UNREACHABLE
+                for count in range(len(record.tokens) + 1)
+            ]
+            assert min_partition_size(len(record.tokens), segments) == reachable[0]
+            # No entry exceeds the sum of all the weights, added in order.
+            full = 0.0
+            for weight in weights:
+                full += weight
+            assert max(expected) <= full
+        assert multi > 10
+
+    def test_positions_without_a_segment_count_as_weightless_singletons(self):
+        segments = [Segment(TokenSpan(0, 2), ("a", "b"))]
+        assert partition_sums(3, segments, [0.5]) == [UNREACHABLE, UNREACHABLE, 0.5, UNREACHABLE]
+        assert min_partition_size(3, segments) == 2
+        assert partition_sums(0, []) == [0.0]
+        assert min_partition_size(0, []) == 0

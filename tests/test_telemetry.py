@@ -14,9 +14,12 @@ from __future__ import annotations
 
 import json
 import time
+from itertools import groupby
+from operator import itemgetter
 
 import pytest
 
+from repro.core.graph import PairUpperBound
 from repro.core.measures import MeasureConfig
 from repro.datasets import TINY_PROFILE, generate_dataset
 from repro.faults import FAULTS, FaultRule
@@ -313,9 +316,11 @@ class TestSpanSourcedTimings:
 
 class TestTierSpans:
     """Each verification tier has its span under ``verify``: ``verify.maxima``
-    once per probe group, the others once per candidate reaching them."""
+    once per probe group, ``verify.partition`` once per probe group with a
+    stage-1 survivor, and ``verify.algorithm1`` once per candidate reaching
+    Algorithm 1."""
 
-    TIERS = {"verify.maxima", "verify.matching", "verify.algorithm1"}
+    TIERS = {"verify.maxima", "verify.partition", "verify.algorithm1"}
 
     def _tier_counts(self, telemetry):
         counts = {name: 0 for name in self.TIERS}
@@ -338,18 +343,32 @@ class TestTierSpans:
             signed, signed, exclude_self_pairs=True, prepared=(prepared, prepared)
         )
         probe = 0 if outcome.probe_side == "left" else 1
-        groups = sum(
-            1
-            for position, pair in enumerate(outcome.candidates)
-            if position == 0 or outcome.candidates[position - 1][probe] != pair[probe]
-        )
+        groups = [
+            list(run) for _, run in groupby(outcome.candidates, key=itemgetter(probe))
+        ]
+        # Per probe group, the candidates that survive stage 1.
+        survivors = [
+            sum(
+                PairUpperBound(
+                    prepared.graph_side(left), prepared.graph_side(right), config
+                ).maxima(THETA)
+                >= THETA
+                for left, right in group
+            )
+            for group in groups
+        ]
         stats = result.statistics.verification
         counts = self._tier_counts(telemetry)
-        assert groups > 1 and stats.graphs_built > 0
-        assert counts["verify.maxima"] == groups
+        assert len(groups) > 1 and stats.graphs_built > 0
+        assert counts["verify.maxima"] == len(groups)
+        assert counts["verify.partition"] == sum(1 for count in survivors if count)
         assert counts["verify.algorithm1"] == stats.graphs_built
-        # Every built graph passed the matching bound first.
-        assert counts["verify.matching"] >= stats.graphs_built
+        # Stage 2 bounded every stage-1 survivor, each built graph among them.
+        assert sum(
+            span.attrs["candidates"]
+            for span in telemetry.tracer.iter_spans()
+            if span.name == "verify.partition"
+        ) == sum(survivors) >= stats.graphs_built
 
     def test_topk_read_traces_each_tier(self, config, collection):
         from repro.search import SimilarityIndex
@@ -366,11 +385,11 @@ class TestTierSpans:
         counts = self._tier_counts(telemetry)
         evaluated = result.candidate_count - result.bound_skipped
         assert evaluated > 0 and result.verification.graphs_built > 0
-        # One group for the whole read, then one per verified candidate.
+        # One group for the whole read, then one per verified candidate;
+        # each of them survived stage 1, so each bounds stage 2 too.
         assert counts["verify.maxima"] == 1 + evaluated
+        assert counts["verify.partition"] == 1 + evaluated
         assert counts["verify.algorithm1"] == result.verification.graphs_built
-        # Every verified candidate had its matching bound refined first.
-        assert counts["verify.matching"] >= evaluated
 
     def test_member_read_opens_its_root(self, config, collection):
         from repro.search import SimilarityIndex

@@ -18,6 +18,7 @@ import pytest
 from repro.core.approximation import approximate_usim, approximate_usim_on_graph
 from repro.core.exact import ExactBudgetExceeded, exact_usim
 from repro.core.graph import (
+    PARTITION_SLACK,
     GraphSide,
     PairUpperBound,
     build_conflict_graph,
@@ -94,7 +95,7 @@ class TestVerifyBatchEquivalence:
             prepared_right = PebbleJoin(config, threshold).prepare(right)
             got = engine.verify_batch(candidates, prepared_left, prepared_right)
             assert _as_triples(got) == reference
-            assert engine.verified_count == len(candidates)
+            assert engine.stats.candidates == len(candidates)
 
     def test_self_join_equivalence(self, engine_dataset):
         config = _config(engine_dataset, "TJS")
@@ -171,7 +172,7 @@ class TestVerifyBatchEquivalence:
         }
         assert streamed_pairs == set(_as_triples(expected.pairs))
         total_candidates = sum(batch.candidate_count for batch in batches)
-        assert streamed.verifier.verified_count == total_candidates
+        assert streamed.verifier.stats.candidates == total_candidates
         assert sum(
             batch.verification.candidates for batch in batches
         ) == total_candidates
@@ -198,15 +199,19 @@ def _near_duplicate_collection(dataset, count=12, exact_copies=3):
 
 def _reference_cascade_stats(config, threshold, candidates, left, right):
     """The cascade from the public bounds, one pair at a time: a pair is
-    pruned when the maxima bound, or else the matching bound, falls below
-    θ, and otherwise runs Algorithm 1 on the two-sided graph."""
+    pruned when the maxima bound falls below θ, or else the partition bound
+    below θ − PARTITION_SLACK, and otherwise runs Algorithm 1 on the
+    two-sided graph."""
     stats = VerificationStats()
     for left_id, right_id in candidates:
         left_side = left.graph_side(left_id)
         right_side = right.graph_side(right_id)
         stats.candidates += 1
         bound = PairUpperBound(left_side, right_side, config)
-        if bound.maxima(threshold) < threshold or bound.matching() < threshold:
+        if (
+            bound.maxima(threshold) < threshold
+            or bound.partition() < threshold - PARTITION_SLACK
+        ):
             stats.upper_bound_prunes += 1
             continue
         stats.graphs_built += 1
@@ -274,7 +279,7 @@ class TestBoundSoundness:
         for left, right in self._random_pairs(engine_dataset, 60, 3):
             left_side = GraphSide(left.tokens, config)
             right_side = GraphSide(right.tokens, config)
-            upper = PairUpperBound(left_side, right_side, config).matching()
+            upper = PairUpperBound(left_side, right_side, config).partition()
             approx = approximate_usim(left.tokens, right.tokens, config).value
             assert approx <= upper + 1e-9
 
@@ -291,7 +296,7 @@ class TestBoundSoundness:
             except ExactBudgetExceeded:
                 continue
             checked += 1
-            upper = PairUpperBound(left_side, right_side, config).matching()
+            upper = PairUpperBound(left_side, right_side, config).partition()
             assert exact <= upper + 1e-9
         assert checked > 10
 
@@ -299,7 +304,7 @@ class TestBoundSoundness:
         tokens = ("coffee", "shop", "latte")
         side = GraphSide(tokens, figure1_config)
         other = GraphSide(tokens, figure1_config)
-        assert PairUpperBound(side, other, figure1_config).matching() == 1.0
+        assert PairUpperBound(side, other, figure1_config).partition() == 1.0
 
     def test_synonym_bound_tight_under_rule_transitivity(self):
         """Two rhs of rules sharing one lhs are transitively related but not
@@ -319,11 +324,11 @@ class TestBoundSoundness:
         # No rule connects the two rhs: similarity is 0 and the tightened
         # bound agrees (the shared "coffee shop" lhs is no longer a hit).
         assert config.msim(("cafe",), ("coffeehouse",)) == 0.0
-        assert PairUpperBound(cafe, coffeehouse, config).matching() == 0.0
+        assert PairUpperBound(cafe, coffeehouse, config).partition() == 0.0
         # A directly connected pair still bounds at the rule's closeness.
         shop = GraphSide(("coffee", "shop"), config)
         assert config.msim(("coffee", "shop"), ("cafe",)) == 0.9
-        assert PairUpperBound(shop, cafe, config).matching() >= 0.9
+        assert PairUpperBound(shop, cafe, config).partition() >= 0.9
 
 
 class TestCeilingBreak:
@@ -399,11 +404,11 @@ class TestGraphSideAssembly:
         assert [v.weight for v in graph.vertices] == [
             v.weight for v in reference.vertices
         ]
-        assert PairUpperBound(side, other, config_a).matching() == PairUpperBound(
+        assert PairUpperBound(side, other, config_a).partition() == PairUpperBound(
             GraphSide(("coffee", "shop"), config_b),
             GraphSide(("cafe",), config_b),
             config_b,
-        ).matching()
+        ).partition()
 
     def test_min_partition_size_is_exact_minimum(self, figure1_config):
         # "coffee shop latte": {"coffee shop", "latte"} is the smallest cover.
@@ -557,7 +562,8 @@ class TestNoMsimOnVerificationPath:
             assert _as_triples(got) == expected[threshold]
             built[threshold] = verifier.stats.graphs_built
         # θ = 0 runs no bound, so each graph builds its matrix itself;
-        # above it, graphs take the matching stage's matrix (the synonym
-        # measure alone scores these pairs too low to reach θ = 0.5).
+        # above it, a graph takes the matrix of a scalar stage 1 or builds
+        # its own after the kernel (the synonym measure alone scores these
+        # pairs too low to reach θ = 0.5).
         assert built[0.0] == len(candidates)
         assert built[0.5] > 0 or codes == "S"
