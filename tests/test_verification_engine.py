@@ -23,8 +23,10 @@ from repro.core.graph import (
     PairUpperBound,
     build_conflict_graph,
     build_conflict_graph_from_sides,
+    partition_bound,
 )
 from repro.core.measures import Measure, MeasureConfig
+from repro.core.segments import partition_sums
 from repro.datasets import MED_PROFILE, TINY_PROFILE, generate_dataset, generate_ground_truth
 from repro.join import PebbleJoin, SignatureMethod
 from repro.join import verification
@@ -329,6 +331,65 @@ class TestBoundSoundness:
         shop = GraphSide(("coffee", "shop"), config)
         assert config.msim(("coffee", "shop"), ("cafe",)) == 0.9
         assert PairUpperBound(shop, cafe, config).partition() >= 0.9
+
+    def test_partition_bound_equals_the_pairwise_maximum(self, engine_dataset):
+        """The linear scan over ``max(a, b)`` is the defining double maximum
+        ``max_{a,b} min(A[a], B[b], min(a, b)) / max(a, b)``, bit for bit,
+        on stage 1's maxima and on random weights in [0, 1]."""
+
+        def pairwise(left_side, right_side, rows, columns):
+            left = partition_sums(len(left_side.tokens), left_side.segments, rows)
+            right = partition_sums(len(right_side.tokens), right_side.segments, columns)
+            best = max(
+                min(left[a], right[b], min(a, b)) / max(a, b)
+                for a in range(1, len(left))
+                for b in range(1, len(right))
+            )
+            return min(best, 1.0)
+
+        rng = random.Random(41)
+        records = list(engine_dataset.records)
+        pairs = self._random_pairs(engine_dataset, 40, 41)
+        pairs += [(record, record) for record in rng.sample(records, 10)]
+        multi = 0
+        for codes in MEASURE_CODES:
+            config = _config(engine_dataset, codes)
+            for left, right in pairs:
+                left_side = GraphSide(left.tokens, config)
+                right_side = GraphSide(right.tokens, config)
+                multi += any(len(segment) > 1 for segment in left_side.segments)
+                bound = PairUpperBound(left_side, right_side, config)
+                assert bound.partition() == pairwise(
+                    left_side, right_side, bound.row_maxima, bound.column_maxima
+                )
+                rows = [rng.choice([0.0, 1.0, rng.random()]) for _ in left_side.segments]
+                columns = [rng.choice([0.0, 1.0, rng.random()]) for _ in right_side.segments]
+                assert partition_bound(left_side, right_side, rows, columns) == pairwise(
+                    left_side, right_side, rows, columns
+                )
+        assert multi > 10
+
+    def test_partition_bound_tight_where_overlapping_maxima_are_not(self):
+        """Row maxima of overlapping segments never sit in one partition.
+
+        ``apple`` (1.0 against ``apple``) and ``big apple`` (0.9 against
+        ``nyc``) overlap, so the maxima bound adds both, (0.9 + 1.0) / 2,
+        while a partition holds one of them: ``big apple | pie`` gives
+        A[2] = 0.9 and ``big | apple | pie`` gives A[3] = 1.0, so the
+        partition bound is max(0.9 / 2, 1.0 / 3) = 0.45, the exact USIM.
+        """
+        from repro.synonyms.rules import SynonymRuleSet
+
+        rules = SynonymRuleSet.from_pairs([("big apple", "nyc")], closeness=0.9)
+        config = MeasureConfig.from_codes("JS", rules=rules)
+        left = GraphSide(("big", "apple", "pie"), config)
+        right = GraphSide(("nyc", "apple"), config)
+        bound = PairUpperBound(left, right, config)
+        assert bound.row_maxima == [0.0, 0.9, 1.0, 0.0]  # big, big apple, apple, pie
+        assert bound.column_maxima == [0.9, 1.0]
+        assert bound.maxima(0.0) == pytest.approx(0.95)
+        assert bound.partition() == 0.45
+        assert exact_usim(left.tokens, right.tokens, config).value == pytest.approx(0.45)
 
 
 class TestCeilingBreak:
