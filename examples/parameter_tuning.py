@@ -93,8 +93,12 @@ def main() -> None:
     recommendation = recommender.recommend(left_prep, right_prep, order=order)
     elapsed = time.perf_counter() - start
 
+    evidence = (
+        f"{recommendation.iterations} samples"
+        + (" and one exact counts pass" if recommendation.exact else "")
+    )
     print(f"\nRecommender suggestion: τ = {recommendation.best_tau} "
-          f"after {recommendation.iterations} iterations in {elapsed:.2f}s "
+          f"after {evidence} in {elapsed:.2f}s "
           f"({100 * elapsed / sum(measured.values()):.1f}% of the sweep's total join time)")
     print("  estimated relative costs:")
     for tau in TAUS:

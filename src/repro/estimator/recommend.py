@@ -4,11 +4,17 @@ The recommender takes a join engine and signs the full input collections
 **once**, through the engine's
 :meth:`~repro.join.aufilter.PebbleJoin.resolve` (at the largest candidate
 τ, cached in the :class:`~repro.join.prepared.PreparedCollection`
-signature cache), and encodes each signed side once per call as
-:class:`~repro.join.flat.FlatSignatures`.  It then draws a series of small
-independent Bernoulli samples as row gathers of that encoding (one
-``rng.random()`` per row, in row order), runs only the filtering stage on
-each sample — one counts-mode pass of the filter kernel per iteration
+signature cache).  It encodes the signed sides through the call the join's
+plan makes, ``PebbleJoin._flat_filter_state``, so the
+:class:`~repro.join.flat.FlatJoinState` is memoized on the indexed side's
+preparation (:meth:`~repro.join.prepared.PreparedCollection.flat_state`)
+and the final join's filter finds it there: ``UnifiedJoin(tau="auto")``
+signs and encodes its sides once end to end.
+
+Sampling draws a series of small independent Bernoulli samples as row
+gathers of the encoded sides (one ``rng.random()`` per row, in row order),
+runs only the filtering stage on each sample — one counts-mode pass of
+the filter kernel per iteration
 (:func:`~repro.join.kernels.overlap_histogram`, whose histogram of
 saturated overlap counts yields every ``V_τ`` at once) — scales the
 observed cardinalities up to the full data (unbiased Bernoulli
@@ -21,10 +27,36 @@ until both
 
 after which the τ with the lowest estimated total cost is returned.
 
-Because the prepared signature cache is shared, a subsequent full join at
-the same (θ, signing τ, method) — as ``UnifiedJoin(tau="auto")`` performs —
-reuses the recommendation's signing verbatim: the full collections are
-signed exactly once end to end.
+Counting exactly when sampling would cost more
+----------------------------------------------
+Sampling pays because one filter pass over a large input is expensive; on
+a small input one exact pass is the cheaper answer.  The recommender
+weighs the two in the unit the stopping rule already uses, processed
+pairs, plus the key occurrences a sample gathers:
+
+* The exact pass costs ``T``, the processed pairs of the full filter.
+  :func:`~repro.join.kernels.processed_count` reads it off the state's
+  postings without a probe pass.  The kernels count a posting as processed
+  before their saturation check, so a posting is processed exactly when it
+  survives the self-join exclusion, which compares it with the probe id
+  alone: a cross join processes every posting of each known probe key
+  occurrence, and a self-join the part of each ascending posting list
+  below the probe id, which a binary search finds.  The count is
+  therefore the kernel's ``processed`` for the same arguments.
+* One sample's expected work is ``E = p_l·p_r·T + p_l·K_l + p_r·K_r``,
+  with ``K`` a side's signature key occurrences; a self-join draws one
+  sample, so ``E = p²·T + p·K``.
+
+Before each sample, if the work sampled so far plus
+``max(burn_in − samples drawn, 1) · E`` reaches ``T``, the recommender runs
+the exact pass — one :func:`~repro.join.kernels.overlap_histogram` at cap
+``max(tau_universe)`` over the state — and stops.  Its ``(T, V_τ)`` become
+the only observation of the call's cost model (variance 0), whose argmin
+is ``best_tau`` as after sampling.  The sampler cannot stop before its
+burn-in, so the rule never samples when the burn-in alone would cost more
+than the exact answer.  The rule reads only the sampling settings and
+counts, never a clock: a τ that followed machine load would move every
+counter downstream of it.
 
 Self-joins are estimated as self-joins: one sample per iteration, filtered
 with ``exclude_self_pairs`` so that neither ``(i, i)`` nor mirrored pairs
@@ -41,9 +73,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..core.measures import MeasureConfig
-from ..core.vocab import Vocabulary
-from ..join.flat import FlatPostings, FlatSignatures
-from ..join.kernels import overlap_histogram
+from ..join.flat import FlatJoinState, FlatPostings, FlatSignatures
+from ..join.kernels import overlap_histogram, processed_count
 from ..join.signatures import check_tau
 from .bernoulli import bernoulli_rows, scale_estimate
 from .cost_model import CostEstimate, CostModel
@@ -59,7 +90,8 @@ DEFAULT_T_QUANTILE = 1.036
 DEFAULT_BURN_IN = 10
 #: Default candidate τ values (the paper examines 1–8).
 DEFAULT_TAU_UNIVERSE = (1, 2, 3, 4, 5, 6)
-#: Iteration cap of :func:`recommend_tau` and ``UnifiedJoin(tau="auto")``.
+#: Iteration cap of :class:`TauRecommender`, :func:`recommend_tau` and
+#: ``UnifiedJoin(tau="auto")``.
 DEFAULT_MAX_ITERATIONS = 100
 
 
@@ -92,6 +124,7 @@ class RecommendationResult:
     """Outcome of the τ recommendation."""
 
     best_tau: int
+    #: Samples drawn (0 when the exact pass ran first).
     iterations: int
     elapsed_seconds: float
     estimates: Dict[int, CostEstimate]
@@ -101,6 +134,9 @@ class RecommendationResult:
     signing_tau: int = 1
     #: Whether the recommendation estimated a self-join.
     self_join: bool = False
+    #: Whether the estimates are one exact counts pass over the full sides,
+    #: run once it was cheaper than sampling on (see the module docs).
+    exact: bool = False
 
 
 class TauRecommender:
@@ -114,7 +150,7 @@ class TauRecommender:
         left_probability: float = 0.01,
         right_probability: float = 0.01,
         burn_in: int = DEFAULT_BURN_IN,
-        max_iterations: int = 200,
+        max_iterations: int = DEFAULT_MAX_ITERATIONS,
         t_quantile: float = DEFAULT_T_QUANTILE,
         filter_cost: float = 1.0,
         verify_cost: float = 50.0,
@@ -124,7 +160,7 @@ class TauRecommender:
         θ, signature method, order strategy and store the recommendation
         signs with (its ``resolve``, at ``max(tau_universe)``, which must
         not be below the engine's own τ); its ``kernel`` knob picks the
-        filter kernel the samples run through.
+        filter kernel the samples and the exact pass run through.
 
         Raises ``ValueError`` for a probability outside (0, 1] or a τ below
         1 (see :func:`check_sampling`), for a ``burn_in`` or
@@ -160,48 +196,57 @@ class TauRecommender:
     def _run_iteration(
         self,
         rng: random.Random,
-        left_flat: FlatSignatures,
-        right_flat: FlatSignatures,
+        state: FlatJoinState,
+        index_rows: FlatSignatures,
+        probe_is_left: bool,
         self_join: bool,
-        ascending: bool,
-        counts_size: int,
         kernel: str,
-    ) -> Tuple[Dict[int, Tuple[float, float]], Tuple[int, int], float]:
+    ) -> Tuple[Dict[int, Tuple[float, float]], Tuple[int, int], int, int]:
         """Sample the encoded sides from ``rng``, count every τ in one pass, scale.
 
-        Returns the per-τ ``(T̂, V̂)`` estimates, the sample sizes, and the raw
-        (unscaled) processed-pair count of this iteration, which feeds the
-        stopping rule's right-hand side.
+        ``state.probe`` holds the probe side's rows and ``index_rows`` the
+        indexed side's (the same rows for a self-join or a side passed
+        twice); the left side is sampled first.  Returns the per-τ
+        ``(T̂, V̂)`` estimates, the sample sizes, the raw (unscaled)
+        processed-pair count of this iteration, which feeds the stopping
+        rule's right-hand side, and the key occurrences the samples
+        gathered.
         """
         if self_join:
             # A self-join sample is filtered as a self-join: one index,
             # (i, i) and mirrored pairs excluded.
-            probe = index = _sample_rows(left_flat, self.left_probability, rng)
+            probe = index = _sample_rows(state.probe, self.left_probability, rng)
             sizes = (len(probe), len(probe))
             left_scale = right_scale = self.left_probability
+            gathered = probe.total_keys
         else:
-            probe = _sample_rows(left_flat, self.left_probability, rng)
-            index = _sample_rows(right_flat, self.right_probability, rng)
-            sizes = (len(probe), len(index))
+            left_rows, right_rows = (
+                (state.probe, index_rows) if probe_is_left else (index_rows, state.probe)
+            )
+            left = _sample_rows(left_rows, self.left_probability, rng)
+            right = _sample_rows(right_rows, self.right_probability, rng)
+            probe, index = (left, right) if probe_is_left else (right, left)
+            sizes = (len(left), len(right))
             left_scale, right_scale = self.left_probability, self.right_probability
+            gathered = left.total_keys + right.total_keys
 
         if not len(probe) or not len(index):
             # Empty samples estimate zero work for every τ; they still count
             # as an iteration (the estimator stays unbiased in expectation).
-            return {tau: (0.0, 0.0) for tau in self.tau_universe}, sizes, 0.0
+            return {tau: (0.0, 0.0) for tau in self.tau_universe}, sizes, 0, gathered
 
-        # Overlap counts are symmetric in the two sides, so the right sample
-        # is always the indexed one.
+        # Overlap counts are symmetric in the two sides, so the sample of
+        # the state's indexed side is the indexed one here too.
         processed, histogram = overlap_histogram(
-            FlatPostings.from_flat(index, len(left_flat.vocab)),
+            FlatPostings.from_flat(index, len(state.vocab)),
             probe,
             0,
             len(probe),
             self.tau_universe[-1],
-            probe_is_left=not self_join,
+            probe_is_left=probe_is_left,
             exclude_self_pairs=self_join,
-            postings_ascending=ascending,
-            counts_size=counts_size,
+            postings_ascending=state.postings_ascending,
+            counts_size=state.counts_size,
             kernel=kernel,
         )
         scaled_processed = scale_estimate(processed, left_scale, right_scale)
@@ -209,7 +254,7 @@ class TauRecommender:
         for tau in self.tau_universe:
             candidates = scale_estimate(sum(histogram[tau:]), left_scale, right_scale)
             estimates[tau] = (scaled_processed, candidates)
-        return estimates, sizes, float(processed)
+        return estimates, sizes, processed, gathered
 
     # ------------------------------------------------------------------ #
     # stopping rule
@@ -266,50 +311,98 @@ class TauRecommender:
         signing_tau = max(self.tau_universe)
         # One full signing at the largest candidate τ serves every iteration
         # and — through the prepared cache — the final join.
-        sides = self.engine.resolve(
+        engine = self.engine
+        sides = engine.resolve(
             left, right, precomputed_order=order, signing_tau=signing_tau
         )
         self_join = sides.self_join
-        # Encoded once; every sample is a row gather of these arrays.
-        vocab = Vocabulary()
-        left_flat = FlatSignatures.from_signed(sides.left_signed, vocab)
-        right_flat = (
-            left_flat
-            if sides.right_signed is sides.left_signed
-            else FlatSignatures.from_signed(sides.right_signed, vocab)
+        # The state the join's plan resolves, memoized on the indexed side's
+        # preparation, so the final join encodes nothing again.
+        state, probe_signed, probe_is_left = engine._flat_filter_state(
+            sides.left_signed, sides.right_signed, (sides.left_prep, sides.right_prep)
         )
-        index_ids = right_flat.record_ids
-        # Rows keep their order in every sample, so ascending full-side ids
-        # license the self-join early break in every sample.
-        ascending = all(a < b for a, b in zip(index_ids, index_ids[1:]))
-        counts_size = max(index_ids, default=-1) + 1
+        index_signed = sides.right_signed if probe_is_left else sides.left_signed
+        kernel = engine.kernel
+        count_flags = dict(
+            probe_is_left=probe_is_left,
+            exclude_self_pairs=self_join,
+            postings_ascending=state.postings_ascending,
+        )
+        # The exact pass's work, T, and one sample's expected work, E (see
+        # the module docs).  Every indexed key occurrence posts once, and
+        # the probe side's unknown keys are gathered too.
+        exact_work = processed_count(
+            state.postings, state.probe, 0, state.probe_count, kernel=kernel, **count_flags
+        )
+        probe_keys, index_keys = state.probe.total_keys, len(state.postings.data)
+        left_keys, right_keys = (
+            (probe_keys, index_keys) if probe_is_left else (index_keys, probe_keys)
+        )
+        left_p, right_p = self.left_probability, self.right_probability
+        if self_join:
+            expected_work = left_p * left_p * exact_work + left_p * left_keys
+        else:
+            expected_work = (
+                left_p * right_p * exact_work + left_p * left_keys + right_p * right_keys
+            )
 
         cost_model = CostModel(filter_cost=self.filter_cost, verify_cost=self.verify_cost)
         rng = random.Random(self.seed)
         sample_sizes: List[Tuple[int, int]] = []
-        iteration = 0
-
-        while iteration < self.max_iterations:
-            iteration += 1
-            estimates, sizes, raw_processed = self._run_iteration(
-                rng, left_flat, right_flat, self_join, ascending, counts_size, self.engine.kernel
+        sampled_work = 0
+        index_rows: Optional[FlatSignatures] = None
+        exact = False
+        while len(sample_sizes) < self.max_iterations:
+            # The samples still to come, at least the rest of the burn-in
+            # and at least one, would bring the sampled work up to T.
+            remaining = max(self.burn_in - len(sample_sizes), 1)
+            if sampled_work + remaining * expected_work >= exact_work:
+                processed, histogram = overlap_histogram(
+                    state.postings,
+                    state.probe,
+                    0,
+                    state.probe_count,
+                    self.tau_universe[-1],
+                    counts_size=state.counts_size,
+                    kernel=kernel,
+                    **count_flags,
+                )
+                cost_model = CostModel(
+                    filter_cost=self.filter_cost, verify_cost=self.verify_cost
+                )
+                for tau in self.tau_universe:
+                    cost_model.observe(tau, float(processed), float(sum(histogram[tau:])))
+                exact = True
+                break
+            if index_rows is None:
+                # A cross join's state keeps only the indexed side's
+                # postings; its samples need that side's rows once.
+                index_rows = (
+                    state.probe
+                    if index_signed is probe_signed
+                    else FlatSignatures.from_signed(index_signed, state.vocab, grow=False)
+                )
+            estimates, sizes, raw_processed, gathered = self._run_iteration(
+                rng, state, index_rows, probe_is_left, self_join, kernel
             )
             sample_sizes.append(sizes)
-            for tau, (processed, candidates) in estimates.items():
-                cost_model.observe(tau, processed, candidates)
-            if self._should_stop(cost_model, iteration, raw_processed):
+            sampled_work += raw_processed + gathered
+            for tau, (processed_estimate, candidates) in estimates.items():
+                cost_model.observe(tau, processed_estimate, candidates)
+            if self._should_stop(cost_model, len(sample_sizes), raw_processed):
                 break
 
         estimates_by_tau = {tau: cost_model.estimate(tau) for tau in self.tau_universe}
         best_tau = min(estimates_by_tau.values(), key=lambda estimate: estimate.mean_cost).tau
         return RecommendationResult(
             best_tau=best_tau,
-            iterations=iteration,
+            iterations=len(sample_sizes),
             elapsed_seconds=time.perf_counter() - start,
             estimates=estimates_by_tau,
             sample_sizes=sample_sizes,
             signing_tau=signing_tau,
             self_join=self_join,
+            exact=exact,
         )
 
 

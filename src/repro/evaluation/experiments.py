@@ -518,7 +518,12 @@ def sampling_probability_tradeoff(
     method: str = SignatureMethod.AU_HEURISTIC,
     seed: int = 17,
 ) -> Dict[float, Dict[str, float]]:
-    """Reproduce Figure 8: iterations and suggestion time vs sample probability."""
+    """Reproduce Figure 8: iterations and suggestion time vs sample probability.
+
+    Each row's ``exact`` (1.0 or 0.0) says whether the recommender ran one
+    exact counts pass in place of further samples, which it does once that
+    pass is the cheaper one (see :mod:`repro.estimator.recommend`).
+    """
     config = config_for(dataset)
     left, right = split_dataset(dataset, size, size)
     left_prep = PreparedCollection.prepare(left, config)
@@ -542,6 +547,7 @@ def sampling_probability_tradeoff(
             "iterations": float(recommendation.iterations),
             "suggestion_seconds": elapsed,
             "best_tau": float(recommendation.best_tau),
+            "exact": float(recommendation.exact),
         }
     return outcome
 

@@ -20,7 +20,7 @@ once and probed against itself, and because posting lists are sorted
 ascending by record id the probe breaks out of a posting list at the first
 partner ``id >= probe_id`` (each unordered pair is counted exactly once,
 when the higher id probes).  The τ-recommender runs the same kernel in its
-counts mode on samples.
+counts mode, on samples or once over the join's own memoized flat state.
 
 ``processed_pairs`` still reports the paper's ``T_τ`` — every (left, right)
 postings combination the filter touches — so the cost model and the

@@ -226,14 +226,13 @@ class UnifiedJoin:
         if self.tau != "auto":
             return engine, left_prep, right_prep, order, None, 0.0
 
-        from ..estimator.recommend import DEFAULT_MAX_ITERATIONS, TauRecommender
+        from ..estimator.recommend import TauRecommender
 
         recommender = TauRecommender(
             engine,
             tau_universe=self.tau_universe,
             left_probability=self.sample_probability,
             right_probability=self.sample_probability,
-            max_iterations=DEFAULT_MAX_ITERATIONS,
             seed=self.recommendation_seed,
         )
         with self.telemetry.span("recommend") as recommend_span:
@@ -243,6 +242,7 @@ class UnifiedJoin:
                 best_tau=recommendation.best_tau,
                 iterations=recommendation.iterations,
                 signing_tau=recommendation.signing_tau,
+                exact=recommendation.exact,
             )
         suggestion_seconds = _stage_seconds(recommend_span, start)
         self.last_recommendation = recommendation

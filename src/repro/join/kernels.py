@@ -27,6 +27,14 @@ the same loop as the candidate-mode reference; :func:`overlap_histogram_numpy`
 gathers the whole probe span at once and counts (probe, partner) codes
 with ``np.unique``, since counts need no emission order.
 
+:func:`processed_count` reads the ``processed`` of both modes off the
+posting lists alone, with no probe pass: a posting survives the
+self-join exclusion by comparison with the probe id only, so each key
+occurrence contributes its span's length, or — under exclusion — the part
+of its span on the far side of the probe id, which a binary search finds
+in an ascending span.  Algorithm 7 weighs that count against the work of
+its samples before it decides to sample at all.
+
 Within a mode the kernels are **bit-identical**: same candidates, same
 orientation, same per-probe emission order, same histogram, same
 ``processed`` count (the loop increments ``processed`` for every
@@ -54,6 +62,7 @@ from __future__ import annotations
 
 import os
 from array import array
+from bisect import bisect_left, bisect_right
 from typing import List, Tuple
 
 if os.environ.get("REPRO_NO_NUMPY"):  # pragma: no cover - exercised via subprocess
@@ -74,6 +83,9 @@ __all__ = [
     "overlap_histogram",
     "overlap_histogram_python",
     "overlap_histogram_numpy",
+    "processed_count",
+    "processed_count_python",
+    "processed_count_numpy",
 ]
 
 #: Valid values for the ``kernel=`` knob on join/query APIs.
@@ -508,3 +520,136 @@ def overlap_histogram_numpy(
     _, overlaps = np.unique(owners * counts_size + partners, return_counts=True)
     binned = np.bincount(np.minimum(overlaps, cap), minlength=cap + 1)
     return processed, binned.tolist()
+
+
+# --------------------------------------------------------------------- #
+# the processed count alone, read off the postings (Algorithm 7's T)
+# --------------------------------------------------------------------- #
+def processed_count(
+    postings,
+    probe,
+    start: int,
+    stop: int,
+    *,
+    probe_is_left: bool,
+    exclude_self_pairs: bool,
+    postings_ascending: bool,
+    kernel: str = "auto",
+) -> int:
+    """The ``processed`` of probe records ``[start, stop)``, without probing (dispatching).
+
+    Equal to what :func:`probe_span` and :func:`overlap_histogram` report
+    for the same arguments.  A cross join processes every posting of every
+    known probe key occurrence.  Under ``exclude_self_pairs`` a posting
+    counts exactly when it lies above the probe id (a left probe) or below
+    it (a right probe) — the early break of an ascending span stops at the
+    first posting that does not — so an ascending span contributes the
+    count a binary search for the probe id finds.
+    """
+    impl = _dispatch(kernel, processed_count_python, processed_count_numpy)
+    return impl(
+        postings,
+        probe,
+        start,
+        stop,
+        probe_is_left=probe_is_left,
+        exclude_self_pairs=exclude_self_pairs,
+        postings_ascending=postings_ascending,
+    )
+
+
+def processed_count_python(
+    postings,
+    probe,
+    start: int,
+    stop: int,
+    *,
+    probe_is_left: bool,
+    exclude_self_pairs: bool,
+    postings_ascending: bool,
+) -> int:
+    """The pure-Python count: one span length or binary search per key occurrence."""
+    processed = 0
+    key_ids = probe.key_ids
+    key_offsets = probe.key_offsets
+    record_ids = probe.record_ids
+    offsets = postings.offsets
+    data = postings.data
+    for position in range(start, stop):
+        probe_id = record_ids[position]
+        for i in range(key_offsets[position], key_offsets[position + 1]):
+            key_id = key_ids[i]
+            if key_id < 0:
+                continue
+            low, high = offsets[key_id], offsets[key_id + 1]
+            if not exclude_self_pairs:
+                processed += high - low
+            elif postings_ascending:
+                if probe_is_left:
+                    processed += high - bisect_right(data, probe_id, low, high)
+                else:
+                    processed += bisect_left(data, probe_id, low, high) - low
+            elif probe_is_left:
+                processed += sum(1 for q in range(low, high) if data[q] > probe_id)
+            else:
+                processed += sum(1 for q in range(low, high) if data[q] < probe_id)
+    return processed
+
+
+def processed_count_numpy(
+    postings,
+    probe,
+    start: int,
+    stop: int,
+    *,
+    probe_is_left: bool,
+    exclude_self_pairs: bool,
+    postings_ascending: bool,
+) -> int:
+    """The vectorized count — equal to :func:`processed_count_python`.
+
+    Under exclusion with ascending spans, tagging each posting with its
+    key id as ``key · width + id`` (``width`` above every id) makes the
+    whole ``data`` array ascending, since spans lie in key order; one
+    ``searchsorted`` of every ``key · width + probe_id`` then finds each
+    occurrence's cut.  Unsorted spans are gathered and masked, as
+    :func:`overlap_histogram_numpy` does.
+    """
+    if _np is None:  # pragma: no cover - callers dispatch via resolve_kernel
+        raise ValueError("processed_count_numpy requires numpy")
+    np = _np
+    key_offsets = probe.key_offsets
+    keys = _as_int32(probe.key_ids)[key_offsets[start] : key_offsets[stop]]
+    known = keys >= 0  # probe-only keys: no postings
+    keys = keys[known].astype(np.int64)
+    offsets_np = _as_int32(postings.offsets).astype(np.int64)
+    starts = offsets_np[keys]
+    ends = offsets_np[keys + 1]
+    if not exclude_self_pairs:
+        return int((ends - starts).sum())
+    probe_ids = np.repeat(
+        _as_int32(probe.record_ids)[start:stop],
+        np.diff(_as_int32(key_offsets)[start : stop + 1]),
+    )[known].astype(np.int64)
+    data = _as_int32(postings.data).astype(np.int64)
+    if not postings_ascending:
+        lengths = ends - starts
+        total = int(lengths.sum())
+        if not total:
+            return 0
+        out_starts = np.cumsum(lengths) - lengths
+        partners = data[
+            np.arange(total, dtype=np.int64) + np.repeat(starts - out_starts, lengths)
+        ]
+        owners = np.repeat(probe_ids, lengths)
+        keep = partners > owners if probe_is_left else partners < owners
+        return int(np.count_nonzero(keep))
+    if not keys.size or not data.size:
+        return 0
+    width = max(int(data.max()), int(probe_ids.max())) + 1
+    span_keys = np.repeat(np.arange(len(offsets_np) - 1, dtype=np.int64), np.diff(offsets_np))
+    tagged = span_keys * width + data
+    targets = keys * width + probe_ids
+    if probe_is_left:
+        return int((ends - np.searchsorted(tagged, targets, side="right")).sum())
+    return int((np.searchsorted(tagged, targets, side="left") - starts).sum())

@@ -396,6 +396,10 @@ class PreparedCollection:
         repeated joins over one preparation hit without re-encoding — and
         every invalidation path (``extend_with`` content bumps,
         :meth:`clear_caches`) drops the memo wholesale.
+
+        The τ recommender and the join share the memo: both resolve the
+        state through ``PebbleJoin._flat_filter_state``, so an
+        ``UnifiedJoin(tau="auto")`` join encodes its signed sides once.
         """
         # Strong refs to both lists in the value guard against id reuse.
         key = (id(index_signed), id(probe_signed), postings_ascending)  # repro: ignore[id-keyed-container]

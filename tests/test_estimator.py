@@ -257,13 +257,20 @@ class _ReferenceRecommender(TauRecommender):
 
     Each iteration draws its samples record by record from the signed lists
     and takes the processed pairs and per-τ candidate counts from the exact
-    overlaps of the paper's dual-index filter; the cost model and stopping
-    rule are the recommender's own.
+    overlaps of the paper's dual-index filter.  The switch to the exact pass
+    takes ``T`` and the exact counts from the dual-index filter over the
+    full signed sides, and the key occurrences from the signed lists, and
+    applies the rule of :mod:`repro.estimator.recommend` as written there;
+    the cost model and the stopping rule are the recommender's own.
     """
 
     @staticmethod
     def _sample_signed(signed, probability, rng):
         return [record for record in signed if rng.random() < probability]
+
+    @staticmethod
+    def _keys(signed):
+        return sum(len(record.signature_key_sequence) for record in signed)
 
     def _reference_iteration(self, rng, left_signed, right_signed, self_join):
         if self_join:
@@ -271,15 +278,17 @@ class _ReferenceRecommender(TauRecommender):
                 left_signed, self.left_probability, rng
             )
             left_scale = right_scale = self.left_probability
+            gathered = self._keys(left_sample)
         else:
             left_sample = self._sample_signed(left_signed, self.left_probability, rng)
             right_sample = self._sample_signed(
                 right_signed, self.right_probability, rng
             )
             left_scale, right_scale = self.left_probability, self.right_probability
+            gathered = self._keys(left_sample) + self._keys(right_sample)
         sizes = (len(left_sample), len(right_sample))
         if not left_sample or not right_sample:
-            return {tau: (0.0, 0.0) for tau in self.tau_universe}, sizes, 0.0
+            return {tau: (0.0, 0.0) for tau in self.tau_universe}, sizes, 0, gathered
         outcome = dual_index_filter_candidates(
             left_sample, right_sample, requirement=1, exclude_self_pairs=self_join
         )
@@ -294,7 +303,7 @@ class _ReferenceRecommender(TauRecommender):
             )
             for tau in self.tau_universe
         }
-        return estimates, sizes, float(outcome.processed_pairs)
+        return estimates, sizes, outcome.processed_pairs, gathered
 
     def recommend(self, left, right=None, *, order=None):
         signing_tau = max(self.tau_universe)
@@ -313,36 +322,70 @@ class _ReferenceRecommender(TauRecommender):
             if self_join
             else right_prep.signed(order, engine.theta, signing_tau, engine.method)
         )
+        full = dual_index_filter_candidates(
+            left_signed, right_signed, requirement=1, exclude_self_pairs=self_join
+        )
+        exact_work = full.processed_pairs
+        left_p, right_p = self.left_probability, self.right_probability
+        left_keys, right_keys = self._keys(left_signed), self._keys(right_signed)
+        if self_join:
+            expected_work = left_p * left_p * exact_work + left_p * left_keys
+        else:
+            expected_work = (
+                left_p * right_p * exact_work + left_p * left_keys + right_p * right_keys
+            )
         cost_model = CostModel(filter_cost=self.filter_cost, verify_cost=self.verify_cost)
         rng = random.Random(self.seed)
         sample_sizes = []
-        iteration = 0
-        while iteration < self.max_iterations:
-            iteration += 1
-            estimates, sizes, raw_processed = self._reference_iteration(
+        sampled_work = 0
+        exact = False
+        while len(sample_sizes) < self.max_iterations:
+            remaining = max(self.burn_in - len(sample_sizes), 1)
+            if sampled_work + remaining * expected_work >= exact_work:
+                overlaps = list(full.overlap_counts.values())
+                cost_model = CostModel(
+                    filter_cost=self.filter_cost, verify_cost=self.verify_cost
+                )
+                for tau in self.tau_universe:
+                    candidates = sum(1 for count in overlaps if count >= tau)
+                    cost_model.observe(tau, float(exact_work), float(candidates))
+                exact = True
+                break
+            estimates, sizes, raw_processed, gathered = self._reference_iteration(
                 rng, left_signed, right_signed, self_join
             )
             sample_sizes.append(sizes)
+            sampled_work += raw_processed + gathered
             for tau, (processed, candidates) in estimates.items():
                 cost_model.observe(tau, processed, candidates)
-            if self._should_stop(cost_model, iteration, raw_processed):
+            if self._should_stop(cost_model, len(sample_sizes), raw_processed):
                 break
         estimates_by_tau = {tau: cost_model.estimate(tau) for tau in self.tau_universe}
         best_tau = min(estimates_by_tau.values(), key=lambda estimate: estimate.mean_cost).tau
         return RecommendationResult(
             best_tau=best_tau,
-            iterations=iteration,
+            iterations=len(sample_sizes),
             elapsed_seconds=0.0,
             estimates=estimates_by_tau,
             sample_sizes=sample_sizes,
             signing_tau=signing_tau,
             self_join=self_join,
+            exact=exact,
         )
 
 
 class TestFlatSamplingMatchesReference:
     """The flat recommender equals the signed-sample reference exactly:
-    same samples, same per-τ estimates, same stopping point, same τ."""
+    same samples, same per-τ estimates, same stopping point, same switch to
+    the exact pass, same τ."""
+
+    MAX_ITERATIONS = 20
+
+    @staticmethod
+    def _branch(result, max_iterations):
+        if result.exact:
+            return "switch" if result.iterations else "exact first"
+        return "inequality 24" if result.iterations < max_iterations else "cap"
 
     @pytest.mark.parametrize("codes", ("J", "S", "T", "TJS"))
     @pytest.mark.parametrize(
@@ -363,6 +406,7 @@ class TestFlatSamplingMatchesReference:
         engine = PebbleJoin(config, 0.7, kernel=kernel)
 
         overlapping = 0
+        branches = {}
         for name, (left_side, right_side) in cases.items():
             for seed, probability in ((1, 0.3), (5, 0.6), (9, 1.0)):
                 kwargs = dict(
@@ -370,7 +414,7 @@ class TestFlatSamplingMatchesReference:
                     left_probability=probability,
                     right_probability=probability,
                     burn_in=3,
-                    max_iterations=20,
+                    max_iterations=self.MAX_ITERATIONS,
                     seed=seed,
                 )
                 got = TauRecommender(engine, **kwargs).recommend(left_side, right_side)
@@ -382,11 +426,22 @@ class TestFlatSamplingMatchesReference:
                 assert got.iterations == expected.iterations, case
                 assert got.sample_sizes == expected.sample_sizes, case
                 assert got.estimates == expected.estimates, case
+                assert got.exact == expected.exact, case
                 assert (got.signing_tau, got.self_join) == (
                     expected.signing_tau,
                     expected.self_join,
                 ), case
                 overlapping += got.estimates[2].mean_candidates > 0
+                branches.setdefault(self._branch(got, self.MAX_ITERATIONS), []).append(case)
+                if probability == 1.0:
+                    # A sample at p = 1 is the whole input: one exact pass
+                    # is never dearer, so no sample is drawn.
+                    assert got.exact and not got.iterations, case
         if codes != "S":
             # Multi-pebble overlaps occurred, so the per-τ counts differ.
             assert overlapping > 0
+        if codes == "TJS":
+            # The TJS prefixes are long enough that sampling sometimes pays:
+            # the two-collection case at p = 0.3 stops by Inequality 24, the
+            # self-join at p = 0.3 switches after a sample.
+            assert set(branches) == {"inequality 24", "switch", "exact first"}, branches

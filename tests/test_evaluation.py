@@ -131,6 +131,19 @@ class TestExperimentDrivers:
         results = join_time_by_method(left, right, config, thetas=(0.85,), tau=2)
         assert set(results) == set(experiments.SignatureMethod.ALL)
 
+    def test_sampling_tradeoff_marks_the_exact_pass(self, tiny_dataset):
+        # At p = 1 a sample is the whole input, so one exact counts pass is
+        # never dearer: the row is exact and draws no sample.
+        outcome = experiments.sampling_probability_tradeoff(
+            tiny_dataset, probabilities=(0.05, 1.0), size=20
+        )
+        assert set(outcome) == {0.05, 1.0}
+        assert outcome[1.0]["exact"] == 1.0
+        assert outcome[1.0]["iterations"] == 0.0
+        for row in outcome.values():
+            assert row["exact"] in (0.0, 1.0)
+            assert row["best_tau"] in (1.0, 2.0, 3.0, 4.0)
+
     def test_split_dataset_disjoint(self, tiny_dataset):
         left, right = split_dataset(tiny_dataset, 30, 30)
         left_texts = set(left.texts())

@@ -18,7 +18,7 @@ import pytest
 from repro.core.measures import MeasureConfig
 from repro.core.vocab import Vocabulary
 from repro.datasets import TINY_PROFILE, generate_dataset
-from repro.join import PebbleJoin, dual_index_filter_candidates
+from repro.join import PebbleJoin, UnifiedJoin, dual_index_filter_candidates
 from repro.join.flat import (
     UNKNOWN_KEY,
     FlatJoinState,
@@ -172,6 +172,39 @@ class TestPlanMemo:
             build_shard_plan(engine, prepared, other).flat
             is build_shard_plan(engine, prepared, other).flat
         )
+
+
+    def test_auto_join_encodes_its_sides_once(self, dataset, monkeypatch):
+        """The τ recommender takes its flat state from the call the join's
+        plan makes, so the final join hits the memo.  A self-join encodes
+        its signed side once, whether the recommender samples or counts
+        exactly.  A cross join encodes each side once, plus the indexed
+        side's rows when it samples."""
+        calls = []
+        from_signed = FlatSignatures.from_signed.__func__
+
+        def counting(cls, *args, **kwargs):
+            calls.append(args[0])
+            return from_signed(cls, *args, **kwargs)
+
+        monkeypatch.setattr(FlatSignatures, "from_signed", classmethod(counting))
+        left = dataset.records.head(32)
+        right = dataset.records.subset(range(16, 48))
+        for probability, exact in ((0.05, False), (1.0, True)):
+            for sides, encodings in (((left,), 1), ((left, right), 2 + (not exact))):
+                join = UnifiedJoin(
+                    rules=dataset.rules,
+                    taxonomy=dataset.taxonomy,
+                    theta=THETA,
+                    tau="auto",
+                    tau_universe=(1, 2, 3),
+                    sample_probability=probability,
+                    recommendation_seed=3,
+                )
+                calls.clear()
+                join.join(*sides)
+                assert join.last_recommendation.exact is exact, probability
+                assert len(calls) == encodings, (len(sides), probability)
 
 
 class TestPayloadTransport:

@@ -7,6 +7,9 @@ probe loop the kernels replaced — kept here as a verbatim test-local copy
 over a ``defaultdict(list)`` postings map.  In counts mode every kernel
 must return the same ``processed`` count and saturated overlap histogram
 as the exact overlaps of :func:`~repro.join.aufilter.dual_index_filter_candidates`.
+And every kernel's :func:`~repro.join.kernels.processed_count`, read off the
+postings without a probe pass, must equal the ``processed`` of
+:func:`~repro.join.kernels.probe_span_python` for the same arguments.
 These suites sweep the full semantic surface — all measure configurations,
 self-join and R×S orientations, τ saturation, unknown probe keys, empty
 posting spans — and pin the serial/process boundary: shards running a
@@ -36,6 +39,8 @@ from repro.join.kernels import (
     numpy_available,
     overlap_histogram,
     probe_span,
+    probe_span_python,
+    processed_count,
     resolve_kernel,
 )
 
@@ -215,6 +220,34 @@ def _histogram_answers(state, cap, *, probe_is_left, exclude_self_pairs):
     }
 
 
+def _assert_processed_count(postings, probe, **flags):
+    """Every kernel's postings-only count equals the reference loop's ``processed``."""
+    _, expected = probe_span_python(
+        postings,
+        probe,
+        0,
+        len(probe),
+        1,
+        counts_size=max(postings.data, default=-1) + 1,
+        **flags,
+    )
+    for kernel in AVAILABLE_KERNELS:
+        got = processed_count(postings, probe, 0, len(probe), kernel=kernel, **flags)
+        assert got == expected, (kernel, flags)
+    return expected
+
+
+def _assert_state_processed_count(
+    index_signed, probe_signed, *, postings_ascending, **flags
+):
+    state = FlatJoinState.from_signed_sides(
+        index_signed, probe_signed, postings_ascending=postings_ascending
+    )
+    return _assert_processed_count(
+        state.postings, state.probe, postings_ascending=postings_ascending, **flags
+    )
+
+
 def _kernel_answers(
     index_signed,
     probe_signed,
@@ -269,6 +302,13 @@ class TestKernelEquivalence:
                 )
                 for kernel, got in answers.items():
                     assert got == expected, (codes, kernel, requirement, ascending)
+                assert _assert_state_processed_count(
+                    index_signed,
+                    probe_signed,
+                    probe_is_left=False,
+                    exclude_self_pairs=True,
+                    postings_ascending=ascending,
+                ) == expected[1]
 
     @pytest.mark.parametrize("codes", MEASURE_CODES)
     @pytest.mark.parametrize("probe_is_left", (True, False))
@@ -295,6 +335,14 @@ class TestKernelEquivalence:
             )
             for kernel, got in answers.items():
                 assert got == expected, (codes, kernel, requirement)
+        for exclude_self_pairs in (False, True):
+            _assert_state_processed_count(
+                index_signed,
+                probe_signed,
+                probe_is_left=probe_is_left,
+                exclude_self_pairs=exclude_self_pairs,
+                postings_ascending=True,
+            )
 
     def test_unknown_probe_keys_act_as_dict_misses(self, dataset):
         """Probe-only keys encode as UNKNOWN_KEY and contribute nothing."""
@@ -321,6 +369,14 @@ class TestKernelEquivalence:
             postings_ascending=False,
         ).items():
             assert got == expected, kernel
+        for probe_is_left in (True, False):
+            _assert_processed_count(
+                state.postings,
+                state.probe,
+                probe_is_left=probe_is_left,
+                exclude_self_pairs=False,
+                postings_ascending=False,
+            )
 
 
 class TestOverlapHistogramEquivalence:
@@ -416,6 +472,13 @@ class TestOverlapHistogramEquivalence:
                         kernel=kernel,
                     )
                     assert got == expected, (codes, kernel, cap, self_join)
+                assert _assert_processed_count(
+                    postings,
+                    probe,
+                    probe_is_left=not self_join,
+                    exclude_self_pairs=self_join,
+                    postings_ascending=True,
+                ) == expected[0]
 
 
 class _SyntheticProbe:
@@ -455,6 +518,35 @@ class TestSyntheticEdgeCases:
         return overlap_histogram(
             self._postings(), probe, 0, 1, cap, counts_size=10, kernel=kernel, **flags
         )
+
+    def test_processed_count_reads_the_postings(self):
+        """The postings-only count equals the loop's ``processed`` on
+        duplicate postings, empty spans, unknown keys, both orientations and
+        both exclusion modes, sorted or not."""
+        unsorted = FlatPostings(array("i", [0, 4, 4, 6]), array("i", [7, 5, 9, 5, 9, 2]))
+        for postings, ascending in ((self._postings(), True), (unsorted, False)):
+            for key_ids in ([0, 2], [2, 0, 0], [1, UNKNOWN_KEY, 1], [], [UNKNOWN_KEY]):
+                for probe_id in (3, 5, 7, 10):
+                    probe = _SyntheticProbe([probe_id], [0, len(key_ids)], key_ids)
+                    for probe_is_left in (True, False):
+                        for exclude_self_pairs in (False, True):
+                            _assert_processed_count(
+                                postings,
+                                probe,
+                                probe_is_left=probe_is_left,
+                                exclude_self_pairs=exclude_self_pairs,
+                                postings_ascending=ascending,
+                            )
+        # Several probes at once, and a span of them: probe 2 sees nothing
+        # below it, probe 6 has no keys, and probe 8 sees 7 under key 2 and
+        # 5, 5, 5, 7 under key 0.
+        probe = _SyntheticProbe([2, 6, 8], [0, 2, 2, 5], [0, 2, 2, 0, UNKNOWN_KEY])
+        flags = dict(probe_is_left=False, exclude_self_pairs=True, postings_ascending=True)
+        assert _assert_processed_count(self._postings(), probe, **flags) == 5
+        for kernel in AVAILABLE_KERNELS:
+            assert processed_count(self._postings(), probe, 1, 3, kernel=kernel, **flags) == 5
+            assert processed_count(self._postings(), probe, 0, 1, kernel=kernel, **flags) == 0
+            assert processed_count(self._postings(), probe, 0, 0, kernel=kernel, **flags) == 0
 
     @pytest.mark.parametrize("kernel", AVAILABLE_KERNELS)
     def test_saturation_never_affects_processed(self, kernel):

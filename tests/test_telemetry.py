@@ -225,6 +225,7 @@ class TestRecommendSpan:
             "best_tau": recommendation.best_tau,
             "iterations": recommendation.iterations,
             "signing_tau": recommendation.signing_tau,
+            "exact": recommendation.exact,
         }
         # Span-sourced, like every other stage time.
         assert result.statistics.suggestion_seconds == recommend.wall_seconds
